@@ -20,7 +20,7 @@ a uniform-``e`` field an exact fixed point of the remap.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -114,7 +114,8 @@ def advect_cells(mesh: QuadMesh,
                  fv: np.ndarray,
                  cell_mass: np.ndarray, rho: np.ndarray, e: np.ndarray,
                  comms=None,
-                 ws: "Workspace" = None) -> Tuple[np.ndarray, np.ndarray]:
+                 ws: Optional[Workspace] = None
+                 ) -> Tuple[np.ndarray, np.ndarray]:
     """Advect mass and internal energy through the flux volumes.
 
     Returns ``(mass_new, energy_mass_new)`` where the second array is
@@ -128,11 +129,12 @@ def advect_cells(mesh: QuadMesh,
     reconstruction and conservation stays exact globally.
     """
     w = scratch(ws)
-    g = w.array("ale.ac.gather", (mesh.ncell, 4))
+    g = w.borrow((mesh.ncell, 4))
     cx = np.mean(np.take(x_old, mesh.cell_nodes, out=g, mode="clip"), axis=1,
-                 out=w.array("ale.ac.cx", mesh.ncell))
+                 out=w.borrow(mesh.ncell))
     cy = np.mean(np.take(y_old, mesh.cell_nodes, out=g, mode="clip"), axis=1,
-                 out=w.array("ale.ac.cy", mesh.ncell))
+                 out=w.borrow(mesh.ncell))
+    w.release(g)
     sx, sy = swept_centroids(mesh, x_old, y_old, x_new, y_new)
 
     grx, gry = cell_gradients(mesh, cx, cy, rho)
@@ -161,4 +163,5 @@ def advect_cells(mesh: QuadMesh,
     e_f = e[donor] + gex[donor] * (sx - cx[donor]) + gey[donor] * (sy - cy[donor])
     energy_flux = mass_flux * e_f
     scatter_face_fluxes(mesh, energy_flux, energy_new)
+    w.release(cx, cy)
     return mass_new, energy_new

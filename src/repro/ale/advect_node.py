@@ -66,13 +66,14 @@ def advect_momentum(state: HydroState, dual_fv: np.ndarray,
     node_vol = _masked_scatter(state, state.corner_volume, owned)
     node_mass = _masked_scatter(state, state.corner_mass, owned)
     cu = np.take(state.u, mesh.cell_nodes,
-                 out=w.array("ale.am.cu", (mesh.ncell, 4)), mode="clip")
+                 out=w.borrow((mesh.ncell, 4)), mode="clip")
     cv = np.take(state.v, mesh.cell_nodes,
-                 out=w.array("ale.am.cv", (mesh.ncell, 4)), mode="clip")
+                 out=w.borrow((mesh.ncell, 4)), mode="clip")
     cu *= state.corner_mass
     cv *= state.corner_mass
     mom_x = _masked_scatter(state, cu, owned)
     mom_y = _masked_scatter(state, cv, owned)
+    w.release(cu, cv)
     if comms is not None and comms.overlap_enabled():
         # Split-phase: the donor selection depends only on the flux
         # signs, so it computes while the peers' sum blocks arrive.

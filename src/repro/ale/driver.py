@@ -25,6 +25,7 @@ import numpy as np
 from ..core.controls import HydroControls
 from ..core.state import HydroState
 from ..eos.multimaterial import MaterialTable
+from ..perf.workspace import scratch
 from ..utils.errors import BookLeafError
 from ..utils.timers import TimerRegistry
 from .advect_cell import advect_cells
@@ -73,6 +74,7 @@ class AleStep:
         """
         timers = timers if timers is not None else TimerRegistry(enabled=False)
         mesh = state.mesh
+        w = scratch(ws)
         distributed = comms is not None and getattr(comms, "size", 1) > 1
         if distributed and self.mode != "eulerian":
             raise BookLeafError(
@@ -122,8 +124,7 @@ class AleStep:
                 return False
 
         with timers.region("alegetfvol"):
-            fv, fvb = face_flux_volumes(mesh, state.x, state.y, x_t, y_t,
-                                        ws=ws)
+            fv, fvb = face_flux_volumes(mesh, state.x, state.y, x_t, y_t)
             scale = float(state.volume.min())
             if distributed:
                 side_mask = comms.physical_boundary_side_mask(state)
@@ -145,21 +146,22 @@ class AleStep:
                     f"{worst} — remap more often (ale_every) or relax less"
                 )
             dual_fv = dual_flux_volumes(mesh, state.x, state.y, x_t, y_t,
-                                        ws=ws)
+                                        ws=w)
 
         with timers.region("aleadvect"):
             mass_new, energy_new = advect_cells(
                 mesh, state.x, state.y, x_t, y_t, fv,
                 state.cell_mass, state.rho, state.e,
-                comms=comms if distributed else None, ws=ws,
+                comms=comms if distributed else None, ws=w,
             )
             u_new, v_new, _ = advect_momentum(
-                state, dual_fv, comms=comms if distributed else None, ws=ws,
+                state, dual_fv, comms=comms if distributed else None, ws=w,
             )
 
         with timers.region("aleupdate"):
             from .update import aleupdate
 
+            w.release(dual_fv)
             aleupdate(state, self.table, x_t, y_t, mass_new, energy_new,
-                      u_new, v_new, self.dencut)
+                      u_new, v_new, self.dencut, ws=w)
         return True

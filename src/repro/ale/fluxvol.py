@@ -16,8 +16,12 @@ Two families of faces are needed:
   momentum advection on the nodal control volumes; the matching
   identity relates nodal volume changes to the dual sweeps.
 
-All kernels accept an optional workspace so a periodic remap reuses its
-buffers; without one the behaviour is the historical allocate-per-call.
+Temporaries of the shapes the Lagrangian phase pools — (ncell, 4),
+(ncell,), (nnode,) — are borrowed from the optional workspace and
+released, so the remap recycles the blocks the Lagrangian phase left on
+the free-list and adds nothing of its own to the arena.  Face-shaped
+temporaries are plain allocations: no other phase uses that shape, so a
+pooled face block would only sit idle between remaps.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ def sweep_quads(ax0: np.ndarray, ay0: np.ndarray, bx0: np.ndarray,
     w = scratch(ws)
     if out is None:
         out = np.empty(ax0.shape)
-    t1 = w.array("ale.sweep.t1", ax0.shape)
-    t2 = w.array("ale.sweep.t2", ax0.shape)
+    t1 = w.borrow(ax0.shape)
+    t2 = w.borrow(ax0.shape)
     np.multiply(ax0, by0, out=out)          # ax0·by0 − bx0·ay0
     np.multiply(bx0, ay0, out=t1)
     out -= t1
@@ -58,13 +62,13 @@ def sweep_quads(ax0: np.ndarray, ay0: np.ndarray, bx0: np.ndarray,
     t1 -= t2
     out += t1
     out *= 0.5
+    w.release(t1, t2)
     return out
 
 
 def face_flux_volumes(mesh: QuadMesh,
                       x_old: np.ndarray, y_old: np.ndarray,
-                      x_new: np.ndarray, y_new: np.ndarray,
-                      ws: Optional[Workspace] = None
+                      x_new: np.ndarray, y_new: np.ndarray
                       ) -> Tuple[np.ndarray, np.ndarray]:
     """Primal flux volumes.
 
@@ -77,26 +81,12 @@ def face_flux_volumes(mesh: QuadMesh,
       (should be exactly zero when the target mesh respects the
       boundary, and is asserted against in the driver).
     """
-    w = scratch(ws)
     n1 = mesh.face_nodes[:, 0]
     n2 = mesh.face_nodes[:, 1]
-    if ws is not None:
-        g = [w.array(f"ale.fv.g{i}", n1.shape) for i in range(8)]
-        np.take(x_old, n1, out=g[0], mode="clip")
-        np.take(y_old, n1, out=g[1], mode="clip")
-        np.take(x_old, n2, out=g[2], mode="clip")
-        np.take(y_old, n2, out=g[3], mode="clip")
-        np.take(x_new, n2, out=g[4], mode="clip")
-        np.take(y_new, n2, out=g[5], mode="clip")
-        np.take(x_new, n1, out=g[6], mode="clip")
-        np.take(y_new, n1, out=g[7], mode="clip")
-        fv = sweep_quads(*g, out=w.array("ale.fv.fv", n1.shape), ws=ws)
-    else:
-        fv = sweep_quads(
-            x_old[n1], y_old[n1], x_old[n2], y_old[n2],
-            x_new[n2], y_new[n2], x_new[n1], y_new[n1],
-        )
-    # Boundary sides are a small set; the gathers stay as allocations.
+    fv = sweep_quads(
+        x_old[n1], y_old[n1], x_old[n2], y_old[n2],
+        x_new[n2], y_new[n2], x_new[n1], y_new[n1],
+    )
     bc_cells = mesh.boundary_cells
     bc_sides = mesh.boundary_sides
     b1 = mesh.cell_nodes[bc_cells, bc_sides]
@@ -104,7 +94,6 @@ def face_flux_volumes(mesh: QuadMesh,
     fvb = sweep_quads(
         x_old[b1], y_old[b1], x_old[b2], y_old[b2],
         x_new[b2], y_new[b2], x_new[b1], y_new[b1],
-        out=None if ws is None else w.array("ale.fv.fvb", b1.shape),
     )
     return fv, fvb
 
@@ -119,35 +108,31 @@ def dual_flux_volumes(mesh: QuadMesh,
     of side k of cell c to the centroid of c, positive for flow from
     node ``cell_nodes[c, k]`` to node ``cell_nodes[c, k+1]`` (the
     side's two nodes), whose median-dual volumes the segment separates.
+    The result is a borrowed buffer.
     """
     w = scratch(ws)
     shape = (mesh.ncell, 4)
+    c = w.borrow(shape)
 
-    def midpoints_centroid(x, y, tag):
-        cx = w.array(f"ale.dfv.cx{tag}", shape)
-        cy = w.array(f"ale.dfv.cy{tag}", shape)
-        np.take(x, mesh.cell_nodes, out=cx, mode="clip")
-        np.take(y, mesh.cell_nodes, out=cy, mode="clip")
-        mx = w.array(f"ale.dfv.mx{tag}", shape)
-        my = w.array(f"ale.dfv.my{tag}", shape)
-        roll_next(cx, out=mx)
-        mx += cx
-        mx *= 0.5
-        roll_next(cy, out=my)
-        my += cy
-        my *= 0.5
-        gx = w.array(f"ale.dfv.gx{tag}", (mesh.ncell, 1))
-        gy = w.array(f"ale.dfv.gy{tag}", (mesh.ncell, 1))
-        np.mean(cx, axis=1, keepdims=True, out=gx)
-        np.mean(cy, axis=1, keepdims=True, out=gy)
-        return (mx, my, np.broadcast_to(gx, shape), np.broadcast_to(gy, shape))
+    def midpoint_centroid(coord):
+        """Side midpoints (ncell, 4) and cell centroid (ncell,)."""
+        np.take(coord, mesh.cell_nodes, out=c, mode="clip")
+        m = roll_next(c, out=w.borrow(shape))
+        m += c
+        m *= 0.5
+        return m, np.mean(c, axis=1, out=w.borrow(mesh.ncell))
 
-    mx0, my0, gx0, gy0 = midpoints_centroid(x_old, y_old, "0")
-    mx1, my1, gx1, gy1 = midpoints_centroid(x_new, y_new, "1")
+    mx0, gx0 = midpoint_centroid(x_old)
+    my0, gy0 = midpoint_centroid(y_old)
+    mx1, gx1 = midpoint_centroid(x_new)
+    my1, gy1 = midpoint_centroid(y_new)
     # Directed segment M -> C: traversing it, the subzone of the side's
     # first node (corner k) lies on the left, so a positive sweep is
     # flow out of node k's volume into node k+1's.
-    return sweep_quads(
-        mx0, my0, gx0, gy0, gx1, gy1, mx1, my1,
-        out=None if ws is None else w.array("ale.dfv.fv", shape), ws=ws,
+    dual_fv = sweep_quads(
+        mx0, my0, gx0[:, None], gy0[:, None],
+        gx1[:, None], gy1[:, None], mx1, my1,
+        out=c, ws=w,
     )
+    w.release(mx0, my0, gx0, gy0, mx1, my1, gx1, gy1)
+    return dual_fv

@@ -11,23 +11,39 @@ re-applied, and pressure/sound speed re-closed through the EoS.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ..core import geometry
 from ..core.density import getrho
 from ..core.state import HydroState
 from ..eos.multimaterial import MaterialTable
+from ..perf.workspace import Workspace, scratch
 
 
 def aleupdate(state: HydroState, table: MaterialTable,
               x_new: np.ndarray, y_new: np.ndarray,
               mass_new: np.ndarray, energy_mass_new: np.ndarray,
               u_new: np.ndarray, v_new: np.ndarray,
-              dencut: float = 0.0) -> None:
-    """Commit the remapped state in place."""
+              dencut: float = 0.0,
+              ws: Optional[Workspace] = None) -> None:
+    """Commit the remapped state in place.
+
+    Every committed array is freshly allocated (the state rebinds to
+    it); only the corner gather and the kernel temporaries come from
+    the workspace.
+    """
+    w = scratch(ws)
+    mesh = state.mesh
     state.x = x_new
     state.y = y_new
-    _, _, volume, cvol = geometry.getgeom(state.mesh, x_new, y_new)
+    cx = w.borrow((mesh.ncell, 4))
+    cy = w.borrow((mesh.ncell, 4))
+    volume = np.empty(mesh.ncell)
+    cvol = np.empty((mesh.ncell, 4))
+    geometry.getgeom(mesh, x_new, y_new, ws=w, out=(cx, cy, volume, cvol))
+    w.release(cx, cy)
     state.volume = volume
     state.corner_volume = cvol
     state.cell_mass = mass_new
@@ -38,4 +54,4 @@ def aleupdate(state: HydroState, table: MaterialTable,
     state.u = u_new
     state.v = v_new
     state.bc.apply_velocity(state.u, state.v)
-    state.p, state.cs2 = table.getpc(state.mat, state.rho, state.e)
+    state.p, state.cs2 = table.getpc(state.mat, state.rho, state.e, ws=w)

@@ -84,7 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace-allocs", action="store_true",
                      help="also record per-region allocation counters "
                           "(tracemalloc; serial backend only — slows "
-                          "the run, diagnosis only)")
+                          "the run, diagnosis only).  Kernels draw on "
+                          "a buffer arena, so expect the arena's build "
+                          "in step 1 and only nodal-scale peaks after")
     run.add_argument("--profile", metavar="PATH",
                      help="write a collapsed-stack flamegraph profile "
                           "here (thread-based span sampler, ~5ms "

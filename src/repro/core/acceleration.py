@@ -14,10 +14,10 @@ a data dependency that defeats OpenMP threading (the scatter-assembly
 race); in numpy the scatter is a ``bincount`` and the whole kernel is
 a few vector operations.
 
-With a :class:`~repro.perf.plans.MeshPlans` (serial runs only — the
-distributed path completes its partial sums through the comms seam and
-must not take this shortcut) the force scatter uses the precomputed
-``reduceat`` plan and the nodal mass comes from the state's cache; a
+On a single-domain run the force scatter goes straight through the
+mesh's :class:`~repro.perf.plans.MeshPlans` into arena buffers (a
+decomposed run must complete its partial sums through the comms seam
+instead) and the nodal mass comes from the state's cache; a
 :class:`~repro.perf.workspace.Workspace` supplies every buffer, so
 repeat calls allocate nothing.  The returned arrays then live in the
 arena (``acc.*``) — the caller commits them by copy.
@@ -29,7 +29,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..perf.plans import MeshPlans
 from ..perf.workspace import Workspace, scratch
 from .comms import SerialComms
 from .state import HydroState
@@ -37,7 +36,6 @@ from .state import HydroState
 
 def getacc(state: HydroState, fx: np.ndarray, fy: np.ndarray, dt: float,
            comms=None,
-           plans: Optional[MeshPlans] = None,
            ws: Optional[Workspace] = None
            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Advance nodal velocities by ``dt`` under corner forces ``fx, fy``.
@@ -48,37 +46,21 @@ def getacc(state: HydroState, fx: np.ndarray, fy: np.ndarray, dt: float,
 
     With a ``comms`` object, the partial nodal force/mass sums of
     shared interface nodes are completed across domains before the
-    divide — BookLeaf's second communication point.  ``plans`` may only
-    be passed for single-domain runs.
+    divide — BookLeaf's second communication point.
     """
-    if plans is None and ws is None:
-        if comms is None:
-            comms = SerialComms()
-        node_fx, node_fy, mass = comms.assemble_node_sums(state, fx, fy)
-        safe_mass = np.where(mass > 0.0, mass, 1.0)
-        ax = np.where(mass > 0.0, node_fx / safe_mass, 0.0)
-        ay = np.where(mass > 0.0, node_fy / safe_mass, 0.0)
-        state.bc.apply_acceleration(ax, ay)
-        u_new = state.u + dt * ax
-        v_new = state.v + dt * ay
-        state.bc.apply_velocity(u_new, v_new)
-        u_bar = 0.5 * (state.u + u_new)
-        v_bar = 0.5 * (state.v + v_new)
-        return u_new, v_new, u_bar, v_bar
+    if comms is None:
+        comms = SerialComms()
     w = scratch(ws)
     nnode = state.mesh.nnode
-    borrowed_sums = None
-    if plans is not None:
-        work = w.borrow(plans.scatter_work_shape)
-        node_fx = plans.scatter_to_nodes(
-            fx, out=w.borrow(nnode), work=work)
-        node_fy = plans.scatter_to_nodes(
-            fy, out=w.borrow(nnode), work=work)
-        borrowed_sums = (work, node_fx, node_fy)
-        mass = state.node_mass(plans=plans)
+    local = ()
+    if comms.size == 1:
+        # This rank owns every node: the local scatter is the total.
+        plans = state.mesh.plans
+        node_fx = plans.scatter_to_nodes(fx, out=w.borrow(nnode))
+        node_fy = plans.scatter_to_nodes(fy, out=w.borrow(nnode))
+        local = (node_fx, node_fy)
+        mass = state.node_mass()
     else:
-        if comms is None:
-            comms = SerialComms()
         node_fx, node_fy, mass = comms.assemble_node_sums(state, fx, fy)
     # Ghost-only nodes of a decomposed run have zero completed mass
     # (their sums live on other ranks); guard the divide — their values
@@ -94,8 +76,7 @@ def getacc(state: HydroState, fx: np.ndarray, fy: np.ndarray, dt: float,
     np.copyto(ax, 0.0, where=massless)
     np.divide(node_fy, safe_mass, out=ay)
     np.copyto(ay, 0.0, where=massless)
-    if borrowed_sums is not None:
-        w.release(*borrowed_sums)
+    w.release(*local)
     state.bc.apply_acceleration(ax, ay)
     u_new = w.array("acc.unew", nnode)
     v_new = w.array("acc.vnew", nnode)

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..perf.workspace import Workspace
+from ..perf.workspace import Workspace, scratch
 from .state import HydroState
 
 
@@ -35,17 +35,7 @@ def getein(state: HydroState, fx: np.ndarray, fy: np.ndarray,
     before the subtraction).
     """
     mesh = state.mesh
-    if ws is None:
-        cu = u[mesh.cell_nodes]
-        cv = v[mesh.cell_nodes]
-        work = (np.einsum("ck,ck->c", fx, cu)
-                + np.einsum("ck,ck->c", fy, cv))
-        result = state.e - dt * work / state.cell_mass
-        if out is None:
-            return result
-        np.copyto(out, result)
-        return out
-    w = ws
+    w = scratch(ws)
     cu = w.borrow((mesh.ncell, 4))
     cv = w.borrow((mesh.ncell, 4))
     np.take(u, mesh.cell_nodes, out=cu, mode="clip")
@@ -57,9 +47,6 @@ def getein(state: HydroState, fx: np.ndarray, fy: np.ndarray,
     work += t
     work *= dt
     work /= state.cell_mass
-    if out is None:
-        out = state.e - work
-    else:
-        np.subtract(state.e, work, out=out)
+    out = np.subtract(state.e, work, out=out)
     w.release(cu, cv, work, t)
     return out

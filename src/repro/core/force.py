@@ -20,8 +20,8 @@ Contributions:
   optional via the controls).
 
 With a :class:`~repro.perf.workspace.Workspace` the assembled forces
-live in arena buffers (``force.fx``/``force.fy``) and every hourglass
-temporary comes from the arena too, so repeat calls allocate nothing.
+and every hourglass temporary are borrowed from the arena, so repeat
+calls allocate nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from ..mesh.topology import QuadMesh
 from ..perf.plans import spread_corners
-from ..perf.workspace import Workspace
+from ..perf.workspace import Workspace, scratch
 from . import geometry, hourglass
 from .controls import HydroControls
 
@@ -42,19 +42,13 @@ def pressure_forces(cx: np.ndarray, cy: np.ndarray, p: np.ndarray,
                     ws: Optional[Workspace] = None
                     ) -> Tuple[np.ndarray, np.ndarray]:
     """Corner forces from a piecewise-constant cell pressure."""
-    if ws is None and out is None:
-        dvdx, dvdy = geometry.volume_gradients(cx, cy)
-        return p[:, None] * dvdx, p[:, None] * dvdy
+    ws = scratch(ws)
     fx, fy = geometry.volume_gradients(cx, cy, out=out, ws=ws)
-    if ws is not None:
-        sp = ws.borrow(fx.shape)
-        spread_corners(p, sp)
-        fx *= sp
-        fy *= sp
-        ws.release(sp)
-    else:
-        fx *= p[:, None]
-        fy *= p[:, None]
+    sp = ws.borrow(fx.shape)
+    spread_corners(p, sp)
+    fx *= sp
+    fy *= sp
+    ws.release(sp)
     return fx, fy
 
 
@@ -71,13 +65,14 @@ def getforce(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
 
     ``fqx, fqy`` are the viscous corner forces from a preceding ``getq``
     call, or ``None`` when the viscosity contributes no corner forces
-    (the bulk form).  Returns ``(fx, fy)``, each (ncell, 4).
+    (the bulk form).  Returns ``(fx, fy)``, each (ncell, 4) — borrowed
+    buffers the caller releases when the step is done with them.
     """
-    out = None
-    if ws is not None:
-        out = (ws.array("force.fx", (mesh.ncell, 4)),
-               ws.array("force.fy", (mesh.ncell, 4)))
-    fx, fy = pressure_forces(cx, cy, p, out=out, ws=ws)
+    ws = scratch(ws)
+    shape = (mesh.ncell, 4)
+    fx, fy = pressure_forces(
+        cx, cy, p, ws=ws,
+        out=(ws.borrow(shape), ws.borrow(shape)))
     if fqx is not None:
         fx += fqx
         fy += fqy
@@ -89,22 +84,16 @@ def getforce(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
         )
         fx += sx
         fy += sy
-        if ws is not None:
-            ws.release(sx, sy)
+        ws.release(sx, sy)
     if controls.filter_kappa > 0.0:
-        if ws is not None:
-            cu = ws.borrow((mesh.ncell, 4))
-            cv = ws.borrow((mesh.ncell, 4))
-            np.take(u, mesh.cell_nodes, out=cu, mode="clip")
-            np.take(v, mesh.cell_nodes, out=cv, mode="clip")
-        else:
-            cu = u[mesh.cell_nodes]
-            cv = v[mesh.cell_nodes]
+        cu = ws.borrow(shape)
+        cv = ws.borrow(shape)
+        np.take(u, mesh.cell_nodes, out=cu, mode="clip")
+        np.take(v, mesh.cell_nodes, out=cv, mode="clip")
         hx, hy = hourglass.hourglass_filter_forces(
             cu, cv, rho, cs2, volume, controls.filter_kappa, ws=ws
         )
         fx += hx
         fy += hy
-        if ws is not None:
-            ws.release(cu, cv, hx, hy)
+        ws.release(cu, cv, hx, hy)
     return fx, fy

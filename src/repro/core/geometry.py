@@ -17,15 +17,14 @@ Definitions (corner index arithmetic is mod 4):
   nodes, so those forces conserve momentum exactly),
 * the CFL length scale (shortest cell dimension).
 
-Every kernel has two code paths.  Without a workspace it runs the
-historical vectorised expressions exactly as first written (temporaries
-allocated per call — the baseline the perf harness times against).
-With a :class:`~repro.perf.workspace.Workspace` all temporaries come
-from the arena, results land in caller-provided buffers and corner
-rolls go through :func:`repro.perf.plans.roll_next`/``roll_prev``
-(strided column copies — bit-for-bit equal to ``np.roll`` but faster
-and with ``out=`` support).  The two paths perform the same floating
-operations in the same association, so their results are bit-identical.
+Every kernel is written once against the
+:class:`~repro.perf.workspace.Workspace` API: temporaries are borrowed
+from the arena and released when they die, results land in
+caller-provided ``out=`` buffers, and corner rolls go through
+:func:`repro.perf.plans.roll_next`/``roll_prev`` (strided column
+copies — bit-for-bit equal to ``np.roll`` but faster and with ``out=``
+support).  ``ws`` is optional: a standalone call without one draws the
+same temporaries as fresh allocations (:func:`repro.perf.workspace.scratch`).
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import numpy as np
 
 from ..mesh.topology import QuadMesh
 from ..perf.plans import roll_next, roll_prev, spread_corners
-from ..perf.workspace import Workspace
+from ..perf.workspace import Workspace, scratch
 from ..utils.errors import TangledMeshError
 
 
@@ -56,15 +55,7 @@ def cell_volumes(cx: np.ndarray, cy: np.ndarray,
                  out: Optional[np.ndarray] = None,
                  ws: Optional[Workspace] = None) -> np.ndarray:
     """Signed cell volumes (areas) via the shoelace formula."""
-    if ws is None:
-        result = 0.5 * (
-            (cx[:, 2] - cx[:, 0]) * (cy[:, 3] - cy[:, 1])
-            + (cx[:, 1] - cx[:, 3]) * (cy[:, 2] - cy[:, 0])
-        )
-        if out is None:
-            return result
-        np.copyto(out, result)
-        return out
+    ws = scratch(ws)
     n = cx.shape[0]
     if out is None:
         out = np.empty(n)
@@ -92,16 +83,13 @@ def volume_gradients(cx: np.ndarray, cy: np.ndarray,
     The four gradients of a cell sum to zero (translation invariance),
     which is what makes the pressure corner forces conserve momentum.
     """
-    if ws is None and out is None:
-        dvdx = 0.5 * (np.roll(cy, -1, axis=1) - np.roll(cy, 1, axis=1))
-        dvdy = 0.5 * (np.roll(cx, 1, axis=1) - np.roll(cx, -1, axis=1))
-        return dvdx, dvdy
+    ws = scratch(ws)
     if out is None:
         dvdx = np.empty_like(cx)
         dvdy = np.empty_like(cy)
     else:
         dvdx, dvdy = out
-    t = ws.borrow(cx.shape) if ws is not None else np.empty_like(cx)
+    t = ws.borrow(cx.shape)
     roll_next(cy, out=dvdx)
     roll_prev(cy, out=t)
     dvdx -= t
@@ -110,22 +98,8 @@ def volume_gradients(cx: np.ndarray, cy: np.ndarray,
     roll_next(cx, out=t)
     dvdy -= t
     dvdy *= 0.5
-    if ws is not None:
-        ws.release(t)
+    ws.release(t)
     return dvdx, dvdy
-
-
-def _quad_partials(ax, ay, bx, by, cx_, cy_, dx, dy):
-    """Shoelace partial derivatives of quad (A,B,C,D) w.r.t. each vertex.
-
-    Returns ((gAx, gAy), (gBx, gBy), (gCx, gCy), (gDx, gDy)).
-    """
-    return (
-        (0.5 * (by - dy), 0.5 * (dx - bx)),
-        (0.5 * (cy_ - ay), 0.5 * (ax - cx_)),
-        (0.5 * (dy - by), 0.5 * (bx - dx)),
-        (0.5 * (ay - cy_), 0.5 * (cx_ - ax)),
-    )
 
 
 def corner_volumes(cx: np.ndarray, cy: np.ndarray,
@@ -137,24 +111,7 @@ def corner_volumes(cx: np.ndarray, cy: np.ndarray,
     tile the cell, so they sum to the shoelace cell volume exactly
     (an identity the tests check to round-off).
     """
-    if ws is None:
-        mx = 0.5 * (cx + np.roll(cx, -1, axis=1))   # M_i midpoints
-        my = 0.5 * (cy + np.roll(cy, -1, axis=1))
-        gx = cx.mean(axis=1, keepdims=True)         # centroid
-        gy = cy.mean(axis=1, keepdims=True)
-        ax, ay = cx, cy                             # A = P_i
-        bx, by = mx, my                             # B = M_i
-        dx, dy = np.roll(mx, 1, axis=1), np.roll(my, 1, axis=1)  # D = M_{i-1}
-        result = 0.5 * (
-            (ax * by - bx * ay)
-            + (bx * gy - gx * by)
-            + (gx * dy - dx * gy)
-            + (dx * ay - ax * dy)
-        )
-        if out is None:
-            return result
-        np.copyto(out, result)
-        return out
+    ws = scratch(ws)
     n = cx.shape[0]
     if out is None:
         out = np.empty_like(cx)
@@ -215,41 +172,8 @@ def subzone_volume_gradients(cx: np.ndarray, cy: np.ndarray,
     Each subzone's gradients sum to zero over j, and summing subzones
     recovers the cell volume gradient — both identities are tested.
     """
+    ws = scratch(ws)
     ncell = cx.shape[0]
-    if ws is None:
-        mx = 0.5 * (cx + np.roll(cx, -1, axis=1))
-        my = 0.5 * (cy + np.roll(cy, -1, axis=1))
-        gx = np.broadcast_to(cx.mean(axis=1, keepdims=True), cx.shape)
-        gy = np.broadcast_to(cy.mean(axis=1, keepdims=True), cy.shape)
-        ax, ay = cx, cy
-        bx, by = mx, my
-        dx, dy = np.roll(mx, 1, axis=1), np.roll(my, 1, axis=1)
-        (gAx, gAy), (gBx, gBy), (gCx, gCy), (gDx, gDy) = _quad_partials(
-            ax, ay, bx, by, gx, gy, dx, dy
-        )
-        if out is None:
-            gradx = np.zeros((ncell, 4, 4))
-            grady = np.zeros((ncell, 4, 4))
-        else:
-            gradx, grady = out
-        idx = np.arange(4)
-        nxt = (idx + 1) % 4
-        prv = (idx - 1) % 4
-        # j == i: A fully + half of both midpoints + quarter of centroid.
-        gradx[:, idx, idx] = gAx + 0.5 * (gBx + gDx) + 0.25 * gCx
-        grady[:, idx, idx] = gAy + 0.5 * (gBy + gDy) + 0.25 * gCy
-        # j == i+1: half of M_i + quarter of centroid.
-        gradx[:, idx, nxt] = 0.5 * gBx + 0.25 * gCx
-        grady[:, idx, nxt] = 0.5 * gBy + 0.25 * gCy
-        # j == i-1: half of M_{i-1} + quarter of centroid.
-        gradx[:, idx, prv] = 0.5 * gDx + 0.25 * gCx
-        grady[:, idx, prv] = 0.5 * gDy + 0.25 * gCy
-        # j == i+2: quarter of centroid only.
-        opp = (idx + 2) % 4
-        gradx[:, idx, opp] = 0.25 * gCx
-        grady[:, idx, opp] = 0.25 * gCy
-        return gradx, grady
-
     shape = cx.shape
     mx = ws.borrow(shape)
     my = ws.borrow(shape)
@@ -272,71 +196,44 @@ def subzone_volume_gradients(cx: np.ndarray, cy: np.ndarray,
     roll_prev(mx, out=dx)
     roll_prev(my, out=dy)
 
-    # Shoelace partials of quad (A=P_i, B=M_i, C=centroid, D=M_{i-1})
-    # w.r.t. each vertex: gA = ½(B−D)⊥, gB = ½(C−A)⊥, gC = ½(D−B)⊥,
-    # gD = ½(A−C)⊥ (with (x, y)⊥ = (y, −x)).
-    gAx = ws.borrow(shape)
-    gAy = ws.borrow(shape)
-    np.subtract(my, dy, out=gAx)
-    gAx *= 0.5
-    np.subtract(dx, mx, out=gAy)
-    gAy *= 0.5
-    gBx = ws.borrow(shape)
-    gBy = ws.borrow(shape)
-    np.subtract(gy, cy, out=gBx)
-    gBx *= 0.5
-    np.subtract(cx, gx, out=gBy)
-    gBy *= 0.5
-    gCx = ws.borrow(shape)
-    gCy = ws.borrow(shape)
-    np.subtract(dy, my, out=gCx)
-    gCx *= 0.5
-    np.subtract(mx, dx, out=gCy)
-    gCy *= 0.5
-    gDx = ws.borrow(shape)
-    gDy = ws.borrow(shape)
-    np.subtract(cy, gy, out=gDx)
-    gDx *= 0.5
-    np.subtract(gx, cx, out=gDy)
-    gDy *= 0.5
-    ws.release(mx, my, gx, gy, dx, dy)
-
     if out is None:
         gradx = np.empty((ncell, 4, 4))
         grady = np.empty((ncell, 4, 4))
     else:
         gradx, grady = out
-    t1 = ws.borrow(shape)
-    t2 = ws.borrow(shape)
+    gA = ws.borrow(shape)
+    hB = ws.borrow(shape)
+    q = ws.borrow(shape)
+    t = ws.borrow(shape)
     idx = np.arange(4)
     nxt = (idx + 1) % 4
     prv = (idx - 1) % 4
     opp = (idx + 2) % 4
 
-    def fill(grad, gA, gB, gC, gD, t1=t1, t2=t2):
-        # j == i: A fully + half of both midpoints + quarter of centroid
-        # — accumulated as (gA + ½(gB+gD)) + ¼gC, the same association
-        # as the unbuffered expression (bit-identical results).
-        np.add(gB, gD, out=t1)
-        t1 *= 0.5
-        t1 += gA
-        np.multiply(gC, 0.25, out=t2)
-        t1 += t2
-        grad[:, idx, idx] = t1
+    # Shoelace partials of quad (A=P_i, B=M_i, C=centroid, D=M_{i-1})
+    # w.r.t. its vertices, per component with (x, y)⊥ = (y, −x):
+    # gA = ½(B − D)⊥, gB = ½(C − A)⊥ and, exactly, gC = −gA, gD = −gB —
+    # so ½(gB + gD) vanishes and only gA, ½gB and ¼gC = −¼gA are needed.
+    for grad, b, d, c, a in ((gradx, my, dy, gy, cy),
+                             (grady, dx, mx, cx, gx)):
+        np.subtract(b, d, out=gA)
+        gA *= 0.5
+        np.multiply(gA, -0.25, out=q)
+        np.subtract(c, a, out=hB)
+        hB *= 0.5
+        hB *= 0.5
+        # j == i: A fully + quarter of centroid.
+        np.add(gA, q, out=t)
+        grad[:, idx, idx] = t
         # j == i+1: half of M_i + quarter of centroid.
-        np.multiply(gB, 0.5, out=t1)
-        t1 += t2
-        grad[:, idx, nxt] = t1
+        np.add(hB, q, out=t)
+        grad[:, idx, nxt] = t
         # j == i-1: half of M_{i-1} + quarter of centroid.
-        np.multiply(gD, 0.5, out=t1)
-        t1 += t2
-        grad[:, idx, prv] = t1
+        np.subtract(q, hB, out=t)
+        grad[:, idx, prv] = t
         # j == i+2: quarter of centroid only.
-        grad[:, idx, opp] = t2
-
-    fill(gradx, gAx, gBx, gCx, gDx)
-    fill(grady, gAy, gBy, gCy, gDy)
-    ws.release(gAx, gAy, gBx, gBy, gCx, gCy, gDx, gDy, t1, t2)
+        grad[:, idx, opp] = q
+    ws.release(mx, my, gx, gy, dx, dy, gA, hB, q, t)
     return gradx, grady
 
 
@@ -349,17 +246,7 @@ def cfl_length_sq(cx: np.ndarray, cy: np.ndarray,
     For a rectangle this is the shorter side — the distance a sound
     wave must cross — and it degrades correctly for skewed cells.
     """
-    if ws is None:
-        if volume is None:
-            volume = cell_volumes(cx, cy)
-        ex = np.roll(cx, -1, axis=1) - cx
-        ey = np.roll(cy, -1, axis=1) - cy
-        longest_sq = (ex * ex + ey * ey).max(axis=1)
-        result = volume * volume / np.maximum(longest_sq, 1e-300)
-        if out is None:
-            return result
-        np.copyto(out, result)
-        return out
+    ws = scratch(ws)
     if volume is None:
         volume = cell_volumes(cx, cy, ws=ws)
     ex = ws.borrow(cx.shape)
@@ -391,13 +278,10 @@ def check_volumes(volume: np.ndarray, time: Optional[float] = None,
     ``mask`` (per-cell boolean) restricts the check to owned cells in a
     decomposed run; ghost-cell geometry is not locally authoritative.
     """
-    if ws is None:
-        borrowed = None
-        bad = volume <= 0.0
-    else:
-        borrowed = ws.borrow(volume.shape, dtype=bool)
-        bad = borrowed
-        np.less_equal(volume, 0.0, out=bad)
+    ws = scratch(ws)
+    nonpositive = ws.borrow(volume.shape, dtype=bool)
+    np.less_equal(volume, 0.0, out=nonpositive)
+    bad = nonpositive
     if mask is not None:
         bad = bad & (mask[:, None] if volume.ndim > 1 else mask)
     if bad.any():
@@ -406,42 +290,32 @@ def check_volumes(volume: np.ndarray, time: Optional[float] = None,
         else:
             cells = np.flatnonzero(bad)[:10]
         raise TangledMeshError(cells.tolist(), time=time)
-    if borrowed is not None:
-        ws.release(borrowed)
+    ws.release(nonpositive)
 
 
 def getgeom(mesh: QuadMesh, x: np.ndarray, y: np.ndarray,
             time: Optional[float] = None,
             check_mask: Optional[np.ndarray] = None,
             ws: Optional[Workspace] = None,
-            tag: str = ""
+            out: Optional[Tuple[np.ndarray, np.ndarray,
+                                np.ndarray, np.ndarray]] = None
             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The ``getgeom`` kernel: gather coordinates and compute volumes.
 
-    Returns ``(cx, cy, volume, corner_volume)`` and raises
+    Returns ``(cx, cy, volume, corner_volume)`` — written into ``out``
+    when given, freshly allocated otherwise — and raises
     :class:`TangledMeshError` on non-positive cell or corner volume —
     the same failure detection the Fortran code performs.  In a
     decomposed run ``check_mask`` restricts the failure check to owned
     cells.
-
-    With a workspace all four results live in arena buffers named by
-    ``tag`` — callers that hold results across a later ``getgeom`` call
-    on the same workspace must use distinct tags.
     """
-    if ws is not None:
-        cx = ws.array(f"geom.gg.cx.{tag}", (mesh.ncell, 4))
-        cy = ws.array(f"geom.gg.cy.{tag}", (mesh.ncell, 4))
-        volume = ws.array(f"geom.gg.vol.{tag}", mesh.ncell)
-        cvol = ws.array(f"geom.gg.cvol.{tag}", (mesh.ncell, 4))
-        gather(mesh, x, y, out=(cx, cy))
-        cell_volumes(cx, cy, out=volume, ws=ws)
-        check_volumes(volume, time=time, mask=check_mask, ws=ws)
-        corner_volumes(cx, cy, out=cvol, ws=ws)
-        check_volumes(cvol, time=time, what="corner", mask=check_mask, ws=ws)
-        return cx, cy, volume, cvol
-    cx, cy = gather(mesh, x, y)
-    volume = cell_volumes(cx, cy)
-    check_volumes(volume, time=time, mask=check_mask)
-    cvol = corner_volumes(cx, cy)
-    check_volumes(cvol, time=time, what="corner", mask=check_mask)
+    if out is None:
+        out = (np.empty((mesh.ncell, 4)), np.empty((mesh.ncell, 4)),
+               np.empty(mesh.ncell), np.empty((mesh.ncell, 4)))
+    cx, cy, volume, cvol = out
+    gather(mesh, x, y, out=(cx, cy))
+    cell_volumes(cx, cy, out=volume, ws=ws)
+    check_volumes(volume, time=time, mask=check_mask, ws=ws)
+    corner_volumes(cx, cy, out=cvol, ws=ws)
+    check_volumes(cvol, time=time, what="corner", mask=check_mask, ws=ws)
     return cx, cy, volume, cvol

@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..perf.plans import spread_corners
-from ..perf.workspace import Workspace
+from ..perf.workspace import Workspace, scratch
 from . import geometry
 
 
@@ -41,15 +41,7 @@ def subzonal_pressure_forces(cx: np.ndarray, cy: np.ndarray,
                              ws: Optional[Workspace] = None
                              ) -> Tuple[np.ndarray, np.ndarray]:
     """Corner forces (ncell, 4) from the sub-zonal pressure deviations."""
-    if ws is None:
-        rho_z = corner_mass / np.maximum(corner_volume, 1e-300)
-        dp = kappa * cs2[:, None] * (rho_z - rho[:, None])
-        gradx, grady = geometry.subzone_volume_gradients(cx, cy)
-        # F_j = Σ_i δp_i ∂V_i/∂x_j  — contract over the subzone axis.
-        fx = np.einsum("ci,cij->cj", dp, gradx)
-        fy = np.einsum("ci,cij->cj", dp, grady)
-        return fx, fy
-    w = ws
+    w = scratch(ws)
     ncell = cx.shape[0]
     # δp_i = κ c_s² (ρ_i^z − ρ_c) with ρ_i^z the corner density.
     dp = w.borrow(cx.shape)
@@ -66,7 +58,7 @@ def subzonal_pressure_forces(cx: np.ndarray, cy: np.ndarray,
     gradx, grady = geometry.subzone_volume_gradients(
         cx, cy,
         out=(w.borrow((ncell, 4, 4)), w.borrow((ncell, 4, 4))),
-        ws=ws,
+        ws=w,
     )
     # F_j = Σ_i δp_i ∂V_i/∂x_j  — contract over the subzone axis.
     # The returned forces are borrowed buffers; the caller releases them.
@@ -87,15 +79,7 @@ def hourglass_filter_forces(cu: np.ndarray, cv: np.ndarray,
                             ws: Optional[Workspace] = None
                             ) -> Tuple[np.ndarray, np.ndarray]:
     """Hancock-style damping forces (ncell, 4) on the corner velocities."""
-    if ws is None:
-        hu = 0.25 * (cu @ GAMMA)             # hourglass amplitudes (ncell,)
-        hv = 0.25 * (cv @ GAMMA)
-        coeff = (kappa * rho * np.sqrt(cs2)
-                 * np.sqrt(np.maximum(volume, 0.0)))
-        fx = -(coeff * hu)[:, None] * GAMMA[None, :]
-        fy = -(coeff * hv)[:, None] * GAMMA[None, :]
-        return fx, fy
-    w = ws
+    w = scratch(ws)
     ncell = cu.shape[0]
     hu = w.borrow(ncell)                     # hourglass amplitudes (ncell,)
     hv = w.borrow(ncell)

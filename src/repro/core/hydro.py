@@ -20,6 +20,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from ..eos.multimaterial import MaterialTable
+from ..perf.workspace import Workspace
 from ..utils.log import StepLogger
 from ..utils.timers import TimerRegistry
 from .comms import SerialComms
@@ -46,14 +47,9 @@ class Hydro:
         ``timers`` (``timers.tracer = Tracer()``) additionally records
         the run → step → phase → kernel span hierarchy.
     remapper:
-        Optional ALE remap object with an ``apply(state, dt)`` method;
-        constructed automatically from the controls when ``ale_on``.
-    plans, workspace:
-        Optional :class:`~repro.perf.plans.MeshPlans` and
-        :class:`~repro.perf.workspace.Workspace` threaded through every
-        ``lagstep`` so the steady-state loop reuses arena buffers
-        instead of allocating.  Defaults (``None``) keep the historical
-        allocate-per-call behaviour.
+        Optional ALE remap object with an ``apply(state, dt, timers,
+        comms=..., ws=...)`` method; constructed automatically from the
+        controls when ``ale_on``.
     probe:
         Optional :class:`~repro.metrics.probe.DiagnosticsProbe` sampled
         by the step loop (live conservation/health monitoring).  The
@@ -67,8 +63,6 @@ class Hydro:
                  logger: Optional[StepLogger] = None,
                  comms=None,
                  remapper=None,
-                 plans=None,
-                 workspace=None,
                  probe=None):
         self.state = state
         self.table = table
@@ -88,8 +82,10 @@ class Hydro:
 
             remapper = AleStep.from_controls(state, controls, table)
         self.remapper = remapper
-        self.plans = plans
-        self.workspace = workspace
+        #: the buffer arena every kernel of the step loop draws from;
+        #: warm after the first step, so steady-state steps allocate
+        #: nothing mesh-sized
+        self.workspace = Workspace()
         self.probe = probe
         #: callbacks invoked after every step with (hydro,) — used by
         #: time-history output and tests
@@ -135,18 +131,14 @@ class Hydro:
             lagstep(
                 self.state, self.table, controls, self.dt, self.timers,
                 self.gamma, comms=self.comms, time=self.time,
-                plans=self.plans, ws=self.workspace,
+                ws=self.workspace,
             )
 
         if (self.remapper is not None
                 and (self.nstep + 1) % controls.ale_every == 0):
             with self.timers.region("alestep", cat="phase"):
-                if self.workspace is not None:
-                    self.remapper.apply(self.state, self.dt, self.timers,
-                                        comms=self.comms, ws=self.workspace)
-                else:
-                    self.remapper.apply(self.state, self.dt, self.timers,
-                                        comms=self.comms)
+                self.remapper.apply(self.state, self.dt, self.timers,
+                                    comms=self.comms, ws=self.workspace)
 
         self.time += self.dt
         self.nstep += 1
@@ -167,13 +159,19 @@ class Hydro:
         start = self.nstep
         if self.probe is not None:
             self.probe.begin(self)
-        with self.timers.trace_span("run", cat="run") as span:
-            while not self.done():
-                if self.nstep - start >= limit:
-                    break
-                self.step()
-            if span is not None:
-                span.args.update(steps=self.nstep - start, t_end=self.time)
+        try:
+            with self.timers.trace_span("run", cat="run") as span:
+                while not self.done():
+                    if self.nstep - start >= limit:
+                        break
+                    self.step()
+                if span is not None:
+                    span.args.update(steps=self.nstep - start,
+                                     t_end=self.time)
+        finally:
+            # A finished driver stays reachable from its RunResult; it
+            # should not pin the loop's scratch memory with it.
+            self.workspace.clear()
         if self.probe is not None:
             self.probe.finish(self)
         return self.nstep - start

@@ -16,15 +16,15 @@ Communications (ghost kinematics before the viscosity, nodal-sum
 completion inside the acceleration) go through the ``comms`` seam, so
 this very function body runs unchanged in serial and distributed mode.
 
-Passing a :class:`~repro.perf.plans.MeshPlans` and a
-:class:`~repro.perf.workspace.Workspace` makes the whole step reuse
-arena buffers: after the first step every kernel temporary, every
-half-step field and every returned array comes from the arena, and the
-results are *committed* into the long-lived state arrays by copy (the
-arena never leaks into the state).  Both arguments are optional and
-independent; omitting them reproduces the allocating behaviour exactly.
-The ``plans`` scatter shortcut is only taken on single-domain runs —
-a decomposed run's nodal sums must complete through the comms seam.
+Every kernel temporary, half-step field and returned array comes from
+the :class:`~repro.perf.workspace.Workspace` the caller threads through
+(``Hydro`` owns one per run), so after the first step the loop
+allocates nothing mesh-sized; results are *committed* into the
+long-lived state arrays by copy (the arena never leaks into the state,
+and the state arrays keep their identity across steps — holders of a
+reference see the new values, so anything that needs the old ones must
+copy).  A standalone call without a workspace runs the same body on
+fresh allocations.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from typing import Optional
 import numpy as np
 
 from ..eos.multimaterial import MaterialTable
-from ..perf.plans import MeshPlans
 from ..perf.workspace import Workspace, scratch
 from ..utils.timers import TimerRegistry
 from . import energy as energy_mod
@@ -47,35 +46,40 @@ from .force import getforce
 from .state import HydroState
 
 
-def _viscosity(mesh, cx, cy, u, v, rho, cs2, p, volume, gamma, controls,
-               plans=None, ws=None):
-    """Dispatch on the configured viscosity form.
+def _corner_forces(state, cx, cy, rho, cs2, p, volume, corner_volume,
+                   gamma, controls, timers, w):
+    """``getq`` then ``getforce`` at the given geometry and thermodynamics.
 
-    Returns ``(fqx, fqy, q_cell, p_effective)``: the edge form produces
-    corner forces (p unchanged); the bulk form augments the cell
-    pressure instead and returns ``fqx = fqy = None`` — no viscous
-    corner forces, so ``getforce`` skips the add instead of summing a
-    freshly-allocated pair of zero arrays.
+    The edge viscosity contributes corner forces; the bulk form augments
+    the cell pressure instead and contributes none, so ``getforce`` skips
+    the add.  Commits the cell viscous pressure to ``state.q`` and
+    returns the assembled ``(fx, fy)`` — borrowed, released by the
+    caller.
     """
-    if controls.viscosity_form == "bulk":
-        w = scratch(ws)
-        q_cell = viscosity.bulk_q(
-            cx, cy, u, v, mesh.cell_nodes, rho, cs2, volume,
-            controls.cq1, controls.cq2, ws=ws,
-            out=w.array("lag.bulkq", mesh.ncell) if ws is not None else None,
-        )
-        if ws is not None:
-            p_eff = w.array("lag.peff", mesh.ncell)
-            np.add(p, q_cell, out=p_eff)
+    mesh = state.mesh
+    fqx = fqy = None
+    with timers.region("getq"):
+        if controls.viscosity_form == "bulk":
+            q_cell = viscosity.bulk_q(
+                cx, cy, state.u, state.v, mesh.cell_nodes, rho, cs2, volume,
+                controls.cq1, controls.cq2, ws=w,
+                out=w.array("lag.bulkq", mesh.ncell),
+            )
+            p = np.add(p, q_cell, out=w.array("lag.peff", mesh.ncell))
         else:
-            p_eff = p + q_cell
-        return None, None, q_cell, p_eff
-    fqx, fqy, q_cell = viscosity.getq(
-        mesh, cx, cy, u, v, rho, cs2, gamma,
-        controls.cq1, controls.cq2, controls.use_limiter,
-        plans=plans, ws=ws,
-    )
-    return fqx, fqy, q_cell, p
+            fqx, fqy, q_cell = viscosity.getq(
+                mesh, cx, cy, state.u, state.v, rho, cs2, gamma,
+                controls.cq1, controls.cq2, controls.use_limiter, ws=w,
+            )
+        np.copyto(state.q, q_cell)
+    with timers.region("getforce"):
+        fx, fy = getforce(
+            mesh, cx, cy, state.u, state.v, p, rho, cs2, fqx, fqy,
+            state.corner_mass, corner_volume, volume, controls, ws=w,
+        )
+    if fqx is not None:
+        w.release(fqx, fqy)
+    return fx, fy
 
 
 def _gather_overlapped(comms, state, mesh, cx, cy, timers) -> None:
@@ -103,17 +107,14 @@ def lagstep(state: HydroState, table: MaterialTable,
             controls: HydroControls, dt: float,
             timers: TimerRegistry, gamma: np.ndarray,
             comms=None, time: Optional[float] = None,
-            plans: Optional[MeshPlans] = None,
             ws: Optional[Workspace] = None) -> None:
     """Advance ``state`` in place by one Lagrangian step of size ``dt``."""
     comms = comms if comms is not None else SerialComms()
     mesh = state.mesh
+    ncell, nnode = mesh.ncell, mesh.nnode
     half = 0.5 * dt
     mask = comms.owned_cell_mask(state)
     w = scratch(ws)
-    # Plans bypass the nodal-sum completion, which is only valid when
-    # this rank owns every node (a single-domain run).
-    acc_plans = plans if getattr(comms, "size", 1) == 1 else None
 
     # ------------------------------------------------------------------
     # predictor: evolve thermodynamics to the half step with u^n
@@ -125,133 +126,81 @@ def lagstep(state: HydroState, table: MaterialTable,
         else:
             comms.exchange_kinematics(state)
 
-    if ws is not None:
-        cx = w.array("lag.cx", (mesh.ncell, 4))
-        cy = w.array("lag.cy", (mesh.ncell, 4))
-    else:
-        cx = np.empty((mesh.ncell, 4))
-        cy = np.empty((mesh.ncell, 4))
+    cx = w.array("lag.cx", (ncell, 4))
+    cy = w.array("lag.cy", (ncell, 4))
     if overlap:
         # Interior corners gather while the halo exchange is in flight
         _gather_overlapped(comms, state, mesh, cx, cy, timers)
     else:
         geometry.gather(mesh, state.x, state.y, out=(cx, cy))
-    with timers.region("getq"):
-        fqx, fqy, q_cell, p_eff = _viscosity(
-            mesh, cx, cy, state.u, state.v, state.rho, state.cs2,
-            state.p, state.volume, gamma, controls, plans=plans, ws=ws,
-        )
-        if ws is not None:
-            np.copyto(state.q, q_cell)
-        else:
-            state.q = q_cell
-    with timers.region("getforce"):
-        fx, fy = getforce(
-            mesh, cx, cy, state.u, state.v, p_eff, state.rho, state.cs2,
-            fqx, fqy, state.corner_mass, state.corner_volume, state.volume,
-            controls, ws=ws,
-        )
+    fx, fy = _corner_forces(
+        state, cx, cy, state.rho, state.cs2, state.p, state.volume,
+        state.corner_volume, gamma, controls, timers, w,
+    )
 
+    # One set of geometry buffers serves all three geometries of the
+    # step: the start-of-step corners die with the predictor forces and
+    # the half-step geometry with the corrector forces.
+    geom = (cx, cy, w.array("lag.vol", ncell), w.array("lag.cvol", (ncell, 4)))
     with timers.region("getgeom"):
-        if ws is not None:
-            x_h = w.array("lag.xh", mesh.nnode)
-            y_h = w.array("lag.yh", mesh.nnode)
-            np.multiply(state.u, half, out=x_h)
-            x_h += state.x
-            np.multiply(state.v, half, out=y_h)
-            y_h += state.y
-        else:
-            x_h = state.x + half * state.u
-            y_h = state.y + half * state.v
+        x_h = w.array("lag.xh", nnode)
+        y_h = w.array("lag.yh", nnode)
+        np.multiply(state.u, half, out=x_h)
+        x_h += state.x
+        np.multiply(state.v, half, out=y_h)
+        y_h += state.y
         cx_h, cy_h, vol_h, cvol_h = geometry.getgeom(
-            mesh, x_h, y_h, time=time, check_mask=mask, ws=ws, tag="half"
+            mesh, x_h, y_h, time=time, check_mask=mask, ws=w, out=geom
         )
 
     with timers.region("getrho"):
-        rho_h = getrho(
-            state.cell_mass, vol_h, controls.dencut,
-            out=w.array("lag.rhoh", mesh.ncell) if ws is not None else None,
-        )
+        rho_h = getrho(state.cell_mass, vol_h, controls.dencut,
+                       out=w.array("lag.rhoh", ncell))
     with timers.region("getein"):
-        e_h = energy_mod.getein(
-            state, fx, fy, state.u, state.v, half, ws=ws,
-            out=w.array("lag.eh", mesh.ncell) if ws is not None else None,
-        )
+        e_h = energy_mod.getein(state, fx, fy, state.u, state.v, half,
+                                ws=w, out=w.array("lag.eh", ncell))
     with timers.region("getpc"):
         p_h, cs2_h = table.getpc(
-            state.mat, rho_h, e_h, ws=ws,
-            out=(w.array("lag.ph", mesh.ncell),
-                 w.array("lag.cs2h", mesh.ncell)) if ws is not None else None,
+            state.mat, rho_h, e_h, ws=w,
+            out=(w.array("lag.ph", ncell), w.array("lag.cs2h", ncell)),
         )
 
     # ------------------------------------------------------------------
     # corrector: forces at the half step, full-step update
     # ------------------------------------------------------------------
-    with timers.region("getq"):
-        fqx, fqy, q_cell, p_eff_h = _viscosity(
-            mesh, cx_h, cy_h, state.u, state.v, rho_h, cs2_h,
-            p_h, vol_h, gamma, controls, plans=plans, ws=ws,
-        )
-        if ws is not None:
-            np.copyto(state.q, q_cell)
-        else:
-            state.q = q_cell
-    with timers.region("getforce"):
-        fx, fy = getforce(
-            mesh, cx_h, cy_h, state.u, state.v, p_eff_h, rho_h, cs2_h,
-            fqx, fqy, state.corner_mass, cvol_h, vol_h,
-            controls, ws=ws,
-        )
+    w.release(fx, fy)
+    fx, fy = _corner_forces(
+        state, cx_h, cy_h, rho_h, cs2_h, p_h, vol_h, cvol_h,
+        gamma, controls, timers, w,
+    )
 
     with timers.region("getacc"):
-        u_new, v_new, u_bar, v_bar = getacc(
-            state, fx, fy, dt, comms=comms, plans=acc_plans, ws=ws,
-        )
+        u_new, v_new, u_bar, v_bar = getacc(state, fx, fy, dt,
+                                            comms=comms, ws=w)
 
     with timers.region("getgeom"):
-        if ws is not None:
-            move = w.array("lag.move", mesh.nnode)
-            np.multiply(u_bar, dt, out=move)
-            state.x += move
-            np.multiply(v_bar, dt, out=move)
-            state.y += move
-            _, _, vol, cvol = geometry.getgeom(
-                mesh, state.x, state.y, time=time, check_mask=mask,
-                ws=ws, tag="full",
-            )
-            np.copyto(state.volume, vol)
-            np.copyto(state.corner_volume, cvol)
-        else:
-            state.x += dt * u_bar
-            state.y += dt * v_bar
-            _, _, state.volume, state.corner_volume = geometry.getgeom(
-                mesh, state.x, state.y, time=time, check_mask=mask
-            )
+        move = x_h                      # dead since the half-step gather
+        np.multiply(u_bar, dt, out=move)
+        state.x += move
+        np.multiply(v_bar, dt, out=move)
+        state.y += move
+        _, _, vol, cvol = geometry.getgeom(
+            mesh, state.x, state.y, time=time, check_mask=mask,
+            ws=w, out=geom,
+        )
+        np.copyto(state.volume, vol)
+        np.copyto(state.corner_volume, cvol)
 
     with timers.region("getrho"):
-        if ws is not None:
-            getrho(state.cell_mass, state.volume, controls.dencut,
-                   out=state.rho)
-        else:
-            state.rho = getrho(state.cell_mass, state.volume, controls.dencut)
+        getrho(state.cell_mass, state.volume, controls.dencut, out=state.rho)
     with timers.region("getein"):
-        if ws is not None:
-            # out may alias state.e: the work term is fully accumulated
-            # before the final elementwise subtraction.
-            energy_mod.getein(state, fx, fy, u_bar, v_bar, dt, ws=ws,
-                              out=state.e)
-        else:
-            state.e = energy_mod.getein(state, fx, fy, u_bar, v_bar, dt)
+        # out may alias state.e: the work term is fully accumulated
+        # before the final elementwise subtraction.
+        energy_mod.getein(state, fx, fy, u_bar, v_bar, dt, ws=w, out=state.e)
     with timers.region("getpc"):
-        if ws is not None:
-            table.getpc(state.mat, state.rho, state.e, ws=ws,
-                        out=(state.p, state.cs2))
-        else:
-            state.p, state.cs2 = table.getpc(state.mat, state.rho, state.e)
+        table.getpc(state.mat, state.rho, state.e, ws=w,
+                    out=(state.p, state.cs2))
 
-    if ws is not None:
-        np.copyto(state.u, u_new)
-        np.copyto(state.v, v_new)
-    else:
-        state.u = u_new
-        state.v = v_new
+    w.release(fx, fy)
+    np.copyto(state.u, u_new)
+    np.copyto(state.v, v_new)

@@ -102,8 +102,9 @@ class HydroState:
         state = cls(
             mesh=mesh,
             x=x, y=y,
-            u=np.zeros(nnode) if u is None else np.ascontiguousarray(u, dtype=np.float64),
-            v=np.zeros(nnode) if v is None else np.ascontiguousarray(v, dtype=np.float64),
+            # own copies: the step loop commits into these in place
+            u=np.zeros(nnode) if u is None else np.array(u, dtype=np.float64),
+            v=np.zeros(nnode) if v is None else np.array(v, dtype=np.float64),
             rho=rho.copy(), e=e.copy(),
             p=np.zeros(ncell), cs2=np.zeros(ncell), q=np.zeros(ncell),
             mat=mat,
@@ -123,30 +124,22 @@ class HydroState:
     def scatter_to_nodes(self, corner_field: np.ndarray) -> np.ndarray:
         """Sum an (ncell, 4) corner field onto nodes -> (nnode,).
 
-        Implemented with ``bincount`` over the flattened connectivity,
-        which is the fastest pure-numpy scatter for repeated use.
+        Bit-for-bit the ``bincount`` sum over the flattened
+        connectivity on every mesh (see
+        :meth:`repro.perf.plans.MeshPlans.scatter_to_nodes`).
         """
-        return np.bincount(
-            self.mesh.cell_nodes.ravel(),
-            weights=corner_field.ravel(),
-            minlength=self.mesh.nnode,
-        )
+        return self.mesh.plans.scatter_to_nodes(corner_field)
 
-    def node_mass(self, plans=None) -> np.ndarray:
+    def node_mass(self) -> np.ndarray:
         """Nodal mass: scatter-sum of corner masses (always > 0).
 
         Corner masses are fixed during the Lagrangian phase, so the sum
         is computed once and cached until :meth:`invalidate_node_mass`
         (called by the ALE update, which rewrites the corner masses).
         The returned array is shared — callers must treat it read-only.
-        An optional :class:`~repro.perf.plans.MeshPlans` provides the
-        scatter for the (rare) cache-miss computation.
         """
         if self._node_mass is None:
-            if plans is not None:
-                self._node_mass = plans.scatter_to_nodes(self.corner_mass)
-            else:
-                self._node_mass = self.scatter_to_nodes(self.corner_mass)
+            self._node_mass = self.scatter_to_nodes(self.corner_mass)
         return self._node_mass
 
     def invalidate_node_mass(self) -> None:

@@ -23,13 +23,11 @@ exactly and — through the compatible energy update — converts kinetic
 energy into heat at the rate ``q L |Δu| ≥ 0``.
 
 This is the hottest kernel of the mini-app (Table II), so it takes the
-full performance treatment: a :class:`~repro.perf.plans.MeshPlans`
-supplies the limiter's static neighbour-node indices (hoisted out of
-the per-step path), and a :class:`~repro.perf.workspace.Workspace`
-supplies every temporary, making repeat calls allocation-free.  Without
-a workspace the historical allocate-per-call expressions run unchanged;
-both paths perform the same floating operations in the same
-association, so their results are bit-identical.
+full performance treatment: the mesh's :class:`~repro.perf.plans.MeshPlans`
+supply the limiter's static neighbour-node indices (hoisted out of the
+per-step path), and a :class:`~repro.perf.workspace.Workspace` supplies
+every temporary, making repeat calls allocation-free.  A standalone
+call without a workspace runs the same body on fresh allocations.
 """
 
 from __future__ import annotations
@@ -39,9 +37,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..mesh.topology import QuadMesh
-from ..perf.plans import (MeshPlans, limiter_indices, roll_next, roll_prev,
-                          spread_corners)
-from ..perf.workspace import Workspace
+from ..perf.plans import roll_next, roll_prev, spread_corners
+from ..perf.workspace import Workspace, scratch
 
 #: velocity-jump magnitude below which an edge is treated as rigid
 DU_CUT = 1.0e-30
@@ -50,7 +47,6 @@ DU_CUT = 1.0e-30
 def christiansen_limiter(mesh: QuadMesh, u: np.ndarray, v: np.ndarray,
                          dux: np.ndarray, duy: np.ndarray,
                          dumag_sq: np.ndarray,
-                         plans: Optional[MeshPlans] = None,
                          ws: Optional[Workspace] = None) -> np.ndarray:
     """Limiter ψ in [0, 1]: 1 in smooth flow (no viscosity), 0 at shocks.
 
@@ -59,28 +55,15 @@ def christiansen_limiter(mesh: QuadMesh, u: np.ndarray, v: np.ndarray,
     continuation is missing (mesh boundary) take ψ = 0, keeping full
     viscosity where shocks meet walls.
 
-    The continuation-edge node indices depend only on connectivity; a
-    ``plans`` object supplies them precomputed, otherwise they are
-    rebuilt on the fly (the historical behaviour).
+    The continuation-edge node indices depend only on connectivity and
+    come precomputed from ``mesh.plans``.  The returned ψ is a borrowed
+    buffer; the caller releases it.
     """
-    if plans is not None:
-        n_b1, n_b0 = plans.lim_n_b1, plans.lim_n_b0
-        n_f1, n_f0 = plans.lim_n_f1, plans.lim_n_f0
-        off = plans.lim_off
-    else:
-        n_b1, n_b0, n_f1, n_f0, off = limiter_indices(mesh)
-    if ws is None:
-        bx = u[n_b1] - u[n_b0]
-        by = v[n_b1] - v[n_b0]
-        fx = u[n_f1] - u[n_f0]
-        fy = v[n_f1] - v[n_f0]
-        denom = np.maximum(dumag_sq, DU_CUT * DU_CUT)
-        rb = (bx * dux + by * duy) / denom
-        rf = (fx * dux + fy * duy) / denom
-        psi = np.minimum(0.5 * (rb + rf), np.minimum(2.0 * rb, 2.0 * rf))
-        psi = np.clip(np.minimum(psi, 1.0), 0.0, 1.0)
-        psi[off] = 0.0
-        return psi
+    ws = scratch(ws)
+    plans = mesh.plans
+    n_b1, n_b0 = plans.lim_n_b1, plans.lim_n_b0
+    n_f1, n_f0 = plans.lim_n_f1, plans.lim_n_f0
+    off = plans.lim_off
     shape = dux.shape
     t = ws.borrow(shape)
     bx = ws.borrow(shape)                    # backward continuation jump
@@ -147,25 +130,7 @@ def bulk_q(cx: np.ndarray, cy: np.ndarray,
     reference uses the edge form); provided as a design-choice option
     and used by the viscosity-form ablation tests.
     """
-    if ws is None:
-        dvdx = 0.5 * (np.roll(cy, -1, axis=1) - np.roll(cy, 1, axis=1))
-        dvdy = 0.5 * (np.roll(cx, 1, axis=1) - np.roll(cx, -1, axis=1))
-        cu = u[cell_nodes]
-        cv = v[cell_nodes]
-        vdot = (np.einsum("ck,ck->c", dvdx, cu)
-                + np.einsum("ck,ck->c", dvdy, cv))
-        div_u = vdot / volume
-        compressing = div_u < 0.0
-        ex = np.roll(cx, -1, axis=1) - cx
-        ey = np.roll(cy, -1, axis=1) - cy
-        longest = np.sqrt((ex * ex + ey * ey).max(axis=1))
-        du = (volume / longest) * np.abs(div_u)
-        q = cq2 * rho * du * du + cq1 * rho * np.sqrt(cs2) * du
-        result = np.where(compressing, q, 0.0)
-        if out is None:
-            return result
-        np.copyto(out, result)
-        return out
+    ws = scratch(ws)
     ncell = cx.shape[0]
     dvdx = ws.borrow(cx.shape)
     dvdy = ws.borrow(cx.shape)
@@ -209,77 +174,27 @@ def bulk_q(cx: np.ndarray, cy: np.ndarray,
     du *= div_u
     if out is None:
         out = np.empty(ncell)
-    # q = cq2 ρ du² + cq1 ρ c_s du, only where compressing.
+    # q = cq2 ρ du² + cq1 ρ c_s du, only where compressing — each
+    # term associated left to right, as ``repro.ensemble.kernels`` does.
     np.multiply(rho, cq2, out=out)
     out *= du
     out *= du
-    cs = t
+    lin = t
+    np.multiply(rho, cq1, out=lin)
+    cs = div_u                               # reuse: |div u| is consumed
     np.sqrt(cs2, out=cs)
-    cs *= rho
-    cs *= cq1
-    cs *= du
-    out += cs
+    lin *= cs
+    lin *= du
+    out += lin
     np.copyto(out, 0.0, where=~compressing)
     ws.release(dvdx, dvdy, t4, div_u, t, du, compressing)
     return out
-
-
-def _getq_plain(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
-                u: np.ndarray, v: np.ndarray,
-                rho: np.ndarray, cs2: np.ndarray, gamma: np.ndarray,
-                cq1: float, cq2: float, use_limiter: bool,
-                plans: Optional[MeshPlans]
-                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The historical allocate-per-call ``getq`` body."""
-    cu = u[mesh.cell_nodes]
-    cv = v[mesh.cell_nodes]
-    dux = np.roll(cu, -1, axis=1) - cu      # edge velocity jumps
-    duy = np.roll(cv, -1, axis=1) - cv
-    dxx = np.roll(cx, -1, axis=1) - cx      # edge vectors
-    dxy = np.roll(cy, -1, axis=1) - cy
-    dumag_sq = dux * dux + duy * duy
-    dumag = np.sqrt(dumag_sq)
-    compressing = (dux * dxx + duy * dxy) < 0.0
-    active = compressing & (dumag > DU_CUT)
-
-    if use_limiter:
-        psi = christiansen_limiter(mesh, u, v, dux, duy, dumag_sq,
-                                   plans=plans)
-    else:
-        psi = np.zeros_like(dumag)
-
-    cquad = cq2 * (gamma[:, None] + 1.0) * 0.25
-    cs = np.sqrt(cs2)[:, None]
-    q_edge = (1.0 - psi) * rho[:, None] * dumag * (
-        cquad * dumag + np.sqrt((cquad * dumag) ** 2 + (cq1 * cs) ** 2)
-    )
-    q_edge = np.where(active, q_edge, 0.0)
-
-    # Median arm: centroid to edge midpoint.
-    gx = cx.mean(axis=1, keepdims=True)
-    gy = cy.mean(axis=1, keepdims=True)
-    mx = 0.5 * (cx + np.roll(cx, -1, axis=1))
-    my = 0.5 * (cy + np.roll(cy, -1, axis=1))
-    arm = np.hypot(mx - gx, my - gy)
-
-    # Unit jump direction (guarded); force ±q L û on the edge's nodes.
-    inv = 1.0 / np.maximum(dumag, DU_CUT)
-    fx_edge = q_edge * arm * dux * inv
-    fy_edge = q_edge * arm * duy * inv
-    # node k gets +f (pushed along Δu, i.e. decelerating node k relative
-    # to k+1), node k+1 gets −f.
-    fqx = fx_edge - np.roll(fx_edge, 1, axis=1)
-    fqy = fy_edge - np.roll(fy_edge, 1, axis=1)
-
-    q_cell = 0.25 * q_edge.sum(axis=1)
-    return fqx, fqy, q_cell
 
 
 def getq(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
          u: np.ndarray, v: np.ndarray,
          rho: np.ndarray, cs2: np.ndarray, gamma: np.ndarray,
          cq1: float, cq2: float, use_limiter: bool = True,
-         plans: Optional[MeshPlans] = None,
          ws: Optional[Workspace] = None
          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The viscosity kernel.
@@ -290,12 +205,11 @@ def getq(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
 
     Returns ``(fqx, fqy, q_cell)``: viscous corner forces (ncell, 4) and
     the cell-averaged viscous pressure used by the timestep control and
-    diagnostics.  With a workspace the three results live in arena
-    buffers (``getq.*``) that the next ``getq`` call reuses.
+    diagnostics.  The corner forces are borrowed buffers — the caller
+    releases them once ``getforce`` has consumed them; ``q_cell`` is the
+    arena buffer ``getq.qcell``, overwritten by the next call.
     """
-    if ws is None:
-        return _getq_plain(mesh, cx, cy, u, v, rho, cs2, gamma,
-                           cq1, cq2, use_limiter, plans)
+    ws = scratch(ws)
     ncell = mesh.ncell
     shape = (ncell, 4)
     cu = ws.borrow(shape)
@@ -334,8 +248,7 @@ def getq(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
     ws.release(dxx, dxy, t)
 
     if use_limiter:
-        psi = christiansen_limiter(mesh, u, v, dux, duy, dumag_sq,
-                                   plans=plans, ws=ws)
+        psi = christiansen_limiter(mesh, u, v, dux, duy, dumag_sq, ws=ws)
     else:
         psi = ws.borrow(shape)
         psi.fill(0.0)
@@ -393,8 +306,8 @@ def getq(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
     ws.release(gx, gy, mx, my, sp)
 
     # Unit jump direction (guarded); force ±q L û on the edge's nodes.
-    # Association matches the unbuffered ((q·L)·Δu)·inv so the two
-    # paths stay bit-identical.
+    # Associated as ((q·L)·Δu)·inv — what ``repro.ensemble.kernels``
+    # is bit-compared against.
     inv = ws.borrow(shape)
     np.maximum(dumag, DU_CUT, out=inv)
     np.divide(1.0, inv, out=inv)
@@ -409,10 +322,10 @@ def getq(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
     ws.release(qarm, inv, dux, duy, dumag)
     # node k gets +f (pushed along Δu, i.e. decelerating node k relative
     # to k+1), node k+1 gets −f.
-    fqx = ws.array("getq.fqx", shape)
+    fqx = ws.borrow(shape)
     roll_prev(fx_edge, out=fqx)
     np.subtract(fx_edge, fqx, out=fqx)
-    fqy = ws.array("getq.fqy", shape)
+    fqy = ws.borrow(shape)
     roll_prev(fy_edge, out=fqy)
     np.subtract(fy_edge, fqy, out=fqy)
     ws.release(fx_edge, fy_edge)

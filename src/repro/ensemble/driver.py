@@ -32,7 +32,6 @@ import numpy as np
 from ..api import RunConfig, RunResult
 from ..core.comms import SerialComms
 from ..core.hourglass import GAMMA
-from ..perf.plans import MeshPlans
 from ..perf.workspace import Workspace
 from ..problems.base import ProblemSetup
 from ..utils.errors import BookLeafError
@@ -90,10 +89,6 @@ class EnsembleHydro:
     max_steps:
         Optional per-lane step limits (None entries fall back to the
         lane's ``controls.max_steps``), mirroring ``Hydro.run``.
-    plans:
-        Optional precompiled :class:`~repro.perf.plans.MeshPlans` for
-        the shared mesh (the fleet's artifact cache hands these in;
-        they are pure index tables, so reuse is exact).
     resume:
         Optional per-lane resume records for lanes carried over from an
         earlier batch (the fleet's lane-refill path): each non-None
@@ -109,7 +104,7 @@ class EnsembleHydro:
                  probes: Optional[Sequence] = None,
                  timers: Optional[TimerRegistry] = None,
                  max_steps: Optional[Sequence[Optional[int]]] = None,
-                 xp=None, plans=None,
+                 xp=None,
                  resume: Optional[Sequence[Optional[dict]]] = None):
         self.xp = xp if xp is not None else np
         self.setups = list(setups)
@@ -133,16 +128,15 @@ class EnsembleHydro:
         self.es = EnsembleState([s.state for s in self.setups])
         mesh = self.es.mesh
         self.cell_nodes = mesh.cell_nodes
-        self.plans = plans if plans is not None else MeshPlans(mesh)
+        plans = mesh.plans
         self.ws = Workspace()
         self.eos = EnsembleEos([s.table for s in self.setups], xp=self.xp)
         xp = self.xp
         self.ctx = EnsembleContext(
             xp=xp,
             cell_nodes=self.cell_nodes,
-            lim=(self.plans.lim_n_b1, self.plans.lim_n_b0,
-                 self.plans.lim_n_f1, self.plans.lim_n_f0,
-                 self.plans.lim_off),
+            lim=(plans.lim_n_b1, plans.lim_n_b0, plans.lim_n_f1,
+                 plans.lim_n_f0, plans.lim_off),
             gamma=self.eos.gamma_like(self.es.mat),
             gamma_vec=xp.asarray(GAMMA),
             cq1_col=xp.asarray([[c.cq1] for c in self.controls_list]),
@@ -154,7 +148,7 @@ class EnsembleHydro:
             dencut=first.dencut,
             bc=self.es.bc,
             eos=self.eos,
-            scatter=self.plans.scatter_to_nodes_batched,
+            scatter=plans.scatter_to_nodes_batched,
             ws=self.ws,
         )
 

@@ -1,7 +1,8 @@
 """Batched (ensemble) kernels — the ``(N, …)`` mirrors of ``core/*``.
 
-Every kernel here is the plain (workspace-free) expression from the
-corresponding ``repro.core`` module with one leading batch axis: nodal
+Every kernel here states, as plain workspace-free expressions, what
+the corresponding ``repro.core`` kernel computes through its buffer
+arena, with one leading batch axis: nodal
 fields are ``(N, nnode)``, cell fields ``(N, ncell)``, corner fields
 ``(N, ncell, 4)``.  Within a lane the floating operations run in the
 *same association* as the serial kernels — the batch axis only adds an
@@ -288,7 +289,7 @@ def getrho(xp, cell_mass, volume, dencut):
 
 
 # ----------------------------------------------------------------------
-# artificial viscosity (mirrors core/viscosity.py plain path)
+# artificial viscosity (mirrors core/viscosity.py)
 # ----------------------------------------------------------------------
 class StepCache:
     """The per-step velocity products every kernel shares.
@@ -522,7 +523,7 @@ def bulk_q(xp, geom, vc, rho, cs2, volume, cq1, cq2):
 
 
 # ----------------------------------------------------------------------
-# forces (mirrors core/force.py + core/hourglass.py plain paths)
+# forces (mirrors core/force.py + core/hourglass.py)
 # ----------------------------------------------------------------------
 def pressure_forces(xp, geom, p):
     """Corner forces from a piecewise-constant cell pressure."""

@@ -1,11 +1,10 @@
 """The batched Lagrangian step — predictor/corrector over all lanes.
 
-A line-for-line mirror of the plain (workspace-free) path of
-:func:`repro.core.lagstep.lagstep`, with every kernel call batched and
-per-lane dt entering as an ``(N, 1)`` column broadcast.  The serial
-reference the bit-identity gate compares against is exactly that plain
-path (the serial backend builds its ``Hydro`` without plans or
-workspace), so each expression here must keep the serial association
+A step-for-step mirror of :func:`repro.core.lagstep.lagstep`, with
+every kernel call batched and per-lane dt entering as an ``(N, 1)``
+column broadcast.  The serial reference the bit-identity gate compares
+against is the serial backend's ``Hydro`` — the arena-backed ``core``
+kernels — so each expression here must keep the serial association
 within a lane — see the module docstring of
 :mod:`repro.ensemble.kernels`.
 

@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..perf.workspace import scratch
 from ..utils.deck import Deck
 from ..utils.errors import DeckError, EosError
 from .base import Eos
@@ -85,14 +86,13 @@ class MaterialTable:
                     continue
                 p[sel] = eos.pressure(rho[sel], e[sel])
                 cs2[sel] = eos.sound_speed_sq(rho[sel], e[sel])
-        if ws is not None:
-            t = ws.array("getpc.absp", p.shape)
-            small = ws.array("getpc.small", p.shape, dtype=bool)
-            np.abs(p, out=t)
-            np.less(t, self.pcut, out=small)
-            np.copyto(p, 0.0, where=small)
-        else:
-            np.copyto(p, 0.0, where=np.abs(p) < self.pcut)
+        ws = scratch(ws)
+        t = ws.borrow(p.shape)
+        small = ws.borrow(p.shape, dtype=bool)
+        np.abs(p, out=t)
+        np.less(t, self.pcut, out=small)
+        np.copyto(p, 0.0, where=small)
+        ws.release(t, small)
         np.maximum(cs2, self.ccut, out=cs2)
         return p, cs2
 

@@ -1,12 +1,14 @@
 """Compiled-artifact cache: reuse mesh-derived schedules across jobs.
 
-A sweep re-runs the same mesh spec dozens of times; today every run
-re-partitions the mesh, rebuilds the ghosted subdomains, recompiles the
-packed CommPlans and (on the ensemble path) rebuilds the MeshPlans
-gather/scatter index tables.  All of those are pure functions of the
-mesh *topology* plus ``(nranks, method)``, so the fleet attaches one
-:class:`ArtifactCache` and every same-mesh job after the first gets
-them for free.
+A sweep re-runs the same mesh spec dozens of times; without this every
+decomposed run re-partitions the mesh, rebuilds the ghosted subdomains
+and recompiles the packed CommPlans.  All of those are pure functions
+of the mesh *topology* plus ``(nranks, method)``, so the fleet attaches
+one :class:`ArtifactCache` and every same-mesh job after the first gets
+them for free.  (The per-mesh :class:`~repro.perf.plans.MeshPlans` are
+not cached here: every mesh builds its own lazily, in 0.1–4.5 ms, and a
+cross-job hit would need two ensemble groups on one topology in one
+submission.)
 
 The cache is keyed by a topology fingerprint — ``(ncell, nnode,
 sha256(cell_nodes))`` — never by object identity, so two
@@ -15,12 +17,6 @@ cached here is read-only during a run (states are restricted by copy,
 plans are index tables), and reuse is *exact*: the returned objects are
 the very ones a fresh compile would produce, so bit-identity is
 untouched.
-
-Scope note: the serial ``api.run`` path deliberately takes **no**
-MeshPlans from here — the plan-based scatter matches ``np.bincount``
-only to round-off, and the serial driver's contract is bitwise equality
-with the historic loop.  Only the ensemble path (which always runs on
-MeshPlans) reuses them.
 """
 
 from __future__ import annotations
@@ -40,12 +36,11 @@ def mesh_fingerprint(mesh) -> Tuple[int, int, str]:
 
 
 class ArtifactCache:
-    """Memoises partitions, subdomains, CommPlans and MeshPlans."""
+    """Memoises partitions, subdomains and CommPlans."""
 
     def __init__(self):
         self._decomps: Dict[Tuple, Tuple] = {}
         self._plans: Dict[Tuple, List] = {}
-        self._mesh_plans: Dict[Tuple, object] = {}
         self.hits = 0
         self.misses = 0
 
@@ -80,25 +75,10 @@ class ArtifactCache:
             self.hits += 1
         return plans
 
-    def mesh_plans(self, mesh):
-        """Ensemble-path :class:`~repro.perf.plans.MeshPlans` for this
-        topology (gather/scatter index tables)."""
-        from ..perf.plans import MeshPlans
-
-        key = mesh_fingerprint(mesh)
-        plans = self._mesh_plans.get(key)
-        if plans is None:
-            self.misses += 1
-            plans = self._mesh_plans[key] = MeshPlans(mesh)
-        else:
-            self.hits += 1
-        return plans
-
     def stats(self) -> dict:
         return {
             "hits": self.hits,
             "misses": self.misses,
             "decompositions": len(self._decomps),
             "comm_plans": len(self._plans),
-            "mesh_plans": len(self._mesh_plans),
         }

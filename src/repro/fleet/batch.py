@@ -69,16 +69,14 @@ def make_jobs(configs: Sequence, control_overrides=None) -> List[BatchJob]:
 def run_ensemble_jobs(jobs: Sequence[BatchJob], *,
                       width: Optional[int] = None,
                       timers: Optional[TimerRegistry] = None,
-                      artifacts=None,
                       schedule_log: Optional[List[dict]] = None):
     """Run ``jobs`` through batched ensemble passes; one
     :class:`~repro.api.RunResult` per job, in job order.
 
     ``width`` caps the live batch (default: all jobs in one batch — the
     historical ``run_ensemble`` behaviour); a queue longer than the
-    width drains through lane refill.  ``artifacts`` optionally supplies
-    shared :class:`MeshPlans`; ``schedule_log`` (a list) receives one
-    event dict per scheduling decision.
+    width drains through lane refill.  ``schedule_log`` (a list)
+    receives one event dict per scheduling decision.
     """
     from ..api import RunResult
     from ..ensemble.driver import EnsembleHydro
@@ -138,7 +136,6 @@ def run_ensemble_jobs(jobs: Sequence[BatchJob], *,
     carried: List[dict] = []
     #: finished lanes, keyed by job position
     done: Dict[int, dict] = {}
-    plans = None
     start = _time.perf_counter()
     while pending or carried:
         take = min(max(width - len(carried), 0), len(pending))
@@ -159,18 +156,13 @@ def run_ensemble_jobs(jobs: Sequence[BatchJob], *,
                 "width": len(lanes),
                 "queued": len(pending),
             })
-        if plans is None and artifacts is not None:
-            plans = artifacts.mesh_plans(lanes[0]["setup"].state.mesh)
         eh = EnsembleHydro(
             [l["setup"] for l in lanes],
             probes=[l["probe"] for l in lanes],
             timers=timers,
             max_steps=[jobs[l["pos"]].config.max_steps for l in lanes],
-            plans=plans,
             resume=[l["resume"] for l in lanes],
         )
-        # Subsequent rebuilds of this same-mesh group share the plans.
-        plans = eh.plans
         eh.begin()
         batch_pos = [l["pos"] for l in lanes]
         setups = {l["pos"]: l["setup"] for l in lanes}

@@ -426,7 +426,6 @@ class Fleet:
         self._emit("ensemble_batch", jobs=[j.index for j in group])
         group_results = run_ensemble_jobs(
             group, width=self.options.batch_width,
-            artifacts=self.artifacts,
             schedule_log=self.schedule_log)
         t1 = self.bus.elapsed if self.bus else 0.0
         for job, result in zip(group, group_results):

@@ -26,10 +26,12 @@ not here (the mesh object stores the initial coordinates).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
 
+from ..perf.plans import MeshPlans
 from ..utils.errors import MeshError
 
 
@@ -154,6 +156,13 @@ class QuadMesh:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    @cached_property
+    def plans(self) -> MeshPlans:
+        """Connectivity-derived index plans (limiter neighbour indices,
+        grid detection for the nodal scatter), built on first use — the
+        topology is immutable, so once per mesh."""
+        return MeshPlans(self)
+
     def gather_cell_coords(self, x: Optional[np.ndarray] = None,
                            y: Optional[np.ndarray] = None
                            ) -> Tuple[np.ndarray, np.ndarray]:

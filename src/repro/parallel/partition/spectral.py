@@ -19,6 +19,9 @@ import scipy.sparse.linalg as spla
 from ...mesh.topology import QuadMesh
 from ...utils.errors import PartitionError
 
+#: seed of the eigensolver's start vector (any fixed value will do)
+_START_SEED = 0
+
 
 def adjacency_matrix(mesh: QuadMesh) -> sp.csr_matrix:
     """Symmetric cell-adjacency matrix from the interior face list."""
@@ -42,14 +45,23 @@ def _fiedler_split(adj: sp.csr_matrix, idx: np.ndarray, frac: float
     lap = sp.diags(degree) - sub
     try:
         # Smallest two eigenpairs of the Laplacian; the second is the
-        # Fiedler vector.  Shift-invert around 0 keeps it fast.
+        # Fiedler vector.  Shift-invert around 0 keeps it fast.  ARPACK
+        # would otherwise start from a random vector, and on a square
+        # mesh (degenerate λ₂) that picks a different Fiedler direction
+        # — a different partition — every run; a fixed start (not the
+        # all-ones null vector) makes the iteration reproducible.
+        v0 = np.random.default_rng(_START_SEED).standard_normal(n)
         _, vecs = spla.eigsh(lap.astype(np.float64), k=2, sigma=-1e-3,
-                             which="LM", tol=1e-6)
+                             which="LM", tol=1e-6, v0=v0)
         fiedler = vecs[:, 1]
     except Exception:
         # Dense fallback for tiny or ill-conditioned subgraphs.
         w, v = np.linalg.eigh(lap.toarray())
         fiedler = v[:, np.argsort(w)[1]]
+    # An eigenvector's sign is arbitrary; pin it so "low side" always
+    # names the same cells.
+    if fiedler[np.argmax(np.abs(fiedler))] < 0.0:
+        fiedler = -fiedler
     order = np.argsort(fiedler, kind="stable")
     split = min(max(int(round(frac * n)), 1), n - 1)
     mask = np.zeros(n, dtype=bool)

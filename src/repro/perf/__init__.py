@@ -8,17 +8,17 @@ work arrays in every kernel of the predictor/corrector loop.  This
 package removes those per-step costs without touching the numerics:
 
 * :class:`~repro.perf.plans.MeshPlans` — per-mesh index structures
-  built once (rolled-corner fancy-index columns, a sort-once CSR
-  scatter plan driving ``np.add.reduceat``, the static neighbour
-  indices of the Christiansen limiter);
-* :class:`~repro.perf.workspace.Workspace` — a preallocated buffer
-  arena keyed by ``(name, shape, dtype)`` that the hot kernels draw
-  their temporaries from, so the steady-state Lagrangian loop performs
-  no large allocations after the first step.
+  built once, lazily, as ``mesh.plans`` (the structured-grid detection
+  behind the nodal scatter, the static neighbour indices of the
+  Christiansen limiter), beside the rolled-corner column helpers;
+* :class:`~repro.perf.workspace.Workspace` — a buffer arena the hot
+  kernels draw their temporaries from, so the steady-state step loop
+  performs no large allocations after the first step.
 
-Both are *optional* everywhere: every kernel accepts ``plans=None,
-ws=None`` and falls back to the historical allocate-per-call behaviour,
-so the serial and distributed paths run unchanged without them.
+Every ``Hydro`` owns a ``Workspace`` and every kernel has one body,
+written against the workspace API; a standalone kernel call without an
+arena gets the allocating stand-in from
+:func:`~repro.perf.workspace.scratch` and runs the same code.
 """
 
 from .plans import MeshPlans, roll_next, roll_prev

@@ -11,16 +11,13 @@ computed once per mesh and reused every step:
   faster than it (``np.roll`` builds its result from two wrapped
   block copies plus the intermediate index arithmetic).
 
-* **Scatter plan** — the corner→node sum (``scatter_to_nodes``) is the
-  structural scatter of the whole code.  ``np.bincount`` re-derives the
-  grouping from the flattened connectivity on every call and always
-  allocates its result; the plan instead builds a *padded incidence
-  table* once — for every node, the (≤ max-valence) flat slots of the
-  (cell, corner) pairs touching it plus a 0/1 weight mask — and each
-  call is then one flat gather plus one weighted row sum
-  (``einsum('nk,nk->n')``), both into caller buffers.  The summation
-  order per node differs from bincount's, so the two agree to rounding
-  (property-tested at rtol 1e-15), not bit-wise.
+* **Scatter** — the corner→node sum (``scatter_to_nodes``) is the
+  structural scatter of the whole code.  On a canonically numbered
+  structured grid it collapses to four shifted-window adds, performed
+  in ``np.bincount``'s own accumulation order; every other mesh uses
+  ``np.bincount`` itself.  Either way the result is bit-for-bit the
+  ``bincount`` sum, so every execution path (serial, decomposed,
+  ensemble lane) agrees to the last bit on every mesh.
 
 * **Limiter indices** — the Christiansen limiter's neighbour-edge node
   lookups (four index arrays plus the boundary mask) depend only on
@@ -28,7 +25,7 @@ computed once per mesh and reused every step:
 
 :class:`MeshPlans` treats the mesh duck-typed (anything exposing
 ``cell_nodes``, ``cell_neighbours``, ``neighbour_side``,
-``node_cell_offsets``, ``nnode``, ``ncell`` works), so this module has
+``nnode``, ``ncell`` works), so this module has
 no imports from the rest of the package and can be used from any
 layer without cycles.
 """
@@ -43,10 +40,6 @@ import numpy as np
 ROLL_NEXT_COLS = np.array([1, 2, 3, 0], dtype=np.intp)
 #: column order of ``np.roll(a, 1, axis=1)``
 ROLL_PREV_COLS = np.array([3, 0, 1, 2], dtype=np.intp)
-
-#: beyond this node valence the padded incidence table would waste more
-#: memory/bandwidth than it saves — fall back to ``bincount``
-MAX_PAD_VALENCE = 8
 
 
 def roll_next(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -145,30 +138,6 @@ class MeshPlans:
         self.ncell = int(mesh.ncell)
         self.nnode = int(mesh.nnode)
         flat = np.ascontiguousarray(mesh.cell_nodes.reshape(-1))
-        #: stable sort of the 4·ncell (cell, corner) slots by node — the
-        #: per-node segment order equals bincount's traversal order
-        self.scatter_perm = np.argsort(flat, kind="stable")
-        offsets = mesh.node_cell_offsets
-        degrees = np.diff(offsets)
-        #: the mesh's largest node valence (cells sharing one node)
-        self.max_valence = int(degrees.max(initial=0))
-        self._pad_ok = 0 < self.max_valence <= MAX_PAD_VALENCE
-        if self._pad_ok:
-            k = np.arange(self.max_valence)
-            valid = k[None, :] < degrees[:, None]            # (nnode, K)
-            src = offsets[:-1, None] + k[None, :]
-            slots = self.scatter_perm[np.where(valid, src, 0)]
-            #: flat (cell, corner) slot per (node, incidence) pad entry
-            self.pad_idx = np.ascontiguousarray(
-                np.where(valid, slots, 0), dtype=np.intp)
-            #: 1.0 on real incidences, 0.0 on padding
-            self.pad_w = np.ascontiguousarray(valid, dtype=np.float64)
-            #: buffer shape a caller should pass as ``work=``
-            self.scatter_work_shape = (self.nnode, self.max_valence)
-        else:
-            self.pad_idx = None
-            self.pad_w = None
-            self.scatter_work_shape = (0,)
         #: (ny, nx) when the mesh is a canonical structured grid
         self.grid_shape = self._detect_grid(flat)
         # Contiguous intp copies: ``np.take`` silently copies any other
@@ -210,19 +179,14 @@ class MeshPlans:
         return np.take(nodal, self.mesh.cell_nodes, out=out, mode="clip")
 
     def scatter_to_nodes(self, corner_field: np.ndarray,
-                         out: Optional[np.ndarray] = None,
-                         work: Optional[np.ndarray] = None) -> np.ndarray:
+                         out: Optional[np.ndarray] = None) -> np.ndarray:
         """Sum an (ncell, 4) corner field onto nodes -> (nnode,).
 
         On a canonical structured grid the scatter is four shifted
         2-D window adds, performed in ascending-cell order per node —
         bit-for-bit identical to ``bincount``, with no intermediate
-        index traffic at all.  Otherwise the padded-incidence plan:
-        gather the field's flat slots into the (nnode, max_valence)
-        ``work`` table, then one weighted row sum.  Orphan (valence-0)
-        nodes get 0, as with ``bincount``.  The padded path agrees with
-        the ``bincount`` scatter to rounding (the per-node summation
-        order differs), not bit-for-bit.
+        index traffic at all.  Every other mesh goes through
+        ``bincount`` itself.  Orphan (valence-0) nodes get 0.
         """
         if (self.grid_shape is not None
                 and corner_field.flags.c_contiguous
@@ -241,23 +205,12 @@ class MeshPlans:
             o[:-1, 1:] += f[:, :, 1]
             o[:-1, :-1] += f[:, :, 0]
             return out
-        flat = corner_field.reshape(-1)
-        if not self._pad_ok:
-            result = np.bincount(self.mesh.cell_nodes.reshape(-1),
-                                 weights=flat, minlength=self.nnode)
-            if out is not None:
-                np.copyto(out, result)
-                return out
-            return result
+        result = np.bincount(self.mesh.cell_nodes.reshape(-1),
+                             weights=corner_field.reshape(-1),
+                             minlength=self.nnode)
         if out is None:
-            out = np.empty(self.nnode)
-        if work is None:
-            work = np.empty(self.scatter_work_shape)
-        else:
-            work = work.reshape(self.scatter_work_shape)
-        np.take(flat, self.pad_idx.reshape(-1), out=work.reshape(-1),
-                mode="clip")
-        np.einsum("nk,nk->n", work, self.pad_w, out=out)
+            return result
+        np.copyto(out, result)
         return out
 
     def scatter_to_nodes_batched(self, corner_field: np.ndarray,

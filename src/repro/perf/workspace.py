@@ -12,25 +12,28 @@ committed by copying out of the arena.
 
 Two kinds of buffer:
 
-* **Named** (:meth:`Workspace.array` / :meth:`Workspace.zeros`) — keyed
-  by ``(name, shape, dtype)``, for results that must survive across
-  kernel calls within a step (gathered geometry, assembled forces, …).
 * **Borrowed** (:meth:`Workspace.borrow` / :meth:`Workspace.release`) —
-  a per-``(shape, dtype)`` free-list for kernel-local temporaries.
-  ``borrow`` pops the most-recently-released block (cache-hot, exactly
-  the recycling ``malloc`` gives the historical allocate-per-call
-  code) or allocates on first use; ``release`` returns blocks when the
-  temporary dies.  Keeping temporaries on the free-list instead of
-  under unique names keeps the arena's working set near the *peak
-  live* size rather than the total number of temporaries — at 96² that
-  is the difference between a few MB that fit in cache and ~20 MB that
-  do not.
+  the default.  A per-``(shape, dtype)`` free-list: ``borrow`` pops the
+  most-recently-released block (cache-hot, exactly the recycling
+  ``malloc`` gives allocate-per-call code) or allocates on first use;
+  ``release`` returns blocks when the value dies.  Because a released
+  block serves whoever borrows that shape next — the next kernel, the
+  next phase — the arena's footprint is the *peak live* set of the
+  most demanding phase, not the sum over phases.  Only borrow shapes
+  that recur: a block of a shape nothing else asks for just sits on
+  the free-list (the remap's face-shaped temporaries are plain
+  allocations for that reason).
+* **Named** (:meth:`Workspace.array` / :meth:`Workspace.zeros`) — keyed
+  by ``(name, shape, dtype)`` and never recycled, so the exception: a
+  result that must stay put across several kernel calls of one phase
+  with no single owner to release it (the step's gathered geometry,
+  the half-step thermodynamics, the acceleration's new velocities).
 
-:func:`scratch` adapts the ``ws=None`` convention used throughout the
-kernels: it returns the given workspace, or a fallback whose ``array``
-/``zeros``/``borrow`` simply allocate fresh arrays, so kernel bodies
-are written once against the workspace API and behave exactly like the
-historical allocate-per-call code when no arena is supplied.
+:func:`scratch` resolves the optional ``ws`` argument the kernels take:
+it returns the given workspace, or a stand-in whose ``array``/``zeros``/
+``borrow`` allocate fresh arrays and whose ``release`` does nothing, so
+every kernel has one body, written against the workspace API, that
+also runs standalone.
 """
 
 from __future__ import annotations
@@ -139,7 +142,7 @@ class Workspace:
 
 
 class _AllocScratch:
-    """Workspace stand-in that always allocates (the ``ws=None`` path)."""
+    """Workspace stand-in that always allocates (no arena supplied)."""
 
     def array(self, name: str, shape: Shape,
               dtype: np.dtype = np.float64) -> np.ndarray:
@@ -161,5 +164,5 @@ _ALLOC = _AllocScratch()
 
 
 def scratch(ws: Optional[Workspace]):
-    """The given workspace, or the allocate-per-call fallback."""
+    """The given workspace, or the allocating stand-in."""
     return ws if ws is not None else _ALLOC

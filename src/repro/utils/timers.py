@@ -20,7 +20,7 @@ reports.  This module provides the same facility:
   (``trace_allocations=True``), which charges the *net* allocated bytes
   and the peak allocation observed inside each region — the
   observability half of the allocation-free-hot-loop work: the
-  workspace tests assert that a planned ``lagstep`` stops allocating.
+  workspace tests assert that a warm ``lagstep`` stops allocating.
 
 Timers are cheap (one ``perf_counter`` pair per region entry) and can be
 disabled wholesale for benchmarking the raw kernels.  Allocation tracing

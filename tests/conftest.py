@@ -11,6 +11,7 @@ from repro.eos.ideal import IdealGas
 from repro.eos.multimaterial import MaterialTable
 from repro.mesh.boundary import classify_box_boundary
 from repro.mesh.generator import perturbed_mesh, rect_mesh
+from repro.mesh.topology import QuadMesh
 
 
 @pytest.fixture
@@ -37,6 +38,23 @@ def ideal_table():
     table = MaterialTable()
     table.add(IdealGas(1.4))
     return table
+
+
+def renumbered_mesh(mesh, seed):
+    """The same mesh with its nodes renumbered by a random permutation.
+
+    Geometry and connectivity are untouched — only the node ids change —
+    which defeats the structured-grid detection, so every nodal sum
+    takes the general ``bincount`` route.
+    """
+    perm = np.random.default_rng(seed).permutation(mesh.nnode)
+    if perm[0] == 0:                   # tiny meshes can draw the identity;
+        perm[0], perm[1] = perm[1], perm[0]  # keep the numbering non-canonical
+    x = np.empty_like(mesh.x)
+    y = np.empty_like(mesh.y)
+    x[perm] = mesh.x
+    y[perm] = mesh.y
+    return QuadMesh(x, y, perm[mesh.cell_nodes])
 
 
 def make_uniform_state(mesh, table, rho=1.0, p=1.0, u=0.0, v=0.0,

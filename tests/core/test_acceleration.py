@@ -100,6 +100,8 @@ def test_zero_mass_guard():
     import repro.core.acceleration as acc_mod
 
     class FakeComms:
+        size = 2            # decomposed: sums complete through the seam
+
         def assemble_node_sums(self, state, fx, fy):
             n = state.mesh.nnode
             mass = np.ones(n)

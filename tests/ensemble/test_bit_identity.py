@@ -8,6 +8,13 @@ association per lane (see :mod:`repro.ensemble.kernels`), so any
 drift, however small, means an expression changed shape and the
 contract is broken.
 
+This is also the reference the ``repro.core`` kernels are held to: they
+are written against the workspace arena, the batched kernels are a
+separately written, workspace-free statement of the same expressions,
+and the two must agree to the last bit on every problem that can be
+batched, on both viscosity forms, with the hourglass controls on, and
+on a mesh whose numbering defeats the structured-grid scatter.
+
 The default parametrisation caps steps so tier-1 stays fast; the CI
 bit-identity gate job sets ``BOOKLEAF_BITID_FULL=1`` to run Noh and
 Sod at 32x32 to completion with N=4 lanes.
@@ -18,7 +25,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.api import RunConfig, run, run_ensemble
+from repro.api import RunConfig, problem_names, run, run_ensemble
 from repro.ensemble import kernels
 
 FIELDS = ("x", "y", "u", "v", "rho", "e", "p", "q", "cs2",
@@ -29,6 +36,11 @@ FULL = os.environ.get("BOOKLEAF_BITID_FULL") == "1"
 #: capped step counts for the tier-1 parametrisation (full runs gate
 #: in CI where the job budget allows the ~600-step Noh)
 CAP = {"noh": 60, "sod": 80}
+DEFAULT_CAP = 40
+
+#: every registered problem the ensemble can batch (Kidder's
+#: time-driven boundary cannot: lanes advance at different times)
+COALESCABLE = [name for name in problem_names() if name != "kidder"]
 
 
 def _state_bytes(state):
@@ -46,10 +58,10 @@ def assert_lane_identical(serial_result, lane_result):
     assert lane_result.diagnostics() == serial_result.diagnostics()
 
 
-@pytest.mark.parametrize("problem", ["noh", "sod"])
+@pytest.mark.parametrize("problem", COALESCABLE)
 @pytest.mark.parametrize("lanes", [2, 4])
 def test_every_lane_matches_serial(problem, lanes):
-    max_steps = None if FULL else CAP[problem]
+    max_steps = None if FULL else CAP.get(problem, DEFAULT_CAP)
     configs = [RunConfig(problem=problem, nx=32, ny=32,
                          max_steps=max_steps) for _ in range(lanes)]
     ensemble = run_ensemble(configs)
@@ -57,6 +69,70 @@ def test_every_lane_matches_serial(problem, lanes):
     assert serial.backend == "serial"
     for lane_result in ensemble:
         assert_lane_identical(serial, lane_result)
+
+
+@pytest.mark.parametrize("problem, controls", [
+    # non-dyadic coefficients: a reassociated product would show
+    ("sod", {"viscosity_form": "bulk", "cq1": 0.3, "cq2": 0.7}),
+    ("noh", {"subzonal_kappa": 0.3, "filter_kappa": 0.2}),
+    ("sod", {"use_limiter": False}),
+], ids=["bulk", "hourglass", "nolimiter"])
+def test_control_variants_match_serial(problem, controls):
+    """The kernel branches no registered problem's defaults reach."""
+    configs = [RunConfig(problem=problem, nx=24, ny=24, max_steps=40,
+                         problem_kwargs=controls) for _ in range(2)]
+    ensemble = run_ensemble(configs)
+    serial = run(configs[0])
+    assert serial.backend == "serial"
+    for lane_result in ensemble:
+        assert_lane_identical(serial, lane_result)
+
+
+def _offgrid_setup(seed):
+    """A compressing ideal-gas blob on a rectangular mesh whose nodes
+    are renumbered at random: same geometry, but no structured-grid
+    shortcut applies, so every nodal sum takes the general route."""
+    from repro.core.controls import HydroControls
+    from repro.core.state import HydroState
+    from repro.eos import IdealGas, MaterialTable
+    from repro.mesh.generator import rect_mesh
+    from repro.problems.base import ProblemSetup
+    from tests.conftest import renumbered_mesh
+
+    mesh = renumbered_mesh(rect_mesh(12, 10), seed)
+    assert mesh.plans.grid_shape is None
+    table = MaterialTable()
+    table.add(IdealGas(1.4))
+    rng = np.random.default_rng(seed + 1)
+    rho = 1.0 + 0.5 * rng.random(mesh.ncell)
+    e = table.eos[0].energy_from_pressure(rho, 1.0 + rng.random(mesh.ncell))
+    state = HydroState.from_initial(mesh, table, rho, e,
+                                    u=-0.5 * (mesh.x - 0.5),
+                                    v=-0.5 * (mesh.y - 0.5))
+    controls = HydroControls(time_end=1.0, dt_initial=1e-4,
+                             subzonal_kappa=0.3)
+    return ProblemSetup("offgrid", state, table, controls,
+                        (0.0, 1.0, 0.0, 1.0))
+
+
+def test_offgrid_mesh_lanes_match_serial():
+    from repro.core.hydro import Hydro
+    from repro.ensemble.driver import EnsembleHydro
+
+    steps = 30
+    batch = EnsembleHydro([_offgrid_setup(3), _offgrid_setup(3)],
+                          max_steps=[steps, steps]).run()
+    setup = _offgrid_setup(3)
+    serial = Hydro(setup.state, setup.table, setup.controls)
+    for _ in range(steps):
+        serial.step()
+    sb = _state_bytes(serial.state)
+    for lane, final in enumerate(batch.final_states):
+        eb = _state_bytes(final)
+        differing = [f for f in sb if sb[f] != eb[f]]
+        assert not differing, f"lane {lane} fields differ: {differing}"
+        assert batch.nsteps[lane] == serial.nstep
+        assert batch.times[lane] == serial.time
 
 
 @pytest.mark.parametrize("forced, problem", [

@@ -14,14 +14,6 @@ bench_history = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_history)
 
 
-def _hotloop(t_planned, speedup, nx=64):
-    return {
-        "bench": "noh-lagstep-hotloop",
-        "rungs": [{"nx": nx, "ncell": nx * nx, "t_plain": t_planned * 1.4,
-                   "t_planned": t_planned, "speedup": speedup}],
-    }
-
-
 def _backends(seconds, backend="threads", samples=3):
     return {
         "bench": "comm-backend-comparison",
@@ -105,19 +97,6 @@ def _observability(t_off, t_profile, nx=64, samples=3):
     }
 
 
-def test_hotloop_fold_keeps_best():
-    summary = bench_history.merge([
-        _hotloop(0.010, 1.3),
-        _hotloop(0.008, 1.5),   # faster
-        _hotloop(0.012, 1.6),   # slower but better speedup
-    ])
-    (rung,) = summary["benches"]["noh-lagstep-hotloop"]["rungs"]
-    assert rung["t_planned"] == 0.008
-    assert rung["speedup"] == 1.6
-    assert rung["documents"] == 3
-    assert summary["documents_merged"] == 3
-
-
 def test_backends_fold_keys_per_leg():
     summary = bench_history.merge([
         _backends(0.30, "threads"),
@@ -194,14 +173,14 @@ def test_overlap_summary_composes():
 def test_previous_summary_composes():
     """summary(old docs) + new doc == summary(all docs): history folds
     monotonically through the committed summary file."""
-    first = bench_history.merge([_hotloop(0.010, 1.3)])
-    folded = bench_history.merge([first, _hotloop(0.008, 1.5)])
-    direct = bench_history.merge([_hotloop(0.010, 1.3),
-                                  _hotloop(0.008, 1.5)])
-    f = folded["benches"]["noh-lagstep-hotloop"]["rungs"][0]
-    d = direct["benches"]["noh-lagstep-hotloop"]["rungs"][0]
-    assert f["t_planned"] == d["t_planned"] == 0.008
-    assert f["speedup"] == d["speedup"] == 1.5
+    first = bench_history.merge([_backends(0.30)])
+    folded = bench_history.merge([first, _backends(0.25)])
+    direct = bench_history.merge([_backends(0.30), _backends(0.25)])
+    f = folded["benches"]["comm-backend-comparison"]["runs"][0]
+    d = direct["benches"]["comm-backend-comparison"]["runs"][0]
+    assert f["seconds"] == d["seconds"] == 0.25
+    assert f["documents"] == d["documents"] == 2
+    assert f["samples"] == d["samples"] == 6
     assert folded["documents_merged"] == direct["documents_merged"] == 2
 
 
@@ -301,7 +280,7 @@ def test_unknown_bench_kept_verbatim():
 
 def test_main_writes_summary(tmp_path, capsys):
     a = tmp_path / "BENCH_a.json"
-    a.write_text(json.dumps(_hotloop(0.010, 1.3)))
+    a.write_text(json.dumps(_backends(0.30)))
     out = tmp_path / "BENCH_summary.json"
     rc = bench_history.main([str(a), "-o", str(out)])
     assert rc == 0
@@ -309,12 +288,12 @@ def test_main_writes_summary(tmp_path, capsys):
     summary = json.loads(out.read_text())
     assert summary["schema_version"] == \
         bench_history.SUMMARY_SCHEMA_VERSION
-    assert "noh-lagstep-hotloop" in summary["benches"]
+    assert "comm-backend-comparison" in summary["benches"]
 
 
 def test_main_skips_unreadable_and_fails_when_all_bad(tmp_path, capsys):
     good = tmp_path / "good.json"
-    good.write_text(json.dumps(_hotloop(0.010, 1.3)))
+    good.write_text(json.dumps(_backends(0.30)))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     out = tmp_path / "s.json"
@@ -328,9 +307,9 @@ def test_repo_artifacts_fold(tmp_path):
     """The committed BENCH files must flow through their adapters."""
     root = Path(__file__).resolve().parents[2]
     docs = [json.loads((root / name).read_text())
-            for name in ("BENCH_hotloop.json", "BENCH_backends.json",
-                         "BENCH_scaling.json", "BENCH_ensemble.json",
+            for name in ("BENCH_backends.json", "BENCH_scaling.json",
+                         "BENCH_ensemble.json",
                          "BENCH_observability.json")]
     summary = bench_history.merge(docs)
-    assert len(summary["benches"]) == 5
+    assert len(summary["benches"]) == 4
     assert summary["other"] == {}

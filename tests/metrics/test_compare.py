@@ -30,7 +30,7 @@ def _report(seconds_scale=1.0, drift=-2e-16, wall=1.0, comm_bytes=6400):
 
 def _bench(t=1.0, speedup=1.5):
     return {
-        "bench": "noh-lagstep-hotloop",
+        "bench": "example-ladder",
         "rungs": [{"nx": 64, "t_plain": t * 1.4, "t_planned": t,
                    "speedup": speedup}],
     }

@@ -107,3 +107,47 @@ def test_interface_nodes_on_straight_cut():
 def test_imbalance_zero_for_equal_parts():
     part = np.repeat(np.arange(4), 25)
     assert imbalance(part, 4) == 0.0
+
+
+_SPECTRAL_PROBE = """
+import hashlib, json
+import numpy as np
+from repro.mesh.generator import rect_mesh
+from repro.parallel.distributed import DistributedHydro
+from repro.parallel.partition import spectral_partition
+from repro.problems import load_problem
+
+part = spectral_partition(rect_mesh(24, 24), 4)
+driver = DistributedHydro(load_problem("noh", nx=24, ny=24), 4,
+                          method="spectral", backend="threads")
+driver.run(max_steps=5)
+print(json.dumps({"part": hashlib.sha256(part.tobytes()).hexdigest(),
+                  "sizes": np.bincount(part).tolist(),
+                  "bytes": driver.comm_totals()["bytes"]}))
+"""
+
+
+def test_spectral_is_reproducible_across_interpreters():
+    """ARPACK's default start vector is random, and on a square mesh
+    (degenerate Fiedler pair) that used to give a different partition —
+    and different halo byte counts — every run.  Two fresh interpreters
+    must now agree on the partition and on the traffic of a run on it."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    seen = []
+    for _ in range(2):
+        done = subprocess.run([sys.executable, "-c", _SPECTRAL_PROBE],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        seen.append(json.loads(done.stdout.splitlines()[-1]))
+    assert seen[0] == seen[1]
+    assert sum(seen[0]["sizes"]) == 24 * 24 and seen[0]["bytes"] > 0

@@ -6,9 +6,9 @@ structures.  These tests pin the equivalences the kernels rely on:
 
 * the rolled-corner helpers are bit-for-bit ``np.roll`` (with and
   without ``out=``),
-* the scatter plan matches ``np.bincount`` bit-for-bit on structured
-  grids and to rtol 1e-15 on arbitrary-numbered meshes (where only the
-  per-node summation order differs),
+* the nodal scatter matches ``np.bincount`` bit-for-bit on every mesh —
+  window adds on canonically numbered grids, ``bincount`` itself on
+  arbitrary-numbered and irregular-valence meshes,
 * ``spread_corners`` is bit-for-bit the broadcast it replaces,
 * the hoisted limiter indices equal a fresh ``limiter_indices`` call.
 """
@@ -18,38 +18,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mesh.generator import perturbed_mesh, pinwheel_mesh, rect_mesh
-from repro.mesh.topology import QuadMesh
 from repro.perf.plans import (
-    MAX_PAD_VALENCE,
     MeshPlans,
     limiter_indices,
     roll_next,
     roll_prev,
     spread_corners,
 )
+from tests.conftest import renumbered_mesh
 
 
 def _random_corner_field(mesh, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((mesh.ncell, 4))
-
-
-def _permuted(mesh, seed):
-    """The same mesh with its nodes renumbered by a random permutation.
-
-    Geometry and connectivity are untouched — only the node ids change —
-    which defeats the structured-grid detection and forces the padded
-    scatter plan.
-    """
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(mesh.nnode)
-    if perm[0] == 0:                   # tiny meshes can draw the identity;
-        perm[0], perm[1] = perm[1], perm[0]  # keep the numbering non-canonical
-    x = np.empty_like(mesh.x)
-    y = np.empty_like(mesh.y)
-    x[perm] = mesh.x
-    y[perm] = mesh.y
-    return QuadMesh(x, y, perm[mesh.cell_nodes]), perm
 
 
 # ----------------------------------------------------------------------
@@ -103,16 +84,6 @@ def _bincount_scatter(mesh, field):
                        weights=field.reshape(-1), minlength=mesh.nnode)
 
 
-def _assert_scatter_close(mesh, got, expected, field):
-    """Reordering a per-node sum perturbs it by at most a few ulps of
-    the sum of |terms| — that, not the (possibly cancelling) result, is
-    the correct scale for the rtol-1e-15 comparison."""
-    scale = _bincount_scatter(mesh, np.abs(field))
-    np.testing.assert_array_compare(
-        lambda a, b: np.abs(a - b) <= 1e-15 * scale, got, expected,
-        err_msg="padded scatter outside 1e-15 * sum|terms| of bincount")
-
-
 @pytest.mark.parametrize("nx,ny", [(1, 1), (5, 3), (8, 8), (17, 4)])
 def test_structured_scatter_is_bitwise_bincount(nx, ny):
     mesh = rect_mesh(nx, ny)
@@ -139,39 +110,12 @@ def test_structured_scatter_with_out_and_perturbed_coords():
 @settings(max_examples=25, deadline=None)
 @given(nx=st.integers(1, 12), ny=st.integers(1, 12),
        seed=st.integers(0, 2**31 - 1))
-def test_padded_scatter_matches_bincount_on_random_meshes(nx, ny, seed):
-    mesh, _ = _permuted(rect_mesh(nx, ny), seed)
+def test_offgrid_scatter_is_bitwise_bincount_on_random_meshes(nx, ny, seed):
+    mesh = renumbered_mesh(rect_mesh(nx, ny), seed)
     plans = MeshPlans(mesh)
     assert plans.grid_shape is None          # renumbering defeats detection
     field = np.random.default_rng(seed ^ 0xBEEF).standard_normal(
         (mesh.ncell, 4))
-    expected = _bincount_scatter(mesh, field)
-    got = plans.scatter_to_nodes(field)
-    _assert_scatter_close(mesh, got, expected, field)
-    # With caller-supplied out= and work= buffers.
-    out = np.empty(mesh.nnode)
-    work = np.empty(plans.scatter_work_shape)
-    assert plans.scatter_to_nodes(field, out=out, work=work) is out
-    _assert_scatter_close(mesh, out, expected, field)
-
-
-def test_padded_scatter_on_pinwheel_mesh():
-    # Irregular valence (the defining freedom of an unstructured mesh).
-    mesh = pinwheel_mesh(nquads=5)
-    plans = MeshPlans(mesh)
-    assert plans.grid_shape is None
-    assert plans.max_valence == 5
-    field = _random_corner_field(mesh, seed=99)
-    _assert_scatter_close(mesh, plans.scatter_to_nodes(field),
-                          _bincount_scatter(mesh, field), field)
-
-
-def test_high_valence_falls_back_to_bincount():
-    mesh = pinwheel_mesh(nquads=MAX_PAD_VALENCE + 1)
-    plans = MeshPlans(mesh)
-    assert plans.max_valence == MAX_PAD_VALENCE + 1
-    assert plans.pad_idx is None
-    field = _random_corner_field(mesh, seed=7)
     expected = _bincount_scatter(mesh, field)
     assert np.array_equal(plans.scatter_to_nodes(field), expected)
     out = np.empty(mesh.nnode)
@@ -179,8 +123,29 @@ def test_high_valence_falls_back_to_bincount():
     assert np.array_equal(out, expected)
 
 
+def _assert_bitwise_bincount(mesh, seed):
+    plans = MeshPlans(mesh)
+    assert plans.grid_shape is None
+    field = _random_corner_field(mesh, seed=seed)
+    expected = _bincount_scatter(mesh, field)
+    assert np.array_equal(plans.scatter_to_nodes(field), expected)
+    out = np.empty(mesh.nnode)
+    assert plans.scatter_to_nodes(field, out=out) is out
+    assert np.array_equal(out, expected)
+
+
+def test_offgrid_scatter_on_pinwheel_mesh():
+    # Irregular valence (the defining freedom of an unstructured mesh).
+    _assert_bitwise_bincount(pinwheel_mesh(nquads=5), seed=99)
+
+
+def test_high_valence_falls_back_to_bincount():
+    # No valence is special: 9 cells round one node scatter the same way.
+    _assert_bitwise_bincount(pinwheel_mesh(nquads=9), seed=7)
+
+
 def test_scatter_conserves_total():
-    mesh, _ = _permuted(rect_mesh(6, 9), seed=5)
+    mesh = renumbered_mesh(rect_mesh(6, 9), seed=5)
     plans = MeshPlans(mesh)
     field = _random_corner_field(mesh, seed=5)
     total = plans.scatter_to_nodes(field).sum()

@@ -1,48 +1,42 @@
-"""Workspace arena tests: reuse, bit-identical results, no-growth,
-and the no-large-allocation guarantee of the warm hot loop.
+"""Workspace arena tests: reuse, no-growth on every path that owns an
+arena, phase-max (not phase-sum) footprint, and the no-large-allocation
+guarantee of the warm hot loop.
 
-The contract being pinned: threading ``MeshPlans`` + ``Workspace``
-through ``lagstep`` changes *where* the intermediates live, never the
-floating-point operations — so the planned run is bit-identical to the
-historical allocate-per-call path — and once the loop is warm the arena
-stops growing and every kernel's transient allocation collapses from
-mesh-scale to nodal-scale.
+The contract being pinned: every ``Hydro`` owns a ``Workspace`` and
+threads it through ``lagstep`` and the ALE remap; once the loop is warm
+the arena stops growing, every kernel's transient allocation collapses
+from mesh-scale to nodal-scale, and a remap phase recycles the
+Lagrangian phase's blocks instead of adding its own.  (That the arena
+changes *where* intermediates live and never the floating-point
+operations is pinned against the independently written
+``repro.ensemble.kernels`` in ``tests/ensemble/test_bit_identity.py``.)
 """
 
 import numpy as np
-import pytest
 
 from repro.core.hydro import Hydro
-from repro.perf.plans import MeshPlans
+from repro.parallel.distributed import DistributedHydro
 from repro.perf.workspace import Workspace, scratch
-from repro.problems import noh
+from repro.problems import load_problem, noh
 from repro.utils.timers import TimerRegistry
 
 #: lagstep phases instrumented by TimerRegistry
 LAG_KERNELS = ("exchange", "getq", "getforce", "getgeom",
                "getrho", "getein", "getpc", "getacc")
 
-STATE_FIELDS = ("x", "y", "u", "v", "rho", "e", "p", "q", "cs2",
-                "volume", "corner_volume")
+
+def _arena_stats(ws):
+    return len(ws), ws.nbytes(), ws.misses
 
 
-def _run_noh(nx, steps, plans=False, workspace=None, timers=None):
-    setup = noh.setup(nx=nx, ny=nx)
-    hydro = Hydro(
-        setup.state, setup.table, setup.controls,
-        timers=timers,
-        plans=MeshPlans(setup.state.mesh) if plans else None,
-        workspace=workspace,
-    )
-    for _ in range(steps):
-        hydro.step()
-    return hydro
+class _ArenaLog:
+    """Step observer recording the driver's arena statistics."""
 
+    def __init__(self):
+        self.rows = []
 
-def _assert_states_identical(a, b):
-    for name in STATE_FIELDS:
-        fa, fb = getattr(a, name), getattr(b, name)
-        assert np.array_equal(fa, fb), f"field {name} differs"
+    def __call__(self, hydro):
+        self.rows.append(_arena_stats(hydro.workspace))
 
 
 # ----------------------------------------------------------------------
@@ -147,62 +141,86 @@ def test_arena_survives_lane_compaction_shape_change():
 
 
 # ----------------------------------------------------------------------
-# lagstep equivalence and steady state
+# steady state on every path that owns an arena
 # ----------------------------------------------------------------------
-def test_workspace_run_bit_identical_to_plain():
-    plain = _run_noh(nx=12, steps=3)
-    ws_only = _run_noh(nx=12, steps=3, workspace=Workspace())
-    planned = _run_noh(nx=12, steps=3, plans=True, workspace=Workspace())
-    assert ws_only.dt == plain.dt and planned.dt == plain.dt
-    _assert_states_identical(ws_only.state, plain.state)
-    _assert_states_identical(planned.state, plain.state)
-
-
 def test_arena_stops_growing_after_first_step():
     setup = noh.setup(nx=10, ny=10)
-    ws = Workspace()
-    hydro = Hydro(setup.state, setup.table, setup.controls,
-                  plans=MeshPlans(setup.state.mesh), workspace=ws)
+    hydro = Hydro(setup.state, setup.table, setup.controls)
+    ws = hydro.workspace
     hydro.step()
-    buffers, held = len(ws), ws.nbytes()
-    misses = ws.misses
-    assert buffers > 0
+    warm = _arena_stats(ws)
+    assert warm[0] > 0
     for _ in range(4):
         hydro.step()
-    assert len(ws) == buffers, "arena allocated new buffers when warm"
-    assert ws.nbytes() == held
-    assert ws.misses == misses, "warm requests missed the arena"
-    assert ws.hits > misses
+    assert _arena_stats(ws) == warm, "warm steps grew or missed the arena"
+    assert ws.hits > ws.misses
+
+
+def test_ale_arena_stops_growing_after_first_step():
+    setup = load_problem("sod", nx=16, ny=16, ale_on=True)
+    hydro = Hydro(setup.state, setup.table, setup.controls)
+    x0 = setup.state.x.copy()
+    hydro.step()
+    warm = _arena_stats(hydro.workspace)
+    for _ in range(4):
+        hydro.step()
+    assert np.array_equal(hydro.state.x, x0), "the Eulerian remap did not run"
+    assert _arena_stats(hydro.workspace) == warm
+
+
+def test_per_rank_arenas_stop_growing_after_first_step():
+    driver = DistributedHydro(noh.setup(nx=12, ny=12), 2, backend="threads")
+    logs = [_ArenaLog() for _ in driver.hydros]
+    for hydro, log in zip(driver.hydros, logs):
+        hydro.observers.append(log)
+    driver.run(max_steps=5)
+    for log in logs:
+        assert len(log.rows) == 5
+        assert log.rows[0][0] > 0
+        assert log.rows[-1] == log.rows[0]
+
+
+def test_remap_recycles_the_lagrangian_arena():
+    """Phase-max, not phase-sum: the remap borrows the blocks the
+    Lagrangian phase released, so switching ALE on barely moves the
+    arena (the unit-level guard for the benchmark's ``peak_rss_mb``)."""
+    def arena_bytes(**kwargs):
+        setup = load_problem("sod", nx=32, ny=32, **kwargs)
+        hydro = Hydro(setup.state, setup.table, setup.controls)
+        for _ in range(3):
+            hydro.step()
+        return hydro.workspace.nbytes()
+
+    assert arena_bytes(ale_on=True) <= 1.25 * arena_bytes()
+
+
+def test_run_releases_the_arena():
+    """A finished driver stays reachable from its RunResult; it must
+    not pin the loop's scratch memory — and can still be stepped."""
+    setup = noh.setup(nx=8, ny=8)
+    hydro = Hydro(setup.state, setup.table, setup.controls)
+    hydro.run(max_steps=2)
+    assert len(hydro.workspace) == 0 and hydro.workspace.nbytes() == 0
+    hydro.step()
+    assert hydro.nstep == 3 and len(hydro.workspace) > 0
 
 
 def test_warm_loop_has_no_large_allocations():
-    """Transient allocation per warm kernel call: nodal-scale with the
-    arena (the structured scatter's internal window-add buffer), versus
-    mesh-scale — hundreds of KB at this size — without it."""
+    """Transient allocation per warm kernel call stays nodal-scale (the
+    structured scatter's internal window-add buffer) — the allocating
+    kernels this replaced peaked at hundreds of KB per call at this
+    size."""
     nx, warm, measured = 32, 2, 2
-
-    def measure(plans, workspace):
-        timers = TimerRegistry(trace_allocations=True)
-        setup = noh.setup(nx=nx, ny=nx)
-        hydro = Hydro(
-            setup.state, setup.table, setup.controls, timers=timers,
-            plans=MeshPlans(setup.state.mesh) if plans else None,
-            workspace=workspace,
-        )
-        for _ in range(warm):
-            hydro.step()
-        timers.reset()
-        for _ in range(measured):
-            hydro.step()
-        return max(timers.alloc_peak(k) for k in LAG_KERNELS)
-
-    planned_peak = measure(plans=True, workspace=Workspace())
-    plain_peak = measure(plans=False, workspace=None)
-    assert planned_peak < 64 * 1024, (
-        f"warm planned lagstep peaked at {planned_peak} B/call")
-    assert planned_peak * 4 < plain_peak, (
-        f"planned peak {planned_peak} B not clearly below "
-        f"plain peak {plain_peak} B")
+    timers = TimerRegistry(trace_allocations=True)
+    setup = noh.setup(nx=nx, ny=nx)
+    hydro = Hydro(setup.state, setup.table, setup.controls, timers=timers)
+    for _ in range(warm):
+        hydro.step()
+    timers.reset()
+    for _ in range(measured):
+        hydro.step()
+    peak = max(timers.alloc_peak(k) for k in LAG_KERNELS)
+    assert peak < 64 * 1024, f"warm lagstep peaked at {peak} B/call"
 
 
 def test_node_mass_cache_reused_and_invalidated():
@@ -210,9 +228,11 @@ def test_node_mass_cache_reused_and_invalidated():
     state = setup.state
     m1 = state.node_mass()
     assert state.node_mass() is m1
-    expected = state.scatter_to_nodes(state.corner_mass)
+    expected = np.bincount(state.mesh.cell_nodes.ravel(),
+                           weights=state.corner_mass.ravel(),
+                           minlength=state.mesh.nnode)
     assert np.array_equal(m1, expected)
     state.invalidate_node_mass()
-    m2 = state.node_mass(plans=MeshPlans(state.mesh))
+    m2 = state.node_mass()
     assert m2 is not m1
     assert np.array_equal(m2, expected)

@@ -82,14 +82,21 @@ def test_weights_from_timers_maps_kernel_names():
 
 
 def test_measured_weights_from_real_run():
-    """An instrumented Noh run produces a full weight vector with the
-    viscosity kernel dominant — the paper's own headline shape.  The
-    mesh must be large enough that vectorised kernel work (not per-call
-    overhead, which wanders with machine load) dominates the timings."""
+    """An instrumented Noh run produces a full weight vector led by the
+    two corner-force kernels — the viscosity and ``getforce`` (which
+    carries Noh's sub-zonal pressures).  On the arena path ``getq`` no
+    longer pays its per-call allocations, so the two sit within a few
+    percent of each other (35% vs 33% at 50²; the allocate-per-call
+    kernels this test was written against read 44% vs 31%) and which of
+    them is first is timing noise; that they lead every other kernel
+    and together take most of the kernel time is not.  The mesh must be
+    large enough that vectorised kernel work (not per-call overhead,
+    which wanders with machine load) dominates the timings."""
     from repro.perfmodel import measured_weights
 
     weights = measured_weights(nx=64, ny=64, time_end=0.02)
     assert all(v >= 0.0 for v in weights.values())
-    assert weights["viscosity"] == max(
-        weights[k] for k in KERNELS
-    )
+    leaders = sorted(KERNELS, key=weights.get)[-2:]
+    assert set(leaders) == {"viscosity", "getforce"}
+    assert (weights["viscosity"] + weights["getforce"]
+            > 0.5 * sum(weights[k] for k in KERNELS))

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Merge ``BENCH_*.json`` artifacts into one ``BENCH_summary.json``.
 
-Each bench harness (``benchmarks/bench_hotloop.py``,
-``benchmarks/bench_backends.py``) writes a self-describing JSON
+Each bench harness (``benchmarks/bench_backends.py``,
+``benchmarks/bench_scaling.py``, ...) writes a self-describing JSON
 document tagged by its ``"bench"`` key.  CI runs them on every push,
 but a single run is noisy; this tool folds any number of bench
 documents — including a previous ``BENCH_summary.json`` — into one
@@ -13,8 +13,6 @@ history accumulates:
 
 Merge rules (per bench kind, keyed by the rung/case identity):
 
-* ``noh-lagstep-hotloop``: per ``nx`` keep the *minimum* ``t_plain``
-  and ``t_planned`` ever observed and the *maximum* ``speedup``.
 * ``comm-backend-comparison``: per ``(problem, nx, backend, nranks)``
   keep the minimum ``seconds`` / ``seconds_per_step``.
 * ``commplan-scaling``: per ``(backend, nranks, comm_plan)`` keep the
@@ -61,7 +59,6 @@ from typing import Dict, List
 
 SUMMARY_SCHEMA_VERSION = 2
 
-HOTLOOP = "noh-lagstep-hotloop"
 BACKENDS = "comm-backend-comparison"
 SCALING = "commplan-scaling"
 OVERLAP = "comm-overlap-scaling"
@@ -100,19 +97,6 @@ def _fold_counts(slot: dict, row: dict) -> None:
         n = len(row.get("sample_seconds", []))
     if n:
         slot["samples"] = slot.get("samples", 0) + int(n)
-
-
-def fold_hotloop(summary: dict, doc: dict) -> None:
-    """Best-of per mesh rung: fastest times, highest speedup."""
-    slots: Dict[int, dict] = {r["nx"]: r for r in summary.get("rungs", [])}
-    for rung in doc.get("rungs", []):
-        slot = slots.setdefault(rung["nx"], {"nx": rung["nx"]})
-        slot.setdefault("ncell", rung.get("ncell"))
-        _fold_min(slot, rung, "t_plain")
-        _fold_min(slot, rung, "t_planned")
-        _fold_max(slot, rung, "speedup")
-        _fold_counts(slot, rung)
-    summary["rungs"] = [slots[nx] for nx in sorted(slots)]
 
 
 def fold_backends(summary: dict, doc: dict) -> None:
@@ -305,19 +289,18 @@ def merge(documents: List[dict]) -> dict:
                 _migrate_v1(doc)
             summary["documents_merged"] += doc.get("documents_merged", 0)
             for name, section in sorted(doc.get("benches", {}).items()):
-                fold = {HOTLOOP: fold_hotloop,
-                        BACKENDS: fold_backends,
+                fold = {BACKENDS: fold_backends,
                         SCALING: fold_scaling,
                         OVERLAP: fold_overlap,
                         ENSEMBLE: fold_ensemble,
                         FLEET: fold_fleet,
                         OBSERVABILITY: fold_observability}.get(name)
-                target = summary["benches"].setdefault(name, {})
                 if fold is None:
+                    # e.g. a retired kind in an old summary
                     summary["other"][name] = section
-                elif name == HOTLOOP:
-                    fold(target, {"rungs": section.get("rungs", [])})
-                elif name == SCALING:
+                    continue
+                target = summary["benches"].setdefault(name, {})
+                if name == SCALING:
                     fold(target, {
                         "cases": section.get("runs", []),
                         "packed_vs_legacy": section.get("packed_vs_legacy"),
@@ -349,9 +332,7 @@ def merge(documents: List[dict]) -> dict:
             continue
         name = doc.get("bench")
         summary["documents_merged"] += 1
-        if name == HOTLOOP:
-            fold_hotloop(summary["benches"].setdefault(name, {}), doc)
-        elif name == BACKENDS:
+        if name == BACKENDS:
             fold_backends(summary["benches"].setdefault(name, {}), doc)
         elif name == SCALING:
             fold_scaling(summary["benches"].setdefault(name, {}), doc)
