@@ -58,25 +58,25 @@ def test_kernel_getq(benchmark, noh_state, geom):
 def test_kernel_getforce(benchmark, noh_state, geom):
     setup, state = noh_state
     cx, cy = geom
-    zeros = np.zeros((state.mesh.ncell, 4))
+    zeros = np.zeros((4, state.mesh.ncell))      # corner-major
     fx, fy = benchmark(
         getforce, state.mesh, cx, cy, state.u, state.v, state.p,
-        state.rho, state.cs2, zeros, zeros, state.corner_mass,
-        state.corner_volume, state.volume, HydroControls(),
+        state.rho, state.cs2, zeros, zeros, state.corner_mass.T,
+        state.corner_volume.T, state.volume, HydroControls(),
     )
     assert np.isfinite(fx).all()
 
 
 def test_kernel_getacc(benchmark, noh_state):
     _, state = noh_state
-    fx = np.zeros((state.mesh.ncell, 4))
+    fx = np.zeros((4, state.mesh.ncell))
     u, v, ub, vb = benchmark(getacc, state, fx, fx, 1e-4)
     assert np.isfinite(u).all()
 
 
 def test_kernel_getein(benchmark, noh_state):
     _, state = noh_state
-    fx = np.ones((state.mesh.ncell, 4))
+    fx = np.ones((4, state.mesh.ncell))
     e = benchmark(getein, state, fx, fx, state.u, state.v, 1e-4)
     assert np.isfinite(e).all()
 

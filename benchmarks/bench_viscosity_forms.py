@@ -66,9 +66,9 @@ def test_viscosity_form_kernel_cost(benchmark):
     t_edge = (time.perf_counter() - t0) / 5
 
     def bulk():
-        return viscosity.bulk_q(cx, cy, state.u, state.v,
-                                state.mesh.cell_nodes, state.rho,
-                                state.cs2, state.volume, 0.5, 0.75)
+        return viscosity.bulk_q(state.mesh, cx, cy, state.u, state.v,
+                                state.rho, state.cs2, state.volume,
+                                0.5, 0.75)
 
     benchmark(bulk)
     t_bulk = benchmark.stats.stats.mean

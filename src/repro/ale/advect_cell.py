@@ -24,7 +24,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..core.geometry import centroid
 from ..mesh.topology import QuadMesh
+from ..perf.plans import corner_reduce
 from ..perf.workspace import Workspace, scratch
 from .limiters import barth_jespersen
 
@@ -48,11 +50,11 @@ def cell_gradients(mesh: QuadMesh, xc: np.ndarray, yc: np.ndarray,
     dy = np.where(valid, yc[nbc] - yc[:, None], 0.0)
     dphi = np.where(valid, phi[nbc] - phi[:, None], 0.0)
 
-    a11 = (dx * dx).sum(axis=1)
-    a12 = (dx * dy).sum(axis=1)
-    a22 = (dy * dy).sum(axis=1)
-    b1 = (dx * dphi).sum(axis=1)
-    b2 = (dy * dphi).sum(axis=1)
+    a11 = corner_reduce(np.add, dx * dx)
+    a12 = corner_reduce(np.add, dx * dy)
+    a22 = corner_reduce(np.add, dy * dy)
+    b1 = corner_reduce(np.add, dx * dphi)
+    b2 = corner_reduce(np.add, dy * dphi)
     det = a11 * a22 - a12 * a12
     scale = np.maximum(a11 * a22, a12 * a12)
     ok = det > 1e-12 * np.maximum(scale, _TINY)
@@ -64,8 +66,8 @@ def cell_gradients(mesh: QuadMesh, xc: np.ndarray, yc: np.ndarray,
 
     if limit:
         nb_phi = np.where(valid, phi[nbc], phi[:, None])
-        phi_min = np.minimum(phi, nb_phi.min(axis=1))
-        phi_max = np.maximum(phi, nb_phi.max(axis=1))
+        phi_min = np.minimum(phi, corner_reduce(np.minimum, nb_phi))
+        phi_max = np.maximum(phi, corner_reduce(np.maximum, nb_phi))
         d = gx[:, None] * dx + gy[:, None] * dy
         # Bound at neighbour centroids (where dx, dy point); for
         # boundary sides dx = dy = 0 so they impose no constraint.
@@ -130,10 +132,10 @@ def advect_cells(mesh: QuadMesh,
     """
     w = scratch(ws)
     g = w.borrow((mesh.ncell, 4))
-    cx = np.mean(np.take(x_old, mesh.cell_nodes, out=g, mode="clip"), axis=1,
-                 out=w.borrow(mesh.ncell))
-    cy = np.mean(np.take(y_old, mesh.cell_nodes, out=g, mode="clip"), axis=1,
-                 out=w.borrow(mesh.ncell))
+    cx = centroid(np.take(x_old, mesh.cell_nodes, out=g, mode="clip").T,
+                  w.borrow(mesh.ncell))
+    cy = centroid(np.take(y_old, mesh.cell_nodes, out=g, mode="clip").T,
+                  w.borrow(mesh.ncell))
     w.release(g)
     sx, sy = swept_centroids(mesh, x_old, y_old, x_new, y_new)
 

@@ -16,8 +16,8 @@ Two families of faces are needed:
   momentum advection on the nodal control volumes; the matching
   identity relates nodal volume changes to the dual sweeps.
 
-Temporaries of the shapes the Lagrangian phase pools — (ncell, 4),
-(ncell,), (nnode,) — are borrowed from the optional workspace and
+Temporaries of the sizes the Lagrangian phase pools — 4·ncell,
+ncell, nnode — are borrowed from the optional workspace and
 released, so the remap recycles the blocks the Lagrangian phase left on
 the free-list and adds nothing of its own to the arena.  Face-shaped
 temporaries are plain allocations: no other phase uses that shape, so a
@@ -31,7 +31,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..mesh.topology import QuadMesh
-from ..perf.plans import roll_next
+from ..core.geometry import centroid
 from ..perf.workspace import Workspace, scratch
 
 
@@ -117,10 +117,11 @@ def dual_flux_volumes(mesh: QuadMesh,
     def midpoint_centroid(coord):
         """Side midpoints (ncell, 4) and cell centroid (ncell,)."""
         np.take(coord, mesh.cell_nodes, out=c, mode="clip")
-        m = roll_next(c, out=w.borrow(shape))
-        m += c
+        m = w.borrow(shape)
+        np.add(c[:, 1:], c[:, :-1], out=m[:, :-1])
+        np.add(c[:, 0], c[:, 3], out=m[:, 3])
         m *= 0.5
-        return m, np.mean(c, axis=1, out=w.borrow(mesh.ncell))
+        return m, centroid(c.T, w.borrow(mesh.ncell))
 
     mx0, gx0 = midpoint_centroid(x_old)
     my0, gy0 = midpoint_centroid(y_old)

@@ -38,12 +38,13 @@ def aleupdate(state: HydroState, table: MaterialTable,
     mesh = state.mesh
     state.x = x_new
     state.y = y_new
-    cx = w.borrow((mesh.ncell, 4))
-    cy = w.borrow((mesh.ncell, 4))
+    # The geometry kernels are corner-major; the state keeps (ncell, 4).
+    shape = (4, mesh.ncell)
+    cx, cy, cvol_cm = w.borrow(shape), w.borrow(shape), w.borrow(shape)
     volume = np.empty(mesh.ncell)
-    cvol = np.empty((mesh.ncell, 4))
-    geometry.getgeom(mesh, x_new, y_new, ws=w, out=(cx, cy, volume, cvol))
-    w.release(cx, cy)
+    geometry.getgeom(mesh, x_new, y_new, ws=w, out=(cx, cy, volume, cvol_cm))
+    cvol = np.ascontiguousarray(cvol_cm.T)
+    w.release(cx, cy, cvol_cm)
     state.volume = volume
     state.corner_volume = cvol
     state.cell_mass = mass_new

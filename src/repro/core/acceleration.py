@@ -38,7 +38,8 @@ def getacc(state: HydroState, fx: np.ndarray, fy: np.ndarray, dt: float,
            comms=None,
            ws: Optional[Workspace] = None
            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Advance nodal velocities by ``dt`` under corner forces ``fx, fy``.
+    """Advance nodal velocities by ``dt`` under the corner-major
+    (4, ncell) corner forces ``fx, fy``.
 
     Returns ``(u_new, v_new, u_bar, v_bar)``.  The state's velocity
     arrays are *not* modified — the caller (``lagstep``) commits them,
@@ -56,12 +57,15 @@ def getacc(state: HydroState, fx: np.ndarray, fy: np.ndarray, dt: float,
     if comms.size == 1:
         # This rank owns every node: the local scatter is the total.
         plans = state.mesh.plans
-        node_fx = plans.scatter_to_nodes(fx, out=w.borrow(nnode))
-        node_fy = plans.scatter_to_nodes(fy, out=w.borrow(nnode))
+        pad = w.borrow(nnode)
+        node_fx = plans.scatter_to_nodes(fx.T, out=w.borrow(nnode), pad=pad)
+        node_fy = plans.scatter_to_nodes(fy.T, out=w.borrow(nnode), pad=pad)
+        w.release(pad)
         local = (node_fx, node_fy)
         mass = state.node_mass()
     else:
-        node_fx, node_fy, mass = comms.assemble_node_sums(state, fx, fy)
+        # The seam speaks (ncell, 4).
+        node_fx, node_fy, mass = comms.assemble_node_sums(state, fx.T, fy.T)
     # Ghost-only nodes of a decomposed run have zero completed mass
     # (their sums live on other ranks); guard the divide — their values
     # are overwritten by the next kinematic exchange.

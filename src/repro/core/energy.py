@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from ..perf.workspace import Workspace, scratch
+from .geometry import corner_dot
 from .state import HydroState
 
 
@@ -29,21 +30,18 @@ def getein(state: HydroState, fx: np.ndarray, fy: np.ndarray,
            out: Optional[np.ndarray] = None) -> np.ndarray:
     """Return the updated specific internal energy after time ``dt``.
 
-    ``u, v`` must be the velocities consistent with the force
+    ``fx, fy`` are the corner-major (4, ncell) corner forces and
+    ``u, v`` the velocities consistent with the force
     evaluation: u^n for the predictor half-step, ū for the corrector.
     ``out`` may alias ``state.e`` (the work term is fully accumulated
     before the subtraction).
     """
     mesh = state.mesh
     w = scratch(ws)
-    cu = w.borrow((mesh.ncell, 4))
-    cv = w.borrow((mesh.ncell, 4))
-    np.take(u, mesh.cell_nodes, out=cu, mode="clip")
-    np.take(v, mesh.cell_nodes, out=cv, mode="clip")
-    work = w.borrow(mesh.ncell)
-    t = w.borrow(mesh.ncell)
-    np.einsum("ck,ck->c", fx, cu, out=work)
-    np.einsum("ck,ck->c", fy, cv, out=t)
+    cu = mesh.plans.gather(u, out=w.borrow(fx.shape))
+    cv = mesh.plans.gather(v, out=w.borrow(fx.shape))
+    work = corner_dot(fx, cu, w.borrow(mesh.ncell), w)
+    t = corner_dot(fy, cv, w.borrow(mesh.ncell), w)
     work += t
     work *= dt
     work /= state.cell_mass

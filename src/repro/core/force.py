@@ -1,12 +1,12 @@
 """Corner-force assembly — BookLeaf's ``getforce`` kernel.
 
-Everything that accelerates nodes is expressed as *corner forces*: an
-(ncell, 4) pair of arrays giving the force each cell exerts on each of
-its corners.  The compatible discretisation (Barlow 2008; paper Section
-III-A) then uses the same corner forces twice — scattered to nodes for
-the momentum equation (``getacc``) and dotted with nodal velocities for
-the internal-energy equation (``getein``) — which is what makes total
-energy conservation exact to round-off.
+Everything that accelerates nodes is expressed as *corner forces*: a
+pair of corner-major (4, ncell) arrays giving the force each cell
+exerts on each of its corners.  The compatible discretisation (Barlow
+2008; paper Section III-A) then uses the same corner forces twice —
+scattered to nodes for the momentum equation (``getacc``) and dotted
+with nodal velocities for the internal-energy equation (``getein``) —
+which is what makes total energy conservation exact to round-off.
 
 Contributions:
 
@@ -31,24 +31,18 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..mesh.topology import QuadMesh
-from ..perf.plans import spread_corners
 from ..perf.workspace import Workspace, scratch
 from . import geometry, hourglass
 from .controls import HydroControls
 
 
 def pressure_forces(cx: np.ndarray, cy: np.ndarray, p: np.ndarray,
-                    out: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-                    ws: Optional[Workspace] = None
+                    out: Optional[Tuple[np.ndarray, np.ndarray]] = None
                     ) -> Tuple[np.ndarray, np.ndarray]:
     """Corner forces from a piecewise-constant cell pressure."""
-    ws = scratch(ws)
-    fx, fy = geometry.volume_gradients(cx, cy, out=out, ws=ws)
-    sp = ws.borrow(fx.shape)
-    spread_corners(p, sp)
-    fx *= sp
-    fy *= sp
-    ws.release(sp)
+    fx, fy = geometry.volume_gradients(cx, cy, out=out)
+    fx *= p
+    fy *= p
     return fx, fy
 
 
@@ -65,14 +59,13 @@ def getforce(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
 
     ``fqx, fqy`` are the viscous corner forces from a preceding ``getq``
     call, or ``None`` when the viscosity contributes no corner forces
-    (the bulk form).  Returns ``(fx, fy)``, each (ncell, 4) — borrowed
+    (the bulk form).  Returns ``(fx, fy)``, each (4, ncell) — borrowed
     buffers the caller releases when the step is done with them.
     """
     ws = scratch(ws)
-    shape = (mesh.ncell, 4)
+    shape = (4, mesh.ncell)
     fx, fy = pressure_forces(
-        cx, cy, p, ws=ws,
-        out=(ws.borrow(shape), ws.borrow(shape)))
+        cx, cy, p, out=(ws.borrow(shape), ws.borrow(shape)))
     if fqx is not None:
         fx += fqx
         fy += fqy
@@ -86,10 +79,8 @@ def getforce(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
         fy += sy
         ws.release(sx, sy)
     if controls.filter_kappa > 0.0:
-        cu = ws.borrow(shape)
-        cv = ws.borrow(shape)
-        np.take(u, mesh.cell_nodes, out=cu, mode="clip")
-        np.take(v, mesh.cell_nodes, out=cv, mode="clip")
+        cu = mesh.plans.gather(u, out=ws.borrow(shape))
+        cv = mesh.plans.gather(v, out=ws.borrow(shape))
         hx, hy = hourglass.hourglass_filter_forces(
             cu, cv, rho, cs2, volume, controls.filter_kappa, ws=ws
         )

@@ -1,8 +1,14 @@
 """Geometry kernels — BookLeaf's ``getgeom``.
 
 Everything here operates on gathered per-cell corner coordinate arrays
-``cx, cy`` of shape (ncell, 4) in counter-clockwise order, which lets
-every quantity be a handful of vectorised expressions.
+``cx, cy`` in counter-clockwise order, stored **corner-major** — shape
+(4, ncell), one contiguous row per corner — so the neighbouring corner
+is a row view (``a[1:] − a[:-1]`` plus one wrap row, no copy), a
+per-cell operand broadcasts along contiguous rows, and a reduction
+over the corners of a cell is three contiguous row passes
+(:func:`repro.perf.plans.corner_reduce`).  Arrays that outlive the
+step (``HydroState.corner_volume``, ``mesh.cell_nodes``) keep
+(ncell, 4); the two layouts meet through ``.T`` views.
 
 Definitions (corner index arithmetic is mod 4):
 
@@ -20,11 +26,9 @@ Definitions (corner index arithmetic is mod 4):
 Every kernel is written once against the
 :class:`~repro.perf.workspace.Workspace` API: temporaries are borrowed
 from the arena and released when they die, results land in
-caller-provided ``out=`` buffers, and corner rolls go through
-:func:`repro.perf.plans.roll_next`/``roll_prev`` (strided column
-copies — bit-for-bit equal to ``np.roll`` but faster and with ``out=``
-support).  ``ws`` is optional: a standalone call without one draws the
-same temporaries as fresh allocations (:func:`repro.perf.workspace.scratch`).
+caller-provided ``out=`` buffers.  ``ws`` is optional: a standalone
+call without one draws the same temporaries as fresh allocations
+(:func:`repro.perf.workspace.scratch`).
 """
 
 from __future__ import annotations
@@ -34,21 +38,53 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..mesh.topology import QuadMesh
-from ..perf.plans import roll_next, roll_prev, spread_corners
+from ..perf.plans import corner_reduce
 from ..perf.workspace import Workspace, scratch
 from ..utils.errors import TangledMeshError
 
 
 def gather(mesh: QuadMesh, x: np.ndarray, y: np.ndarray,
-           out: Optional[Tuple[np.ndarray, np.ndarray]] = None
-           ) -> Tuple[np.ndarray, np.ndarray]:
-    """(ncell, 4) corner coordinates from nodal arrays."""
-    if out is None:
-        return x[mesh.cell_nodes], y[mesh.cell_nodes]
-    cx, cy = out
-    np.take(x, mesh.cell_nodes, out=cx, mode="clip")
-    np.take(y, mesh.cell_nodes, out=cy, mode="clip")
-    return cx, cy
+           out: Tuple[Optional[np.ndarray], Optional[np.ndarray]]
+           = (None, None)) -> Tuple[np.ndarray, np.ndarray]:
+    """(4, ncell) corner coordinates from nodal arrays."""
+    plans = mesh.plans
+    return plans.gather(x, out=out[0]), plans.gather(y, out=out[1])
+
+
+def edge_diff(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Edge vectors ``a[k+1] − a[k]`` of a corner-major array."""
+    np.subtract(a[1:], a[:-1], out=out[:-1])
+    np.subtract(a[0], a[3], out=out[3])
+    return out
+
+
+def edge_mid(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Edge midpoints ``½(a[k+1] + a[k])`` of a corner-major array."""
+    np.add(a[1:], a[:-1], out=out[:-1])
+    np.add(a[0], a[3], out=out[3])
+    out *= 0.5
+    return out
+
+
+def centroid(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Per-cell mean of the four corners (``a.mean(axis=0)``, bitwise)."""
+    corner_reduce(np.add, a.T, out=out)
+    out /= 4.0
+    return out
+
+
+def corner_dot(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+               ws) -> np.ndarray:
+    """``Σ_k a[k]·b[k]`` per cell, associated ``(p0 + p2) + (p1 + p3)``
+    — what ``einsum("ck,ck->c")`` and the ``(n, 4) @ (4,)`` matvec of
+    ``repro.ensemble`` evaluate (two SIMD lanes, summed last)."""
+    p = ws.borrow(a.shape)
+    np.multiply(a, b, out=p)
+    np.add(p[0], p[2], out=out)
+    p[1] += p[3]
+    out += p[1]
+    ws.release(p)
+    return out
 
 
 def cell_volumes(cx: np.ndarray, cy: np.ndarray,
@@ -56,16 +92,16 @@ def cell_volumes(cx: np.ndarray, cy: np.ndarray,
                  ws: Optional[Workspace] = None) -> np.ndarray:
     """Signed cell volumes (areas) via the shoelace formula."""
     ws = scratch(ws)
-    n = cx.shape[0]
+    n = cx.shape[1]
     if out is None:
         out = np.empty(n)
     t1 = ws.borrow(n)
     t2 = ws.borrow(n)
-    np.subtract(cx[:, 2], cx[:, 0], out=t1)
-    np.subtract(cy[:, 3], cy[:, 1], out=t2)
+    np.subtract(cx[2], cx[0], out=t1)
+    np.subtract(cy[3], cy[1], out=t2)
     np.multiply(t1, t2, out=out)
-    np.subtract(cx[:, 1], cx[:, 3], out=t1)
-    np.subtract(cy[:, 2], cy[:, 0], out=t2)
+    np.subtract(cx[1], cx[3], out=t1)
+    np.subtract(cy[2], cy[0], out=t2)
     np.multiply(t1, t2, out=t1)
     out += t1
     out *= 0.5
@@ -74,68 +110,54 @@ def cell_volumes(cx: np.ndarray, cy: np.ndarray,
 
 
 def volume_gradients(cx: np.ndarray, cy: np.ndarray,
-                     out: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-                     ws: Optional[Workspace] = None
+                     out: Optional[Tuple[np.ndarray, np.ndarray]] = None
                      ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(∂V/∂x_i, ∂V/∂y_i)`` per corner, each (ncell, 4).
+    """``(∂V/∂x_i, ∂V/∂y_i)`` per corner, each (4, ncell).
 
     ``∂V/∂x_i = ½(y_{i+1} − y_{i−1})``; ``∂V/∂y_i = ½(x_{i−1} − x_{i+1})``.
     The four gradients of a cell sum to zero (translation invariance),
     which is what makes the pressure corner forces conserve momentum.
     """
-    ws = scratch(ws)
     if out is None:
-        dvdx = np.empty_like(cx)
-        dvdy = np.empty_like(cy)
-    else:
-        dvdx, dvdy = out
-    t = ws.borrow(cx.shape)
-    roll_next(cy, out=dvdx)
-    roll_prev(cy, out=t)
-    dvdx -= t
+        out = (np.empty_like(cx), np.empty_like(cy))
+    dvdx, dvdy = out
+    np.subtract(cy[2:], cy[:2], out=dvdx[1:3])
+    np.subtract(cy[1], cy[3], out=dvdx[0])
+    np.subtract(cy[0], cy[2], out=dvdx[3])
     dvdx *= 0.5
-    roll_prev(cx, out=dvdy)
-    roll_next(cx, out=t)
-    dvdy -= t
+    np.subtract(cx[:2], cx[2:], out=dvdy[1:3])
+    np.subtract(cx[3], cx[1], out=dvdy[0])
+    np.subtract(cx[2], cx[0], out=dvdy[3])
     dvdy *= 0.5
-    ws.release(t)
     return dvdx, dvdy
+
+
+def _mul_prev(a: np.ndarray, m: np.ndarray, out: np.ndarray) -> None:
+    """``out[k] = a[k] · m[k−1]`` (``a`` per-corner or per-cell)."""
+    per_corner = a.ndim == 2
+    np.multiply(a[1:] if per_corner else a, m[:-1], out=out[1:])
+    np.multiply(a[0] if per_corner else a, m[3], out=out[0])
 
 
 def corner_volumes(cx: np.ndarray, cy: np.ndarray,
                    out: Optional[np.ndarray] = None,
                    ws: Optional[Workspace] = None) -> np.ndarray:
-    """(ncell, 4) median-decomposition subzone volumes.
+    """(4, ncell) median-decomposition subzone volumes.
 
     Subzone ``i`` is the quad (P_i, M_i, C, M_{i−1}); the four subzones
     tile the cell, so they sum to the shoelace cell volume exactly
     (an identity the tests check to round-off).
     """
     ws = scratch(ws)
-    n = cx.shape[0]
+    n = cx.shape[1]
     if out is None:
         out = np.empty_like(cx)
-    mx = ws.borrow(cx.shape)                 # M_i midpoints
-    my = ws.borrow(cx.shape)
-    roll_next(cx, out=mx)
-    mx += cx
-    mx *= 0.5
-    roll_next(cy, out=my)
-    my += cy
-    my *= 0.5
-    g1 = ws.borrow(n)
-    gx = ws.borrow(cx.shape)                 # centroid, spread per corner
-    gy = ws.borrow(cx.shape)
-    np.mean(cx, axis=1, out=g1)
-    spread_corners(g1, gx)
-    np.mean(cy, axis=1, out=g1)
-    spread_corners(g1, gy)
-    ws.release(g1)
-    dx = ws.borrow(cx.shape)                 # D = M_{i-1}
-    dy = ws.borrow(cx.shape)
-    roll_prev(mx, out=dx)
-    roll_prev(my, out=dy)
-    # A = P_i = (cx, cy), B = M_i = (mx, my); shoelace of (A, B, C, D).
+    mx = edge_mid(cx, ws.borrow(cx.shape))   # M_i midpoints
+    my = edge_mid(cy, ws.borrow(cx.shape))
+    gx = centroid(cx, ws.borrow(n))
+    gy = centroid(cy, ws.borrow(n))
+    # A = P_i = (cx, cy), B = M_i = (mx, my), C = (gx, gy) and
+    # D = M_{i-1}, read as the previous row of B; shoelace of (A, B, C, D).
     t1 = ws.borrow(cx.shape)
     t2 = ws.borrow(cx.shape)
     np.multiply(cx, my, out=out)            # ax·by − bx·ay
@@ -145,16 +167,16 @@ def corner_volumes(cx: np.ndarray, cy: np.ndarray,
     np.multiply(gx, my, out=t2)
     t1 -= t2
     out += t1
-    np.multiply(gx, dy, out=t1)             # gx·dy − dx·gy
-    np.multiply(dx, gy, out=t2)
+    _mul_prev(gx, my, t1)                   # gx·dy − dx·gy
+    _mul_prev(gy, mx, t2)
     t1 -= t2
     out += t1
-    np.multiply(dx, cy, out=t1)             # dx·ay − ax·dy
-    np.multiply(cx, dy, out=t2)
+    _mul_prev(cy, mx, t1)                   # dx·ay − ax·dy
+    _mul_prev(cx, my, t2)
     t1 -= t2
     out += t1
     out *= 0.5
-    ws.release(mx, my, gx, gy, dx, dy, t1, t2)
+    ws.release(mx, my, gx, gy, t1, t2)
     return out
 
 
@@ -165,42 +187,24 @@ def subzone_volume_gradients(cx: np.ndarray, cy: np.ndarray,
                              ) -> Tuple[np.ndarray, np.ndarray]:
     """``∂V_subzone_i/∂x_j`` for all corner pairs (i, j).
 
-    Returns ``(gradx, grady)``, each of shape (ncell, 4, 4) indexed
-    ``[cell, subzone i, node j]``.  Chain rule through the subzone's
+    Returns ``(gradx, grady)``, each of shape (4, 4, ncell) indexed
+    ``[subzone i, node j, cell]``.  Chain rule through the subzone's
     vertices: node j enters subzone i via P_i (weight 1 when j == i),
     the midpoints M_i, M_{i−1} (weight ½) and the centroid (weight ¼).
     Each subzone's gradients sum to zero over j, and summing subzones
     recovers the cell volume gradient — both identities are tested.
     """
     ws = scratch(ws)
-    ncell = cx.shape[0]
+    n = cx.shape[1]
     shape = cx.shape
-    mx = ws.borrow(shape)
-    my = ws.borrow(shape)
-    roll_next(cx, out=mx)
-    mx += cx
-    mx *= 0.5
-    roll_next(cy, out=my)
-    my += cy
-    my *= 0.5
-    g1 = ws.borrow(ncell)
-    gx = ws.borrow(shape)
-    gy = ws.borrow(shape)
-    np.mean(cx, axis=1, out=g1)
-    spread_corners(g1, gx)
-    np.mean(cy, axis=1, out=g1)
-    spread_corners(g1, gy)
-    ws.release(g1)
-    dx = ws.borrow(shape)
-    dy = ws.borrow(shape)
-    roll_prev(mx, out=dx)
-    roll_prev(my, out=dy)
+    mx = edge_mid(cx, ws.borrow(shape))
+    my = edge_mid(cy, ws.borrow(shape))
+    gx = centroid(cx, ws.borrow(n))
+    gy = centroid(cy, ws.borrow(n))
 
     if out is None:
-        gradx = np.empty((ncell, 4, 4))
-        grady = np.empty((ncell, 4, 4))
-    else:
-        gradx, grady = out
+        out = (np.empty((4, 4, n)), np.empty((4, 4, n)))
+    gradx, grady = out
     gA = ws.borrow(shape)
     hB = ws.borrow(shape)
     q = ws.borrow(shape)
@@ -214,9 +218,13 @@ def subzone_volume_gradients(cx: np.ndarray, cy: np.ndarray,
     # w.r.t. its vertices, per component with (x, y)⊥ = (y, −x):
     # gA = ½(B − D)⊥, gB = ½(C − A)⊥ and, exactly, gC = −gA, gD = −gB —
     # so ½(gB + gD) vanishes and only gA, ½gB and ¼gC = −¼gA are needed.
-    for grad, b, d, c, a in ((gradx, my, dy, gy, cy),
-                             (grady, dx, mx, cx, gx)):
-        np.subtract(b, d, out=gA)
+    # M_i and M_{i-1} are read as (rows 1..3, row 0) of M and of M
+    # shifted one row back.
+    for grad, b, d, c, a in (
+            (gradx, (my[1:], my[0]), (my[:-1], my[3]), gy, cy),
+            (grady, (mx[:-1], mx[3]), (mx[1:], mx[0]), cx, gx)):
+        np.subtract(b[0], d[0], out=gA[1:])
+        np.subtract(b[1], d[1], out=gA[0])
         gA *= 0.5
         np.multiply(gA, -0.25, out=q)
         np.subtract(c, a, out=hB)
@@ -224,16 +232,16 @@ def subzone_volume_gradients(cx: np.ndarray, cy: np.ndarray,
         hB *= 0.5
         # j == i: A fully + quarter of centroid.
         np.add(gA, q, out=t)
-        grad[:, idx, idx] = t
+        grad[idx, idx] = t
         # j == i+1: half of M_i + quarter of centroid.
         np.add(hB, q, out=t)
-        grad[:, idx, nxt] = t
+        grad[idx, nxt] = t
         # j == i-1: half of M_{i-1} + quarter of centroid.
         np.subtract(q, hB, out=t)
-        grad[:, idx, prv] = t
+        grad[idx, prv] = t
         # j == i+2: quarter of centroid only.
-        grad[:, idx, opp] = q
-    ws.release(mx, my, gx, gy, dx, dy, gA, hB, q, t)
+        grad[idx, opp] = q
+    ws.release(mx, my, gx, gy, gA, hB, q, t)
     return gradx, grady
 
 
@@ -249,20 +257,16 @@ def cfl_length_sq(cx: np.ndarray, cy: np.ndarray,
     ws = scratch(ws)
     if volume is None:
         volume = cell_volumes(cx, cy, ws=ws)
-    ex = ws.borrow(cx.shape)
-    ey = ws.borrow(cx.shape)
-    roll_next(cx, out=ex)
-    ex -= cx
-    roll_next(cy, out=ey)
-    ey -= cy
+    ex = edge_diff(cx, ws.borrow(cx.shape))
+    ey = edge_diff(cy, ws.borrow(cx.shape))
     ex *= ex
     ey *= ey
     ex += ey
     if out is None:
-        out = np.empty(cx.shape[0])
-    np.max(ex, axis=1, out=out)             # longest side²
+        out = np.empty(cx.shape[1])
+    corner_reduce(np.maximum, ex.T, out=out)     # longest side²
     np.maximum(out, 1e-300, out=out)
-    t = ws.borrow(cx.shape[0])
+    t = ws.borrow(cx.shape[1])
     np.multiply(volume, volume, out=t)
     np.divide(t, out, out=out)
     ws.release(ex, ey, t)
@@ -270,52 +274,55 @@ def cfl_length_sq(cx: np.ndarray, cy: np.ndarray,
 
 
 def check_volumes(volume: np.ndarray, time: Optional[float] = None,
-                  what: str = "cell",
                   mask: Optional[np.ndarray] = None,
                   ws: Optional[Workspace] = None) -> None:
     """Raise :class:`TangledMeshError` if any volume is non-positive.
 
-    ``mask`` (per-cell boolean) restricts the check to owned cells in a
+    ``volume`` is per-cell or corner-major per-corner.  ``mask``
+    (per-cell boolean) restricts the check to owned cells in a
     decomposed run; ghost-cell geometry is not locally authoritative.
     """
     ws = scratch(ws)
-    nonpositive = ws.borrow(volume.shape, dtype=bool)
-    np.less_equal(volume, 0.0, out=nonpositive)
-    bad = nonpositive
-    if mask is not None:
-        bad = bad & (mask[:, None] if volume.ndim > 1 else mask)
-    if bad.any():
-        if volume.ndim > 1:
-            cells = np.unique(np.nonzero(bad)[0])[:10]
-        else:
-            cells = np.flatnonzero(bad)[:10]
-        raise TangledMeshError(cells.tolist(), time=time)
-    ws.release(nonpositive)
+    bad = ws.borrow(volume.shape, dtype=bool)
+    try:
+        np.less_equal(volume, 0.0, out=bad)
+        if mask is not None:
+            np.logical_and(bad, mask, out=bad)
+        if bad.any():
+            cells = np.unique(np.nonzero(bad)[-1])[:10]
+            raise TangledMeshError(cells.tolist(), time=time)
+    finally:
+        ws.release(bad)
+
+
+def volumes(cx: np.ndarray, cy: np.ndarray,
+            time: Optional[float] = None,
+            check_mask: Optional[np.ndarray] = None,
+            ws: Optional[Workspace] = None,
+            out: Tuple[Optional[np.ndarray], Optional[np.ndarray]]
+            = (None, None)) -> Tuple[np.ndarray, np.ndarray]:
+    """Checked ``(volume, corner_volume)`` of gathered corner-major
+    coordinates; raises :class:`TangledMeshError` on a non-positive cell
+    or corner volume — the failure detection the Fortran code performs.
+    In a decomposed run ``check_mask`` restricts it to owned cells."""
+    volume = cell_volumes(cx, cy, out=out[0], ws=ws)
+    check_volumes(volume, time=time, mask=check_mask, ws=ws)
+    cvol = corner_volumes(cx, cy, out=out[1], ws=ws)
+    check_volumes(cvol, time=time, mask=check_mask, ws=ws)
+    return volume, cvol
 
 
 def getgeom(mesh: QuadMesh, x: np.ndarray, y: np.ndarray,
             time: Optional[float] = None,
             check_mask: Optional[np.ndarray] = None,
             ws: Optional[Workspace] = None,
-            out: Optional[Tuple[np.ndarray, np.ndarray,
-                                np.ndarray, np.ndarray]] = None
+            out: Tuple[Optional[np.ndarray], ...] = (None,) * 4
             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The ``getgeom`` kernel: gather coordinates and compute volumes.
+    """The ``getgeom`` kernel: gather coordinates, compute :func:`volumes`.
 
-    Returns ``(cx, cy, volume, corner_volume)`` — written into ``out``
-    when given, freshly allocated otherwise — and raises
-    :class:`TangledMeshError` on non-positive cell or corner volume —
-    the same failure detection the Fortran code performs.  In a
-    decomposed run ``check_mask`` restricts the failure check to owned
-    cells.
+    Returns ``(cx, cy, volume, corner_volume)`` — corner-major, written
+    into ``out`` when given, freshly allocated otherwise.
     """
-    if out is None:
-        out = (np.empty((mesh.ncell, 4)), np.empty((mesh.ncell, 4)),
-               np.empty(mesh.ncell), np.empty((mesh.ncell, 4)))
-    cx, cy, volume, cvol = out
-    gather(mesh, x, y, out=(cx, cy))
-    cell_volumes(cx, cy, out=volume, ws=ws)
-    check_volumes(volume, time=time, mask=check_mask, ws=ws)
-    corner_volumes(cx, cy, out=cvol, ws=ws)
-    check_volumes(cvol, time=time, what="corner", mask=check_mask, ws=ws)
+    cx, cy = gather(mesh, x, y, out=out[:2])
+    volume, cvol = volumes(cx, cy, time, check_mask, ws, out=out[2:])
     return cx, cy, volume, cvol

@@ -28,7 +28,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..perf.plans import spread_corners
 from ..perf.workspace import Workspace, scratch
 from . import geometry
 
@@ -40,36 +39,54 @@ def subzonal_pressure_forces(cx: np.ndarray, cy: np.ndarray,
                              kappa: float,
                              ws: Optional[Workspace] = None
                              ) -> Tuple[np.ndarray, np.ndarray]:
-    """Corner forces (ncell, 4) from the sub-zonal pressure deviations."""
+    """Corner forces (4, ncell) from the sub-zonal pressure deviations
+    (every corner array corner-major)."""
     w = scratch(ws)
-    ncell = cx.shape[0]
-    # δp_i = κ c_s² (ρ_i^z − ρ_c) with ρ_i^z the corner density.
+    ncell = cx.shape[1]
+    # δp_i = κ c_s² (ρ_i^z − ρ_c) with ρ_i^z the corner density.  The
+    # state's arrays arrive as strided ``.T`` views: copy, then compute
+    # (a strided 2-D ufunc runs through 64 KB iterator buffers).
     dp = w.borrow(cx.shape)
-    np.maximum(corner_volume, 1e-300, out=dp)
-    np.divide(corner_mass, dp, out=dp)
-    sp = w.borrow(cx.shape)
-    spread_corners(rho, sp)
-    dp -= sp
+    t = w.borrow(cx.shape)
+    np.copyto(dp, corner_volume)
+    np.maximum(dp, 1e-300, out=dp)
+    np.copyto(t, corner_mass)
+    np.divide(t, dp, out=dp)
+    dp -= rho
     tk = w.borrow(ncell)
     np.multiply(cs2, kappa, out=tk)
-    spread_corners(tk, sp)
-    dp *= sp
-    w.release(sp)
+    dp *= tk
     gradx, grady = geometry.subzone_volume_gradients(
         cx, cy,
-        out=(w.borrow((ncell, 4, 4)), w.borrow((ncell, 4, 4))),
+        out=(w.borrow((4, 4, ncell)), w.borrow((4, 4, ncell))),
         ws=w,
     )
-    # F_j = Σ_i δp_i ∂V_i/∂x_j  — contract over the subzone axis.
+    # F_j = Σ_i δp_i ∂V_i/∂x_j — contracted over the subzone axis in
+    # ascending i, the order ``einsum("ci,cij->cj")`` accumulates in.
     # The returned forces are borrowed buffers; the caller releases them.
-    fx = np.einsum("ci,cij->cj", dp, gradx, out=w.borrow(cx.shape))
-    fy = np.einsum("ci,cij->cj", dp, grady, out=w.borrow(cx.shape))
-    w.release(dp, tk, gradx, grady)
+    fx = w.borrow(cx.shape)
+    fy = w.borrow(cx.shape)
+    for f, grad in ((fx, gradx), (fy, grady)):
+        np.multiply(dp[0], grad[0], out=f)
+        for i in (1, 2, 3):
+            np.multiply(dp[i], grad[i], out=t)
+            f += t
+    w.release(dp, tk, gradx, grady, t)
     return fx, fy
 
 
 #: the hourglass mode pattern on a quad's corners
 GAMMA = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+def _amplitude(c: np.ndarray, out: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``¼ Σ Γ_i c_i`` over corner-major rows, associated
+    ``(c0 + c2) − (c1 + c3)`` like the ``(n, 4) @ Γ`` matvec."""
+    np.add(c[0], c[2], out=out)
+    np.add(c[1], c[3], out=t)
+    out -= t
+    out *= 0.25
+    return out
 
 
 def hourglass_filter_forces(cu: np.ndarray, cv: np.ndarray,
@@ -78,17 +95,14 @@ def hourglass_filter_forces(cu: np.ndarray, cv: np.ndarray,
                             kappa: float,
                             ws: Optional[Workspace] = None
                             ) -> Tuple[np.ndarray, np.ndarray]:
-    """Hancock-style damping forces (ncell, 4) on the corner velocities."""
+    """Hancock-style damping forces (4, ncell) on the corner-major
+    corner velocities."""
     w = scratch(ws)
-    ncell = cu.shape[0]
-    hu = w.borrow(ncell)                     # hourglass amplitudes (ncell,)
-    hv = w.borrow(ncell)
-    np.matmul(cu, GAMMA, out=hu)
-    hu *= 0.25
-    np.matmul(cv, GAMMA, out=hv)
-    hv *= 0.25
-    coeff = w.borrow(ncell)
+    ncell = cu.shape[1]
     t = w.borrow(ncell)
+    hu = _amplitude(cu, w.borrow(ncell), t)  # hourglass amplitudes
+    hv = _amplitude(cv, w.borrow(ncell), t)
+    coeff = w.borrow(ncell)
     np.multiply(rho, kappa, out=coeff)
     np.sqrt(cs2, out=t)
     coeff *= t
@@ -100,21 +114,19 @@ def hourglass_filter_forces(cu: np.ndarray, cv: np.ndarray,
     hv *= coeff
     np.negative(hv, out=hv)
     # The returned forces are borrowed buffers; the caller releases them.
-    # Outer product with Γ as 4 scalar column scalings (the broadcast
-    # form would hit numpy's buffered-iterator allocation).
+    # Outer product with Γ, one corner row at a time.
     fx = w.borrow(cu.shape)
     fy = w.borrow(cu.shape)
-    spread_corners(hu, fx)
-    spread_corners(hv, fy)
     for k in range(4):
-        fx[:, k] *= GAMMA[k]
-        fy[:, k] *= GAMMA[k]
+        np.multiply(hu, GAMMA[k], out=fx[k])
+        np.multiply(hv, GAMMA[k], out=fy[k])
     w.release(hu, hv, coeff, t)
     return fx, fy
 
 
 def hourglass_amplitude(cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
-    """Diagnostic |hourglass velocity| per cell (for tests/monitoring)."""
+    """Diagnostic |hourglass velocity| per cell (for tests/monitoring),
+    from (ncell, 4) corner velocities — it runs outside the step."""
     hu = 0.25 * (cu @ GAMMA)
     hv = 0.25 * (cv @ GAMMA)
     return np.hypot(hu, hv)

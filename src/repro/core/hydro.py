@@ -116,7 +116,8 @@ class Hydro:
         else:
             with self.timers.region("getdt"):
                 self.dt, self.dt_reason, self.dt_cell = getdt(
-                    self.state, controls, self.dt, self.time, comms=self.comms
+                    self.state, controls, self.dt, self.time,
+                    comms=self.comms, ws=self.workspace,
                 )
 
         if self.state.bc.driver is not None:

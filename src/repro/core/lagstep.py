@@ -19,7 +19,9 @@ this very function body runs unchanged in serial and distributed mode.
 Every kernel temporary, half-step field and returned array comes from
 the :class:`~repro.perf.workspace.Workspace` the caller threads through
 (``Hydro`` owns one per run), so after the first step the loop
-allocates nothing mesh-sized; results are *committed* into the
+allocates nothing mesh-sized.  Corner arrays are corner-major inside
+the step (:mod:`repro.core.geometry`); the state's own keep (ncell, 4)
+and are read through ``.T`` views.  Results are *committed* into the
 long-lived state arrays by copy (the arena never leaks into the state,
 and the state arrays keep their identity across steps — holders of a
 reference see the new values, so anything that needs the old ones must
@@ -61,7 +63,7 @@ def _corner_forces(state, cx, cy, rho, cs2, p, volume, corner_volume,
     with timers.region("getq"):
         if controls.viscosity_form == "bulk":
             q_cell = viscosity.bulk_q(
-                cx, cy, state.u, state.v, mesh.cell_nodes, rho, cs2, volume,
+                mesh, cx, cy, state.u, state.v, rho, cs2, volume,
                 controls.cq1, controls.cq2, ws=w,
                 out=w.array("lag.bulkq", mesh.ncell),
             )
@@ -75,7 +77,7 @@ def _corner_forces(state, cx, cy, rho, cs2, p, volume, corner_volume,
     with timers.region("getforce"):
         fx, fy = getforce(
             mesh, cx, cy, state.u, state.v, p, rho, cs2, fqx, fqy,
-            state.corner_mass, corner_volume, volume, controls, ws=w,
+            state.corner_mass.T, corner_volume, volume, controls, ws=w,
         )
     if fqx is not None:
         w.release(fqx, fqy)
@@ -91,7 +93,7 @@ def _gather_overlapped(comms, state, mesh, cx, cy, timers) -> None:
     final, the halo cells come out stale; after
     ``complete_kinematics`` lands the ghost values, only the halo
     strip re-gathers (``plan.halo_nodes``, baked at compile time).
-    Pure copies, last write wins per row — bit-identical to a blocking
+    Pure copies, last write wins per cell — bit-identical to a blocking
     exchange followed by a full gather.
     """
     plan = comms.comm_plan()
@@ -99,8 +101,8 @@ def _gather_overlapped(comms, state, mesh, cx, cy, timers) -> None:
     with timers.region("exchange"):
         comms.complete_kinematics(state)
     halo = plan.halo_cells
-    cx[halo] = state.x[plan.halo_nodes]
-    cy[halo] = state.y[plan.halo_nodes]
+    cx[:, halo] = state.x[plan.halo_nodes].T
+    cy[:, halo] = state.y[plan.halo_nodes].T
 
 
 def lagstep(state: HydroState, table: MaterialTable,
@@ -126,8 +128,8 @@ def lagstep(state: HydroState, table: MaterialTable,
         else:
             comms.exchange_kinematics(state)
 
-    cx = w.array("lag.cx", (ncell, 4))
-    cy = w.array("lag.cy", (ncell, 4))
+    cx = w.array("lag.cx", (4, ncell))
+    cy = w.array("lag.cy", (4, ncell))
     if overlap:
         # Interior corners gather while the halo exchange is in flight
         _gather_overlapped(comms, state, mesh, cx, cy, timers)
@@ -135,13 +137,13 @@ def lagstep(state: HydroState, table: MaterialTable,
         geometry.gather(mesh, state.x, state.y, out=(cx, cy))
     fx, fy = _corner_forces(
         state, cx, cy, state.rho, state.cs2, state.p, state.volume,
-        state.corner_volume, gamma, controls, timers, w,
+        state.corner_volume.T, gamma, controls, timers, w,
     )
 
     # One set of geometry buffers serves all three geometries of the
     # step: the start-of-step corners die with the predictor forces and
     # the half-step geometry with the corrector forces.
-    geom = (cx, cy, w.array("lag.vol", ncell), w.array("lag.cvol", (ncell, 4)))
+    geom = (cx, cy, w.array("lag.vol", ncell), w.array("lag.cvol", (4, ncell)))
     with timers.region("getgeom"):
         x_h = w.array("lag.xh", nnode)
         y_h = w.array("lag.yh", nnode)
@@ -189,7 +191,7 @@ def lagstep(state: HydroState, table: MaterialTable,
             ws=w, out=geom,
         )
         np.copyto(state.volume, vol)
-        np.copyto(state.corner_volume, cvol)
+        np.copyto(state.corner_volume, cvol.T)
 
     with timers.region("getrho"):
         getrho(state.cell_mass, state.volume, controls.dencut, out=state.rho)

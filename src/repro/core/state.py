@@ -98,7 +98,7 @@ class HydroState:
                else np.ascontiguousarray(mat, dtype=np.int64))
         x = mesh.x.copy()
         y = mesh.y.copy()
-        cx, cy, volume, cvol = geometry.getgeom(mesh, x, y)
+        volume, cvol = cls._volumes(mesh, x, y)
         state = cls(
             mesh=mesh,
             x=x, y=y,
@@ -211,11 +211,20 @@ class HydroState:
         mass = self.node_mass()
         return np.array([np.sum(mass * self.u), np.sum(mass * self.v)])
 
+    @staticmethod
+    def _volumes(mesh: QuadMesh, x: np.ndarray, y: np.ndarray,
+                 time: Optional[float] = None):
+        """``(volume, corner_volume)`` in the state's (ncell, 4) layout,
+        gathered without ``mesh.plans``: a state that never steps (a
+        cache replay) should not pin the step's index plans."""
+        corners = np.ascontiguousarray(mesh.cell_nodes.T)
+        volume, cvol = geometry.volumes(x[corners], y[corners], time=time)
+        return volume, np.ascontiguousarray(cvol.T)
+
     def refresh_geometry(self, time: Optional[float] = None) -> None:
         """Recompute volume caches from the current coordinates."""
-        _, _, self.volume, self.corner_volume = geometry.getgeom(
-            self.mesh, self.x, self.y, time=time
-        )
+        self.volume, self.corner_volume = self._volumes(
+            self.mesh, self.x, self.y, time=time)
 
     def copy(self) -> "HydroState":
         """Deep copy of all evolving arrays (mesh topology is shared)."""

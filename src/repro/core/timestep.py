@@ -24,6 +24,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..perf.workspace import Workspace, scratch
 from ..utils.errors import TimestepCollapseError
 from . import geometry
 from .controls import HydroControls
@@ -33,42 +34,63 @@ Candidate = Tuple[float, str, int]
 
 
 def local_dt_candidates(state: HydroState, controls: HydroControls,
-                        mask: Optional[np.ndarray] = None
+                        mask: Optional[np.ndarray] = None,
+                        ws: Optional[Workspace] = None
                         ) -> List[Candidate]:
     """CFL and divergence candidates ``(dt, reason, cell)`` for this domain.
 
     ``mask`` restricts the reductions to owned cells in a decomposed
-    run (ghost cells carry locally-meaningless thermodynamics).
+    run (ghost cells carry locally-meaningless thermodynamics).  Every
+    temporary, corner-major like the step's, is borrowed from ``ws``.
     """
-    cx, cy = geometry.gather(state.mesh, state.x, state.y)
-    volume = state.volume
+    w = scratch(ws)
+    plans, volume = state.mesh.plans, state.volume
+    ncell = state.mesh.ncell
+    shape = (4, ncell)
+    cx, cy = geometry.gather(state.mesh, state.x, state.y,
+                             out=(w.borrow(shape), w.borrow(shape)))
 
     # CFL: l² / c_eff², with the viscous augmentation of the wave speed.
-    l_sq = geometry.cfl_length_sq(cx, cy, volume)
-    c_eff_sq = state.cs2 + 2.0 * state.q / np.maximum(state.rho, controls.dencut)
-    ratio = l_sq / np.maximum(c_eff_sq, controls.ccut)
-    if mask is not None:
-        ratio = np.where(mask, ratio, np.inf)
+    ratio = geometry.cfl_length_sq(cx, cy, volume, out=w.borrow(ncell), ws=w)
+    c_eff_sq = w.borrow(ncell)
+    t = w.borrow(ncell)
+    np.multiply(state.q, 2.0, out=c_eff_sq)
+    np.maximum(state.rho, controls.dencut, out=t)
+    c_eff_sq /= t
+    c_eff_sq += state.cs2
+    np.maximum(c_eff_sq, controls.ccut, out=c_eff_sq)
+    ratio /= c_eff_sq
+    if mask is not None:             # ghosts drop out of both reductions
+        ghost = np.logical_not(mask, out=w.borrow(ncell, dtype=bool))
+        np.copyto(ratio, np.inf, where=ghost)
     icfl = int(np.argmin(ratio))
     dt_cfl = controls.cfl_safety * float(np.sqrt(ratio[icfl]))
 
     # Volume-change rate: V̇ = Σ_i ∇_i V · u_i on current velocities.
-    dvdx, dvdy = geometry.volume_gradients(cx, cy)
-    cu = state.u[state.mesh.cell_nodes]
-    cv = state.v[state.mesh.cell_nodes]
-    vdot = np.einsum("ck,ck->c", dvdx, cu) + np.einsum("ck,ck->c", dvdy, cv)
-    rate = np.abs(vdot) / volume
+    dvdx, dvdy = geometry.volume_gradients(
+        cx, cy, out=(w.borrow(shape), w.borrow(shape)))
+    w.release(cx, cy)
+    cu = plans.gather(state.u, out=w.borrow(shape))
+    rate = geometry.corner_dot(dvdx, cu, ratio, w)
+    plans.gather(state.v, out=cu)
+    geometry.corner_dot(dvdy, cu, t, w)
+    rate += t
+    np.abs(rate, out=rate)
+    rate /= volume
     if mask is not None:
-        rate = np.where(mask, rate, 0.0)
+        np.copyto(rate, 0.0, where=ghost)
+        w.release(ghost)
     idiv = int(np.argmax(rate))
     max_rate = float(rate[idiv])
     dt_div = controls.div_safety / max_rate if max_rate > controls.zcut else np.inf
+    w.release(dvdx, dvdy, cu, rate, c_eff_sq, t)
 
     return [(dt_cfl, "cfl", icfl), (dt_div, "div", idiv)]
 
 
 def getdt(state: HydroState, controls: HydroControls,
-          dt_prev: float, time: float, comms=None) -> Candidate:
+          dt_prev: float, time: float, comms=None,
+          ws: Optional[Workspace] = None) -> Candidate:
     """Choose the next timestep; raises on collapse below ``dt_min``.
 
     With a ``comms`` object the physics candidates are reduced globally
@@ -76,7 +98,7 @@ def getdt(state: HydroState, controls: HydroControls,
     (growth/max/end) are applied identically on every domain.
     """
     mask = comms.owned_cell_mask(state) if comms is not None else None
-    candidates = local_dt_candidates(state, controls, mask)
+    candidates = local_dt_candidates(state, controls, mask, ws=ws)
     if comms is not None:
         candidates = [comms.reduce_dt(candidates)]
     candidates.append((controls.dt_growth * dt_prev, "growth", -1))

@@ -23,11 +23,14 @@ exactly and — through the compatible energy update — converts kinetic
 energy into heat at the rate ``q L |Δu| ≥ 0``.
 
 This is the hottest kernel of the mini-app (Table II), so it takes the
-full performance treatment: the mesh's :class:`~repro.perf.plans.MeshPlans`
-supply the limiter's static neighbour-node indices (hoisted out of the
-per-step path), and a :class:`~repro.perf.workspace.Workspace` supplies
-every temporary, making repeat calls allocation-free.  A standalone
-call without a workspace runs the same body on fresh allocations.
+full performance treatment: corner arrays are corner-major — (4, ncell),
+see :mod:`repro.core.geometry` — so edge jumps are row differences and
+per-cell coefficients broadcast along rows; the mesh's
+:class:`~repro.perf.plans.MeshPlans` supply the limiter's static
+continuation-edge indices (hoisted out of the per-step path), and a
+:class:`~repro.perf.workspace.Workspace` supplies every temporary,
+making repeat calls allocation-free.  A standalone call without a
+workspace runs the same body on fresh allocations.
 """
 
 from __future__ import annotations
@@ -37,14 +40,16 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..mesh.topology import QuadMesh
-from ..perf.plans import roll_next, roll_prev, spread_corners
+from ..perf.plans import corner_reduce
 from ..perf.workspace import Workspace, scratch
+from .geometry import (centroid, corner_dot, edge_diff, edge_mid,
+                       volume_gradients)
 
 #: velocity-jump magnitude below which an edge is treated as rigid
 DU_CUT = 1.0e-30
 
 
-def christiansen_limiter(mesh: QuadMesh, u: np.ndarray, v: np.ndarray,
+def christiansen_limiter(mesh: QuadMesh,
                          dux: np.ndarray, duy: np.ndarray,
                          dumag_sq: np.ndarray,
                          ws: Optional[Workspace] = None) -> np.ndarray:
@@ -55,34 +60,21 @@ def christiansen_limiter(mesh: QuadMesh, u: np.ndarray, v: np.ndarray,
     continuation is missing (mesh boundary) take ψ = 0, keeping full
     viscosity where shocks meet walls.
 
-    The continuation-edge node indices depend only on connectivity and
-    come precomputed from ``mesh.plans``.  The returned ψ is a borrowed
-    buffer; the caller releases it.
+    A continuation jump is itself an edge jump of the neighbouring
+    cell, so it is read out of ``dux``/``duy`` (corner-major, all cells)
+    by one precomputed edge index from ``mesh.plans``.  The returned ψ
+    is a borrowed buffer; the caller releases it.
     """
     ws = scratch(ws)
-    plans = mesh.plans
-    n_b1, n_b0 = plans.lim_n_b1, plans.lim_n_b0
-    n_f1, n_f0 = plans.lim_n_f1, plans.lim_n_f0
-    off = plans.lim_off
+    back, fwd, off = mesh.plans.limiter_edges
     shape = dux.shape
-    t = ws.borrow(shape)
-    bx = ws.borrow(shape)                    # backward continuation jump
-    np.take(u, n_b1, out=bx, mode="clip")
-    np.take(u, n_b0, out=t, mode="clip")
-    bx -= t
-    by = ws.borrow(shape)
-    np.take(v, n_b1, out=by, mode="clip")
-    np.take(v, n_b0, out=t, mode="clip")
-    by -= t
-    fx = ws.borrow(shape)                    # forward continuation jump
-    np.take(u, n_f1, out=fx, mode="clip")
-    np.take(u, n_f0, out=t, mode="clip")
-    fx -= t
-    fy = ws.borrow(shape)
-    np.take(v, n_f1, out=fy, mode="clip")
-    np.take(v, n_f0, out=t, mode="clip")
-    fy -= t
+    # backward / forward continuation jumps
+    bx = np.take(dux, back, out=ws.borrow(shape), mode="clip")
+    by = np.take(duy, back, out=ws.borrow(shape), mode="clip")
+    fx = np.take(dux, fwd, out=ws.borrow(shape), mode="clip")
+    fy = np.take(duy, fwd, out=ws.borrow(shape), mode="clip")
 
+    t = ws.borrow(shape)
     denom = ws.borrow(shape)
     np.maximum(dumag_sq, DU_CUT * DU_CUT, out=denom)
     rb = bx                                  # reuse: projected ratios
@@ -110,8 +102,8 @@ def christiansen_limiter(mesh: QuadMesh, u: np.ndarray, v: np.ndarray,
     return psi
 
 
-def bulk_q(cx: np.ndarray, cy: np.ndarray,
-           u: np.ndarray, v: np.ndarray, cell_nodes: np.ndarray,
+def bulk_q(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
+           u: np.ndarray, v: np.ndarray,
            rho: np.ndarray, cs2: np.ndarray, volume: np.ndarray,
            cq1: float, cq2: float,
            ws: Optional[Workspace] = None,
@@ -131,42 +123,24 @@ def bulk_q(cx: np.ndarray, cy: np.ndarray,
     and used by the viscosity-form ablation tests.
     """
     ws = scratch(ws)
-    ncell = cx.shape[0]
-    dvdx = ws.borrow(cx.shape)
-    dvdy = ws.borrow(cx.shape)
-    t4 = ws.borrow(cx.shape)
-    roll_next(cy, out=dvdx)
-    roll_prev(cy, out=t4)
-    dvdx -= t4
-    dvdx *= 0.5
-    roll_prev(cx, out=dvdy)
-    roll_next(cx, out=t4)
-    dvdy -= t4
-    dvdy *= 0.5
-    cu = ws.borrow(cx.shape)
-    cv = ws.borrow(cx.shape)
-    np.take(u, cell_nodes, out=cu, mode="clip")
-    np.take(v, cell_nodes, out=cv, mode="clip")
-    div_u = ws.borrow(ncell)
-    t = ws.borrow(ncell)
-    np.einsum("ck,ck->c", dvdx, cu, out=div_u)
-    np.einsum("ck,ck->c", dvdy, cv, out=t)
+    ncell = cx.shape[1]
+    dvdx, dvdy = volume_gradients(
+        cx, cy, out=(ws.borrow(cx.shape), ws.borrow(cx.shape)))
+    cu = mesh.plans.gather(u, out=ws.borrow(cx.shape))
+    cv = mesh.plans.gather(v, out=ws.borrow(cx.shape))
+    div_u = corner_dot(dvdx, cu, ws.borrow(ncell), ws)
+    t = corner_dot(dvdy, cv, ws.borrow(ncell), ws)
     div_u += t
     div_u /= volume
     ws.release(cu, cv)
     compressing = ws.borrow(ncell, dtype=bool)
     np.less(div_u, 0.0, out=compressing)
-    ex = dvdx                                # reuse for edge vectors
-    ey = dvdy
-    roll_next(cx, out=ex)
-    ex -= cx
-    roll_next(cy, out=ey)
-    ey -= cy
+    ex = edge_diff(cx, dvdx)                 # reuse for edge vectors
+    ey = edge_diff(cy, dvdy)
     ex *= ex
     ey *= ey
     ex += ey
-    longest = t
-    np.max(ex, axis=1, out=longest)
+    longest = corner_reduce(np.maximum, ex.T, out=t)
     np.sqrt(longest, out=longest)
     du = ws.borrow(ncell)
     np.divide(volume, longest, out=du)
@@ -186,8 +160,9 @@ def bulk_q(cx: np.ndarray, cy: np.ndarray,
     lin *= cs
     lin *= du
     out += lin
-    np.copyto(out, 0.0, where=~compressing)
-    ws.release(dvdx, dvdy, t4, div_u, t, du, compressing)
+    np.logical_not(compressing, out=compressing)
+    np.copyto(out, 0.0, where=compressing)
+    ws.release(dvdx, dvdy, div_u, t, du, compressing)
     return out
 
 
@@ -199,11 +174,11 @@ def getq(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The viscosity kernel.
 
-    Parameters are the gathered corner coordinates ``cx, cy`` (ncell, 4),
+    Parameters are the gathered corner coordinates ``cx, cy`` (4, ncell),
     nodal velocities, cell density/sound-speed² and the per-cell
     effective γ for the quadratic coefficient.
 
-    Returns ``(fqx, fqy, q_cell)``: viscous corner forces (ncell, 4) and
+    Returns ``(fqx, fqy, q_cell)``: viscous corner forces (4, ncell) and
     the cell-averaged viscous pressure used by the timestep control and
     diagnostics.  The corner forces are borrowed buffers — the caller
     releases them once ``getforce`` has consumed them; ``q_cell`` is the
@@ -211,24 +186,15 @@ def getq(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
     """
     ws = scratch(ws)
     ncell = mesh.ncell
-    shape = (ncell, 4)
-    cu = ws.borrow(shape)
-    cv = ws.borrow(shape)
-    np.take(u, mesh.cell_nodes, out=cu, mode="clip")
-    np.take(v, mesh.cell_nodes, out=cv, mode="clip")
-    dux = ws.borrow(shape)                   # edge velocity jumps
-    duy = ws.borrow(shape)
-    roll_next(cu, out=dux)
-    dux -= cu
-    roll_next(cv, out=duy)
-    duy -= cv
+    shape = (4, ncell)
+    plans = mesh.plans
+    cu = plans.gather(u, out=ws.borrow(shape))
+    cv = plans.gather(v, out=ws.borrow(shape))
+    dux = edge_diff(cu, ws.borrow(shape))    # edge velocity jumps
+    duy = edge_diff(cv, ws.borrow(shape))
     ws.release(cu, cv)
-    dxx = ws.borrow(shape)                   # edge vectors
-    dxy = ws.borrow(shape)
-    roll_next(cx, out=dxx)
-    dxx -= cx
-    roll_next(cy, out=dxy)
-    dxy -= cy
+    dxx = edge_diff(cx, ws.borrow(shape))    # edge vectors
+    dxy = edge_diff(cy, ws.borrow(shape))
     t = ws.borrow(shape)
     dumag_sq = ws.borrow(shape)
     np.multiply(dux, dux, out=dumag_sq)
@@ -248,62 +214,48 @@ def getq(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
     ws.release(dxx, dxy, t)
 
     if use_limiter:
-        psi = christiansen_limiter(mesh, u, v, dux, duy, dumag_sq, ws=ws)
+        psi = christiansen_limiter(mesh, dux, duy, dumag_sq, ws=ws)
     else:
         psi = ws.borrow(shape)
         psi.fill(0.0)
     ws.release(dumag_sq)
 
-    # q_edge = (1−ψ) ρ |Δu| (c₂' |Δu| + sqrt((c₂' |Δu|)² + (c₁ c_s)²)).
+    # q_edge = (1−ψ) ρ |Δu| (c₂' |Δu| + sqrt((c₂' |Δu|)² + (c₁ c_s)²)),
+    # the per-cell coefficients broadcasting along the corner rows.
     cquad = ws.borrow(ncell)
     np.add(gamma, 1.0, out=cquad)
     cquad *= cq2
     cquad *= 0.25
-    cs = ws.borrow(ncell)
-    np.sqrt(cs2, out=cs)
-    sp = ws.borrow(shape)                    # spread per-cell operands
     i1 = ws.borrow(shape)                    # c₂' |Δu|
-    spread_corners(cquad, sp)
-    np.multiply(dumag, sp, out=i1)
+    np.multiply(dumag, cquad, out=i1)
     i2 = ws.borrow(shape)
     np.multiply(i1, i1, out=i2)
     tq = ws.borrow(ncell)                    # (c₁ c_s)²
-    np.multiply(cs, cq1, out=tq)
+    np.sqrt(cs2, out=tq)
+    tq *= cq1
     tq *= tq
-    spread_corners(tq, sp)
-    i2 += sp
+    i2 += tq
     np.sqrt(i2, out=i2)
     i2 += i1
     q_edge = ws.borrow(shape)
     np.subtract(1.0, psi, out=q_edge)
-    spread_corners(rho, sp)
-    q_edge *= sp
+    q_edge *= rho
     q_edge *= dumag
     q_edge *= i2
     np.logical_not(active, out=tb)
     np.copyto(q_edge, 0.0, where=tb)
-    ws.release(psi, cquad, cs, i1, i2, tq, active, tb)
+    ws.release(psi, cquad, i1, i2, tq, active, tb)
 
     # Median arm: centroid to edge midpoint.
-    gx = ws.borrow(ncell)
-    gy = ws.borrow(ncell)
-    np.mean(cx, axis=1, out=gx)
-    np.mean(cy, axis=1, out=gy)
-    mx = ws.borrow(shape)
-    my = ws.borrow(shape)
-    roll_next(cx, out=mx)
-    mx += cx
-    mx *= 0.5
-    roll_next(cy, out=my)
-    my += cy
-    my *= 0.5
-    spread_corners(gx, sp)
-    mx -= sp
-    spread_corners(gy, sp)
-    my -= sp
+    gx = centroid(cx, ws.borrow(ncell))
+    gy = centroid(cy, ws.borrow(ncell))
+    mx = edge_mid(cx, ws.borrow(shape))
+    my = edge_mid(cy, ws.borrow(shape))
+    mx -= gx
+    my -= gy
     arm = ws.borrow(shape)
     np.hypot(mx, my, out=arm)
-    ws.release(gx, gy, mx, my, sp)
+    ws.release(gx, gy, mx, my)
 
     # Unit jump direction (guarded); force ±q L û on the edge's nodes.
     # Associated as ((q·L)·Δu)·inv — what ``repro.ensemble.kernels``
@@ -321,17 +273,16 @@ def getq(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
     fy_edge *= inv
     ws.release(qarm, inv, dux, duy, dumag)
     # node k gets +f (pushed along Δu, i.e. decelerating node k relative
-    # to k+1), node k+1 gets −f.
+    # to k+1), node k+1 gets −f: corner k nets f[k] − f[k−1].
     fqx = ws.borrow(shape)
-    roll_prev(fx_edge, out=fqx)
-    np.subtract(fx_edge, fqx, out=fqx)
     fqy = ws.borrow(shape)
-    roll_prev(fy_edge, out=fqy)
-    np.subtract(fy_edge, fqy, out=fqy)
+    for f_edge, fq in ((fx_edge, fqx), (fy_edge, fqy)):
+        np.subtract(f_edge[1:], f_edge[:-1], out=fq[1:])
+        np.subtract(f_edge[0], f_edge[3], out=fq[0])
     ws.release(fx_edge, fy_edge)
 
     q_cell = ws.array("getq.qcell", ncell)
-    np.sum(q_edge, axis=1, out=q_cell)
+    corner_reduce(np.add, q_edge.T, out=q_cell)
     q_cell *= 0.25
     ws.release(q_edge)
     return fqx, fqy, q_cell

@@ -135,8 +135,7 @@ class EnsembleHydro:
         self.ctx = EnsembleContext(
             xp=xp,
             cell_nodes=self.cell_nodes,
-            lim=(plans.lim_n_b1, plans.lim_n_b0, plans.lim_n_f1,
-                 plans.lim_n_f0, plans.lim_off),
+            lim=plans.limiter_nodes,
             gamma=self.eos.gamma_like(self.es.mat),
             gamma_vec=xp.asarray(GAMMA),
             cq1_col=xp.asarray([[c.cq1] for c in self.controls_list]),

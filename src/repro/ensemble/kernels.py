@@ -37,9 +37,10 @@ Two layout rules make the batched reductions accumulate like the serial
 ones (numpy pairwise summation follows memory order): corner gathers go
 through ``xp.take`` (C-contiguous result, unlike ``x[:, idx]``), and
 any arithmetic whose *both* operands are fancy-indexed writes into an
-``out=`` buffer.  Reductions over the corner axis use explicit
-slice chains (``corner_sum``/``corner_max``), whose association is the
-same as numpy's sequential 4-element reduce and independent of layout.
+``out=`` buffer.  Reductions over the corner axis use the explicit
+slice chain :func:`repro.perf.plans.corner_reduce` shared with
+``repro.core`` and ``repro.ale``, whose association is the same as
+numpy's sequential 4-element reduce and independent of layout.
 
 The array module is a parameter (``xp``); this module never imports
 numpy, so swapping in ``cupy`` (or any module with the used subset of
@@ -52,6 +53,7 @@ enforces that no ``np.`` leaks in here.
 
 from __future__ import annotations
 
+from ..perf.plans import corner_reduce
 from ..utils.errors import TangledMeshError
 
 #: velocity-jump magnitude below which an edge is treated as rigid
@@ -81,27 +83,9 @@ def edge_prev(a):
     return a[..., _PREV]
 
 
-def corner_sum(a):
-    """``a.sum(axis=-1)`` for a length-4 last axis, association-exact.
-
-    Numpy's 4-element reduce is the same left-to-right chain, so the
-    values are bit-identical — but this form costs three (N, ncell)
-    passes instead of a strided reduction and is layout-independent.
-    """
-    return ((a[..., 0] + a[..., 1]) + a[..., 2]) + a[..., 3]
-
-
-def corner_max(xp, a):
-    """``a.max(axis=-1)`` for a length-4 last axis (same chain)."""
-    return xp.maximum(
-        xp.maximum(xp.maximum(a[..., 0], a[..., 1]), a[..., 2]),
-        a[..., 3],
-    )
-
-
-def _centroid(a):
+def _centroid(xp, a):
     """``a.mean(axis=-1)`` over 4 corners (== sequential sum / 4.0)."""
-    return corner_sum(a) / 4.0
+    return corner_reduce(xp.add, a) / 4.0
 
 
 # ----------------------------------------------------------------------
@@ -157,8 +141,8 @@ class Geom:
     def edge_len_sq(self, xp):
         """Longest squared edge per cell (lazy, shared by dt + bulk q)."""
         if self._elsq is None:
-            self._elsq = corner_max(
-                xp, self.dxx * self.dxx + self.dxy * self.dxy)
+            self._elsq = corner_reduce(
+                xp.maximum, self.dxx * self.dxx + self.dxy * self.dxy)
         return self._elsq
 
 
@@ -202,8 +186,8 @@ def build_geom(xp, cell_nodes, x, y, time=None, check=True,
 
     g.mx = 0.5 * (cx + cxn)
     g.my = 0.5 * (cy + cyn)
-    g.gx = _centroid(cx)
-    g.gy = _centroid(cy)
+    g.gx = _centroid(xp, cx)
+    g.gy = _centroid(xp, cy)
     if check and need_cvol:
         g.cvol = _corner_volumes_from(xp, g)
         check_volumes(xp, g.cvol, time=time, what="corner")
@@ -254,8 +238,8 @@ def corner_volumes(xp, cx, cy):
     g.cx, g.cy = cx, cy
     g.mx = 0.5 * (cx + edge_next(cx))
     g.my = 0.5 * (cy + edge_next(cy))
-    g.gx = _centroid(cx)
-    g.gy = _centroid(cy)
+    g.gx = _centroid(xp, cx)
+    g.gy = _centroid(xp, cy)
     return _corner_volumes_from(xp, g)
 
 
@@ -343,8 +327,8 @@ def velocity_edge_cache(xp, cell_nodes, u, v):
 def christiansen_limiter(xp, u, v, dux, duy, dumag_sq, lim):
     """Limiter ψ in [0, 1] per in-cell edge; (N, ncell, 4).
 
-    ``lim`` is the ``(n_b1, n_b0, n_f1, n_f0, off)`` index tuple from
-    :func:`repro.perf.plans.limiter_indices` (shared across lanes).
+    ``lim`` is the ``(n_b1, n_b0, n_f1, n_f0, off)`` index tuple
+    ``mesh.plans.limiter_nodes`` (shared across lanes).
     """
     n_b1, n_b0, n_f1, n_f0, off = lim
     bx = xp.take(u, n_b1, axis=1) - xp.take(u, n_b0, axis=1)
@@ -415,7 +399,7 @@ def _getq_dense(xp, geom, vc, u, v, rho, cs2, cquad, cq1_col,
     fqx = fx_edge - edge_prev(fx_edge)
     fqy = fy_edge - edge_prev(fy_edge)
 
-    q_cell = 0.25 * corner_sum(q_edge)
+    q_cell = 0.25 * corner_reduce(xp.add, q_edge)
     return fqx, fqy, q_cell
 
 

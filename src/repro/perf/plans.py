@@ -3,13 +3,15 @@
 Everything in here is a function of the mesh *topology* only, so it is
 computed once per mesh and reused every step:
 
-* **Rolled-corner columns** — for (ncell, 4) corner arrays,
-  ``np.roll(a, -1, axis=1)`` is exactly ``a[:, [1, 2, 3, 0]]``;
-  :func:`roll_next`/:func:`roll_prev` express the roll as four strided
-  column copies (``out=`` given) or one fancy-index gather (no
-  ``out=``) — bit-for-bit identical to ``np.roll`` and measurably
-  faster than it (``np.roll`` builds its result from two wrapped
-  block copies plus the intermediate index arithmetic).
+* **Corner-major connectivity** — inside the Lagrangian step every
+  corner array is ``(4, ncell)``, one contiguous row per corner (see
+  :mod:`repro.core.geometry`); ``corner_nodes`` is the connectivity the
+  gathers index with.  Outside the step corner arrays stay
+  ``(ncell, 4)`` and the two meet through ``.T`` views.
+
+* **Corner reductions** — :func:`corner_reduce` reduces the length-4
+  corner axis as three whole-array passes in numpy's own association;
+  a length-4 inner axis is numpy's worst case (9-23x a contiguous pass).
 
 * **Scatter** — the corner→node sum (``scatter_to_nodes``) is the
   structural scatter of the whole code.  On a canonically numbered
@@ -19,112 +21,60 @@ computed once per mesh and reused every step:
   ``bincount`` sum, so every execution path (serial, decomposed,
   ensemble lane) agrees to the last bit on every mesh.
 
-* **Limiter indices** — the Christiansen limiter's neighbour-edge node
-  lookups (four index arrays plus the boundary mask) depend only on
-  connectivity; the plan hoists them out of ``getq``.
+* **Limiter indices** — the Christiansen limiter's continuation-edge
+  lookups depend only on connectivity; the plan hoists them out of
+  ``getq``: edge indices for ``repro.core``, node indices for
+  ``repro.ensemble``, each built on first use.
 
 :class:`MeshPlans` treats the mesh duck-typed (anything exposing
 ``cell_nodes``, ``cell_neighbours``, ``neighbour_side``,
 ``nnode``, ``ncell`` works), so this module has
 no imports from the rest of the package and can be used from any
-layer without cycles.
+layer without import cycles.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
-#: column order of ``np.roll(a, -1, axis=1)`` for 4-corner arrays
-ROLL_NEXT_COLS = np.array([1, 2, 3, 0], dtype=np.intp)
-#: column order of ``np.roll(a, 1, axis=1)``
-ROLL_PREV_COLS = np.array([3, 0, 1, 2], dtype=np.intp)
+#: column order of ``np.roll(a, -1, axis=1)`` / ``np.roll(a, 1, axis=1)``
+_NEXT = [1, 2, 3, 0]
+_PREV = [3, 0, 1, 2]
 
 
-def roll_next(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``np.roll(a, -1, axis=1)`` for (n, 4) arrays, with ``out=`` support.
+def corner_reduce(op, a: np.ndarray,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``op.reduce(a, axis=-1)`` over a length-4 corner axis.
 
-    ``out`` must not alias ``a``.
+    ``((a0 ∘ a1) ∘ a2) ∘ a3`` is the chain numpy's own 4-element reduce
+    evaluates, so sums, maxima and minima are bit-identical to
+    ``a.sum(axis=-1)`` etc. — as three passes over whole corner slices
+    instead of a length-4 inner loop per cell.  ``a`` is corner-last;
+    a corner-major ``(4, ncell)`` array goes in as its ``.T`` view.
     """
-    if out is None:
-        return a[:, ROLL_NEXT_COLS]
-    out[:, 0] = a[:, 1]
-    out[:, 1] = a[:, 2]
-    out[:, 2] = a[:, 3]
-    out[:, 3] = a[:, 0]
+    out = op(a[..., 0], a[..., 1], out=out)
+    op(out, a[..., 2], out=out)
+    op(out, a[..., 3], out=out)
     return out
 
 
-def roll_prev(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``np.roll(a, 1, axis=1)`` for (n, 4) arrays, with ``out=`` support.
-
-    ``out`` must not alias ``a``.
-    """
-    if out is None:
-        return a[:, ROLL_PREV_COLS]
-    out[:, 0] = a[:, 3]
-    out[:, 1] = a[:, 0]
-    out[:, 2] = a[:, 1]
-    out[:, 3] = a[:, 2]
-    return out
-
-
-def spread_corners(values: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Materialise a per-cell value into all 4 corner columns of ``out``.
-
-    Equivalent to ``out[:] = values[:, None]`` but via strided column
-    copies: a ufunc whose operand broadcasts with zero stride *and* has
-    an ``out=`` makes numpy fall back to its buffered iterator, which
-    mallocs (and fills) a hidden full-size temporary on every call —
-    exactly the allocation the workspace exists to avoid.  Feeding the
-    subsequent arithmetic a materialised operand keeps it on the
-    unbuffered fast path.  Values are copied, not recomputed, so any
-    expression using the spread operand is bit-identical to the
-    broadcast form.
-    """
-    v = values.reshape(-1)
-    out[:, 0] = v
-    out[:, 1] = v
-    out[:, 2] = v
-    out[:, 3] = v
-    return out
-
-
-def limiter_indices(mesh) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                   np.ndarray, np.ndarray]:
-    """Static node indices of the Christiansen continuation jumps.
-
-    Returns ``(n_b1, n_b0, n_f1, n_f0, off)``, each (ncell, 4): the
-    node pairs of the backward/forward continuation edges of every
-    in-cell edge, and the boolean mask of edges whose continuation is
-    missing (mesh boundary; the limiter forces ψ = 0 there).
-    """
-    nb = mesh.cell_neighbours
-    ns = mesh.neighbour_side
-    cn = mesh.cell_nodes
-
-    lcell = roll_prev(nb)                   # neighbour across side k-1
-    lside = roll_prev(ns)
-    rcell = roll_next(nb)                   # neighbour across side k+1
-    rside = roll_next(ns)
-    has_b = lcell >= 0
-    has_f = rcell >= 0
-    lc = np.where(has_b, lcell, 0)
-    ls = np.where(has_b, lside, 0)
-    rc = np.where(has_f, rcell, 0)
-    rs = np.where(has_f, rside, 0)
-
-    n_b1 = cn[lc, ls]                        # node at our corner k
-    n_b0 = cn[lc, (ls + 3) % 4]
-    n_f1 = cn[rc, (rs + 2) % 4]
-    n_f0 = cn[rc, (rs + 1) % 4]              # node at our corner k+1
-    off = ~(has_b & has_f)
-    return n_b1, n_b0, n_f1, n_f0, off
+def _take_ready(arrays):
+    """Contiguous intp (or bool) copies: ``np.take`` silently copies any
+    other index layout to a fresh contiguous buffer on every call."""
+    return tuple(
+        np.ascontiguousarray(a, dtype=None if a.dtype == np.bool_
+                             else np.intp) for a in arrays)
 
 
 class MeshPlans:
     """All connectivity-derived index structures, built once per mesh.
+
+    Holds the mesh's connectivity arrays, not the mesh: ``mesh.plans``
+    must not form a reference cycle that keeps dropped meshes alive
+    until a gc pass.  Every structure is built on first use.
 
     Parameters
     ----------
@@ -134,28 +84,68 @@ class MeshPlans:
     """
 
     def __init__(self, mesh):
-        self.mesh = mesh
         self.ncell = int(mesh.ncell)
         self.nnode = int(mesh.nnode)
-        flat = np.ascontiguousarray(mesh.cell_nodes.reshape(-1))
-        #: (ny, nx) when the mesh is a canonical structured grid
-        self.grid_shape = self._detect_grid(flat)
-        # Contiguous intp copies: ``np.take`` silently copies any other
-        # index layout to a fresh contiguous buffer on every call.
-        (self.lim_n_b1, self.lim_n_b0, self.lim_n_f1, self.lim_n_f0,
-         self.lim_off) = (
-            np.ascontiguousarray(a, dtype=np.intp) if a.dtype != np.bool_
-            else np.ascontiguousarray(a)
-            for a in limiter_indices(mesh))
+        self.cell_nodes = mesh.cell_nodes
+        self._neighbours = mesh.cell_neighbours
+        self._sides = mesh.neighbour_side
 
-    def _detect_grid(self, flat_cell_nodes: np.ndarray):
-        """Recognise the canonical rectilinear numbering, if present.
+    @cached_property
+    def corner_nodes(self) -> np.ndarray:
+        """(4, ncell) connectivity: row k is every cell's corner-k node."""
+        return _take_ready([self.cell_nodes.T])[0]
+
+    @cached_property
+    def _continuations(self):
+        """Cells and sides continuing every in-cell edge ``k`` backward
+        (across side k−1) and forward (across side k+1), 0 where
+        missing, plus the mask of edges lacking either (mesh boundary;
+        the limiter forces ψ = 0 there).  Each (ncell, 4)."""
+        nb, ns = self._neighbours, self._sides
+        lcell, rcell = nb[:, _PREV], nb[:, _NEXT]
+        has_b, has_f = lcell >= 0, rcell >= 0
+        return (np.where(has_b, lcell, 0), np.where(has_b, ns[:, _PREV], 0),
+                np.where(has_f, rcell, 0), np.where(has_f, ns[:, _NEXT], 0),
+                ~(has_b & has_f))
+
+    @cached_property
+    def limiter_nodes(self):
+        """Node indices of the Christiansen continuation jumps (what
+        ``repro.ensemble`` reads): ``(n_b1, n_b0, n_f1, n_f0, off)``,
+        each (ncell, 4) — the node pairs of the backward/forward
+        continuation edges of every in-cell edge, and the mask of edges
+        whose continuation is missing."""
+        lc, ls, rc, rs, off = self._continuations
+        cn = self.cell_nodes
+        return _take_ready((cn[lc, ls],              # our corner k
+                            cn[lc, (ls + 3) % 4],
+                            cn[rc, (rs + 2) % 4],
+                            cn[rc, (rs + 1) % 4],    # our corner k+1
+                            off))
+
+    @cached_property
+    def limiter_edges(self):
+        """The same jumps as edges of the neighbouring cells (what
+        ``repro.core`` reads): ``u[n_b1] − u[n_b0]`` *is* edge ``ls − 1``
+        of cell ``lc`` (the forward one edge ``rs + 1`` of ``rc``), a
+        value the viscosity has already computed.  ``(back, fwd, off)``,
+        each (4, ncell): flat indices into a corner-major edge array,
+        and the missing-continuation mask."""
+        lc, ls, rc, rs, off = self._continuations
+        back = ((ls + 3) % 4) * self.ncell + lc
+        fwd = ((rs + 1) % 4) * self.ncell + rc
+        return _take_ready((back.T, fwd.T, off.T))
+
+    @cached_property
+    def grid_shape(self):
+        """(ny, nx) when the mesh has the canonical rectilinear
+        numbering, else None.
 
         Cell (i, j) of an nx×ny grid owns nodes ``[j(nx+1)+i, +1,
         +nx+2, +nx+1]`` (counter-clockwise).  On such meshes the
         corner→node scatter collapses to four shifted-window adds.
         """
-        cn = flat_cell_nodes.reshape(self.ncell, 4)
+        cn = self.cell_nodes
         if self.ncell == 0 or cn[0, 0] != 0 or cn[0, 1] != 1:
             return None
         nx = int(cn[0, 3]) - 1
@@ -173,39 +163,49 @@ class MeshPlans:
     # ------------------------------------------------------------------
     def gather(self, nodal: np.ndarray,
                out: Optional[np.ndarray] = None) -> np.ndarray:
-        """(ncell, 4) per-corner values of a nodal array."""
-        if out is None:
-            return nodal[self.mesh.cell_nodes]
-        return np.take(nodal, self.mesh.cell_nodes, out=out, mode="clip")
+        """Corner-major (4, ncell) per-corner values of a nodal array."""
+        return np.take(nodal, self.corner_nodes, out=out, mode="clip")
 
     def scatter_to_nodes(self, corner_field: np.ndarray,
-                         out: Optional[np.ndarray] = None) -> np.ndarray:
+                         out: Optional[np.ndarray] = None,
+                         pad: Optional[np.ndarray] = None) -> np.ndarray:
         """Sum an (ncell, 4) corner field onto nodes -> (nnode,).
 
         On a canonical structured grid the scatter is four shifted
-        2-D window adds, performed in ascending-cell order per node —
+        window adds, performed in ascending-cell order per node —
         bit-for-bit identical to ``bincount``, with no intermediate
         index traffic at all.  Every other mesh goes through
         ``bincount`` itself.  Orphan (valence-0) nodes get 0.
+
+        Any strides do: the ``.T`` view of a corner-major array scatters
+        its four rows as the four planes.  ``pad``: nnode-sized scratch.
         """
         if (self.grid_shape is not None
-                and corner_field.flags.c_contiguous
                 and (out is None or out.flags.c_contiguous)):
             ny, nx = self.grid_shape
+            pitch = nx + 1
             if out is None:
                 out = np.empty(self.nnode)
-            f = corner_field.reshape(ny, nx, 4)
-            o = out.reshape(ny + 1, nx + 1)
+            if pad is None:
+                pad = np.empty(self.nnode)
+            # A window add on the (ny+1, nx+1) node grid is a strided
+            # 2-D ufunc (64 KB iterator buffers, extra passes); widened
+            # to the node pitch by a zero column, each plane adds as one
+            # contiguous 1-D run at an offset.  The zeros land on nodes
+            # the plane does not touch; the sums never hold -0.0.
+            wide = pad[:ny * pitch].reshape(ny, pitch)
+            wide[:, nx] = 0.0
+            out.fill(0.0)
             # A node's incident cells in ascending index order reach it
             # through corners 2, 3, 1, 0 — adding the planes in that
             # order reproduces bincount's accumulation exactly.
-            o.fill(0.0)
-            o[1:, 1:] += f[:, :, 2]
-            o[1:, :-1] += f[:, :, 3]
-            o[:-1, 1:] += f[:, :, 1]
-            o[:-1, :-1] += f[:, :, 0]
+            for k, offset in ((2, pitch + 1), (3, pitch), (1, 1), (0, 0)):
+                wide[:, :nx] = corner_field[:, k].reshape(ny, nx)
+                n = min(ny * pitch, self.nnode - offset)
+                target = out[offset:offset + n]
+                target += pad[:n]
             return out
-        result = np.bincount(self.mesh.cell_nodes.reshape(-1),
+        result = np.bincount(self.cell_nodes.reshape(-1),
                              weights=corner_field.reshape(-1),
                              minlength=self.nnode)
         if out is None:
@@ -240,7 +240,7 @@ class MeshPlans:
             o[:, :-1, 1:] += f[:, :, :, 1]
             o[:, :-1, :-1] += f[:, :, :, 0]
             return out
-        flat_nodes = self.mesh.cell_nodes.reshape(-1)
+        flat_nodes = self.cell_nodes.reshape(-1)
         for i in range(b):
             out[i] = np.bincount(flat_nodes,
                                  weights=corner_field[i].reshape(-1),

@@ -13,16 +13,17 @@ committed by copying out of the arena.
 Two kinds of buffer:
 
 * **Borrowed** (:meth:`Workspace.borrow` / :meth:`Workspace.release`) —
-  the default.  A per-``(shape, dtype)`` free-list: ``borrow`` pops the
-  most-recently-released block (cache-hot, exactly the recycling
-  ``malloc`` gives allocate-per-call code) or allocates on first use;
-  ``release`` returns blocks when the value dies.  Because a released
-  block serves whoever borrows that shape next — the next kernel, the
-  next phase — the arena's footprint is the *peak live* set of the
-  most demanding phase, not the sum over phases.  Only borrow shapes
-  that recur: a block of a shape nothing else asks for just sits on
-  the free-list (the remap's face-shaped temporaries are plain
-  allocations for that reason).
+  the default.  A per-``(element count, dtype)`` free-list: ``borrow``
+  pops the most-recently-released block (cache-hot, exactly the
+  recycling ``malloc`` gives allocate-per-call code), viewed in the
+  requested shape, or allocates on first use; ``release`` returns
+  blocks when the value dies.  Because a released block serves whoever
+  borrows that many elements next — the next kernel, the remap's
+  ``(ncell, 4)`` temporaries out of the step's ``(4, ncell)`` blocks —
+  the arena's footprint is the *peak live* set of the most demanding
+  phase, not the sum over phases.  Only borrow sizes that recur: any
+  other block just sits on the free-list (the remap's face-shaped
+  temporaries are plain allocations for that reason).
 * **Named** (:meth:`Workspace.array` / :meth:`Workspace.zeros`) — keyed
   by ``(name, shape, dtype)`` and never recycled, so the exception: a
   result that must stay put across several kernel calls of one phase
@@ -38,11 +39,18 @@ also runs standalone.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
 Shape = Union[int, Tuple[int, ...]]
+
+
+def _as_shape(shape: Shape) -> Tuple[int, ...]:
+    if isinstance(shape, (int, np.integer)):
+        return (int(shape),)
+    return tuple(int(s) for s in shape)
 
 
 class Workspace:
@@ -54,7 +62,7 @@ class Workspace:
 
     def __init__(self) -> None:
         self._buffers: Dict[Tuple[str, Tuple[int, ...], str], np.ndarray] = {}
-        self._free: Dict[Tuple[Tuple[int, ...], str], list] = {}
+        self._free: Dict[Tuple[int, str], list] = {}
         #: arrays ever allocated by :meth:`borrow` (free + outstanding)
         self._borrowed_count = 0
         self._borrowed_nbytes = 0
@@ -66,10 +74,7 @@ class Workspace:
     def array(self, name: str, shape: Shape,
               dtype: np.dtype = np.float64) -> np.ndarray:
         """Uninitialised buffer for ``name``; contents are scratch."""
-        if isinstance(shape, (int, np.integer)):
-            shape = (int(shape),)
-        else:
-            shape = tuple(int(s) for s in shape)
+        shape = _as_shape(shape)
         key = (name, shape, np.dtype(dtype).str)
         buf = self._buffers.get(key)
         if buf is None:
@@ -90,19 +95,16 @@ class Workspace:
     def borrow(self, shape: Shape,
                dtype: np.dtype = np.float64) -> np.ndarray:
         """Scratch buffer from the free-list (most-recently-released
-        first); allocates only when the list for this (shape, dtype) is
-        empty.  Pair every ``borrow`` with a :meth:`release` when the
-        temporary dies — a missing release shows up as arena growth,
-        which the no-growth tests catch."""
-        if isinstance(shape, (int, np.integer)):
-            shape = (int(shape),)
-        else:
-            shape = tuple(int(s) for s in shape)
-        key = (shape, np.dtype(dtype).str)
-        pool = self._free.get(key)
+        first); allocates only when the list for this (element count,
+        dtype) is empty.  Pair every ``borrow`` with a :meth:`release`
+        when the temporary dies — a missing release shows up as arena
+        growth, which the no-growth tests catch."""
+        shape = _as_shape(shape)
+        pool = self._free.get((math.prod(shape), np.dtype(dtype).str))
         if pool:
             self.hits += 1
-            return pool.pop()
+            buf = pool.pop()
+            return buf if buf.shape == shape else buf.reshape(shape)
         self.misses += 1
         buf = np.empty(shape, dtype=dtype)
         self._borrowed_count += 1
@@ -113,10 +115,10 @@ class Workspace:
         """Return borrowed buffers to the free-list.
 
         The caller must not touch a buffer after releasing it; the next
-        ``borrow`` of the same shape/dtype will hand it out again.
+        ``borrow`` of the same size/dtype will hand it out again.
         """
         for buf in arrays:
-            key = (buf.shape, buf.dtype.str)
+            key = (buf.size, buf.dtype.str)
             self._free.setdefault(key, []).append(buf)
 
     def __len__(self) -> int:

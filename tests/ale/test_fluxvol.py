@@ -66,9 +66,8 @@ def test_dual_volume_identity(wonky_mesh):
     x1, y1 = _random_interior_move(mesh, seed=4)
 
     def nodal_volume(x, y):
-        cx, cy = x[mesh.cell_nodes], y[mesh.cell_nodes]
-        cvol = geometry.corner_volumes(cx, cy)
-        return np.bincount(mesh.cell_nodes.ravel(), weights=cvol.ravel(),
+        cvol = geometry.corner_volumes(*geometry.gather(mesh, x, y))
+        return np.bincount(mesh.cell_nodes.ravel(), weights=cvol.T.ravel(),
                            minlength=mesh.nnode)
 
     w0 = nodal_volume(mesh.x, mesh.y)

@@ -14,7 +14,7 @@ def _bulk(mesh, u, v, cq1=0.5, cq2=0.75):
     cx, cy = geometry.gather(mesh, mesh.x, mesh.y)
     volume = geometry.cell_volumes(cx, cy)
     return viscosity.bulk_q(
-        cx, cy, u, v, mesh.cell_nodes,
+        mesh, cx, cy, u, v,
         np.ones(mesh.ncell), np.ones(mesh.ncell), volume, cq1, cq2,
     )
 

@@ -8,14 +8,14 @@ from repro.core.energy import getein
 
 def test_no_force_no_change(uniform_state):
     state = uniform_state
-    z = np.zeros((state.mesh.ncell, 4))
+    z = np.zeros((4, state.mesh.ncell))
     e = getein(state, z, z, state.u, state.v, 0.1)
     np.testing.assert_array_equal(e, state.e)
 
 
 def test_no_velocity_no_change(uniform_state):
     state = uniform_state
-    f = np.ones((state.mesh.ncell, 4))
+    f = np.ones((4, state.mesh.ncell))
     e = getein(state, f, f, np.zeros(state.mesh.nnode),
                np.zeros(state.mesh.nnode), 0.1)
     np.testing.assert_array_equal(e, state.e)
@@ -26,8 +26,8 @@ def test_work_sign_convention(uniform_state):
     (the cell does work on the nodes)."""
     state = uniform_state
     mesh = state.mesh
-    fx = np.ones((mesh.ncell, 4))
-    fy = np.zeros((mesh.ncell, 4))
+    fx = np.ones((4, mesh.ncell))
+    fy = np.zeros((4, mesh.ncell))
     u = np.ones(mesh.nnode)
     e = getein(state, fx, fy, u, np.zeros(mesh.nnode), 0.1)
     assert np.all(e < state.e)
@@ -36,7 +36,7 @@ def test_work_sign_convention(uniform_state):
 def test_energy_change_exact_value(uniform_state):
     state = uniform_state
     mesh = state.mesh
-    fx = np.full((mesh.ncell, 4), 0.5)
+    fx = np.full((4, mesh.ncell), 0.5)
     u = np.full(mesh.nnode, 2.0)
     dt = 0.25
     e = getein(state, fx, np.zeros_like(fx), u, np.zeros(mesh.nnode), dt)
@@ -53,8 +53,8 @@ def test_exactly_compensates_kinetic_change(uniform_state):
     state.bc.flags[:] = 0      # free boundaries: no wall work
     mesh = state.mesh
     rng = np.random.default_rng(5)
-    fx = rng.standard_normal((mesh.ncell, 4))
-    fy = rng.standard_normal((mesh.ncell, 4))
+    fx = rng.standard_normal((4, mesh.ncell))
+    fy = rng.standard_normal((4, mesh.ncell))
     dt = 1e-3
     ke0 = state.kinetic_energy()
     ie0 = state.internal_energy()

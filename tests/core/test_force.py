@@ -1,4 +1,7 @@
-"""Unit tests for the corner-force assembly (getforce)."""
+"""Unit tests for the corner-force assembly (getforce).
+
+Corner arrays are corner-major: ``f[k, c]`` is corner ``k`` of cell ``c``.
+"""
 
 import numpy as np
 import pytest
@@ -16,9 +19,9 @@ def test_pressure_force_direction_square():
     fx, fy = pressure_forces(cx, cy, np.array([2.0]))
     centre = np.array([0.5, 0.5])
     for k in range(4):
-        corner = np.array([cx[0, k], cy[0, k]])
+        corner = np.array([cx[k, 0], cy[k, 0]])
         outward = corner - centre
-        assert fx[0, k] * outward[0] + fy[0, k] * outward[1] > 0.0
+        assert fx[k, 0] * outward[0] + fy[k, 0] * outward[1] > 0.0
 
 
 def test_pressure_force_magnitude_square():
@@ -34,8 +37,8 @@ def test_pressure_force_momentum_free(wonky_mesh):
     cx, cy = geometry.gather(wonky_mesh, wonky_mesh.x, wonky_mesh.y)
     p = np.linspace(1.0, 2.0, wonky_mesh.ncell)
     fx, fy = pressure_forces(cx, cy, p)
-    np.testing.assert_allclose(fx.sum(axis=1), 0.0, atol=1e-13)
-    np.testing.assert_allclose(fy.sum(axis=1), 0.0, atol=1e-13)
+    np.testing.assert_allclose(fx.sum(axis=0), 0.0, atol=1e-13)
+    np.testing.assert_allclose(fy.sum(axis=0), 0.0, atol=1e-13)
 
 
 def test_uniform_pressure_assembles_to_zero_on_interior_nodes():
@@ -43,9 +46,9 @@ def test_uniform_pressure_assembles_to_zero_on_interior_nodes():
     mesh = rect_mesh(4, 4)
     cx, cy = geometry.gather(mesh, mesh.x, mesh.y)
     fx, fy = pressure_forces(cx, cy, np.ones(mesh.ncell))
-    node_fx = np.bincount(mesh.cell_nodes.ravel(), weights=fx.ravel(),
+    node_fx = np.bincount(mesh.cell_nodes.ravel(), weights=fx.T.ravel(),
                           minlength=mesh.nnode)
-    node_fy = np.bincount(mesh.cell_nodes.ravel(), weights=fy.ravel(),
+    node_fy = np.bincount(mesh.cell_nodes.ravel(), weights=fy.T.ravel(),
                           minlength=mesh.nnode)
     interior = np.setdiff1d(np.arange(mesh.nnode), mesh.boundary_nodes())
     np.testing.assert_allclose(node_fx[interior], 0.0, atol=1e-13)
@@ -58,7 +61,7 @@ def test_pressure_gradient_accelerates_towards_low_pressure():
     xc, _ = mesh.cell_centroids()
     p = 4.0 - xc            # decreasing to the right
     fx, fy = pressure_forces(cx, cy, p)
-    node_fx = np.bincount(mesh.cell_nodes.ravel(), weights=fx.ravel(),
+    node_fx = np.bincount(mesh.cell_nodes.ravel(), weights=fx.T.ravel(),
                           minlength=mesh.nnode)
     interior = np.setdiff1d(np.arange(mesh.nnode), mesh.boundary_nodes())
     # actually all nodes of this single-row mesh are boundary; use nodes
@@ -72,7 +75,7 @@ def _full_force(mesh, state_like, controls):
     return getforce(
         mesh, cx, cy, state_like["u"], state_like["v"], state_like["p"],
         state_like["rho"], state_like["cs2"],
-        np.zeros((mesh.ncell, 4)), np.zeros((mesh.ncell, 4)),
+        np.zeros((4, mesh.ncell)), np.zeros((4, mesh.ncell)),
         state_like["corner_mass"], state_like["corner_volume"],
         state_like["volume"], controls,
     )
@@ -101,7 +104,7 @@ def test_getforce_sums_viscous_input(wonky_mesh):
     s = _state_dict(mesh)
     controls = HydroControls()
     cx, cy = geometry.gather(mesh, s["x"], s["y"])
-    fq = np.ones((mesh.ncell, 4))
+    fq = np.ones((4, mesh.ncell))
     fx0, fy0 = getforce(mesh, cx, cy, s["u"], s["v"], s["p"], s["rho"],
                         s["cs2"], np.zeros_like(fq), np.zeros_like(fq),
                         s["corner_mass"], s["corner_volume"], s["volume"],
@@ -118,7 +121,8 @@ def test_getforce_hourglass_terms_off_by_default(wonky_mesh):
     """κ = 0 controls add nothing even with distorted corner masses."""
     mesh = wonky_mesh
     s = _state_dict(mesh)
-    s["corner_mass"] = s["corner_mass"] * np.array([2.0, 0.5, 2.0, 0.5])
+    s["corner_mass"] = (s["corner_mass"]
+                        * np.array([2.0, 0.5, 2.0, 0.5])[:, None])
     controls = HydroControls()   # kappas default to 0
     fx, fy = _full_force(mesh, s, controls)
     cx, cy = geometry.gather(mesh, s["x"], s["y"])
@@ -138,7 +142,7 @@ def test_getforce_subzonal_resists_corner_compression(wonky_mesh):
     px, py = pressure_forces(cx, cy, s["p"])
     assert np.abs(fx - px).max() > 0.0
     # and momentum is still conserved per cell
-    np.testing.assert_allclose((fx - px).sum(axis=1), 0.0, atol=1e-13)
+    np.testing.assert_allclose((fx - px).sum(axis=0), 0.0, atol=1e-13)
 
 
 def test_getforce_filter_damps_hourglass_velocity(unit_square_mesh):
@@ -152,6 +156,6 @@ def test_getforce_filter_damps_hourglass_velocity(unit_square_mesh):
     fx, fy = _full_force(mesh, s, controls)
     cx, cy = geometry.gather(mesh, s["x"], s["y"])
     px, py = pressure_forces(cx, cy, s["p"])
-    extra = fx[0] - px[0]
+    extra = fx[:, 0] - px[:, 0]
     # damping force opposes the pattern
     assert np.all(extra * np.array([1.0, -1.0, 1.0, -1.0]) < 0.0)

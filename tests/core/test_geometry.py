@@ -1,4 +1,8 @@
-"""Unit tests for the geometry kernels (getgeom)."""
+"""Unit tests for the geometry kernels (getgeom).
+
+Corner arrays are corner-major, (4, ncell): ``a[k, c]`` is corner ``k``
+of cell ``c`` and the subzone gradients are ``[subzone, node, cell]``.
+"""
 
 import numpy as np
 import pytest
@@ -47,43 +51,45 @@ def test_volume_gradients_match_finite_differences(wonky_mesh):
             vm = geometry.cell_volumes(*geometry.gather(mesh, x, y))[c]
             arr[node] += h
             fd = (vp - vm) / (2 * h)
-            assert grad[c, k] == pytest.approx(fd, abs=1e-6)
+            assert grad[k, c] == pytest.approx(fd, abs=1e-6)
 
 
 def test_volume_gradients_sum_to_zero(wonky_mesh):
     """Translation invariance: Σ_i ∂V/∂x_i = 0 per cell."""
     cx, cy = _cell_coords(wonky_mesh)
     dvdx, dvdy = geometry.volume_gradients(cx, cy)
-    np.testing.assert_allclose(dvdx.sum(axis=1), 0.0, atol=1e-14)
-    np.testing.assert_allclose(dvdy.sum(axis=1), 0.0, atol=1e-14)
+    np.testing.assert_allclose(dvdx.sum(axis=0), 0.0, atol=1e-14)
+    np.testing.assert_allclose(dvdy.sum(axis=0), 0.0, atol=1e-14)
 
 
 def test_corner_volumes_tile_the_cell(wonky_mesh):
     cx, cy = _cell_coords(wonky_mesh)
     cvol = geometry.corner_volumes(cx, cy)
     vol = geometry.cell_volumes(cx, cy)
-    np.testing.assert_allclose(cvol.sum(axis=1), vol, rtol=1e-13)
+    np.testing.assert_allclose(cvol.sum(axis=0), vol, rtol=1e-13)
 
 
 def test_corner_volumes_square_are_quarters():
     cx, cy = _cell_coords(single_cell_mesh())
-    np.testing.assert_allclose(geometry.corner_volumes(cx, cy)[0], 0.25)
+    cvol = geometry.corner_volumes(cx, cy)
+    assert cvol.shape == (4, 1)
+    np.testing.assert_allclose(cvol[:, 0], 0.25)
 
 
 def test_subzone_gradients_sum_to_cell_gradient(wonky_mesh):
     cx, cy = _cell_coords(wonky_mesh)
     gx, gy = geometry.subzone_volume_gradients(cx, cy)
     dvdx, dvdy = geometry.volume_gradients(cx, cy)
-    np.testing.assert_allclose(gx.sum(axis=1), dvdx, atol=1e-13)
-    np.testing.assert_allclose(gy.sum(axis=1), dvdy, atol=1e-13)
+    np.testing.assert_allclose(gx.sum(axis=0), dvdx, atol=1e-13)
+    np.testing.assert_allclose(gy.sum(axis=0), dvdy, atol=1e-13)
 
 
 def test_subzone_gradients_momentum_free(wonky_mesh):
     """Each subzone's gradients sum to zero over the cell's nodes."""
     cx, cy = _cell_coords(wonky_mesh)
     gx, gy = geometry.subzone_volume_gradients(cx, cy)
-    np.testing.assert_allclose(gx.sum(axis=2), 0.0, atol=1e-13)
-    np.testing.assert_allclose(gy.sum(axis=2), 0.0, atol=1e-13)
+    np.testing.assert_allclose(gx.sum(axis=1), 0.0, atol=1e-13)
+    np.testing.assert_allclose(gy.sum(axis=1), 0.0, atol=1e-13)
 
 
 def test_subzone_gradients_match_finite_differences():
@@ -96,11 +102,11 @@ def test_subzone_gradients_match_finite_differences():
     c, i, j = 1, 2, 0   # cell, subzone, node
     node = mesh.cell_nodes[c, j]
     x[node] += h
-    vp = geometry.corner_volumes(*geometry.gather(mesh, x, y))[c, i]
+    vp = geometry.corner_volumes(*geometry.gather(mesh, x, y))[i, c]
     x[node] -= 2 * h
-    vm = geometry.corner_volumes(*geometry.gather(mesh, x, y))[c, i]
+    vm = geometry.corner_volumes(*geometry.gather(mesh, x, y))[i, c]
     fd = (vp - vm) / (2 * h)
-    assert gx[c, i, j] == pytest.approx(fd, abs=1e-6)
+    assert gx[i, j, c] == pytest.approx(fd, abs=1e-6)
 
 
 def test_cfl_length_square_is_edge():
@@ -121,7 +127,10 @@ def test_getgeom_returns_consistent_values(wonky_mesh):
     cx, cy, vol, cvol = geometry.getgeom(wonky_mesh, wonky_mesh.x,
                                          wonky_mesh.y)
     np.testing.assert_allclose(vol, wonky_mesh.cell_areas())
-    np.testing.assert_allclose(cvol.sum(axis=1), vol, rtol=1e-13)
+    np.testing.assert_allclose(cvol.sum(axis=0), vol, rtol=1e-13)
+    # the gather is the corner-major face of mesh.cell_nodes
+    assert np.array_equal(cx, wonky_mesh.x[wonky_mesh.cell_nodes].T)
+    assert np.array_equal(cy, wonky_mesh.y[wonky_mesh.cell_nodes].T)
 
 
 def test_getgeom_detects_tangling(unit_square_mesh):
@@ -150,6 +159,25 @@ def test_check_mask_suppresses_ghost_failures(unit_square_mesh):
     mask[bad_cells] = False
     # also mask cells with bad corner volumes
     cvol = geometry.corner_volumes(*geometry.gather(mesh, x, y))
-    mask[np.unique(np.nonzero(cvol <= 0)[0])] = False
+    mask[np.unique(np.nonzero(cvol <= 0)[1])] = False
     cx, cy, vol, cv = geometry.getgeom(mesh, x, y, check_mask=mask)
     assert vol.shape == (mesh.ncell,)
+
+
+def test_check_volumes_releases_its_mask_on_failure():
+    """The failing path must hand the borrowed mask back: a tangle that
+    is caught and retried must not grow the arena."""
+    from repro.perf.workspace import Workspace
+
+    ws = Workspace()
+    for volume in (np.array([1.0, -1.0, 2.0]),
+                   np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0]])):
+        for _ in range(3):
+            with pytest.raises(TangledMeshError) as err:
+                geometry.check_volumes(volume, ws=ws)
+            assert err.value.cells == [1]
+    assert len(ws) == 2          # one bool block per size, recycled
+    # a mask that excludes the bad cell passes and allocates nothing new
+    geometry.check_volumes(np.array([1.0, -1.0, 2.0]),
+                           mask=np.array([True, False, True]), ws=ws)
+    assert len(ws) == 2 and ws.misses == 2

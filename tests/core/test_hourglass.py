@@ -1,4 +1,8 @@
-"""Unit tests for the hourglass-control forces."""
+"""Unit tests for the hourglass-control forces.
+
+Corner arrays are corner-major, (4, ncell); the subzone gradients are
+``[subzone, node, cell]``.
+"""
 
 import numpy as np
 import pytest
@@ -33,14 +37,14 @@ def test_subzonal_forces_conserve_momentum():
         cx, cy, corner_mass, cvol, np.ones(mesh.ncell),
         np.ones(mesh.ncell), kappa=1.0,
     )
-    np.testing.assert_allclose(fx.sum(axis=1), 0.0, atol=1e-12)
-    np.testing.assert_allclose(fy.sum(axis=1), 0.0, atol=1e-12)
+    np.testing.assert_allclose(fx.sum(axis=0), 0.0, atol=1e-12)
+    np.testing.assert_allclose(fy.sum(axis=0), 0.0, atol=1e-12)
 
 
 def test_subzonal_scales_linearly_with_kappa():
     mesh = single_cell_mesh()
     cx, cy, vol, cvol = _geom(mesh)
-    corner_mass = cvol * np.array([[2.0, 0.5, 2.0, 0.5]])
+    corner_mass = cvol * np.array([[2.0], [0.5], [2.0], [0.5]])
     args = (cx, cy, corner_mass, cvol, np.ones(1), np.ones(1))
     f1x, _ = hourglass.subzonal_pressure_forces(*args, kappa=1.0)
     f2x, _ = hourglass.subzonal_pressure_forces(*args, kappa=2.0)
@@ -60,12 +64,16 @@ def test_subzonal_restores_hourglassed_corner_volumes():
     gx, gy = geometry.subzone_volume_gradients(cx, cy)
     # the force component from subzone 0 pushes node 0 along +grad V_0
     assert fx[0, 0] * gx[0, 0, 0] + fy[0, 0] * gy[0, 0, 0] > 0.0
+    # and every other node j feels subzone 0 along its own ∂V_0/∂x_j
+    for j in range(1, 4):
+        assert fx[j, 0] == pytest.approx(gx[0, j, 0])
+        assert fy[j, 0] == pytest.approx(gy[0, j, 0])
 
 
 def test_filter_zero_for_rigid_motion():
     mesh = rect_mesh(2, 2)
-    cu = np.ones((mesh.ncell, 4)) * 2.0
-    cv = np.ones((mesh.ncell, 4)) * -1.0
+    cu = np.ones((4, mesh.ncell)) * 2.0
+    cv = np.ones((4, mesh.ncell)) * -1.0
     fx, fy = hourglass.hourglass_filter_forces(
         cu, cv, np.ones(mesh.ncell), np.ones(mesh.ncell),
         np.ones(mesh.ncell), kappa=1.0,
@@ -88,15 +96,15 @@ def test_filter_zero_for_linear_stretching():
 
 
 def test_filter_damps_hourglass_mode_and_dissipates():
-    cu = np.array([[1.0, -1.0, 1.0, -1.0]])
-    cv = np.zeros((1, 4))
+    cu = np.array([[1.0], [-1.0], [1.0], [-1.0]])
+    cv = np.zeros((4, 1))
     fx, fy = hourglass.hourglass_filter_forces(
         cu, cv, np.ones(1), np.ones(1), np.ones(1), kappa=0.3,
     )
     work = (fx * cu + fy * cv).sum()
     assert work < 0.0                       # strictly dissipative
     assert fx.sum() == pytest.approx(0.0)   # momentum free
-    assert np.all(fx[0] * cu[0] < 0.0)      # opposes the pattern
+    assert np.all(fx[:, 0] * cu[:, 0] < 0.0)  # opposes the pattern
 
 
 def test_hourglass_amplitude_diagnostic():

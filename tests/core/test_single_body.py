@@ -8,6 +8,13 @@ kernel, so this test parses the kernel packages and fails on any
 comparison of a ``ws``/``plans``/``workspace`` name (or attribute)
 against ``None``.  It walks the AST, so docstrings and comments may say
 what they like.
+
+The same walk keeps ``repro.core`` corner-major: inside the Lagrangian
+step a corner array is (4, ncell), so the (ncell, 4) idioms — rolled
+corner columns (``roll_next``/``roll_prev``), per-cell operands spread
+over four columns (``spread_corners``), ``axis=1`` reductions over the
+length-4 corner axis and ``einsum("ck,...")`` contractions — each mean a
+kernel slipped back to the old layout and its strided passes.
 """
 
 import ast
@@ -44,6 +51,62 @@ def _violations(tree: ast.AST):
             found += [(node.lineno, name) for name in
                       map(_fork_name, operands) if name]
     return found
+
+
+#: names of the deleted (ncell, 4) helpers
+OLD_LAYOUT_NAMES = ("roll_next", "roll_prev", "spread_corners")
+
+
+def _called_name(node: ast.AST):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+def _old_layout_idioms(tree: ast.AST):
+    found = []
+    for node in ast.walk(tree):
+        if _called_name(node) in OLD_LAYOUT_NAMES:
+            found.append((node.lineno, _called_name(node)))
+        if not isinstance(node, ast.Call):
+            continue
+        for kw in node.keywords:
+            if (kw.arg == "axis" and isinstance(kw.value, ast.Constant)
+                    and kw.value.value == 1):
+                found.append((node.lineno, "axis=1"))
+        if (_called_name(node.func) == "einsum" and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and str(node.args[0].value).startswith("ck,")):
+            found.append((node.lineno, f'einsum("{node.args[0].value}")'))
+    return sorted(found)
+
+
+def test_core_kernels_stay_corner_major():
+    found = []
+    for path in sorted((SRC / "core").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{ln} ({what})"
+                  for ln, what in _old_layout_idioms(tree)]
+    assert not found, (
+        "repro.core is corner-major, (4, ncell); (ncell, 4) idioms at "
+        + ", ".join(found))
+
+
+def test_the_checker_itself_catches_old_layout_idioms():
+    tree = ast.parse(
+        "from ..perf.plans import roll_next\n"
+        "spread_corners(p, sp)\n"
+        "plans.roll_prev(a, out=b)\n"
+        "g = np.mean(cx, axis=1, out=g)\n"
+        "w = np.einsum('ck,ck->c', fx, cu)\n"
+        "ok = np.einsum('ci,cij->cj', a, b) + x.sum(axis=0)\n")
+    assert [what for _, what in _old_layout_idioms(tree)] == [
+        "roll_next", "spread_corners", "roll_prev", "axis=1",
+        'einsum("ck,ck->c")']
 
 
 @pytest.mark.parametrize("package", PACKAGES)

@@ -1,4 +1,7 @@
-"""Unit tests for the artificial viscosity kernel (getq)."""
+"""Unit tests for the artificial viscosity kernel (getq).
+
+Corner arrays are corner-major, (4, ncell).
+"""
 
 import numpy as np
 import pytest
@@ -15,6 +18,13 @@ def _getq(mesh, u, v, rho=None, cs2=None, cq1=0.5, cq2=0.75, limiter=True):
     gamma = np.full(ncell, 5.0 / 3.0)
     return viscosity.getq(mesh, cx, cy, u, v, rho, cs2, gamma,
                           cq1, cq2, limiter)
+
+
+def _jumps(mesh, u, v):
+    """Corner-major edge velocity jumps ``u[k+1] − u[k]``."""
+    cu = u[mesh.cell_nodes].T
+    cv = v[mesh.cell_nodes].T
+    return np.roll(cu, -1, axis=0) - cu, np.roll(cv, -1, axis=0) - cv
 
 
 def test_zero_for_gas_at_rest(unit_square_mesh):
@@ -80,8 +90,8 @@ def test_forces_conserve_momentum(unit_square_mesh):
     v = rng.standard_normal(mesh.nnode)
     fqx, fqy, _ = _getq(mesh, u, v)
     # edge forces are equal-and-opposite pairs within each cell
-    np.testing.assert_allclose(fqx.sum(axis=1), 0.0, atol=1e-13)
-    np.testing.assert_allclose(fqy.sum(axis=1), 0.0, atol=1e-13)
+    np.testing.assert_allclose(fqx.sum(axis=0), 0.0, atol=1e-13)
+    np.testing.assert_allclose(fqy.sum(axis=0), 0.0, atol=1e-13)
 
 
 def test_forces_dissipate_kinetic_energy(unit_square_mesh):
@@ -93,9 +103,9 @@ def test_forces_dissipate_kinetic_energy(unit_square_mesh):
         u = rng.standard_normal(mesh.nnode)
         v = rng.standard_normal(mesh.nnode)
         fqx, fqy, _ = _getq(mesh, u, v, limiter=False)
-        cu = u[mesh.cell_nodes]
-        cv = v[mesh.cell_nodes]
-        work = (fqx * cu + fqy * cv).sum(axis=1)
+        cu = u[mesh.cell_nodes].T
+        cv = v[mesh.cell_nodes].T
+        work = (fqx * cu + fqy * cv).sum(axis=0)
         assert np.all(work <= 1e-12)
 
 
@@ -132,12 +142,9 @@ def test_christiansen_limiter_bounds(unit_square_mesh):
     rng = np.random.default_rng(11)
     u = rng.standard_normal(mesh.nnode)
     v = rng.standard_normal(mesh.nnode)
-    cu = u[mesh.cell_nodes]
-    cv = v[mesh.cell_nodes]
-    dux = np.roll(cu, -1, axis=1) - cu
-    duy = np.roll(cv, -1, axis=1) - cv
+    dux, duy = _jumps(mesh, u, v)
     psi = viscosity.christiansen_limiter(
-        mesh, u, v, dux, duy, dux ** 2 + duy ** 2
+        mesh, dux, duy, dux ** 2 + duy ** 2
     )
     assert np.all(psi >= 0.0)
     assert np.all(psi <= 1.0)
@@ -148,13 +155,32 @@ def test_boundary_edges_take_full_viscosity(unit_square_mesh):
     mesh = unit_square_mesh
     u = np.full(mesh.nnode, 0.1)
     v = np.zeros(mesh.nnode)
-    cu = u[mesh.cell_nodes]
-    cv = v[mesh.cell_nodes]
-    dux = np.roll(cu, -1, axis=1) - cu
-    duy = np.roll(cv, -1, axis=1) - cv
+    dux, duy = _jumps(mesh, u, v)
     psi = viscosity.christiansen_limiter(
-        mesh, u, v, dux, duy, dux ** 2 + duy ** 2
+        mesh, dux, duy, dux ** 2 + duy ** 2
     )
     nb = mesh.cell_neighbours
     missing = (np.roll(nb, 1, axis=1) < 0) | (np.roll(nb, -1, axis=1) < 0)
-    assert np.all(psi[missing] == 0.0)
+    assert np.all(psi.T[missing] == 0.0)
+
+
+def test_limiter_reads_the_continuation_jumps_of_the_neighbours():
+    """ψ from the edge-indexed jumps equals the textbook evaluation from
+    eight nodal lookups, bit for bit."""
+    mesh = rect_mesh(7, 5)
+    rng = np.random.default_rng(13)
+    u = rng.standard_normal(mesh.nnode)
+    v = rng.standard_normal(mesh.nnode)
+    dux, duy = _jumps(mesh, u, v)
+    dumag_sq = dux ** 2 + duy ** 2
+    psi = viscosity.christiansen_limiter(mesh, dux, duy, dumag_sq)
+    n_b1, n_b0, n_f1, n_f0, off = mesh.plans.limiter_nodes
+    bx, by = (u[n_b1] - u[n_b0]).T, (v[n_b1] - v[n_b0]).T
+    fx, fy = (u[n_f1] - u[n_f0]).T, (v[n_f1] - v[n_f0]).T
+    denom = np.maximum(dumag_sq, viscosity.DU_CUT ** 2)
+    rb = (bx * dux + by * duy) / denom
+    rf = (fx * dux + fy * duy) / denom
+    ref = np.minimum(0.5 * (rb + rf), np.minimum(2.0 * rb, 2.0 * rf))
+    ref = np.clip(np.minimum(ref, 1.0), 0.0, 1.0)
+    ref[off.T] = 0.0
+    assert np.array_equal(psi, ref)

@@ -4,13 +4,14 @@ The plans exist to replace per-call index derivation (``np.roll``,
 ``np.bincount``, fancy-index limiter lookups) with precomputed
 structures.  These tests pin the equivalences the kernels rely on:
 
-* the rolled-corner helpers are bit-for-bit ``np.roll`` (with and
-  without ``out=``),
+* ``corner_reduce`` is bit-for-bit numpy's own length-4 reduction, in
+  either layout (with and without ``out=``),
 * the nodal scatter matches ``np.bincount`` bit-for-bit on every mesh —
   window adds on canonically numbered grids, ``bincount`` itself on
-  arbitrary-numbered and irregular-valence meshes,
-* ``spread_corners`` is bit-for-bit the broadcast it replaces,
-* the hoisted limiter indices equal a fresh ``limiter_indices`` call.
+  arbitrary-numbered and irregular-valence meshes — for an (ncell, 4)
+  field and for the ``.T`` view of a corner-major one,
+* the hoisted limiter indices are take-ready, and the corner-major
+  edge form reads the very jumps the node form subtracts.
 """
 
 import numpy as np
@@ -18,13 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mesh.generator import perturbed_mesh, pinwheel_mesh, rect_mesh
-from repro.perf.plans import (
-    MeshPlans,
-    limiter_indices,
-    roll_next,
-    roll_prev,
-    spread_corners,
-)
+from repro.perf.plans import MeshPlans, corner_reduce
 from tests.conftest import renumbered_mesh
 
 
@@ -34,46 +29,22 @@ def _random_corner_field(mesh, seed):
 
 
 # ----------------------------------------------------------------------
-# rolled-corner columns
+# corner reductions
 # ----------------------------------------------------------------------
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(1, 300), seed=st.integers(0, 2**31 - 1))
-def test_roll_next_matches_np_roll(n, seed):
-    a = np.random.default_rng(seed).standard_normal((n, 4))
-    expected = np.roll(a, -1, axis=1)
-    assert np.array_equal(roll_next(a), expected)
-    out = np.empty_like(a)
-    assert roll_next(a, out=out) is out
-    assert np.array_equal(out, expected)
-
-
-@settings(max_examples=50, deadline=None)
-@given(n=st.integers(1, 300), seed=st.integers(0, 2**31 - 1))
-def test_roll_prev_matches_np_roll(n, seed):
-    a = np.random.default_rng(seed).standard_normal((n, 4))
-    expected = np.roll(a, 1, axis=1)
-    assert np.array_equal(roll_prev(a), expected)
-    out = np.empty_like(a)
-    assert roll_prev(a, out=out) is out
-    assert np.array_equal(out, expected)
-
-
-def test_rolls_work_on_integer_arrays():
-    a = np.arange(20, dtype=np.int64).reshape(5, 4)
-    assert np.array_equal(roll_next(a), np.roll(a, -1, axis=1))
-    assert np.array_equal(roll_prev(a), np.roll(a, 1, axis=1))
-
-
-# ----------------------------------------------------------------------
-# spread_corners
-# ----------------------------------------------------------------------
-@settings(max_examples=50, deadline=None)
-@given(n=st.integers(1, 300), seed=st.integers(0, 2**31 - 1))
-def test_spread_corners_matches_broadcast(n, seed):
-    v = np.random.default_rng(seed).standard_normal(n)
-    out = np.empty((n, 4))
-    assert spread_corners(v, out) is out
-    assert np.array_equal(out, np.broadcast_to(v[:, None], (n, 4)))
+def test_corner_reduce_is_bitwise_numpy_reduce(n, seed):
+    rng = np.random.default_rng(seed)
+    # wide dynamic range: a reassociated sum would show
+    a = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-8, 8, (n, 4))
+    major = np.ascontiguousarray(a.T)       # the in-step (4, n) layout
+    for op, reduce in ((np.add, np.sum), (np.maximum, np.max),
+                       (np.minimum, np.min)):
+        expected = reduce(a, axis=1)
+        assert np.array_equal(corner_reduce(op, a), expected)
+        out = np.empty(n)
+        assert corner_reduce(op, major.T, out=out) is out
+        assert np.array_equal(out, expected)
 
 
 # ----------------------------------------------------------------------
@@ -91,6 +62,9 @@ def test_structured_scatter_is_bitwise_bincount(nx, ny):
     assert plans.grid_shape == (ny, nx)
     field = _random_corner_field(mesh, seed=nx * 1000 + ny)
     assert np.array_equal(plans.scatter_to_nodes(field),
+                          _bincount_scatter(mesh, field))
+    major = np.ascontiguousarray(field.T)
+    assert np.array_equal(plans.scatter_to_nodes(major.T),
                           _bincount_scatter(mesh, field))
 
 
@@ -132,6 +106,8 @@ def _assert_bitwise_bincount(mesh, seed):
     out = np.empty(mesh.nnode)
     assert plans.scatter_to_nodes(field, out=out) is out
     assert np.array_equal(out, expected)
+    major = np.ascontiguousarray(field.T)
+    assert np.array_equal(plans.scatter_to_nodes(major.T), expected)
 
 
 def test_offgrid_scatter_on_pinwheel_mesh():
@@ -159,9 +135,9 @@ def test_scatter_conserves_total():
 def test_gather_matches_fancy_index(wonky_mesh):
     plans = MeshPlans(wonky_mesh)
     nodal = np.random.default_rng(2).standard_normal(wonky_mesh.nnode)
-    expected = nodal[wonky_mesh.cell_nodes]
+    expected = nodal[wonky_mesh.cell_nodes].T       # corner-major
     assert np.array_equal(plans.gather(nodal), expected)
-    out = np.empty((wonky_mesh.ncell, 4))
+    out = np.empty((4, wonky_mesh.ncell))
     assert plans.gather(nodal, out=out) is out
     assert np.array_equal(out, expected)
 
@@ -177,13 +153,21 @@ def test_gather_matches_fancy_index(wonky_mesh):
 def test_limiter_indices_are_hoisted_and_contiguous(make):
     mesh = make()
     plans = MeshPlans(mesh)
-    fresh = limiter_indices(mesh)
-    cached = (plans.lim_n_b1, plans.lim_n_b0, plans.lim_n_f1,
-              plans.lim_n_f0, plans.lim_off)
-    for a, b in zip(cached, fresh):
-        assert np.array_equal(a, b)
-        # np.take silently copies non-contiguous/wrong-dtype index
-        # arrays on every call; the plan must store take-ready layouts.
-        assert a.flags.c_contiguous
-        if a.dtype != np.bool_:
-            assert a.dtype == np.intp
+    for cached in (plans.limiter_nodes, plans.limiter_edges,
+                   (plans.corner_nodes,)):
+        for a in cached:
+            # np.take silently copies non-contiguous/wrong-dtype index
+            # arrays on every call; the plan must store take-ready layouts.
+            assert a.flags.c_contiguous
+            if a.dtype != np.bool_:
+                assert a.dtype == np.intp
+    # The edge form reads, out of the corner-major jumps of all cells,
+    # exactly the differences the node form subtracts.
+    n_b1, n_b0, n_f1, n_f0, off = plans.limiter_nodes
+    back, fwd, off_major = plans.limiter_edges
+    u = np.random.default_rng(8).standard_normal(mesh.nnode)
+    cu = plans.gather(u)
+    du = np.roll(cu, -1, axis=0) - cu
+    assert np.array_equal(np.take(du, back), (u[n_b1] - u[n_b0]).T)
+    assert np.array_equal(np.take(du, fwd), (u[n_f1] - u[n_f0]).T)
+    assert np.array_equal(off_major, off.T)
