@@ -10,8 +10,8 @@ The Lagrangian step communicates at exactly three points per timestep
 
 :class:`SerialComms` (alias :data:`NullComms`) is the do-nothing
 implementation used by serial runs; the simulated Typhon layer
-(:mod:`repro.parallel.typhon`) provides the thread-parallel one and
-:mod:`repro.parallel.backends.processes` the process-parallel one.
+(:class:`repro.parallel.typhon.TyphonComms`) is the one every
+decomposed run uses, over an in-process or a shared-memory transport.
 Keeping the seam this small is what makes the kernels identical in
 serial and parallel — the mini-app's defining property.
 

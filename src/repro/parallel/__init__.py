@@ -2,7 +2,8 @@
 
 BookLeaf decomposes its mesh with RCB or METIS, stores ghost layers and
 communicates through the Typhon library over MPI (paper Section III-A).
-This package reproduces all of that with virtual in-process ranks; see
+This package reproduces all of that with virtual ranks — threads or
+forked processes running one Typhon protocol over two transports; see
 DESIGN.md for the substitution rationale.
 """
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, Type
 
 from ...utils.errors import BookLeafError
-from .processes import ProcessComms, ProcessesBackend, RemoteRankError
+from .processes import ProcessesBackend, RemoteRankError
 from .serial import SerialBackend
 from .threads import ThreadsBackend
 
@@ -58,6 +58,5 @@ __all__ = [
     "SerialBackend",
     "ThreadsBackend",
     "ProcessesBackend",
-    "ProcessComms",
     "RemoteRankError",
 ]

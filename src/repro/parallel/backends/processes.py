@@ -2,83 +2,77 @@
 
 The threads backend overlaps rank work only inside GIL-releasing numpy
 kernels; everything else serialises.  This backend runs each rank's
-*unchanged* SPMD hydro loop in its own forked process, so the ranks
-genuinely execute in parallel, and reimplements the Typhon exchange
-semantics over three primitives:
+*unchanged* SPMD hydro loop — and the *unchanged* Typhon protocol,
+:class:`~repro.parallel.typhon.TyphonComms` — in its own forked
+process, so the ranks genuinely execute in parallel.  What changes is
+only the transport underneath (:class:`SharedMemoryTransport`):
 
-* **mailboxes** — one ``multiprocessing.shared_memory`` segment per
-  rank, holding the rank's double-buffered packed staging (the
-  compiled CommPlan's layout).  At every exchange point each rank
-  packs its send blocks into its own mailbox and index-copies the
-  blocks it needs out of its peers' — with the same ascending-rank
-  summation order as the threads backend, so a processes run is
-  **bit-identical** to a threads run of the same problem.  In
-  ``packed`` mode one ``multiprocessing.Barrier`` frames each
-  exchange; in ``overlap`` mode the split-phase protocol synchronises
-  on per-(rank, section) post/complete counters in a small shared
-  segment instead — no global rendezvous on the halo path.
-* **combining cells** — the per-step dt reduction runs the binomial
-  tree over a shared segment of generation-guarded cells (up-sweep
-  candidates, down-sweep result), O(log P) hops on the critical path.
-* **pipes** — the remaining scalar collectives (the remap's collective
-  skip decision, the metrics probe's sums/minima) stay a
-  gather/broadcast over per-rank ``Pipe`` pairs rooted at rank 0, in
+* **boards** — the protocol's staging, post/complete counters and dt
+  combining cells live in ``multiprocessing.shared_memory`` segments
+  (each rank's staging segment is its halo-sized *mailbox*, the
+  compiled CommPlan's layout);
+* **waiting** — a rank that needs a peer's counter polls it with
+  sleep backoff; there is nobody to notify;
+* **pipes** — the scalar collectives (the remap's collective skip
+  decision, the metrics probe's sums/minima, the end-of-run
+  rendezvous) gather over per-rank ``Pipe`` pairs rooted at rank 0, in
   ascending rank order.
 
-Per-rank :class:`~repro.parallel.typhon.CommStats`, kernel timers and
-trace spans are marshalled back over a result queue when the ranks
-finish and merged with the existing deterministic rank-order rules;
-final states are read back out of the mailboxes by the parent, so
-``gather`` is backend-agnostic.
+Per-rank :class:`~repro.parallel.typhon.CommStats`, kernel timers,
+trace spans and final states are marshalled back over a result queue
+when the ranks finish and merged with the existing deterministic
+rank-order rules, so ``gather`` is backend-agnostic.
 
 Requires the ``fork`` start method (the run context — problem setup,
 subdomains, schedules — is inherited, never pickled), i.e. Linux or
-macOS-with-fork.  See docs/PARALLEL.md for the layout diagram.
+macOS-with-fork.  See docs/PARALLEL.md for the transport table.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import os
 import time
 import traceback
 import warnings
-from contextlib import nullcontext
 from multiprocessing import shared_memory
-from threading import BrokenBarrierError
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ...core.hydro import Hydro
-from ...core.timestep import Candidate
 from ...metrics.watchdog import (
     BOARD_COLS, Heartbeat, HeartbeatBoard, stall_message,
 )
 from ...utils.errors import BookLeafError, CommError, StalledRankWarning
 from ...utils.timers import TimerRegistry
-from ..commplan import SECTIONS, CommPlan, _widths, compile_plans
+from ..commplan import CommPlan
 from ..halo import Subdomain, local_state
 from ..interface import BackendRun
-from ..typhon import (
-    COMM_MODES, DT_REASONS, DT_REDUCE_VALUES, SPIN_TIMEOUT, CommStats,
-    spin_backoff,
-    tree_children, tree_parent,
-)
+from ..typhon import PEER_FAILED, SPIN_TIMEOUT, Transport, TyphonComms
 from .threads import pick_primary_failure, raise_rank_failure
 
 _FLOAT_BYTES = 8
 
-#: column index of each section in the shared post/complete counter
-#: board (one float64 pair per (rank, section), single writer)
-_SECTION_COL = {name: i for i, name in enumerate(SECTIONS)}
+#: what a waiter raises when a peer's pipe end is gone — a *secondary*
+#: symptom, so failure attribution points at the rank that died
+PIPE_CLOSED = "a peer rank closed its pipe; aborting collective"
 
-#: one dt combining cell: (generation, dt, reason code, global cell,
-#: source rank) — generation guards reuse, the rest is the candidate
-_DT_CELL = 5
+#: polling backoff ceiling.  Virtual ranks oversubscribe the host, so a
+#: waiter must *sleep*, not yield: every quantum it burns polling is a
+#: quantum stolen from the very peer it is waiting on.  A handful of
+#: free polls catch the already-arrived case; after that the sleep
+#: doubles from 2 µs up to this ceiling.
+SPIN_MAX_SLEEP = 500e-6
 
-#: shared no-op context for untraced comm calls (mirrors typhon.py)
-_NULL_SPAN = nullcontext()
+
+def spin_backoff(spins: int) -> float:
+    """Sleep duration for the ``spins``-th unsuccessful poll."""
+    if spins < 4:
+        return 0.0
+    return min(SPIN_MAX_SLEEP, 2e-6 * (1 << min(spins - 4, 10)))
+
 
 #: the final-state publication: every field ``gather`` reads, in a
 #: fixed order, as (name, kind, trailing-dim) — kind sizes the leading
@@ -110,12 +104,114 @@ class RemoteRankError(BookLeafError):
         super().__init__(message)
 
 
-def _mailbox_doubles(sub: Subdomain, plan: CommPlan) -> int:
-    """Mailbox capacity (float64 slots) for one rank: exactly the
-    plan's double-buffered packed staging — halo-proportional,
-    typically O(√ncell) — because final states travel over the result
-    queue."""
-    return plan.staging_doubles()
+class SharedMemoryTransport(Transport):
+    """The shared-memory transport: boards in ``shared_memory``
+    segments, waits that poll with sleep backoff, pipes for allgather.
+
+    Built before the ranks fork, so every rank inherits the same
+    segments, failure event and pipe ends (rank 0 holds the root end of
+    one duplex pipe per peer).  Whoever builds it calls
+    :meth:`cleanup`; every process drops its board views first
+    (:meth:`drop_segment_views`) — an mmap cannot close while a numpy
+    export is alive.
+    """
+
+    def __init__(self, plans: List[CommPlan]):
+        ctx = mp.get_context("fork")
+        self.failure = ctx.Event()
+        self.root_conns: Dict[int, object] = {}
+        self.leaf_conns: Dict[int, object] = {}
+        for r in range(1, len(plans)):
+            self.root_conns[r], self.leaf_conns[r] = ctx.Pipe(duplex=True)
+        self.segments: List[shared_memory.SharedMemory] = []
+        super().__init__(plans)
+
+    def board(self, name: str, shape) -> np.ndarray:
+        """A fresh segment (zero-filled by the OS) viewed as float64."""
+        seg = shared_memory.SharedMemory(
+            create=True, size=math.prod(shape) * _FLOAT_BYTES)
+        self.segments.append(seg)
+        return np.ndarray(shape, dtype=np.float64, buffer=seg.buf)
+
+    # ------------------------------------------------------------------
+    def wait(self, rank: int, ready, what: str) -> None:
+        if ready():
+            return
+        deadline = time.monotonic() + SPIN_TIMEOUT
+        spins = 0
+        while True:
+            if self.failure.is_set():
+                raise CommError(PEER_FAILED)
+            spins += 1
+            time.sleep(spin_backoff(spins))
+            if ready():
+                return
+            if spins % 64 == 0 and time.monotonic() > deadline:
+                raise CommError(
+                    f"rank {rank} timed out waiting for {what}")
+
+    def notify(self, ranks) -> None:
+        """Nothing to do: waiters poll the boards."""
+
+    def allgather(self, rank: int, value) -> list:
+        """Gather at rank 0 in ascending rank order, broadcast back."""
+        if rank == 0:
+            entries = [value]
+            for r in range(1, self.size):
+                entries.append(self._recv(self.root_conns[r]))
+            for r in range(1, self.size):
+                self._send(self.root_conns[r], entries)
+            return entries
+        conn = self.leaf_conns[rank]
+        self._send(conn, value)
+        return self._recv(conn)
+
+    def abort(self) -> None:
+        self.failure.set()
+
+    # ------------------------------------------------------------------
+    def _recv(self, conn) -> object:
+        """Blocking pipe receive that fails fast when a peer died."""
+        try:
+            while not conn.poll(0.2):
+                if self.failure.is_set():
+                    raise CommError(PEER_FAILED)
+            return conn.recv()
+        except (EOFError, BrokenPipeError, OSError):
+            raise CommError(PIPE_CLOSED) from None
+
+    def _send(self, conn, payload) -> None:
+        try:
+            conn.send(payload)
+        except (BrokenPipeError, OSError):
+            raise CommError(PIPE_CLOSED) from None
+
+    def close_pipes(self, keep_rank: Optional[int] = None) -> None:
+        """Close every pipe end ``keep_rank`` does not own (all of them
+        for the parent).  Fork duplicated every fd into every child;
+        unowned copies would defeat EOF detection and leak
+        descriptors."""
+        if keep_rank != 0:
+            for conn in self.root_conns.values():
+                conn.close()
+        for r, conn in self.leaf_conns.items():
+            if r != keep_rank:
+                conn.close()
+
+    def drop_segment_views(self) -> None:
+        """Release this process's board views (before interpreter
+        teardown in a rank, before ``cleanup`` in the parent)."""
+        self.staging = self.counters = self.dt_cells = None
+
+    def cleanup(self) -> None:
+        self.drop_segment_views()
+        self.close_pipes()
+        for seg in self.segments:
+            try:
+                seg.close()
+            except BufferError:
+                pass  # a view outlived its owner; still unlink the name
+            seg.unlink()
 
 
 class _ProcessRunContext:
@@ -123,7 +219,7 @@ class _ProcessRunContext:
 
     Fork semantics are load-bearing: children inherit this object (the
     setup, subdomains and schedules are never pickled); only the
-    synchronisation primitives and shared segments are truly shared.
+    transport, the queues and the heartbeat board are truly shared.
     """
 
     def __init__(self, driver, max_steps: Optional[int]):
@@ -137,706 +233,24 @@ class _ProcessRunContext:
         self.build_probe = driver.build_probe
         self.watchdog_timeout = driver.watchdog_timeout
         self.epoch_ns = time.perf_counter_ns()
-        #: compiled packed-exchange layouts (both modes run on them)
-        self.plans: List[CommPlan] = driver.compiled_plans()
-        #: exchange mode every rank endpoint runs ("packed"/"overlap")
+        #: schedule every rank endpoint runs ("packed"/"overlap")
         self.comm_mode: str = driver.comm_plan
-        self.barrier = ctx.Barrier(self.size)
-        self.failure = ctx.Event()
+        self.transport = SharedMemoryTransport(driver.compiled_plans())
         #: SimpleQueue: the put is synchronous, so a failing child can
         #: os._exit right after reporting without losing the record
         self.errors = ctx.SimpleQueue()
         self.results: mp.Queue = ctx.Queue()
-        #: rank 0 holds the root end of one duplex pipe per peer rank
-        self.root_conns: Dict[int, object] = {}
-        self.leaf_conns: Dict[int, object] = {}
-        for r in range(1, self.size):
-            root, leaf = ctx.Pipe(duplex=True)
-            self.root_conns[r] = root
-            self.leaf_conns[r] = leaf
-        self.segments: List[shared_memory.SharedMemory] = [
-            shared_memory.SharedMemory(
-                create=True,
-                size=_mailbox_doubles(
-                    sub, self.plans[sub.rank]
-                ) * _FLOAT_BYTES,
-            )
-            for sub in self.subdomains
-        ]
-        # Split-phase neighbour-sync counters: (size, nsections, 2)
-        # float64 — cumulative posts and completes, single writer per
-        # row.  Zero-initialised by SharedMemory; the overlap protocol
-        # spins on these instead of the barrier.
-        self.sync_seg = shared_memory.SharedMemory(
-            create=True,
-            size=self.size * len(SECTIONS) * 2 * _FLOAT_BYTES,
-        )
-        # dt combining cells: (size, 2, _DT_CELL) float64 — row r holds
-        # rank r's up-sweep candidate and down-sweep result, each
-        # generation-stamped so reuse across reductions is unambiguous.
-        self.dt_seg = shared_memory.SharedMemory(
-            create=True, size=self.size * 2 * _DT_CELL * _FLOAT_BYTES,
-        )
-        # Heartbeat board: one shared (nranks, 2) float64 segment the
-        # ranks beat into and the parent's stall monitor polls
-        # (CLOCK_MONOTONIC is system-wide, so the stamps compare across
-        # processes).  Launch-stamped pre-fork.
-        self.heartbeat_seg = shared_memory.SharedMemory(
-            create=True, size=self.size * BOARD_COLS * _FLOAT_BYTES
-        )
-        self.heartbeat_board().launch()
-        self._ctx = ctx
-
-    # ------------------------------------------------------------------
-    def mailbox(self, rank: int) -> np.ndarray:
-        seg = self.segments[rank]
-        return np.ndarray(
-            (seg.size // _FLOAT_BYTES,), dtype=np.float64, buffer=seg.buf
-        )
-
-    def sync_board(self) -> np.ndarray:
-        """(size, nsections, 2) post/complete counter view (caller
-        drops the view before interpreter teardown)."""
-        return np.ndarray(
-            (self.size, len(SECTIONS), 2), dtype=np.float64,
-            buffer=self.sync_seg.buf,
-        )
-
-    def dt_cells(self) -> np.ndarray:
-        """(size, 2, _DT_CELL) dt combining-cell view (0 = up-sweep
-        candidate, 1 = down-sweep result)."""
-        return np.ndarray(
-            (self.size, 2, _DT_CELL), dtype=np.float64,
-            buffer=self.dt_seg.buf,
-        )
-
-    def heartbeat_board(self) -> HeartbeatBoard:
-        """A view of the shared heartbeat segment (caller must drop the
-        view — ``board.array = None`` — before interpreter teardown in
-        the children, like the mailboxes)."""
-        return HeartbeatBoard(np.ndarray(
-            (self.size, BOARD_COLS), dtype=np.float64,
-            buffer=self.heartbeat_seg.buf,
-        ))
-
-    def close_foreign_pipe_ends(self, rank: int) -> None:
-        """Drop the pipe ends this rank does not own (fork duplicated
-        every fd into every child; unowned copies would defeat EOF
-        detection and leak descriptors)."""
-        if rank != 0:
-            for conn in self.root_conns.values():
-                conn.close()
-        for r, conn in self.leaf_conns.items():
-            if r != rank:
-                conn.close()
-
-    # ------------------------------------------------------------------
-    # collective semantics (mirrors TyphonContext.sync/abort)
-    # ------------------------------------------------------------------
-    def sync(self) -> None:
-        if self.failure.is_set():
-            raise CommError("a peer rank failed; aborting collective")
-        try:
-            self.barrier.wait()
-        except BrokenBarrierError:
-            raise CommError("a peer rank failed; aborting collective") from None
-
-    def abort(self) -> None:
-        self.failure.set()
-        try:
-            self.barrier.abort()
-        except Exception:
-            pass
-
-    def recv(self, conn) -> object:
-        """Blocking pipe receive that fails fast when a peer died.
-
-        A closed pipe (the peer process is gone) is a *secondary*
-        symptom, so it surfaces as :class:`CommError` — failure
-        attribution then points at the rank that actually died.
-        """
-        try:
-            while not conn.poll(0.2):
-                if self.failure.is_set():
-                    raise CommError(
-                        "a peer rank failed; aborting collective"
-                    )
-            return conn.recv()
-        except (EOFError, BrokenPipeError, OSError):
-            raise CommError(
-                "a peer rank closed its pipe; aborting collective"
-            ) from None
-
-    def send(self, conn, payload) -> None:
-        """Pipe send with the same dead-peer translation as recv."""
-        try:
-            conn.send(payload)
-        except (BrokenPipeError, OSError):
-            raise CommError(
-                "a peer rank closed its pipe; aborting collective"
-            ) from None
+        # Heartbeat board: one more shared board the ranks beat into and
+        # the parent's stall monitor polls (CLOCK_MONOTONIC is
+        # system-wide, so the stamps compare across processes).
+        # Launch-stamped pre-fork.
+        self.heartbeat = HeartbeatBoard(
+            self.transport.board("heartbeat", (self.size, BOARD_COLS)))
+        self.heartbeat.launch()
 
     def cleanup(self) -> None:
-        for conn in list(self.root_conns.values()) + list(self.leaf_conns.values()):
-            try:
-                conn.close()
-            except Exception:
-                pass
-        for seg in self.segments + [self.sync_seg, self.dt_seg,
-                                    self.heartbeat_seg]:
-            try:
-                seg.close()
-            except Exception:
-                pass
-            try:
-                seg.unlink()
-            except Exception:
-                pass
-
-
-class ProcessComms:
-    """One rank's communication endpoint over shared-memory mailboxes.
-
-    Counter accounting and summation order mirror
-    :class:`~repro.parallel.typhon.TyphonComms` line for line — the
-    backend-equivalence tests assert *identical* per-rank CommStats and
-    bit-identical gathered states against the threads backend.
-    """
-
-    #: declares conformance to repro.parallel.interface.CommEndpoint
-    __comm_endpoint__ = True
-
-    def __init__(self, ctx: _ProcessRunContext, sub: Subdomain, tracer=None,
-                 plan: Optional[CommPlan] = None, mode: str = "packed"):
-        if mode not in COMM_MODES:
-            raise CommError(f"unknown comm mode {mode!r}; "
-                            f"expected one of {COMM_MODES}")
-        self.ctx = ctx
-        self.sub = sub
-        self.rank = sub.rank
-        self.size = ctx.size
-        self.stats = CommStats()
-        self.tracer = tracer
-        self._mailbox = ctx.mailbox(self.rank)
-        self.plan = plan if plan is not None else ctx.plans[sub.rank]
-        self.mode = mode
-        #: collective-phase counter — advanced once per barrier
-        #: collective, mirroring TyphonComms, so parity schedules agree
-        self._phase = 0
-        #: per-section split-phase op counts and in-flight bookkeeping
-        self._ops: Dict[str, int] = dict.fromkeys(SECTIONS, 0)
-        self._pending: Dict[str, int] = {}
-        self._pending_sums: Optional[tuple] = None
-        #: shared neighbour-sync counter board and dt combining cells
-        self._sync = ctx.sync_board()
-        self._dt = ctx.dt_cells()
-        self._dt_gen = 0
-        #: cached peer-mailbox views (one ndarray export per peer, not
-        #: one per exchange) — dropped with the own view at teardown
-        self._views: Dict[int, np.ndarray] = {}
-        from ...perf.workspace import Workspace
-
-        #: arena for the reusable nodal-sum totals buffers
-        self._ws = Workspace()
-
-    def comm_plan(self) -> Optional[CommPlan]:
-        """This endpoint's compiled plan."""
-        return self.plan
-
-    def overlap_enabled(self) -> bool:
-        """True when the split-phase (overlapped) protocol is active."""
-        return self.mode == "overlap"
-
-    def drop_segment_views(self) -> None:
-        """Release every shared-segment export before interpreter
-        teardown (an mmap cannot close while a numpy view is alive)."""
-        self._mailbox = None
-        self._sync = None
-        self._dt = None
-        self._views.clear()
-
-    def _span(self, name: str):
-        tracer = self.tracer
-        if tracer is None or not tracer.enabled:
-            return _NULL_SPAN
-        return tracer.span(name, cat="comm")
-
-    # ------------------------------------------------------------------
-    # packed-protocol helpers (mirror TyphonComms)
-    # ------------------------------------------------------------------
-    def _peer_mail(self, peer: int) -> np.ndarray:
-        buf = self._views.get(peer)
-        if buf is None:
-            buf = self.ctx.mailbox(peer)
-            self._views[peer] = buf
-        return buf
-
-    def _my_region(self, section: str, parity: int) -> np.ndarray:
-        return self.plan.region(self._mailbox, section, parity)
-
-    def _peer_region(self, peer: int, section: str,
-                     parity: int) -> np.ndarray:
-        return self.ctx.plans[peer].region(
-            self._peer_mail(peer), section, parity
-        )
-
-    # ------------------------------------------------------------------
-    # split-phase neighbour synchronisation (mirrors TyphonComms; the
-    # counters live in a shared float64 board instead of Python ints)
-    # ------------------------------------------------------------------
-    def _spin(self, ready, what: str) -> None:
-        """Wait until ``ready()`` — sleeping with backoff, never a
-        global barrier (and never busy-polling: on an oversubscribed
-        host every burned quantum starves the awaited peer)."""
-        if ready():
-            return
-        deadline = time.monotonic() + SPIN_TIMEOUT
-        spins = 0
-        while not ready():
-            if self.ctx.failure.is_set():
-                raise CommError("a peer rank failed; aborting collective")
-            spins += 1
-            time.sleep(spin_backoff(spins))
-            if spins % 64 == 0 and time.monotonic() > deadline:
-                raise CommError(
-                    f"rank {self.rank} timed out waiting for {what}"
-                )
-
-    def _post_section(self, name: str, arrays) -> int:
-        """Pack op k of ``name`` and publish the post counter (same
-        guards as TyphonComms._post_section: one in-flight post per
-        section, parity half reclaimed only after every reader's k−2
-        complete)."""
-        if self.mode != "overlap":
-            raise CommError(
-                "split-phase exchange requires comm_plan='overlap' "
-                f"(this endpoint runs {self.mode!r})"
-            )
-        if name in self._pending:
-            raise CommError(
-                f"rank {self.rank}: {name} exchange already posted — "
-                "a second same-parity post must wait for complete"
-            )
-        k = self._ops[name]
-        sec = self.plan.section(name)
-        col = _SECTION_COL[name]
-        for peer in sec.send_peers:
-            self._spin(
-                lambda p=peer: self._sync[p, col, 1] >= k - 1,
-                f"rank {peer} to finish reading {name} op {k - 2}",
-            )
-        sec.pack(self._my_region(name, k & 1), arrays)
-        self._sync[self.rank, col, 0] = k + 1
-        self._pending[name] = k
-        return k
-
-    def _begin_complete(self, name: str) -> int:
-        """Wait for every source neighbour's op-k post; return k."""
-        if self.mode != "overlap":
-            raise CommError(
-                "split-phase exchange requires comm_plan='overlap' "
-                f"(this endpoint runs {self.mode!r})"
-            )
-        k = self._pending.get(name)
-        if k is None:
-            raise CommError(
-                f"rank {self.rank}: complete_{name} without a post"
-            )
-        sec = self.plan.section(name)
-        col = _SECTION_COL[name]
-        for peer in sec.recv_peers:
-            self._spin(
-                lambda p=peer: self._sync[p, col, 0] >= k + 1,
-                f"rank {peer} to post {name} op {k}",
-            )
-        return k
-
-    def _end_complete(self, name: str, k: int) -> None:
-        self._sync[self.rank, _SECTION_COL[name], 1] = k + 1
-        del self._pending[name]
-        self._ops[name] = k + 1
-
-    # ------------------------------------------------------------------
-    # kinematic halo exchange (before the viscosity kernel)
-    # ------------------------------------------------------------------
-    def exchange_kinematics(self, state) -> None:
-        """Refresh ghost-only nodes' x, y, u, v from their owner ranks."""
-        with self._span("typhon.exchange_kinematics"):
-            self._exchange_kinematics(state)
-
-    def _exchange_kinematics(self, state) -> None:
-        if self.mode == "overlap":
-            self._post_kinematics(state)
-            self._complete_kinematics(state)
-            return
-        # Packed path: one (4, n) coalesced message per neighbour,
-        # one sync (the next collective writes the opposite parity).
-        sec = self.plan.kin
-        sec.pack(self._my_region("kin", self._phase & 1),
-                 (state.x, state.y, state.u, state.v))
-        self.ctx.sync()  # every rank's halo block staged
-        self._unpack_kinematics(state, self._phase & 1)
-        self._phase += 1
-
-    def _unpack_kinematics(self, state, parity: int) -> None:
-        """Scatter every source neighbour's staged (4, n) block."""
-        sec = self.plan.kin
-        for src_rank, local_idx in self.sub.recv_nodes.items():
-            bx, by, bu, bv = sec.peer_blocks(
-                src_rank, self._peer_region(src_rank, "kin", parity),
-                (1, 1, 1, 1)
-            )
-            state.x[local_idx] = bx
-            state.y[local_idx] = by
-            state.u[local_idx] = bu
-            state.v[local_idx] = bv
-            self.stats.account(4 * local_idx.size)
-        self.stats.halo_exchanges += 1
-
-    def post_kinematics(self, state) -> None:
-        """Start the kinematic halo refresh (overlap mode): pack this
-        rank's send blocks and publish — the caller may now compute
-        the interior partition (``plan.interior_cells``)."""
-        with self._span("typhon.post_kinematics"):
-            self._post_kinematics(state)
-
-    def _post_kinematics(self, state) -> None:
-        self._post_section("kin", (state.x, state.y, state.u, state.v))
-
-    def complete_kinematics(self, state) -> None:
-        """Finish a posted kinematic refresh: wait for the source
-        neighbours' posts, scatter the ghost rows."""
-        with self._span("typhon.complete_kinematics"):
-            self._complete_kinematics(state)
-
-    def _complete_kinematics(self, state) -> None:
-        k = self._begin_complete("kin")
-        self._unpack_kinematics(state, k & 1)
-        self._end_complete("kin", k)
-
-    # ------------------------------------------------------------------
-    # nodal sum completion (inside the acceleration kernel)
-    # ------------------------------------------------------------------
-    def complete_node_arrays(self, state, *arrays: np.ndarray
-                             ) -> Tuple[np.ndarray, ...]:
-        """Complete partial nodal sums across ranks (ascending rank
-        order — bit-identical totals on every rank)."""
-        with self._span("typhon.complete_node_arrays"):
-            return self._complete_node_arrays(state, *arrays)
-
-    def _complete_node_arrays(self, state, *partials: np.ndarray
-                              ) -> Tuple[np.ndarray, ...]:
-        if self.mode == "overlap":
-            self._post_node_sums(state, *partials)
-            return self._complete_node_sums(state)
-        # Packed path: stage shared-node values only, one sync, fold
-        # into reused arena totals in the identical ascending order.
-        parity = self._phase & 1
-        sec = self.plan.nodesum
-        sec.pack(self._my_region("nodesum", parity), partials)
-        self.ctx.sync()  # every rank's shared-node block staged
-        totals = self._totals_buffer(partials, parity)
-        widths = _widths(partials)
-        nf = len(partials)
-        ranks = sorted(set(self.sub.shared_nodes) | {self.rank})
-        for r in ranks:
-            if r == self.rank:
-                for total, p in zip(totals, partials):
-                    total += p
-            else:
-                mine = self.sub.shared_nodes[r]
-                blocks = sec.peer_blocks(
-                    r, self._peer_region(r, "nodesum", parity), widths
-                )
-                for total, block in zip(totals, blocks):
-                    total[mine] += block
-                self.stats.account(nf * mine.size)
-        self.stats.halo_exchanges += 1
-        self._phase += 1
-        return totals
-
-    def _totals_buffer(self, partials, parity: int
-                       ) -> Tuple[np.ndarray, ...]:
-        """Zeroed arena rows for the completed totals, double-buffered
-        by parity (valid until the next-but-one same-width completion)."""
-        nf = len(partials)
-        buf = self._ws.zeros(f"commplan.totals{nf}.{parity}",
-                             (nf, partials[0].shape[0]))
-        return tuple(buf[i] for i in range(nf))
-
-    def post_node_sums(self, state, *partials: np.ndarray) -> None:
-        """Start a nodal-sum completion (overlap mode): stage this
-        rank's shared-node blocks and pre-fill the totals with the
-        local partials — every node *not* shared with a peer is final
-        immediately; ``complete_node_sums`` re-folds only the shared
-        union strip."""
-        with self._span("typhon.post_node_sums"):
-            self._post_node_sums(state, *partials)
-
-    def _post_node_sums(self, state, *partials: np.ndarray) -> None:
-        k = self._post_section("nodesum", partials)
-        totals = self._totals_buffer(partials, k & 1)
-        # 0 + p elementwise — identical to the blocking fold's first
-        # visit, so interior (unshared) nodes are already bit-final
-        for total, p in zip(totals, partials):
-            total += p
-        self._pending_sums = (partials, totals)
-
-    def complete_node_sums(self, state) -> Tuple[np.ndarray, ...]:
-        """Finish a posted nodal-sum completion: wait for the peers'
-        posts, then replay the exact ascending-rank fold over the
-        shared-node union (re-zeroed first), keeping shared totals
-        bit-identical to the blocking path."""
-        with self._span("typhon.complete_node_sums"):
-            return self._complete_node_sums(state)
-
-    def _complete_node_sums(self, state) -> Tuple[np.ndarray, ...]:
-        k = self._begin_complete("nodesum")
-        if self._pending_sums is None:
-            raise CommError(
-                f"rank {self.rank}: complete_node_sums without a post"
-            )
-        partials, totals = self._pending_sums
-        self._pending_sums = None
-        sec = self.plan.nodesum
-        union = self.plan.shared_union
-        widths = _widths(partials)
-        nf = len(partials)
-        for total in totals:
-            total[union] = 0.0
-        ranks = sorted(set(self.sub.shared_nodes) | {self.rank})
-        for r in ranks:
-            if r == self.rank:
-                for total, p in zip(totals, partials):
-                    total[union] += p[union]
-            else:
-                mine = self.sub.shared_nodes[r]
-                blocks = sec.peer_blocks(
-                    r, self._peer_region(r, "nodesum", k & 1), widths
-                )
-                for total, block in zip(totals, blocks):
-                    total[mine] += block
-                self.stats.account(nf * mine.size)
-        self.stats.halo_exchanges += 1
-        self._end_complete("nodesum", k)
-        return totals
-
-    def assemble_node_sums(self, state, fx: np.ndarray, fy: np.ndarray
-                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Owned-cell scatter + deterministic cross-rank completion."""
-        owned = self.sub.owned_cell_mask[:, None]
-        node_fx = state.scatter_to_nodes(np.where(owned, fx, 0.0))
-        node_fy = state.scatter_to_nodes(np.where(owned, fy, 0.0))
-        mass = state.scatter_to_nodes(
-            np.where(owned, state.corner_mass, 0.0)
-        )
-        return self.complete_node_arrays(state, node_fx, node_fy, mass)
-
-    # ------------------------------------------------------------------
-    # the single global reduction (getdt) — binomial combining cells
-    # ------------------------------------------------------------------
-    def reduce_dt(self, candidates: List[Candidate]) -> Candidate:
-        """Global minimum-dt candidate, with the cell id globalised."""
-        with self._span("typhon.reduce_dt"):
-            return self._reduce_dt(candidates)
-
-    def _write_dt_cell(self, row: int, g: int, cand: tuple) -> None:
-        """Publish a candidate into this rank's combining cell: payload
-        first, generation stamp last (x86 stores are not reordered, so
-        a reader that observes the stamp observes the payload)."""
-        dt, reason, gcell, src = cand
-        try:
-            code = DT_REASONS.index(reason)
-        except ValueError:
-            raise CommError(
-                f"unencodable dt reason {reason!r}; expected one of "
-                f"{DT_REASONS}"
-            ) from None
-        cell = self._dt[self.rank, row]
-        cell[1] = dt
-        cell[2] = float(code)
-        cell[3] = float(gcell)
-        cell[4] = float(src)
-        cell[0] = float(g)
-
-    def _read_dt_cell(self, rank: int, row: int) -> tuple:
-        cell = self._dt[rank, row]
-        return (float(cell[1]), DT_REASONS[int(cell[2])],
-                int(cell[3]), int(cell[4]))
-
-    def _reduce_dt(self, candidates: List[Candidate]) -> Candidate:
-        """Binomial-tree combining reduction over shared cells (both
-        modes) — same topology and combine key as TyphonComms, so a
-        processes run's dt stream and CommStats match the threads
-        backend exactly.  O(log P) hops on the critical path."""
-        dt, reason, cell = min(candidates, key=lambda c: c[0])
-        gcell = int(self.sub.cell_global[cell]) if cell >= 0 else -1
-        self._dt_gen += 1
-        g = self._dt_gen
-        best = (dt, reason, gcell, self.rank)
-        hops = 0
-        for child in tree_children(self.rank, self.size):
-            self._spin(
-                lambda c=child: self._dt[c, 0, 0] >= g,
-                f"dt candidate from child rank {child} (gen {g})",
-            )
-            entry = self._read_dt_cell(child, 0)
-            best = min(best, entry, key=lambda c: (c[0], c[3]))
-            hops += 1
-        if self.rank == 0:
-            result = best
-        else:
-            self._write_dt_cell(0, g, best)
-            parent = tree_parent(self.rank)
-            self._spin(
-                lambda: self._dt[parent, 1, 0] >= g,
-                f"dt result from parent rank {parent} (gen {g})",
-            )
-            result = self._read_dt_cell(parent, 1)
-        self._write_dt_cell(1, g, result)
-        self.stats.reductions += 1
-        self.stats.dt_reductions += 1
-        self.stats.dt_hops += hops
-        self.stats.account(DT_REDUCE_VALUES)
-        return (result[0], result[1], result[2])
-
-    def allreduce_max(self, value: float) -> float:
-        """Global maximum of a scalar across ranks."""
-        with self._span("typhon.allreduce_max"):
-            result = self._root_reduce(float(value), max)
-        self.stats.reductions += 1
-        self.stats.account(1)
-        self._phase += 1
-        return float(result)
-
-    def allreduce_sum(self, values: np.ndarray) -> np.ndarray:
-        """Element-wise global sum of a small vector across ranks."""
-        return self._allreduce_combine(
-            values, np.add, "typhon.allreduce_sum")
-
-    def allreduce_min(self, values: np.ndarray) -> np.ndarray:
-        """Element-wise global minimum of a small vector across ranks."""
-        return self._allreduce_combine(
-            values, np.minimum, "typhon.allreduce_min")
-
-    def _allreduce_combine(self, values: np.ndarray, op,
-                           span_name: str) -> np.ndarray:
-        # Ascending-rank left fold — the same fold TyphonComms performs
-        # in shared slots — so threads and processes runs stay
-        # bit-identical down to the diagnostics stream.
-        def combine(entries):
-            result = np.array(entries[0], dtype=np.float64)
-            for entry in entries[1:]:
-                result = op(result, entry)
-            return result
-
-        with self._span(span_name):
-            result = self._root_reduce(
-                np.array(values, dtype=np.float64), combine)
-        self.stats.reductions += 1
-        self.stats.account(result.size)
-        self._phase += 1
-        return result
-
-    def _root_reduce(self, mine, combine):
-        """Gather every rank's value at rank 0 (ascending rank order,
-        so tie-breaks are deterministic), combine, broadcast back."""
-        ctx = self.ctx
-        if self.rank == 0:
-            entries = [mine]
-            for r in range(1, self.size):
-                entries.append(ctx.recv(ctx.root_conns[r]))
-            result = combine(entries)
-            for r in range(1, self.size):
-                ctx.send(ctx.root_conns[r], result)
-            return result
-        conn = ctx.leaf_conns[self.rank]
-        ctx.send(conn, mine)
-        return ctx.recv(conn)
-
-    # ------------------------------------------------------------------
-    def owned_cell_mask(self, state) -> Optional[np.ndarray]:
-        return self.sub.owned_cell_mask
-
-    # ------------------------------------------------------------------
-    # cell-field halo (the distributed ALE remap)
-    # ------------------------------------------------------------------
-    def exchange_cell_arrays(self, *arrays: np.ndarray) -> None:
-        """Refresh the ghost-cell rows of per-cell arrays from their
-        owner ranks (every rank must pass the same array list)."""
-        with self._span("typhon.exchange_cell_arrays"):
-            self._exchange_cell_arrays(*arrays)
-
-    def _exchange_cell_arrays(self, *arrays: np.ndarray) -> None:
-        if self.mode == "overlap":
-            self._post_cell_arrays(*arrays)
-            self._complete_cell_arrays(*arrays)
-            return
-        # Packed path: all cell fields coalesce into one block per
-        # neighbour, one sync.
-        sec = self.plan.cell
-        sec.pack(self._my_region("cell", self._phase & 1), arrays)
-        self.ctx.sync()  # every rank's ghost-cell block staged
-        self._unpack_cell_arrays(arrays, self._phase & 1)
-        self._phase += 1
-
-    def _unpack_cell_arrays(self, arrays, parity: int) -> None:
-        sec = self.plan.cell
-        widths = _widths(arrays)
-        for src_rank, local_idx in self.sub.recv_cells.items():
-            blocks = sec.peer_blocks(
-                src_rank, self._peer_region(src_rank, "cell", parity),
-                widths
-            )
-            nvalues = 0
-            for mine, block in zip(arrays, blocks):
-                mine[local_idx] = block
-                nvalues += block.size
-            self.stats.account(nvalues)
-        self.stats.halo_exchanges += 1
-
-    def post_cell_arrays(self, *arrays: np.ndarray) -> None:
-        """Start a ghost-cell refresh (overlap mode): pack and publish
-        this rank's owned-cell blocks."""
-        with self._span("typhon.post_cell_arrays"):
-            self._post_cell_arrays(*arrays)
-
-    def _post_cell_arrays(self, *arrays: np.ndarray) -> None:
-        self._post_section("cell", arrays)
-
-    def complete_cell_arrays(self, *arrays: np.ndarray) -> None:
-        """Finish a posted ghost-cell refresh (pass the same arrays)."""
-        with self._span("typhon.complete_cell_arrays"):
-            self._complete_cell_arrays(*arrays)
-
-    def _complete_cell_arrays(self, *arrays: np.ndarray) -> None:
-        k = self._begin_complete("cell")
-        self._unpack_cell_arrays(arrays, k & 1)
-        self._end_complete("cell", k)
-
-    def exchange_cell_fields(self, state) -> None:
-        """Refresh ghost thermodynamics and masses before a remap."""
-        self.exchange_cell_arrays(
-            state.rho, state.e, state.cell_mass, state.corner_mass
-        )
-
-    def post_cell_fields(self, state) -> None:
-        """Start the ghost thermodynamic/mass refresh (overlap mode)."""
-        self.post_cell_arrays(
-            state.rho, state.e, state.cell_mass, state.corner_mass
-        )
-
-    def complete_cell_fields(self, state) -> None:
-        """Finish the posted ghost thermodynamic/mass refresh."""
-        self.complete_cell_arrays(
-            state.rho, state.e, state.cell_mass, state.corner_mass
-        )
-
-    def physical_boundary_sides(self, state) -> Optional[np.ndarray]:
-        return self.sub.physical_boundary_sides()
-
-    def physical_boundary_side_mask(self, state) -> Optional[np.ndarray]:
-        return self.sub.physical_boundary_mask
+        self.heartbeat.array = None
+        self.transport.cleanup()
 
 
 def _state_from_payload(rc: _ProcessRunContext, rank: int,
@@ -854,7 +268,8 @@ def _state_from_payload(rc: _ProcessRunContext, rank: int,
 def _rank_main(rc: _ProcessRunContext, rank: int) -> None:
     """Entry point of one rank process (runs in the forked child)."""
     try:
-        rc.close_foreign_pipe_ends(rank)
+        transport = rc.transport
+        transport.close_pipes(keep_rank=rank)
         sub = rc.subdomains[rank]
         state = local_state(sub, rc.setup.state)
         tracer = None
@@ -862,15 +277,14 @@ def _rank_main(rc: _ProcessRunContext, rank: int) -> None:
             from ...telemetry.spans import Tracer
 
             tracer = Tracer(rank=rank, epoch_ns=rc.epoch_ns)
-        comms = ProcessComms(rc, sub, tracer=tracer, plan=rc.plans[rank],
-                             mode=rc.comm_mode)
+        comms = TyphonComms(transport, sub, tracer=tracer,
+                            mode=rc.comm_mode)
         timers = TimerRegistry()
         timers.tracer = tracer
         probe = rc.build_probe(rank, cell_global=sub.cell_global)
         hydro = Hydro(state, rc.setup.table, rc.setup.controls,
                       timers=timers, comms=comms, probe=probe)
-        board = rc.heartbeat_board()
-        hydro.observers.append(Heartbeat(board, rank))
+        hydro.observers.append(Heartbeat(rc.heartbeat, rank))
         series = None
         if rank == 0 and rc.collect_steps:
             from ...telemetry.report import StepSeries
@@ -880,7 +294,7 @@ def _rank_main(rc: _ProcessRunContext, rank: int) -> None:
         hydro.run(max_steps=rc.max_steps)
         # Collective end-of-run point: every rank is past its last
         # staging read before anyone tears its mailbox views down.
-        rc.sync()
+        transport.allgather(rank, None)
         # Halo-sized mailboxes cannot carry the final state; ship it
         # over the result queue (one pickle at end of run).
         final_state = {
@@ -901,13 +315,13 @@ def _rank_main(rc: _ProcessRunContext, rank: int) -> None:
         }))
         # Release the shared-segment views before interpreter teardown:
         # an mmap cannot close while a numpy export is alive.
-        comms.drop_segment_views()
-        board.array = None
+        transport.drop_segment_views()
+        rc.heartbeat.array = None
     except BaseException as exc:
         rc.errors.put((
             rank, type(exc).__name__, str(exc), traceback.format_exc(),
         ))
-        rc.abort()
+        rc.transport.abort()
         os._exit(1)
 
 
@@ -935,7 +349,7 @@ class ProcessesBackend:
             rc.cleanup()
 
     def _execute(self, driver, rc: _ProcessRunContext) -> BackendRun:
-        ctx = rc._ctx
+        ctx = mp.get_context("fork")
         procs = [
             ctx.Process(target=_rank_main, args=(rc, r), name=f"rank{r}")
             for r in range(rc.size)
@@ -944,13 +358,12 @@ class ProcessesBackend:
             p.start()
         # Parent's copies of the pipe ends are not used; close them so
         # fd accounting stays tight (children hold their own copies).
-        for conn in list(rc.root_conns.values()) + list(rc.leaf_conns.values()):
-            conn.close()
+        rc.transport.close_pipes()
 
         results: Dict[int, dict] = {}
         error_records: List[Tuple[int, str, str, str]] = []
         dead: Dict[int, int] = {}
-        board = rc.heartbeat_board()
+        board = rc.heartbeat
         timeout = rc.watchdog_timeout
         stalled: Dict[int, dict] = {}
 
@@ -970,7 +383,7 @@ class ProcessesBackend:
                 if (not p.is_alive() and p.exitcode not in (0, None)
                         and r not in dead):
                     dead[r] = p.exitcode
-                    rc.abort()  # free peers stuck in barriers/pipes
+                    rc.transport.abort()  # free peers stuck in waits/pipes
                     if timeout is not None and r not in stalled:
                         # A dead rank has definitively stopped beating;
                         # the watchdog reports it immediately rather
@@ -981,7 +394,7 @@ class ProcessesBackend:
                     if r not in results:
                         stalled[r] = seen
                 if stalled:
-                    rc.abort()  # diagnose the hang instead of sharing it
+                    rc.transport.abort()  # diagnose the hang, don't share it
             if len(results) == rc.size:
                 break
             if all(not p.is_alive() for p in procs):
@@ -1002,7 +415,6 @@ class ProcessesBackend:
         if stalled:
             message = stall_message(stalled, board, timeout)
             warnings.warn(message, StalledRankWarning)
-        board.array = None
 
         failures: List[Tuple[int, BaseException]] = []
         for rank, etype, emsg, tb in error_records:

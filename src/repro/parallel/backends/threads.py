@@ -1,9 +1,10 @@
 """The ``threads`` backend: every rank is a thread in this process.
 
-This is the original simulated-Typhon execution model (see
-:mod:`repro.parallel.typhon`): rank threads run the unchanged SPMD
-hydro loop and synchronise through in-process barriers; halo exchanges
-are direct array copies between the rank states.  Numpy releases the
+Rank threads run the unchanged SPMD hydro loop, each with a
+:class:`~repro.parallel.typhon.TyphonComms` endpoint over the
+in-process transport (:class:`~repro.parallel.typhon.TyphonContext`):
+the boards are plain arrays every thread can see and a waiting rank
+sleeps on its own condition variable.  Numpy releases the
 GIL inside its kernels so the ranks overlap there, but the Python-level
 glue between kernels serialises on the GIL — which is exactly what the
 ``processes`` backend exists to remove.
@@ -11,7 +12,7 @@ glue between kernels serialises on the GIL — which is exactly what the
 Failure handling: worker exceptions are collected through a
 thread-safe queue as ``(rank, exc)`` pairs (never a shared dict — rank
 threads must not race on the error container), the Typhon context is
-aborted so every peer blocked in a barrier wakes up, and the first
+aborted so every peer blocked in a wait wakes up, and the first
 *primary* failure (lowest rank, preferring real errors over the
 secondary :class:`~repro.utils.errors.CommError` cascades the abort
 causes) is re-raised chained to the original traceback.
@@ -80,9 +81,7 @@ class ThreadsBackend:
             state = local_state(sub, setup.state)
             tracer = driver.tracers[sub.rank] if driver.tracers else None
             comms = TyphonComms(driver.context, sub, tracer=tracer,
-                                plan=driver.context.plans[sub.rank],
                                 mode=driver.comm_plan)
-            driver.context.register_state(sub.rank, state)
             timers = TimerRegistry()
             timers.tracer = tracer
             driver.hydros.append(Hydro(

@@ -19,20 +19,19 @@ A plan is pure layout: per peer, the local gather/scatter indices, the
 block's base offset inside the owning rank's staging region, and the
 region capacities.  Offsets are stored in *values per field* and scaled
 by the live field count at pack time, so one compiled section serves
-the 3-field and the 4-field nodal sums alike.  The backends supply the
-storage — a :class:`~repro.perf.workspace.Workspace`-held array for the
-``threads`` backend, a ``multiprocessing.shared_memory`` mailbox for
-the ``processes`` backend — each **double-buffered** (two parity
-halves) so an exchange needs a single barrier: rank A may start packing
-exchange *k+1* while a slow rank B still reads A's exchange-*k* block,
-because consecutive exchanges write opposite parity halves, and a
-same-parity reuse (exchanges *k* and *k+2*) is separated by the
-intervening exchange's barrier.
+the 3-field and the 4-field nodal sums alike.  The transports supply
+the storage — a :class:`~repro.perf.workspace.Workspace`-held array
+in-process, a ``multiprocessing.shared_memory`` mailbox between
+processes — each **double-buffered** (two parity halves) so no
+exchange needs a barrier: rank A may start packing op *k+1* of a
+section while a slow rank B still reads A's op-*k* block, because
+consecutive ops write opposite parity halves, and a same-parity reuse
+(ops *k* and *k+2*) waits for every reader's complete counter.
 
 Packing is a pure reorder (gather on the sender, scatter/accumulate on
 the receiver), so a packed run is **bit-identical** step for step;
 ``tests/parallel/test_commplan.py`` and ``test_overlap.py`` hold the
-``packed`` and ``overlap`` modes to that.
+``packed`` and ``overlap`` schedules to that.
 
 For the overlapped (split-phase) mode the compiler also classifies the
 rank's topology once, at compile time:

@@ -10,11 +10,11 @@ communication seam.
 
 *Where* the ranks execute is the backend's business
 (:mod:`repro.parallel.backends`): ``threads`` runs them as threads of
-this process (the historical simulated-Typhon model), ``processes``
-runs each rank in its own forked process over shared memory.  Either
-way the result is numerically equivalent to the serial run (identical
-up to floating-point summation order — verified by the integration
-tests) and the two distributed backends are bit-identical to each
+this process, ``processes`` runs each rank in its own forked process
+over shared memory — the same Typhon protocol over two transports.
+Either way the result is numerically equivalent to the serial run
+(identical up to floating-point summation order — verified by the
+integration tests) and the two distributed backends are bit-identical to each
 other, with per-rank kernel timers, trace spans and communication
 statistics merged back under the same deterministic rank-order rules.
 
@@ -62,14 +62,15 @@ class DistributedHydro:
         Execution backend name (``serial``, ``threads`` or
         ``processes`` — see :mod:`repro.parallel.backends`).
     comm_plan:
-        ``"overlap"`` (default) runs the split-phase exchanges — the
-        kernels post a halo, compute their interior partition, and
-        complete it against the *neighbouring* ranks' counters only
-        (no global barrier); the dt reduction is a binomial combining
-        tree.  ``"packed"`` keeps PR 5's single-barrier collectives —
-        bit-identical to ``overlap`` and retained as the equivalence
-        baseline.  Both run over the same compiled
-        :class:`~repro.parallel.commplan.CommPlan` layouts.  The
+        ``"overlap"`` (default): the kernels post a halo, compute
+        their interior partition, and complete it against the
+        *neighbouring* ranks' counters only (no global barrier).
+        ``"packed"``: the kernels call the blocking exchanges — the
+        same post and complete back to back — bit-identical to
+        ``overlap`` and retained as the equivalence baseline.  One
+        protocol over the same compiled
+        :class:`~repro.parallel.commplan.CommPlan` layouts either
+        way; the dt reduction is a binomial combining tree.  The
         pre-plan ``"legacy"`` protocol was removed; requesting it (or
         passing ``None``) raises
         :class:`~repro.utils.errors.DeprecatedOptionError`.

@@ -3,25 +3,22 @@
 The hydro kernels talk to *any* communication layer through exactly one
 seam (docs/PARALLEL.md): the three per-step exchange points of the
 Lagrangian step plus the cell-field/gradient halos of the distributed
-remap.  Historically the seam was duck-typed — ``SerialComms`` and
-``TyphonComms`` just happened to agree on method names — which let the
-two drift apart silently.  This module makes the seam a formal, typed
-API:
+remap.  This module makes the seam a formal, typed API:
 
 * :class:`CommEndpoint` — a :class:`typing.Protocol` describing one
-  rank's endpoint (what a kernel may call on ``comms``).  Conforming
-  implementations: :class:`~repro.core.comms.SerialComms` (alias
-  ``NullComms``), :class:`~repro.parallel.typhon.TyphonComms` (rank
-  threads) and :class:`~repro.parallel.backends.processes.ProcessComms`
-  (rank processes over shared memory).
+  rank's endpoint (what a kernel may call on ``comms``).  There are
+  two implementations: :class:`~repro.core.comms.SerialComms` (alias
+  ``NullComms``) for one rank, and
+  :class:`~repro.parallel.typhon.TyphonComms` for every decomposed
+  run — the same protocol class whether the ranks are threads or
+  processes; only the transport handed to it differs.
 * :class:`CommBackend` — a Protocol for an execution backend: the
   object that launches every rank of a decomposed run, plugs a
   conforming endpoint into each rank's hydro loop and marshals the
   results back as a :class:`BackendRun`.
 * :data:`SEAM_METHODS` — the seam's method table, used by
-  ``tests/parallel/test_protocol.py`` to structurally verify that every
-  implementation covers the *full* seam with compatible signatures (no
-  more duck-typed drift).
+  ``tests/parallel/test_protocol.py`` to structurally verify that both
+  implementations cover the *full* seam with compatible signatures.
 
 Backends register themselves in :mod:`repro.parallel.backends`; the
 supported selection surface is ``repro.api.RunConfig(backend=...)``.
@@ -58,10 +55,10 @@ SEAM_METHODS: Dict[str, Tuple[str, ...]] = {
     # ``post_*`` starts an exchange (packs the staging block and
     # publishes it to the neighbours), ``complete_*`` finishes it
     # (waits for the neighbours' posts, then scatters/folds).  The
-    # kernels compute the interior partition between the two calls.
-    # Only meaningful when ``overlap_enabled()`` is true; the serial
-    # endpoint degrades them to no-ops and the packed endpoints reject
-    # them, so kernels gate the split path on ``overlap_enabled()``.
+    # kernels compute the interior partition between the two calls
+    # when ``overlap_enabled()`` is true and call the blocking
+    # ``exchange_*``/``complete_node_arrays`` (post + complete back to
+    # back) otherwise; the serial endpoint degrades them to no-ops.
     "overlap_enabled": (),
     "post_kinematics": ("state",),
     "complete_kinematics": ("state",),
@@ -71,25 +68,6 @@ SEAM_METHODS: Dict[str, Tuple[str, ...]] = {
     "complete_cell_arrays": ("*arrays",),
     "post_cell_fields": ("state",),
     "complete_cell_fields": ("state",),
-}
-
-#: the plan-aware internals of the *distributed* endpoints (the
-#: methods a compiled :class:`~repro.parallel.commplan.CommPlan`
-#: drives).  Not part of the kernel-facing seam — SerialComms has no
-#: exchanges to pack — but TyphonComms and ProcessComms must keep
-#: these signatures aligned or the packed/overlap branching drifts;
-#: check with ``seam_violations(cls, table=PLAN_METHODS)``.
-PLAN_METHODS: Dict[str, Tuple[str, ...]] = {
-    "_exchange_kinematics": ("state",),
-    "_complete_node_arrays": ("state", "*partials"),
-    "_exchange_cell_arrays": ("*arrays",),
-    "_reduce_dt": ("candidates",),
-    "_post_kinematics": ("state",),
-    "_complete_kinematics": ("state",),
-    "_post_node_sums": ("state", "*partials"),
-    "_complete_node_sums": ("state",),
-    "_post_cell_arrays": ("*arrays",),
-    "_complete_cell_arrays": ("*arrays",),
 }
 
 #: attributes every endpoint must expose (per-rank identity)
@@ -225,20 +203,16 @@ class CommBackend(Protocol):
     def execute(self, driver, max_steps: Optional[int] = None) -> BackendRun: ...
 
 
-def seam_violations(cls, table: Optional[Dict[str, Tuple[str, ...]]] = None
-                    ) -> List[str]:
-    """Structural conformance check of a class against a method table
-    (:data:`SEAM_METHODS` by default; pass :data:`PLAN_METHODS` to
-    check the distributed endpoints' plan-aware internals).
+def seam_violations(cls) -> List[str]:
+    """Structural conformance check of a class against
+    :data:`SEAM_METHODS`.
 
     Returns a list of human-readable problems (empty = conforming):
     missing methods, missing variadic parameters, or positional
     parameter names that drifted from the table.
     """
-    if table is None:
-        table = SEAM_METHODS
     problems: List[str] = []
-    for name, params in table.items():
+    for name, params in SEAM_METHODS.items():
         fn = getattr(cls, name, None)
         if fn is None or not callable(fn):
             problems.append(f"{cls.__name__}.{name} is missing")

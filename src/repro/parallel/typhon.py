@@ -3,54 +3,61 @@
 The real BookLeaf communicates through Typhon, a thin distributed
 communication library over MPI that provides halo exchanges and
 collectives for unstructured meshes.  MPI is not available in this
-environment, so this module reimplements Typhon's semantics over
-threads in one process: each rank runs the *unchanged* SPMD hydro code
-in its own thread, and the exchange points synchronise through
-barriers and move data by direct array copies between rank states.
+environment, so this module reimplements Typhon the way the paper
+describes it — *one* library with the transport underneath:
 
-Because numpy releases the GIL inside its kernels, the rank threads
-genuinely overlap, but the purpose here is *semantic* fidelity plus
-instrumentation, not speed: every exchange and reduction is counted
-(messages and bytes), giving the performance model measured
-communication volumes exactly where the real mini-app would have
-MPI traffic — two halo exchanges and one global reduction per step
-(paper Section IV-A).
+* :class:`TyphonComms` is the protocol, written once: the split-phase
+  halo exchanges over the compiled CommPlans, the ascending-rank
+  nodal-sum fold, the binomial-tree dt reduction, the scalar
+  collectives, the traffic counters and the trace spans.  It is the
+  only distributed endpoint; every rank of every backend runs it.
+* a :class:`Transport` owns nothing but memory and waiting: three
+  float64 boards every rank can see, ``wait``/``notify`` to sleep until
+  a peer has published, ``allgather`` for the scalar collectives and
+  ``abort``.  :class:`TyphonContext` (below) keeps the boards in
+  process memory for rank *threads*;
+  :class:`~repro.parallel.backends.processes.SharedMemoryTransport`
+  keeps them in shared segments for rank *processes*.
+
+Every exchange and reduction is counted (messages and bytes), giving
+the performance model measured communication volumes exactly where the
+real mini-app would have MPI traffic — two halo exchanges and one
+global reduction per step (paper Section IV-A).
 
 Determinism: partial nodal sums are combined in ascending rank order
 on every rank, so shared interface nodes receive *bit-identical*
 values everywhere and a decomposed run tracks the serial one to
 floating-point round-off only.
 
-Two exchange modes share the compiled CommPlans (docs/PARALLEL.md):
-
-* ``packed`` — every exchange is a single-barrier collective (PR 5's
-  protocol, the equivalence baseline);
-* ``overlap`` — split-phase: ``post_*`` packs and publishes, the
-  caller computes its interior partition, ``complete_*`` waits only on
-  the *neighbouring* ranks' post counters (no global barrier) and
-  finishes the boundary strip.  Bit-identical to ``packed`` because
-  packing is a pure reorder and the nodal-sum completion replays the
-  exact ascending-rank fold over the shared-node union.
+Every exchange is split-phase: ``post_*`` packs and publishes,
+``complete_*`` waits only on the *neighbouring* ranks' post counters
+(no global barrier) and scatters or folds.  With
+``comm_plan="overlap"`` the kernels compute their interior partition
+between the two halves; with ``comm_plan="packed"``
+``overlap_enabled()`` is false, so the kernels call the blocking seam
+methods — the same post and complete back to back.  One protocol, two
+schedules, bit-identical because packing is a pure reorder and the
+nodal-sum completion replays the exact ascending-rank fold.
 
 The per-step dt reduction runs a **binomial-tree combining reduction**
-in both modes (min is exact, so the tree result is bitwise equal to a
-root gather): each rank combines its children's candidates, forwards
-one candidate to its parent, and the root's result flows back down —
-O(log P) hops on the critical path instead of the O(P) rank-0 serial
-gather, visible in ``CommStats.dt_hops``.
+(min is exact, so the tree result is bitwise equal to a root gather):
+each rank combines its children's candidates, forwards one candidate
+to its parent, and the root's result flows back down — O(log P) hops
+on the critical path, visible in ``CommStats.dt_hops``.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import nullcontext
-from dataclasses import dataclass, field
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.timestep import Candidate
+from ..perf.workspace import Workspace
 from ..utils.errors import CommError
 from .commplan import CommPlan, SECTIONS, _widths, compile_plans
 from .halo import Subdomain
@@ -62,30 +69,22 @@ _FLOAT_BYTES = 8
 DT_REDUCE_VALUES = 4
 
 #: the only dt-limiter reasons that cross the seam (``getdt``'s local
-#: candidates); the processes backend encodes them as small ints
+#: candidates); a dt cell carries them as small ints
 DT_REASONS = ("cfl", "div")
 
-#: exchange modes an endpoint can run (the ``comm_plan`` values)
-COMM_MODES = ("packed", "overlap")
+#: one dt combining cell: (generation, dt, reason code, global cell,
+#: source rank) — generation guards reuse, the rest is the candidate
+DT_CELL = 5
 
-#: seconds a split-phase/tree spin-wait may starve before declaring
-#: the run wedged (the backends' watchdogs normally fire first)
+#: column of each section in the post/complete counter board
+_SECTION_COL = {name: i for i, name in enumerate(SECTIONS)}
+
+#: seconds a wait may starve before declaring the run wedged (the
+#: backends' watchdogs normally fire first)
 SPIN_TIMEOUT = 120.0
 
-#: spin-wait backoff ceiling.  Virtual ranks oversubscribe the host,
-#: so a waiter must *sleep*, not yield: every quantum it burns polling
-#: is a quantum stolen from the very peer it is waiting on (the packed
-#: mode's Barrier sleeps on a condition variable and sets the bar).
-#: A handful of free polls catch the already-arrived case; after that
-#: the sleep doubles from 2 µs up to this ceiling.
-SPIN_MAX_SLEEP = 500e-6
-
-
-def spin_backoff(spins: int) -> float:
-    """Sleep duration for the ``spins``-th unsuccessful poll."""
-    if spins < 4:
-        return 0.0
-    return min(SPIN_MAX_SLEEP, 2e-6 * (1 << min(spins - 4, 10)))
+#: what every waiter raises once a peer has called ``abort()``
+PEER_FAILED = "a peer rank failed; aborting collective"
 
 #: shared no-op context for untraced comm calls (stateless, reusable)
 _NULL_SPAN = nullcontext()
@@ -155,86 +154,119 @@ class CommStats:
         }
 
 
-class TyphonContext:
-    """Shared coordination state for all ranks of one run."""
+class Transport:
+    """What the protocol needs from below: memory and waiting.
+
+    The memory is three zero-initialised float64 boards, laid out here
+    once for every transport, each cell written by exactly one rank:
+
+    * ``staging[rank]`` — the rank's double-buffered packed staging,
+      sized by its :class:`~repro.parallel.commplan.CommPlan`;
+    * ``counters`` — ``(size, nsections, 2)`` cumulative posts and
+      completes per (rank, section);
+    * ``dt_cells`` — ``(size, 2, DT_CELL)`` generation-stamped dt
+      candidates (row 0 the up-sweep, row 1 the down-sweep result).
+
+    A concrete transport supplies ``board(name, shape)`` (the storage)
+    and the four primitives the protocol sleeps and wakes through:
+    ``wait(rank, ready, what)`` returns once ``ready()`` holds and
+    raises :class:`CommError` on peer failure or after
+    ``SPIN_TIMEOUT``; ``notify(ranks)`` wakes the ranks whose
+    predicates watch a cell this rank just wrote;
+    ``allgather(rank, value)`` returns every rank's value in ascending
+    rank order (fully synchronising); ``abort()`` fails every waiter.
+    """
+
+    def __init__(self, plans: List[CommPlan]):
+        self.plans = plans
+        self.size = len(plans)
+        #: one counter set per rank — each rank only writes its own
+        self.stats: List[CommStats] = [CommStats() for _ in plans]
+        self.staging: List[np.ndarray] = [
+            self.board(f"commplan.staging.rank{plan.rank}",
+                       (plan.staging_doubles(),))
+            for plan in plans
+        ]
+        self.counters = self.board("typhon.counters",
+                                   (self.size, len(SECTIONS), 2))
+        self.dt_cells = self.board("typhon.dt_cells",
+                                   (self.size, 2, DT_CELL))
+
+
+class TyphonContext(Transport):
+    """The in-process transport: all ranks are threads of one process.
+
+    Boards live in a Workspace arena (the PR-1 allocator extended into
+    the comm layer) — peers read each other's staging directly.  Waits
+    sleep on per-rank condition variables: a publisher notifies exactly
+    the ranks whose predicates watch the cell it advanced, so waiters
+    neither burn the quantum the awaited peer needs (virtual ranks
+    oversubscribe the host) nor wake as a thundering herd.
+    """
 
     def __init__(self, subdomains: List[Subdomain], plans=None):
         self.subdomains = subdomains
-        self.size = len(subdomains)
-        self.barrier = threading.Barrier(self.size)
-        #: phase-parity slots for the packed single-sync protocol:
-        #: consecutive collectives publish into alternating halves
-        self.pslots: List[List[Optional[object]]] = [
-            [None] * self.size, [None] * self.size,
-        ]
-        #: split-phase neighbour-sync counters, one pair per (rank,
-        #: section): cumulative posts and completes.  Single writer
-        #: (the owning rank), GIL-atomic int stores — the overlap mode
-        #: synchronises on these instead of the global barrier.
-        self.posted: List[Dict[str, int]] = [
-            dict.fromkeys(SECTIONS, 0) for _ in range(self.size)
-        ]
-        self.completed: List[Dict[str, int]] = [
-            dict.fromkeys(SECTIONS, 0) for _ in range(self.size)
-        ]
-        #: binomial-tree dt combining cells: ``dt_up[r]`` holds rank
-        #: r's combined candidate for its parent, ``dt_down[r]`` the
-        #: broadcast result for r's children — each a ``(generation,
-        #: candidate)`` tuple, single writer, generation-guarded reads.
-        self.dt_up: List[Optional[tuple]] = [None] * self.size
-        self.dt_down: List[Optional[tuple]] = [None] * self.size
-        #: per-rank wake-up conditions for the split-phase/tree waits:
-        #: a publisher notifies exactly the ranks whose predicates
-        #: watch the advanced counter, so waiters sleep event-driven
-        #: (like the packed Barrier) instead of burning the quantum the
-        #: awaited peer needs — on an oversubscribed host a polling
-        #: waiter pays either stolen CPU or wake-up latency; a
-        #: condition variable pays neither, and per-rank conditions
-        #: avoid the thundering herd a single shared one would wake
-        self.rank_cv = [threading.Condition() for _ in range(self.size)]
-        #: per-rank live state references (registered by the driver)
-        self.states: List[Optional[object]] = [None] * self.size
-        self.stats: List[CommStats] = [CommStats() for _ in range(self.size)]
-        #: compiled packed-exchange layouts, one per rank (callers with
-        #: an artifact cache hand in the precompiled set)
-        self.plans: List[CommPlan] = (
-            plans if plans is not None else compile_plans(subdomains)
-        )
-        # Staging buffers live in a Workspace arena (the PR-1 allocator
-        # extended into the comm layer): allocated once here, reused by
-        # every exchange of the run.  Peers read each other's staging
-        # directly — shared process memory is the transport.
-        from ..perf.workspace import Workspace
-
         self.comm_ws = Workspace()
-        self.staging: List[np.ndarray] = [
-            self.comm_ws.array(f"commplan.staging.rank{plan.rank}",
-                               plan.staging_doubles())
-            for plan in self.plans
-        ]
+        # callers with an artifact cache hand in the precompiled plans
+        super().__init__(plans if plans is not None
+                         else compile_plans(subdomains))
+        self.rank_cv = [threading.Condition() for _ in range(self.size)]
+        self._slots: List[object] = [None] * self.size
+        self._gathered: Tuple[object, ...] = ()
+        # The last arrival snapshots the slots before anyone leaves, so
+        # a fast rank's next publication cannot reach a slow reader.
+        self.barrier = threading.Barrier(self.size, action=self._snapshot)
         self._failure = threading.Event()
 
-    def register_state(self, rank: int, state) -> None:
-        self.states[rank] = state
+    def board(self, name: str, shape) -> np.ndarray:
+        return self.comm_ws.zeros(name, shape)
 
-    def sync(self) -> None:
-        """Barrier with failure propagation: if any rank died, raise."""
-        if self._failure.is_set():
-            raise CommError("a peer rank failed; aborting collective")
-        try:
-            self.barrier.wait()
-        except threading.BrokenBarrierError:
-            raise CommError("a peer rank failed; aborting collective") from None
+    def _snapshot(self) -> None:
+        self._gathered = tuple(self._slots)
 
-    def abort(self) -> None:
-        """Mark the run failed and release everyone stuck in a barrier
-        or a split-phase wait."""
-        self._failure.set()
-        self.barrier.abort()
-        for cv in self.rank_cv:
+    def wait(self, rank: int, ready, what: str) -> None:
+        """The fast path (already satisfied) takes no lock; otherwise
+        sleep on this rank's condition, re-checking whenever a watched
+        peer publishes.  The 100 ms guard timeout only serves the
+        failure/deadline checks."""
+        if ready():
+            return
+        deadline = time.monotonic() + SPIN_TIMEOUT
+        cv = self.rank_cv[rank]
+        with cv:
+            while not cv.wait_for(ready, timeout=0.1):
+                if self._failure.is_set():
+                    raise CommError(PEER_FAILED)
+                if time.monotonic() > deadline:
+                    raise CommError(
+                        f"rank {rank} timed out waiting for {what}")
+
+    def notify(self, ranks) -> None:
+        for r in ranks:
+            cv = self.rank_cv[r]
             with cv:
                 cv.notify_all()
 
+    def allgather(self, rank: int, value) -> Tuple[object, ...]:
+        self._slots[rank] = value
+        if self._failure.is_set():
+            raise CommError(PEER_FAILED)
+        try:
+            self.barrier.wait()
+        except threading.BrokenBarrierError:
+            raise CommError(PEER_FAILED) from None
+        return self._gathered
+
+    def abort(self) -> None:
+        """Mark the run failed and release everyone stuck in the
+        barrier or a wait."""
+        self._failure.set()
+        self.barrier.abort()
+        self.notify(range(self.size))
+
+    # ------------------------------------------------------------------
+    # whole-run views (every rank's counters live in this process)
+    # ------------------------------------------------------------------
     def total_stats(self) -> CommStats:
         total = CommStats()
         for s in self.stats:
@@ -268,19 +300,18 @@ class TyphonContext:
 class TyphonComms:
     """One rank's communication endpoint (plugs into the comms seam).
 
-    Every exchange runs over the compiled
-    :class:`~repro.parallel.commplan.CommPlan`.  In ``packed`` mode it
-    is the single-sync protocol: gather the halo values into this
-    rank's preallocated staging buffer, one barrier, read the peers'
-    packed blocks.  In ``overlap`` mode the same staging carries the
-    split-phase protocol: ``post_*`` packs at parity ``k & 1`` of the
-    per-section op counter and publishes the rank's post counter;
-    ``complete_*`` spins only on the *source* neighbours' post
-    counters, and a post may only reuse a parity half once every
-    *reader* neighbour's complete counter shows the k−2 read finished.
-    No global barrier is involved, so ranks slide past each other by
-    up to one exchange — and the blocking seam methods degrade to
-    post + complete back to back.
+    Every exchange runs the split-phase protocol over the compiled
+    :class:`~repro.parallel.commplan.CommPlan`: ``post_*`` packs at
+    parity ``k & 1`` of the per-section op counter and publishes the
+    rank's post counter; ``complete_*`` waits only on the *source*
+    neighbours' post counters, and a post may only reuse a parity half
+    once every *reader* neighbour's complete counter shows the k−2 read
+    finished.  No global barrier is involved, so ranks slide past each
+    other by up to one exchange.  The blocking seam methods are post +
+    complete back to back — the whole of ``comm_plan="packed"``.
+
+    ``ctx`` is the :class:`Transport`; nothing here knows whether the
+    peers are threads or processes.
 
     Packed nodal-sum totals are returned as rows of a reused arena
     buffer: they stay valid until the *next-but-one* completion with
@@ -292,11 +323,8 @@ class TyphonComms:
     #: declares conformance to repro.parallel.interface.CommEndpoint
     __comm_endpoint__ = True
 
-    def __init__(self, ctx: TyphonContext, sub: Subdomain, tracer=None,
-                 plan: Optional[CommPlan] = None, mode: str = "packed"):
-        if mode not in COMM_MODES:
-            raise CommError(f"unknown comm mode {mode!r}; "
-                            f"expected one of {COMM_MODES}")
+    def __init__(self, ctx: Transport, sub: Subdomain, tracer=None,
+                 plan: Optional[CommPlan] = None, mode: str = "overlap"):
         self.ctx = ctx
         self.sub = sub
         self.rank = sub.rank
@@ -304,25 +332,24 @@ class TyphonComms:
         self.stats = ctx.stats[self.rank]
         #: optional :class:`~repro.telemetry.spans.Tracer`; when set,
         #: every exchange/reduction records a ``comm`` span on this
-        #: rank's stream (the span covers the barrier waits too — in a
-        #: trace, load imbalance shows up as long comm spans)
+        #: rank's stream (the span covers the waits too — in a trace,
+        #: load imbalance shows up as long comm spans, and the span's
+        #: ``wait_s``/``waited_on`` args say who was waited for)
         self.tracer = tracer
         self.plan = plan if plan is not None else ctx.plans[self.rank]
+        #: the schedule the kernels drive (``comm_plan``, validated by
+        #: DistributedHydro): only ``overlap_enabled()`` reads it
         self.mode = mode
-        #: collective-phase counter: parity selects the pslot row (and,
-        #: in packed mode, the staging half).  Advanced once per
-        #: barrier collective on every rank — the op sequence is SPMD,
-        #: so the counters agree globally.
-        self._phase = 0
-        #: per-section split-phase op counts (parity source in overlap
-        #: mode) and the in-flight post bookkeeping
+        #: per-section op counts (the parity source) and the in-flight
+        #: post bookkeeping
         self._ops: Dict[str, int] = dict.fromkeys(SECTIONS, 0)
         self._pending: Dict[str, int] = {}
         self._pending_sums: Optional[tuple] = None
         #: dt-reduction generation (guards the combining cells' reuse)
         self._dt_gen = 0
-        from ..perf.workspace import Workspace
-
+        #: ``(seconds, peer, leg)`` per wait of the open traced span;
+        #: ``None`` whenever nothing is being traced
+        self._waits: Optional[list] = None
         #: arena for the reusable nodal-sum totals buffers
         self._ws = Workspace()
 
@@ -331,68 +358,64 @@ class TyphonComms:
         return self.plan
 
     def overlap_enabled(self) -> bool:
-        """True when the split-phase (overlapped) protocol is active."""
+        """True when the kernels should split post from complete and
+        compute their interior partition in between."""
         return self.mode == "overlap"
 
+    # ------------------------------------------------------------------
+    # spans and wait attribution
+    # ------------------------------------------------------------------
     def _span(self, name: str):
         tracer = self.tracer
         if tracer is None or not tracer.enabled:
             return _NULL_SPAN
-        return tracer.span(name, cat="comm")
+        return self._traced(tracer, name)
 
-    # ------------------------------------------------------------------
-    # packed-protocol helpers
-    # ------------------------------------------------------------------
-    def _my_region(self, section: str, parity: int) -> np.ndarray:
-        plan = self.plan
-        return plan.region(self.ctx.staging[self.rank], section, parity)
+    @contextmanager
+    def _traced(self, tracer, name: str):
+        """A ``comm`` span whose args say how long this call slept and
+        on whom: ``wait_s`` sums its waits, ``waited_on`` names the
+        peer rank (``None`` for an allgather) and the section / ``dt``
+        leg of the longest one."""
+        self._waits = waits = []
+        with tracer.span(name, cat="comm") as span:
+            try:
+                yield
+            finally:
+                self._waits = None
+                span.args["wait_s"] = sum(w[0] for w in waits)
+                span.args["waited_on"] = None
+                if waits:
+                    _, peer, leg = max(waits, key=lambda w: w[0])
+                    span.args["waited_on"] = {"rank": peer, "leg": leg}
 
-    def _peer_region(self, peer: int, section: str,
-                     parity: int) -> np.ndarray:
-        plan = self.ctx.plans[peer]
-        return plan.region(self.ctx.staging[peer], section, parity)
-
-    def _slots(self) -> List[Optional[object]]:
-        """Publication slots for a scalar collective: the phase-parity
-        pslot row (single sync; double-buffered like the staging)."""
-        return self.ctx.pslots[self._phase & 1]
-
-    def _finish_collective(self) -> None:
-        """Close a scalar collective: advance the parity phase."""
-        self._phase += 1
-
-    # ------------------------------------------------------------------
-    # split-phase neighbour synchronisation (overlap mode)
-    # ------------------------------------------------------------------
-    def _spin(self, ready, what: str) -> None:
-        """Wait until ``ready()`` — event-driven, never a global
-        barrier.  The fast path (already satisfied) takes no lock;
-        otherwise the wait sleeps on this rank's wake-up condition,
-        re-checking the predicate whenever a watched peer publishes.
-        The 100 ms guard timeout only serves the failure/deadline
-        checks."""
-        if ready():
+    def _wait(self, peer: int, leg: str, ready, what: str) -> None:
+        """Sleep until ``ready()`` — the endpoint's only way to wait on
+        a board cell.  Untraced, nothing is timed or recorded."""
+        waits = self._waits
+        if waits is None:
+            self.ctx.wait(self.rank, ready, what)
             return
-        ctx = self.ctx
-        deadline = time.monotonic() + SPIN_TIMEOUT
-        cv = ctx.rank_cv[self.rank]
-        with cv:
-            while not cv.wait_for(ready, timeout=0.1):
-                if ctx._failure.is_set():
-                    raise CommError(
-                        "a peer rank failed; aborting collective")
-                if time.monotonic() > deadline:
-                    raise CommError(
-                        f"rank {self.rank} timed out waiting for {what}"
-                    )
+        t0 = time.perf_counter()
+        self.ctx.wait(self.rank, ready, what)
+        waits.append((time.perf_counter() - t0, peer, leg))
 
-    def _announce(self, ranks) -> None:
-        """Wake the ranks whose ``_spin`` predicates watch a counter
-        this rank just advanced (and nobody else)."""
-        for r in ranks:
-            cv = self.ctx.rank_cv[r]
-            with cv:
-                cv.notify_all()
+    def _allgather(self, value):
+        waits = self._waits
+        if waits is None:
+            return self.ctx.allgather(self.rank, value)
+        t0 = time.perf_counter()
+        entries = self.ctx.allgather(self.rank, value)
+        waits.append((time.perf_counter() - t0, None, "allgather"))
+        return entries
+
+    # ------------------------------------------------------------------
+    # split-phase neighbour synchronisation
+    # ------------------------------------------------------------------
+    def _region(self, rank: int, section: str, parity: int) -> np.ndarray:
+        """``rank``'s staged ``section`` block at ``parity``."""
+        ctx = self.ctx
+        return ctx.plans[rank].region(ctx.staging[rank], section, parity)
 
     def _post_section(self, name: str, arrays) -> int:
         """Pack op k of ``name`` and publish the post counter.
@@ -402,11 +425,6 @@ class TyphonComms:
         and the parity half of op k is only reclaimed once every
         reader's complete counter proves the op k−2 read finished.
         """
-        if self.mode != "overlap":
-            raise CommError(
-                "split-phase exchange requires comm_plan='overlap' "
-                f"(this endpoint runs {self.mode!r})"
-            )
         if name in self._pending:
             raise CommError(
                 f"rank {self.rank}: {name} exchange already posted — "
@@ -414,43 +432,43 @@ class TyphonComms:
             )
         k = self._ops[name]
         sec = self.plan.section(name)
+        col = _SECTION_COL[name]
+        counters = self.ctx.counters
         for peer in sec.send_peers:
-            self._spin(
-                lambda p=peer: self.ctx.completed[p][name] >= k - 1,
+            self._wait(
+                peer, name,
+                lambda p=peer: counters[p, col, 1] >= k - 1,
                 f"rank {peer} to finish reading {name} op {k - 2}",
             )
-        sec.pack(self._my_region(name, k & 1), arrays)
-        self.ctx.posted[self.rank][name] = k + 1
-        # readers of this staging block spin on the post counter
-        self._announce(sec.send_peers)
+        sec.pack(self._region(self.rank, name, k & 1), arrays)
+        counters[self.rank, col, 0] = k + 1
+        # readers of this staging block wait on the post counter
+        self.ctx.notify(sec.send_peers)
         self._pending[name] = k
         return k
 
     def _begin_complete(self, name: str) -> int:
         """Wait for every source neighbour's op-k post; return k."""
-        if self.mode != "overlap":
-            raise CommError(
-                "split-phase exchange requires comm_plan='overlap' "
-                f"(this endpoint runs {self.mode!r})"
-            )
         k = self._pending.get(name)
         if k is None:
             raise CommError(
                 f"rank {self.rank}: complete_{name} without a post"
             )
-        sec = self.plan.section(name)
-        for peer in sec.recv_peers:
-            self._spin(
-                lambda p=peer: self.ctx.posted[p][name] >= k + 1,
+        col = _SECTION_COL[name]
+        counters = self.ctx.counters
+        for peer in self.plan.section(name).recv_peers:
+            self._wait(
+                peer, name,
+                lambda p=peer: counters[p, col, 0] >= k + 1,
                 f"rank {peer} to post {name} op {k}",
             )
         return k
 
     def _end_complete(self, name: str, k: int) -> None:
-        self.ctx.completed[self.rank][name] = k + 1
-        # ranks that send to us spin on the complete counter before
+        self.ctx.counters[self.rank, _SECTION_COL[name], 1] = k + 1
+        # ranks that send to us wait on the complete counter before
         # reclaiming the parity half we just finished reading
-        self._announce(self.plan.section(name).recv_peers)
+        self.ctx.notify(self.plan.section(name).recv_peers)
         del self._pending[name]
         self._ops[name] = k + 1
 
@@ -460,30 +478,36 @@ class TyphonComms:
     def exchange_kinematics(self, state) -> None:
         """Refresh ghost-only nodes' x, y, u, v from their owner ranks."""
         with self._span("typhon.exchange_kinematics"):
-            self._exchange_kinematics(state)
-
-    def _exchange_kinematics(self, state) -> None:
-        if self.mode == "overlap":
             self._post_kinematics(state)
             self._complete_kinematics(state)
-            return
-        # Packed mode: one (4, n) coalesced message per neighbour,
-        # one sync.  The trailing barrier is unnecessary because the
-        # next collective writes the opposite parity half.
-        ctx = self.ctx
-        sec = self.plan.kin
-        sec.pack(self._my_region("kin", self._phase & 1),
-                 (state.x, state.y, state.u, state.v))
-        ctx.sync()  # every rank's halo block staged
-        self._unpack_kinematics(state, self._phase & 1)
-        self._phase += 1
+
+    def post_kinematics(self, state) -> None:
+        """Start the kinematic halo refresh: pack this rank's send
+        blocks and publish — the caller may now compute the interior
+        partition (``plan.interior_cells``)."""
+        with self._span("typhon.post_kinematics"):
+            self._post_kinematics(state)
+
+    def complete_kinematics(self, state) -> None:
+        """Finish a posted kinematic refresh: wait for the source
+        neighbours' posts, scatter the ghost rows."""
+        with self._span("typhon.complete_kinematics"):
+            self._complete_kinematics(state)
+
+    def _post_kinematics(self, state) -> None:
+        self._post_section("kin", (state.x, state.y, state.u, state.v))
+
+    def _complete_kinematics(self, state) -> None:
+        k = self._begin_complete("kin")
+        self._unpack_kinematics(state, k & 1)
+        self._end_complete("kin", k)
 
     def _unpack_kinematics(self, state, parity: int) -> None:
         """Scatter every source neighbour's staged (4, n) block."""
         sec = self.plan.kin
         for src_rank, local_idx in self.sub.recv_nodes.items():
             bx, by, bu, bv = sec.peer_blocks(
-                src_rank, self._peer_region(src_rank, "kin", parity),
+                src_rank, self._region(src_rank, "kin", parity),
                 (1, 1, 1, 1)
             )
             state.x[local_idx] = bx
@@ -492,27 +516,6 @@ class TyphonComms:
             state.v[local_idx] = bv
             self.stats.account(4 * local_idx.size)
         self.stats.halo_exchanges += 1
-
-    def post_kinematics(self, state) -> None:
-        """Start the kinematic halo refresh (overlap mode): pack this
-        rank's send blocks and publish — the caller may now compute
-        the interior partition (``plan.interior_cells``)."""
-        with self._span("typhon.post_kinematics"):
-            self._post_kinematics(state)
-
-    def _post_kinematics(self, state) -> None:
-        self._post_section("kin", (state.x, state.y, state.u, state.v))
-
-    def complete_kinematics(self, state) -> None:
-        """Finish a posted kinematic refresh: wait for the source
-        neighbours' posts, scatter the ghost rows."""
-        with self._span("typhon.complete_kinematics"):
-            self._complete_kinematics(state)
-
-    def _complete_kinematics(self, state) -> None:
-        k = self._begin_complete("kin")
-        self._unpack_kinematics(state, k & 1)
-        self._end_complete("kin", k)
 
     # ------------------------------------------------------------------
     # nodal sum completion (inside the acceleration kernel)
@@ -527,77 +530,39 @@ class TyphonComms:
         shared nodes.
         """
         with self._span("typhon.complete_node_arrays"):
-            return self._complete_node_arrays(state, *arrays)
-
-    def _complete_node_arrays(self, state, *partials: np.ndarray
-                              ) -> Tuple[np.ndarray, ...]:
-        if self.mode == "overlap":
-            self._post_node_sums(state, *partials)
+            self._post_node_sums(state, *arrays)
             return self._complete_node_sums(state)
-        # Packed mode: stage only the *shared-node* values (one
-        # coalesced message per peer), one sync, fold into reused
-        # arena totals.  The fold visits the ascending rank sequence
-        # with this rank's own partial in its sorted position, so
-        # shared nodes accumulate in a fixed order bit for bit.
-        ctx = self.ctx
-        parity = self._phase & 1
-        sec = self.plan.nodesum
-        sec.pack(self._my_region("nodesum", parity), partials)
-        ctx.sync()  # every rank's shared-node block staged
-        totals = self._totals_buffer(partials, parity)
-        widths = _widths(partials)
-        nf = len(partials)
-        ranks = sorted(set(self.sub.shared_nodes) | {self.rank})
-        for r in ranks:
-            if r == self.rank:
-                for total, p in zip(totals, partials):
-                    total += p
-            else:
-                mine = self.sub.shared_nodes[r]
-                blocks = sec.peer_blocks(
-                    r, self._peer_region(r, "nodesum", parity), widths
-                )
-                for total, block in zip(totals, blocks):
-                    total[mine] += block
-                self.stats.account(nf * mine.size)
-        self.stats.halo_exchanges += 1
-        self._phase += 1
-        return totals
-
-    def _totals_buffer(self, partials, parity: int
-                       ) -> Tuple[np.ndarray, ...]:
-        """Zeroed arena rows for the completed totals, double-buffered
-        by parity (valid until the next-but-one same-width completion)."""
-        nf = len(partials)
-        buf = self._ws.zeros(f"commplan.totals{nf}.{parity}",
-                             (nf, partials[0].shape[0]))
-        return tuple(buf[i] for i in range(nf))
 
     def post_node_sums(self, state, *partials: np.ndarray) -> None:
-        """Start a nodal-sum completion (overlap mode): stage this
-        rank's shared-node blocks and pre-fill the totals with the
-        local partials — every node *not* shared with a peer is final
-        immediately; ``complete_node_sums`` re-folds only the shared
-        union strip."""
+        """Start a nodal-sum completion: stage this rank's shared-node
+        blocks and pre-fill the totals with the local partials — every
+        node *not* shared with a peer is final immediately;
+        ``complete_node_sums`` re-folds only the shared union strip."""
         with self._span("typhon.post_node_sums"):
             self._post_node_sums(state, *partials)
 
+    def complete_node_sums(self, state) -> Tuple[np.ndarray, ...]:
+        """Finish a posted nodal-sum completion: wait for the peers'
+        posts, then fold the shared-node union (re-zeroed first) in
+        ascending rank order with this rank's own partial in its sorted
+        position, so shared nodes accumulate in a fixed order bit for
+        bit on every rank."""
+        with self._span("typhon.complete_node_sums"):
+            return self._complete_node_sums(state)
+
     def _post_node_sums(self, state, *partials: np.ndarray) -> None:
         k = self._post_section("nodesum", partials)
-        totals = self._totals_buffer(partials, k & 1)
-        # 0 + p elementwise — identical to the blocking fold's first
-        # visit, so interior (unshared) nodes are already bit-final
+        # zeroed arena rows, double-buffered by parity (valid until the
+        # next-but-one same-width completion)
+        nf = len(partials)
+        buf = self._ws.zeros(f"commplan.totals{nf}.{k & 1}",
+                             (nf, partials[0].shape[0]))
+        totals = tuple(buf[i] for i in range(nf))
+        # 0 + p elementwise — the fold's first visit, so interior
+        # (unshared) nodes are already bit-final
         for total, p in zip(totals, partials):
             total += p
         self._pending_sums = (partials, totals)
-
-    def complete_node_sums(self, state) -> Tuple[np.ndarray, ...]:
-        """Finish a posted nodal-sum completion: wait for the peers'
-        posts, then replay the exact ascending-rank fold over the
-        shared-node union (re-zeroed first), keeping shared totals
-        bit-identical to the blocking path."""
-        with self._span("typhon.complete_node_sums"):
-            return self._complete_node_sums(state)
 
     def _complete_node_sums(self, state) -> Tuple[np.ndarray, ...]:
         k = self._begin_complete("nodesum")
@@ -621,7 +586,7 @@ class TyphonComms:
             else:
                 mine = self.sub.shared_nodes[r]
                 blocks = sec.peer_blocks(
-                    r, self._peer_region(r, "nodesum", k & 1), widths
+                    r, self._region(r, "nodesum", k & 1), widths
                 )
                 for total, block in zip(totals, blocks):
                     total[mine] += block
@@ -649,71 +614,83 @@ class TyphonComms:
         with self._span("typhon.reduce_dt"):
             return self._reduce_dt(candidates)
 
+    def _write_dt_cell(self, row: int, g: int, cand: tuple) -> None:
+        """Publish a candidate into this rank's combining cell: payload
+        first, generation stamp last (x86 stores are not reordered, so
+        a reader that observes the stamp observes the payload)."""
+        dt, reason, gcell, src = cand
+        try:
+            code = DT_REASONS.index(reason)
+        except ValueError:
+            raise CommError(
+                f"unencodable dt reason {reason!r}; expected one of "
+                f"{DT_REASONS}"
+            ) from None
+        cell = self.ctx.dt_cells[self.rank, row]
+        cell[1] = dt
+        cell[2] = float(code)
+        cell[3] = float(gcell)
+        cell[4] = float(src)
+        cell[0] = float(g)
+
+    def _read_dt_cell(self, rank: int, row: int) -> tuple:
+        cell = self.ctx.dt_cells[rank, row]
+        return (float(cell[1]), DT_REASONS[int(cell[2])],
+                int(cell[3]), int(cell[4]))
+
     def _reduce_dt(self, candidates: List[Candidate]) -> Candidate:
-        """Binomial-tree combining reduction (both modes).
+        """Binomial-tree combining reduction.
 
         Up-sweep: combine the children's candidates into this rank's
         local best and hand one candidate to the parent; down-sweep:
         the root's winner flows back along the same edges.  min over
         the ``(dt, src_rank)`` key is exact and associative, so the
         result is bitwise equal to a flat gather — but the critical
-        path is ⌈log2 P⌉ combining messages instead of the old rank-0
-        root's P−1.  Fully synchronising (no rank can leave before
-        every rank has entered), which is what the parity-slot reuse
-        invariant requires of every collective.
+        path is ⌈log2 P⌉ combining messages instead of a rank-0 root's
+        P−1.  Fully synchronising (no rank can leave before every rank
+        has entered), which is what lets generation g+1 overwrite the
+        cells of generation g.
         """
         dt, reason, cell = min(candidates, key=lambda c: c[0])
         gcell = int(self.sub.cell_global[cell]) if cell >= 0 else -1
-        ctx = self.ctx
+        cells = self.ctx.dt_cells
         self._dt_gen += 1
         g = self._dt_gen
         best = (dt, reason, gcell, self.rank)
-        hops = 0
         children = tree_children(self.rank, self.size)
         for child in children:
-            self._spin(
-                lambda c=child: (ctx.dt_up[c] is not None
-                                 and ctx.dt_up[c][0] == g),
+            self._wait(
+                child, "dt", lambda c=child: cells[c, 0, 0] >= g,
                 f"dt candidate from child rank {child} (gen {g})",
             )
-            entry = ctx.dt_up[child][1]
-            best = min(best, entry, key=lambda c: (c[0], c[3]))
-            hops += 1
+            best = min(best, self._read_dt_cell(child, 0),
+                       key=lambda c: (c[0], c[3]))
         if self.rank == 0:
             result = best
         else:
             parent = tree_parent(self.rank)
-            ctx.dt_up[self.rank] = (g, best)
-            self._announce((parent,))
-            self._spin(
-                lambda: (ctx.dt_down[parent] is not None
-                         and ctx.dt_down[parent][0] == g),
+            self._write_dt_cell(0, g, best)
+            self.ctx.notify((parent,))
+            self._wait(
+                parent, "dt", lambda: cells[parent, 1, 0] >= g,
                 f"dt result from parent rank {parent} (gen {g})",
             )
-            result = ctx.dt_down[parent][1]
-        ctx.dt_down[self.rank] = (g, result)
-        self._announce(children)
+            result = self._read_dt_cell(parent, 1)
+        self._write_dt_cell(1, g, result)
+        self.ctx.notify(children)
         self.stats.reductions += 1
         self.stats.dt_reductions += 1
-        self.stats.dt_hops += hops
+        self.stats.dt_hops += len(children)
         self.stats.account(DT_REDUCE_VALUES)
         return (result[0], result[1], result[2])
 
     def allreduce_max(self, value: float) -> float:
         """Global maximum of a scalar across ranks."""
         with self._span("typhon.allreduce_max"):
-            return self._allreduce_max(value)
-
-    def _allreduce_max(self, value: float) -> float:
-        ctx = self.ctx
-        slots = self._slots()
-        slots[self.rank] = float(value)
-        ctx.sync()
-        result = max(slots)      # type: ignore[type-var]
-        self.stats.reductions += 1
-        self.stats.account(1)
-        self._finish_collective()
-        return float(result)     # type: ignore[arg-type]
+            result = max(self._allgather(float(value)))
+            self.stats.reductions += 1
+            self.stats.account(1)
+            return float(result)
 
     def allreduce_sum(self, values: np.ndarray) -> np.ndarray:
         """Element-wise global sum of a small vector across ranks."""
@@ -726,19 +703,14 @@ class TyphonComms:
             return self._allreduce_combine(values, np.minimum)
 
     def _allreduce_combine(self, values: np.ndarray, op) -> np.ndarray:
-        # Combined by a left fold in ascending rank order on every rank
-        # — the same fold the processes backend's root reduce performs —
-        # so all backends produce bit-identical results.
-        ctx = self.ctx
-        slots = self._slots()
-        slots[self.rank] = np.array(values, dtype=np.float64)
-        ctx.sync()
-        result = np.array(slots[0], dtype=np.float64)
-        for r in range(1, self.size):
-            result = op(result, slots[r])
+        # A left fold in ascending rank order on every rank, so every
+        # rank of every backend produces bit-identical results.
+        entries = self._allgather(np.array(values, dtype=np.float64))
+        result = np.array(entries[0], dtype=np.float64)
+        for entry in entries[1:]:
+            result = op(result, entry)
         self.stats.reductions += 1
         self.stats.account(result.size)
-        self._finish_collective()
         return result
 
     # ------------------------------------------------------------------
@@ -752,46 +724,15 @@ class TyphonComms:
         """Refresh the ghost-cell rows of per-cell arrays from their
         owner ranks (every rank must pass the same array list)."""
         with self._span("typhon.exchange_cell_arrays"):
-            self._exchange_cell_arrays(*arrays)
-
-    def _exchange_cell_arrays(self, *arrays: np.ndarray) -> None:
-        if self.mode == "overlap":
-            self._post_cell_arrays(*arrays)
+            self._post_section("cell", arrays)
             self._complete_cell_arrays(*arrays)
-            return
-        # Packed mode: all cell fields coalesce into one block per
-        # neighbour (scalars and (n, 4) corner fields interleaved by
-        # the plan's per-array widths), one sync.
-        ctx = self.ctx
-        sec = self.plan.cell
-        sec.pack(self._my_region("cell", self._phase & 1), arrays)
-        ctx.sync()  # every rank's ghost-cell block staged
-        self._unpack_cell_arrays(arrays, self._phase & 1)
-        self._phase += 1
-
-    def _unpack_cell_arrays(self, arrays, parity: int) -> None:
-        sec = self.plan.cell
-        widths = _widths(arrays)
-        for src_rank, local_idx in self.sub.recv_cells.items():
-            blocks = sec.peer_blocks(
-                src_rank, self._peer_region(src_rank, "cell", parity),
-                widths
-            )
-            nvalues = 0
-            for mine, block in zip(arrays, blocks):
-                mine[local_idx] = block
-                nvalues += block.size
-            self.stats.account(nvalues)
-        self.stats.halo_exchanges += 1
 
     def post_cell_arrays(self, *arrays: np.ndarray) -> None:
-        """Start a ghost-cell refresh (overlap mode): pack and publish
-        this rank's owned-cell blocks."""
+        """Start a ghost-cell refresh: pack and publish this rank's
+        owned-cell blocks (scalars and (n, 4) corner fields interleave
+        by the plan's per-array widths)."""
         with self._span("typhon.post_cell_arrays"):
-            self._post_cell_arrays(*arrays)
-
-    def _post_cell_arrays(self, *arrays: np.ndarray) -> None:
-        self._post_section("cell", arrays)
+            self._post_section("cell", arrays)
 
     def complete_cell_arrays(self, *arrays: np.ndarray) -> None:
         """Finish a posted ghost-cell refresh (pass the same arrays)."""
@@ -803,6 +744,20 @@ class TyphonComms:
         self._unpack_cell_arrays(arrays, k & 1)
         self._end_complete("cell", k)
 
+    def _unpack_cell_arrays(self, arrays, parity: int) -> None:
+        sec = self.plan.cell
+        widths = _widths(arrays)
+        for src_rank, local_idx in self.sub.recv_cells.items():
+            blocks = sec.peer_blocks(
+                src_rank, self._region(src_rank, "cell", parity), widths
+            )
+            nvalues = 0
+            for mine, block in zip(arrays, blocks):
+                mine[local_idx] = block
+                nvalues += block.size
+            self.stats.account(nvalues)
+        self.stats.halo_exchanges += 1
+
     def exchange_cell_fields(self, state) -> None:
         """Refresh ghost thermodynamics and masses before a remap."""
         self.exchange_cell_arrays(
@@ -810,7 +765,7 @@ class TyphonComms:
         )
 
     def post_cell_fields(self, state) -> None:
-        """Start the ghost thermodynamic/mass refresh (overlap mode)."""
+        """Start the ghost thermodynamic/mass refresh."""
         self.post_cell_arrays(
             state.rho, state.e, state.cell_mass, state.corner_mass
         )

@@ -161,3 +161,40 @@ def test_killed_rank_process_aborts_cleanly(monkeypatch):
     with pytest.raises(BookLeafError, match="rank 1 failed") as exc:
         driver.run(max_steps=20)
     assert "terminated abnormally" in str(exc.value)
+
+
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+def test_wait_attribution_names_the_slow_neighbour(monkeypatch, backend):
+    """With tracing on, every comm span says how long it slept and on
+    whom.  Rank 2 of a 3-rank strip dawdles between the dt reduction
+    and its kinematic post; rank 1 (neighbours 0 and 2) must charge
+    the wait to rank 2's ``kin`` section, not to the punctual rank 0."""
+    import time
+
+    import repro.core.hydro as hydro_module
+
+    nap = 0.02
+    real_lagstep = hydro_module.lagstep
+
+    def slow_lagstep(state, *args, comms=None, **kwargs):
+        if comms.rank == 2:
+            time.sleep(nap)
+        return real_lagstep(state, *args, comms=comms, **kwargs)
+
+    # installed before ``run``: the processes backend forks at execute
+    # time, so the children inherit the patch
+    monkeypatch.setattr(hydro_module, "lagstep", slow_lagstep)
+    setup = load_problem("sod", nx=24, ny=6)
+    driver = DistributedHydro(setup, 3, backend=backend, trace=True)
+    assert sorted(driver.subdomains[1].recv_nodes) == [0, 2]
+    steps = driver.run(max_steps=6)
+    comm_spans = [s for s in driver.merged_spans() if s.cat == "comm"]
+    assert all("wait_s" in s.args and "waited_on" in s.args
+               for s in comm_spans)
+    completes = [s for s in comm_spans if s.rank == 1
+                 and s.name == "typhon.complete_kinematics"]
+    assert len(completes) == steps
+    for span in completes:
+        assert span.args["waited_on"] == {"rank": 2, "leg": "kin"}
+        assert span.args["wait_s"] > nap / 2
+        assert span.args["wait_s"] <= span.dur_ns * 1e-9

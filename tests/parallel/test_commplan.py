@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.parallel import DistributedHydro
-from repro.parallel.backends.processes import _mailbox_doubles
+from repro.parallel.backends.processes import SharedMemoryTransport
 from repro.parallel.commplan import (
     KIN_FIELDS,
     SECTIONS,
@@ -216,10 +216,12 @@ def test_packed_mailboxes_are_halo_proportional():
     is O(√ncell), so the ratio grows with the mesh."""
     small = _subdomains(4, nx=16, ny=16, problem="noh")
     big = _subdomains(4, nx=64, ny=64, problem="noh")
-    for subs in (small, big):
-        plans = compile_plans(subs)
-        for sub, plan in zip(subs, plans):
-            assert _mailbox_doubles(sub, plan) == plan.staging_doubles()
+    transport = SharedMemoryTransport(compile_plans(small))
+    try:
+        sizes = [mailbox.size for mailbox in transport.staging]
+    finally:
+        transport.cleanup()
+    assert sizes == [plan.staging_doubles() for plan in transport.plans]
     ratio_small = mailbox_ratio(small, compile_plans(small))["ratio"]
     ratio_big = mailbox_ratio(big, compile_plans(big))["ratio"]
     assert ratio_small > 3    # measured 3.8x at 16x16

@@ -14,10 +14,10 @@ Three contracts, each enforced independently:
    tree replaced the rooted reduction everywhere, which is what keeps
    the counters backend- and mode-identical).
 3. **Interleaving safety** — the double-buffered staging tolerates at
-   most one in-flight post per section; a second same-parity post, a
-   complete without a post, and any split call on a packed endpoint
-   must raise a structured :class:`~repro.utils.errors.CommError`
-   *immediately* (never deadlock-then-timeout).
+   most one in-flight post per section; a second same-parity post and a
+   complete without a post must raise a structured
+   :class:`~repro.utils.errors.CommError` *immediately* (never
+   deadlock-then-timeout) — on both transports.
 """
 
 import math
@@ -28,6 +28,7 @@ import pytest
 from repro.parallel import DistributedHydro
 from repro.problems import load_problem
 from repro.utils.errors import CommError
+from tests.parallel.conftest import both_transports
 
 FIELDS = ("x", "y", "u", "v", "rho", "e", "p", "cs2", "q",
           "cell_mass", "volume", "corner_mass", "corner_volume")
@@ -138,15 +139,9 @@ def test_dt_tree_counters_present_in_packed_mode_too():
 # ----------------------------------------------------------------------
 # 3. interleaving safety: structured errors, never deadlocks
 # ----------------------------------------------------------------------
-def _live_endpoints(comm_plan):
-    setup = load_problem("sod", nx=16, ny=4)
-    driver = DistributedHydro(setup, 2, backend="threads",
-                              comm_plan=comm_plan)
-    return [h.comms for h in driver.hydros], [h.state for h in driver.hydros]
-
-
-def test_double_post_same_section_raises():
-    (c0, c1), (s0, s1) = _live_endpoints("overlap")
+@both_transports
+def test_double_post_same_section_raises(ctx, subs, states, comms):
+    (c0, c1), (s0, s1) = comms, states
     c0.post_kinematics(s0)
     with pytest.raises(CommError, match="already posted"):
         c0.post_kinematics(s0)
@@ -156,8 +151,9 @@ def test_double_post_same_section_raises():
     c1.complete_kinematics(s1)
 
 
-def test_complete_without_post_raises():
-    (c0, _), (s0, _) = _live_endpoints("overlap")
+@both_transports
+def test_complete_without_post_raises(ctx, subs, states, comms):
+    c0, s0 = comms[0], states[0]
     with pytest.raises(CommError, match="without a post"):
         c0.complete_kinematics(s0)
     with pytest.raises(CommError, match="without a post"):
@@ -166,19 +162,11 @@ def test_complete_without_post_raises():
         c0.complete_node_sums(s0)
 
 
-def test_split_calls_rejected_on_packed_endpoint():
-    (c0, _), (s0, _) = _live_endpoints("packed")
-    assert c0.overlap_enabled() is False
-    with pytest.raises(CommError, match="requires comm_plan='overlap'"):
-        c0.post_kinematics(s0)
-    with pytest.raises(CommError, match="requires comm_plan='overlap'"):
-        c0.post_cell_arrays(np.zeros(s0.mesh.ncell))
-
-
-def test_posts_of_distinct_sections_may_interleave():
+@both_transports
+def test_posts_of_distinct_sections_may_interleave(ctx, subs, states, comms):
     """Kin + cell posts in flight simultaneously (the remap's pattern)
     is legal — only *same-section* double posts are rejected."""
-    (c0, c1), (s0, s1) = _live_endpoints("overlap")
+    (c0, c1), (s0, s1) = comms, states
     c0.post_kinematics(s0)
     c0.post_cell_fields(s0)
     c1.post_kinematics(s1)

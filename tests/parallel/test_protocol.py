@@ -1,9 +1,10 @@
 """Structural conformance of every comms endpoint and backend.
 
 The communication seam is a typed contract
-(:mod:`repro.parallel.interface`): these tests hold every
-implementation — serial, threads, processes — against the full seam
-table so the endpoints cannot drift apart silently again.
+(:mod:`repro.parallel.interface`): these tests hold both
+implementations — the serial no-op endpoint and the one Typhon
+protocol class every decomposed backend runs — against the full seam
+table.
 """
 
 import inspect
@@ -13,9 +14,7 @@ import pytest
 from repro.core.comms import NullComms, SerialComms
 from repro.parallel import available_backends, get_backend
 from repro.parallel.backends import BACKENDS
-from repro.parallel.backends.processes import ProcessComms
 from repro.parallel.interface import (
-    PLAN_METHODS,
     SEAM_ATTRIBUTES,
     SEAM_METHODS,
     CommBackend,
@@ -25,7 +24,7 @@ from repro.parallel.interface import (
 from repro.parallel.typhon import TyphonComms
 from repro.utils.errors import BookLeafError
 
-ENDPOINTS = [SerialComms, TyphonComms, ProcessComms]
+ENDPOINTS = [SerialComms, TyphonComms]
 
 
 @pytest.mark.parametrize("cls", ENDPOINTS,
@@ -81,30 +80,15 @@ def test_comm_plan_is_part_of_the_seam():
 
 def test_split_phase_methods_are_part_of_the_seam():
     """The overlapped protocol's post/complete halves are seam API on
-    every endpoint — serial degenerates them to no-ops, the distributed
-    endpoints keep them in signature lockstep via PLAN_METHODS."""
+    every endpoint — serial degenerates them to no-ops."""
     for name in ("post_kinematics", "complete_kinematics",
                  "post_cell_fields", "complete_cell_fields",
                  "post_node_sums", "complete_node_sums",
                  "post_cell_arrays", "complete_cell_arrays",
                  "overlap_enabled"):
         assert name in SEAM_METHODS, name
-    for name in ("_post_kinematics", "_complete_kinematics",
-                 "_post_node_sums", "_complete_node_sums",
-                 "_post_cell_arrays", "_complete_cell_arrays",
-                 "_reduce_dt"):
-        assert name in PLAN_METHODS, name
     serial = NullComms()
     assert serial.overlap_enabled() is False
-
-
-@pytest.mark.parametrize("cls", [TyphonComms, ProcessComms],
-                         ids=lambda c: c.__name__)
-def test_distributed_endpoints_cover_plan_table(cls):
-    """The packed/legacy branch points of the two distributed
-    endpoints must keep identical signatures (PLAN_METHODS) — the
-    backend-equivalence guarantees depend on them staying in step."""
-    assert seam_violations(cls, table=PLAN_METHODS) == []
 
 
 def test_live_endpoints_return_their_plan():

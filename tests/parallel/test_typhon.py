@@ -1,59 +1,27 @@
-"""Unit tests of the simulated Typhon primitives (two live ranks)."""
+"""Unit tests of the Typhon primitives on live ranks — the one
+protocol class, over the in-process and the shared-memory transport."""
 
+import math
 import threading
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.parallel.halo import build_subdomains, local_state
-from repro.parallel.partition import partition
-from repro.parallel.typhon import TyphonComms, TyphonContext
-from repro.problems import load_problem
+from repro.parallel import typhon
 from repro.utils.errors import CommError
+from tests.parallel.conftest import (
+    TRANSPORTS, both_transports, live_ranks, run_spmd,
+)
 
 
-@pytest.fixture
-def two_ranks():
-    """Two subdomains of a Sod setup with live states and endpoints."""
-    setup = load_problem("sod", nx=16, ny=4)
-    mesh = setup.state.mesh
-    part = partition(mesh, 2, "rcb")
-    subs = build_subdomains(mesh, part, 2)
-    ctx = TyphonContext(subs)
-    states = [local_state(sub, setup.state) for sub in subs]
-    comms = [TyphonComms(ctx, sub) for sub in subs]
-    for r, state in enumerate(states):
-        ctx.register_state(r, state)
-    return ctx, subs, states, comms
-
-
-def _run_spmd(fns):
-    """Run one callable per rank on its own thread; re-raise failures."""
-    errors = []
-
-    def wrap(fn):
-        def inner():
-            try:
-                fn()
-            except BaseException as exc:   # noqa: BLE001
-                errors.append(exc)
-        return inner
-
-    threads = [threading.Thread(target=wrap(fn)) for fn in fns]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-
-
-def test_exchange_kinematics_moves_ghost_data(two_ranks):
-    ctx, subs, states, comms = two_ranks
+@both_transports
+def test_exchange_kinematics_moves_ghost_data(ctx, subs, states, comms):
     # poison rank 0's ghost-only nodes, then exchange
     ghost = subs[0].recv_nodes[1]
     states[0].u[ghost] = -99.0
-    _run_spmd([
+    run_spmd([
         lambda: comms[0].exchange_kinematics(states[0]),
         lambda: comms[1].exchange_kinematics(states[1]),
     ])
@@ -62,15 +30,15 @@ def test_exchange_kinematics_moves_ghost_data(two_ranks):
     assert not np.any(states[0].u[ghost] == -99.0)
 
 
-def test_complete_node_arrays_sums_across_ranks(two_ranks):
-    ctx, subs, states, comms = two_ranks
+@both_transports
+def test_complete_node_arrays_sums_across_ranks(ctx, subs, states, comms):
     results = {}
 
     def work(r):
         partial = np.ones(subs[r].mesh.nnode) * (r + 1)
         results[r] = comms[r].complete_node_arrays(states[r], partial)[0]
 
-    _run_spmd([lambda: work(0), lambda: work(1)])
+    run_spmd([lambda: work(0), lambda: work(1)])
     # shared nodes got 1 + 2 = 3 on both ranks; private nodes keep own
     mine0 = subs[0].shared_nodes[1]
     mine1 = subs[1].shared_nodes[0]
@@ -80,11 +48,11 @@ def test_complete_node_arrays_sums_across_ranks(two_ranks):
     np.testing.assert_array_equal(results[0][private0], 1.0)
 
 
-def test_exchange_cell_arrays_refreshes_ghosts(two_ranks):
-    ctx, subs, states, comms = two_ranks
+@both_transports
+def test_exchange_cell_arrays_refreshes_ghosts(ctx, subs, states, comms):
     arrays = [np.full(sub.cell_global.size, float(r * 10))
               for r, sub in enumerate(subs)]
-    _run_spmd([
+    run_spmd([
         lambda: comms[0].exchange_cell_arrays(arrays[0]),
         lambda: comms[1].exchange_cell_arrays(arrays[1]),
     ])
@@ -94,10 +62,10 @@ def test_exchange_cell_arrays_refreshes_ghosts(two_ranks):
     np.testing.assert_array_equal(arrays[0][owned0], 0.0)
 
 
-def test_allreduce_max(two_ranks):
-    ctx, subs, states, comms = two_ranks
+@both_transports
+def test_allreduce_max(ctx, subs, states, comms):
     results = {}
-    _run_spmd([
+    run_spmd([
         lambda: results.update(a=comms[0].allreduce_max(1.5)),
         lambda: results.update(b=comms[1].allreduce_max(7.25)),
     ])
@@ -105,10 +73,10 @@ def test_allreduce_max(two_ranks):
     assert results["b"] == 7.25
 
 
-def test_reduce_dt_globalises_cell_index(two_ranks):
-    ctx, subs, states, comms = two_ranks
+@both_transports
+def test_reduce_dt_globalises_cell_index(ctx, subs, states, comms):
     results = {}
-    _run_spmd([
+    run_spmd([
         lambda: results.update(a=comms[0].reduce_dt([(0.5, "cfl", 3)])),
         lambda: results.update(b=comms[1].reduce_dt([(0.2, "div", 5)])),
     ])
@@ -117,8 +85,8 @@ def test_reduce_dt_globalises_cell_index(two_ranks):
     assert results["b"] == results["a"]
 
 
-def test_abort_breaks_peer_out_of_collective(two_ranks):
-    ctx, subs, states, comms = two_ranks
+@both_transports
+def test_abort_breaks_peer_out_of_collective(ctx, subs, states, comms):
 
     def failing():
         ctx.abort()
@@ -127,12 +95,14 @@ def test_abort_breaks_peer_out_of_collective(two_ranks):
         with pytest.raises(CommError):
             comms[1].allreduce_max(1.0)
 
-    _run_spmd([failing, waiting])
+    run_spmd([failing, waiting])
 
 
-def test_traffic_matrix_symmetric_pairs(two_ranks):
-    ctx, subs, states, comms = two_ranks
-    matrix = ctx.traffic_matrix()
+def test_traffic_matrix_symmetric_pairs():
+    """The static estimate comes from the halo schedules, which only
+    the in-process context keeps."""
+    with live_ranks("in-process") as (ctx, subs, states, comms):
+        matrix = ctx.traffic_matrix()
     assert matrix.shape == (2, 2)
     assert matrix[0, 1] > 0 and matrix[1, 0] > 0
     assert matrix[0, 0] == 0 and matrix[1, 1] == 0
@@ -142,12 +112,92 @@ def test_traffic_matrix_symmetric_pairs(two_ranks):
     assert matrix[1, 0] >= shared_bytes
 
 
-def test_stats_accumulate(two_ranks):
-    ctx, subs, states, comms = two_ranks
-    _run_spmd([
+@both_transports
+def test_stats_accumulate(ctx, subs, states, comms):
+    run_spmd([
         lambda: comms[0].exchange_kinematics(states[0]),
         lambda: comms[1].exchange_kinematics(states[1]),
     ])
-    total = ctx.total_stats()
-    assert total.halo_exchanges == 2
-    assert total.bytes_sent > 0
+    assert sum(c.stats.halo_exchanges for c in comms) == 2
+    assert all(c.stats.bytes_sent > 0 for c in comms)
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_abort_wakes_a_blocked_waiter(transport):
+    """A rank asleep in a split-phase wait (its neighbour never posts)
+    must come out with CommError as soon as anyone aborts."""
+    with live_ranks(transport) as (ctx, subs, states, comms):
+        blocked = threading.Event()
+
+        def waiting():
+            comms[1].post_kinematics(states[1])
+            blocked.set()
+            comms[1].complete_kinematics(states[1])
+
+        def failing():
+            assert blocked.wait(10.0)
+            ctx.abort()
+
+        with pytest.raises(CommError, match="peer rank failed"):
+            run_spmd([failing, waiting])
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_unencodable_dt_reason_raises(transport):
+    """A dt cell carries the reason as a DT_REASONS code; anything else
+    must fail loudly rather than cross the seam mangled — on the leaf
+    that publishes it and on a root that would broadcast it."""
+    with live_ranks(transport) as (ctx, subs, states, comms):
+        raised = {}
+
+        def reduce(r):
+            try:
+                comms[r].reduce_dt([(0.5, "bogus", 3)])
+            except CommError as exc:
+                raised[r] = str(exc)
+                ctx.abort()   # the peer must not wait out the timeout
+
+        run_spmd([lambda: reduce(0), lambda: reduce(1)])
+    assert "unencodable dt reason" in raised[1]
+    assert "peer rank failed" in raised[0]
+    with live_ranks(transport, nranks=1) as (ctx, subs, states, comms):
+        with pytest.raises(CommError, match="unencodable dt reason"):
+            run_spmd([lambda: comms[0].reduce_dt([(0.5, "bogus", 3)])])
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+@pytest.mark.parametrize("nranks", range(1, 10))
+def test_dt_hops_critical_path_is_log2(transport, nranks):
+    """The binomial tree's busiest rank combines ⌈log2 P⌉ candidates
+    per reduction, and the P−1 edges are each walked once."""
+    with live_ranks(transport, nranks=nranks) as (ctx, subs, states, comms):
+        results = [None] * nranks
+
+        def reduce(r):
+            results[r] = comms[r].reduce_dt([(1.0 + r, "cfl", 0)])
+
+        run_spmd([lambda r=r: reduce(r) for r in range(nranks)])
+    assert results == [results[0]] * nranks
+    assert results[0][:2] == (1.0, "cfl")
+    hops = [c.stats.dt_hops for c in comms]
+    assert max(hops) == math.ceil(math.log2(nranks))
+    assert sum(hops) == nranks - 1
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_untraced_waits_are_not_timed(monkeypatch, transport):
+    """Wait attribution costs nothing when no tracer is attached: the
+    endpoint reads no clock and keeps no record."""
+    def clock():
+        raise AssertionError("an untraced endpoint read the clock")
+
+    monkeypatch.setattr(typhon, "time", SimpleNamespace(
+        monotonic=time.monotonic, perf_counter=clock))
+    with live_ranks(transport) as (ctx, subs, states, comms):
+        def step(r):
+            comms[r].exchange_kinematics(states[r])
+            comms[r].reduce_dt([(0.5, "cfl", 3)])
+            comms[r].allreduce_max(1.0)
+
+        run_spmd([lambda: step(0), lambda: step(1)])
+        assert all(c._waits is None for c in comms)
