@@ -76,8 +76,8 @@ def centroid(a: np.ndarray, out: np.ndarray) -> np.ndarray:
 def corner_dot(a: np.ndarray, b: np.ndarray, out: np.ndarray,
                ws) -> np.ndarray:
     """``Σ_k a[k]·b[k]`` per cell, associated ``(p0 + p2) + (p1 + p3)``
-    — what ``einsum("ck,ck->c")`` and the ``(n, 4) @ (4,)`` matvec of
-    ``repro.ensemble`` evaluate (two SIMD lanes, summed last)."""
+    — what ``einsum("ck,ck->c")`` and an ``(n, 4) @ (4,)`` matvec
+    evaluate (two SIMD lanes, summed last); the tests pin it to them."""
     p = ws.borrow(a.shape)
     np.multiply(a, b, out=p)
     np.add(p[0], p[2], out=out)

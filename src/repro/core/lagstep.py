@@ -27,11 +27,17 @@ and the state arrays keep their identity across steps — holders of a
 reference see the new values, so anything that needs the old ones must
 copy).  A standalone call without a workspace runs the same body on
 fresh allocations.
+
+This is also the step of an ensemble: N same-topology runs are one
+more unstructured mesh, the disjoint union of N copies, and each
+lane's own step size and viscosity coefficients enter as per-node /
+per-cell vectors — the kernels multiply by whatever they are given
+(:mod:`repro.ensemble`).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -106,15 +112,22 @@ def _gather_overlapped(comms, state, mesh, cx, cy, timers) -> None:
 
 
 def lagstep(state: HydroState, table: MaterialTable,
-            controls: HydroControls, dt: float,
+            controls: HydroControls,
+            dt: Union[float, Tuple[np.ndarray, np.ndarray]],
             timers: TimerRegistry, gamma: np.ndarray,
             comms=None, time: Optional[float] = None,
             ws: Optional[Workspace] = None) -> None:
-    """Advance ``state`` in place by one Lagrangian step of size ``dt``."""
+    """Advance ``state`` in place by one Lagrangian step of size ``dt``.
+
+    ``dt`` is one step size, or a ``(per-node, per-cell)`` pair of
+    vectors when the components of a disjoint-union mesh each take
+    their own; ``controls.cq1``/``cq2`` may likewise be per-cell.
+    """
     comms = comms if comms is not None else SerialComms()
     mesh = state.mesh
     ncell, nnode = mesh.ncell, mesh.nnode
-    half = 0.5 * dt
+    dt_node, dt_cell = dt if isinstance(dt, tuple) else (dt, dt)
+    half_node, half_cell = 0.5 * dt_node, 0.5 * dt_cell
     mask = comms.owned_cell_mask(state)
     w = scratch(ws)
 
@@ -147,9 +160,9 @@ def lagstep(state: HydroState, table: MaterialTable,
     with timers.region("getgeom"):
         x_h = w.array("lag.xh", nnode)
         y_h = w.array("lag.yh", nnode)
-        np.multiply(state.u, half, out=x_h)
+        np.multiply(state.u, half_node, out=x_h)
         x_h += state.x
-        np.multiply(state.v, half, out=y_h)
+        np.multiply(state.v, half_node, out=y_h)
         y_h += state.y
         cx_h, cy_h, vol_h, cvol_h = geometry.getgeom(
             mesh, x_h, y_h, time=time, check_mask=mask, ws=w, out=geom
@@ -159,7 +172,7 @@ def lagstep(state: HydroState, table: MaterialTable,
         rho_h = getrho(state.cell_mass, vol_h, controls.dencut,
                        out=w.array("lag.rhoh", ncell))
     with timers.region("getein"):
-        e_h = energy_mod.getein(state, fx, fy, state.u, state.v, half,
+        e_h = energy_mod.getein(state, fx, fy, state.u, state.v, half_cell,
                                 ws=w, out=w.array("lag.eh", ncell))
     with timers.region("getpc"):
         p_h, cs2_h = table.getpc(
@@ -177,14 +190,14 @@ def lagstep(state: HydroState, table: MaterialTable,
     )
 
     with timers.region("getacc"):
-        u_new, v_new, u_bar, v_bar = getacc(state, fx, fy, dt,
+        u_new, v_new, u_bar, v_bar = getacc(state, fx, fy, dt_node,
                                             comms=comms, ws=w)
 
     with timers.region("getgeom"):
         move = x_h                      # dead since the half-step gather
-        np.multiply(u_bar, dt, out=move)
+        np.multiply(u_bar, dt_node, out=move)
         state.x += move
-        np.multiply(v_bar, dt, out=move)
+        np.multiply(v_bar, dt_node, out=move)
         state.y += move
         _, _, vol, cvol = geometry.getgeom(
             mesh, state.x, state.y, time=time, check_mask=mask,
@@ -198,7 +211,8 @@ def lagstep(state: HydroState, table: MaterialTable,
     with timers.region("getein"):
         # out may alias state.e: the work term is fully accumulated
         # before the final elementwise subtraction.
-        energy_mod.getein(state, fx, fy, u_bar, v_bar, dt, ws=w, out=state.e)
+        energy_mod.getein(state, fx, fy, u_bar, v_bar, dt_cell, ws=w,
+                          out=state.e)
     with timers.region("getpc"):
         table.getpc(state.mat, state.rho, state.e, ws=w,
                     out=(state.p, state.cs2))

@@ -16,6 +16,13 @@ In the distributed code this is the *single global reduction* per step
 the paper mentions: each rank computes its local minimum and the
 reduction takes the global one.  :func:`local_dt_candidates` exposes
 the per-rank part so the parallel driver can do exactly that.
+
+The work is two stages.  :func:`dt_fields` is the array part — the CFL
+ratio and volume-change-rate fields, one value per cell.
+:func:`dt_candidates` and :func:`pick_dt` are the scalar part: reduce
+the fields to the two physics candidates, then apply the deterministic
+caps.  An ensemble computes the fields once on its union mesh and runs
+the scalar part once per lane on that lane's contiguous segment.
 """
 
 from __future__ import annotations
@@ -33,15 +40,18 @@ from .state import HydroState
 Candidate = Tuple[float, str, int]
 
 
-def local_dt_candidates(state: HydroState, controls: HydroControls,
-                        mask: Optional[np.ndarray] = None,
-                        ws: Optional[Workspace] = None
-                        ) -> List[Candidate]:
-    """CFL and divergence candidates ``(dt, reason, cell)`` for this domain.
+def dt_fields(state: HydroState, controls: HydroControls,
+              mask: Optional[np.ndarray] = None,
+              ws: Optional[Workspace] = None
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-cell ``(ratio, rate)``: the squared CFL crossing time
+    ``l² / c_eff²`` and the volume-change rate ``|V̇/V|``.
 
     ``mask`` restricts the reductions to owned cells in a decomposed
-    run (ghost cells carry locally-meaningless thermodynamics).  Every
-    temporary, corner-major like the step's, is borrowed from ``ws``.
+    run (ghost cells carry locally-meaningless thermodynamics: they get
+    ``inf`` and ``0``).  Every temporary, corner-major like the step's,
+    is borrowed from ``ws`` — and so are the two results, which the
+    caller releases.
     """
     w = scratch(ws)
     plans, volume = state.mesh.plans, state.volume
@@ -63,15 +73,13 @@ def local_dt_candidates(state: HydroState, controls: HydroControls,
     if mask is not None:             # ghosts drop out of both reductions
         ghost = np.logical_not(mask, out=w.borrow(ncell, dtype=bool))
         np.copyto(ratio, np.inf, where=ghost)
-    icfl = int(np.argmin(ratio))
-    dt_cfl = controls.cfl_safety * float(np.sqrt(ratio[icfl]))
 
     # Volume-change rate: V̇ = Σ_i ∇_i V · u_i on current velocities.
     dvdx, dvdy = geometry.volume_gradients(
         cx, cy, out=(w.borrow(shape), w.borrow(shape)))
     w.release(cx, cy)
     cu = plans.gather(state.u, out=w.borrow(shape))
-    rate = geometry.corner_dot(dvdx, cu, ratio, w)
+    rate = geometry.corner_dot(dvdx, cu, c_eff_sq, w)    # c_eff² is consumed
     plans.gather(state.v, out=cu)
     geometry.corner_dot(dvdy, cu, t, w)
     rate += t
@@ -80,12 +88,31 @@ def local_dt_candidates(state: HydroState, controls: HydroControls,
     if mask is not None:
         np.copyto(rate, 0.0, where=ghost)
         w.release(ghost)
+    w.release(dvdx, dvdy, cu, t)
+    return ratio, rate
+
+
+def dt_candidates(ratio: np.ndarray, rate: np.ndarray,
+                  controls: HydroControls) -> List[Candidate]:
+    """CFL and divergence candidates ``(dt, reason, cell)`` of the
+    :func:`dt_fields` (or one lane's segment of them)."""
+    icfl = int(np.argmin(ratio))
+    dt_cfl = controls.cfl_safety * float(np.sqrt(ratio[icfl]))
     idiv = int(np.argmax(rate))
     max_rate = float(rate[idiv])
     dt_div = controls.div_safety / max_rate if max_rate > controls.zcut else np.inf
-    w.release(dvdx, dvdy, cu, rate, c_eff_sq, t)
-
     return [(dt_cfl, "cfl", icfl), (dt_div, "div", idiv)]
+
+
+def local_dt_candidates(state: HydroState, controls: HydroControls,
+                        mask: Optional[np.ndarray] = None,
+                        ws: Optional[Workspace] = None
+                        ) -> List[Candidate]:
+    """This domain's :func:`dt_candidates`."""
+    ratio, rate = dt_fields(state, controls, mask, ws)
+    candidates = dt_candidates(ratio, rate, controls)
+    scratch(ws).release(ratio, rate)
+    return candidates
 
 
 def getdt(state: HydroState, controls: HydroControls,
@@ -101,8 +128,16 @@ def getdt(state: HydroState, controls: HydroControls,
     candidates = local_dt_candidates(state, controls, mask, ws=ws)
     if comms is not None:
         candidates = [comms.reduce_dt(candidates)]
-    candidates.append((controls.dt_growth * dt_prev, "growth", -1))
-    candidates.append((controls.dt_max, "max", -1))
+    return pick_dt(candidates, controls, dt_prev, time)
+
+
+def pick_dt(candidates: List[Candidate], controls: HydroControls,
+            dt_prev: float, time: float) -> Candidate:
+    """The smallest of the (reduced) physics candidates and the
+    growth/max caps, clipped to the remaining time; raises on collapse
+    below ``dt_min``."""
+    candidates = candidates + [(controls.dt_growth * dt_prev, "growth", -1),
+                               (controls.dt_max, "max", -1)]
     dt, reason, cell = min(candidates, key=lambda c: c[0])
     if dt < controls.dt_min:
         raise TimestepCollapseError(dt, controls.dt_min, cell=cell, time=time)

@@ -149,7 +149,7 @@ def bulk_q(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
     if out is None:
         out = np.empty(ncell)
     # q = cq2 ρ du² + cq1 ρ c_s du, only where compressing — each
-    # term associated left to right, as ``repro.ensemble.kernels`` does.
+    # term associated left to right (every run digest depends on it).
     np.multiply(rho, cq2, out=out)
     out *= du
     out *= du
@@ -258,8 +258,7 @@ def getq(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
     ws.release(gx, gy, mx, my)
 
     # Unit jump direction (guarded); force ±q L û on the edge's nodes.
-    # Associated as ((q·L)·Δu)·inv — what ``repro.ensemble.kernels``
-    # is bit-compared against.
+    # Associated as ((q·L)·Δu)·inv (every run digest depends on it).
     inv = ws.borrow(shape)
     np.maximum(dumag, DU_CUT, out=inv)
     np.divide(1.0, inv, out=inv)

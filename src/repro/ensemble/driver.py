@@ -1,20 +1,25 @@
-"""The ensemble driver: N same-mesh runs through one batched kernel pass.
+"""The ensemble driver: N same-mesh runs through one Lagrangian step.
 
 :class:`EnsembleHydro` mirrors :class:`repro.core.hydro.Hydro`'s step
-loop over a batch of lanes: every active lane shares one pass through
-the batched kernels per step, each at its *own* dt (per-lane CFL — the
-dt enters the lagstep as an ``(N, 1)`` broadcast column).  Lanes finish
-at different times; a finished lane is *retired* — its final state is
-extracted and the batch arrays are compacted so the remaining lanes
-keep running in a dense block (no masked dead rows, no ``0 · inf``
-hazards).
+loop over a batch of lanes.  The lanes live side by side on one
+disjoint-union mesh (:mod:`repro.ensemble.state`), so every active lane
+shares one call of :func:`repro.core.lagstep.lagstep` per step, each at
+its *own* dt and viscosity coefficients (they enter as per-node /
+per-cell vectors, constant over a lane's segment).  ``getdt``'s two
+fields are computed once on the union and reduced per lane, on that
+lane's contiguous segment, by the scalar stage the serial driver uses.
+Lanes finish at different times; a finished lane is *retired* — its
+final state is extracted and the union is rebuilt from the survivors,
+so the remaining lanes keep running in a dense block (no masked dead
+rows, no ``0 · inf`` hazards).
 
 The correctness contract is strict: lane ``i`` of the ensemble is
 bit-identical — state arrays, step count, dt sequence, diagnostics
-records — to the same problem run through the serial driver.  Kernels
-stay in the serial association per lane (:mod:`repro.ensemble.kernels`)
-and the loop bookkeeping here stays in Python-float scalar arithmetic
-exactly like ``Hydro``; CI gates this on Noh and Sod.
+records — to the same problem run through the serial driver.  The
+kernels are the serial driver's own, every gather and nodal sum stays
+inside its lane in the serial order, and the loop bookkeeping here
+stays in Python-float scalar arithmetic exactly like ``Hydro``; CI
+gates this on Noh and Sod.
 
 :func:`run_ensemble` is the embedding surface:
 ``run_ensemble([RunConfig(...), ...]) -> [RunResult, ...]``, one result
@@ -25,29 +30,60 @@ ensemble timer registry.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..api import RunConfig, RunResult
 from ..core.comms import SerialComms
-from ..core.hourglass import GAMMA
+from ..core.lagstep import lagstep
+from ..core.timestep import dt_candidates, dt_fields, pick_dt
+from ..eos.multimaterial import MaterialTable
 from ..perf.workspace import Workspace
 from ..problems.base import ProblemSetup
-from ..utils.errors import BookLeafError
+from ..utils.errors import (BookLeafError, TangledMeshError,
+                            TimestepCollapseError)
 from ..utils.timers import TimerRegistry
-from . import kernels
-from .eos import EnsembleEos
-from .lagstep import EnsembleContext, lagstep_batch
 from .state import EnsembleState
-from .timestep import getdt_batch
 
-#: controls that enter the *batched* array expressions and therefore
-#: must be uniform across lanes (per-lane values would need per-lane
-#: columns the kernels do not carry — cq1/cq2/γ and everything in
-#: getdt's scalar stage already are per-lane)
+#: controls the step reads as one scalar (or branches on) for the whole
+#: union and which therefore must be uniform across lanes — cq1/cq2/γ
+#: are per-cell vectors and everything in getdt's scalar stage is
+#: per-lane already
 UNIFORM_CONTROLS = ("viscosity_form", "use_limiter", "subzonal_kappa",
                     "filter_kappa", "dencut", "ccut")
+
+
+class _LaneTables:
+    """``getpc`` for a union whose lanes carry different materials:
+    each lane's own :class:`MaterialTable` on that lane's contiguous
+    segment (it computes nothing itself)."""
+
+    def __init__(self, tables: List[MaterialTable], ncell: int):
+        self.tables = tables
+        self.ncell = ncell
+
+    def getpc(self, mat, rho, e, out, ws=None):
+        n = self.ncell
+        for i, table in enumerate(self.tables):
+            seg = slice(i * n, (i + 1) * n)
+            table.getpc(mat[seg], rho[seg], e[seg],
+                        out=(out[0][seg], out[1][seg]), ws=ws)
+        return out
+
+
+def _same_materials(a: MaterialTable, b: MaterialTable) -> bool:
+    """Same EoS types with identical coefficients, material by material."""
+    return all(type(x) is type(y) and vars(x) == vars(y)
+               for x, y in zip(a.eos, b.eos))
+
+
+def _in_lane(exc: BookLeafError, lane: int) -> BookLeafError:
+    """Name the failing lane on ``exc`` and in its message."""
+    exc.lane = lane
+    exc.args = (f"ensemble lane {lane}: {exc}",)
+    return exc
 
 
 class _LaneView:
@@ -70,7 +106,7 @@ class _LaneView:
 
 
 class EnsembleHydro:
-    """Time-marches N same-mesh problems through batched kernels.
+    """Time-marches N same-mesh problems as one disjoint-union mesh.
 
     Parameters
     ----------
@@ -84,8 +120,8 @@ class EnsembleHydro:
         Optional per-lane :class:`DiagnosticsProbe` list (None entries
         = no probe for that lane).
     timers:
-        Shared :class:`TimerRegistry`; each region now times all lanes
-        at once.
+        Shared :class:`TimerRegistry`; each region times all lanes at
+        once.
     max_steps:
         Optional per-lane step limits (None entries fall back to the
         lane's ``controls.max_steps``), mirroring ``Hydro.run``.
@@ -104,9 +140,7 @@ class EnsembleHydro:
                  probes: Optional[Sequence] = None,
                  timers: Optional[TimerRegistry] = None,
                  max_steps: Optional[Sequence[Optional[int]]] = None,
-                 xp=None,
                  resume: Optional[Sequence[Optional[dict]]] = None):
-        self.xp = xp if xp is not None else np
         self.setups = list(setups)
         if not self.setups:
             raise BookLeafError("an ensemble needs at least one lane")
@@ -126,30 +160,20 @@ class EnsembleHydro:
         self.comms = SerialComms()
 
         self.es = EnsembleState([s.state for s in self.setups])
-        mesh = self.es.mesh
-        self.cell_nodes = mesh.cell_nodes
-        plans = mesh.plans
+        tables = [s.table for s in self.setups]
+        for i, t in enumerate(tables[1:], start=1):
+            if t.nmat != tables[0].nmat:
+                raise BookLeafError(
+                    f"ensemble lane {i} has {t.nmat} materials, "
+                    f"lane 0 has {tables[0].nmat}"
+                )
+            if t.pcut != tables[0].pcut or t.ccut != tables[0].ccut:
+                raise BookLeafError(
+                    "ensemble lanes must share pcut/ccut cutoffs"
+                )
+        #: the arena the union's step draws from; cleared whenever the
+        #: union changes width, so dead-width blocks are not pinned
         self.ws = Workspace()
-        self.eos = EnsembleEos([s.table for s in self.setups], xp=self.xp)
-        xp = self.xp
-        self.ctx = EnsembleContext(
-            xp=xp,
-            cell_nodes=self.cell_nodes,
-            lim=plans.limiter_nodes,
-            gamma=self.eos.gamma_like(self.es.mat),
-            gamma_vec=xp.asarray(GAMMA),
-            cq1_col=xp.asarray([[c.cq1] for c in self.controls_list]),
-            cq2_col=xp.asarray([[c.cq2] for c in self.controls_list]),
-            viscosity_form=first.viscosity_form,
-            use_limiter=first.use_limiter,
-            subzonal_kappa=first.subzonal_kappa,
-            filter_kappa=first.filter_kappa,
-            dencut=first.dencut,
-            bc=self.es.bc,
-            eos=self.eos,
-            scatter=plans.scatter_to_nodes_batched,
-            ws=self.ws,
-        )
 
         if resume is None:
             resume = [None] * n
@@ -206,10 +230,25 @@ class EnsembleHydro:
         #: batch row -> original lane index (shrinks with retirement)
         self.order = list(range(n))
         self.final_states = [None] * n
-        #: committed-geometry product cache carried between steps
-        #: (built by the corrector's getgeom; invalidated whenever the
-        #: coordinates or the batch layout change behind its back)
-        self._geom = None
+        self._lay_out()
+
+    def _lay_out(self) -> None:
+        """What the step needs per union cell, for the active lanes in
+        row order: the material table, γ, and the lanes' viscosity
+        coefficients spread over their segments (riding in the uniform
+        controls' ``cq1``/``cq2``)."""
+        ncell = self.es.mesh.ncell
+        tables = [self.setups[lane].table for lane in self.order]
+        self.table = tables[0] if all(
+            _same_materials(tables[0], t) for t in tables[1:]
+        ) else _LaneTables(tables, ncell)
+        self.gamma = np.concatenate(
+            [t.gamma_like(self.es.mat) for t in tables])
+        controls = [self.controls_list[lane] for lane in self.order]
+        self.controls = replace(
+            controls[0],
+            cq1=np.repeat([c.cq1 for c in controls], ncell),
+            cq2=np.repeat([c.cq2 for c in controls], ncell))
 
     # ------------------------------------------------------------------
     @property
@@ -247,71 +286,64 @@ class EnsembleHydro:
                 probe = self.probes[lane]
                 if probe is not None:
                     probe.finish(self._view(row, state=final))
-        if keep_rows:
-            keep = np.zeros(len(self.order), dtype=bool)
-            keep[keep_rows] = True
-            self.es.compact(keep)
-            self.ctx.compact(keep)
-            self.eos.compact(keep)
-        self._geom = None               # batch rows moved under the cache
         self.order = [self.order[row] for row in keep_rows]
+        self.ws.clear()
+        if keep_rows:
+            self.es.compact(keep_rows)
+            self._lay_out()
 
     def _advance_once(self) -> None:
-        xp = self.xp
         active = self.order
-        # The step's shared caches: velocity products (dt fields + both
-        # viscosity passes + predictor energy all read the committed
-        # u/v) and the committed geometry's products (carried over from
-        # the previous corrector when the coordinates haven't moved).
-        vc = kernels.velocity_edge_cache(
-            xp, self.cell_nodes, self.es.u, self.es.v)
-        geom = self._geom
-        if geom is None:
-            geom = kernels.build_geom(
-                xp, self.cell_nodes, self.es.x, self.es.y,
-                check=False)
+        union = self.es.union
+        nnode, ncell = self.es.mesh.nnode, self.es.mesh.ncell
         # "First step" is a per-lane condition: a refilled batch mixes
         # fresh lanes (serial drivers take dt_initial without running
         # getdt at all on step 0) with carried mid-flight lanes.  An
-        # all-fresh batch skips getdt entirely — the historic special
-        # case; a mixed batch runs getdt for everyone and overrides the
-        # fresh lanes' candidates, which is bitwise the same for both
-        # populations (per-lane candidates are independent).
+        # all-fresh batch skips getdt entirely; a mixed batch computes
+        # the fields for everyone and picks only for the carried lanes.
         fresh = [self.nsteps[lane] == 0 for lane in active]
-        if all(fresh):
-            cands = []
-            for lane in active:
+        if not all(fresh):
+            with self.timers.region("getdt"):
+                ratio, rate = dt_fields(union, self.controls, ws=self.ws)
+                for row, lane in enumerate(active):
+                    if fresh[row]:
+                        continue
+                    controls = self.controls_list[lane]
+                    seg = slice(row * ncell, (row + 1) * ncell)
+                    try:
+                        (self.dts[lane], self.dt_reasons[lane],
+                         self.dt_cells[lane]) = pick_dt(
+                            dt_candidates(ratio[seg], rate[seg], controls),
+                            controls, self.dts[lane], self.times[lane])
+                    except TimestepCollapseError as exc:
+                        _in_lane(exc, lane)
+                        raise
+                self.ws.release(ratio, rate)
+        for row, lane in enumerate(active):
+            if fresh[row]:
                 controls = self.controls_list[lane]
                 remaining = controls.time_end - self.times[lane]
-                cands.append((min(controls.dt_initial, remaining),
-                              "initial", -1))
-        else:
-            with self.timers.region("getdt"):
-                cands = getdt_batch(
-                    xp, self.es, geom, vc,
-                    [self.controls_list[lane] for lane in active],
-                    [self.dts[lane] for lane in active],
-                    [self.times[lane] for lane in active],
-                )
-            for row, lane in enumerate(active):
-                if fresh[row]:
-                    controls = self.controls_list[lane]
-                    remaining = controls.time_end - self.times[lane]
-                    cands[row] = (min(controls.dt_initial, remaining),
-                                  "initial", -1)
-        for row, lane in enumerate(active):
-            (self.dts[lane], self.dt_reasons[lane],
-             self.dt_cells[lane]) = cands[row]
+                self.dts[lane] = min(controls.dt_initial, remaining)
+                self.dt_reasons[lane], self.dt_cells[lane] = "initial", -1
 
-        dt_col = xp.asarray([[c[0]] for c in cands])
-        self._geom = lagstep_batch(self.es, self.ctx, dt_col,
-                                   self.timers,
-                                   time=self.times[active[0]],
-                                   vc=vc, geom=geom)
+        dts = [self.dts[lane] for lane in active]
+        try:
+            lagstep(union, self.table, self.controls,
+                    (np.repeat(dts, nnode), np.repeat(dts, ncell)),
+                    self.timers, self.gamma, comms=self.comms, ws=self.ws)
+        except TangledMeshError as exc:
+            # Union cell ids name the lane: report the first failing
+            # lane's own cells and time, as its solo run would.
+            row = exc.cells[0] // ncell
+            cells = [c - row * ncell for c in exc.cells
+                     if c // ncell == row]
+            raise _in_lane(
+                TangledMeshError(cells, time=self.times[active[row]]),
+                active[row]) from exc
 
-        # ALE remap, per lane on its row view — the remapper is serial
-        # code (it rebinds state arrays), so each due lane round-trips
-        # through lane_state/absorb_lane.
+        # ALE remap, per lane on its segment view — the remapper is
+        # serial code (it rebinds state arrays), so each due lane
+        # round-trips through lane_state/absorb_lane.
         for row, lane in enumerate(active):
             remapper = self.remappers[lane]
             if remapper is None:
@@ -324,7 +356,6 @@ class EnsembleHydro:
                 remapper.apply(lane_state, self.dts[lane], self.timers,
                                comms=self.comms)
                 self.es.absorb_lane(row, lane_state)
-                self._geom = None       # remap moved the coordinates
 
         for row, lane in enumerate(active):
             self.times[lane] += self.dts[lane]

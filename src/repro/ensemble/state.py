@@ -1,41 +1,74 @@
-"""Batched state — N same-mesh :class:`HydroState` lanes in one arena.
+"""Batched state — N same-mesh lanes as one disjoint-union mesh.
 
-:class:`EnsembleState` stacks the per-lane fields into leading-axis
-arrays — ``(N, nnode)`` nodal, ``(N, ncell)`` cell, ``(N, ncell, 4)``
-corner — that every batched kernel consumes in one pass.  One mesh, one
-boundary-condition object and one material layout are shared by all
-lanes (that is the contract: an ensemble varies *state and controls*,
-not topology).
+BookLeaf's kernels assume nothing about the mesh beyond "quads,
+arbitrary valence", so N runs on one topology are just one more
+unstructured mesh: N copies side by side, no cell or node shared
+between them.  :class:`UnionMesh` tiles the lanes' (already validated)
+connectivity with per-lane offsets, and :class:`EnsembleState` holds
+the lanes' fields concatenated in one ordinary
+:class:`~repro.core.state.HydroState` on it (``union``) — what
+:func:`repro.core.lagstep.lagstep` steps.  Every gather, limiter lookup
+and nodal sum stays inside its own component, in the same order as on
+the lane's own mesh, so a lane is bit-identical to its solo run.
 
-Lane views (:meth:`lane_state`) rebuild a genuine :class:`HydroState`
-whose fields are row views into the batch arrays, so per-lane
-machinery — the ALE remapper, the diagnostics probe, the final-state
-extraction — runs unchanged on one lane without copying.
+Lane ``i`` owns the contiguous segment ``[i·n, (i+1)·n)`` of every
+union array.  Lane views (:meth:`EnsembleState.lane_state`) rebuild a
+genuine :class:`HydroState` on the lanes' own mesh whose fields are
+those segments, so per-lane machinery — the ALE remapper, the
+diagnostics probe, the final-state extraction — runs unchanged on one
+lane without copying.
 
-Ragged retirement is by *compaction*: :meth:`compact` drops finished
-rows with a fancy-index copy (``arr[keep]``), which preserves every
-surviving lane's bits exactly.  Masking finished lanes in place (e.g.
-``dt = 0``) is deliberately avoided — a zero dt turns ``0 · inf`` NaNs
-loose in the timestep kernels.
+Ragged retirement is by *compaction*: :meth:`EnsembleState.compact`
+rebuilds a narrower union from the surviving segments, which preserves
+every surviving lane's bits exactly.  Masking finished lanes in place
+(e.g. ``dt = 0``) is deliberately avoided — a zero dt turns ``0 · inf``
+NaNs loose in the timestep kernels.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from ..core.state import HydroState
+from ..mesh.boundary import BoundaryConditions
+from ..perf.plans import MeshPlans
 from ..utils.errors import BookLeafError
 
-#: HydroState fields batched per lane, by shape family
+#: HydroState fields concatenated per lane, by leading dimension
 NODE_FIELDS = ("x", "y", "u", "v")
-CELL_FIELDS = ("rho", "e", "p", "cs2", "q", "volume", "cell_mass")
-CORNER_FIELDS = ("corner_mass", "corner_volume")
+CELL_FIELDS = ("rho", "e", "p", "cs2", "q", "volume", "cell_mass",
+               "corner_mass", "corner_volume")
+
+
+class UnionMesh:
+    """``n`` disjoint copies of ``base``'s connectivity.
+
+    Carries what the step reads of a mesh (sizes, ``cell_nodes``, the
+    neighbour tables :class:`MeshPlans` compiles its limiter indices
+    from, and the ``plans``): copy ``i``'s node and cell ids are
+    ``base``'s shifted by ``i·nnode`` / ``i·ncell``, which is exactly
+    what :class:`~repro.mesh.topology.QuadMesh` would derive from the
+    tiled ``cell_nodes``.
+    """
+
+    def __init__(self, base, n: int):
+        self.ncell = n * base.ncell
+        self.nnode = n * base.nnode
+        lane = np.arange(n)[:, None, None]
+        self.cell_nodes = (base.cell_nodes
+                           + lane * base.nnode).reshape(-1, 4)
+        neighbours = base.cell_neighbours
+        self.cell_neighbours = np.where(
+            neighbours >= 0, neighbours + lane * base.ncell, -1
+        ).reshape(-1, 4)
+        self.neighbour_side = np.tile(base.neighbour_side, (n, 1))
+        self.plans = MeshPlans(self)
 
 
 class EnsembleState:
-    """N stacked lanes of one same-mesh problem."""
+    """N lanes of one same-mesh problem, concatenated."""
 
     def __init__(self, states: List[HydroState]):
         if not states:
@@ -67,68 +100,64 @@ class EnsembleState:
                 raise BookLeafError(
                     f"ensemble lane {i} has different boundary conditions"
                 )
+        #: the lanes' own mesh, boundary conditions and material layout
         self.mesh = first.mesh
         self.bc = first.bc
         self.mat = first.mat.copy()
-        for name in NODE_FIELDS + CELL_FIELDS + CORNER_FIELDS:
-            setattr(self, name,
-                    np.stack([getattr(st, name) for st in states]))
-        self._node_mass: Optional[np.ndarray] = None
+        self._unite(states)
+
+    def _unite(self, states: List[HydroState]) -> None:
+        """(Re)build ``union`` from lane states (or lane views)."""
+        n = len(states)
+        bc = self.bc
+        self.union = HydroState(
+            mesh=UnionMesh(self.mesh, n),
+            mat=np.tile(self.mat, n),
+            bc=BoundaryConditions(np.tile(bc.flags, n), np.tile(bc.ux, n),
+                                  np.tile(bc.uy, n)),
+            **{name: np.concatenate([getattr(st, name) for st in states])
+               for name in NODE_FIELDS + CELL_FIELDS},
+        )
 
     # ------------------------------------------------------------------
     @property
     def n_lanes(self) -> int:
-        return self.x.shape[0]
+        return self.union.mesh.ncell // self.mesh.ncell
 
-    def node_mass(self, scatter) -> np.ndarray:
-        """Cached (N, nnode) nodal mass; ``scatter`` is the batched
-        corner-to-node scatter callable (one shared plan)."""
-        if self._node_mass is None:
-            self._node_mass = scatter(self.corner_mass)
-        return self._node_mass
-
-    def invalidate_node_mass(self) -> None:
-        """Corner masses changed (ALE remap) — drop the cache."""
-        self._node_mass = None
-
-    # ------------------------------------------------------------------
     def lane_state(self, i: int) -> HydroState:
-        """A :class:`HydroState` whose fields are row views of lane i.
+        """A :class:`HydroState` whose fields are lane i's segments.
 
-        Mutating the view's arrays *in place* mutates the batch; code
+        Mutating the view's arrays *in place* mutates the union; code
         that rebinds fields (the ALE update) must be followed by
         :meth:`absorb_lane` to copy the rebound arrays back.
         """
-        return HydroState(
-            mesh=self.mesh,
-            x=self.x[i], y=self.y[i], u=self.u[i], v=self.v[i],
-            rho=self.rho[i], e=self.e[i], p=self.p[i], cs2=self.cs2[i],
-            q=self.q[i], volume=self.volume[i],
-            cell_mass=self.cell_mass[i],
-            corner_mass=self.corner_mass[i],
-            corner_volume=self.corner_volume[i],
-            mat=self.mat, bc=self.bc,
-        )
+        mesh = self.mesh
+        fields = {}
+        for names, n in ((NODE_FIELDS, mesh.nnode),
+                         (CELL_FIELDS, mesh.ncell)):
+            for name in names:
+                fields[name] = getattr(self.union, name)[i * n:(i + 1) * n]
+        return HydroState(mesh=mesh, mat=self.mat, bc=self.bc, **fields)
 
     def absorb_lane(self, i: int, st: HydroState) -> None:
-        """Copy a lane state's (possibly rebound) fields back into row i."""
-        for name in NODE_FIELDS + CELL_FIELDS + CORNER_FIELDS:
-            # Unconditional row copy: a no-op when the field is still
-            # the row view, a commit when the remapper rebound it.
-            getattr(self, name)[i] = getattr(st, name)
-        self.invalidate_node_mass()
+        """Copy a lane state's (possibly rebound) fields back into
+        segment i; the union's nodal-mass cache goes with them."""
+        view = self.lane_state(i)
+        for name in NODE_FIELDS + CELL_FIELDS:
+            # Unconditional segment copy: a no-op when the field is
+            # still the view, a commit when the remapper rebound it.
+            getattr(view, name)[...] = getattr(st, name)
+        self.union.invalidate_node_mass()
 
     def extract_lane(self, i: int) -> HydroState:
         """A standalone copy of lane i (the final per-lane result)."""
         return self.lane_state(i).copy()
 
     # ------------------------------------------------------------------
-    def compact(self, keep: np.ndarray) -> None:
-        """Drop retired lanes: keep only rows where ``keep`` is True.
+    def compact(self, keep: List[int]) -> None:
+        """Drop retired lanes: keep only the lanes listed in ``keep``.
 
-        A fancy-index copy per field — bit-preserving for survivors.
+        The survivors' segments are copied into a narrower union —
+        bit-preserving, and no dead lane is left to step.
         """
-        for name in NODE_FIELDS + CELL_FIELDS + CORNER_FIELDS:
-            setattr(self, name, getattr(self, name)[keep])
-        if self._node_mass is not None:
-            self._node_mass = self._node_mass[keep]
+        self._unite([self.lane_state(i) for i in keep])

@@ -167,7 +167,16 @@ def run_ensemble_jobs(jobs: Sequence[BatchJob], *,
         batch_pos = [l["pos"] for l in lanes]
         setups = {l["pos"]: l["setup"] for l in lanes}
         while True:
-            retired = eh.advance()
+            try:
+                retired = eh.advance()
+            except BookLeafError as exc:
+                # The driver names the failing lane of *this* batch;
+                # after a refill that is not the job's index.
+                lane = getattr(exc, "lane", None)
+                if lane is not None:
+                    exc.job = jobs[batch_pos[lane]].index
+                    exc.args = (f"job {exc.job}, {exc}",)
+                raise
             for lane in retired:
                 pos = batch_pos[lane]
                 done[pos] = {

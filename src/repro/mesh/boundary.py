@@ -86,23 +86,6 @@ class BoundaryConditions:
         ax[(self.flags & FIX_X) != 0] = 0.0
         ay[(self.flags & FIX_Y) != 0] = 0.0
 
-    def apply_velocity_batched(self, u: np.ndarray, v: np.ndarray) -> None:
-        """Batched :meth:`apply_velocity` on (N, nnode) arrays.
-
-        One mask build serves every lane; the prescribed values
-        broadcast down the batch axis (same assignment per lane as the
-        serial call, hence bit-identical)."""
-        mx = (self.flags & FIX_X) != 0
-        my = (self.flags & FIX_Y) != 0
-        u[:, mx] = self.ux[mx]
-        v[:, my] = self.uy[my]
-
-    def apply_acceleration_batched(self, ax: np.ndarray,
-                                   ay: np.ndarray) -> None:
-        """Batched :meth:`apply_acceleration` on (N, nnode) arrays."""
-        ax[:, (self.flags & FIX_X) != 0] = 0.0
-        ay[:, (self.flags & FIX_Y) != 0] = 0.0
-
     def constrained_nodes(self) -> np.ndarray:
         """Indices of nodes with any constraint (for reporting)."""
         return np.flatnonzero(self.flags != 0)

@@ -23,8 +23,8 @@ computed once per mesh and reused every step:
 
 * **Limiter indices** — the Christiansen limiter's continuation-edge
   lookups depend only on connectivity; the plan hoists them out of
-  ``getq``: edge indices for ``repro.core``, node indices for
-  ``repro.ensemble``, each built on first use.
+  ``getq`` as edge indices (the node-index form is kept as their
+  test reference), each built on first use.
 
 :class:`MeshPlans` treats the mesh duck-typed (anything exposing
 ``cell_nodes``, ``cell_neighbours``, ``neighbour_side``,
@@ -110,8 +110,9 @@ class MeshPlans:
 
     @cached_property
     def limiter_nodes(self):
-        """Node indices of the Christiansen continuation jumps (what
-        ``repro.ensemble`` reads): ``(n_b1, n_b0, n_f1, n_f0, off)``,
+        """Node indices of the Christiansen continuation jumps (the
+        reference the tests hold :attr:`limiter_edges` to):
+        ``(n_b1, n_b0, n_f1, n_f0, off)``,
         each (ncell, 4) — the node pairs of the backward/forward
         continuation edges of every in-cell edge, and the mask of edges
         whose continuation is missing."""
@@ -126,7 +127,7 @@ class MeshPlans:
     @cached_property
     def limiter_edges(self):
         """The same jumps as edges of the neighbouring cells (what
-        ``repro.core`` reads): ``u[n_b1] − u[n_b0]`` *is* edge ``ls − 1``
+        ``getq`` reads): ``u[n_b1] − u[n_b0]`` *is* edge ``ls − 1``
         of cell ``lc`` (the forward one edge ``rs + 1`` of ``rc``), a
         value the viscosity has already computed.  ``(back, fwd, off)``,
         each (4, ncell): flat indices into a corner-major edge array,
@@ -211,38 +212,4 @@ class MeshPlans:
         if out is None:
             return result
         np.copyto(out, result)
-        return out
-
-    def scatter_to_nodes_batched(self, corner_field: np.ndarray,
-                                 out: Optional[np.ndarray] = None
-                                 ) -> np.ndarray:
-        """Sum a (B, ncell, 4) corner field onto nodes -> (B, nnode).
-
-        The ensemble scatter: one shared plan serves every lane.  On a
-        canonical grid the four shifted window adds run with a leading
-        batch axis — each lane's accumulation order is exactly the
-        single-lane grid path's, hence bit-identical to ``bincount``
-        per lane.  Off-grid meshes fall back to a per-lane ``bincount``
-        loop (bit-identical by construction, just not batched).
-        """
-        b = corner_field.shape[0]
-        if out is None:
-            out = np.empty((b, self.nnode))
-        if (self.grid_shape is not None
-                and corner_field.flags.c_contiguous
-                and out.flags.c_contiguous):
-            ny, nx = self.grid_shape
-            f = corner_field.reshape(b, ny, nx, 4)
-            o = out.reshape(b, ny + 1, nx + 1)
-            o.fill(0.0)
-            o[:, 1:, 1:] += f[:, :, :, 2]
-            o[:, 1:, :-1] += f[:, :, :, 3]
-            o[:, :-1, 1:] += f[:, :, :, 1]
-            o[:, :-1, :-1] += f[:, :, :, 0]
-            return out
-        flat_nodes = self.cell_nodes.reshape(-1)
-        for i in range(b):
-            out[i] = np.bincount(flat_nodes,
-                                 weights=corner_field[i].reshape(-1),
-                                 minlength=self.nnode)
         return out

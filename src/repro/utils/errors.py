@@ -145,7 +145,7 @@ class EnsembleDowngradeWarning(UserWarning):
     """A fleet job was routed off the same-mesh batched fast path.
 
     Tracing, allocation tracking and profiling are per-job telemetry
-    the vectorised ensemble kernels do not thread through, so a job
+    and a batch steps all its lanes in one kernel pass, so a job
     requesting them under ``ensemble="auto"`` silently losing the fast
     path would be a surprise slowdown.  The warning (and the paired
     ``fast_path_downgrade`` schedule-log event) names the job and the

@@ -181,3 +181,22 @@ def test_check_volumes_releases_its_mask_on_failure():
     geometry.check_volumes(np.array([1.0, -1.0, 2.0]),
                            mask=np.array([True, False, True]), ws=ws)
     assert len(ws) == 2 and ws.misses == 2
+
+
+def wide_operands(rng, shape):
+    """Operands spanning 16 decades: a reassociated sum shows in a
+    quarter of the cells, where smooth fields can hide it."""
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+
+
+def test_corner_dot_is_numpys_own_einsum():
+    """``corner_dot`` spells out, in row operations, the association
+    ``einsum("ck,ck->c")`` evaluates on (ncell, 4) operands."""
+    from repro.perf.workspace import scratch
+
+    rng = np.random.default_rng(23)
+    a, b = wide_operands(rng, (63, 4)), wide_operands(rng, (63, 4))
+    dot = geometry.corner_dot(np.ascontiguousarray(a.T),
+                              np.ascontiguousarray(b.T), np.empty(63),
+                              scratch(None))
+    assert np.array_equal(dot, np.einsum("ck,ck->c", a, b))

@@ -113,3 +113,39 @@ def test_hourglass_amplitude_diagnostic():
     amp = hourglass.hourglass_amplitude(cu, cv)
     assert amp[0] == pytest.approx(1.0)
     assert amp[1] == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("kind", ["grid", "permuted", "pinwheel"])
+def test_spelled_out_associations_are_numpys_own(kind):
+    """The filter amplitude is the ``(n, 4) @ Γ`` matvec and the
+    subzonal contraction is ``einsum("ci,cij->cj")`` — bit for bit, on
+    operands wild enough to tell, whatever the mesh."""
+    from repro.mesh.generator import pinwheel_mesh
+    from tests.conftest import renumbered_mesh
+    from tests.core.test_geometry import wide_operands
+
+    mesh = {"grid": lambda: rect_mesh(9, 7),
+            "permuted": lambda: renumbered_mesh(rect_mesh(9, 7), seed=3),
+            "pinwheel": lambda: pinwheel_mesh(nquads=5)}[kind]()
+    n = mesh.ncell
+    rng = np.random.default_rng(23)
+    a, b = wide_operands(rng, (n, 4)), wide_operands(rng, (n, 4))
+    ones = np.ones(n)
+
+    fx, fy = hourglass.hourglass_filter_forces(
+        np.ascontiguousarray(a.T), np.ascontiguousarray(b.T),
+        ones, ones, ones, 1.0)
+    for f, c in ((fx, a), (fy, b)):
+        amplitude = 0.25 * (c @ hourglass.GAMMA)
+        assert np.array_equal(f.T, -amplitude[:, None] * hourglass.GAMMA)
+
+    cx, cy = geometry.gather(mesh, mesh.x, mesh.y)
+    cmass, cvol = np.abs(a) + 1e-9, np.abs(b) + 1e-9
+    sx, sy = hourglass.subzonal_pressure_forces(
+        cx, cy, cmass.T, cvol.T, ones, ones, 1.0)
+    dp = cmass / cvol - 1.0
+    for f, grad in zip((sx, sy),
+                       geometry.subzone_volume_gradients(cx, cy)):
+        # [subzone i, node j, cell] -> [cell, i, j]
+        assert np.array_equal(
+            f.T, np.einsum("ci,cij->cj", dp, grad.transpose(2, 0, 1)))

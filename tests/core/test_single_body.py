@@ -15,6 +15,12 @@ corner columns (``roll_next``/``roll_prev``), per-cell operands spread
 over four columns (``spread_corners``), ``axis=1`` reductions over the
 length-4 corner axis and ``einsum("ck,...")`` contractions — each mean a
 kernel slipped back to the old layout and its strided passes.
+
+And it keeps the Lagrangian step single: each step kernel is defined
+once under ``src/repro``, and ``repro.ensemble`` — whose lanes are a
+disjoint-union mesh stepped by ``repro.core`` — computes nothing
+itself: no arithmetic numpy call a kernel would need, no array-module
+parameter, no function named like a step kernel.
 """
 
 import ast
@@ -127,3 +133,68 @@ def test_the_checker_itself_catches_forks():
         "x = 1 if self.workspace is not None else 2\n"
         "y = None if plans == None else 3\n")
     assert len(_violations(tree)) == 3
+
+
+#: the kernels of Algorithm 1 — one ``def`` each in the whole package
+STEP_KERNELS = ("lagstep", "getq", "bulk_q", "getforce", "getacc",
+                "getein", "getrho", "getgeom")
+#: numpy calls no lane driver needs and every kernel copy would
+KERNEL_CALLS = ("einsum", "hypot", "sqrt", "bincount")
+
+
+def _function_defs(tree: ast.AST):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def test_each_step_kernel_is_defined_once():
+    where = {name: [] for name in STEP_KERNELS}
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in _function_defs(tree):
+            if node.name in where:
+                where[node.name].append(
+                    f"{path.relative_to(SRC)}:{node.lineno}")
+    assert all(len(found) == 1 for found in where.values()), where
+
+
+def _kernel_code(tree: ast.AST):
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and _called_name(node.func) in KERNEL_CALLS):
+            found.append((node.lineno, _called_name(node.func)))
+    for node in _function_defs(tree):
+        if node.name in STEP_KERNELS:
+            found.append((node.lineno, f"def {node.name}"))
+        args = node.args
+        for arg in args.posonlyargs + args.args + args.kwonlyargs:
+            if arg.arg == "xp":
+                found.append((node.lineno, "xp argument"))
+    return sorted(found)
+
+
+def test_ensemble_holds_no_kernel_code():
+    found = []
+    for path in sorted((SRC / "ensemble").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{ln} ({what})"
+                  for ln, what in _kernel_code(tree)]
+    assert not found, (
+        "repro.ensemble steps its lanes through repro.core; kernel "
+        "code at " + ", ".join(found))
+
+
+def test_the_checker_itself_catches_kernel_code():
+    tree = ast.parse(
+        "def getq(xp, geom):\n"
+        "    return xp.sqrt(geom) + np.hypot(a, b)\n"
+        "def scatter(f, *, xp=None):\n"
+        "    return np.bincount(nodes, weights=f)\n"
+        "def getpc(self, mat, rho, e, out):\n"
+        "    for table in self.tables:\n"
+        "        table.getpc(mat, rho, e, out=out)\n"
+        "w = np.einsum('ci,cij->cj', a, b)\n")
+    assert [what for _, what in _kernel_code(tree)] == [
+        "def getq", "xp argument", "hypot", "sqrt", "xp argument",
+        "bincount", "einsum"]

@@ -3,17 +3,18 @@
 ``run_ensemble([c0, ..., cN])`` must produce, for each lane, byte-for-
 byte the state arrays, step count, final time and diagnostics scalars
 of ``run(ci)`` through the serial backend.  Not approximately equal —
-``tobytes()`` equal: the batched kernels keep the serial operation
-association per lane (see :mod:`repro.ensemble.kernels`), so any
-drift, however small, means an expression changed shape and the
-contract is broken.
+``tobytes()`` equal: the lanes are components of one disjoint-union
+mesh stepped by the serial driver's own kernels (see
+:mod:`repro.ensemble.state`), every gather and nodal sum stays inside
+its lane in the serial order, so any drift, however small, means a
+lane saw another lane's data or a sum changed order and the contract
+is broken.
 
-This is also the reference the ``repro.core`` kernels are held to: they
-are written against the workspace arena, the batched kernels are a
-separately written, workspace-free statement of the same expressions,
-and the two must agree to the last bit on every problem that can be
-batched, on both viscosity forms, with the hourglass controls on, and
-on a mesh whose numbering defeats the structured-grid scatter.
+It must hold on every problem that can be batched, on both viscosity
+forms, with the hourglass controls on, at every batch width, and on
+meshes whose numbering defeats the structured-grid scatter (the union
+itself is never a structured grid, so its nodal sums are ``bincount``'s
+where a solo run on a grid uses the window adds).
 
 The default parametrisation caps steps so tier-1 stays fast; the CI
 bit-identity gate job sets ``BOOKLEAF_BITID_FULL=1`` to run Noh and
@@ -26,7 +27,6 @@ import numpy as np
 import pytest
 
 from repro.api import RunConfig, problem_names, run, run_ensemble
-from repro.ensemble import kernels
 
 FIELDS = ("x", "y", "u", "v", "rho", "e", "p", "q", "cs2",
           "volume", "corner_volume", "cell_mass")
@@ -59,7 +59,7 @@ def assert_lane_identical(serial_result, lane_result):
 
 
 @pytest.mark.parametrize("problem", COALESCABLE)
-@pytest.mark.parametrize("lanes", [2, 4])
+@pytest.mark.parametrize("lanes", [1, 2, 4])
 def test_every_lane_matches_serial(problem, lanes):
     max_steps = None if FULL else CAP.get(problem, DEFAULT_CAP)
     configs = [RunConfig(problem=problem, nx=32, ny=32,
@@ -88,41 +88,44 @@ def test_control_variants_match_serial(problem, controls):
         assert_lane_identical(serial, lane_result)
 
 
-def _offgrid_setup(seed):
-    """A compressing ideal-gas blob on a rectangular mesh whose nodes
-    are renumbered at random: same geometry, but no structured-grid
-    shortcut applies, so every nodal sum takes the general route."""
+def _offgrid_setup(kind):
+    """A compressing ideal-gas blob on a mesh that is no structured
+    grid — a rectangular mesh with its nodes renumbered at random, or
+    the pinwheel (irregular valence) — so a solo run's nodal sums take
+    the general route too."""
     from repro.core.controls import HydroControls
     from repro.core.state import HydroState
     from repro.eos import IdealGas, MaterialTable
-    from repro.mesh.generator import rect_mesh
+    from repro.mesh.generator import pinwheel_mesh, rect_mesh
     from repro.problems.base import ProblemSetup
     from tests.conftest import renumbered_mesh
 
-    mesh = renumbered_mesh(rect_mesh(12, 10), seed)
+    mesh = (pinwheel_mesh(nquads=5) if kind == "pinwheel"
+            else renumbered_mesh(rect_mesh(12, 10), 3))
     assert mesh.plans.grid_shape is None
     table = MaterialTable()
     table.add(IdealGas(1.4))
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng(4)
     rho = 1.0 + 0.5 * rng.random(mesh.ncell)
     e = table.eos[0].energy_from_pressure(rho, 1.0 + rng.random(mesh.ncell))
+    xm, ym = mesh.x.mean(), mesh.y.mean()
     state = HydroState.from_initial(mesh, table, rho, e,
-                                    u=-0.5 * (mesh.x - 0.5),
-                                    v=-0.5 * (mesh.y - 0.5))
+                                    u=-0.5 * (mesh.x - xm),
+                                    v=-0.5 * (mesh.y - ym))
     controls = HydroControls(time_end=1.0, dt_initial=1e-4,
                              subzonal_kappa=0.3)
     return ProblemSetup("offgrid", state, table, controls,
                         (0.0, 1.0, 0.0, 1.0))
 
 
-def test_offgrid_mesh_lanes_match_serial():
+def _assert_offgrid_lanes_match_serial(kind):
     from repro.core.hydro import Hydro
     from repro.ensemble.driver import EnsembleHydro
 
     steps = 30
-    batch = EnsembleHydro([_offgrid_setup(3), _offgrid_setup(3)],
+    batch = EnsembleHydro([_offgrid_setup(kind), _offgrid_setup(kind)],
                           max_steps=[steps, steps]).run()
-    setup = _offgrid_setup(3)
+    setup = _offgrid_setup(kind)
     serial = Hydro(setup.state, setup.table, setup.controls)
     for _ in range(steps):
         serial.step()
@@ -135,24 +138,12 @@ def test_offgrid_mesh_lanes_match_serial():
         assert batch.times[lane] == serial.time
 
 
-@pytest.mark.parametrize("forced, problem", [
-    # Noh's converging shock activates every corner -> naturally dense;
-    # force it through the compressed path.  Sod's planar shock leaves
-    # most of the mesh inactive -> naturally sparse; force it dense.
-    (1.01, "noh"),
-    (-1.0, "sod"),
-])
-def test_forced_viscosity_branch_is_identical(forced, problem,
-                                              monkeypatch):
-    """Sparse and dense getq branches are interchangeable bitwise —
-    the branch choice is a speed heuristic, never an answer change."""
-    monkeypatch.setattr(kernels, "SPARSE_MAX_FRACTION", forced)
-    configs = [RunConfig(problem=problem, nx=24, ny=24, max_steps=25)
-               for _ in range(2)]
-    ensemble = run_ensemble(configs)
-    serial = run(configs[0])
-    for lane_result in ensemble:
-        assert_lane_identical(serial, lane_result)
+def test_offgrid_mesh_lanes_match_serial():
+    _assert_offgrid_lanes_match_serial("permuted")
+
+
+def test_pinwheel_mesh_lanes_match_serial():
+    _assert_offgrid_lanes_match_serial("pinwheel")
 
 
 def test_ragged_retirement_keeps_lanes_identical():
@@ -166,37 +157,64 @@ def test_ragged_retirement_keeps_lanes_identical():
         assert_lane_identical(run(config), lane_result)
 
 
-def test_heterogeneous_controls_per_lane():
-    """Per-lane cq1/cfl sweeps diverge the lanes' dt sequences; each
-    lane still matches its own serial run exactly."""
-    from repro.parallel.distributed import DistributedHydro
+def _sweep_overrides(lanes):
+    """The ``bench`` sweep's override shape: cq1, cq2 and cfl_safety
+    all distinct in every lane."""
+    return [{"cq1": 0.3 + 0.021 * i, "cq2": 0.5 + 0.029 * i,
+             "cfl_safety": 0.3 + 0.011 * i} for i in range(lanes)]
 
-    overrides = [None, {"cq1": 0.3}, {"cfl_safety": 0.4}]
-    configs = [RunConfig(problem="sod", nx=20, ny=20, max_steps=40)
+
+def _assert_overridden_lanes_match_serial(problem, overrides):
+    """Each lane matches its own serial run exactly — state, clocks,
+    the dt taken, why, and the (lane-local) controlling cell.  Returns
+    the number of distinct final states."""
+    from repro.core.hydro import Hydro
+
+    configs = [RunConfig(problem=problem, nx=20, ny=20, max_steps=40)
                for _ in overrides]
     ensemble = run_ensemble(configs, control_overrides=overrides)
 
-    for override, config, lane_result in zip(overrides, configs,
-                                             ensemble):
+    finals = set()
+    for lane, (override, config, lane_result) in enumerate(
+            zip(overrides, configs, ensemble)):
         setup = config.build_setup()
         if override:
             setup.controls = setup.controls.with_(**override).validated()
-        driver = DistributedHydro(setup, 1, backend="serial")
-        driver.run(max_steps=config.max_steps)
-        serial_state = driver.gather()
-        sb = _state_bytes(serial_state)
+        serial = Hydro(setup.state, setup.table, setup.controls)
+        serial.run(max_steps=config.max_steps)
+        sb = _state_bytes(serial.state)
         eb = _state_bytes(lane_result.state)
         differing = [f for f in sb if sb[f] != eb[f]]
         assert not differing, (
             f"override {override}: fields differ {differing}")
-        assert lane_result.nstep == driver.nstep
-        assert lane_result.time == driver.time
+        assert lane_result.nstep == serial.nstep
+        assert lane_result.time == serial.time
+        batch = lane_result.driver
+        assert (batch.dts[lane], batch.dt_reasons[lane],
+                batch.dt_cells[lane]) == (serial.dt, serial.dt_reason,
+                                          serial.dt_cell)
+        finals.add(eb["e"])
+    return len(finals)
+
+
+def test_heterogeneous_controls_per_lane():
+    """Per-lane cq1/cfl sweeps diverge the lanes' dt sequences; each
+    lane still matches its own serial run exactly."""
+    assert _assert_overridden_lanes_match_serial(
+        "sod", [None, {"cq1": 0.3}, {"cfl_safety": 0.4}]) > 1
+
+
+def test_sixteen_lanes_with_sweep_shaped_overrides():
+    """The ``bench`` sweep's shape: N = 16, cq1 x cq2 x cfl_safety all
+    distinct — sixteen different answers, each its serial run's."""
+    assert _assert_overridden_lanes_match_serial(
+        "noh", _sweep_overrides(16)) == 16
 
 
 def test_ale_lane_beside_plain_lane():
     """A remapping lane (ALE every 4 steps) shares the batch with a
     pure-Lagrangian lane; both stay bit-identical to serial, and the
-    remap correctly invalidates the cross-step geometry cache."""
+    remap correctly drops the union's nodal-mass cache."""
     from repro.parallel.distributed import DistributedHydro
 
     configs = [RunConfig(problem="noh", nx=16, ny=16, max_steps=24)

@@ -10,7 +10,8 @@ from repro.api import RunConfig, run_ensemble
 from repro.cli import main as cli_main
 from repro.ensemble.driver import EnsembleHydro
 from repro.problems import load_problem
-from repro.utils.errors import BookLeafError
+from repro.utils.errors import (BookLeafError, TangledMeshError,
+                                TimestepCollapseError)
 
 
 # ----------------------------------------------------------------------
@@ -45,8 +46,8 @@ def test_override_count_must_match():
 
 
 def test_nonuniform_batched_control_rejected():
-    """Controls entering the batched kernel expressions must be
-    uniform; per-lane values only exist for the coefficient columns."""
+    """Controls the step reads as one scalar for the whole union must
+    be uniform; per-lane values only exist as the coefficient vectors."""
     configs = [RunConfig(problem="sod", nx=8, ny=8) for _ in range(2)]
     with pytest.raises(BookLeafError, match="use_limiter"):
         run_ensemble(configs,
@@ -68,6 +69,28 @@ def test_lanes_advance_at_their_own_dt():
     assert driver.times[1] < driver.times[0]
 
 
+@pytest.mark.parametrize("kind", ["grid", "pinwheel"])
+def test_union_mesh_is_what_quadmesh_derives(kind):
+    """Tiling the lanes' validated connectivity with offsets gives the
+    neighbour tables and limiter plans ``QuadMesh`` would re-derive
+    (and validate) from the tiled ``cell_nodes``."""
+    from repro.ensemble.state import UnionMesh
+    from repro.mesh.generator import pinwheel_mesh, rect_mesh
+    from repro.mesh.topology import QuadMesh
+
+    base = rect_mesh(5, 4) if kind == "grid" else pinwheel_mesh(nquads=5)
+    union = UnionMesh(base, 3)
+    derived = QuadMesh(np.tile(base.x, 3), np.tile(base.y, 3),
+                       union.cell_nodes)
+    assert (union.ncell, union.nnode) == (derived.ncell, derived.nnode)
+    for name in ("cell_nodes", "cell_neighbours", "neighbour_side"):
+        assert np.array_equal(getattr(union, name), getattr(derived, name))
+    for mine, theirs in zip(union.plans.limiter_edges,
+                            derived.plans.limiter_edges):
+        assert np.array_equal(mine, theirs)
+    assert union.plans.grid_shape is None
+
+
 def test_retirement_compacts_the_batch():
     setups = [load_problem("sod", nx=12, ny=12) for _ in range(3)]
     driver = EnsembleHydro(setups, max_steps=[20, 5, 12])
@@ -78,7 +101,24 @@ def test_retirement_compacts_the_batch():
         assert state is not None, f"lane {lane} never retired"
     # The batch really shrank along the way: the ensemble state ends
     # at the last survivor's width, not the original 3.
-    assert driver.es.x.shape[0] == 1
+    assert driver.es.n_lanes == 1
+
+
+def test_arena_is_cleared_when_the_union_narrows():
+    """Blocks sized for a wider union are dead weight once lanes have
+    retired; the driver drops them instead of pinning them."""
+    setups = [load_problem("sod", nx=12, ny=12) for _ in range(3)]
+    driver = EnsembleHydro(setups, max_steps=[9, 3, 3])
+    driver.begin()
+    held = {}
+    while True:
+        driver.advance()
+        if not driver.order:
+            break
+        held[driver.n_active] = driver.ws.nbytes()
+    assert sorted(held) == [1, 3]
+    assert held[1] < 0.5 * held[3]
+    assert len(driver.ws) == 0          # a drained driver pins nothing
 
 
 def test_results_in_config_order_with_per_lane_steps():
@@ -98,6 +138,102 @@ def test_lane_report_builds():
     report = result.report()
     assert report["run"]["steps"] == 8
     assert "getq" in report["kernels"]
+
+
+# ----------------------------------------------------------------------
+# a failing lane is named
+# ----------------------------------------------------------------------
+def _solo_error(config, override, kind):
+    from repro.core.hydro import Hydro
+
+    setup = config.build_setup()
+    setup.controls = setup.controls.with_(**override).validated()
+    with pytest.raises(kind) as solo:
+        Hydro(setup.state, setup.table, setup.controls).run(
+            max_steps=config.max_steps)
+    return solo.value
+
+
+def test_tangled_lane_is_named_with_its_own_cells_and_time():
+    """Lane 2 takes a step that inverts its mesh: the error carries the
+    lane, the job, lane-local cell ids and *that lane's* time (it
+    started later than lane 0), exactly what its solo run reports."""
+    configs = [RunConfig(problem="noh", nx=12, ny=12, max_steps=20)
+               for _ in range(3)]
+    wild = {"time_start": 0.05, "dt_initial": 0.9, "dt_max": 1.0}
+    with pytest.raises(TangledMeshError) as batch:
+        run_ensemble(configs, control_overrides=[None, {"cq1": 0.3}, wild])
+    solo = _solo_error(configs[2], wild, TangledMeshError)
+    exc = batch.value
+    assert (exc.lane, exc.job) == (2, 2)
+    assert exc.cells == solo.cells and max(exc.cells) < 144
+    assert exc.time == solo.time == 0.05
+    assert str(exc) == f"job 2, ensemble lane 2: {solo}"
+
+
+def _dart_setup(kick):
+    """A uniform gas at rest on a 4x4 box, hourglass controls off; with
+    ``kick`` one interior node flies toward the far corner of a cell
+    fast enough that the *half-step* geometry has an inverted median
+    subzone inside a still-positive cell."""
+    from repro.core.controls import HydroControls
+    from repro.core.state import HydroState
+    from repro.eos import IdealGas, MaterialTable
+    from repro.mesh.generator import rect_mesh
+    from repro.problems.base import ProblemSetup
+
+    mesh = rect_mesh(4, 4)
+    table = MaterialTable()
+    table.add(IdealGas(1.4))
+    u = np.zeros(mesh.nnode)
+    if kick:
+        u[6] = -0.2 / (0.5 * 0.01)      # 0.2 of a 0.25 cell by t + dt/2
+    state = HydroState.from_initial(
+        mesh, table, np.ones(mesh.ncell), np.ones(mesh.ncell), u=u, v=u)
+    controls = HydroControls(time_end=1.0, dt_initial=0.01,
+                             subzonal_kappa=0.0)
+    return ProblemSetup("dart", state, table, controls,
+                        (0.0, 1.0, 0.0, 1.0))
+
+
+def test_half_step_subzone_inversion_is_caught_in_a_lane():
+    """The half-step corner volumes feed nothing when the subzonal
+    pressures are off, but the serial step checks them anyway — and so
+    does a lane: same error, same step, same cells."""
+    from repro.core import geometry
+    from repro.core.hydro import Hydro
+
+    setup = _dart_setup(kick=True)
+    state = setup.state
+    cx, cy = geometry.gather(state.mesh, state.x + 0.005 * state.u,
+                             state.y + 0.005 * state.v)
+    assert (geometry.cell_volumes(cx, cy) > 0.0).all()
+    assert (geometry.corner_volumes(cx, cy) <= 0.0).any()
+
+    solo = Hydro(state, setup.table, setup.controls)
+    with pytest.raises(TangledMeshError) as alone:
+        solo.run(max_steps=3)
+    batch = EnsembleHydro([_dart_setup(False), _dart_setup(True)],
+                          max_steps=[3, 3])
+    with pytest.raises(TangledMeshError) as in_lane:
+        batch.run()
+    assert in_lane.value.lane == 1
+    assert in_lane.value.cells == alone.value.cells == [0]
+    assert in_lane.value.time == alone.value.time
+    assert batch.nsteps[1] == solo.nstep == 0
+
+
+def test_collapsed_lane_is_named():
+    configs = [RunConfig(problem="sod", nx=12, ny=12, max_steps=20)
+               for _ in range(2)]
+    stiff = {"dt_min": 1e-3}
+    with pytest.raises(TimestepCollapseError) as batch:
+        run_ensemble(configs, control_overrides=[stiff, None])
+    solo = _solo_error(configs[0], stiff, TimestepCollapseError)
+    exc = batch.value
+    assert (exc.lane, exc.job) == (0, 0)
+    assert (exc.dt, exc.cell, exc.time) == (solo.dt, solo.cell, solo.time)
+    assert str(exc) == f"job 0, ensemble lane 0: {solo}"
 
 
 # ----------------------------------------------------------------------

@@ -140,6 +140,20 @@ def test_refill_drains_queue_bit_identically():
     assert events.count("lane_retired") == 5
 
 
+def test_failing_lane_of_a_refilled_batch_names_its_job():
+    """After a refill the failing lane's row is not its submission
+    index; the error names both."""
+    from repro.utils.errors import TangledMeshError
+
+    configs = [_cfg(max_steps=3 + 2 * i) for i in range(4)]
+    overrides = [None, None, None, {"dt_initial": 0.9, "dt_max": 1.0}]
+    handle = submit(configs, control_overrides=overrides, batch_width=2)
+    with pytest.raises(TangledMeshError, match="job 3, ensemble lane 1"
+                       ) as raised:
+        handle.results()
+    assert (raised.value.job, raised.value.lane) == (3, 1)
+
+
 # ----------------------------------------------------------------------
 # the result cache in the loop
 # ----------------------------------------------------------------------

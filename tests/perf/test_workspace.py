@@ -8,8 +8,7 @@ the arena stops growing, every kernel's transient allocation collapses
 from mesh-scale to nodal-scale, and a remap phase recycles the
 Lagrangian phase's blocks instead of adding its own.  (That the arena
 changes *where* intermediates live and never the floating-point
-operations is pinned against the independently written
-``repro.ensemble.kernels`` in ``tests/ensemble/test_bit_identity.py``.)
+operations is pinned across commits by ``tools/digests.py --against``.)
 """
 
 import numpy as np
@@ -122,8 +121,7 @@ def test_scratch_fallback_allocates_fresh():
 
 def test_ensemble_shapes_pool_apart_from_single_run():
     """Batched (N, ...) borrows and named buffers must not collide with
-    a single-run shape under the same name, and lane counts pool apart
-    — the ensemble driver reuses one arena across compactions."""
+    a single-run shape under the same name, and lane counts pool apart."""
     nnode = 25
     ws = Workspace()
     single = ws.array("nodefx", nnode)

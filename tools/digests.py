@@ -1,0 +1,209 @@
+#!/usr/bin/env python
+"""State digests across every execution path, and their diff against
+another revision.
+
+Prints one ``sha256  label`` line per row of
+
+    {registered problems}
+      x {serial, threads x2, processes x2, ensemble lane (N = 4, per-lane cq1)}
+      x {Lagrangian, ale_on where the problem has the setting}
+
+plus a node-permuted and a pinwheel mesh (neither is a structured
+grid) run solo and as two lanes.  A digest covers x y u v rho e p q,
+the final time, the step count and the dt taken at every step; a row
+that cannot run digests its error text instead.
+
+``--against REV`` exports that revision (``git archive``) to a
+temporary directory, runs this very script on *its* ``src/`` and diffs
+the two listings: exit 0 when every row is identical, 1 otherwise.
+That is the acceptance check for any change that claims to move no bit
+(a kernel edit, a comm refactor, a merge of two code paths) — the
+digests depend on the numpy build, so no golden file is committed;
+compare two revisions on one machine.
+
+    PYTHONPATH=src python tools/digests.py
+    python tools/digests.py --against origin/main
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import struct
+import subprocess
+import sys
+import tempfile
+
+FIELDS = ("x", "y", "u", "v", "rho", "e", "p", "q")
+SIZE = 16
+STEPS = 30
+LANES = 4
+
+
+def digest(state, time, nstep, dts) -> str:
+    h = hashlib.sha256()
+    for name in FIELDS:
+        h.update(getattr(state, name).tobytes())
+    h.update(struct.pack(f"<dq{len(dts)}d", time, nstep, *dts))
+    return h.hexdigest()
+
+
+def result_digest(result) -> str:
+    return digest(result.state, result.time, result.nstep,
+                  [row["dt"] for row in result.step_rows])
+
+
+def lane_digests(setups) -> list:
+    """One digest per lane of ``setups`` stepped as one ensemble."""
+    from repro.ensemble.driver import EnsembleHydro
+
+    batch = EnsembleHydro(setups, max_steps=[STEPS] * len(setups))
+    batch.begin()
+    dts = [[] for _ in setups]
+    while True:
+        batch.advance()             # retire the finished, step the rest
+        if not batch.order:
+            break
+        for lane in batch.order:
+            dts[lane].append(batch.dts[lane])
+    return [digest(batch.final_states[lane], batch.times[lane],
+                   batch.nsteps[lane], dts[lane])
+            for lane in range(len(setups))]
+
+
+def row(label, fn):
+    """Print one line; ``fn`` returns a digest or a list of them (one
+    per lane)."""
+    try:
+        out = fn()
+    except Exception as exc:        # a refusal is a row too
+        text = f"{type(exc).__name__}: {exc}"
+        out = "error:" + hashlib.sha256(text.encode()).hexdigest()[:58]
+    if isinstance(out, str):
+        print(f"{out}  {label}", flush=True)
+    else:
+        for lane, value in enumerate(out):
+            print(f"{value}  {label} lane {lane}", flush=True)
+
+
+def problem_rows():
+    from repro.api import RunConfig, describe_problem, problem_names, run
+
+    for problem in problem_names():
+        settings = {s["name"] for s in describe_problem(problem)["settings"]}
+        for ale in (False, True) if "ale_on" in settings else (False,):
+            base = RunConfig(
+                problem=problem, nx=SIZE, ny=SIZE, max_steps=STEPS,
+                collect_steps=True,
+                problem_kwargs={"ale_on": True} if ale else {})
+            tag = f"{problem}{' ale' if ale else ''}"
+            row(f"{tag} serial", lambda: result_digest(run(base)))
+            for backend in ("threads", "processes"):
+                config = base.replace(nranks=2, backend=backend)
+                row(f"{tag} {backend}x2",
+                    lambda: result_digest(run(config)))
+
+            def lanes():
+                setups = [base.build_setup() for _ in range(LANES)]
+                for i, setup in enumerate(setups):
+                    setup.controls = setup.controls.with_(cq1=0.3 + 0.1 * i)
+                return lane_digests(setups)
+
+            row(f"{tag} ensemble", lanes)
+
+
+def offgrid_setup(kind):
+    """A compressing gas blob on a mesh with no structured numbering."""
+    import numpy as np
+
+    from repro.core.controls import HydroControls
+    from repro.core.state import HydroState
+    from repro.eos import IdealGas, MaterialTable
+    from repro.mesh.generator import pinwheel_mesh, rect_mesh
+    from repro.mesh.topology import QuadMesh
+    from repro.problems.base import ProblemSetup
+
+    if kind == "pinwheel":
+        mesh = pinwheel_mesh(nquads=5)
+    else:
+        grid = rect_mesh(12, 10)
+        perm = np.random.default_rng(3).permutation(grid.nnode)
+        x, y = np.empty_like(grid.x), np.empty_like(grid.y)
+        x[perm], y[perm] = grid.x, grid.y
+        mesh = QuadMesh(x, y, perm[grid.cell_nodes])
+    table = MaterialTable()
+    table.add(IdealGas(1.4))
+    rng = np.random.default_rng(4)
+    rho = 1.0 + 0.5 * rng.random(mesh.ncell)
+    e = table.eos[0].energy_from_pressure(rho, 1.0 + rng.random(mesh.ncell))
+    state = HydroState.from_initial(
+        mesh, table, rho, e, u=-0.5 * (mesh.x - mesh.x.mean()),
+        v=-0.5 * (mesh.y - mesh.y.mean()))
+    controls = HydroControls(time_end=1.0, dt_initial=1e-4,
+                             subzonal_kappa=0.3)
+    return ProblemSetup("offgrid", state, table, controls,
+                        (0.0, 1.0, 0.0, 1.0))
+
+
+def offgrid_rows():
+    from repro.core.hydro import Hydro
+
+    def solo(kind):
+        setup = offgrid_setup(kind)
+        hydro = Hydro(setup.state, setup.table, setup.controls)
+        dts = [hydro.step() for _ in range(STEPS)]
+        return digest(hydro.state, hydro.time, hydro.nstep, dts)
+
+    for kind in ("permuted", "pinwheel"):
+        row(f"offgrid {kind} serial", lambda: solo(kind))
+        row(f"offgrid {kind} ensemble", lambda: lane_digests(
+            [offgrid_setup(kind), offgrid_setup(kind)]))
+
+
+def listing_of(src: str) -> list:
+    """This script's output when run against the package in ``src``."""
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, os.path.abspath(__file__)],
+                         env=env, check=True, stdout=subprocess.PIPE,
+                         text=True).stdout
+    return out.splitlines()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="also run REV's src/ and diff the listings")
+    args = parser.parse_args(argv)
+    if args.against is None:
+        problem_rows()
+        offgrid_rows()
+        return 0
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    mine = listing_of(os.path.join(root, "src"))
+    with tempfile.TemporaryDirectory(prefix="digests-") as tmp:
+        archive = subprocess.run(["git", "-C", root, "archive", args.against,
+                                  "src"], check=True, stdout=subprocess.PIPE)
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout,
+                       check=True)
+        theirs = listing_of(os.path.join(tmp, "src"))
+    label = lambda line: line.split("  ", 1)[1]     # noqa: E731
+    ours = {label(line): line for line in mine}
+    other = {label(line): line for line in theirs}
+    changed = [name for name in ours
+               if name in other and ours[name] != other[name]]
+    only = sorted(set(ours) ^ set(other))
+    for name in changed:
+        print(f"DIFFERS  {name}\n  here  {ours[name].split()[0]}"
+              f"\n  {args.against}  {other[name].split()[0]}")
+    for name in only:
+        print(f"ONLY {'here' if name in ours else 'in ' + args.against}"
+              f"  {name}")
+    same = len(ours) - len(changed) - sum(name in ours for name in only)
+    print(f"{same} of {len(ours)} rows identical to {args.against}")
+    return 1 if changed or only else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
