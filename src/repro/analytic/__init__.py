@@ -5,25 +5,26 @@ numerically integrated Sedov-Taylor similarity solution, the Saltzmann
 piston shock and Kidder's isentropic shell compression.  These provide
 the quantitative targets for the validation tests and the example
 scripts.
+
+No run evaluates a reference solution (only the Kidder problem's
+piston reads :mod:`.kidder_exact`), so each name below is imported on
+first use (:mod:`repro.utils.lazy`).
 """
 
-from . import kidder_exact, noh_exact, saltzmann_exact, sedov_exact
-from .riemann import (
-    RiemannSolution,
-    RiemannState,
-    sod_solution,
-    solve_riemann,
-    solve_star,
-)
+from ..utils.lazy import lazy_exports
 
-__all__ = [
-    "RiemannState",
-    "RiemannSolution",
-    "solve_riemann",
-    "solve_star",
-    "sod_solution",
-    "noh_exact",
-    "sedov_exact",
-    "saltzmann_exact",
-    "kidder_exact",
-]
+_EXPORTS = {
+    "RiemannState": ".riemann",
+    "RiemannSolution": ".riemann",
+    "solve_riemann": ".riemann",
+    "solve_star": ".riemann",
+    "sod_solution": ".riemann",
+    "noh_exact": ".",
+    "sedov_exact": ".",
+    "saltzmann_exact": ".",
+    "kidder_exact": ".",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

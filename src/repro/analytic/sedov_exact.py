@@ -33,8 +33,11 @@ from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import interp1d
+
+from ..utils.lazy import require
+
+#: what the structured error names when scipy is missing
+_FEATURE = "the Sedov reference solution (repro.analytic.sedov_exact)"
 
 J = 2          #: cylindrical geometry
 S = J + 2      #: the similarity exponent denominator (R ∝ t^{2/s})
@@ -79,6 +82,7 @@ class SedovSimilarity:
                  rho0: float = 1.0
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(ρ, radial u, p) at radii ``r`` and time ``t``."""
+        interp1d = require("scipy.interpolate", _FEATURE).interp1d
         r = np.asarray(r, dtype=np.float64)
         R = shock_radius(t, energy, rho0, self.gamma)
         lam = r / R
@@ -95,6 +99,7 @@ class SedovSimilarity:
 @lru_cache(maxsize=8)
 def similarity(gamma: float = 1.4) -> SedovSimilarity:
     """Integrate the similarity ODEs for ``gamma`` (cached)."""
+    solve_ivp = require("scipy.integrate", _FEATURE).solve_ivp
     gp1 = gamma + 1.0
     gm1 = gamma - 1.0
     y0 = np.array([2.0 / gp1, np.log(gp1 / gm1), np.log(2.0 / gp1)])

@@ -40,6 +40,8 @@ from dataclasses import dataclass, field, fields, replace as _dc_replace
 from typing import Any, Dict, List, Optional, Sequence
 
 from .core.state import HydroState
+from .fleet.engine import submit as _fleet_submit
+from .parallel.distributed import DistributedHydro
 from .problems import (
     describe_problem,
     load_problem,
@@ -326,8 +328,6 @@ def _execute_run(config: RunConfig, *,
     before stepping, it may overlay a saved state and return an
     adjusted remaining step budget (or ``None`` to keep ``max_steps``).
     """
-    from .parallel.distributed import DistributedHydro
-
     setup = config.build_setup()
     backend = config.resolved_backend()
     # The sampling profiler attributes wall time to the open-span
@@ -433,8 +433,6 @@ def submit(configs: Sequence[RunConfig], *,
     one batched pass, ``"require"`` demands it, ``"off"`` disables).
     See docs/FLEET.md.
     """
-    from .fleet import submit as _fleet_submit
-
     return _fleet_submit(configs, control_overrides=control_overrides,
                          observers=observers, **options)
 

@@ -466,6 +466,7 @@ def _run(args: argparse.Namespace) -> int:
         return 2
 
     from .api import run as api_run
+    from .utils.errors import PartitionError
 
     distributed = config.nranks > 1
     if args.trace_allocs and config.resolved_backend() != "serial":
@@ -487,7 +488,12 @@ def _run(args: argparse.Namespace) -> int:
             history = TimeHistory(every=max(args.log_every, 1))
             observers.append(history)
 
-    result = api_run(config, observers=observers or None)
+    try:
+        result = api_run(config, observers=observers or None)
+    except PartitionError as exc:
+        # e.g. --partition spectral where scipy is not installed
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     final = result.state
 
     if distributed:

@@ -5,8 +5,14 @@ The fleet engine behind :func:`repro.api.submit`: a work queue over
 cache, a compiled-artifact cache, checkpoint/restart for crashed jobs,
 a SIGKILL-safe process pool and a same-mesh batched fast path with
 lane refill.  See docs/FLEET.md for the architecture tour.
+
+The engine and its caches are imported with the package — every
+``run()`` is a one-job fleet.  The process pool (and the
+``multiprocessing`` machinery under it) serves only ``workers > 0``, so
+:class:`WorkerPool` resolves on first use (:mod:`repro.utils.lazy`).
 """
 
+from ..utils.lazy import lazy_exports
 from .artifacts import ArtifactCache, mesh_fingerprint
 from .batch import BatchJob, make_jobs, run_ensemble_jobs
 from .cache import (CACHE_SCHEMA_VERSION, ResultCache, job_key,
@@ -16,7 +22,6 @@ from .checkpoint import (CHECKPOINT_SCHEMA_VERSION, CheckpointWriter,
                          save_checkpoint)
 from .engine import (FLEET_SCHEMA_VERSION, Fleet, FleetHandle,
                      FleetOptions, submit)
-from .worker import WorkerPool
 
 __all__ = [
     "ArtifactCache",
@@ -40,3 +45,5 @@ __all__ = [
     "state_digest",
     "submit",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {"WorkerPool": ".worker"})

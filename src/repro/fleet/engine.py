@@ -26,7 +26,7 @@ tests (and curious users) can assert how work was routed.
 The sweep-scope observability plane threads through all of it
 (docs/OBSERVABILITY.md, "Sweep-scope observability"):
 
-* a :class:`~repro.telemetry.live.EventBus` streams lifecycle events
+* a :class:`~repro.telemetry.bus.EventBus` streams lifecycle events
   (``events_path`` NDJSON + in-process ``event_listeners`` — the
   ``fleet --watch`` renderer is one);
 * ``trace_path`` forces per-job tracing and merges every job's span
@@ -50,11 +50,13 @@ import warnings
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from ..telemetry.bus import EventBus
 from ..utils.errors import (BookLeafError, EnsembleDowngradeWarning,
                             FleetError)
 from .artifacts import ArtifactCache
 from .batch import BatchJob, make_jobs, run_ensemble_jobs
 from .cache import ResultCache, job_key, state_digest
+from .checkpoint import CheckpointWriter, restore_into
 
 #: fleet summary document layout version
 FLEET_SCHEMA_VERSION = 2
@@ -258,8 +260,6 @@ class Fleet:
 
     # ------------------------------------------------------------------
     def _execute(self) -> List[Any]:
-        from ..telemetry.live import EventBus
-
         opts = self.options
         n = len(self.jobs)
         results: List[Any] = [None] * n
@@ -441,8 +441,6 @@ class Fleet:
     # ------------------------------------------------------------------
     def _run_inline(self, job: BatchJob):
         from ..api import _execute_run
-        from ..telemetry.live import ProgressReporter
-        from .checkpoint import CheckpointWriter, restore_into
 
         opts = self.options
         config = job.config
@@ -454,6 +452,8 @@ class Fleet:
         observers = list(self.observers or [])
         in_process = config.resolved_backend() in ("serial", "threads")
         if self._live and in_process:
+            from ..telemetry.live import ProgressReporter
+
             observers.append(ProgressReporter(
                 self.bus.emit, job.index, every=opts.progress_every,
                 max_steps=config.max_steps))

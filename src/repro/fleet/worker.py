@@ -47,12 +47,24 @@ import os
 import signal
 import time
 import warnings
+import zipfile  # noqa: F401  (see below)
 from collections import deque
 from multiprocessing.connection import wait as _mp_wait
 from typing import Any, Dict, List, Optional
 
+# The engine imports this module only for ``workers > 0``, in the
+# process every worker is then forked from.  So the job body is
+# imported here, once, and with it the two modules a worker's first
+# ``ResultCache.store`` would otherwise load in every child after the
+# fork: the run report, and ``zipfile`` under ``np.savez``.
+from ..api import _execute_run
+from ..metrics.watchdog import Heartbeat
+from ..telemetry import report as _report  # noqa: F401
+from ..telemetry.live import ProgressReporter
 from ..utils.errors import FleetError, StalledRankWarning
 from .batch import BatchJob
+from .cache import ResultCache
+from .checkpoint import CheckpointWriter, restore_into
 
 
 class _FaultInjector:
@@ -91,10 +103,6 @@ def _run_job(doc: dict, store, checkpoint_dir: Optional[str],
              heartbeat=None) -> None:
     """Execute one job document inside a worker and persist the
     outcome under its key."""
-    from ..api import _execute_run
-    from ..telemetry.live import ProgressReporter
-    from .checkpoint import CheckpointWriter, restore_into
-
     config = doc["config"]
     key = doc["key"]
     pos = doc["pos"]
@@ -141,9 +149,6 @@ def _worker_main(conn, store_root: str, checkpoint_dir: Optional[str],
     row per worker slot); in-process ranks beat ``slot``'s row every
     step so the parent can tell wedged from busy.
     """
-    from ..metrics.watchdog import Heartbeat
-    from .cache import ResultCache
-
     store = ResultCache(store_root)
     heartbeat = Heartbeat(board, slot) if board is not None else None
     while True:

@@ -27,24 +27,26 @@ while the run executes.
   bytes and step rate; ``compare --gate-outliers``).
 
 Everything here is opt-in: with no probe attached the step loop pays
-one ``is None`` check per step and stays bit-identical.
+one ``is None`` check per step and stays bit-identical.  The names
+below resolve on first use (:mod:`repro.utils.lazy`): a probed serial
+run loads the probe and the registry, not the rank watchdog.
 """
 
-from .probe import METRICS_SCHEMA_VERSION, DiagnosticsProbe
-from .registry import MetricsRegistry
-from .health import dump_snapshot, load_snapshot
-from .watchdog import HeartbeatBoard, Heartbeat, Watchdog
-from .anomaly import detect_anomalies, robust_zscores
+from ..utils.lazy import lazy_exports
 
-__all__ = [
-    "METRICS_SCHEMA_VERSION",
-    "DiagnosticsProbe",
-    "MetricsRegistry",
-    "HeartbeatBoard",
-    "Heartbeat",
-    "Watchdog",
-    "dump_snapshot",
-    "load_snapshot",
-    "detect_anomalies",
-    "robust_zscores",
-]
+_EXPORTS = {
+    "METRICS_SCHEMA_VERSION": ".probe",
+    "DiagnosticsProbe": ".probe",
+    "MetricsRegistry": ".registry",
+    "HeartbeatBoard": ".watchdog",
+    "Heartbeat": ".watchdog",
+    "Watchdog": ".watchdog",
+    "dump_snapshot": ".health",
+    "load_snapshot": ".health",
+    "detect_anomalies": ".anomaly",
+    "robust_zscores": ".anomaly",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -14,24 +14,49 @@ backend       rank execution                 true parallelism
 ``threads``   one thread per rank            numpy kernels only (GIL)
 ``processes`` one forked process per rank    full (shared-memory halos)
 ============  =============================  ==========================
+
+Only ``serial`` is imported with the package — every run path goes
+through it or past it.  The concurrent backends bring the Typhon
+protocol, the comm-plan compiler, the rank watchdog and (for
+``processes``) ``multiprocessing`` with them, so the registry imports a
+backend's module when its name is first looked up.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Type
+from collections.abc import Mapping
+from importlib import import_module
 
 from ...utils.errors import BookLeafError
-from .processes import ProcessesBackend, RemoteRankError
+from ...utils.lazy import lazy_exports
 from .serial import SerialBackend
-from .threads import ThreadsBackend
+
+#: backend name → ``"module:Class"`` in this package, registration order
+_BACKEND_PATHS = {
+    "serial": "serial:SerialBackend",
+    "threads": "threads:ThreadsBackend",
+    "processes": "processes:ProcessesBackend",
+}
+
+
+class _Registry(Mapping):
+    """Backend name → backend class; the class's module is imported on
+    lookup, so naming a backend costs nothing until one is chosen."""
+
+    def __getitem__(self, name: str) -> type:
+        module, _, cls = _BACKEND_PATHS[name].partition(":")
+        return getattr(import_module(f".{module}", __name__), cls)
+
+    def __iter__(self):
+        return iter(_BACKEND_PATHS)
+
+    def __len__(self) -> int:
+        return len(_BACKEND_PATHS)
+
 
 #: the backend registry — every later scaling layer (sharding, async
 #: overlap, real MPI) plugs in here
-BACKENDS: Dict[str, type] = {
-    SerialBackend.name: SerialBackend,
-    ThreadsBackend.name: ThreadsBackend,
-    ProcessesBackend.name: ProcessesBackend,
-}
+BACKENDS = _Registry()
 
 
 def available_backends() -> tuple:
@@ -60,3 +85,9 @@ __all__ = [
     "ProcessesBackend",
     "RemoteRankError",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "ThreadsBackend": ".threads",
+    "ProcessesBackend": ".processes",
+    "RemoteRankError": ".processes",
+})

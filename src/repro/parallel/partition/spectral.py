@@ -13,18 +13,22 @@ part ids), and DESIGN.md documents the substitution.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ...mesh.topology import QuadMesh
 from ...utils.errors import PartitionError
+from ...utils.lazy import require
 
 #: seed of the eigensolver's start vector (any fixed value will do)
 _START_SEED = 0
 
 
+#: what the structured error names when scipy is missing
+_FEATURE = "partition='spectral'"
+
+
 def adjacency_matrix(mesh: QuadMesh) -> sp.csr_matrix:
     """Symmetric cell-adjacency matrix from the interior face list."""
+    sp = require("scipy.sparse", _FEATURE, PartitionError)
     pairs = mesh.cell_adjacency_pairs()
     i = np.concatenate([pairs[:, 0], pairs[:, 1]])
     j = np.concatenate([pairs[:, 1], pairs[:, 0]])
@@ -35,6 +39,8 @@ def adjacency_matrix(mesh: QuadMesh) -> sp.csr_matrix:
 def _fiedler_split(adj: sp.csr_matrix, idx: np.ndarray, frac: float
                    ) -> np.ndarray:
     """Boolean mask over ``idx``: True for the low side of the split."""
+    sp = require("scipy.sparse", _FEATURE, PartitionError)
+    spla = require("scipy.sparse.linalg", _FEATURE, PartitionError)
     sub = adj[idx][:, idx]
     n = idx.size
     if n <= 2:

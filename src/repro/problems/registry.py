@@ -30,9 +30,7 @@ files.
 from __future__ import annotations
 
 import inspect
-import tempfile
 from dataclasses import dataclass, field, fields as dc_fields
-from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
@@ -309,8 +307,17 @@ def load_problem(name: str, **kwargs) -> ProblemSetup:
 _EXTRACTED_DECKS: Dict[str, Path] = {}
 
 
+def _decks_dir():
+    """The packaged ``decks/`` directory.  ``importlib.resources`` is
+    imported here: a run is handed a deck path or a problem name and
+    never looks a bundled deck up."""
+    from importlib import resources
+
+    return resources.files("repro.problems").joinpath("decks")
+
+
 def _deck_resource(name: str):
-    ref = resources.files("repro.problems").joinpath(f"decks/{name}.in")
+    ref = _decks_dir().joinpath(f"{name}.in")
     if not ref.is_file():
         raise DeckError(
             f"no bundled deck {name!r}; available: "
@@ -322,10 +329,9 @@ def _deck_resource(name: str):
 def bundled_decks() -> List[str]:
     """Names of every shipped deck (including variants like
     ``sod_ale`` that reuse a registered problem)."""
-    decks = resources.files("repro.problems").joinpath("decks")
     return sorted(
         entry.name[:-len(".in")]
-        for entry in decks.iterdir()
+        for entry in _decks_dir().iterdir()
         if entry.name.endswith(".in")
     )
 
@@ -349,6 +355,8 @@ def deck_path(name: str) -> Path:
         return ref
     cached = _EXTRACTED_DECKS.get(name)
     if cached is None or not cached.exists():
+        import tempfile
+
         outdir = Path(tempfile.mkdtemp(prefix="repro-decks-"))
         cached = outdir / f"{name}.in"
         cached.write_bytes(ref.read_bytes())

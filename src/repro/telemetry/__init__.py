@@ -26,40 +26,46 @@ observability artefacts:
 
 Telemetry is off by default and adds nothing to the hot loop beyond a
 ``tracer is None`` check per timer region; see docs/OBSERVABILITY.md.
+It adds nothing to start-up either: the names below resolve on first
+use (:mod:`repro.utils.lazy`), so ``--report`` loads the report and
+span modules and not the sampler, the sweep trace or — through
+``table2`` — the whole performance model.
 """
 
-from .report import (  # noqa: F401
-    SCHEMA_VERSION,
-    StepSeries,
-    build_report,
-    schema_shape,
-    validate_report,
-    write_report,
-)
-from .live import (  # noqa: F401
-    LIVE_SCHEMA_VERSION,
-    EventBus,
-    ProgressReporter,
-    WatchRenderer,
-    read_events,
-    validate_live_event,
-    validate_live_stream,
-)
-from .sampling import (  # noqa: F401
-    SamplingProfiler,
-    merge_folded,
-    read_collapsed,
-    write_collapsed,
-)
-from .spans import Span, Tracer, merge_spans  # noqa: F401
-from .sweep_trace import (  # noqa: F401
-    SweepTraceBuilder,
-    strip_nondeterminism,
-    write_sweep_trace,
-)
-from .table2 import (  # noqa: F401
-    format_measured_vs_modeled,
-    measured_vs_modeled,
-    update_experiments,
-)
-from .trace import trace_events, validate_trace, write_trace  # noqa: F401
+from ..utils.lazy import lazy_exports
+
+_EXPORTS = {
+    "SCHEMA_VERSION": ".report",
+    "StepSeries": ".report",
+    "build_report": ".report",
+    "schema_shape": ".report",
+    "validate_report": ".report",
+    "write_report": ".report",
+    "LIVE_SCHEMA_VERSION": ".bus",
+    "EventBus": ".bus",
+    "ProgressReporter": ".live",
+    "WatchRenderer": ".live",
+    "read_events": ".live",
+    "validate_live_event": ".live",
+    "validate_live_stream": ".live",
+    "SamplingProfiler": ".sampling",
+    "merge_folded": ".sampling",
+    "read_collapsed": ".sampling",
+    "write_collapsed": ".sampling",
+    "Span": ".spans",
+    "Tracer": ".spans",
+    "merge_spans": ".spans",
+    "SweepTraceBuilder": ".sweep_trace",
+    "strip_nondeterminism": ".sweep_trace",
+    "write_sweep_trace": ".sweep_trace",
+    "format_measured_vs_modeled": ".table2",
+    "measured_vs_modeled": ".table2",
+    "update_experiments": ".table2",
+    "trace_events": ".trace",
+    "validate_trace": ".trace",
+    "write_trace": ".trace",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

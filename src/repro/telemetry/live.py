@@ -2,11 +2,11 @@
 
 A sweep between ``submit()`` and ``summary()`` used to be a black box;
 this module is the window into it.  The fleet engine owns one
-:class:`EventBus` per sweep and emits a lifecycle record for every
-scheduling fact as it happens — job queued / started / progress /
-checkpointed / retried / cache hit / done — each stamped with a
-monotonically increasing sequence number and the offset in seconds
-since the sweep epoch.  Three consumers share the stream:
+:class:`~repro.telemetry.bus.EventBus` per sweep and emits a lifecycle
+record for every scheduling fact as it happens — job queued /
+started / progress / checkpointed / retried / cache hit / done — each
+stamped with a monotonically increasing sequence number and the offset
+in seconds since the sweep epoch.  Three consumers share the stream:
 
 * an **NDJSON sink** (``fleet --events out.ndjson``), flushed per
   record so a crashed sweep still leaves a readable prefix;
@@ -25,13 +25,11 @@ the step budget or the simulated-time target, whichever bounds the run.
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence, TextIO
+from typing import Callable, Dict, List, Optional, Sequence
 
-#: live-event record layout version (bumped on any field change)
-LIVE_SCHEMA_VERSION = 1
+from .bus import LIVE_SCHEMA_VERSION, EventBus  # noqa: F401  (re-export)
 
 #: every event type -> the payload fields it must carry (beyond the
 #: common envelope ``schema_version``/``event``/``seq``/``t``).  Extra
@@ -96,70 +94,6 @@ def read_events(path: str) -> List[dict]:
             if line:
                 records.append(json.loads(line))
     return records
-
-
-class EventBus:
-    """One sweep's lifecycle event stream.
-
-    Every :meth:`emit` stamps the record (schema version, sequence
-    number, seconds since the sweep epoch), appends it to
-    :attr:`events`, writes it to the NDJSON sink (if any, flushed so a
-    crash leaves a readable prefix) and fans it out to the listeners.
-    A listener that raises does not break the sweep — the error is
-    swallowed after detaching the listener.
-    """
-
-    def __init__(self, path: Optional[str] = None,
-                 listeners: Optional[Sequence[Callable]] = None,
-                 epoch_ns: Optional[int] = None):
-        self.path = path
-        self.listeners: List[Callable] = list(listeners or [])
-        self.epoch_ns = (time.perf_counter_ns()
-                         if epoch_ns is None else int(epoch_ns))
-        self.events: List[dict] = []
-        self._seq = 0
-        self._fh: Optional[TextIO] = None
-        if path:
-            root = os.path.dirname(os.path.abspath(path))
-            os.makedirs(root, exist_ok=True)
-            self._fh = open(path, "w", encoding="utf-8")
-
-    # ------------------------------------------------------------------
-    @property
-    def elapsed(self) -> float:
-        """Seconds since the sweep epoch."""
-        return (time.perf_counter_ns() - self.epoch_ns) / 1e9
-
-    def emit(self, event: str, **payload) -> dict:
-        rec = {
-            "schema_version": LIVE_SCHEMA_VERSION,
-            "event": event,
-            "seq": self._seq,
-            "t": round(self.elapsed, 6),
-            **payload,
-        }
-        self._seq += 1
-        self.events.append(rec)
-        if self._fh is not None:
-            self._fh.write(json.dumps(rec, default=repr) + "\n")
-            self._fh.flush()
-        for listener in list(self.listeners):
-            try:
-                listener(rec)
-            except Exception:
-                self.listeners.remove(listener)
-        return rec
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "EventBus":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 class ProgressReporter:

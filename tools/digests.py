@@ -9,7 +9,9 @@ Prints one ``sha256  label`` line per row of
       x {Lagrangian, ale_on where the problem has the setting}
 
 plus a node-permuted and a pinwheel mesh (neither is a structured
-grid) run solo and as two lanes.  A digest covers x y u v rho e p q,
+grid) run solo and as two lanes, and Noh 32x32 decomposed 2 and 4 ways
+by the spectral partitioner (its cell-to-rank array, and the run on
+it).  A digest covers x y u v rho e p q,
 the final time, the step count and the dt taken at every step; a row
 that cannot run digests its error text instead.
 
@@ -113,6 +115,25 @@ def problem_rows():
             row(f"{tag} ensemble", lanes)
 
 
+def spectral_rows():
+    """The one run path that reaches scipy: the partition itself (the
+    eigensolver's answer, made reproducible by a fixed start vector)
+    and the decomposed run it leads to."""
+    from repro.api import RunConfig, run
+    from repro.parallel.partition import partition
+
+    for nranks in (2, 4):
+        config = RunConfig(problem="noh", nx=32, ny=32, max_steps=STEPS,
+                           collect_steps=True, nranks=nranks,
+                           backend="threads", partition="spectral")
+        mesh = config.build_setup().state.mesh
+        row(f"noh 32x32 spectral x{nranks} partition",
+            lambda: hashlib.sha256(
+                partition(mesh, nranks, "spectral").tobytes()).hexdigest())
+        row(f"noh 32x32 spectral x{nranks} threads",
+            lambda: result_digest(run(config)))
+
+
 def offgrid_setup(kind):
     """A compressing gas blob on a mesh with no structured numbering."""
     import numpy as np
@@ -178,6 +199,7 @@ def main(argv=None) -> int:
     if args.against is None:
         problem_rows()
         offgrid_rows()
+        spectral_rows()
         return 0
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
