@@ -1,9 +1,11 @@
 #!/usr/bin/env python
 """Checkpoint/restart: stop a calculation and resume it bit-exactly.
 
-Runs the Sedov blast halfway, checkpoints to a compressed ``.npz``,
-resumes in a fresh driver and carries on — then proves the resumed
-trajectory is bit-for-bit identical to an uninterrupted run.
+Runs the Sedov blast halfway, freezes it to a snapshot ``.npz``, thaws
+that into a driver built fresh from the same setup and carries on —
+then proves the resumed trajectory is bit-for-bit identical to an
+uninterrupted run.  (Restore is always an overlay into a freshly built
+driver: see docs/FLEET.md, "Snapshots".)
 
 Run:  python examples/checkpoint_restart.py
 """
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.output.restart import checkpoint, resume
+from repro.output.restart import freeze, read_restart, thaw
 from repro.problems import load_problem
 
 
@@ -26,15 +28,15 @@ def main() -> None:
     print(f"  {straight.nstep} steps to t = {straight.time:.3f}")
 
     print("interrupted run: stop at step 100, checkpoint, resume ...")
-    setup = load_problem("sedov", **kwargs)
-    first = setup.make_hydro()
+    first = load_problem("sedov", **kwargs).make_hydro()
     first.run(max_steps=100)
     with tempfile.TemporaryDirectory() as tmp:
-        path = checkpoint(first, Path(tmp) / "sedov.npz")
+        path = freeze(Path(tmp) / "sedov.npz", first)
         size_kb = path.stat().st_size / 1024
         print(f"  checkpoint written at t = {first.time:.4f} "
               f"({size_kb:.0f} KiB)")
-        resumed = resume(path, setup.table, setup.controls)
+        resumed = load_problem("sedov", **kwargs).make_hydro()
+        thaw(resumed, read_restart(path))
         resumed.run()
     print(f"  resumed to t = {resumed.time:.3f} "
           f"({resumed.nstep} total steps)")

@@ -589,66 +589,95 @@ def _lane_path(path: str, lane: int) -> str:
     return f"{stem}.lane{lane}{ext}"
 
 
-def _run_ensemble_cli(args: argparse.Namespace) -> int:
-    if args.deck and args.problem:
-        print("give either a deck or --problem, not both", file=sys.stderr)
-        return 2
-    if not args.deck and not args.problem:
-        print("nothing to run: give a deck path or --problem",
-              file=sys.stderr)
-        return 2
-    if args.sweep and args.lanes is not None:
-        print("give --lanes or --sweep, not both (the sweep's "
-              "cartesian product sets the lane count)", file=sys.stderr)
-        return 2
+def _outcome_line(head: str, assignment: dict, result,
+                  via: str = "") -> str:
+    """``job 3 (cq1=0.5) [serial]: 20 steps to t=... mass=... ...``"""
+    if assignment:
+        head += " (" + ", ".join(f"{k}={v}" for k, v in
+                                 sorted(assignment.items())) + ")"
+    final = result.state
+    return (f"{head}{via}: {result.nstep} steps to "
+            f"t={result.time:.6g}  mass={final.total_mass():.9g} "
+            f"total_energy={final.total_energy():.9g}")
 
+
+def _sweep_configs(args: argparse.Namespace, command: str, unit: str,
+                   config_keys: tuple, extra_kwargs):
+    """Expand ``--sweep``/``--lanes`` into ``(assignments, configs,
+    control overrides)``, one entry per lane/job — the argument checks
+    and key routing ``run-ensemble`` and ``fleet`` share.
+
+    A swept key in ``config_keys`` sets that :class:`RunConfig` field,
+    a control field becomes a per-lane override, anything else a
+    problem kwarg.  ``extra_kwargs(i)`` gives entry i's
+    command-specific ``RunConfig`` keywords.  A usage error is printed
+    and ``None`` returned.
+    """
+    def refuse(message: str) -> None:
+        print(message, file=sys.stderr)
+
+    if args.deck and args.problem:
+        return refuse("give either a deck or --problem, not both")
+    if not args.deck and not args.problem:
+        return refuse("nothing to run: give a deck path or --problem")
+    if args.sweep and args.lanes is not None:
+        return refuse("give --lanes or --sweep, not both (the sweep's "
+                      f"cartesian product sets the {unit} count)")
     try:
         assignments = _sweep_lanes(args.sweep)
     except ValueError as exc:
-        print(f"run-ensemble: {exc}", file=sys.stderr)
-        return 2
+        return refuse(f"{command}: {exc}")
     if not args.sweep:
         assignments = [{}] * max(args.lanes or 1, 1)
 
     from dataclasses import fields as dc_fields
 
-    from .api import RunConfig, run_ensemble
+    from .api import RunConfig
     from .core.controls import HydroControls
 
     control_names = {f.name for f in dc_fields(HydroControls)}
     configs, overrides = [], []
-    for lane, assignment in enumerate(assignments):
+    for i, assignment in enumerate(assignments):
         kwargs = dict(
             problem=args.problem, deck=args.deck,
             nx=args.nx, ny=args.ny,
             time_end=args.time_end, max_steps=args.max_steps,
-            metrics=(_lane_path(args.metrics, lane)
-                     if args.metrics else None),
-            metrics_every=args.metrics_every,
-            problem_kwargs={},
+            problem_kwargs={}, **extra_kwargs(i),
         )
         override = {}
         for key, value in assignment.items():
-            if key in ("nx", "ny"):
-                print(f"run-ensemble: cannot sweep {key!r} — all "
-                      "lanes share one mesh (vary initial state and "
-                      "controls instead)", file=sys.stderr)
-                return 2
-            if key in ("time_end", "max_steps"):
+            if key in config_keys:
                 kwargs[key] = value
+            elif key in ("nx", "ny"):
+                return refuse(
+                    f"{command}: cannot sweep {key!r} — all lanes share "
+                    "one mesh (vary initial state and controls instead)")
             elif key in control_names:
                 override[key] = value
             elif args.deck:
-                print(f"run-ensemble: sweep key {key!r} is not a "
-                      "control field; problem-kwarg sweeps need "
-                      "--problem (deck runs fix the setup in the "
-                      "deck file)", file=sys.stderr)
-                return 2
+                return refuse(
+                    f"{command}: sweep key {key!r} is not a control "
+                    "field; problem-kwarg sweeps need --problem (deck "
+                    "runs fix the setup in the deck file)")
             else:
                 kwargs["problem_kwargs"][key] = value
         configs.append(RunConfig(**kwargs))
         overrides.append(override or None)
+    return assignments, configs, overrides
 
+
+def _run_ensemble_cli(args: argparse.Namespace) -> int:
+    expanded = _sweep_configs(
+        args, "run-ensemble", "lane", ("time_end", "max_steps"),
+        lambda lane: dict(
+            metrics=(_lane_path(args.metrics, lane)
+                     if args.metrics else None),
+            metrics_every=args.metrics_every))
+    if expanded is None:
+        return 2
+    assignments, configs, overrides = expanded
+
+    from .api import run_ensemble
     from .utils.errors import BookLeafError
 
     try:
@@ -658,14 +687,7 @@ def _run_ensemble_cli(args: argparse.Namespace) -> int:
         return 2
 
     for lane, result in enumerate(results):
-        tag = ""
-        if assignments[lane]:
-            tag = " (" + ", ".join(f"{k}={v}" for k, v in
-                                   sorted(assignments[lane].items())) + ")"
-        final = result.state
-        print(f"lane {lane}{tag}: {result.nstep} steps to "
-              f"t={result.time:.6g}  mass={final.total_mass():.9g} "
-              f"total_energy={final.total_energy():.9g}")
+        print(_outcome_line(f"lane {lane}", assignments[lane], result))
     print(f"\n{len(results)} lane(s) in {results[0].wall_seconds:.2f}s "
           f"({len(results) / results[0].wall_seconds:.2f} runs/s "
           "aggregate)")
@@ -687,45 +709,12 @@ def _run_ensemble_cli(args: argparse.Namespace) -> int:
 
 
 def _fleet_cli(args: argparse.Namespace) -> int:
-    if args.deck and args.problem:
-        print("give either a deck or --problem, not both", file=sys.stderr)
-        return 2
-    if not args.deck and not args.problem:
-        print("nothing to run: give a deck path or --problem",
-              file=sys.stderr)
-        return 2
-    if args.sweep and args.lanes is not None:
-        print("give --lanes or --sweep, not both (the sweep's "
-              "cartesian product sets the job count)", file=sys.stderr)
-        return 2
-
-    try:
-        assignments = _sweep_lanes(args.sweep)
-    except ValueError as exc:
-        print(f"fleet: {exc}", file=sys.stderr)
-        return 2
-    if not args.sweep:
-        assignments = [{}] * max(args.lanes or 1, 1)
-
-    from dataclasses import fields as dc_fields
-
     from .api import RunConfig, submit
-    from .core.controls import HydroControls
 
-    control_names = {f.name for f in dc_fields(HydroControls)}
-    swept_keys = {k for a in assignments for k in a}
-    if (swept_keys & control_names) and (swept_keys & {"nx", "ny"}):
-        print("fleet: cannot combine control sweeps with mesh sweeps "
-              "(control overrides ride the same-mesh batched path)",
-              file=sys.stderr)
-        return 2
-
-    configs, overrides, any_override = [], [], False
-    for assignment in assignments:
-        kwargs = dict(
-            problem=args.problem, deck=args.deck,
-            nx=args.nx, ny=args.ny,
-            time_end=args.time_end, max_steps=args.max_steps,
+    expanded = _sweep_configs(
+        args, "fleet", "job",
+        ("nx", "ny", "time_end", "max_steps", "nranks"),
+        lambda job: dict(
             nranks=args.nranks, backend=args.backend,
             # merged telemetry needs the per-job probe: default its
             # cadence when a fleet-level sink is requested, exactly as
@@ -733,25 +722,16 @@ def _fleet_cli(args: argparse.Namespace) -> int:
             metrics_every=(RunConfig.DEFAULT_METRICS_EVERY
                            if (args.metrics_every is None
                                and (args.metrics or args.prom))
-                           else args.metrics_every),
-            problem_kwargs={},
-        )
-        override = {}
-        for key, value in assignment.items():
-            if key in ("nx", "ny", "time_end", "max_steps", "nranks"):
-                kwargs[key] = value
-            elif key in control_names:
-                override[key] = value
-            elif args.deck:
-                print(f"fleet: sweep key {key!r} is not a control "
-                      "field; problem-kwarg sweeps need --problem",
-                      file=sys.stderr)
-                return 2
-            else:
-                kwargs["problem_kwargs"][key] = value
-        configs.append(RunConfig(**kwargs))
-        overrides.append(override or None)
-        any_override = any_override or bool(override)
+                           else args.metrics_every)))
+    if expanded is None:
+        return 2
+    assignments, configs, overrides = expanded
+    any_override = any(overrides)
+    if any_override and {"nx", "ny"} & {k for a in assignments for k in a}:
+        print("fleet: cannot combine control sweeps with mesh sweeps "
+              "(control overrides ride the same-mesh batched path)",
+              file=sys.stderr)
+        return 2
 
     from .utils.errors import BookLeafError
 
@@ -789,17 +769,9 @@ def _fleet_cli(args: argparse.Namespace) -> int:
         return 2
 
     for job, result in enumerate(results):
-        tag = ""
-        if assignments[job]:
-            tag = " (" + ", ".join(f"{k}={v}" for k, v in
-                                   sorted(assignments[job].items())) + ")"
-        via = result.backend
-        if result.cache_hit:
-            via += ", cached"
-        final = result.state
-        print(f"job {job}{tag} [{via}]: {result.nstep} steps to "
-              f"t={result.time:.6g}  mass={final.total_mass():.9g} "
-              f"total_energy={final.total_energy():.9g}")
+        via = result.backend + (", cached" if result.cache_hit else "")
+        print(_outcome_line(f"job {job}", assignments[job], result,
+                            via=f" [{via}]"))
     summary = handle.summary()
     counts = summary["counts"]
     print(f"\n{counts['jobs']} job(s): {counts['cache_hits']} from "

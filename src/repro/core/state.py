@@ -14,14 +14,14 @@ masses around each node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from ..eos.multimaterial import MaterialTable
 from ..mesh.boundary import BoundaryConditions
 from ..mesh.topology import QuadMesh
-from ..utils.errors import MeshError
+from ..utils.errors import MeshError, SnapshotError
 from . import geometry
 
 
@@ -54,26 +54,34 @@ class HydroState:
     _node_mass: Optional[np.ndarray] = field(
         default=None, init=False, repr=False, compare=False)
 
+    #: THE field table: every evolving array, by the mesh entity that
+    #: sizes it — ``node`` (nnode,), ``cell`` (ncell,), ``corner``
+    #: (ncell, 4).  Everything that copies, stores, restricts, gathers
+    #: or scans a state enumerates it through this table.
+    FIELDS: ClassVar[Dict[str, Tuple[str, ...]]] = {
+        "node": ("x", "y", "u", "v"),
+        "cell": ("rho", "e", "p", "cs2", "q", "volume", "cell_mass",
+                 "mat"),
+        "corner": ("corner_mass", "corner_volume"),
+    }
+
+    @classmethod
+    def field_names(cls, *kinds: str) -> Tuple[str, ...]:
+        """Field names of the given kinds (all kinds when none given)."""
+        return tuple(name for kind in kinds or cls.FIELDS
+                     for name in cls.FIELDS[kind])
+
     def __post_init__(self):
         if self.bc is None:
             self.bc = BoundaryConditions.free(self.mesh.nnode)
         nnode, ncell = self.mesh.nnode, self.mesh.ncell
-        for name, arr, size in (
-            ("x", self.x, nnode), ("y", self.y, nnode),
-            ("u", self.u, nnode), ("v", self.v, nnode),
-            ("rho", self.rho, ncell), ("e", self.e, ncell),
-            ("p", self.p, ncell), ("cs2", self.cs2, ncell),
-            ("q", self.q, ncell), ("mat", self.mat, ncell),
-            ("cell_mass", self.cell_mass, ncell),
-            ("volume", self.volume, ncell),
-        ):
-            if arr.shape != (size,):
-                raise MeshError(f"state field {name} has shape {arr.shape}, "
-                                f"expected ({size},)")
-        if self.corner_mass.shape != (ncell, 4):
-            raise MeshError("corner_mass must have shape (ncell, 4)")
-        if self.corner_volume.shape != (ncell, 4):
-            raise MeshError("corner_volume must have shape (ncell, 4)")
+        shapes = {"node": (nnode,), "cell": (ncell,), "corner": (ncell, 4)}
+        for kind, names in self.FIELDS.items():
+            for name in names:
+                shape = getattr(self, name).shape
+                if shape != shapes[kind]:
+                    raise MeshError(f"state field {name} has shape {shape}, "
+                                    f"expected {shapes[kind]}")
 
     # ------------------------------------------------------------------
     # construction
@@ -149,12 +157,6 @@ class HydroState:
     # ------------------------------------------------------------------
     # health sentinels (the live-metrics layer's hard invariants)
     # ------------------------------------------------------------------
-    #: nodal fields scanned for NaN/Inf (ids in a violation are node ids)
-    SENTINEL_NODE_FIELDS = ("x", "y", "u", "v")
-    #: cell fields scanned for NaN/Inf (ids are cell ids)
-    SENTINEL_CELL_FIELDS = ("rho", "e", "p", "cs2", "q",
-                            "volume", "cell_mass")
-
     def sentinel_scan(self, cell_mask: Optional[np.ndarray] = None,
                       max_ids: int = 32) -> dict:
         """Scan for states no healthy step may produce.
@@ -163,7 +165,8 @@ class HydroState:
         the invariant-domain bounds of the compatible scheme: positive
         cell volume, density and mass, non-negative internal energy.
         Returns ``{sentinel_name: offending ids}`` (empty dict =
-        healthy); ids are truncated to ``max_ids`` per sentinel.
+        healthy; node ids for the nodal fields, cell ids otherwise);
+        ids are truncated to ``max_ids`` per sentinel.
         ``cell_mask`` restricts the *cell* checks to owned cells in a
         decomposed run (ghost thermodynamics are refreshed lazily and
         may be stale, never authoritative).
@@ -175,13 +178,14 @@ class HydroState:
             if idx.size:
                 violations[name] = idx[:max_ids]
 
-        for name in self.SENTINEL_NODE_FIELDS:
+        for name in self.FIELDS["node"]:
             trip(f"nonfinite:{name}", ~np.isfinite(getattr(self, name)))
         owned = (np.ones(self.mesh.ncell, dtype=bool)
                  if cell_mask is None else cell_mask)
-        for name in self.SENTINEL_CELL_FIELDS:
-            trip(f"nonfinite:{name}",
-                 owned & ~np.isfinite(getattr(self, name)))
+        for name in self.FIELDS["cell"]:
+            if name != "mat":       # an index, never NaN
+                trip(f"nonfinite:{name}",
+                     owned & ~np.isfinite(getattr(self, name)))
         trip("nonpositive:volume", owned & (self.volume <= 0.0))
         trip("nonpositive:rho", owned & (self.rho <= 0.0))
         trip("nonpositive:cell_mass", owned & (self.cell_mass <= 0.0))
@@ -230,15 +234,41 @@ class HydroState:
         """Deep copy of all evolving arrays (mesh topology is shared)."""
         return HydroState(
             mesh=self.mesh,
-            x=self.x.copy(), y=self.y.copy(),
-            u=self.u.copy(), v=self.v.copy(),
-            rho=self.rho.copy(), e=self.e.copy(), p=self.p.copy(),
-            cs2=self.cs2.copy(), q=self.q.copy(), mat=self.mat.copy(),
-            cell_mass=self.cell_mass.copy(),
-            corner_mass=self.corner_mass.copy(),
-            volume=self.volume.copy(),
-            corner_volume=self.corner_volume.copy(),
             bc=BoundaryConditions(self.bc.flags.copy(),
                                   self.bc.ux.copy(), self.bc.uy.copy(),
                                   driver=self.bc.driver),
+            **{name: getattr(self, name).copy()
+               for name in self.field_names()},
         )
+
+    # ------------------------------------------------------------------
+    # the state outside the step loop: snapshots, cache entries, payloads
+    # ------------------------------------------------------------------
+    def _planes(self) -> Iterator[Tuple[str, np.ndarray]]:
+        """``(stored name, live array)`` of every field and bc plane."""
+        for name in self.field_names():
+            yield name, getattr(self, name)
+        for name in ("flags", "ux", "uy"):
+            yield f"bc_{name}", getattr(self.bc, name)
+
+    def arrays(self) -> Dict[str, np.ndarray]:
+        """Every array that defines this state, as a flat dict."""
+        return {name: np.ascontiguousarray(arr)
+                for name, arr in self._planes()}
+
+    def overlay(self, arrays: Dict[str, np.ndarray]) -> "HydroState":
+        """Write stored :meth:`arrays` back in place and drop the
+        node-mass cache.  The mesh, the boundary driver and whatever
+        captured this state stay the freshly built ones.  Nothing is
+        written unless every member is there with the right shape."""
+        planes = list(self._planes())
+        for name, live in planes:
+            stored = arrays.get(name)
+            if stored is None or stored.shape != live.shape:
+                raise SnapshotError(
+                    f"stored state has no {live.shape} member {name!r} "
+                    f"(found {None if stored is None else stored.shape})")
+        for name, live in planes:
+            live[...] = arrays[name]
+        self.invalidate_node_mass()
+        return self

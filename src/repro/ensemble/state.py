@@ -36,11 +36,6 @@ from ..mesh.boundary import BoundaryConditions
 from ..perf.plans import MeshPlans
 from ..utils.errors import BookLeafError
 
-#: HydroState fields concatenated per lane, by leading dimension
-NODE_FIELDS = ("x", "y", "u", "v")
-CELL_FIELDS = ("rho", "e", "p", "cs2", "q", "volume", "cell_mass",
-               "corner_mass", "corner_volume")
-
 
 class UnionMesh:
     """``n`` disjoint copies of ``base``'s connectivity.
@@ -112,11 +107,10 @@ class EnsembleState:
         bc = self.bc
         self.union = HydroState(
             mesh=UnionMesh(self.mesh, n),
-            mat=np.tile(self.mat, n),
             bc=BoundaryConditions(np.tile(bc.flags, n), np.tile(bc.ux, n),
                                   np.tile(bc.uy, n)),
             **{name: np.concatenate([getattr(st, name) for st in states])
-               for name in NODE_FIELDS + CELL_FIELDS},
+               for name in HydroState.field_names()},
         )
 
     # ------------------------------------------------------------------
@@ -132,18 +126,19 @@ class EnsembleState:
         :meth:`absorb_lane` to copy the rebound arrays back.
         """
         mesh = self.mesh
+        size = {"node": mesh.nnode, "cell": mesh.ncell, "corner": mesh.ncell}
         fields = {}
-        for names, n in ((NODE_FIELDS, mesh.nnode),
-                         (CELL_FIELDS, mesh.ncell)):
+        for kind, names in HydroState.FIELDS.items():
+            n = size[kind]
             for name in names:
                 fields[name] = getattr(self.union, name)[i * n:(i + 1) * n]
-        return HydroState(mesh=mesh, mat=self.mat, bc=self.bc, **fields)
+        return HydroState(mesh=mesh, bc=self.bc, **fields)
 
     def absorb_lane(self, i: int, st: HydroState) -> None:
         """Copy a lane state's (possibly rebound) fields back into
         segment i; the union's nodal-mass cache goes with them."""
         view = self.lane_state(i)
-        for name in NODE_FIELDS + CELL_FIELDS:
+        for name in HydroState.field_names():
             # Unconditional segment copy: a no-op when the field is
             # still the view, a commit when the remapper rebound it.
             getattr(view, name)[...] = getattr(st, name)

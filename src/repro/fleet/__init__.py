@@ -17,9 +17,7 @@ from .artifacts import ArtifactCache, mesh_fingerprint
 from .batch import BatchJob, make_jobs, run_ensemble_jobs
 from .cache import (CACHE_SCHEMA_VERSION, ResultCache, job_key,
                     state_digest)
-from .checkpoint import (CHECKPOINT_SCHEMA_VERSION, CheckpointWriter,
-                         load_checkpoint, restore_into,
-                         save_checkpoint)
+from .checkpoint import CheckpointWriter, restore_into, save_checkpoint
 from .engine import (FLEET_SCHEMA_VERSION, Fleet, FleetHandle,
                      FleetOptions, submit)
 
@@ -27,7 +25,6 @@ __all__ = [
     "ArtifactCache",
     "BatchJob",
     "CACHE_SCHEMA_VERSION",
-    "CHECKPOINT_SCHEMA_VERSION",
     "CheckpointWriter",
     "FLEET_SCHEMA_VERSION",
     "Fleet",
@@ -36,7 +33,6 @@ __all__ = [
     "ResultCache",
     "WorkerPool",
     "job_key",
-    "load_checkpoint",
     "make_jobs",
     "mesh_fingerprint",
     "restore_into",

@@ -11,11 +11,16 @@ count, the backend and the code version all enter the key, so a hit is
 exactly "this run already happened".
 
 Storage layout under the cache root, two files per entry, both written
-atomically (tmp + ``os.replace``) so a killed worker never leaves a
-half-entry::
+atomically (:func:`repro.output.restart.atomic_write`) so a killed
+worker never leaves a half-entry::
 
-    <key>.npz    final-state arrays (x, y, u, ..., bc planes)
+    <key>.npz    final-state arrays (``HydroState.arrays()``)
     <key>.json   scalars + report + metrics rows (the meta document)
+
+An entry that cannot be read back (truncated npz, corrupt json) is a
+*miss*, not a traceback: :meth:`ResultCache.load` evicts it, counts it
+and raises :class:`~repro.utils.errors.SnapshotError` for the engine to
+log as ``cache_corrupt`` and re-run the job.
 
 The same store doubles as the worker pool's result spool: workers
 persist outcomes here and the parent re-materialises them by key, so a
@@ -27,46 +32,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from typing import Any, Dict, Optional
 
-import numpy as np
-
-from ..utils.errors import FleetError
+from ..utils.errors import FleetError, SnapshotError
 from ..utils.timers import TimerRegistry
 
 #: on-disk entry layout version (bumped on any stored-shape change)
 CACHE_SCHEMA_VERSION = 1
-
-#: every float64 field of a HydroState, in storage order
-STATE_FIELDS = ("x", "y", "u", "v", "rho", "e", "p", "cs2", "q",
-                "cell_mass", "corner_mass", "volume", "corner_volume")
-#: integer fields stored alongside
-INT_FIELDS = ("mat",)
-#: boundary-condition planes (flags + driven velocities)
-BC_FIELDS = ("flags", "ux", "uy")
-
-
-def state_arrays(state) -> Dict[str, np.ndarray]:
-    """Every array that defines a :class:`HydroState`, as a flat dict
-    (the npz payload for cache entries and checkpoints)."""
-    out = {name: np.ascontiguousarray(getattr(state, name))
-           for name in STATE_FIELDS + INT_FIELDS}
-    for name in BC_FIELDS:
-        out[f"bc_{name}"] = np.ascontiguousarray(getattr(state.bc, name))
-    return out
-
-
-def overlay_state(state, arrays: Dict[str, np.ndarray]):
-    """Write stored arrays back into ``state`` in place (the mesh and
-    topology stay the freshly-built ones — they are pure functions of
-    the config) and drop the node-mass cache."""
-    for name in STATE_FIELDS + INT_FIELDS:
-        getattr(state, name)[...] = arrays[name]
-    for name in BC_FIELDS:
-        getattr(state.bc, name)[...] = arrays[f"bc_{name}"]
-    state.invalidate_node_mass()
-    return state
 
 
 def job_key(config, override: Optional[Dict[str, Any]] = None) -> str:
@@ -92,7 +64,7 @@ def state_digest(state, nstep: int, time: float,
     reproducible — so this is the value the kill-and-resume CI gate
     compares bit-for-bit."""
     h = hashlib.sha256()
-    arrays = state_arrays(state)
+    arrays = state.arrays()
     for name in sorted(arrays):
         h.update(name.encode())
         h.update(arrays[name].tobytes())
@@ -105,7 +77,8 @@ def state_digest(state, nstep: int, time: float,
 class ResultCache:
     """On-disk content-addressed store of run outcomes.
 
-    ``hits``/``misses``/``stores`` counters feed the fleet summary.
+    ``hits``/``misses``/``stores``/``corrupt`` counters feed the fleet
+    summary.
     """
 
     def __init__(self, root: str):
@@ -114,6 +87,7 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
+        self.corrupt = 0
 
     # ------------------------------------------------------------------
     def _paths(self, key: str):
@@ -129,8 +103,9 @@ class ResultCache:
         """Persist one finished :class:`RunResult` under ``key``
         (atomic: a concurrent reader sees the old entry or the new one,
         never a torn one)."""
+        from ..output.restart import atomic_write, write_npz
+
         npz_path, meta_path = self._paths(key)
-        arrays = state_arrays(result.state)
         meta = {
             "schema_version": CACHE_SCHEMA_VERSION,
             "key": key,
@@ -154,23 +129,26 @@ class ResultCache:
             "digest": state_digest(result.state, result.nstep,
                                    result.time, result.metrics_rows),
         }
-        for path, writer in (
-            (npz_path, lambda fh: np.savez(fh, **arrays)),
-            (meta_path, lambda fh: fh.write(
-                json.dumps(meta, default=repr).encode("utf-8"))),
-        ):
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    writer(fh)
-                os.replace(tmp, path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
+        write_npz(npz_path, result.state.arrays())
+        atomic_write(meta_path, lambda fh: fh.write(
+            json.dumps(meta, default=repr).encode("utf-8")))
         self.stores += 1
 
     # ------------------------------------------------------------------
+    def _read(self, key: str):
+        """``(meta document, state arrays)`` of a stored entry."""
+        from ..output.restart import read_npz
+
+        npz_path, meta_path = self._paths(key)
+        try:
+            with open(meta_path, "r", encoding="utf-8") as fh:
+                meta = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise SnapshotError(
+                f"cannot read {meta_path}: "
+                f"{type(exc).__name__}: {exc}") from exc
+        return meta, read_npz(npz_path)
+
     def load(self, key: str, config, *,
              override: Optional[Dict[str, Any]] = None,
              hit: bool = True):
@@ -180,22 +158,27 @@ class ResultCache:
         from the config (it is not stored); the stored arrays are then
         overlaid.  The result carries the stored report verbatim
         (``report_override``) — kernel-timer *objects* are not
-        reconstructable across processes — and ``cache_hit=hit``.
+        reconstructable across processes — and ``cache_hit=hit``.  An
+        unreadable entry is evicted and raises
+        :class:`~repro.utils.errors.SnapshotError`.
         """
         from ..api import RunResult
         from ..telemetry.spans import Span
 
-        npz_path, meta_path = self._paths(key)
         if not self.has(key):
             raise FleetError(f"cache entry {key} missing from {self.root}")
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        with np.load(npz_path) as data:
-            arrays = {name: data[name] for name in data.files}
-        setup = config.build_setup()
-        if override:
-            setup.controls = setup.controls.with_(**override).validated()
-        overlay_state(setup.state, arrays)
+        try:
+            meta, arrays = self._read(key)
+            setup = config.build_setup()
+            if override:
+                setup.controls = setup.controls.with_(**override).validated()
+            setup.state.overlay(arrays)
+        except SnapshotError:
+            self.corrupt += 1
+            for path in self._paths(key):
+                if os.path.exists(path):
+                    os.unlink(path)
+            raise
         if hit:
             self.hits += 1
         return RunResult(
@@ -221,14 +204,7 @@ class ResultCache:
             report_override=meta.get("report"),
         )
 
-    def digest(self, key: str) -> Optional[str]:
-        """The stored outcome digest for ``key`` (None if absent)."""
-        _, meta_path = self._paths(key)
-        if not os.path.exists(meta_path):
-            return None
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            return json.load(fh).get("digest")
-
     def stats(self) -> dict:
         return {"hits": self.hits, "misses": self.misses,
-                "stores": self.stores, "root": self.root}
+                "stores": self.stores, "corrupt": self.corrupt,
+                "root": self.root}

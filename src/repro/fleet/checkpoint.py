@@ -1,88 +1,46 @@
-"""Checkpoint/restart: periodic HydroState snapshots for resumable jobs.
+"""Checkpoint/restart: periodic snapshots for resumable fleet jobs.
 
 A fleet job that dies mid-run (preempted worker, SIGKILL, machine
 loss) resumes from its last checkpoint instead of restarting.  The
-checkpoint is one atomically-written ``.npz`` holding
+checkpoint is a keyed snapshot (:mod:`repro.output.restart`; no mesh
+block — the job key names the config that rebuilds the mesh) whose
+``extra`` carries what is the fleet's:
 
-* every state array (:data:`repro.fleet.cache.STATE_FIELDS` + material
-  ids + boundary planes),
-* the loop clocks — ``nstep``, ``time``, ``dt``, ``dt_reason``,
-  ``dt_cell`` (``dt`` is load-bearing: ``getdt`` growth-limits against
-  the previous step's dt, so restoring it keeps the resumed dt sequence
-  bitwise equal to the uninterrupted one),
+* the job's cache key, so a stale checkpoint from a different config
+  can never be overlaid,
 * the diagnostics probe's internals (rows, drift baseline, last sampled
   step) so the resumed NDJSON stream is byte-identical to an
-  uninterrupted run's,
-* the job's cache key, so a stale checkpoint from a different config
-  can never be overlaid.
+  uninterrupted run's.
 
-Restore order is the part that guards bit-identity: the driver is built
-fresh from the config *first* — so the ALE remapper captures the
-pristine initial coordinates as its Eulerian target, exactly as in an
-uninterrupted run — and only then are the checkpoint arrays overlaid
-into the live state.  Checkpointing is supported for serial-backend
-jobs (the sweep workload); decomposed jobs restart from scratch on
-failure.
+Restore is the snapshot module's: overlay into a driver built fresh
+from the config, so the ALE remapper captures the pristine initial
+coordinates as its Eulerian target, exactly as in an uninterrupted
+run.  Checkpointing is serial-only: a decomposed job would need a
+cross-rank commit protocol (rank 0 at step N with rank 1 at N-5 is not
+a checkpoint), so it restarts from scratch on failure.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from typing import Optional
 
-import numpy as np
-
 from ..utils.errors import FleetError
-from .cache import state_arrays, overlay_state
-
-#: checkpoint file layout version
-CHECKPOINT_SCHEMA_VERSION = 1
 
 
 def save_checkpoint(path: str, hydro, key: str = "") -> None:
     """Atomically write one checkpoint of a live serial ``Hydro``."""
-    probe_doc = None
-    if hydro.probe is not None:
-        p = hydro.probe
-        probe_doc = {
-            "rows": p.rows,
-            "baseline": p._baseline,
-            "last_sampled": p._last_sampled,
-        }
-    meta = {
-        "schema_version": CHECKPOINT_SCHEMA_VERSION,
+    from ..output.restart import freeze
+
+    probe = hydro.probe
+    freeze(path, hydro, mesh=False, extra={
         "key": key,
-        "nstep": int(hydro.nstep),
-        "time": float(hydro.time),
-        "dt": float(hydro.dt) if hydro.dt is not None else None,
-        "dt_reason": hydro.dt_reason,
-        "dt_cell": int(hydro.dt_cell) if hydro.dt_cell is not None else -1,
-        "probe": probe_doc,
-    }
-    arrays = state_arrays(hydro.state)
-    arrays["__meta__"] = np.frombuffer(
-        json.dumps(meta).encode("utf-8"), dtype=np.uint8).copy()
-    root = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(root, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=root, suffix=".ckpt.tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def load_checkpoint(path: str):
-    """Read a checkpoint back as ``(meta, arrays)``."""
-    with np.load(path) as data:
-        arrays = {name: data[name] for name in data.files}
-    meta = json.loads(bytes(arrays.pop("__meta__")).decode("utf-8"))
-    return meta, arrays
+        "probe": None if probe is None else {
+            "rows": probe.rows,
+            "baseline": probe._baseline,
+            "last_sampled": probe._last_sampled,
+        },
+    })
 
 
 class CheckpointWriter:
@@ -124,12 +82,17 @@ def restore_into(driver, path: str, key: str = "",
     is regenerated from the restored state (bitwise identical — the
     sample is a pure function of state + baseline).  Returns the
     *remaining* step budget (``Hydro.run`` counts steps from its call),
-    or None to leave ``max_steps`` untouched.
+    or None to leave ``max_steps`` untouched.  An unreadable file
+    raises :class:`~repro.utils.errors.SnapshotError` before anything
+    is overlaid.
     """
-    meta, arrays = load_checkpoint(path)
-    if key and meta.get("key") and meta["key"] != key:
+    from ..output.restart import read_restart, thaw
+
+    snapshot = read_restart(path)
+    stored_key = snapshot.extra.get("key")
+    if key and stored_key and stored_key != key:
         raise FleetError(
-            f"checkpoint {path} belongs to job {meta['key'][:12]}..., "
+            f"checkpoint {path} belongs to job {stored_key[:12]}..., "
             f"not {key[:12]}...; refusing to overlay"
         )
     if not driver.hydros:
@@ -138,13 +101,8 @@ def restore_into(driver, path: str, key: str = "",
             "(serial backend); decomposed jobs restart instead"
         )
     hydro = driver.hydros[0]
-    overlay_state(hydro.state, arrays)
-    hydro.nstep = int(meta["nstep"])
-    hydro.time = float(meta["time"])
-    hydro.dt = meta["dt"]
-    hydro.dt_reason = meta["dt_reason"]
-    hydro.dt_cell = meta["dt_cell"]
-    probe_doc = meta.get("probe")
+    thaw(hydro, snapshot)
+    probe_doc = snapshot.extra.get("probe")
     if hydro.probe is not None and probe_doc is not None:
         probe = hydro.probe
         probe.rows = list(probe_doc["rows"] or [])

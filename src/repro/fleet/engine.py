@@ -52,7 +52,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..telemetry.bus import EventBus
 from ..utils.errors import (BookLeafError, EnsembleDowngradeWarning,
-                            FleetError)
+                            FleetError, SnapshotError)
 from .artifacts import ArtifactCache
 from .batch import BatchJob, make_jobs, run_ensemble_jobs
 from .cache import ResultCache, job_key, state_digest
@@ -155,6 +155,58 @@ def _parse_options(options: dict) -> FleetOptions:
     return opts
 
 
+def run_job(config, key: str, index: int, *, emit: Callable,
+            decide: Callable, checkpoint_dir: Optional[str] = None,
+            checkpoint_every: int = 20,
+            progress_every: Optional[int] = None,
+            observers: Sequence = (), injectors: Sequence = (),
+            artifacts: Any = None):
+    """The one job body — the inline engine and the pool worker both
+    call it: ``config`` through :func:`repro.api._execute_run` with the
+    fleet's observers around it.
+
+    ``emit`` takes live events; ``decide`` takes scheduling decisions,
+    which also enter the schedule log.  ``observers`` attach first,
+    ``injectors`` last — after the checkpoint writer, so the write for
+    step N precedes anything that kills the process at step N.  A
+    serial job with a ``checkpoint_dir`` resumes from
+    ``<key>.ckpt.npz`` when there is one; an unreadable one counts as
+    absent (``checkpoint_unreadable``, the job runs from step 0), one
+    under another job key raises :class:`FleetError`.
+    """
+    from ..api import _execute_run
+
+    observers = list(observers)
+    backend = config.resolved_backend()
+    if progress_every and backend in ("serial", "threads"):
+        from ..telemetry.live import ProgressReporter
+
+        observers.append(ProgressReporter(
+            emit, index, every=progress_every,
+            max_steps=config.max_steps))
+    on_prepared = None
+    if checkpoint_dir and config.nranks == 1 and backend == "serial":
+        path = os.path.join(checkpoint_dir, f"{key}.ckpt.npz")
+        observers.append(CheckpointWriter(
+            path, checkpoint_every, key=key,
+            on_write=lambda step: emit("job_checkpointed", job=index,
+                                       step=step)))
+        if os.path.exists(path):
+            def on_prepared(driver, max_steps):
+                try:
+                    budget = restore_into(driver, path, key=key,
+                                          max_steps=max_steps)
+                except SnapshotError as exc:
+                    decide("checkpoint_unreadable", job=index, path=path,
+                           reason=str(exc))
+                    return None
+                decide("checkpoint_resume", job=index, path=path)
+                return budget
+    observers.extend(injectors)
+    return _execute_run(config, observers=observers or None,
+                        artifacts=artifacts, on_prepared=on_prepared)
+
+
 def submit(configs: Sequence, *,
            control_overrides: Optional[Sequence] = None,
            observers: Optional[Sequence] = None,
@@ -252,6 +304,11 @@ class Fleet:
         if self.bus is not None:
             self.bus.emit(event, **payload)
 
+    def _decide(self, event: str, **payload) -> None:
+        """A scheduling decision: schedule log and live event both."""
+        self._log(event, **payload)
+        self._emit(event, **payload)
+
     @property
     def _live(self) -> bool:
         """True when someone is watching: progress observers attach."""
@@ -281,20 +338,24 @@ class Fleet:
         for job in self.jobs:
             if (self.cache is not None and not self.observers
                     and self.cache.has(self._key(job))):
-                results[job.index] = self.cache.load(
-                    self._key(job), job.config,
-                    override=job.override, hit=True)
-                self._log("cache_hit", job=job.index,
-                          key=self._key(job))
-                self._emit("cache_hit", job=job.index,
-                           key=self._key(job))
-                self._track[job.index] = {"pid": 0,
-                                          "start": self.bus.elapsed,
-                                          "cache_hit": True}
-            else:
-                if self.cache is not None:
-                    self.cache.misses += 1
-                remaining.append(job)
+                try:
+                    results[job.index] = self.cache.load(
+                        self._key(job), job.config,
+                        override=job.override, hit=True)
+                except SnapshotError as exc:
+                    # evicted by the cache; a miss from here on
+                    self._decide("cache_corrupt", job=job.index,
+                                 key=self._key(job), reason=str(exc))
+                else:
+                    self._decide("cache_hit", job=job.index,
+                                 key=self._key(job))
+                    self._track[job.index] = {"pid": 0,
+                                              "start": self.bus.elapsed,
+                                              "cache_hit": True}
+                    continue
+            if self.cache is not None:
+                self.cache.misses += 1
+            remaining.append(job)
 
         # -- stage 2: route the rest ------------------------------------
         ensemble_mode = opts.ensemble
@@ -337,8 +398,7 @@ class Fleet:
                 if not job.config.trace:
                     job.config = job.config.replace(trace=True)
             self._trace_forced = True
-            self._log("trace_forced", jobs=forced)
-            self._emit("trace_forced", jobs=forced)
+            self._decide("trace_forced", jobs=forced)
         if opts.profile_dir:
             os.makedirs(opts.profile_dir, exist_ok=True)
             for job in self.jobs:
@@ -380,10 +440,8 @@ class Fleet:
                 reason = "collect_steps"
             if reason is not None:
                 if reason in ("trace", "trace_allocations", "profile"):
-                    self._log("fast_path_downgrade", job=job.index,
-                              reason=reason)
-                    self._emit("fast_path_downgrade", job=job.index,
-                               reason=reason)
+                    self._decide("fast_path_downgrade", job=job.index,
+                                 reason=reason)
                     if not self._trace_forced:
                         warnings.warn(
                             f"fleet job {job.index} requests "
@@ -440,52 +498,23 @@ class Fleet:
 
     # ------------------------------------------------------------------
     def _run_inline(self, job: BatchJob):
-        from ..api import _execute_run
-
         opts = self.options
-        config = job.config
         if job.override:
             raise FleetError(
                 f"job {job.index} carries control overrides but was "
                 "routed off the ensemble path"
             )
-        observers = list(self.observers or [])
-        in_process = config.resolved_backend() in ("serial", "threads")
-        if self._live and in_process:
-            from ..telemetry.live import ProgressReporter
-
-            observers.append(ProgressReporter(
-                self.bus.emit, job.index, every=opts.progress_every,
-                max_steps=config.max_steps))
-        on_prepared = None
-        serial = (config.nranks == 1
-                  and config.resolved_backend() == "serial")
-        if opts.checkpoint_dir and serial:
-            key = self._key(job)
-            ckpt_path = os.path.join(opts.checkpoint_dir,
-                                     f"{key}.ckpt.npz")
-
-            def on_write(step, _j=job.index):
-                self._emit("job_checkpointed", job=_j, step=step)
-
-            observers.append(CheckpointWriter(
-                ckpt_path, opts.checkpoint_every, key=key,
-                on_write=on_write))
-            if os.path.exists(ckpt_path):
-                self._log("checkpoint_resume", job=job.index,
-                          path=ckpt_path)
-
-                def on_prepared(driver, max_steps, _p=ckpt_path,
-                                _k=key):
-                    return restore_into(driver, _p, key=_k,
-                                        max_steps=max_steps)
         self._log("job_inline", job=job.index)
         t0 = self.bus.elapsed if self.bus else 0.0
         self._emit("job_started", job=job.index, attempt=1, worker=None)
         self._track[job.index] = {"pid": 0, "start": t0}
-        result = _execute_run(config, observers=observers or None,
-                              artifacts=self.artifacts,
-                              on_prepared=on_prepared)
+        result = run_job(
+            job.config, self._key(job) if opts.checkpoint_dir else "",
+            job.index, emit=self._emit, decide=self._decide,
+            checkpoint_dir=opts.checkpoint_dir,
+            checkpoint_every=opts.checkpoint_every,
+            progress_every=opts.progress_every if self._live else None,
+            observers=self.observers or (), artifacts=self.artifacts)
         self._emit("job_done", job=job.index, nstep=int(result.nstep),
                    wall_seconds=round(result.wall_seconds, 6))
         if self.cache is not None:

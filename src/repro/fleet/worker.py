@@ -31,7 +31,9 @@ Design constraints, in order:
 Workers also stream **live events** back over their pipes
 (``("event", pos, payload)`` messages interleaved with results): step
 progress with rate/ETA and checkpoint writes, forwarded to the fleet's
-:class:`~repro.telemetry.live.EventBus`.
+:class:`~repro.telemetry.live.EventBus`.  A ``"decision"`` message
+(checkpoint resumed, checkpoint unreadable) is an event that also
+enters the schedule log.
 
 Fault injection (``FleetOptions.fault_steps``) is the chaos hook the
 resume test proves itself with: the job's observer SIGKILLs its own
@@ -54,17 +56,18 @@ from typing import Any, Dict, List, Optional
 
 # The engine imports this module only for ``workers > 0``, in the
 # process every worker is then forked from.  So the job body is
-# imported here, once, and with it the two modules a worker's first
-# ``ResultCache.store`` would otherwise load in every child after the
-# fork: the run report, and ``zipfile`` under ``np.savez``.
-from ..api import _execute_run
+# imported here, once, and with it what a worker's first progress
+# event, checkpoint or ``ResultCache.store`` would otherwise load in
+# every child after the fork: the progress reporter, the snapshot
+# writer, the run report, and ``zipfile`` under ``np.savez``.
 from ..metrics.watchdog import Heartbeat
+from ..output import restart as _restart  # noqa: F401
+from ..telemetry import live as _live  # noqa: F401
 from ..telemetry import report as _report  # noqa: F401
-from ..telemetry.live import ProgressReporter
 from ..utils.errors import FleetError, StalledRankWarning
 from .batch import BatchJob
 from .cache import ResultCache
-from .checkpoint import CheckpointWriter, restore_into
+from .engine import run_job
 
 
 class _FaultInjector:
@@ -99,44 +102,27 @@ def _observable(config) -> bool:
 
 
 def _run_job(doc: dict, store, checkpoint_dir: Optional[str],
-             checkpoint_every: int, emit=None,
+             checkpoint_every: int, *, emit, decide,
              heartbeat=None) -> None:
     """Execute one job document inside a worker and persist the
     outcome under its key."""
     config = doc["config"]
     key = doc["key"]
-    pos = doc["pos"]
     if store.has(key):
         return  # a previous attempt finished the work before dying
     observers = []
-    on_prepared = None
-    serial = (config.nranks == 1
-              and config.resolved_backend() == "serial")
     if heartbeat is not None and _observable(config):
         observers.append(heartbeat)
-    if emit is not None and doc.get("progress_every") and \
-            _observable(config):
-        observers.append(ProgressReporter(
-            emit, pos, every=doc["progress_every"],
-            max_steps=config.max_steps))
-    if checkpoint_dir and serial:
-        ckpt_path = os.path.join(checkpoint_dir, f"{key}.ckpt.npz")
-        on_write = None
-        if emit is not None:
-            def on_write(step, _pos=pos):
-                emit("job_checkpointed", job=_pos, step=step)
-        observers.append(
-            CheckpointWriter(ckpt_path, checkpoint_every, key=key,
-                             on_write=on_write))
-        if os.path.exists(ckpt_path):
-            def on_prepared(driver, max_steps, _p=ckpt_path, _k=key):
-                return restore_into(driver, _p, key=_k,
-                                    max_steps=max_steps)
+    injectors = []
     if doc.get("fault_step") is not None:
-        observers.append(_FaultInjector(doc["fault_step"]))
+        injectors.append(_FaultInjector(doc["fault_step"]))
     if doc.get("stall_step") is not None:
-        observers.append(_StallInjector(doc["stall_step"]))
-    result = _execute_run(config, observers=observers or None)
+        injectors.append(_StallInjector(doc["stall_step"]))
+    result = run_job(config, key, doc["pos"], emit=emit, decide=decide,
+                     checkpoint_dir=checkpoint_dir,
+                     checkpoint_every=checkpoint_every,
+                     progress_every=doc.get("progress_every"),
+                     observers=observers, injectors=injectors)
     store.store(key, result)
 
 
@@ -159,16 +145,19 @@ def _worker_main(conn, store_root: str, checkpoint_dir: Optional[str],
         if doc is None:
             return
 
-        def emit(event: str, **payload) -> None:
-            try:
-                conn.send(("event", doc["pos"],
-                           {"event": event, **payload}))
-            except (BrokenPipeError, OSError):
-                pass
+        def sender(kind: str):
+            def send(event: str, **payload) -> None:
+                try:
+                    conn.send((kind, doc["pos"],
+                               {"event": event, **payload}))
+                except (BrokenPipeError, OSError):
+                    pass
+            return send
 
         try:
             _run_job(doc, store, checkpoint_dir, checkpoint_every,
-                     emit=emit, heartbeat=heartbeat)
+                     emit=sender("event"), decide=sender("decision"),
+                     heartbeat=heartbeat)
             conn.send(("done", doc["pos"], doc["key"]))
         except BaseException as exc:  # report, keep serving
             try:
@@ -336,9 +325,12 @@ class WorkerPool:
                         got_msg = False
                 if got_msg:
                     kind, pos, info = msg
-                    if kind == "event":
+                    if kind in ("event", "decision"):
                         payload = dict(info)
-                        self._emit(payload.pop("event"), **payload)
+                        event = payload.pop("event")
+                        if kind == "decision":
+                            self._log(event, **payload)
+                        self._emit(event, **payload)
                         continue
                     job = w["job"]
                     w["job"] = None

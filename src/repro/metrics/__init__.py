@@ -42,7 +42,6 @@ _EXPORTS = {
     "Heartbeat": ".watchdog",
     "Watchdog": ".watchdog",
     "dump_snapshot": ".health",
-    "load_snapshot": ".health",
     "detect_anomalies": ".anomaly",
     "robust_zscores": ".anomaly",
 }

@@ -3,65 +3,33 @@
 When a :class:`~repro.metrics.probe.DiagnosticsProbe` sentinel trips
 (NaN in the energy field, a negative volume, …) the interesting state
 is *gone* by the time anyone reads the exception — the run aborted and
-the arrays were garbage-collected.  These helpers freeze the offending
-:class:`~repro.core.state.HydroState` to an ``.npz`` at trip time so
-the failure can be dissected offline: reload, find the listed cells,
-inspect their neighbourhoods.
+the arrays were garbage-collected.  :func:`dump_snapshot` freezes the
+offending driver at trip time so the failure can be dissected offline.
 
-The snapshot is self-contained: every evolving field plus the mesh
-coordinates/connectivity and the trip metadata (step, time, rank, the
-sentinel names and ids), so no access to the original deck is needed
-to start debugging.
+The dump is an ordinary snapshot (:mod:`repro.output.restart`) with the
+mesh block, so it is readable without the deck —
+``read_restart(path).arrays`` holds every field plus
+``mesh_x0 mesh_y0 cell_nodes`` — and it can be overlaid into a freshly
+built ``Hydro`` (``thaw``) to step the sick state under a debugger.
+Its ``extra`` carries the rank and the sentinel names and ids.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Optional
 
-import numpy as np
 
-#: state fields frozen into a snapshot (mesh topology travels separately)
-SNAPSHOT_FIELDS = (
-    "x", "y", "u", "v",
-    "rho", "e", "p", "cs2", "q", "mat",
-    "cell_mass", "corner_mass", "volume", "corner_volume",
-)
-
-
-def dump_snapshot(state, path, *, nstep: Optional[int] = None,
-                  time: Optional[float] = None,
-                  rank: Optional[int] = None,
+def dump_snapshot(hydro, path, *, rank: Optional[int] = None,
                   violations: Optional[dict] = None) -> str:
-    """Write a forensic snapshot of ``state`` to ``path`` (.npz).
+    """Write a forensic snapshot of ``hydro`` to ``path`` (.npz);
+    returns the path written.  ``violations`` is the sentinel dict from
+    :meth:`~repro.core.state.HydroState.sentinel_scan`."""
+    from ..output.restart import freeze
 
-    Returns the path written.  ``violations`` is the sentinel dict from
-    :meth:`~repro.core.state.HydroState.sentinel_scan`; it is stored as
-    JSON in the metadata record so ids survive the round trip.
-    """
-    meta = {
-        "nstep": nstep,
-        "time": time,
+    return str(freeze(path, hydro, extra={
         "rank": rank,
         "violations": {
             name: [int(i) for i in ids]
             for name, ids in (violations or {}).items()
         },
-    }
-    arrays = {name: np.asarray(getattr(state, name))
-              for name in SNAPSHOT_FIELDS}
-    arrays["cell_nodes"] = state.mesh.cell_nodes
-    arrays["_meta_json"] = np.frombuffer(
-        json.dumps(meta).encode(), dtype=np.uint8)
-    path = str(path)
-    np.savez(path, **arrays)
-    return path if path.endswith(".npz") else path + ".npz"
-
-
-def load_snapshot(path) -> dict:
-    """Load a snapshot back: field arrays plus the ``meta`` dict."""
-    with np.load(str(path)) as data:
-        out = {name: data[name] for name in data.files
-               if name != "_meta_json"}
-        out["meta"] = json.loads(bytes(data["_meta_json"]).decode())
-    return out
+    }))

@@ -255,14 +255,12 @@ class DiagnosticsProbe:
         for name, ids in violations.items():
             field = name.split(":", 1)[1]
             if (self.cell_global is not None
-                    and field not in state.SENTINEL_NODE_FIELDS):
+                    and field not in state.FIELDS["node"]):
                 reported[name] = [int(self.cell_global[i]) for i in ids]
             else:
                 reported[name] = [int(i) for i in ids]
-        snapshot = dump_snapshot(
-            state, path, nstep=hydro.nstep, time=hydro.time,
-            rank=rank, violations=reported,
-        )
+        snapshot = dump_snapshot(hydro, path, rank=rank,
+                                 violations=reported)
         if self.registry is not None:
             self.registry.counter("sentinel_trips_total", rank=rank).inc()
         raise HealthError(reported, nstep=hydro.nstep, time=hydro.time,

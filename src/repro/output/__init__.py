@@ -1,4 +1,5 @@
-"""Output facilities: legacy VTK dumps, time-history CSV, ASCII plots."""
+"""Output facilities: legacy VTK dumps, time-history CSV, ASCII plots,
+snapshots."""
 
 from .ascii_plot import ascii_plot
 from .profiles import (
@@ -7,7 +8,7 @@ from .profiles import (
     linear_profile,
     radial_profile,
 )
-from .restart import checkpoint, read_restart, resume, write_restart
+from .restart import freeze, read_restart, thaw, write_restart
 from .timehist import TimeHistory
 from .vtk import write_vtk
 
@@ -15,8 +16,8 @@ __all__ = [
     "write_vtk",
     "TimeHistory",
     "ascii_plot",
-    "checkpoint",
-    "resume",
+    "freeze",
+    "thaw",
     "read_restart",
     "write_restart",
     "Profile",

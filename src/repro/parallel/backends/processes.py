@@ -74,20 +74,6 @@ def spin_backoff(spins: int) -> float:
     return min(SPIN_MAX_SLEEP, 2e-6 * (1 << min(spins - 4, 10)))
 
 
-#: the final-state publication: every field ``gather`` reads, in a
-#: fixed order, as (name, kind, trailing-dim) — kind sizes the leading
-#: axis from the subdomain's local mesh (``node`` -> nnode,
-#: ``cell`` -> ncell)
-STATE_FIELDS: Tuple[Tuple[str, str, int], ...] = (
-    ("x", "node", 1), ("y", "node", 1),
-    ("u", "node", 1), ("v", "node", 1),
-    ("rho", "cell", 1), ("e", "cell", 1), ("p", "cell", 1),
-    ("cs2", "cell", 1), ("q", "cell", 1),
-    ("cell_mass", "cell", 1), ("volume", "cell", 1),
-    ("corner_mass", "cell", 4), ("corner_volume", "cell", 4),
-)
-
-
 class RemoteRankError(BookLeafError):
     """A failure that happened inside a rank process.
 
@@ -253,18 +239,6 @@ class _ProcessRunContext:
         self.transport.cleanup()
 
 
-def _state_from_payload(rc: _ProcessRunContext, rank: int,
-                        fields: Dict[str, np.ndarray]):
-    """Parent side: rebuild one rank's final local state from its
-    result-queue payload (the packed path — a pickle round-trip of
-    float64 arrays is exact, so bit-identity is preserved)."""
-    state = local_state(rc.subdomains[rank], rc.setup.state)
-    for name, _, _ in STATE_FIELDS:
-        setattr(state, name, fields[name])
-    state.invalidate_node_mass()
-    return state
-
-
 def _rank_main(rc: _ProcessRunContext, rank: int) -> None:
     """Entry point of one rank process (runs in the forked child)."""
     try:
@@ -297,10 +271,6 @@ def _rank_main(rc: _ProcessRunContext, rank: int) -> None:
         transport.allgather(rank, None)
         # Halo-sized mailboxes cannot carry the final state; ship it
         # over the result queue (one pickle at end of run).
-        final_state = {
-            name: np.ascontiguousarray(getattr(hydro.state, name))
-            for name, _, _ in STATE_FIELDS
-        }
         timers.tracer = None  # tracer spans travel separately
         rc.results.put((rank, {
             "nstep": hydro.nstep,
@@ -308,7 +278,7 @@ def _rank_main(rc: _ProcessRunContext, rank: int) -> None:
             "timers": timers,
             "spans": tracer.spans if tracer is not None else [],
             "comm": comms.stats.as_dict(),
-            "state": final_state,
+            "state": hydro.state.arrays(),
             "step_rows": series.rows if series is not None else None,
             "metrics_rows": probe.rows if probe is not None else None,
             "metrics": probe.registry if probe is not None else None,
@@ -451,8 +421,10 @@ class ProcessesBackend:
             raise BookLeafError(
                 f"ranks desynchronised: steps={steps} times={times}"
             )
+        # a pickle round-trip of float64 arrays is exact
         states = [
-            _state_from_payload(rc, r, results[r]["state"])
+            local_state(rc.subdomains[r], rc.setup.state)
+            .overlay(results[r]["state"])
             for r in range(rc.size)
         ]
         return BackendRun(

@@ -237,16 +237,14 @@ class DistributedHydro:
         for sub, state in zip(self.subdomains, states):
             owned_local = np.flatnonzero(sub.owned_cell_mask)
             gcells = sub.cell_global[owned_local]
-            for name in ("rho", "e", "p", "cs2", "q", "cell_mass", "volume"):
+            for name in HydroState.field_names("cell", "corner"):
                 getattr(out, name)[gcells] = getattr(state, name)[owned_local]
-            out.corner_mass[gcells] = state.corner_mass[owned_local]
-            out.corner_volume[gcells] = state.corner_volume[owned_local]
             active = sub.active_node_mask
             gnodes = sub.node_global[active]
             fresh = ~node_filled[gnodes]
             take = gnodes[fresh]
             local = np.flatnonzero(active)[fresh]
-            for name in ("x", "y", "u", "v"):
+            for name in HydroState.FIELDS["node"]:
                 getattr(out, name)[take] = getattr(state, name)[local]
             node_filled[take] = True
         if not node_filled.all():

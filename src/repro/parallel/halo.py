@@ -29,7 +29,6 @@ import numpy as np
 
 from ..core.state import HydroState
 from ..eos.multimaterial import MaterialTable
-from ..mesh.boundary import BoundaryConditions
 from ..mesh.topology import QuadMesh
 from ..utils.errors import PartitionError
 
@@ -186,28 +185,11 @@ def local_state(sub: Subdomain, global_state: HydroState) -> HydroState:
     so the local computation matches the serial one exactly — the
     distributed-vs-serial equivalence the tests rely on.
     """
-    cells = sub.cell_global
-    nodes = sub.node_global
-    bc = global_state.bc
+    index = {"node": sub.node_global, "cell": sub.cell_global,
+             "corner": sub.cell_global}
     return HydroState(
         mesh=sub.mesh,
-        x=global_state.x[nodes].copy(),
-        y=global_state.y[nodes].copy(),
-        u=global_state.u[nodes].copy(),
-        v=global_state.v[nodes].copy(),
-        rho=global_state.rho[cells].copy(),
-        e=global_state.e[cells].copy(),
-        p=global_state.p[cells].copy(),
-        cs2=global_state.cs2[cells].copy(),
-        q=global_state.q[cells].copy(),
-        mat=global_state.mat[cells].copy(),
-        cell_mass=global_state.cell_mass[cells].copy(),
-        corner_mass=global_state.corner_mass[cells].copy(),
-        volume=global_state.volume[cells].copy(),
-        corner_volume=global_state.corner_volume[cells].copy(),
-        bc=BoundaryConditions(
-            bc.flags[nodes].copy(), bc.ux[nodes].copy(), bc.uy[nodes].copy(),
-            driver=(bc.driver.subset(nodes)
-                    if bc.driver is not None else None),
-        ),
+        bc=global_state.bc.subset(sub.node_global),
+        **{name: getattr(global_state, name)[index[kind]]
+           for kind, names in HydroState.FIELDS.items() for name in names},
     )

@@ -38,9 +38,12 @@ EVENT_FIELDS: Dict[str, tuple] = {
     "sweep_started": ("jobs", "workers"),
     "job_queued": ("job",),
     "cache_hit": ("job", "key"),
+    "cache_corrupt": ("job", "key", "reason"),
     "job_started": ("job", "attempt"),
     "job_progress": ("job", "step", "steps_per_sec", "eta_seconds"),
     "job_checkpointed": ("job", "step"),
+    "checkpoint_resume": ("job", "path"),
+    "checkpoint_unreadable": ("job", "path", "reason"),
     "job_retried": ("job", "attempt"),
     "worker_died": ("job", "worker", "attempt"),
     "worker_stalled": ("worker", "age_seconds"),

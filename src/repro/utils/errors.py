@@ -135,6 +135,14 @@ class FleetError(BookLeafError):
     """The fleet scheduler could not execute or recover a job."""
 
 
+class SnapshotError(BookLeafError):
+    """A stored state (snapshot, checkpoint, cache entry) cannot be
+    used: the file is missing, not an ``.npz``, truncated, lacks a
+    member, carries an undecodable or wrong-version ``__meta__``, or
+    fails its mesh fingerprint.  The fleet turns it into an event (a
+    cache miss, an absent checkpoint) instead of a traceback."""
+
+
 class StalledRankWarning(UserWarning):
     """The rank watchdog saw no heartbeat from a rank within the
     configured timeout — the run was aborted instead of hanging at the

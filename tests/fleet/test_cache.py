@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.api import RunConfig, run
+from repro.core.state import HydroState
 from repro.fleet import ResultCache, job_key, state_digest
-from repro.fleet.cache import STATE_FIELDS, overlay_state, state_arrays
-from repro.utils.errors import FleetError
+from repro.utils.errors import FleetError, SnapshotError
 
 
 def _cfg(**kw):
@@ -28,7 +28,7 @@ def test_store_load_round_trip(tmp_path):
     assert loaded.nstep == result.nstep
     assert loaded.time == result.time
     assert loaded.backend == result.backend
-    for name in STATE_FIELDS:
+    for name in HydroState.field_names():
         assert np.array_equal(getattr(loaded.state, name),
                               getattr(result.state, name)), name
     assert state_digest(loaded.state, loaded.nstep, loaded.time,
@@ -70,10 +70,41 @@ def test_missing_key_raises(tmp_path):
 def test_overlay_state_round_trip():
     setup_a = _cfg().build_setup()
     result = run(_cfg())
-    arrays = state_arrays(result.state)
-    overlay_state(setup_a.state, arrays)
-    for name in STATE_FIELDS:
+    arrays = result.state.arrays()
+    assert sorted(arrays) == sorted(
+        HydroState.field_names() + ("bc_flags", "bc_ux", "bc_uy"))
+    setup_a.state.overlay(arrays)
+    for name in HydroState.field_names():
         assert np.array_equal(getattr(setup_a.state, name),
                               getattr(result.state, name)), name
     # the node-mass cache was invalidated, not stale
     assert setup_a.state.total_mass() == result.state.total_mass()
+
+
+def test_entry_layout_is_two_atomic_files(tmp_path):
+    """``<key>.npz`` holds exactly the state arrays, ``<key>.json`` the
+    meta document; nothing else is left behind."""
+    config = _cfg()
+    result = run(config)
+    cache = ResultCache(str(tmp_path))
+    key = job_key(config)
+    cache.store(key, result)
+    assert sorted(f.name for f in tmp_path.iterdir()) == \
+        [f"{key}.json", f"{key}.npz"]
+    with np.load(tmp_path / f"{key}.npz") as data:
+        assert sorted(data.files) == sorted(result.state.arrays())
+
+
+@pytest.mark.parametrize("victim", ["npz", "json"])
+def test_unreadable_entry_is_evicted_and_counted(tmp_path, victim):
+    config = _cfg()
+    cache = ResultCache(str(tmp_path))
+    key = job_key(config)
+    cache.store(key, run(config))
+    path = tmp_path / f"{key}.{victim}"
+    path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+    with pytest.raises(SnapshotError, match="cannot read"):
+        cache.load(key, config)
+    assert not cache.has(key)
+    assert cache.stats()["corrupt"] == 1
+    assert cache.stats()["hits"] == 0

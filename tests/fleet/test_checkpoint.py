@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from repro.api import RunConfig, run
-from repro.fleet import (CheckpointWriter, load_checkpoint, restore_into,
-                         save_checkpoint, state_digest)
+from repro.fleet import (CheckpointWriter, restore_into, save_checkpoint,
+                         state_digest)
+from repro.output.restart import read_restart
 from repro.utils.errors import FleetError
 
 
@@ -25,8 +26,7 @@ def test_writer_cadence(tmp_path):
     run(_cfg(max_steps=12), observers=[writer])
     # steps 5 and 10 checkpointed (observers see nstep post-increment)
     assert writer.saves == 2
-    meta, _ = load_checkpoint(path)
-    assert meta["nstep"] == 10
+    assert read_restart(path).nstep == 10
 
 
 def test_writer_rejects_bad_cadence(tmp_path):
@@ -100,9 +100,11 @@ def test_checkpoint_meta_is_embedded_json(tmp_path):
     result = run(config)
     path = str(tmp_path / "job.ckpt.npz")
     save_checkpoint(path, result.driver.hydros[0], key="k")
-    meta, arrays = load_checkpoint(path)
-    assert meta["key"] == "k"
-    assert meta["nstep"] == 6
-    assert "x" in arrays and "bc_flags" in arrays
+    snap = read_restart(path)
+    assert snap.extra["key"] == "k"
+    assert snap.nstep == 6
+    assert "x" in snap.arrays and "bc_flags" in snap.arrays
+    # keyed: the config rebuilds the mesh, so no mesh block rides along
+    assert "cell_nodes" not in snap.arrays
     # atomic write: no temp files left behind
     assert [f for f in os.listdir(tmp_path) if f.endswith(".tmp")] == []

@@ -66,7 +66,7 @@ def test_state_inspectable_after_failure():
 
 def test_failed_run_checkpointable():
     """A run that died can be checkpointed for post-mortem transfer."""
-    from repro.output.restart import checkpoint, read_restart
+    from repro.output.restart import freeze, read_restart
     import tempfile
     from pathlib import Path
 
@@ -78,7 +78,7 @@ def test_failed_run_checkpointable():
     except BookLeafError:
         pass
     with tempfile.TemporaryDirectory() as tmp:
-        path = checkpoint(hydro, Path(tmp) / "postmortem.npz")
-        state, time, nstep, _ = read_restart(path)
-        assert nstep == hydro.nstep
-        np.testing.assert_array_equal(state.rho, hydro.state.rho)
+        path = freeze(Path(tmp) / "postmortem.npz", hydro)
+        snap = read_restart(path)
+        assert snap.nstep == hydro.nstep
+        np.testing.assert_array_equal(snap.arrays["rho"], hydro.state.rho)

@@ -3,7 +3,8 @@
 The invariant-domain contract: poisoned state must never flow silently
 through the run — the probe raises a structured
 :class:`~repro.utils.errors.HealthError` naming the offending cells
-and leaves a loadable ``.npz`` snapshot of the full state behind.
+and leaves a snapshot of the full state behind that can be read
+without the deck and overlaid into a fresh driver.
 """
 
 import json
@@ -11,8 +12,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.metrics import DiagnosticsProbe, load_snapshot
-from repro.metrics.health import SNAPSHOT_FIELDS
+from repro.core.state import HydroState
+from repro.metrics import DiagnosticsProbe
+from repro.output.restart import read_restart, thaw
 from repro.parallel import DistributedHydro
 from repro.problems import load_problem
 from repro.utils.errors import BookLeafError, HealthError
@@ -41,13 +43,34 @@ def test_nan_injection_names_cell_and_dumps_snapshot(tmp_path):
     assert "nonfinite:rho" in str(err)
     assert str(snap) in str(err)
 
-    loaded = load_snapshot(err.snapshot)
-    for field in SNAPSHOT_FIELDS:
-        assert field in loaded, field
-    assert np.isnan(loaded["rho"][7])
-    meta = loaded["meta"]
-    assert meta["nstep"] == 3
-    assert meta["violations"] == {"nonfinite:rho": [7]}
+    snap = read_restart(err.snapshot)
+    for field in HydroState.field_names() + ("cell_nodes", "mesh_x0"):
+        assert field in snap.arrays, field
+    assert np.isnan(snap.arrays["rho"][7])
+    assert snap.nstep == 3
+    assert snap.extra == {"rank": 0,
+                          "violations": {"nonfinite:rho": [7]}}
+
+
+def test_snapshot_overlays_into_a_fresh_hydro(tmp_path):
+    """The forensic dump is an ordinary snapshot: thawed into a freshly
+    built driver it reproduces the offending arrays bit for bit, with
+    the clocks, so the sick step can be re-run under a debugger."""
+    hydro = _hydro(steps=3)
+    hydro.state.e[5] = -2.0
+    probe = DiagnosticsProbe(every=1,
+                             snapshot_path=str(tmp_path / "snap"))
+    with pytest.raises(HealthError) as exc:
+        probe.sample(hydro)
+    assert exc.value.snapshot == str(tmp_path / "snap.npz")
+
+    fresh = load_problem("noh", nx=8, ny=8).make_hydro()
+    thaw(fresh, read_restart(exc.value.snapshot))
+    for name, stored in hydro.state.arrays().items():
+        assert fresh.state.arrays()[name].tobytes() == stored.tobytes(), name
+    assert (fresh.nstep, fresh.time, fresh.dt) == \
+        (hydro.nstep, hydro.time, hydro.dt)
+    assert fresh.state.sentinel_scan() != {}
 
 
 @pytest.mark.parametrize("poison, expect", [
@@ -135,11 +158,10 @@ def test_decomposed_trip_aborts_run_and_names_rank(
 
     snap = tmp_path / "HEALTH_snapshot_rank1.npz"
     assert snap.exists()
-    loaded = load_snapshot(snap)
-    meta = loaded["meta"]
-    assert meta["rank"] == 1 and meta["nstep"] == 3
-    (cell_id,) = meta["violations"]["nonfinite:rho"]
+    loaded = read_restart(snap)
+    assert loaded.extra["rank"] == 1 and loaded.nstep == 3
+    (cell_id,) = loaded.extra["violations"]["nonfinite:rho"]
     # the id is global: rank 1's snapshot holds only its subdomain,
     # yet the reported cell indexes the full 16x16 mesh
     assert 0 <= cell_id < 256
-    assert np.isnan(loaded["rho"]).any()
+    assert np.isnan(loaded.arrays["rho"]).any()

@@ -1,16 +1,22 @@
-"""Tests for checkpoint/restart."""
+"""Tests for snapshots: freeze a run, thaw it into a fresh driver."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core.state import HydroState
 from repro.output.restart import (
-    checkpoint,
+    FORMAT_VERSION,
+    freeze,
     read_restart,
-    resume,
+    thaw,
+    write_npz,
     write_restart,
 )
 from repro.problems import load_problem
-from repro.utils.errors import BookLeafError
+from repro.utils.errors import BookLeafError, SnapshotError
 
 
 @pytest.fixture
@@ -21,33 +27,78 @@ def mid_run():
     return setup, hydro
 
 
+def _rewrite(path, **members):
+    """Rewrite a snapshot with some members replaced."""
+    data = dict(np.load(path))
+    data.update(members)
+    write_npz(path, data)
+
+
+def _meta(path) -> dict:
+    return json.loads(bytes(np.load(path)["__meta__"]).decode())
+
+
+def _as_member(meta: dict) -> np.ndarray:
+    return np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+
+
 def test_roundtrip_bit_exact(tmp_path, mid_run):
     _, hydro = mid_run
-    path = checkpoint(hydro, tmp_path / "chk.npz")
-    state, time, nstep, dt = read_restart(path)
-    assert time == hydro.time
-    assert nstep == hydro.nstep
-    assert dt == hydro.dt
-    for name in ("x", "y", "u", "v", "rho", "e", "p", "cs2", "q",
-                 "cell_mass", "corner_mass", "volume", "corner_volume"):
-        np.testing.assert_array_equal(getattr(state, name),
+    path = freeze(tmp_path / "chk.npz", hydro)
+    snap = read_restart(path)
+    assert snap.time == hydro.time
+    assert snap.nstep == hydro.nstep
+    assert snap.dt == hydro.dt
+    assert (snap.dt_reason, snap.dt_cell) == (hydro.dt_reason,
+                                              hydro.dt_cell)
+    for name in HydroState.field_names():
+        np.testing.assert_array_equal(snap.arrays[name],
                                       getattr(hydro.state, name))
-    np.testing.assert_array_equal(state.mat, hydro.state.mat)
-    np.testing.assert_array_equal(state.bc.flags, hydro.state.bc.flags)
+    np.testing.assert_array_equal(snap.arrays["bc_flags"],
+                                  hydro.state.bc.flags)
+    # a stand-alone dump is readable without the deck
+    np.testing.assert_array_equal(snap.arrays["cell_nodes"],
+                                  hydro.state.mesh.cell_nodes)
+    np.testing.assert_array_equal(snap.arrays["mesh_x0"],
+                                  hydro.state.mesh.x)
+    # atomic write: no temp files left behind
+    assert [f.name for f in tmp_path.iterdir()] == ["chk.npz"]
+
+
+@pytest.mark.parametrize("name", ["dump", "dump.npz", Path("dump")])
+def test_writer_returns_the_file_it_wrote(tmp_path, mid_run, name):
+    _, hydro = mid_run
+    path = write_restart(tmp_path / name, hydro.state, hydro.time,
+                         hydro.nstep, hydro.dt)
+    assert path == tmp_path / "dump.npz"
+    assert path.exists()
+    assert read_restart(path).nstep == hydro.nstep
+
+
+def test_extra_rides_the_embedded_meta(tmp_path, mid_run):
+    _, hydro = mid_run
+    path = freeze(tmp_path / "chk.npz", hydro, mesh=False,
+                  extra={"key": "k", "rows": [1, 2]})
+    snap = read_restart(path)
+    assert snap.extra == {"key": "k", "rows": [1, 2]}
+    assert "cell_nodes" not in snap.arrays
+    meta = _meta(path)
+    assert meta["format_version"] == FORMAT_VERSION
+    assert meta["fingerprint"] is None
 
 
 def test_resumed_run_matches_uninterrupted(tmp_path):
-    """Checkpoint at step 10, resume, run to the end: identical to an
-    uninterrupted run (bit-for-bit)."""
+    """Snapshot at step 10, overlay into a freshly built driver, run to
+    the end: identical to an uninterrupted run (bit-for-bit)."""
     straight = load_problem("sod", nx=30, ny=2, time_end=0.05).make_hydro()
     straight.run()
 
-    setup = load_problem("sod", nx=30, ny=2, time_end=0.05)
-    first = setup.make_hydro()
+    first = load_problem("sod", nx=30, ny=2, time_end=0.05).make_hydro()
     first.run(max_steps=10)
-    path = checkpoint(first, tmp_path / "chk.npz")
+    path = freeze(tmp_path / "chk.npz", first)
 
-    resumed = resume(path, setup.table, setup.controls)
+    resumed = load_problem("sod", nx=30, ny=2, time_end=0.05).make_hydro()
+    thaw(resumed, read_restart(path))
     resumed.run()
 
     assert resumed.nstep == straight.nstep
@@ -59,8 +110,12 @@ def test_resumed_run_matches_uninterrupted(tmp_path):
 
 def test_restart_preserves_bcs_functionally(tmp_path, mid_run):
     setup, hydro = mid_run
-    path = checkpoint(hydro, tmp_path / "chk.npz")
-    resumed = resume(path, setup.table, setup.controls)
+    path = freeze(tmp_path / "chk.npz", hydro)
+    resumed = load_problem("sod", nx=30, ny=2, time_end=0.05).make_hydro()
+    resumed.state.bc.flags[:] = 0       # thaw must bring the planes back
+    thaw(resumed, read_restart(path))
+    np.testing.assert_array_equal(resumed.state.bc.flags,
+                                  hydro.state.bc.flags)
     resumed.step()
     mesh = resumed.state.mesh
     left = np.isclose(mesh.x, 0.0)
@@ -72,30 +127,78 @@ def test_missing_file_raises(tmp_path):
         read_restart(tmp_path / "nope.npz")
 
 
+@pytest.mark.parametrize("content", [b"", b"not a zip " * 20, None])
+def test_unreadable_file_is_one_structured_error(tmp_path, mid_run,
+                                                 content):
+    _, hydro = mid_run
+    path = freeze(tmp_path / "chk.npz", hydro)
+    if content is None:                 # truncated mid-member
+        content = path.read_bytes()[:path.stat().st_size // 2]
+    path.write_bytes(content)
+    with pytest.raises(SnapshotError, match="cannot read"):
+        read_restart(path)
+
+
 def test_wrong_version_rejected(tmp_path, mid_run):
     _, hydro = mid_run
     path = write_restart(tmp_path / "chk.npz", hydro.state)
+    _rewrite(path, __meta__=_as_member(dict(_meta(path),
+                                            format_version=99)))
+    with pytest.raises(BookLeafError, match="format version 99"):
+        read_restart(path)
+    # the v1 layout (bare members, no __meta__) is refused the same way
     data = dict(np.load(path))
-    data["version"] = np.int64(99)
-    np.savez_compressed(path, **data)
-    with pytest.raises(BookLeafError, match="format version"):
+    del data["__meta__"]
+    write_npz(path, dict(data, version=np.int64(1)))
+    with pytest.raises(SnapshotError, match="format version"):
+        read_restart(path)
+
+
+def test_undecodable_meta_rejected(tmp_path, mid_run):
+    _, hydro = mid_run
+    path = write_restart(tmp_path / "chk.npz", hydro.state)
+    _rewrite(path, __meta__=np.frombuffer(b"{not json", dtype=np.uint8))
+    with pytest.raises(SnapshotError, match="undecodable"):
+        read_restart(path)
+    # right version, clocks missing
+    _rewrite(path, __meta__=_as_member({"format_version": FORMAT_VERSION}))
+    with pytest.raises(SnapshotError, match="undecodable"):
         read_restart(path)
 
 
 def test_tampered_dump_rejected(tmp_path, mid_run):
     _, hydro = mid_run
     path = write_restart(tmp_path / "chk.npz", hydro.state)
-    data = dict(np.load(path))
-    data["mat"] = data["mat"] + 0       # copy
-    data["mat"][0] = 1 - data["mat"][0]  # flip a material index
-    np.savez_compressed(path, **data)
+    mat = np.load(path)["mat"].copy()
+    mat[0] = 1 - mat[0]                 # flip a material index
+    _rewrite(path, mat=mat)
     with pytest.raises(BookLeafError, match="fingerprint"):
         read_restart(path)
+
+
+def test_missing_member_refused_before_anything_is_overlaid(tmp_path,
+                                                            mid_run):
+    _, hydro = mid_run
+    path = freeze(tmp_path / "chk.npz", hydro, mesh=False)
+    data = dict(np.load(path))
+    del data["corner_mass"]
+    write_npz(path, data)
+    fresh = load_problem("sod", nx=30, ny=2, time_end=0.05).make_hydro()
+    before = fresh.state.rho.copy()
+    with pytest.raises(SnapshotError, match="corner_mass"):
+        thaw(fresh, read_restart(path))
+    np.testing.assert_array_equal(fresh.state.rho, before)
+    assert fresh.nstep == 0
 
 
 def test_fresh_state_checkpoint(tmp_path):
     setup = load_problem("noh", nx=8, ny=8)
     path = write_restart(tmp_path / "t0.npz", setup.state)
-    state, time, nstep, dt = read_restart(path)
-    assert time == 0.0 and nstep == 0
-    np.testing.assert_array_equal(state.rho, setup.state.rho)
+    snap = read_restart(path)
+    assert snap.time == 0.0 and snap.nstep == 0
+    np.testing.assert_array_equal(snap.arrays["rho"], setup.state.rho)
+    # a bare-state dump recorded no dt: thawing keeps the driver's
+    hydro = load_problem("noh", nx=8, ny=8).make_hydro()
+    dt = hydro.dt
+    thaw(hydro, snap)
+    assert hydro.dt == dt

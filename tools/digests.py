@@ -11,7 +11,11 @@ Prints one ``sha256  label`` line per row of
 plus a node-permuted and a pinwheel mesh (neither is a structured
 grid) run solo and as two lanes, and Noh 32x32 decomposed 2 and 4 ways
 by the spectral partitioner (its cell-to-rank array, and the run on
-it).  A digest covers x y u v rho e p q,
+it), plus Sod, Noh and Kidder through ``submit``: uninterrupted,
+replayed from the result cache, and SIGKILLed at step 10 then resumed
+from the step-10 checkpoint — three rows that must agree with each
+other (the script exits 1 if they do not) as well as with the other
+revision.  A digest covers x y u v rho e p q,
 the final time, the step count and the dt taken at every step; a row
 that cannot run digests its error text instead.
 
@@ -76,7 +80,7 @@ def lane_digests(setups) -> list:
 
 def row(label, fn):
     """Print one line; ``fn`` returns a digest or a list of them (one
-    per lane)."""
+    per lane).  Returns what was printed for ``label``."""
     try:
         out = fn()
     except Exception as exc:        # a refusal is a row too
@@ -87,6 +91,7 @@ def row(label, fn):
     else:
         for lane, value in enumerate(out):
             print(f"{value}  {label} lane {lane}", flush=True)
+    return out
 
 
 def problem_rows():
@@ -132,6 +137,51 @@ def spectral_rows():
                 partition(mesh, nranks, "spectral").tobytes()).hexdigest())
         row(f"noh 32x32 spectral x{nranks} threads",
             lambda: result_digest(run(config)))
+
+
+def fleet_rows() -> int:
+    """Cache replay and kill -> resume, the two execution paths that
+    only exist behind ``submit``.  The dt series comes from the
+    diagnostics rows (cadence 1): they ride the cache entry and the
+    checkpoint, so a resumed job carries the steps it did not re-run.
+    Returns how many rows disagree with their uninterrupted run."""
+    from repro.api import RunConfig, run, submit
+
+    def fleet_digest(result):
+        return digest(result.state, result.time, result.nstep,
+                      [rec["dt"] for rec in result.metrics_rows])
+
+    def one(config, **options):
+        (result,) = submit([config], ensemble="off", **options).results()
+        return result
+
+    wrong = 0
+    for problem in ("sod", "noh", "kidder"):
+        config = RunConfig(problem=problem, nx=SIZE, ny=SIZE, max_steps=20,
+                           metrics_every=1)
+
+        def replayed():
+            with tempfile.TemporaryDirectory(prefix="digests-") as tmp:
+                one(config, cache_dir=tmp)
+                result = one(config, cache_dir=tmp)
+                assert result.cache_hit
+                return fleet_digest(result)
+
+        def resumed():
+            with tempfile.TemporaryDirectory(prefix="digests-") as tmp:
+                return fleet_digest(one(
+                    config, workers=1, checkpoint_dir=tmp,
+                    checkpoint_every=5, fault_steps={0: 10}))
+
+        straight = row(f"{problem} fleet uninterrupted",
+                       lambda: fleet_digest(run(config)))
+        for label, fn in (("cache replay", replayed),
+                          ("kill -> resume", resumed)):
+            if row(f"{problem} fleet {label}", fn) != straight:
+                print(f"MISMATCH  {problem} fleet {label} differs from "
+                      "the uninterrupted run", file=sys.stderr)
+                wrong += 1
+    return wrong
 
 
 def offgrid_setup(kind):
@@ -200,7 +250,7 @@ def main(argv=None) -> int:
         problem_rows()
         offgrid_rows()
         spectral_rows()
-        return 0
+        return 1 if fleet_rows() else 0
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     mine = listing_of(os.path.join(root, "src"))
