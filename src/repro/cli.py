@@ -261,13 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "sweep carries harmful cross-job anomaly "
                               "flags (a job slow/heavy against its "
                               "siblings; see docs/OBSERVABILITY.md)")
-    compare.add_argument("--gate-throughput", action="store_true",
-                         dest="gate_throughput",
-                         help="also gate bench throughput leaves "
-                              "(runs_per_sec, throughput) higher-is-"
-                              "better; cases whose sibling seconds "
-                              "stay under --min-seconds in both "
-                              "documents are never gated")
 
     problems = sub.add_parser(
         "problems",
@@ -870,8 +863,6 @@ def _compare(args: argparse.Namespace) -> int:
         kwargs["min_seconds"] = args.min_seconds
     if args.gate_comm:
         kwargs["gate_comm"] = True
-    if args.gate_throughput:
-        kwargs["gate_throughput"] = True
     if args.gate_outliers:
         kwargs["gate_outliers"] = True
     try:

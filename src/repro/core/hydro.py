@@ -27,11 +27,20 @@ from .comms import SerialComms
 from .controls import HydroControls
 from .lagstep import lagstep
 from .state import HydroState
-from .timestep import getdt
+from .timestep import getdt, pick_dt
 
 
 class Hydro:
     """Time-marches one hydro problem to completion.
+
+    A step is two halves around ``lagstep``: :meth:`choose_dt` (the
+    first-step rule or ``getdt``, then the time-driven boundary) and
+    :meth:`finish_step` (remap if due, advance the clocks, logger,
+    observers, probe).  :meth:`step` is the two around this state's own
+    ``lagstep`` and is what every caller but one uses;
+    :class:`~repro.ensemble.driver.EnsembleHydro` calls the halves
+    directly, because its lanes' states are segments of one union mesh
+    that a single ``lagstep`` advances for all of them.
 
     Parameters
     ----------
@@ -101,18 +110,37 @@ class Hydro:
         """Advance one timestep; returns the dt taken."""
         with self.timers.trace_span(f"step {self.nstep}",
                                     cat="step") as span:
-            dt = self._step_impl()
+            self.choose_dt()
+            with self.timers.trace_span("lagstep", cat="phase"):
+                lagstep(
+                    self.state, self.table, self.controls, self.dt,
+                    self.timers, self.gamma, comms=self.comms,
+                    time=self.time, ws=self.workspace,
+                )
+            self.finish_step()
             if span is not None:
                 span.args.update(n=self.nstep, t=self.time, dt=self.dt,
                                  dt_reason=self.dt_reason)
-        return dt
+        return self.dt
 
-    def _step_impl(self) -> float:
+    def choose_dt(self, candidates=None) -> None:
+        """The half of a step before ``lagstep``: pick this step's dt
+        (``dt_initial`` on the first step) and move a time-driven
+        boundary to the end of it.
+
+        ``candidates`` are the state's physics candidates when the
+        caller has them already (an ensemble reduces them from one
+        field pass over all its lanes); by default ``getdt`` computes
+        them here.
+        """
         controls = self.controls
         if self.nstep == 0:
             remaining = controls.time_end - self.time
             self.dt = min(controls.dt_initial, remaining)
             self.dt_reason, self.dt_cell = "initial", -1
+        elif candidates is not None:
+            self.dt, self.dt_reason, self.dt_cell = pick_dt(
+                candidates, controls, self.dt, self.time)
         else:
             with self.timers.region("getdt"):
                 self.dt, self.dt_reason, self.dt_cell = getdt(
@@ -128,15 +156,14 @@ class Hydro:
             # order, matching the scheme).
             self.state.bc.advance(self.time + self.dt)
 
-        with self.timers.trace_span("lagstep", cat="phase"):
-            lagstep(
-                self.state, self.table, controls, self.dt, self.timers,
-                self.gamma, comms=self.comms, time=self.time,
-                ws=self.workspace,
-            )
-
-        if (self.remapper is not None
-                and (self.nstep + 1) % controls.ale_every == 0):
+    def finish_step(self) -> bool:
+        """The half of a step after ``lagstep``: remap if due, advance
+        the clocks, then logger, observers and probe.  Returns whether
+        it remapped — the remap rebinds the state's arrays, so a caller
+        that stepped them through views must copy them back."""
+        remap = (self.remapper is not None
+                 and (self.nstep + 1) % self.controls.ale_every == 0)
+        if remap:
             with self.timers.region("alestep", cat="phase"):
                 self.remapper.apply(self.state, self.dt, self.timers,
                                     comms=self.comms, ws=self.workspace)
@@ -152,7 +179,7 @@ class Hydro:
         # safe because every rank samples on the same cadence.
         if self.probe is not None:
             self.probe.on_step(self)
-        return self.dt
+        return remap
 
     def run(self, max_steps: Optional[int] = None) -> int:
         """March to ``time_end``; returns the number of steps taken."""

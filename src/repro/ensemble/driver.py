@@ -1,24 +1,30 @@
 """The ensemble driver: N same-mesh runs through one Lagrangian step.
 
-:class:`EnsembleHydro` mirrors :class:`repro.core.hydro.Hydro`'s step
-loop over a batch of lanes.  The lanes live side by side on one
-disjoint-union mesh (:mod:`repro.ensemble.state`), so every active lane
-shares one call of :func:`repro.core.lagstep.lagstep` per step, each at
-its *own* dt and viscosity coefficients (they enter as per-node /
-per-cell vectors, constant over a lane's segment).  ``getdt``'s two
-fields are computed once on the union and reduced per lane, on that
-lane's contiguous segment, by the scalar stage the serial driver uses.
-Lanes finish at different times; a finished lane is *retired* — its
-final state is extracted and the union is rebuilt from the survivors,
-so the remaining lanes keep running in a dense block (no masked dead
-rows, no ``0 · inf`` hazards).
+Every lane of an :class:`EnsembleHydro` is a real
+:class:`repro.core.hydro.Hydro` — its own controls, clocks, remapper,
+probe, observers and step budget, built the way a solo serial job's is
+— whose ``state`` is the lane's segment view of one disjoint-union
+mesh (:mod:`repro.ensemble.state`).  The batch runs no step loop of
+its own: per step it asks each lane for its dt (``Hydro.choose_dt``),
+makes *one* call of :func:`repro.core.lagstep.lagstep` on the union
+with every lane at its own dt and viscosity coefficients (per-node /
+per-cell vectors, constant over a lane's segment), and hands each lane
+back to ``Hydro.finish_step`` for the remap, the clocks and the probe.
+
+What is left here is what only a batch can do: lay the lanes out on
+the union, compute ``getdt``'s two fields once for all of them (each
+lane reduces its own contiguous segment), copy a remapped lane's
+rebound arrays back into its segment, *retire* finished lanes — the
+final state is extracted and the union rebuilt from the survivors, so
+the rest keep running in a dense block (no masked dead rows, no
+``0 · inf`` hazards) — and name the lane on any error raised on a
+lane's behalf.
 
 The correctness contract is strict: lane ``i`` of the ensemble is
 bit-identical — state arrays, step count, dt sequence, diagnostics
 records — to the same problem run through the serial driver.  The
-kernels are the serial driver's own, every gather and nodal sum stays
-inside its lane in the serial order, and the loop bookkeeping here
-stays in Python-float scalar arithmetic exactly like ``Hydro``; CI
+kernels and the step halves are the serial driver's own, and every
+gather and nodal sum stays inside its lane in the serial order; CI
 gates this on Noh and Sod.
 
 :func:`run_ensemble` is the embedding surface:
@@ -31,19 +37,19 @@ ensemble timer registry.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence
+from itertools import repeat
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..api import RunConfig, RunResult
-from ..core.comms import SerialComms
+from ..core.hydro import Hydro
 from ..core.lagstep import lagstep
-from ..core.timestep import dt_candidates, dt_fields, pick_dt
+from ..core.timestep import dt_candidates, dt_fields
 from ..eos.multimaterial import MaterialTable
 from ..perf.workspace import Workspace
 from ..problems.base import ProblemSetup
-from ..utils.errors import (BookLeafError, TangledMeshError,
-                            TimestepCollapseError)
+from ..utils.errors import BookLeafError, TangledMeshError
 from ..utils.timers import TimerRegistry
 from .state import EnsembleState
 
@@ -86,251 +92,174 @@ def _in_lane(exc: BookLeafError, lane: int) -> BookLeafError:
     return exc
 
 
-class _LaneView:
-    """Duck-typed ``Hydro`` stand-in for one lane.
-
-    Carries exactly the attributes the diagnostics probe reads
-    (``state``/``comms``/``nstep``/``time``/``dt``/``dt_reason``/
-    ``dt_cell``), so :class:`DiagnosticsProbe` samples a lane without
-    knowing it lives in a batch.
-    """
-
-    def __init__(self, state, comms, nstep, time, dt, dt_reason, dt_cell):
-        self.state = state
-        self.comms = comms
-        self.nstep = nstep
-        self.time = time
-        self.dt = dt
-        self.dt_reason = dt_reason
-        self.dt_cell = dt_cell
-
-
 class EnsembleHydro:
     """Time-marches N same-mesh problems as one disjoint-union mesh.
 
     Parameters
     ----------
     setups:
-        One :class:`ProblemSetup` per lane.  All lanes must share mesh
-        topology, material layout and boundary conditions (checked by
-        :class:`EnsembleState`) and the :data:`UNIFORM_CONTROLS`;
+        One :class:`ProblemSetup` per fresh lane.  All lanes must share
+        mesh topology, material layout and boundary conditions (checked
+        by :class:`EnsembleState`) and the :data:`UNIFORM_CONTROLS`;
         initial state, γ, cq1/cq2 and all timestep controls may differ
         per lane.
     probes:
-        Optional per-lane :class:`DiagnosticsProbe` list (None entries
+        Optional per-setup :class:`DiagnosticsProbe` list (None entries
         = no probe for that lane).
     timers:
         Shared :class:`TimerRegistry`; each region times all lanes at
         once.
     max_steps:
-        Optional per-lane step limits (None entries fall back to the
-        lane's ``controls.max_steps``), mirroring ``Hydro.run``.
-    resume:
-        Optional per-lane resume records for lanes carried over from an
-        earlier batch (the fleet's lane-refill path): each non-None
-        entry is a dict with ``time``/``nstep``/``dt``/``dt_reason``/
-        ``dt_cell`` — and, when present, a ``remapper`` key whose value
-        (possibly None) *replaces* building one from the lane's setup
-        state.  Carrying the original remapper is load-bearing: it
-        holds the pristine initial coordinates as its Eulerian target,
-        which a mid-flight state no longer has.
+        Optional per-setup step budgets (None entries fall back to the
+        lane's ``controls.max_steps``), as ``Hydro.run`` takes them.
+    carried:
+        Lanes of an earlier batch that are still mid-flight (the
+        fleet's lane-refill path) — the :class:`Hydro` objects
+        themselves, so state, clocks, remapper, probe and budget
+        arrive together.  They take the first rows, ahead of the
+        fresh ``setups``.
+
+    ``lanes`` holds every lane's ``Hydro`` by lane index, for the whole
+    life of the batch; a retired lane's ``state`` is its standalone
+    final state (also in ``final_states``).
     """
 
     def __init__(self, setups: Sequence[ProblemSetup], *,
                  probes: Optional[Sequence] = None,
                  timers: Optional[TimerRegistry] = None,
                  max_steps: Optional[Sequence[Optional[int]]] = None,
-                 resume: Optional[Sequence[Optional[dict]]] = None):
-        self.setups = list(setups)
-        if not self.setups:
+                 carried: Sequence[Hydro] = ()):
+        self.timers = timers if timers is not None else TimerRegistry()
+        self.lanes: List[Hydro] = list(carried)
+        for setup, probe, limit in zip(setups, probes or repeat(None),
+                                       max_steps or repeat(None)):
+            controls = setup.controls
+            if limit is not None:
+                controls = replace(controls, max_steps=limit)
+            self.lanes.append(Hydro(setup.state, setup.table, controls,
+                                    timers=self.timers, probe=probe))
+        if not self.lanes:
             raise BookLeafError("an ensemble needs at least one lane")
-        n = len(self.setups)
-        self.controls_list = [s.controls.validated() for s in self.setups]
-        first = self.controls_list[0]
-        for i, c in enumerate(self.controls_list[1:], start=1):
+        first = self.lanes[0]
+        for i, lane in enumerate(self.lanes[1:], start=1):
             for name in UNIFORM_CONTROLS:
-                if getattr(c, name) != getattr(first, name):
+                if getattr(lane.controls, name) != getattr(first.controls,
+                                                           name):
                     raise BookLeafError(
                         f"ensemble lane {i} differs in {name!r}; "
                         f"{', '.join(UNIFORM_CONTROLS)} must be uniform "
                         "across lanes (they enter the batched kernel "
                         "expressions)"
                     )
-        self.timers = timers if timers is not None else TimerRegistry()
-        self.comms = SerialComms()
 
-        self.es = EnsembleState([s.state for s in self.setups])
-        tables = [s.table for s in self.setups]
-        for i, t in enumerate(tables[1:], start=1):
-            if t.nmat != tables[0].nmat:
+        self.es = EnsembleState([lane.state for lane in self.lanes])
+        for i, lane in enumerate(self.lanes[1:], start=1):
+            t = lane.table
+            if t.nmat != first.table.nmat:
                 raise BookLeafError(
                     f"ensemble lane {i} has {t.nmat} materials, "
-                    f"lane 0 has {tables[0].nmat}"
+                    f"lane 0 has {first.table.nmat}"
                 )
-            if t.pcut != tables[0].pcut or t.ccut != tables[0].ccut:
+            if t.pcut != first.table.pcut or t.ccut != first.table.ccut:
                 raise BookLeafError(
                     "ensemble lanes must share pcut/ccut cutoffs"
                 )
         #: the arena the union's step draws from; cleared whenever the
         #: union changes width, so dead-width blocks are not pinned
         self.ws = Workspace()
-
-        if resume is None:
-            resume = [None] * n
-        elif len(resume) != n:
-            raise BookLeafError(
-                f"resume must carry one entry per lane "
-                f"({len(resume)} != {n})"
-            )
-        self.resume = list(resume)
-
-        # Per-lane ALE remappers, built from the *initial* lane states
-        # exactly as the serial driver does — except carried lanes,
-        # whose original remapper (with its pristine Eulerian target)
-        # rides along in the resume record.
-        self.remappers: List[Any] = []
-        for i, (setup, controls) in enumerate(
-                zip(self.setups, self.controls_list)):
-            entry = self.resume[i]
-            if entry is not None and "remapper" in entry:
-                self.remappers.append(entry["remapper"])
-            elif controls.ale_on:
-                # Imported here to avoid an ensemble <-> ale cycle.
-                from ..ale.driver import AleStep
-
-                self.remappers.append(
-                    AleStep.from_controls(setup.state, controls,
-                                          setup.table))
-            else:
-                self.remappers.append(None)
-
-        # Per-lane loop bookkeeping in Python floats — bit-for-bit the
-        # same scalar arithmetic as the serial driver's attributes.
-        if max_steps is None:
-            max_steps = [None] * n
-        self.limits = [
-            ms if ms is not None else c.max_steps
-            for ms, c in zip(max_steps, self.controls_list)
-        ]
-        self.times = [c.time_start for c in self.controls_list]
-        self.nsteps = [0] * n
-        self.dts = [c.dt_initial for c in self.controls_list]
-        self.dt_reasons = ["initial"] * n
-        self.dt_cells = [-1] * n
-        # Carried lanes continue their clocks mid-flight.
-        for i, entry in enumerate(self.resume):
-            if entry is None:
-                continue
-            self.times[i] = entry["time"]
-            self.nsteps[i] = entry["nstep"]
-            self.dts[i] = entry["dt"]
-            self.dt_reasons[i] = entry["dt_reason"]
-            self.dt_cells[i] = entry["dt_cell"]
-        self.probes = list(probes) if probes is not None else [None] * n
-        #: batch row -> original lane index (shrinks with retirement)
-        self.order = list(range(n))
-        self.final_states = [None] * n
+        #: batch row -> lane index (shrinks with retirement)
+        self.order = list(range(len(self.lanes)))
+        self.final_states = [None] * len(self.lanes)
         self._lay_out()
 
     def _lay_out(self) -> None:
-        """What the step needs per union cell, for the active lanes in
-        row order: the material table, γ, and the lanes' viscosity
-        coefficients spread over their segments (riding in the uniform
-        controls' ``cq1``/``cq2``)."""
+        """Point every active lane at its segment of the union, and
+        collect what the union's step needs per cell, in row order: the
+        material table, γ, and the lanes' viscosity coefficients spread
+        over their segments (riding in the uniform controls'
+        ``cq1``/``cq2``)."""
         ncell = self.es.mesh.ncell
-        tables = [self.setups[lane].table for lane in self.order]
+        lanes = self.active
+        for row, lane in enumerate(lanes):
+            lane.state = self.es.lane_state(row)
+        tables = [lane.table for lane in lanes]
         self.table = tables[0] if all(
             _same_materials(tables[0], t) for t in tables[1:]
         ) else _LaneTables(tables, ncell)
-        self.gamma = np.concatenate(
-            [t.gamma_like(self.es.mat) for t in tables])
-        controls = [self.controls_list[lane] for lane in self.order]
+        self.gamma = np.concatenate([lane.gamma for lane in lanes])
         self.controls = replace(
-            controls[0],
-            cq1=np.repeat([c.cq1 for c in controls], ncell),
-            cq2=np.repeat([c.cq2 for c in controls], ncell))
+            lanes[0].controls,
+            cq1=np.repeat([lane.controls.cq1 for lane in lanes], ncell),
+            cq2=np.repeat([lane.controls.cq2 for lane in lanes], ncell))
 
     # ------------------------------------------------------------------
-    @property
-    def n_lanes(self) -> int:
-        return len(self.setups)
-
     @property
     def n_active(self) -> int:
         return len(self.order)
 
-    def _view(self, row: int, state=None) -> _LaneView:
-        lane = self.order[row]
-        return _LaneView(
-            state if state is not None else self.es.lane_state(row),
-            self.comms, self.nsteps[lane], self.times[lane],
-            self.dts[lane], self.dt_reasons[lane], self.dt_cells[lane],
-        )
+    @property
+    def active(self) -> List[Hydro]:
+        """The still-running lanes, in batch-row order."""
+        return [self.lanes[lane] for lane in self.order]
 
-    def _lane_done(self, lane: int) -> bool:
-        controls = self.controls_list[lane]
-        eps = 1e-12 * max(1.0, abs(controls.time_end))
-        if self.times[lane] >= controls.time_end - eps:
-            return True
-        return self.nsteps[lane] >= self.limits[lane]
+    def _for_lane(self, row: int, half: Callable, *args):
+        """Run one of a lane's step halves; whatever it raises — dt
+        collapse, a remap failure, a tripped health sentinel — names
+        the lane."""
+        try:
+            return half(*args)
+        except BookLeafError as exc:
+            raise _in_lane(exc, self.order[row])
 
-    def _retire_finished(self) -> None:
-        keep_rows = [row for row, lane in enumerate(self.order)
-                     if not self._lane_done(lane)]
-        if len(keep_rows) == len(self.order):
-            return
-        for row, lane in enumerate(self.order):
-            if self._lane_done(lane):
-                final = self.es.extract_lane(row)
-                self.final_states[lane] = final
-                probe = self.probes[lane]
-                if probe is not None:
-                    probe.finish(self._view(row, state=final))
-        self.order = [self.order[row] for row in keep_rows]
-        self.ws.clear()
-        if keep_rows:
-            self.es.compact(keep_rows)
-            self._lay_out()
+    def _retire_finished(self) -> List[int]:
+        """Retire the lanes that reached their end time or spent their
+        step budget; returns their lane indices."""
+        retired = []
+        keep_rows = []
+        for row, (index, lane) in enumerate(zip(self.order, self.active)):
+            if not (lane.done() or lane.nstep >= lane.controls.max_steps):
+                keep_rows.append(row)
+                continue
+            # The lane leaves the union owning its final state.
+            lane.state = self.final_states[index] = \
+                self.es.extract_lane(row)
+            lane.workspace.clear()
+            if lane.probe is not None:
+                lane.probe.finish(lane)
+            retired.append(index)
+        if retired:
+            self.order = [self.order[row] for row in keep_rows]
+            self.ws.clear()
+            if keep_rows:
+                self.es.compact(keep_rows)
+                self._lay_out()
+        return retired
 
     def _advance_once(self) -> None:
-        active = self.order
+        lanes = self.active
         union = self.es.union
         nnode, ncell = self.es.mesh.nnode, self.es.mesh.ncell
-        # "First step" is a per-lane condition: a refilled batch mixes
-        # fresh lanes (serial drivers take dt_initial without running
-        # getdt at all on step 0) with carried mid-flight lanes.  An
-        # all-fresh batch skips getdt entirely; a mixed batch computes
-        # the fields for everyone and picks only for the carried lanes.
-        fresh = [self.nsteps[lane] == 0 for lane in active]
-        if not all(fresh):
+        # A lane on its first step takes its initial dt and needs no
+        # fields, so an all-fresh batch skips getdt as a serial driver
+        # does; a refilled batch mixes fresh and mid-flight lanes and
+        # computes the fields once for everyone.
+        if any(lane.nstep for lane in lanes):
             with self.timers.region("getdt"):
                 ratio, rate = dt_fields(union, self.controls, ws=self.ws)
-                for row, lane in enumerate(active):
-                    if fresh[row]:
-                        continue
-                    controls = self.controls_list[lane]
+                for row, lane in enumerate(lanes):
                     seg = slice(row * ncell, (row + 1) * ncell)
-                    try:
-                        (self.dts[lane], self.dt_reasons[lane],
-                         self.dt_cells[lane]) = pick_dt(
-                            dt_candidates(ratio[seg], rate[seg], controls),
-                            controls, self.dts[lane], self.times[lane])
-                    except TimestepCollapseError as exc:
-                        _in_lane(exc, lane)
-                        raise
+                    self._for_lane(row, lane.choose_dt, dt_candidates(
+                        ratio[seg], rate[seg], lane.controls))
                 self.ws.release(ratio, rate)
-        for row, lane in enumerate(active):
-            if fresh[row]:
-                controls = self.controls_list[lane]
-                remaining = controls.time_end - self.times[lane]
-                self.dts[lane] = min(controls.dt_initial, remaining)
-                self.dt_reasons[lane], self.dt_cells[lane] = "initial", -1
+        else:
+            for row, lane in enumerate(lanes):
+                self._for_lane(row, lane.choose_dt)
 
-        dts = [self.dts[lane] for lane in active]
+        dts = [lane.dt for lane in lanes]
         try:
             lagstep(union, self.table, self.controls,
                     (np.repeat(dts, nnode), np.repeat(dts, ncell)),
-                    self.timers, self.gamma, comms=self.comms, ws=self.ws)
+                    self.timers, self.gamma, ws=self.ws)
         except TangledMeshError as exc:
             # Union cell ids name the lane: report the first failing
             # lane's own cells and time, as its solo run would.
@@ -338,39 +267,22 @@ class EnsembleHydro:
             cells = [c - row * ncell for c in exc.cells
                      if c // ncell == row]
             raise _in_lane(
-                TangledMeshError(cells, time=self.times[active[row]]),
-                active[row]) from exc
+                TangledMeshError(cells, time=lanes[row].time),
+                self.order[row]) from exc
 
-        # ALE remap, per lane on its segment view — the remapper is
-        # serial code (it rebinds state arrays), so each due lane
-        # round-trips through lane_state/absorb_lane.
-        for row, lane in enumerate(active):
-            remapper = self.remappers[lane]
-            if remapper is None:
-                continue
-            controls = self.controls_list[lane]
-            if (self.nsteps[lane] + 1) % controls.ale_every != 0:
-                continue
-            with self.timers.region("alestep", cat="phase"):
-                lane_state = self.es.lane_state(row)
-                remapper.apply(lane_state, self.dts[lane], self.timers,
-                               comms=self.comms)
-                self.es.absorb_lane(row, lane_state)
-
-        for row, lane in enumerate(active):
-            self.times[lane] += self.dts[lane]
-            self.nsteps[lane] += 1
-            probe = self.probes[lane]
-            if probe is not None:
-                probe.on_step(self._view(row))
+        for row, lane in enumerate(lanes):
+            if self._for_lane(row, lane.finish_step):
+                # The remap rebound the lane's arrays: copy them into
+                # its segment and point the lane back at it.
+                self.es.absorb_lane(row, lane.state)
+                lane.state = self.es.lane_state(row)
 
     def begin(self) -> None:
         """Record every lane's probe baseline (idempotent per probe —
         carried lanes keep their original drift reference)."""
-        for row in range(len(self.order)):
-            probe = self.probes[self.order[row]]
-            if probe is not None:
-                probe.begin(self._view(row))
+        for lane in self.active:
+            if lane.probe is not None:
+                lane.probe.begin(lane)
 
     def advance(self) -> List[int]:
         """One scheduler turn: retire finished lanes, then step the
@@ -378,45 +290,19 @@ class EnsembleHydro:
         final states are in ``final_states``); an empty ``order``
         afterwards means the batch is drained.  This is the fleet's
         refill seam — after retirements the caller may abandon this
-        instance and rebuild a wider batch from the still-active lanes
-        (:meth:`extract_active`) plus fresh queued configs.
+        instance and build a wider batch from fresh setups with the
+        still-``active`` lanes ``carried`` into it.
         """
-        before = list(self.order)
-        self._retire_finished()
-        active = set(self.order)
-        retired = [lane for lane in before if lane not in active]
+        retired = self._retire_finished()
         if self.order:
             self._advance_once()
         return retired
 
-    def extract_active(self) -> List[dict]:
-        """Resume records for every still-active lane, in batch-row
-        order: the lane index, a standalone copy of its current state,
-        its clocks, its remapper and its probe — everything a rebuilt
-        batch needs to continue the lane bit-identically."""
-        out = []
-        for row, lane in enumerate(self.order):
-            out.append({
-                "lane": lane,
-                "state": self.es.extract_lane(row),
-                "time": self.times[lane],
-                "nstep": self.nsteps[lane],
-                "dt": self.dts[lane],
-                "dt_reason": self.dt_reasons[lane],
-                "dt_cell": self.dt_cells[lane],
-                "remapper": self.remappers[lane],
-                "probe": self.probes[lane],
-            })
-        return out
-
     def run(self) -> "EnsembleHydro":
-        """March every lane to its end time (or step limit)."""
+        """March every lane to its end time (or step budget)."""
         self.begin()
         while self.order:
-            self._retire_finished()
-            if not self.order:
-                break
-            self._advance_once()
+            self.advance()
         return self
 
 

@@ -14,9 +14,10 @@ the lane's own mesh, so a lane is bit-identical to its solo run.
 Lane ``i`` owns the contiguous segment ``[i·n, (i+1)·n)`` of every
 union array.  Lane views (:meth:`EnsembleState.lane_state`) rebuild a
 genuine :class:`HydroState` on the lanes' own mesh whose fields are
-those segments, so per-lane machinery — the ALE remapper, the
-diagnostics probe, the final-state extraction — runs unchanged on one
-lane without copying.
+those segments — the ``state`` of the lane's own
+:class:`~repro.core.hydro.Hydro` — so everything a serial driver does
+around a step (the dt choice, the ALE remapper, observers, the
+diagnostics probe) runs unchanged on one lane without copying.
 
 Ragged retirement is by *compaction*: :meth:`EnsembleState.compact`
 rebuilds a narrower union from the surviving segments, which preserves

@@ -6,16 +6,17 @@ Compatible queued jobs (serial, same mesh topology) coalesce into one
 separate processes — the PR 6 batching engine as a scheduler lane.
 The addition over plain ``run_ensemble`` is **refill**: when a lane
 finishes early (its own CFL clock hit ``time_end``) and jobs are still
-queued, the batch is rebuilt at full width — still-active lanes carry
-over mid-flight (state copy + clocks + their original ALE remapper and
-probe, via ``EnsembleHydro(resume=...)``) and retired rows are refilled
+queued, the batch is rebuilt at full width — the still-active lanes
+are *carried* into the new batch as the ``Hydro`` objects they are
+(state, clocks, ALE remapper with its pristine Eulerian target, probe
+and step budget travel together) and the retired rows are refilled
 from the queue, so the kernel pass never shrinks while work remains.
 
 Bit-identity is preserved through a rebuild for both populations: a
-carried lane continues from its exact state/dt (the compaction path
-already proves batch-layout changes are bit-neutral), and a fresh lane
-entering mid-flight gets the serial driver's step-0 dt handling via the
-per-lane first-step logic in ``_advance_once``.
+carried lane is the same driver on a new segment of a new union (the
+compaction path already proves batch-layout changes are bit-neutral),
+and a fresh lane entering mid-flight is a ``Hydro`` at step 0, which
+takes its initial dt like any other.
 
 :func:`run_ensemble_jobs` is also the implementation behind the
 legacy ``repro.ensemble.driver.run_ensemble`` surface (all submission
@@ -27,7 +28,7 @@ from __future__ import annotations
 import os
 import time as _time
 from collections import deque
-from dataclasses import dataclass, field, replace as _dc_replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..utils.errors import BookLeafError
@@ -114,7 +115,9 @@ def run_ensemble_jobs(jobs: Sequence[BatchJob], *,
 
     def make_lane(pos: int):
         job = jobs[pos]
-        setup = job.config.build_setup()
+        # The coalescer already built one setup per bucket to read its
+        # boundary driver; the job it came from runs on it.
+        setup = job.metadata.pop("setup", None) or job.config.build_setup()
         if job.override:
             setup.controls = \
                 setup.controls.with_(**job.override).validated()
@@ -132,41 +135,38 @@ def run_ensemble_jobs(jobs: Sequence[BatchJob], *,
         return setup, probe
 
     pending = deque(range(n))
-    #: lanes carried across a rebuild: {"pos", "setup", "probe", "resume"}
-    carried: List[dict] = []
-    #: finished lanes, keyed by job position
-    done: Dict[int, dict] = {}
+    #: job position -> its setup, and its lane once it has retired
+    setups: Dict[int, Any] = {}
+    done: Dict[int, Any] = {}
+    #: the lanes still active in the batch just abandoned — carried
+    #: into the next one as they are — and each one's job position
+    carried: List[Any] = []
+    batch_pos: List[int] = []
     start = _time.perf_counter()
     while pending or carried:
         take = min(max(width - len(carried), 0), len(pending))
         fresh = [pending.popleft() for _ in range(take)]
-        lanes = list(carried)
+        probes = []
         for pos in fresh:
-            setup, probe = make_lane(pos)
-            lanes.append({"pos": pos, "setup": setup, "probe": probe,
-                          "resume": None})
-        carried = []
+            setups[pos], probe = make_lane(pos)
+            probes.append(probe)
         if schedule_log is not None:
             schedule_log.append({
                 "event": "ensemble_batch",
-                "jobs": [jobs[l["pos"]].index for l in lanes],
-                "carried": [jobs[l["pos"]].index for l in lanes
-                            if l["resume"] is not None],
+                "jobs": [jobs[pos].index for pos in batch_pos + fresh],
+                "carried": [jobs[pos].index for pos in batch_pos],
                 "fresh": [jobs[pos].index for pos in fresh],
-                "width": len(lanes),
+                "width": len(batch_pos) + len(fresh),
                 "queued": len(pending),
             })
         eh = EnsembleHydro(
-            [l["setup"] for l in lanes],
-            probes=[l["probe"] for l in lanes],
-            timers=timers,
-            max_steps=[jobs[l["pos"]].config.max_steps for l in lanes],
-            resume=[l["resume"] for l in lanes],
+            [setups[pos] for pos in fresh], probes=probes, timers=timers,
+            max_steps=[jobs[pos].config.max_steps for pos in fresh],
+            carried=carried,
         )
         eh.begin()
-        batch_pos = [l["pos"] for l in lanes]
-        setups = {l["pos"]: l["setup"] for l in lanes}
-        while True:
+        batch_pos += fresh
+        while eh.order:
             try:
                 retired = eh.advance()
             except BookLeafError as exc:
@@ -178,69 +178,50 @@ def run_ensemble_jobs(jobs: Sequence[BatchJob], *,
                     exc.args = (f"job {exc.job}, {exc}",)
                 raise
             for lane in retired:
-                pos = batch_pos[lane]
-                done[pos] = {
-                    "setup": setups[pos],
-                    "state": eh.final_states[lane],
-                    "nstep": eh.nsteps[lane],
-                    "time": eh.times[lane],
-                    "probe": eh.probes[lane],
-                    "driver": eh,
-                }
+                done[batch_pos[lane]] = eh.lanes[lane]
                 if schedule_log is not None:
                     schedule_log.append({
                         "event": "lane_retired",
-                        "job": jobs[pos].index,
-                        "nstep": eh.nsteps[lane],
+                        "job": jobs[batch_pos[lane]].index,
+                        "nstep": eh.lanes[lane].nstep,
                     })
-            if not eh.order:
-                break
-            if retired and pending:
-                # Refill: rebuild at full width — carry the active
-                # lanes mid-flight, top up from the queue.
-                for rec in eh.extract_active():
-                    pos = batch_pos[rec["lane"]]
-                    carried.append({
-                        "pos": pos,
-                        "setup": _dc_replace(setups[pos],
-                                             state=rec["state"]),
-                        "probe": rec["probe"],
-                        "resume": {k: rec[k] for k in
-                                   ("time", "nstep", "dt", "dt_reason",
-                                    "dt_cell", "remapper")},
-                    })
+            if retired and eh.order and pending:
+                # Refill: rebuild at full width around the lanes still
+                # in flight.
                 if schedule_log is not None:
                     schedule_log.append({
                         "event": "lane_refill",
-                        "carried": [jobs[c["pos"]].index
-                                    for c in carried],
+                        "carried": [jobs[batch_pos[lane]].index
+                                    for lane in eh.order],
                         "queued": len(pending),
                     })
                 break
+        batch_pos = [batch_pos[lane] for lane in eh.order]
+        carried = eh.active
     wall = _time.perf_counter() - start
 
     results = []
     for pos, job in enumerate(jobs):
-        rec = done[pos]
-        probe = rec["probe"]
+        hydro = done[pos]
         results.append(RunResult(
             config=job.config,
-            setup=rec["setup"],
+            setup=setups[pos],
             backend="ensemble",
             nranks=1,
-            nstep=rec["nstep"],
-            time=rec["time"],
+            nstep=hydro.nstep,
+            time=hydro.time,
             wall_seconds=wall,
-            state=rec["state"],
+            state=hydro.state,
             timers=timers,
             spans=[],
             comm_total=None,
             comm_per_rank=[],
             step_rows=None,
             comm_summary=None,
-            metrics_rows=(probe.rows if probe is not None else None),
+            metrics_rows=(hydro.probe.rows if hydro.probe is not None
+                          else None),
             metrics=None,
-            driver=rec["driver"],
+            driver=hydro,
             lane=job.index,
             cache_hit=False,
         ))

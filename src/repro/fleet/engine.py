@@ -466,13 +466,15 @@ class Fleet:
             # Driven boundaries (e.g. Kidder's piston) advance per-lane
             # wall-clock state the batched kernels don't model; probe
             # one setup per bucket and keep such jobs on the per-job
-            # path.
+            # path.  An accepted bucket's probed setup is its first
+            # job's own, so that lane runs on it instead of rebuilding.
             probe_setup = members[0].config.build_setup()
             if getattr(probe_setup.state.bc, "driver", None) is not None:
                 self._log("group_rejected", reason="bc_driver",
                           jobs=[j.index for j in members])
                 singles.extend(members)
                 continue
+            members[0].metadata["setup"] = probe_setup
             groups.append(members)
         singles.sort(key=lambda j: j.index)
         return groups, singles

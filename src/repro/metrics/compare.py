@@ -35,11 +35,7 @@ Gating rules:
 * **bench documents** — every shared numeric leaf is compared;
   ``*seconds*``/``t_*`` leaves are gated lower-is-better, ``*speedup*``
   leaves higher-is-better, anything else informational
-  (``*bytes_per_step*`` leaves join the gate under ``gate_comm``;
-  ``*runs_per_sec*``/``*throughput*`` leaves join higher-is-better
-  under ``gate_throughput`` — CLI ``--gate-throughput`` — with the
-  ``min_seconds`` noise floor applied through the sibling ``seconds``
-  leaf, so a sub-millisecond case can't fail CI on dispatch jitter).
+  (``*bytes_per_step*`` leaves join the gate under ``gate_comm``).
 """
 
 from __future__ import annotations
@@ -306,14 +302,10 @@ def _numeric_leaves(doc, prefix: str = "") -> Dict[str, float]:
     return out
 
 
-def _bench_direction(path: str, gate_comm: bool = False,
-                     gate_throughput: bool = False) -> Optional[bool]:
+def _bench_direction(path: str, gate_comm: bool = False) -> Optional[bool]:
     """True = lower better, False = higher better, None = ungated."""
     leaf = path.rsplit(".", 1)[-1]
     if "speedup" in leaf:
-        return False
-    if gate_throughput and ("runs_per_sec" in leaf
-                            or "throughput" in leaf):
         return False
     if "seconds" in leaf or leaf.startswith("t_"):
         return True
@@ -322,43 +314,14 @@ def _bench_direction(path: str, gate_comm: bool = False,
     return None
 
 
-def _throughput_floored(path: str, leaves_old: Dict[str, float],
-                        leaves_new: Dict[str, float],
-                        min_seconds: float) -> bool:
-    """True when a throughput leaf's case ran below the noise floor.
-
-    A runs/sec ratio on a case that completes in under ``min_seconds``
-    is dominated by dispatch jitter; the sibling ``seconds`` leaf (the
-    same dotted path with ``runs_per_sec`` -> ``seconds``) supplies the
-    wall time.  No sibling found = not floored (gate normally).
-    """
-    head, _, leaf = path.rpartition(".")
-    if "runs_per_sec" not in leaf:
-        return False
-    sibling = (head + "." if head else "") + leaf.replace(
-        "runs_per_sec", "seconds")
-    a, b = leaves_old.get(sibling), leaves_new.get(sibling)
-    if a is None or b is None:
-        return False
-    return max(a, b) < min_seconds
-
-
 def compare_benches(old: dict, new: dict, threshold: float,
-                    gate_comm: bool = False,
-                    gate_throughput: bool = False,
-                    min_seconds: float = DEFAULT_MIN_SECONDS
-                    ) -> CompareResult:
+                    gate_comm: bool = False) -> CompareResult:
     result = CompareResult(kind="bench")
     a_leaves = _numeric_leaves(old)
     b_leaves = _numeric_leaves(new)
     for path in sorted(set(a_leaves) | set(b_leaves)):
         a, b = a_leaves.get(path), b_leaves.get(path)
-        direction = _bench_direction(path, gate_comm=gate_comm,
-                                     gate_throughput=gate_throughput)
-        if (direction is False
-                and _throughput_floored(path, a_leaves, b_leaves,
-                                        min_seconds)):
-            direction = None
+        direction = _bench_direction(path, gate_comm=gate_comm)
         if direction is None or a is None or b is None:
             result.rows.append(Row(path, a, b))
         else:
@@ -377,7 +340,6 @@ def compare_files(path_old: str, path_new: str,
                   threshold: float = DEFAULT_THRESHOLD,
                   min_seconds: float = DEFAULT_MIN_SECONDS,
                   gate_comm: bool = False,
-                  gate_throughput: bool = False,
                   gate_outliers: bool = False) -> CompareResult:
     old, new = load_document(path_old), load_document(path_new)
     kind_old, kind_new = classify(old), classify(new)
@@ -390,9 +352,7 @@ def compare_files(path_old: str, path_new: str,
     if kind_old == "report":
         return compare_reports(old, new, threshold, min_seconds,
                                gate_comm=gate_comm)
-    return compare_benches(old, new, threshold, gate_comm=gate_comm,
-                           gate_throughput=gate_throughput,
-                           min_seconds=min_seconds)
+    return compare_benches(old, new, threshold, gate_comm=gate_comm)
 
 
 def _fmt(value: Optional[float]) -> str:

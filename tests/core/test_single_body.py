@@ -21,6 +21,13 @@ once under ``src/repro``, and ``repro.ensemble`` — whose lanes are a
 disjoint-union mesh stepped by ``repro.core`` — computes nothing
 itself: no arithmetic numpy call a kernel would need, no array-module
 parameter, no function named like a step kernel.
+
+And it keeps the step loop single: ``core/hydro.py`` is the one place
+that applies the first-step rule (``dt_initial``), the remap cadence
+(``ale_every``), picks a dt (``getdt``/``pick_dt``) and samples the
+probe after a step (``on_step``) — an ensemble lane is a ``Hydro``, so
+nothing else has a reason to, and the stand-ins a second loop needed
+(``_LaneView``, ``resume`` records) stay deleted.
 """
 
 import ast
@@ -198,3 +205,59 @@ def test_the_checker_itself_catches_kernel_code():
     assert [what for _, what in _kernel_code(tree)] == [
         "def getq", "xp argument", "hypot", "sqrt", "xp argument",
         "bincount", "einsum"]
+
+
+#: what only the step loop reads, and what only it calls
+LOOP_READS = ("dt_initial", "ale_every")
+LOOP_CALLS = ("pick_dt", "getdt", "on_step")
+#: where those names are defined rather than used
+LOOP_DEFINITIONS = ("core/controls.py", "core/timestep.py")
+
+
+def _step_loop_code(tree: ast.AST):
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in LOOP_READS:
+            found.append((node.lineno, f".{node.attr}"))
+        elif (isinstance(node, ast.Call)
+                and _called_name(node.func) in LOOP_CALLS):
+            found.append((node.lineno, f"{_called_name(node.func)}()"))
+        elif isinstance(node, ast.ClassDef) and node.name == "_LaneView":
+            found.append((node.lineno, "class _LaneView"))
+    for node in _function_defs(tree):
+        args = node.args
+        for arg in args.posonlyargs + args.args + args.kwonlyargs:
+            if arg.arg == "resume":
+                found.append((node.lineno, "resume parameter"))
+    return sorted(found)
+
+
+def test_there_is_one_step_loop():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        where = path.relative_to(SRC).as_posix()
+        if (where == "core/hydro.py" or where in LOOP_DEFINITIONS
+                or where.startswith("problems/")):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{where}:{ln} ({what})"
+                  for ln, what in _step_loop_code(tree)]
+    assert not found, (
+        "core/hydro.py is the only step loop; a second one's parts at "
+        + ", ".join(found))
+
+
+def test_the_checker_itself_catches_a_second_step_loop():
+    tree = ast.parse(
+        "class _LaneView:\n"
+        "    pass\n"
+        "def advance(self, lanes, resume=None):\n"
+        "    dt = min(controls.dt_initial, remaining)\n"
+        "    dt, why, cell = pick_dt(dt_candidates(a, b, c), c, dt, t)\n"
+        "    if (nstep + 1) % lane.controls.ale_every == 0:\n"
+        "        remapper.apply(state, dt)\n"
+        "    lane.probe.on_step(view)\n"
+        "    lane.choose_dt(dt_candidates(a, b, lane.controls))\n")
+    assert [what for _, what in _step_loop_code(tree)] == [
+        "class _LaneView", "resume parameter", ".dt_initial", "pick_dt()",
+        ".ale_every", "on_step()"]

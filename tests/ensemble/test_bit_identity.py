@@ -118,15 +118,27 @@ def _offgrid_setup(kind):
                         (0.0, 1.0, 0.0, 1.0))
 
 
+def _record_steps(hydro):
+    """Attach the one step observer solo drivers and lanes share; the
+    returned list fills with a driver's clocks after every step."""
+    steps = []
+    hydro.observers.append(lambda h: steps.append(
+        (h.nstep, h.time, h.dt, h.dt_reason, h.dt_cell)))
+    return steps
+
+
 def _assert_offgrid_lanes_match_serial(kind):
     from repro.core.hydro import Hydro
     from repro.ensemble.driver import EnsembleHydro
 
     steps = 30
     batch = EnsembleHydro([_offgrid_setup(kind), _offgrid_setup(kind)],
-                          max_steps=[steps, steps]).run()
+                          max_steps=[steps, steps])
+    lane_steps = [_record_steps(lane) for lane in batch.lanes]
+    batch.run()
     setup = _offgrid_setup(kind)
     serial = Hydro(setup.state, setup.table, setup.controls)
+    serial_steps = _record_steps(serial)
     for _ in range(steps):
         serial.step()
     sb = _state_bytes(serial.state)
@@ -134,8 +146,7 @@ def _assert_offgrid_lanes_match_serial(kind):
         eb = _state_bytes(final)
         differing = [f for f in sb if sb[f] != eb[f]]
         assert not differing, f"lane {lane} fields differ: {differing}"
-        assert batch.nsteps[lane] == serial.nstep
-        assert batch.times[lane] == serial.time
+        assert lane_steps[lane] == serial_steps
 
 
 def test_offgrid_mesh_lanes_match_serial():
@@ -164,23 +175,36 @@ def _sweep_overrides(lanes):
              "cfl_safety": 0.3 + 0.011 * i} for i in range(lanes)]
 
 
+def _overridden_setup(config, override):
+    setup = config.build_setup()
+    if override:
+        setup.controls = setup.controls.with_(**override).validated()
+    return setup
+
+
 def _assert_overridden_lanes_match_serial(problem, overrides):
-    """Each lane matches its own serial run exactly — state, clocks,
-    the dt taken, why, and the (lane-local) controlling cell.  Returns
-    the number of distinct final states."""
+    """Each lane matches its own serial run exactly — state, and at
+    every step the clocks, the dt taken, why, and the (lane-local)
+    controlling cell, seen by the same observer on the solo driver and
+    on the lane.  Returns the number of distinct final states."""
     from repro.core.hydro import Hydro
+    from repro.ensemble.driver import EnsembleHydro
 
     configs = [RunConfig(problem=problem, nx=20, ny=20, max_steps=40)
                for _ in overrides]
     ensemble = run_ensemble(configs, control_overrides=overrides)
+    batch = EnsembleHydro(
+        [_overridden_setup(c, o) for c, o in zip(configs, overrides)],
+        max_steps=[c.max_steps for c in configs])
+    lane_steps = [_record_steps(lane) for lane in batch.lanes]
+    batch.run()
 
     finals = set()
     for lane, (override, config, lane_result) in enumerate(
             zip(overrides, configs, ensemble)):
-        setup = config.build_setup()
-        if override:
-            setup.controls = setup.controls.with_(**override).validated()
+        setup = _overridden_setup(config, override)
         serial = Hydro(setup.state, setup.table, setup.controls)
+        serial_steps = _record_steps(serial)
         serial.run(max_steps=config.max_steps)
         sb = _state_bytes(serial.state)
         eb = _state_bytes(lane_result.state)
@@ -189,10 +213,8 @@ def _assert_overridden_lanes_match_serial(problem, overrides):
             f"override {override}: fields differ {differing}")
         assert lane_result.nstep == serial.nstep
         assert lane_result.time == serial.time
-        batch = lane_result.driver
-        assert (batch.dts[lane], batch.dt_reasons[lane],
-                batch.dt_cells[lane]) == (serial.dt, serial.dt_reason,
-                                          serial.dt_cell)
+        assert lane_steps[lane] == serial_steps
+        assert _state_bytes(batch.final_states[lane]) == eb
         finals.add(eb["e"])
     return len(finals)
 

@@ -65,8 +65,8 @@ def test_lanes_advance_at_their_own_dt():
         dt_initial=setups[1].controls.dt_initial * 0.25).validated()
     driver = EnsembleHydro(setups, max_steps=[12, 12])
     driver.run()
-    assert driver.nsteps == [12, 12]
-    assert driver.times[1] < driver.times[0]
+    assert [lane.nstep for lane in driver.lanes] == [12, 12]
+    assert driver.lanes[1].time < driver.lanes[0].time
 
 
 @pytest.mark.parametrize("kind", ["grid", "pinwheel"])
@@ -95,7 +95,7 @@ def test_retirement_compacts_the_batch():
     setups = [load_problem("sod", nx=12, ny=12) for _ in range(3)]
     driver = EnsembleHydro(setups, max_steps=[20, 5, 12])
     driver.run()
-    assert driver.nsteps == [20, 5, 12]
+    assert [lane.nstep for lane in driver.lanes] == [20, 5, 12]
     assert driver.order == []                  # everything retired
     for lane, state in enumerate(driver.final_states):
         assert state is not None, f"lane {lane} never retired"
@@ -220,7 +220,7 @@ def test_half_step_subzone_inversion_is_caught_in_a_lane():
     assert in_lane.value.lane == 1
     assert in_lane.value.cells == alone.value.cells == [0]
     assert in_lane.value.time == alone.value.time
-    assert batch.nsteps[1] == solo.nstep == 0
+    assert batch.lanes[1].nstep == solo.nstep == 0
 
 
 def test_collapsed_lane_is_named():
@@ -234,6 +234,55 @@ def test_collapsed_lane_is_named():
     assert (exc.lane, exc.job) == (0, 0)
     assert (exc.dt, exc.cell, exc.time) == (solo.dt, solo.cell, solo.time)
     assert str(exc) == f"job 0, ensemble lane 0: {solo}"
+
+
+def test_sick_lane_is_named(tmp_path):
+    """A health sentinel tripping on a lane's behalf names the lane
+    like a tangle or a dt collapse does, with lane-local ids."""
+    from repro.metrics.probe import DiagnosticsProbe
+    from repro.utils.errors import HealthError
+
+    setups = [RunConfig(problem="noh", nx=12, ny=12).build_setup()
+              for _ in range(3)]
+    probes = [DiagnosticsProbe(every=1, record=True,
+                               snapshot_path=str(tmp_path / f"s{i}.npz"))
+              for i in range(3)]
+    batch = EnsembleHydro(setups, probes=probes)
+    batch.begin()
+    batch.advance()
+    batch.es.union.e[2 * 144 + 5] = np.nan      # lane 2's cell 5
+    with pytest.raises(HealthError, match="^ensemble lane 2: health") as sick:
+        batch.advance()
+    exc = sick.value
+    assert exc.lane == 2
+    assert 5 in exc.violations["nonfinite:e"] and max(exc.cells()) < 169
+    assert exc.snapshot == str(tmp_path / "s2.npz")
+
+
+def test_sick_lane_of_a_refilled_batch_names_its_job(tmp_path, monkeypatch):
+    """Through ``submit``: the job whose lane sickens sits in row 1 of
+    a rebuilt batch, and the error names both."""
+    from repro.api import submit
+    from repro.utils.errors import HealthError
+
+    advance = EnsembleHydro.advance
+
+    def poisoned(self):
+        retired = advance(self)
+        for lane in self.active:
+            if lane.controls.max_steps == 9 and lane.nstep == 1:
+                lane.state.e[5] = np.nan
+        return retired
+
+    monkeypatch.setattr(EnsembleHydro, "advance", poisoned)
+    configs = [RunConfig(problem="noh", nx=12, ny=12, max_steps=3 + 2 * i,
+                         metrics_every=1, snapshot_dir=str(tmp_path))
+               for i in range(4)]
+    handle = submit(configs, batch_width=2)
+    with pytest.raises(HealthError,
+                       match="^job 3, ensemble lane 1: health") as sick:
+        handle.results()
+    assert (sick.value.job, sick.value.lane) == (3, 1)
 
 
 # ----------------------------------------------------------------------

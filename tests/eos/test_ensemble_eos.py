@@ -61,8 +61,8 @@ def _assert_lanes_match_solo(make_setups, shared, steps=None):
         differing = [f for f in FIELDS if getattr(solo.state, f).tobytes()
                      != getattr(final, f).tobytes()]
         assert not differing, f"lane {lane} fields differ: {differing}"
-        assert batch.nsteps[lane] == solo.nstep
-        assert batch.times[lane] == solo.time
+        assert batch.lanes[lane].nstep == solo.nstep
+        assert batch.lanes[lane].time == solo.time
     return batch
 
 
@@ -160,7 +160,7 @@ def test_compact_drops_retired_lane_columns():
         lambda: [_setup(MaterialTable(eos=[IdealGas(g)]), seed=18)
                  for g in (1.4, 1.6, 2.0)],
         shared=False, steps=[12, 4, 8])
-    assert batch.nsteps == [12, 4, 8]
+    assert [lane.nstep for lane in batch.lanes] == [12, 4, 8]
 
 
 def test_out_buffers_are_used():

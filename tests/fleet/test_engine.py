@@ -85,6 +85,29 @@ def test_auto_coalesces_same_mesh_jobs():
     assert batch["jobs"] == [0, 1, 2, 3]
 
 
+def test_coalesced_jobs_build_one_setup_each(monkeypatch):
+    """The coalescer builds a setup per bucket to read its boundary
+    driver; the lane that owns it runs on it — N jobs, N builds, and
+    the probed lane still gets its own overrides."""
+    builds = []
+    build_setup = RunConfig.build_setup
+
+    def counted(self):
+        builds.append(self)
+        return build_setup(self)
+
+    monkeypatch.setattr(RunConfig, "build_setup", counted)
+    configs = [_cfg(max_steps=4 + i) for i in range(3)]
+    overrides = [{"cq1": 0.3}, None, {"cq1": 0.4}]
+    results = submit(configs, control_overrides=overrides).results()
+    assert len(builds) == 3
+    assert [r.setup.controls.cq1 for r in results] == [0.3, 0.5, 0.4]
+    monkeypatch.undo()
+    solo = run_ensemble(configs, control_overrides=overrides)
+    for s, b in zip(solo, results):
+        assert _digest(b) == _digest(s)
+
+
 def test_auto_fast_path_is_bit_identical_to_serial():
     configs = [_cfg(max_steps=4 + 2 * i) for i in range(3)]
     serial = [run(c) for c in configs]

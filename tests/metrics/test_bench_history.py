@@ -26,20 +26,6 @@ def _backends(seconds, backend="threads", samples=3):
     }
 
 
-def _ensemble(seconds, lanes=16, nx=32, samples=3):
-    return {
-        "bench": "ensemble-batching",
-        "problem": "sod",
-        "cases": [{"problem": "sod", "nx": nx, "ncell": nx * nx,
-                   "lanes": lanes, "seconds": seconds,
-                   "seconds_serial": seconds * 3,
-                   "runs_per_sec": lanes / seconds,
-                   "runs_per_sec_serial": lanes / (seconds * 3),
-                   "speedup": 3.0, "samples": samples,
-                   "sample_seconds": [seconds] * samples}],
-    }
-
-
 def _scaling(comm_seconds, nranks=4, bytes_per_step=21962.0):
     return {
         "bench": "commplan-scaling",
@@ -184,32 +170,6 @@ def test_previous_summary_composes():
     assert folded["documents_merged"] == direct["documents_merged"] == 2
 
 
-def test_ensemble_fold_keys_per_cell():
-    summary = bench_history.merge([
-        _ensemble(5.0, lanes=16),
-        _ensemble(4.0, lanes=16),    # faster
-        _ensemble(1.2, lanes=4),     # different cell
-    ])
-    runs = summary["benches"]["ensemble-batching"]["runs"]
-    by_lanes = {r["lanes"]: r for r in runs}
-    assert by_lanes[16]["seconds"] == 4.0
-    assert by_lanes[16]["runs_per_sec"] == 16 / 4.0
-    assert by_lanes[16]["documents"] == 2
-    assert by_lanes[16]["samples"] == 6
-    assert by_lanes[4]["seconds"] == 1.2
-
-
-def test_ensemble_summary_composes():
-    first = bench_history.merge([_ensemble(5.0)])
-    folded = bench_history.merge([first, _ensemble(4.0)])
-    direct = bench_history.merge([_ensemble(5.0), _ensemble(4.0)])
-    f = folded["benches"]["ensemble-batching"]["runs"][0]
-    d = direct["benches"]["ensemble-batching"]["runs"][0]
-    assert f["seconds"] == d["seconds"] == 4.0
-    assert f["samples"] == d["samples"] == 6
-    assert folded["documents_merged"] == direct["documents_merged"] == 2
-
-
 def test_observability_fold_keeps_best_overhead():
     summary = bench_history.merge([
         _observability(0.50, 0.52),   # 4% profiler overhead
@@ -308,8 +268,7 @@ def test_repo_artifacts_fold(tmp_path):
     root = Path(__file__).resolve().parents[2]
     docs = [json.loads((root / name).read_text())
             for name in ("BENCH_backends.json", "BENCH_scaling.json",
-                         "BENCH_ensemble.json",
                          "BENCH_observability.json")]
     summary = bench_history.merge(docs)
-    assert len(summary["benches"]) == 4
+    assert len(summary["benches"]) == 3
     assert summary["other"] == {}

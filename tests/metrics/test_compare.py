@@ -199,58 +199,3 @@ def test_cli_compare_real_run_reports(tmp_path, capsys):
     assert rc == 0
     assert "kernels." in capsys.readouterr().out
 
-
-# ----------------------------------------------------------------------
-# throughput gating (ensemble bench)
-# ----------------------------------------------------------------------
-def _ens_bench(runs_per_sec=4.0, seconds=4.0):
-    return {
-        "bench": "ensemble-batching",
-        "cases": [{"problem": "sod", "nx": 32, "lanes": 16,
-                   "seconds": seconds, "runs_per_sec": runs_per_sec,
-                   "speedup": 3.1}],
-    }
-
-
-def test_gate_throughput_gates_runs_per_sec(tmp_path):
-    """``--gate-throughput`` makes runs/sec a gated higher-is-better
-    metric; the default mode leaves the same row informational."""
-    a = _write(tmp_path, "a.json", _ens_bench(runs_per_sec=4.0))
-    b = _write(tmp_path, "b.json", _ens_bench(runs_per_sec=2.0))
-    assert compare_files(a, b).exit_code == 0
-    result = compare_files(a, b, threshold=0.25, gate_throughput=True)
-    assert result.exit_code == 1
-    assert any("runs_per_sec" in r.name for r in result.regressions)
-    # faster is an improvement, never a regression
-    result = compare_files(b, a, threshold=0.25, gate_throughput=True)
-    assert result.exit_code == 0
-    gated = [r for r in result.rows
-             if r.gated and "runs_per_sec" in r.name]
-    assert gated and all(r.status == "improved" for r in gated)
-
-
-def test_gate_throughput_noise_floor_via_sibling_seconds(tmp_path):
-    """A runs/sec swing on a case finishing under the min-seconds floor
-    in both documents is timer noise, not a regression."""
-    a = _write(tmp_path, "a.json",
-               _ens_bench(runs_per_sec=40000.0, seconds=4e-4))
-    b = _write(tmp_path, "b.json",
-               _ens_bench(runs_per_sec=20000.0, seconds=4e-4))
-    result = compare_files(a, b, threshold=0.25, gate_throughput=True,
-                           min_seconds=1e-3)
-    assert result.exit_code == 0
-    # the row is still reported, just not gated
-    assert any("runs_per_sec" in r.name and not r.gated
-               for r in result.rows)
-    # with the floor lowered the same diff gates again
-    assert compare_files(a, b, threshold=0.25, gate_throughput=True,
-                         min_seconds=1e-5).exit_code == 1
-
-
-def test_cli_gate_throughput_flag(tmp_path, capsys):
-    a = _write(tmp_path, "a.json", _ens_bench(runs_per_sec=4.0))
-    b = _write(tmp_path, "b.json", _ens_bench(runs_per_sec=2.0))
-    assert main(["compare", a, b]) == 0
-    capsys.readouterr()
-    assert main(["compare", a, b, "--gate-throughput"]) == 1
-    assert "runs_per_sec" in capsys.readouterr().out

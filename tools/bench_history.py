@@ -25,8 +25,6 @@ Merge rules (per bench kind, keyed by the rung/case identity):
   ``comm_seconds`` and the overlapped ``comm_overlap_seconds`` each
   take their minimum — and the overlap-vs-packed duel block carried
   from the latest document.
-* ``ensemble-batching``: per ``(problem, nx, lanes)`` keep the fastest
-  ensemble/serial seconds and the best runs/sec and speedup.
 * ``fleet-scheduler``: per ``(nx, jobs)`` keep the fastest cold/warm
   cache sweep and fast-path duel seconds, and the best warm-cache and
   fast-path speedups.
@@ -62,7 +60,6 @@ SUMMARY_SCHEMA_VERSION = 2
 BACKENDS = "comm-backend-comparison"
 SCALING = "commplan-scaling"
 OVERLAP = "comm-overlap-scaling"
-ENSEMBLE = "ensemble-batching"
 FLEET = "fleet-scheduler"
 OBSERVABILITY = "sweep-observability"
 
@@ -117,29 +114,6 @@ def fold_backends(summary: dict, doc: dict) -> None:
             _fold_min(slot, run, "seconds")
             _fold_min(slot, run, "seconds_per_step")
             _fold_counts(slot, run)
-    summary["runs"] = [slots[k] for k in sorted(slots)]
-
-
-def fold_ensemble(summary: dict, doc: dict) -> None:
-    """Best-of per (problem, nx, lanes) ensemble-batching cell."""
-    slots: Dict[tuple, dict] = {
-        (r["problem"], r["nx"], r["lanes"]): r
-        for r in summary.get("runs", [])
-    }
-    for case in doc.get("cases", []):
-        problem = case.get("problem", doc.get("problem"))
-        key = (problem, case["nx"], case["lanes"])
-        slot = slots.setdefault(key, {
-            "problem": problem, "nx": case["nx"],
-            "lanes": case["lanes"],
-        })
-        slot.setdefault("ncell", case.get("ncell"))
-        _fold_min(slot, case, "seconds")
-        _fold_min(slot, case, "seconds_serial")
-        _fold_max(slot, case, "runs_per_sec")
-        _fold_max(slot, case, "runs_per_sec_serial")
-        _fold_max(slot, case, "speedup")
-        _fold_counts(slot, case)
     summary["runs"] = [slots[k] for k in sorted(slots)]
 
 
@@ -292,7 +266,6 @@ def merge(documents: List[dict]) -> dict:
                 fold = {BACKENDS: fold_backends,
                         SCALING: fold_scaling,
                         OVERLAP: fold_overlap,
-                        ENSEMBLE: fold_ensemble,
                         FLEET: fold_fleet,
                         OBSERVABILITY: fold_observability}.get(name)
                 if fold is None:
@@ -312,8 +285,6 @@ def merge(documents: List[dict]) -> dict:
                         "overlap_vs_packed": section.get("overlap_vs_packed"),
                         "mailbox": section.get("mailbox"),
                     })
-                elif name == ENSEMBLE:
-                    fold(target, {"cases": section.get("runs", [])})
                 elif name == FLEET:
                     fold(target, {"runs": section.get("runs", [])})
                 elif name == OBSERVABILITY:
@@ -338,8 +309,6 @@ def merge(documents: List[dict]) -> dict:
             fold_scaling(summary["benches"].setdefault(name, {}), doc)
         elif name == OVERLAP:
             fold_overlap(summary["benches"].setdefault(name, {}), doc)
-        elif name == ENSEMBLE:
-            fold_ensemble(summary["benches"].setdefault(name, {}), doc)
         elif name == FLEET:
             fold_fleet(summary["benches"].setdefault(name, {}), doc)
         elif name == OBSERVABILITY:

@@ -15,13 +15,21 @@ it), plus Sod, Noh and Kidder through ``submit``: uninterrupted,
 replayed from the result cache, and SIGKILLed at step 10 then resumed
 from the step-10 checkpoint — three rows that must agree with each
 other (the script exits 1 if they do not) as well as with the other
-revision.  A digest covers x y u v rho e p q,
+revision — and four Sod/Noh jobs of different lengths drained through a
+two-lane batch, Lagrangian and ``ale_on``, each job required equal to
+its solo run (lanes retire, the survivors are carried into the rebuilt
+batch).  A digest covers x y u v rho e p q,
 the final time, the step count and the dt taken at every step; a row
 that cannot run digests its error text instead.
 
-``--against REV`` exports that revision (``git archive``) to a
-temporary directory, runs this very script on *its* ``src/`` and diffs
-the two listings: exit 0 when every row is identical, 1 otherwise.
+``--against REV`` exports that revision's ``src/`` and its own copy of
+this script (``git archive``) to a temporary directory, runs the one on
+the other and diffs the two listings (each revision's script knows how
+to drive its own lanes): exit 0 when every row REV prints is identical
+here, 1 when one differs or is gone.  Rows REV does not have yet are
+listed as new — they are checked against their reference rows by the
+run itself, which exits 1 if a replayed, resumed or refilled job
+disagrees with its uninterrupted run.
 That is the acceptance check for any change that claims to move no bit
 (a kernel edit, a comm refactor, a merge of two code paths) — the
 digests depend on the numpy build, so no golden file is committed;
@@ -60,27 +68,28 @@ def result_digest(result) -> str:
                   [row["dt"] for row in result.step_rows])
 
 
+def record_dts(hydro) -> list:
+    """The dt series of ``hydro`` — a solo driver or an ensemble lane,
+    the same observer on either; fills as it steps."""
+    dts = []
+    hydro.observers.append(lambda h: dts.append(h.dt))
+    return dts
+
+
 def lane_digests(setups) -> list:
     """One digest per lane of ``setups`` stepped as one ensemble."""
     from repro.ensemble.driver import EnsembleHydro
 
     batch = EnsembleHydro(setups, max_steps=[STEPS] * len(setups))
-    batch.begin()
-    dts = [[] for _ in setups]
-    while True:
-        batch.advance()             # retire the finished, step the rest
-        if not batch.order:
-            break
-        for lane in batch.order:
-            dts[lane].append(batch.dts[lane])
-    return [digest(batch.final_states[lane], batch.times[lane],
-                   batch.nsteps[lane], dts[lane])
-            for lane in range(len(setups))]
+    dts = [record_dts(lane) for lane in batch.lanes]
+    batch.run()
+    return [digest(lane.state, lane.time, lane.nstep, lane_dts)
+            for lane, lane_dts in zip(batch.lanes, dts)]
 
 
-def row(label, fn):
+def row(label, fn, each="lane"):
     """Print one line; ``fn`` returns a digest or a list of them (one
-    per lane).  Returns what was printed for ``label``."""
+    per ``each``).  Returns what was printed for ``label``."""
     try:
         out = fn()
     except Exception as exc:        # a refusal is a row too
@@ -90,7 +99,7 @@ def row(label, fn):
         print(f"{out}  {label}", flush=True)
     else:
         for lane, value in enumerate(out):
-            print(f"{value}  {label} lane {lane}", flush=True)
+            print(f"{value}  {label} {each} {lane}", flush=True)
     return out
 
 
@@ -139,17 +148,19 @@ def spectral_rows():
             lambda: result_digest(run(config)))
 
 
+def fleet_digest(result) -> str:
+    """The dt series comes from the diagnostics rows (cadence 1): they
+    ride the cache entry, the checkpoint and a carried lane's probe, so
+    a resumed or refilled job carries the steps it ran elsewhere."""
+    return digest(result.state, result.time, result.nstep,
+                  [rec["dt"] for rec in result.metrics_rows])
+
+
 def fleet_rows() -> int:
     """Cache replay and kill -> resume, the two execution paths that
-    only exist behind ``submit``.  The dt series comes from the
-    diagnostics rows (cadence 1): they ride the cache entry and the
-    checkpoint, so a resumed job carries the steps it did not re-run.
-    Returns how many rows disagree with their uninterrupted run."""
+    only exist behind ``submit``.  Returns how many rows disagree with
+    their uninterrupted run."""
     from repro.api import RunConfig, run, submit
-
-    def fleet_digest(result):
-        return digest(result.state, result.time, result.nstep,
-                      [rec["dt"] for rec in result.metrics_rows])
 
     def one(config, **options):
         (result,) = submit([config], ensemble="off", **options).results()
@@ -180,6 +191,41 @@ def fleet_rows() -> int:
             if row(f"{problem} fleet {label}", fn) != straight:
                 print(f"MISMATCH  {problem} fleet {label} differs from "
                       "the uninterrupted run", file=sys.stderr)
+                wrong += 1
+    return wrong
+
+
+def refill_rows() -> int:
+    """Four jobs of different lengths through a two-lane batch: lanes
+    retire, the survivor is carried (with its probe and, under
+    ``ale_on``, its remapper) into a rebuilt batch beside a fresh lane.
+    Returns how many jobs disagree with their solo run."""
+    from repro.api import RunConfig, run, submit
+
+    wrong = 0
+    for problem in ("sod", "noh"):
+        for ale in (False, True):
+            configs = [RunConfig(
+                problem=problem, nx=SIZE, ny=SIZE, max_steps=steps,
+                metrics_every=1,
+                problem_kwargs={"ale_on": True} if ale else {})
+                for steps in (8, 20, 12, 16)]
+
+            def refilled():
+                handle = submit(configs, ensemble="require", batch_width=2)
+                results = handle.results()
+                assert any(e["event"] == "lane_refill"
+                           for e in handle.schedule_log)
+                return [fleet_digest(r) for r in results]
+
+            tag = f"{problem}{' ale' if ale else ''} fleet"
+            solo = row(f"{tag} x 4 jobs solo",
+                       lambda: [fleet_digest(run(c)) for c in configs],
+                       each="job")
+            if row(f"{tag} batch_width=2 x 4 jobs -> refill",
+                   refilled, each="job") != solo:
+                print(f"MISMATCH  {tag} refill differs from the solo runs",
+                      file=sys.stderr)
                 wrong += 1
     return wrong
 
@@ -223,7 +269,9 @@ def offgrid_rows():
     def solo(kind):
         setup = offgrid_setup(kind)
         hydro = Hydro(setup.state, setup.table, setup.controls)
-        dts = [hydro.step() for _ in range(STEPS)]
+        dts = record_dts(hydro)
+        for _ in range(STEPS):
+            hydro.step()
         return digest(hydro.state, hydro.time, hydro.nstep, dts)
 
     for kind in ("permuted", "pinwheel"):
@@ -232,12 +280,13 @@ def offgrid_rows():
             [offgrid_setup(kind), offgrid_setup(kind)]))
 
 
-def listing_of(src: str) -> list:
-    """This script's output when run against the package in ``src``."""
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, os.path.abspath(__file__)],
-                         env=env, check=True, stdout=subprocess.PIPE,
-                         text=True).stdout
+def listing_of(root: str) -> list:
+    """The output of the checkout in ``root``: its copy of this script
+    run against its ``src``."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    out = subprocess.run(
+        [sys.executable, os.path.join(root, "tools", "digests.py")],
+        env=env, check=True, stdout=subprocess.PIPE, text=True).stdout
     return out.splitlines()
 
 
@@ -250,31 +299,34 @@ def main(argv=None) -> int:
         problem_rows()
         offgrid_rows()
         spectral_rows()
-        return 1 if fleet_rows() else 0
+        return 1 if fleet_rows() + refill_rows() else 0
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    mine = listing_of(os.path.join(root, "src"))
+    mine = listing_of(root)
     with tempfile.TemporaryDirectory(prefix="digests-") as tmp:
-        archive = subprocess.run(["git", "-C", root, "archive", args.against,
-                                  "src"], check=True, stdout=subprocess.PIPE)
+        archive = subprocess.run(
+            ["git", "-C", root, "archive", args.against, "src",
+             "tools/digests.py"], check=True, stdout=subprocess.PIPE)
         subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout,
                        check=True)
-        theirs = listing_of(os.path.join(tmp, "src"))
+        theirs = listing_of(tmp)
     label = lambda line: line.split("  ", 1)[1]     # noqa: E731
     ours = {label(line): line for line in mine}
     other = {label(line): line for line in theirs}
     changed = [name for name in ours
                if name in other and ours[name] != other[name]]
-    only = sorted(set(ours) ^ set(other))
+    new = sorted(set(ours) - set(other))
+    gone = sorted(set(other) - set(ours))
     for name in changed:
         print(f"DIFFERS  {name}\n  here  {ours[name].split()[0]}"
               f"\n  {args.against}  {other[name].split()[0]}")
-    for name in only:
-        print(f"ONLY {'here' if name in ours else 'in ' + args.against}"
-              f"  {name}")
-    same = len(ours) - len(changed) - sum(name in ours for name in only)
-    print(f"{same} of {len(ours)} rows identical to {args.against}")
-    return 1 if changed or only else 0
+    for name in gone:
+        print(f"ONLY in {args.against}  {name}")
+    for name in new:
+        print(f"NEW here  {name}")
+    print(f"{len(ours) - len(changed) - len(new)} of {len(other)} rows of "
+          f"{args.against} identical here")
+    return 1 if changed or gone else 0
 
 
 if __name__ == "__main__":
