@@ -344,8 +344,8 @@ def _execute_run(config: RunConfig, *,
         snapshot_dir=config.snapshot_dir,
         comm_plan=config.comm_plan,
         artifacts=artifacts,
+        collect_step_series=config.collect_steps,
     )
-    driver.collect_step_series = config.collect_steps
     if observers:
         if not driver.hydros:
             raise BookLeafError(
@@ -388,7 +388,7 @@ def _execute_run(config: RunConfig, *,
         write_collapsed(profiler.folded(), config.profile)
     distributed = config.nranks > 1
     merged_timers = driver.merged_timers()
-    metrics = driver.result.metrics if driver.result else None
+    metrics = driver.result.metrics
     if metrics is not None:
         # One registry holds everything: the probe's physics gauges
         # plus the merged kernel timers and per-rank comm counters.
@@ -408,9 +408,9 @@ def _execute_run(config: RunConfig, *,
         spans=driver.merged_spans(),
         comm_total=driver.comm_totals() if distributed else None,
         comm_per_rank=driver.per_rank_comm(),
-        step_rows=driver.result.step_rows if driver.result else None,
+        step_rows=driver.result.step_rows,
         comm_summary=driver.comm_summary() if distributed else None,
-        metrics_rows=driver.result.metrics_rows if driver.result else None,
+        metrics_rows=driver.result.metrics_rows,
         metrics=metrics,
         driver=driver,
     )

@@ -454,6 +454,9 @@ def _run(args: argparse.Namespace) -> int:
         print("nothing to run: give a deck path or --problem",
               file=sys.stderr)
         return 2
+    if args.watchdog_timeout is not None and args.watchdog_timeout <= 0:
+        print("watchdog_timeout must be > 0 seconds", file=sys.stderr)
+        return 2
     config = _run_config(args)
     if config is None:
         return 2

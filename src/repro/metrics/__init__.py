@@ -16,9 +16,9 @@ while the run executes.
 * :class:`~repro.metrics.registry.MetricsRegistry` — labelled
   counter/gauge/histogram primitives with an NDJSON append stream and
   a Prometheus text-exposition snapshot writer.
-* :mod:`~repro.metrics.watchdog` — rank heartbeats and the stall
-  monitor used by the ``threads``/``processes`` backends
-  (:class:`~repro.utils.errors.StalledRankWarning`).
+* :mod:`~repro.metrics.watchdog` — the rank heartbeat board the
+  ``threads``/``processes`` launchers and the fleet pool poll from
+  their wait loops (:class:`~repro.utils.errors.StalledRankWarning`).
 * :mod:`~repro.metrics.compare` — the ``repro compare`` CLI: diff two
   run reports or two ``BENCH_*.json`` files with a regression
   threshold, for CI gating.
@@ -29,7 +29,7 @@ while the run executes.
 Everything here is opt-in: with no probe attached the step loop pays
 one ``is None`` check per step and stays bit-identical.  The names
 below resolve on first use (:mod:`repro.utils.lazy`): a probed serial
-run loads the probe and the registry, not the rank watchdog.
+run loads the probe and the registry, not the heartbeat board.
 """
 
 from ..utils.lazy import lazy_exports
@@ -40,7 +40,6 @@ _EXPORTS = {
     "MetricsRegistry": ".registry",
     "HeartbeatBoard": ".watchdog",
     "Heartbeat": ".watchdog",
-    "Watchdog": ".watchdog",
     "dump_snapshot": ".health",
     "detect_anomalies": ".anomaly",
     "robust_zscores": ".anomaly",

@@ -1,21 +1,23 @@
-"""Rank heartbeats and the stall watchdog.
+"""Rank heartbeats: the board every stall watchdog asks.
 
 A decomposed run is lockstep: every rank must reach every barrier and
 collective.  When one rank stops making progress — wedged in a kernel,
 killed by the OOM killer, SIGKILLed — its peers hang *silently* at the
-next dt reduction, and the run looks alive forever.  The watchdog
-turns that silence into a diagnosis:
+next dt reduction, and the run looks alive forever.  Heartbeats turn
+that silence into a diagnosis:
 
 * every rank publishes ``(step, wallclock)`` heartbeats into a shared
   :class:`HeartbeatBoard` — a plain (nranks, 2) float64 array for the
   ``threads`` backend, a ``shared_memory``-backed view of the same
-  layout for ``processes``;
-* a monitor (the :class:`Watchdog` thread for ``threads``; the parent
-  process's existing poll loop for ``processes``) flags any rank whose
-  heartbeat age exceeds the configured timeout, aborts the run
-  (releasing the peers stuck in barriers) and surfaces a
-  :class:`~repro.utils.errors.StalledRankWarning` carrying every
-  rank's last-seen step.
+  layout for ``processes`` and for the fleet's pool workers;
+* nothing here watches it: whoever launched the ranks already sits in
+  a wait loop (the threads backend's join loop, the processes
+  backend's parent, the fleet pool's dispatcher) and asks
+  :meth:`HeartbeatBoard.stalled` from there.  A rank silent for longer
+  than the configured timeout gets the run aborted (releasing the
+  peers stuck in barriers) and a
+  :class:`~repro.utils.errors.StalledRankWarning` worded by
+  :func:`stall_message`, carrying every rank's last-seen step.
 
 Heartbeats are two float stores per step — always on for decomposed
 runs; only the monitoring (and hence the timeout policy) is opt-in via
@@ -25,8 +27,7 @@ runs; only the monitoring (and hence the timeout policy) is opt-in via
 from __future__ import annotations
 
 import time
-from threading import Event, Thread
-from typing import Callable, Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -111,41 +112,3 @@ def stall_message(stalled: Dict[int, dict],
     steps = [int(s) for s in board.array[:, 0]]
     return (f"watchdog: no heartbeat within {timeout:.1f}s from {who}; "
             f"per-rank last-seen steps: {steps}")
-
-
-class Watchdog(Thread):
-    """Monitor thread flagging ranks that stop beating.
-
-    On the first stall it records the verdict (``self.stalled``), calls
-    ``on_stall(stalled)`` — the threads backend passes ``ctx.abort`` so
-    peers blocked in barriers are released — and exits.  The driver
-    reads ``self.stalled`` after joining the workers and issues the
-    :class:`~repro.utils.errors.StalledRankWarning` from the main
-    thread (warnings from daemon threads are invisible to
-    ``pytest.warns`` and most filters).
-    """
-
-    def __init__(self, board: HeartbeatBoard, timeout: float,
-                 on_stall: Optional[Callable[[Dict[int, dict]], None]] = None,
-                 poll: Optional[float] = None):
-        super().__init__(name="rank-watchdog", daemon=True)
-        self.board = board
-        self.timeout = float(timeout)
-        self.on_stall = on_stall
-        self.poll = poll if poll is not None else min(self.timeout / 4, 0.05)
-        self.stalled: Optional[Dict[int, dict]] = None
-        # NB: not ``_stop`` — that would shadow threading.Thread._stop,
-        # which Thread.join() calls internally.
-        self._halt = Event()
-
-    def run(self) -> None:
-        while not self._halt.wait(self.poll):
-            stalled = self.board.stalled(self.timeout)
-            if stalled:
-                self.stalled = stalled
-                if self.on_stall is not None:
-                    self.on_stall(stalled)
-                return
-
-    def stop(self) -> None:
-        self._halt.set()

@@ -18,12 +18,15 @@ only the transport underneath (:class:`SharedMemoryTransport`):
   rendezvous) gather over per-rank ``Pipe`` pairs rooted at rank 0, in
   ascending rank order.
 
-Per-rank :class:`~repro.parallel.typhon.CommStats`, kernel timers,
-trace spans and final states are marshalled back over a result queue
-when the ranks finish and merged with the existing deterministic
-rank-order rules, so ``gather`` is backend-agnostic.
+Each child has the driver it inherited build its rank
+(``driver.build_rank``) and ships that rank's ``driver.report(...)`` —
+counters, kernel timers, trace spans, the final state as arrays — back
+over a result queue; the parent's wait loop watches exit codes and the
+heartbeat board, hands what it saw to the driver's one verdict
+(:func:`~repro.parallel.distributed.judge_ranks`) and returns the
+reports, so everything downstream is backend-agnostic.
 
-Requires the ``fork`` start method (the run context — problem setup,
+Requires the ``fork`` start method (the driver — problem setup,
 subdomains, schedules — is inherited, never pickled), i.e. Linux or
 macOS-with-fork.  See docs/PARALLEL.md for the transport table.
 """
@@ -35,23 +38,16 @@ import multiprocessing as mp
 import os
 import time
 import traceback
-import warnings
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ...core.hydro import Hydro
-from ...metrics.watchdog import (
-    BOARD_COLS, Heartbeat, HeartbeatBoard, stall_message,
-)
-from ...utils.errors import BookLeafError, CommError, StalledRankWarning
-from ...utils.timers import TimerRegistry
+from ...metrics.watchdog import BOARD_COLS, HeartbeatBoard
+from ...utils.errors import BookLeafError, CommError
 from ..commplan import CommPlan
-from ..halo import Subdomain, local_state
-from ..interface import BackendRun
-from ..typhon import PEER_FAILED, SPIN_TIMEOUT, Transport, TyphonComms
-from .threads import pick_primary_failure, raise_rank_failure
+from ..distributed import judge_ranks
+from ..typhon import PEER_FAILED, SPIN_TIMEOUT, Transport
 
 _FLOAT_BYTES = 8
 
@@ -201,37 +197,26 @@ class SharedMemoryTransport(Transport):
 
 
 class _ProcessRunContext:
-    """Everything the rank processes share, created pre-fork.
-
-    Fork semantics are load-bearing: children inherit this object (the
-    setup, subdomains and schedules are never pickled); only the
-    transport, the queues and the heartbeat board are truly shared.
-    """
+    """What the parent and the rank processes share beyond the driver
+    itself, created pre-fork: the transport, the two queues and the
+    heartbeat board.  Everything else a rank needs it reads off the
+    driver it inherited."""
 
     def __init__(self, driver, max_steps: Optional[int]):
         ctx = mp.get_context("fork")
-        self.setup = driver.setup
-        self.subdomains: List[Subdomain] = driver.subdomains
-        self.size = driver.nranks
         self.max_steps = max_steps
-        self.trace = driver.trace
-        self.collect_steps = driver.collect_step_series
-        self.build_probe = driver.build_probe
-        self.watchdog_timeout = driver.watchdog_timeout
         self.epoch_ns = time.perf_counter_ns()
-        #: schedule every rank endpoint runs ("packed"/"overlap")
-        self.comm_mode: str = driver.comm_plan
         self.transport = SharedMemoryTransport(driver.compiled_plans())
         #: SimpleQueue: the put is synchronous, so a failing child can
         #: os._exit right after reporting without losing the record
         self.errors = ctx.SimpleQueue()
         self.results: mp.Queue = ctx.Queue()
         # Heartbeat board: one more shared board the ranks beat into and
-        # the parent's stall monitor polls (CLOCK_MONOTONIC is
-        # system-wide, so the stamps compare across processes).
-        # Launch-stamped pre-fork.
+        # the parent's wait loop polls (CLOCK_MONOTONIC is system-wide,
+        # so the stamps compare across processes).  Launch-stamped
+        # pre-fork.
         self.heartbeat = HeartbeatBoard(
-            self.transport.board("heartbeat", (self.size, BOARD_COLS)))
+            self.transport.board("heartbeat", (driver.nranks, BOARD_COLS)))
         self.heartbeat.launch()
 
     def cleanup(self) -> None:
@@ -239,50 +224,18 @@ class _ProcessRunContext:
         self.transport.cleanup()
 
 
-def _rank_main(rc: _ProcessRunContext, rank: int) -> None:
+def _rank_main(driver, rc: _ProcessRunContext, rank: int) -> None:
     """Entry point of one rank process (runs in the forked child)."""
     try:
         transport = rc.transport
         transport.close_pipes(keep_rank=rank)
-        sub = rc.subdomains[rank]
-        state = local_state(sub, rc.setup.state)
-        tracer = None
-        if rc.trace:
-            from ...telemetry.spans import Tracer
-
-            tracer = Tracer(rank=rank, epoch_ns=rc.epoch_ns)
-        comms = TyphonComms(transport, sub, tracer=tracer,
-                            mode=rc.comm_mode)
-        timers = TimerRegistry()
-        timers.tracer = tracer
-        probe = rc.build_probe(rank, cell_global=sub.cell_global)
-        hydro = Hydro(state, rc.setup.table, rc.setup.controls,
-                      timers=timers, comms=comms, probe=probe)
-        hydro.observers.append(Heartbeat(rc.heartbeat, rank))
-        series = None
-        if rank == 0 and rc.collect_steps:
-            from ...telemetry.report import StepSeries
-
-            series = StepSeries()
-            hydro.observers.append(series)
+        hydro = driver.build_rank(rank, transport, epoch_ns=rc.epoch_ns,
+                                  board=rc.heartbeat)
         hydro.run(max_steps=rc.max_steps)
         # Collective end-of-run point: every rank is past its last
         # staging read before anyone tears its mailbox views down.
         transport.allgather(rank, None)
-        # Halo-sized mailboxes cannot carry the final state; ship it
-        # over the result queue (one pickle at end of run).
-        timers.tracer = None  # tracer spans travel separately
-        rc.results.put((rank, {
-            "nstep": hydro.nstep,
-            "time": hydro.time,
-            "timers": timers,
-            "spans": tracer.spans if tracer is not None else [],
-            "comm": comms.stats.as_dict(),
-            "state": hydro.state.arrays(),
-            "step_rows": series.rows if series is not None else None,
-            "metrics_rows": probe.rows if probe is not None else None,
-            "metrics": probe.registry if probe is not None else None,
-        }))
+        rc.results.put(driver.report(hydro).marshalled())
         # Release the shared-segment views before interpreter teardown:
         # an mmap cannot close while a numpy export is alive.
         transport.drop_segment_views()
@@ -296,7 +249,7 @@ def _rank_main(rc: _ProcessRunContext, rank: int) -> None:
 
 
 class ProcessesBackend:
-    """Launch one forked process per rank; marshal everything back."""
+    """Launch one forked process per rank; marshal the reports back."""
 
     name = "processes"
 
@@ -307,22 +260,22 @@ class ProcessesBackend:
                 "the processes backend needs the 'fork' start method "
                 "(Linux/macOS); use backend='threads' here"
             )
-        # Rank objects live in the children; the driver keeps only the
-        # decomposition (and, after run, the marshalled BackendRun).
 
     # ------------------------------------------------------------------
-    def execute(self, driver, max_steps: Optional[int] = None) -> BackendRun:
+    def execute(self, driver, max_steps: Optional[int] = None) -> list:
         rc = _ProcessRunContext(driver, max_steps)
         try:
             return self._execute(driver, rc)
         finally:
             rc.cleanup()
 
-    def _execute(self, driver, rc: _ProcessRunContext) -> BackendRun:
+    def _execute(self, driver, rc: _ProcessRunContext) -> list:
         ctx = mp.get_context("fork")
+        size = driver.nranks
         procs = [
-            ctx.Process(target=_rank_main, args=(rc, r), name=f"rank{r}")
-            for r in range(rc.size)
+            ctx.Process(target=_rank_main, args=(driver, rc, r),
+                        name=f"rank{r}")
+            for r in range(size)
         ]
         for p in procs:
             p.start()
@@ -330,22 +283,24 @@ class ProcessesBackend:
         # fd accounting stays tight (children hold their own copies).
         rc.transport.close_pipes()
 
-        results: Dict[int, dict] = {}
-        error_records: List[Tuple[int, str, str, str]] = []
+        results: Dict[int, object] = {}
+        failures: List[Tuple[int, BaseException]] = []
         dead: Dict[int, int] = {}
         board = rc.heartbeat
-        timeout = rc.watchdog_timeout
+        timeout = driver.watchdog_timeout
         stalled: Dict[int, dict] = {}
 
         def drain() -> None:
             while True:
                 try:
-                    rank, payload = rc.results.get_nowait()
+                    report = rc.results.get_nowait()
                 except Exception:
                     break
-                results[rank] = payload
+                results[report.rank] = report
             while not rc.errors.empty():
-                error_records.append(rc.errors.get())
+                rank, etype, emsg, tb = rc.errors.get()
+                failures.append((rank, CommError(emsg) if etype == "CommError"
+                                 else RemoteRankError(f"[{etype}] {emsg}", tb)))
 
         while True:
             drain()
@@ -365,13 +320,13 @@ class ProcessesBackend:
                         stalled[r] = seen
                 if stalled:
                     rc.transport.abort()  # diagnose the hang, don't share it
-            if len(results) == rc.size:
+            if len(results) == size:
                 break
             if all(not p.is_alive() for p in procs):
                 break
             if stalled and all(
                 not procs[r].is_alive()
-                for r in range(rc.size) if r not in stalled
+                for r in range(size) if r not in stalled
             ):
                 break  # only wedged ranks left; terminate them below
             time.sleep(0.01)
@@ -382,18 +337,6 @@ class ProcessesBackend:
                 p.join(timeout=5.0)
         drain()
 
-        if stalled:
-            message = stall_message(stalled, board, timeout)
-            warnings.warn(message, StalledRankWarning)
-
-        failures: List[Tuple[int, BaseException]] = []
-        for rank, etype, emsg, tb in error_records:
-            if etype == "CommError":
-                failures.append((rank, CommError(emsg)))
-            else:
-                failures.append(
-                    (rank, RemoteRankError(f"[{etype}] {emsg}", tb))
-                )
         reported = {rank for rank, _ in failures}
         for rank, exitcode in sorted(dead.items()):
             if rank not in reported and rank not in results:
@@ -401,42 +344,10 @@ class ProcessesBackend:
                     f"rank process terminated abnormally "
                     f"(exitcode {exitcode})"
                 )))
-        if stalled and all(isinstance(exc, CommError) for _, exc in failures):
-            # The wedge itself never raised (that is what a wedge is);
-            # the peers only carry the secondary abort cascade — the
-            # watchdog verdict is the primary failure.
-            raise BookLeafError(f"run aborted: {message}")
-        if failures:
-            rank, exc = pick_primary_failure(failures)
-            raise_rank_failure(rank, exc)
-        if len(results) != rc.size:
-            missing = sorted(set(range(rc.size)) - set(results))
+        judge_ranks(failures, stalled, board, timeout)
+        if len(results) != size:
+            missing = sorted(set(range(size)) - set(results))
             raise BookLeafError(
                 f"ranks {missing} exited without reporting results"
             )
-
-        steps = {results[r]["nstep"] for r in range(rc.size)}
-        times = {round(results[r]["time"], 14) for r in range(rc.size)}
-        if len(steps) != 1 or len(times) != 1:
-            raise BookLeafError(
-                f"ranks desynchronised: steps={steps} times={times}"
-            )
-        # a pickle round-trip of float64 arrays is exact
-        states = [
-            local_state(rc.subdomains[r], rc.setup.state)
-            .overlay(results[r]["state"])
-            for r in range(rc.size)
-        ]
-        return BackendRun(
-            backend=self.name,
-            nranks=rc.size,
-            nstep=results[0]["nstep"],
-            time=results[0]["time"],
-            states=states,
-            timers=[results[r]["timers"] for r in range(rc.size)],
-            spans=[results[r]["spans"] for r in range(rc.size)],
-            comm_per_rank=[results[r]["comm"] for r in range(rc.size)],
-            step_rows=results[0]["step_rows"],
-            metrics_rows=results[0].get("metrics_rows"),
-            metrics=results[0].get("metrics"),
-        )
+        return list(results.values())

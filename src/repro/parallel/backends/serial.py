@@ -2,20 +2,18 @@
 
 Exists so the :mod:`repro.api` façade drives serial, thread-parallel
 and process-parallel runs through one code path: a serial run is a
-"decomposed" run with one rank whose communication endpoint is the
-do-nothing :class:`~repro.core.comms.NullComms`.  No partitioning, no
-halos, no barriers — the hydro loop is byte-for-byte the serial one.
+"decomposed" run with one rank that the driver builds without a
+transport (``driver.build_rank(0)`` — the global state, the do-nothing
+:class:`~repro.core.comms.NullComms`).  No partitioning, no halos, no
+barriers — the hydro loop is byte-for-byte the serial one, and this
+backend's whole contribution is to run it inline.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ...core.comms import NullComms
-from ...core.hydro import Hydro
 from ...utils.errors import BookLeafError
-from ...utils.timers import TimerRegistry
-from ..interface import BackendRun
 
 
 class SerialBackend:
@@ -29,51 +27,9 @@ class SerialBackend:
                 f"the serial backend runs exactly 1 rank, not "
                 f"{driver.nranks}; pick backend='threads' or 'processes'"
             )
-        setup = driver.setup
-        if driver.trace:
-            from ...telemetry.spans import Tracer
+        driver.hydros.append(driver.build_rank(0))
 
-            driver.tracers = [Tracer(rank=0)]
-        timers = TimerRegistry(
-            trace_allocations=getattr(driver, "trace_allocations", False)
-        )
-        timers.tracer = driver.tracers[0] if driver.tracers else None
-        logger = None
-        if getattr(driver, "log_every", 0):
-            from ...utils.log import StepLogger
-
-            logger = StepLogger(every=driver.log_every)
-        driver.hydros.append(Hydro(
-            setup.state, setup.table, setup.controls,
-            timers=timers, logger=logger, comms=NullComms(),
-            probe=driver.build_probe(0),
-        ))
-
-    def execute(self, driver, max_steps: Optional[int] = None) -> BackendRun:
+    def execute(self, driver, max_steps: Optional[int] = None) -> list:
         hydro = driver.hydros[0]
-        step_series = None
-        if driver.collect_step_series:
-            from ...telemetry.report import StepSeries
-
-            step_series = StepSeries()
-            hydro.observers.append(step_series)
-        try:
-            hydro.run(max_steps=max_steps)
-        except BaseException:
-            if hydro.probe is not None:
-                hydro.probe.close()  # the failure path skips finish()
-            raise
-        probe = hydro.probe
-        return BackendRun(
-            backend=self.name,
-            nranks=1,
-            nstep=hydro.nstep,
-            time=hydro.time,
-            states=[hydro.state],
-            timers=[hydro.timers],
-            spans=[driver.tracers[0].spans] if driver.tracers else [[]],
-            comm_per_rank=[],
-            step_rows=step_series.rows if step_series else None,
-            metrics_rows=probe.rows if probe is not None else None,
-            metrics=probe.registry if probe is not None else None,
-        )
+        hydro.run(max_steps=max_steps)
+        return [driver.report(hydro)]

@@ -8,15 +8,22 @@ to each rank, and march every rank's *unchanged*
 :class:`~repro.parallel.interface.CommEndpoint` plugged into the
 communication seam.
 
-*Where* the ranks execute is the backend's business
-(:mod:`repro.parallel.backends`): ``threads`` runs them as threads of
-this process, ``processes`` runs each rank in its own forked process
-over shared memory — the same Typhon protocol over two transports.
-Either way the result is numerically equivalent to the serial run
-(identical up to floating-point summation order — verified by the
-integration tests) and the two distributed backends are bit-identical to each
-other, with per-rank kernel timers, trace spans and communication
-statistics merged back under the same deterministic rank-order rules.
+This module is the one *rank program*: what a rank is
+(:meth:`DistributedHydro.build_rank`), what a finished rank hands back
+(:class:`RankReport`), how the reports become the run's
+:class:`~repro.parallel.interface.BackendRun`
+(:meth:`DistributedHydro.assemble`, desynchronisation check included)
+and how a launch that lost ranks is judged (:func:`judge_ranks`).
+*Where* the ranks execute is all a backend says
+(:mod:`repro.parallel.backends`): ``serial`` runs the one rank inline,
+``threads`` runs them as threads of this process, ``processes`` forks
+one process per rank over shared memory — the same Typhon protocol
+over two transports.  Either way the result is numerically equivalent
+to the serial run (identical up to floating-point summation order —
+verified by the integration tests) and the two distributed backends
+are bit-identical to each other, with per-rank kernel timers, trace
+spans and communication statistics merged back under the same
+deterministic rank-order rules.
 
 The supported embedding surface is :func:`repro.api.run`; this class
 is the engine underneath it.
@@ -24,22 +31,94 @@ is the engine underneath it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import warnings
+from dataclasses import dataclass, replace
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.comms import NullComms
+from ..core.hydro import Hydro
 from ..core.state import HydroState
 from ..problems.base import ProblemSetup
-from ..utils.errors import BookLeafError, DeprecatedOptionError
+from ..utils.errors import (
+    BookLeafError, CommError, DeprecatedOptionError, StalledRankWarning,
+)
 from ..utils.timers import TimerRegistry
 from .backends import get_backend
-from .halo import Subdomain, build_subdomains
+from .halo import Subdomain, build_subdomains, local_state
 from .interface import BackendRun
 from .partition.interface import partition
 
 #: counters every per-rank comm entry carries
 _COMM_FIELDS = ("messages", "bytes", "halo_exchanges", "reductions",
                 "dt_reductions", "dt_hops")
+
+
+@dataclass
+class RankReport:
+    """What a finished rank hands back, whichever backend ran it."""
+
+    rank: int
+    nstep: int
+    time: float
+    #: the rank's final local state — live in-process; its
+    #: ``arrays()`` dict while crossing a process boundary
+    state: Any
+    timers: TimerRegistry
+    #: the rank's trace spans (empty when tracing was off)
+    spans: list
+    #: the rank's CommStats counters (``None`` on the one serial rank)
+    comm: Optional[dict]
+    #: rank 0's step series / diagnostics samples / metrics registry
+    step_rows: Optional[List[dict]] = None
+    metrics_rows: Optional[List[dict]] = None
+    metrics: Optional[Any] = None
+
+    def marshalled(self) -> "RankReport":
+        """The form that crosses a process boundary: the halo-sized
+        mailboxes cannot carry the final state, so it travels as its
+        arrays (one pickle at end of run; a round-trip of float64
+        arrays is exact), and the timers drop their tracer — the spans
+        travel in ``spans``."""
+        self.timers.tracer = None
+        return replace(self, state=self.state.arrays())
+
+
+def judge_ranks(failures: List[Tuple[int, BaseException]],
+                stalled: Dict[int, dict], board, timeout) -> None:
+    """The verdict on a launch, called by every concurrent launcher
+    once its wait loop ends: returns if every rank finished cleanly.
+
+    ``failures`` are the ``(rank, exc)`` pairs the ranks reported,
+    ``stalled`` what the launcher's poll of the heartbeat ``board``
+    flagged.  A stall is warned about from the calling (main) thread —
+    warnings from rank threads are invisible to ``pytest.warns`` and
+    user filters.  A wedge never raises (that is what a wedge is) and
+    its peers only carry the :class:`~repro.utils.errors.CommError`
+    cascade of the abort, so then the stall is the primary failure;
+    otherwise a real error beats the cascade it caused, lowest rank
+    first.
+    """
+    if stalled:
+        from ..metrics.watchdog import stall_message
+
+        message = stall_message(stalled, board, timeout)
+        warnings.warn(message, StalledRankWarning)
+        if all(isinstance(exc, CommError) for _, exc in failures):
+            raise BookLeafError(f"run aborted: {message}")
+    if not failures:
+        return
+    rank, exc = min(failures,
+                    key=lambda f: (isinstance(f[1], CommError), f[0]))
+    if isinstance(exc, BookLeafError):
+        message = f"rank {rank} failed: {exc}"
+    else:
+        # Non-BookLeaf errors keep their type visible in the message —
+        # the wrapper must not launder a TypeError into a hydro error.
+        message = f"rank {rank} failed: [{type(exc).__name__}] {exc}"
+    # ``from exc`` chains the original (or remote) traceback
+    raise BookLeafError(message) from exc
 
 
 class DistributedHydro:
@@ -74,12 +153,17 @@ class DistributedHydro:
         pre-plan ``"legacy"`` protocol was removed; requesting it (or
         passing ``None``) raises
         :class:`~repro.utils.errors.DeprecatedOptionError`.
+    collect_step_series:
+        Have rank 0 record a per-step series (returned as
+        ``self.result.step_rows``).
 
-    For the in-process backends the per-rank ``hydros`` (and, for
-    ``threads``, the shared ``context``) are live attributes that
-    embedding code may inspect or attach observers to; the
-    ``processes`` backend keeps its rank objects in the children and
-    exposes only the marshalled :class:`BackendRun` (``self.result``).
+    For the in-process backends the ranks are built here, once — the
+    per-rank ``hydros`` and ``tracers`` (and, for ``threads``, the
+    shared ``context``) are live attributes that embedding code may
+    inspect or attach observers to, and successive :meth:`run` legs
+    continue the same ranks; the ``processes`` backend builds its ranks
+    in the children and exposes only the marshalled
+    :class:`BackendRun` (``self.result``).
     """
 
     def __init__(self, setup: ProblemSetup, nranks: int,
@@ -91,7 +175,8 @@ class DistributedHydro:
                  watchdog_timeout: Optional[float] = None,
                  snapshot_dir: Optional[str] = None,
                  comm_plan: str = "overlap",
-                 artifacts=None):
+                 artifacts=None,
+                 collect_step_series: bool = False):
         if nranks > 1 and setup.controls.ale_on \
                 and setup.controls.ale_mode != "eulerian":
             raise BookLeafError(
@@ -102,15 +187,14 @@ class DistributedHydro:
         self.nranks = nranks
         self.method = method
         self.trace = trace
-        #: serial-backend niceties (step banners, tracemalloc); the
-        #: concurrent backends ignore them — per-rank step printing
-        #: would interleave and tracemalloc is process-global
         self.log_every = log_every
         self.trace_allocations = trace_allocations
         #: live-metrics configuration (repro.metrics): a cadence of 0
         #: means no probe is built — the hot loop stays bit-identical
         self.metrics_path = metrics_path
         self.metrics_every = int(metrics_every or 0)
+        if watchdog_timeout is not None and watchdog_timeout <= 0:
+            raise BookLeafError("watchdog_timeout must be > 0 seconds")
         self.watchdog_timeout = watchdog_timeout
         self.snapshot_dir = snapshot_dir
         if comm_plan in (None, "legacy"):
@@ -128,18 +212,17 @@ class DistributedHydro:
         self.global_mesh = setup.state.mesh
         self._backend = get_backend(backend)
         self.backend_name = self._backend.name
-        #: set before ``run`` to have rank 0 record a per-step series
-        #: (returned as ``self.result.step_rows``)
-        self.collect_step_series = False
+        self.collect_step_series = collect_step_series
         self.result: Optional[BackendRun] = None
         #: optional :class:`repro.fleet.artifacts.ArtifactCache` — the
         #: fleet attaches one so repeated same-mesh jobs reuse the
         #: partition/subdomains/CommPlans instead of recompiling
         self.artifacts = artifacts
-        # Per-backend rank machinery, populated by prepare():
-        self.hydros: List = []
-        self.tracers: List = []
+        # The in-process ranks, populated by prepare() from
+        # build_rank() (the processes backend builds in its children):
+        self.hydros: List[Hydro] = []
         self.context = None
+        self._step_series = None
         if self.backend_name == "serial":
             self.part = None
             self.subdomains: List[Subdomain] = []
@@ -170,9 +253,123 @@ class DistributedHydro:
         return compile_plans(self.subdomains)
 
     # ------------------------------------------------------------------
+    # the rank program: build, report, assemble
+    # ------------------------------------------------------------------
+    def build_rank(self, rank: int, transport=None,
+                   epoch_ns: Optional[int] = None, board=None) -> Hydro:
+        """Bring rank ``rank`` into being — the only place one is built.
+
+        ``transport`` is the Typhon transport its endpoint runs over
+        (``None``: the one serial rank, on the global state with
+        ``NullComms``), ``epoch_ns`` the clock origin all tracers
+        share, ``board`` the launcher's
+        :class:`~repro.metrics.watchdog.HeartbeatBoard`.  Observers are
+        attached here, once, so a rank run for several legs keeps one
+        heartbeat and one step series.  In-process backends keep the
+        rank in ``self.hydros``; a forked child lets go of it after its
+        run (its memory is what the result pickle reuses).
+        """
+        setup = self.setup
+        tracer = None
+        if self.trace:
+            from ..telemetry.spans import Tracer
+
+            tracer = Tracer(rank=rank, epoch_ns=epoch_ns)
+        # step banners and tracemalloc are serial niceties: per-rank
+        # printing would interleave and tracemalloc is process-global
+        serial = transport is None
+        timers = TimerRegistry(
+            trace_allocations=serial and self.trace_allocations)
+        timers.tracer = tracer
+        logger = None
+        if serial:
+            state, comms, cell_global = setup.state, NullComms(), None
+            if self.log_every:
+                from ..utils.log import StepLogger
+
+                logger = StepLogger(every=self.log_every)
+        else:
+            from .typhon import TyphonComms
+
+            sub = self.subdomains[rank]
+            state = local_state(sub, setup.state)
+            comms = TyphonComms(transport, sub, tracer=tracer,
+                                mode=self.comm_plan)
+            cell_global = sub.cell_global
+        hydro = Hydro(state, setup.table, setup.controls,
+                      timers=timers, logger=logger, comms=comms,
+                      probe=self.build_probe(rank, cell_global=cell_global))
+        if board is not None:
+            from ..metrics.watchdog import Heartbeat
+
+            # one board write per completed step — always on for
+            # decomposed runs; only the monitoring is opt-in
+            hydro.observers.append(Heartbeat(board, rank))
+        if rank == 0 and self.collect_step_series:
+            from ..telemetry.report import StepSeries
+
+            self._step_series = StepSeries()
+            hydro.observers.append(self._step_series)
+        return hydro
+
+    @property
+    def tracers(self) -> list:
+        """The in-process ranks' tracers, rank order (empty untraced)."""
+        return [h.timers.tracer for h in self.hydros
+                if h.timers.tracer is not None]
+
+    def report(self, hydro: Hydro) -> RankReport:
+        """What the rank built here around ``hydro`` hands back."""
+        rank, probe, tracer = hydro.comms.rank, hydro.probe, hydro.timers.tracer
+        series = self._step_series if rank == 0 else None
+        stats = getattr(hydro.comms, "stats", None)
+        return RankReport(
+            rank=rank, nstep=hydro.nstep, time=hydro.time,
+            state=hydro.state, timers=hydro.timers,
+            spans=tracer.spans if tracer is not None else [],
+            comm=stats.as_dict() if stats is not None else None,
+            step_rows=series.rows if series is not None else None,
+            metrics_rows=probe.rows if probe is not None else None,
+            metrics=probe.registry if probe is not None else None,
+        )
+
+    def assemble(self, reports: List[RankReport]) -> BackendRun:
+        """One :class:`BackendRun` from every rank's report, per-rank
+        lists in ascending rank order (the deterministic merge rule)."""
+        reports = sorted(reports, key=lambda r: r.rank)
+        steps = {r.nstep for r in reports}
+        times = {round(r.time, 14) for r in reports}
+        if len(steps) != 1 or len(times) != 1:
+            raise BookLeafError(
+                f"ranks desynchronised: steps={steps} times={times}"
+            )
+        first = reports[0]
+        return BackendRun(
+            nstep=first.nstep,
+            time=first.time,
+            # a marshalled state is overlaid on a fresh restriction
+            states=[r.state if isinstance(r.state, HydroState)
+                    else local_state(self.subdomains[r.rank],
+                                     self.setup.state).overlay(r.state)
+                    for r in reports],
+            timers=[r.timers for r in reports],
+            spans=[r.spans for r in reports],
+            comm_per_rank=[r.comm for r in reports if r.comm is not None],
+            step_rows=first.step_rows,
+            metrics_rows=first.metrics_rows,
+            metrics=first.metrics,
+        )
+
     def run(self, max_steps: Optional[int] = None) -> int:
         """Run all ranks to completion; returns the step count."""
-        self.result = self._backend.execute(self, max_steps=max_steps)
+        try:
+            reports = self._backend.execute(self, max_steps=max_steps)
+        except BaseException:
+            for hydro in self.hydros:
+                if hydro.probe is not None:
+                    hydro.probe.close()  # the failure path skips finish()
+            raise
+        self.result = self.assemble(reports)
         return self.result.nstep
 
     # ------------------------------------------------------------------
@@ -208,27 +405,24 @@ class DistributedHydro:
         )
 
     # ------------------------------------------------------------------
+    # views of the finished run (of the live ranks before the first run)
+    # ------------------------------------------------------------------
+    def _view(self) -> BackendRun:
+        if self.result is not None:
+            return self.result
+        return self.assemble([self.report(h) for h in self.hydros])
+
     @property
     def time(self) -> float:
-        if self.result is not None:
-            return self.result.time
-        return self.hydros[0].time
+        return self._view().time
 
     @property
     def nstep(self) -> int:
-        if self.result is not None:
-            return self.result.nstep
-        return self.hydros[0].nstep
-
-    def _final_states(self) -> List[HydroState]:
-        """Per-rank final local states, ascending rank order."""
-        if self.result is not None:
-            return self.result.states
-        return [h.state for h in self.hydros]
+        return self._view().nstep
 
     def gather(self) -> HydroState:
         """Assemble the global state from the ranks' owned data."""
-        states = self._final_states()
+        states = self._view().states
         if self.backend_name == "serial":
             return states[0]
         template = self.setup.state
@@ -258,28 +452,19 @@ class DistributedHydro:
     def merged_timers(self) -> TimerRegistry:
         """Sum of all ranks' kernel timers (Table II-style aggregate)."""
         merged = TimerRegistry()
-        if self.result is not None:
-            for timers in self.result.timers:
-                merged.merge(timers)
-        else:
-            for hydro in self.hydros:
-                merged.merge(hydro.timers)
+        for timers in self._view().timers:
+            merged.merge(timers)
         return merged
 
     def merged_spans(self) -> list:
         """All ranks' trace spans, merged deterministically (ascending
-        rank order, per-rank recording order preserved)."""
-        if self.result is not None:
-            return self.result.merged_spans()
-        from ..telemetry.spans import merge_spans
-
-        return merge_spans(self.tracers)
+        rank order, per-rank recording order preserved — the rule of
+        :func:`repro.telemetry.spans.merge_spans`)."""
+        return [span for stream in self._view().spans for span in stream]
 
     def per_rank_comm(self) -> List[dict]:
         """Every rank's comm counters in rank order (report input)."""
-        if self.result is not None:
-            return self.result.comm_per_rank
-        return self.context.per_rank_stats() if self.context else []
+        return self._view().comm_per_rank
 
     def comm_totals(self) -> Dict[str, int]:
         """Whole-run traffic totals as a JSON-ready dict."""

@@ -13,9 +13,8 @@ remap.  This module makes the seam a formal, typed API:
   run — the same protocol class whether the ranks are threads or
   processes; only the transport handed to it differs.
 * :class:`CommBackend` — a Protocol for an execution backend: the
-  object that launches every rank of a decomposed run, plugs a
-  conforming endpoint into each rank's hydro loop and marshals the
-  results back as a :class:`BackendRun`.
+  object that decides where the ranks of a run execute and hands their
+  reports back; the driver assembles those into a :class:`BackendRun`.
 * :data:`SEAM_METHODS` — the seam's method table, used by
   ``tests/parallel/test_protocol.py`` to structurally verify that both
   implementations cover the *full* seam with compatible signatures.
@@ -141,20 +140,17 @@ class CommEndpoint(Protocol):
 
 @dataclass
 class BackendRun:
-    """What one backend execution hands back to the driver.
-
-    Every backend — threads in one process, one process per rank —
-    produces the same carrier, so the telemetry merge path, ``gather``
-    and the run report are backend-agnostic.  Per-rank lists are in
-    ascending rank order (the deterministic merge rule).
+    """One finished execution, assembled by the driver from the
+    per-rank reports every backend hands back alike
+    (``DistributedHydro.assemble``), so the telemetry merge path,
+    ``gather`` and the run report are backend-agnostic.  Per-rank lists
+    are in ascending rank order (the deterministic merge rule).
     """
 
-    backend: str
-    nranks: int
     nstep: int
     time: float
-    #: each rank's final local state (live for threads, reconstructed
-    #: from the shared segments for processes)
+    #: each rank's final local state (the live one in-process, the
+    #: marshalled arrays overlaid on a fresh restriction for processes)
     states: List[Any]
     #: each rank's kernel timer registry
     timers: List[Any]
@@ -169,38 +165,27 @@ class BackendRun:
     #: rank 0's live :class:`~repro.metrics.registry.MetricsRegistry`
     metrics: Optional[Any] = None
 
-    def comm_total(self) -> dict:
-        total: Dict[str, int] = {}
-        for entry in self.comm_per_rank:
-            for key, value in entry.items():
-                total[key] = total.get(key, 0) + value
-        return total
-
-    def merged_spans(self) -> list:
-        """All ranks' spans, ascending rank order, per-rank order kept."""
-        merged: list = []
-        for stream in self.spans:
-            merged.extend(stream)
-        return merged
-
 
 @runtime_checkable
 class CommBackend(Protocol):
-    """An execution backend for decomposed runs.
+    """An execution backend: *where* the ranks of a run execute.
 
-    ``prepare`` is called from ``DistributedHydro.__init__`` (build
-    whatever per-rank machinery the backend keeps in the driver);
-    ``execute`` launches all ranks, blocks to completion and returns a
-    :class:`BackendRun`.  Failures anywhere must abort every rank and
-    surface as one :class:`~repro.utils.errors.BookLeafError` carrying
-    the failing rank and the original traceback.
+    What a rank is, what it reports and how a failed launch is judged
+    belong to the driver (:mod:`repro.parallel.distributed`).
+    ``prepare`` is called from ``DistributedHydro.__init__``: an
+    in-process backend builds its transport and has the driver build
+    every rank on it.  ``execute`` runs all ranks to completion and
+    returns each rank's ``driver.report(...)``, marshalled back if the
+    ranks live elsewhere.  A failure anywhere must abort every rank and
+    surface through ``judge_ranks`` as one
+    :class:`~repro.utils.errors.BookLeafError` naming the failing rank.
     """
 
     name: str
 
     def prepare(self, driver) -> None: ...
 
-    def execute(self, driver, max_steps: Optional[int] = None) -> BackendRun: ...
+    def execute(self, driver, max_steps: Optional[int] = None) -> list: ...
 
 
 def seam_violations(cls) -> List[str]:

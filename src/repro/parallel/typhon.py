@@ -278,11 +278,6 @@ class TyphonContext(Transport):
             total.dt_hops += s.dt_hops
         return total
 
-    def per_rank_stats(self) -> List[dict]:
-        """Every rank's counters in ascending rank order (deterministic
-        — each rank only ever writes its own :class:`CommStats`)."""
-        return [s.as_dict() for s in self.stats]
-
     def traffic_matrix(self) -> np.ndarray:
         """(size, size) static bytes-per-step estimate between rank
         pairs, from the halo schedules: kinematic halo (4 fields) plus

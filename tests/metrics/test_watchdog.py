@@ -1,6 +1,12 @@
-"""Heartbeats and the stall watchdog: unit board tests plus the two
+"""Heartbeats and stall detection: unit board tests plus the two
 end-to-end stall scenarios the subsystem exists for — a wedged rank
-thread, and a SIGKILLed rank process.
+thread, and a SIGKILLed rank process.  Nothing monitors the board but
+the launchers' own wait loops, so the end-to-end runs *are* the
+monitor's tests: flag-and-abort is
+``test_threads_wedged_rank_trips_watchdog`` and
+``test_processes_sigkilled_rank_reported_stalled``, a clean finish
+with nothing flagged is ``test_no_watchdog_no_warning`` and
+``test_healthy_run_under_a_watchdog_warns_nothing``.
 
 Stall runs must end with (a) a :class:`StalledRankWarning` naming the
 stalled rank and carrying every rank's last-seen step, and (b) a
@@ -20,7 +26,6 @@ from repro.metrics.watchdog import (
     LAUNCHED,
     Heartbeat,
     HeartbeatBoard,
-    Watchdog,
     stall_message,
 )
 from repro.parallel import DistributedHydro
@@ -72,31 +77,6 @@ def test_stall_message_carries_per_rank_steps():
     assert "no heartbeat within 2.0s" in message
     assert "rank 1 (last step 4" in message
     assert "per-rank last-seen steps: [5, 4, 5]" in message
-
-
-def test_watchdog_thread_flags_and_calls_back():
-    board = HeartbeatBoard.allocate(2)
-    board.beat(0, 1)
-    board.beat(1, 1)
-    board.array[1, 1] -= 5.0  # rank 1 already stale
-    fired = []
-    dog = Watchdog(board, timeout=0.2, on_stall=fired.append,
-                   poll=0.01)
-    dog.start()
-    dog.join(timeout=5.0)
-    assert not dog.is_alive()
-    assert list(dog.stalled) == [1]
-    assert fired and list(fired[0]) == [1]
-
-
-def test_watchdog_stop_is_clean():
-    board = HeartbeatBoard.allocate(1)
-    dog = Watchdog(board, timeout=60.0, poll=0.01)
-    dog.start()
-    dog.stop()
-    dog.join(timeout=5.0)
-    assert not dog.is_alive()
-    assert dog.stalled is None
 
 
 # ----------------------------------------------------------------------
@@ -160,3 +140,28 @@ def test_no_watchdog_no_warning(recwarn):
     driver.run(max_steps=5)
     assert not [w for w in recwarn
                 if isinstance(w.message, StalledRankWarning)]
+
+
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+def test_healthy_run_under_a_watchdog_warns_nothing(recwarn, backend):
+    """A timeout that is never reached changes nothing — including
+    after the ranks return and stop beating."""
+    setup = load_problem("noh", nx=16, ny=16)
+    driver = DistributedHydro(setup, 2, backend=backend,
+                              watchdog_timeout=30.0)
+    assert driver.run(max_steps=5) == 5
+    assert not [w for w in recwarn
+                if isinstance(w.message, StalledRankWarning)]
+
+
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("timeout", [0, -1.5])
+def test_non_positive_timeout_is_rejected_at_build(backend, timeout):
+    """``watchdog_timeout=0`` used to abort a healthy run with "no
+    heartbeat within 0.0s"; it is a configuration error, said where
+    the driver is built, in the fleet's ``heartbeat_timeout`` words."""
+    setup = load_problem("noh", nx=16, ny=16)
+    with pytest.raises(BookLeafError,
+                       match="^watchdog_timeout must be > 0 seconds$"):
+        DistributedHydro(setup, 2, backend=backend,
+                         watchdog_timeout=timeout)

@@ -86,6 +86,23 @@ def test_serial_backend_equals_plain_hydro():
                               getattr(plain.state, name)), name
 
 
+@pytest.mark.parametrize("backend, nranks", [("serial", 1), ("threads", 2)])
+def test_second_run_leg_continues_the_same_ranks(backend, nranks):
+    """Observers are attached once, where the rank is built: a second
+    ``run`` leg used to stack another step series and heartbeat on the
+    live ranks and hand back only its own leg's rows."""
+    setup = load_problem("noh", **CASES["noh"])
+    driver = DistributedHydro(setup, nranks, backend=backend,
+                              collect_step_series=True)
+    attached = [len(h.observers) for h in driver.hydros]
+    assert attached[0] >= 1
+    assert driver.run(max_steps=3) == 3
+    assert driver.run(max_steps=3) == 6
+    assert [len(h.observers) for h in driver.hydros] == attached
+    assert [row["nstep"] for row in driver.result.step_rows] == [
+        1, 2, 3, 4, 5, 6]
+
+
 def _fail_on_rank(monkeypatch, rank_to_fail, action):
     """Patch Hydro.step so the given rank misbehaves at step 3.
 
@@ -161,6 +178,35 @@ def test_killed_rank_process_aborts_cleanly(monkeypatch):
     with pytest.raises(BookLeafError, match="rank 1 failed") as exc:
         driver.run(max_steps=20)
     assert "terminated abnormally" in str(exc.value)
+
+
+def test_the_one_verdict_both_launchers_call():
+    """``judge_ranks`` alone: the primary-failure choice and the place
+    of a stall in it, without launching anything."""
+    from repro.metrics.watchdog import HeartbeatBoard
+    from repro.parallel.distributed import judge_ranks
+    from repro.utils.errors import CommError, StalledRankWarning
+
+    board = HeartbeatBoard.allocate(3)
+    assert judge_ranks([], {}, board, None) is None
+    # a real error beats the CommError cascade; ties go to the lowest rank
+    cascade = [(0, CommError("peer failed")), (2, RuntimeError("late")),
+               (1, RuntimeError("first"))]
+    with pytest.raises(BookLeafError,
+                       match=r"^rank 1 failed: \[RuntimeError\] first$") as exc:
+        judge_ranks(cascade, {}, board, None)
+    assert exc.value.__cause__ is cascade[2][1]
+    with pytest.raises(BookLeafError, match="^rank 0 failed: peer failed$"):
+        judge_ranks(cascade[:1], {}, board, None)
+    # a wedge never raises: with only the cascade left, the stall is it
+    stalled = {1: board.last_seen()[1]}
+    with pytest.warns(StalledRankWarning, match="rank 1"):
+        with pytest.raises(BookLeafError, match="^run aborted: watchdog: "):
+            judge_ranks(cascade[:1], stalled, board, 0.5)
+    # ... but a rank known to have died is still the one reported
+    with pytest.warns(StalledRankWarning, match="rank 1"):
+        with pytest.raises(BookLeafError, match="^rank 1 failed"):
+            judge_ranks(cascade, stalled, board, 0.5)
 
 
 @pytest.mark.parametrize("backend", ["threads", "processes"])

@@ -176,6 +176,26 @@ def test_run_nranks_flag(capsys):
     assert "threads" in out
 
 
+def test_run_non_positive_watchdog_timeout_is_one_line(capsys):
+    """``--watchdog-timeout 0`` used to start the run and abort it with
+    "no heartbeat within 0.0s"; it is refused up front in the words the
+    driver (and the fleet's ``heartbeat_timeout``) uses."""
+    from repro.parallel import DistributedHydro
+    from repro.problems import load_problem
+    from repro.utils.errors import BookLeafError
+
+    rc = main(["run", "--problem", "sod", "--nx", "16", "--ny", "4",
+               "--max-steps", "3", "--nranks", "2",
+               "--watchdog-timeout", "0"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    with pytest.raises(BookLeafError) as refused:
+        DistributedHydro(load_problem("sod", nx=16, ny=4), 2,
+                         watchdog_timeout=0)
+    assert captured.err.splitlines() == [str(refused.value)]
+
+
 def test_run_ranks_alias_now_errors(capsys):
     """The --ranks deprecation window has closed: the alias refuses
     with a structured error instead of warning and mapping."""
