@@ -24,6 +24,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..core.comms import SerialComms
 from ..core.geometry import centroid
 from ..mesh.topology import QuadMesh
 from ..perf.plans import corner_reduce
@@ -115,7 +116,7 @@ def advect_cells(mesh: QuadMesh,
                  x_new: np.ndarray, y_new: np.ndarray,
                  fv: np.ndarray,
                  cell_mass: np.ndarray, rho: np.ndarray, e: np.ndarray,
-                 comms=None,
+                 comms=SerialComms(),
                  ws: Optional[Workspace] = None
                  ) -> Tuple[np.ndarray, np.ndarray]:
     """Advect mass and internal energy through the flux volumes.
@@ -141,23 +142,14 @@ def advect_cells(mesh: QuadMesh,
 
     grx, gry = cell_gradients(mesh, cx, cy, rho)
     gex, gey = cell_gradients(mesh, cx, cy, e)
-    if comms is not None and comms.overlap_enabled():
-        # Split-phase: the donor selection and the flux-target bases
-        # depend only on local data, so they compute while the ghost
-        # gradient rows are in flight.
-        comms.post_cell_arrays(grx, gry, gex, gey)
-        donor = np.where(fv > 0.0, mesh.face_cells[:, 0],
-                         mesh.face_cells[:, 1])
-        mass_new = cell_mass.copy()
-        energy_new = cell_mass * e
-        comms.complete_cell_arrays(grx, gry, gex, gey)
-    else:
-        if comms is not None:
-            comms.exchange_cell_arrays(grx, gry, gex, gey)
-        donor = np.where(fv > 0.0, mesh.face_cells[:, 0],
-                         mesh.face_cells[:, 1])
-        mass_new = cell_mass.copy()
-        energy_new = cell_mass * e
+    # The donor selection and the flux-target bases depend only on
+    # local data, so they compute while the ghost gradient rows are in
+    # flight.
+    comms.post_cell_arrays(grx, gry, gex, gey)
+    donor = np.where(fv > 0.0, mesh.face_cells[:, 0], mesh.face_cells[:, 1])
+    mass_new = cell_mass.copy()
+    energy_new = cell_mass * e
+    comms.complete_cell_arrays(grx, gry, gex, gey)
 
     mass_flux = face_fluxes(mesh, fv, rho, grx, gry, cx, cy, sx, sy)
     scatter_face_fluxes(mesh, mass_flux, mass_new)

@@ -33,22 +33,14 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..core.comms import SerialComms
 from ..core.state import HydroState
 from ..perf.workspace import Workspace, scratch
 from ..utils.errors import BookLeafError
 
 
-def _masked_scatter(state: HydroState, corner_field: np.ndarray,
-                    owned: Optional[np.ndarray]) -> np.ndarray:
-    if owned is None:
-        return state.scatter_to_nodes(corner_field)
-    return state.scatter_to_nodes(
-        np.where(owned[:, None], corner_field, 0.0)
-    )
-
-
 def advect_momentum(state: HydroState, dual_fv: np.ndarray,
-                    comms=None,
+                    comms=SerialComms(),
                     ws: Optional[Workspace] = None
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advect nodal momentum through the dual flux volumes.
@@ -60,36 +52,30 @@ def advect_momentum(state: HydroState, dual_fv: np.ndarray,
     """
     mesh = state.mesh
     w = scratch(ws)
-    owned = comms.owned_cell_mask(state) if comms is not None else None
+    owned = comms.owned_cell_mask(state)
 
     # Base nodal volume/mass/momentum as completed corner sums.
-    node_vol = _masked_scatter(state, state.corner_volume, owned)
-    node_mass = _masked_scatter(state, state.corner_mass, owned)
+    plans = mesh.plans
+    node_vol = plans.owned_node_sum(state.corner_volume, owned, w)
+    node_mass = plans.owned_node_sum(state.corner_mass, owned, w)
     cu = np.take(state.u, mesh.cell_nodes,
                  out=w.borrow((mesh.ncell, 4)), mode="clip")
     cv = np.take(state.v, mesh.cell_nodes,
                  out=w.borrow((mesh.ncell, 4)), mode="clip")
     cu *= state.corner_mass
     cv *= state.corner_mass
-    mom_x = _masked_scatter(state, cu, owned)
-    mom_y = _masked_scatter(state, cv, owned)
+    mom_x = plans.owned_node_sum(cu, owned, w)
+    mom_y = plans.owned_node_sum(cv, owned, w)
     w.release(cu, cv)
-    if comms is not None and comms.overlap_enabled():
-        # Split-phase: the donor selection depends only on the flux
-        # signs, so it computes while the peers' sum blocks arrive.
-        comms.post_node_sums(state, node_vol, node_mass, mom_x, mom_y)
-        n1 = mesh.cell_nodes
-        n2 = np.roll(mesh.cell_nodes, -1, axis=1)
-        donor = np.where(dual_fv > 0.0, n1, n2)
-        node_vol, node_mass, mom_x, mom_y = comms.complete_node_sums(state)
-    else:
-        if comms is not None:
-            node_vol, node_mass, mom_x, mom_y = comms.complete_node_arrays(
-                state, node_vol, node_mass, mom_x, mom_y
-            )
-        n1 = mesh.cell_nodes
-        n2 = np.roll(mesh.cell_nodes, -1, axis=1)
-        donor = np.where(dual_fv > 0.0, n1, n2)
+    local = (node_vol, node_mass, mom_x, mom_y)
+    # The donor selection depends only on the flux signs, so it
+    # computes while the peers' sum blocks arrive.
+    comms.post_node_sums(state, *local)
+    n1 = mesh.cell_nodes
+    n2 = np.roll(mesh.cell_nodes, -1, axis=1)
+    donor = np.where(dual_fv > 0.0, n1, n2)
+    node_vol, node_mass, mom_x, mom_y = comms.complete_node_sums(
+        state, *local)
 
     # Upwind nodal density needs complete sums; guard ghost-only nodes.
     complete = node_vol > 0.0
@@ -113,10 +99,9 @@ def advect_momentum(state: HydroState, dual_fv: np.ndarray,
     d_mass = segment_sums(fm)
     d_momx = segment_sums(fmx)
     d_momy = segment_sums(fmy)
-    if comms is not None:
-        d_mass, d_momx, d_momy = comms.complete_node_arrays(
-            state, d_mass, d_momx, d_momy
-        )
+    comms.post_node_sums(state, d_mass, d_momx, d_momy)
+    d_mass, d_momx, d_momy = comms.complete_node_sums(
+        state, d_mass, d_momx, d_momy)
 
     mass_star = node_mass + d_mass
     mom_x += d_momx
@@ -132,4 +117,5 @@ def advect_momentum(state: HydroState, dual_fv: np.ndarray,
     safe = np.where(complete, mass_star, 1.0)
     u_new = np.where(complete, mom_x / safe, state.u)
     v_new = np.where(complete, mom_y / safe, state.v)
+    w.release(*local)
     return u_new, v_new, mass_star

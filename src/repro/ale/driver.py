@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..core.comms import SerialComms
 from ..core.controls import HydroControls
 from ..core.state import HydroState
 from ..eos.multimaterial import MaterialTable
@@ -73,50 +74,40 @@ class AleStep:
         completed across ranks, keeping the remap globally conservative.
         """
         timers = timers if timers is not None else TimerRegistry(enabled=False)
+        comms = comms if comms is not None else SerialComms()
         mesh = state.mesh
         w = scratch(ws)
-        distributed = comms is not None and getattr(comms, "size", 1) > 1
-        if distributed and self.mode != "eulerian":
+        if comms.size > 1 and self.mode != "eulerian":
             raise BookLeafError(
                 "decomposed remaps support the 'eulerian' mesh mode only "
                 "(relaxation needs neighbour averages across ranks)"
             )
 
-        if distributed:
-            with timers.region("exchange"):
-                # Ghost node positions moved with u^n during the step;
-                # refresh them (and the dependent volumes) exactly, then
-                # pull the ghosts' post-Lagrangian thermodynamics.
-                if comms.overlap_enabled():
-                    # Both halos in flight at once: the geometry
-                    # refresh needs the ghost coordinates, so it sits
-                    # after the kinematic complete but overlaps the
-                    # (larger) cell-field exchange.
-                    comms.post_kinematics(state)
-                    comms.post_cell_fields(state)
-                    comms.complete_kinematics(state)
-                    state.refresh_geometry()
-                    comms.complete_cell_fields(state)
-                else:
-                    comms.exchange_kinematics(state)
-                    state.refresh_geometry()
-                    comms.exchange_cell_fields(state)
+        with timers.region("exchange"):
+            # Ghost node positions moved with u^n during the step;
+            # refresh them (and the dependent volumes) exactly, then
+            # pull the ghosts' post-Lagrangian thermodynamics.  Both
+            # halos are in flight at once: the geometry refresh needs
+            # the ghost coordinates, so it sits after the kinematic
+            # complete but overlaps the (larger) cell-field exchange.
+            comms.post_kinematics(state)
+            comms.post_cell_fields(state)
+            stale, _ = comms.complete_kinematics(state)
+            if stale.size:
+                state.refresh_geometry()
+            comms.complete_cell_fields(state)
 
         with timers.region("alegetmesh"):
-            boundary_sides = (comms.physical_boundary_sides(state)
-                              if distributed else None)
-            x_t, y_t = select_target(state, self.mode, self.relax,
-                                     self.x0, self.y0,
-                                     boundary_sides=boundary_sides)
-            moved = max(
+            x_t, y_t = select_target(
+                state, self.mode, self.relax, self.x0, self.y0,
+                boundary_sides=comms.physical_boundary_sides(state))
+            # The skip decision must be collective: a quiet rank
+            # bailing out while others remap would desynchronise the
+            # barrier sequence.
+            moved = comms.allreduce_max(max(
                 float(np.abs(x_t - state.x).max()),
                 float(np.abs(y_t - state.y).max()),
-            )
-            if distributed:
-                # The skip decision must be collective: a quiet rank
-                # bailing out while others remap would desynchronise
-                # the barrier sequence.
-                moved = comms.allreduce_max(moved)
+            ))
             if moved < 1e-15:
                 # Marker (not a span): the remap was due but the mesh
                 # had not moved — visible in traces as an instant event.
@@ -126,11 +117,8 @@ class AleStep:
         with timers.region("alegetfvol"):
             fv, fvb = face_flux_volumes(mesh, state.x, state.y, x_t, y_t)
             scale = float(state.volume.min())
-            if distributed:
-                side_mask = comms.physical_boundary_side_mask(state)
-                fvb_check = fvb[side_mask] if side_mask is not None else fvb
-            else:
-                fvb_check = fvb
+            side_mask = comms.physical_boundary_side_mask(state)
+            fvb_check = fvb[side_mask] if side_mask is not None else fvb
             if fvb_check.size and float(np.abs(fvb_check).max()) > 1e-12 * scale:
                 raise BookLeafError(
                     "remap target moves the domain boundary "
@@ -151,12 +139,10 @@ class AleStep:
         with timers.region("aleadvect"):
             mass_new, energy_new = advect_cells(
                 mesh, state.x, state.y, x_t, y_t, fv,
-                state.cell_mass, state.rho, state.e,
-                comms=comms if distributed else None, ws=w,
+                state.cell_mass, state.rho, state.e, comms=comms, ws=w,
             )
-            u_new, v_new, _ = advect_momentum(
-                state, dual_fv, comms=comms if distributed else None, ws=w,
-            )
+            u_new, v_new, _ = advect_momentum(state, dual_fv, comms=comms,
+                                              ws=w)
 
         with timers.region("aleupdate"):
             from .update import aleupdate

@@ -14,13 +14,14 @@ a data dependency that defeats OpenMP threading (the scatter-assembly
 race); in numpy the scatter is a ``bincount`` and the whole kernel is
 a few vector operations.
 
-On a single-domain run the force scatter goes straight through the
-mesh's :class:`~repro.perf.plans.MeshPlans` into arena buffers (a
-decomposed run must complete its partial sums through the comms seam
-instead) and the nodal mass comes from the state's cache; a
-:class:`~repro.perf.workspace.Workspace` supplies every buffer, so
-repeat calls allocate nothing.  The returned arrays then live in the
-arena (``acc.*``) — the caller commits them by copy.
+The local scatter goes through the mesh's
+:class:`~repro.perf.plans.MeshPlans` into arena buffers — from owned
+cells only when the endpoint says some are not — and the partial sums
+are posted to and completed through the comms seam (serially they
+already are the totals, and the nodal mass comes from the state's
+cache); a :class:`~repro.perf.workspace.Workspace` supplies every
+buffer, so repeat calls allocate nothing.  The returned arrays live in
+the arena (``acc.*``) — the caller commits them by copy.
 """
 
 from __future__ import annotations
@@ -49,33 +50,35 @@ def getacc(state: HydroState, fx: np.ndarray, fy: np.ndarray, dt: float,
     shared interface nodes are completed across domains before the
     divide — BookLeaf's second communication point.
     """
-    if comms is None:
-        comms = SerialComms()
+    comms = comms if comms is not None else SerialComms()
     w = scratch(ws)
     nnode = state.mesh.nnode
-    local = ()
-    if comms.size == 1:
-        # This rank owns every node: the local scatter is the total.
-        plans = state.mesh.plans
-        pad = w.borrow(nnode)
-        node_fx = plans.scatter_to_nodes(fx.T, out=w.borrow(nnode), pad=pad)
-        node_fy = plans.scatter_to_nodes(fy.T, out=w.borrow(nnode), pad=pad)
-        w.release(pad)
-        local = (node_fx, node_fy)
+    plans = state.mesh.plans
+    owned = comms.owned_cell_mask(state)
+    node_fx = plans.owned_node_sum(fx.T, owned, w)
+    node_fy = plans.owned_node_sum(fy.T, owned, w)
+    local = [node_fx, node_fy]
+    if owned is None:
+        # Corner masses are fixed between remaps and the state caches
+        # their sum over every cell.
         mass = state.node_mass()
     else:
-        # The seam speaks (ncell, 4).
-        node_fx, node_fy, mass = comms.assemble_node_sums(state, fx.T, fy.T)
+        mass = plans.owned_node_sum(state.corner_mass, owned, w)
+        local.append(mass)
+    comms.post_node_sums(state, node_fx, node_fy, mass)
+    # Laying out the divide needs no peer's sums.
+    massless = w.borrow(nnode, dtype=bool)
+    safe_mass = w.borrow(nnode)
+    ax = w.borrow(nnode)
+    ay = w.borrow(nnode)
+    node_fx, node_fy, mass = comms.complete_node_sums(
+        state, node_fx, node_fy, mass)
     # Ghost-only nodes of a decomposed run have zero completed mass
     # (their sums live on other ranks); guard the divide — their values
     # are overwritten by the next kinematic exchange.
-    massless = w.borrow(nnode, dtype=bool)
     np.less_equal(mass, 0.0, out=massless)
-    safe_mass = w.borrow(nnode)
     np.copyto(safe_mass, mass)
     np.copyto(safe_mass, 1.0, where=massless)
-    ax = w.borrow(nnode)
-    ay = w.borrow(nnode)
     np.divide(node_fx, safe_mass, out=ax)
     np.copyto(ax, 0.0, where=massless)
     np.divide(node_fy, safe_mass, out=ay)

@@ -8,8 +8,15 @@ The Lagrangian step communicates at exactly three points per timestep
   acceleration,
 * the single global reduction in ``getdt``.
 
-:class:`SerialComms` (alias :data:`NullComms`) is the do-nothing
-implementation used by serial runs; the simulated Typhon layer
+Every exchange has one form, split in two: ``post_*`` starts it and
+``complete_*`` finishes it, and a kernel writes its comm point once as
+*post → the work that needs no halo → complete*.  Nothing a peer sends
+may be read before the complete; *when* between the two halves the
+data lands is the endpoint's business, not the kernel's.
+
+:class:`SerialComms` is the endpoint of a single-domain run: its halo
+is empty and its partial sums already are the totals, so every half is
+a no-op.  The simulated Typhon layer
 (:class:`repro.parallel.typhon.TyphonComms`) is the one every
 decomposed run uses, over an in-process or a shared-memory transport.
 Keeping the seam this small is what makes the kernels identical in
@@ -22,22 +29,29 @@ checked against the protocol by ``tests/parallel/test_protocol.py``.
 
 The seam also exposes ``owned_cell_mask``: in a decomposed run the
 ghost cells' thermodynamic state is not locally meaningful (their own
-halos live on other ranks), so reductions (``getdt``) and failure
-checks (tangling) must restrict themselves to owned cells.  Serially
-the mask is ``None`` (everything owned).
+halos live on other ranks), so reductions (``getdt``), nodal sums and
+failure checks (tangling) must restrict themselves to owned cells.
+Serially the mask is ``None`` (everything owned).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
-from .timestep import Candidate
+if TYPE_CHECKING:
+    from .timestep import Candidate
+
+#: the stale strip of a domain without a halo: no cells, no corner rows
+_NO_STRIP = (np.empty(0, dtype=np.intp), np.empty((0, 4), dtype=np.intp))
 
 
 class SerialComms:
-    """No-op communications for a single-domain run."""
+    """No-op communications for a single-domain run.
+
+    Stateless, so one instance may serve any number of callers.
+    """
 
     #: declares conformance to repro.parallel.interface.CommEndpoint
     __comm_endpoint__ = True
@@ -46,18 +60,25 @@ class SerialComms:
     size: int = 1
     rank: int = 0
 
-    def exchange_kinematics(self, state) -> None:
-        """Refresh ghost nodal positions and velocities (no-op serially)."""
+    def post_kinematics(self, state) -> None:
+        """Start the refresh of the ghost nodes' x, y, u, v."""
 
-    def assemble_node_sums(self, state, fx: np.ndarray, fy: np.ndarray
-                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Scatter corner forces/masses to nodes and complete the sums
-        across domains.  Serially this is just the local scatter."""
-        return (
-            state.scatter_to_nodes(fx),
-            state.scatter_to_nodes(fy),
-            state.node_mass(),
-        )
+    def complete_kinematics(self, state) -> Tuple[np.ndarray, np.ndarray]:
+        """Finish the kinematic refresh.  Returns the stale strip
+        ``(cells, cell_nodes[cells])``: the cells with a ghost node,
+        whose corner gathers since the post must be redone (none
+        serially)."""
+        return _NO_STRIP
+
+    def post_node_sums(self, state, *partials: np.ndarray) -> None:
+        """Start completing per-node sums accumulated from *owned*
+        cells only."""
+
+    def complete_node_sums(self, state, *partials: np.ndarray
+                           ) -> Tuple[np.ndarray, ...]:
+        """Finish the posted completion (pass the same arrays) and
+        return the totals — serially the partials themselves."""
+        return partials
 
     def reduce_dt(self, candidates: List[Candidate]) -> Candidate:
         """Global minimum over all domains' dt candidates."""
@@ -70,17 +91,17 @@ class SerialComms:
     # ------------------------------------------------------------------
     # extensions used by the distributed ALE remap
     # ------------------------------------------------------------------
-    def exchange_cell_arrays(self, *arrays: np.ndarray) -> None:
-        """Refresh ghost-cell rows of per-cell arrays (no-op serially)."""
+    def post_cell_arrays(self, *arrays: np.ndarray) -> None:
+        """Start a refresh of the ghost-cell rows of per-cell arrays."""
 
-    def exchange_cell_fields(self, state) -> None:
-        """Refresh the ghost cells' thermodynamic state (no-op serially)."""
+    def complete_cell_arrays(self, *arrays: np.ndarray) -> None:
+        """Finish the posted ghost-cell refresh (pass the same arrays)."""
 
-    def complete_node_arrays(self, state, *arrays: np.ndarray
-                             ) -> Tuple[np.ndarray, ...]:
-        """Complete partial nodal sums across domains (identity serially;
-        the inputs must already be full local scatters)."""
-        return arrays
+    def post_cell_fields(self, state) -> None:
+        """Start the refresh of the ghost cells' thermodynamic state."""
+
+    def complete_cell_fields(self, state) -> None:
+        """Finish the ghost-cell thermodynamic refresh."""
 
     def physical_boundary_sides(self, state) -> Optional[np.ndarray]:
         """(nb, 2) node pairs of the *physical* boundary sides (None =
@@ -108,52 +129,3 @@ class SerialComms:
         """Element-wise global minimum of a small vector (identity
         serially).  Used by the live-metrics probe for field extrema."""
         return np.array(values, dtype=np.float64)
-
-    def comm_plan(self):
-        """The compiled packed-exchange plan driving this endpoint
-        (None: a serial run has no halos to pack)."""
-        return None
-
-    # ------------------------------------------------------------------
-    # split-phase (overlapped) exchange API — serial degenerate forms.
-    # A single domain has no halo, so posts are no-ops and completions
-    # return the inputs; kernels gate the split code path on
-    # ``overlap_enabled()`` anyway.
-    # ------------------------------------------------------------------
-    def overlap_enabled(self) -> bool:
-        """Whether split-phase halo exchange is active (never serially)."""
-        return False
-
-    def post_kinematics(self, state) -> None:
-        """Start the kinematic halo refresh (no-op serially)."""
-
-    def complete_kinematics(self, state) -> None:
-        """Finish the kinematic halo refresh (no-op serially)."""
-
-    def post_node_sums(self, state, *partials: np.ndarray) -> None:
-        """Start a nodal-sum completion (serially just remembers the
-        partials, which already are the totals)."""
-        self._pending_sums = partials
-
-    def complete_node_sums(self, state) -> Tuple[np.ndarray, ...]:
-        """Finish a posted nodal-sum completion (identity serially)."""
-        partials = getattr(self, "_pending_sums", ())
-        self._pending_sums = ()
-        return partials
-
-    def post_cell_arrays(self, *arrays: np.ndarray) -> None:
-        """Start a ghost-cell refresh of per-cell arrays (no-op)."""
-
-    def complete_cell_arrays(self, *arrays: np.ndarray) -> None:
-        """Finish a posted ghost-cell refresh (no-op serially)."""
-
-    def post_cell_fields(self, state) -> None:
-        """Start the ghost-cell thermodynamic refresh (no-op)."""
-
-    def complete_cell_fields(self, state) -> None:
-        """Finish the ghost-cell thermodynamic refresh (no-op)."""
-
-
-#: the formal name of the do-nothing endpoint in the backend registry
-#: (``repro.parallel.interface`` nomenclature); same class, two names.
-NullComms = SerialComms

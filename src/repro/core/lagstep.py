@@ -13,8 +13,10 @@ the forces there, accelerates the nodes, and advances everything over
 the full step with time-centred quantities (second-order overall).
 
 Communications (ghost kinematics before the viscosity, nodal-sum
-completion inside the acceleration) go through the ``comms`` seam, so
-this very function body runs unchanged in serial and distributed mode.
+completion inside the acceleration) go through the ``comms`` seam, each
+written once as *post → the work that needs no halo → complete*, so
+this very function body runs unchanged in serial and distributed mode
+and under either exchange schedule (:mod:`repro.core.comms`).
 
 Every kernel temporary, half-step field and returned array comes from
 the :class:`~repro.perf.workspace.Workspace` the caller threads through
@@ -90,27 +92,6 @@ def _corner_forces(state, cx, cy, rho, cs2, p, volume, corner_volume,
     return fx, fy
 
 
-def _gather_overlapped(comms, state, mesh, cx, cy, timers) -> None:
-    """Gather corner coordinates with the kinematic halo in flight.
-
-    The CommPlan's compile-time partition splits the cells: while the
-    neighbours' posts are still arriving, the full contiguous gather
-    runs — the interior cells (all but an O(√ncell) strip) come out
-    final, the halo cells come out stale; after
-    ``complete_kinematics`` lands the ghost values, only the halo
-    strip re-gathers (``plan.halo_nodes``, baked at compile time).
-    Pure copies, last write wins per cell — bit-identical to a blocking
-    exchange followed by a full gather.
-    """
-    plan = comms.comm_plan()
-    geometry.gather(mesh, state.x, state.y, out=(cx, cy))
-    with timers.region("exchange"):
-        comms.complete_kinematics(state)
-    halo = plan.halo_cells
-    cx[:, halo] = state.x[plan.halo_nodes].T
-    cy[:, halo] = state.y[plan.halo_nodes].T
-
-
 def lagstep(state: HydroState, table: MaterialTable,
             controls: HydroControls,
             dt: Union[float, Tuple[np.ndarray, np.ndarray]],
@@ -134,20 +115,20 @@ def lagstep(state: HydroState, table: MaterialTable,
     # ------------------------------------------------------------------
     # predictor: evolve thermodynamics to the half step with u^n
     # ------------------------------------------------------------------
-    overlap = comms.overlap_enabled()
     with timers.region("exchange"):
-        if overlap:
-            comms.post_kinematics(state)
-        else:
-            comms.exchange_kinematics(state)
-
+        comms.post_kinematics(state)
+    # The corner gather runs whole and contiguous while the kinematic
+    # halo is in flight: every cell without a ghost node comes out
+    # final, and once the ghost values have landed only the stale strip
+    # (O(√ncell) cells; none serially) gathers again.  Pure copies, last
+    # write wins per cell — bit-identical to gathering after the halo.
     cx = w.array("lag.cx", (4, ncell))
     cy = w.array("lag.cy", (4, ncell))
-    if overlap:
-        # Interior corners gather while the halo exchange is in flight
-        _gather_overlapped(comms, state, mesh, cx, cy, timers)
-    else:
-        geometry.gather(mesh, state.x, state.y, out=(cx, cy))
+    geometry.gather(mesh, state.x, state.y, out=(cx, cy))
+    with timers.region("exchange"):
+        stale, stale_nodes = comms.complete_kinematics(state)
+    cx[:, stale] = state.x[stale_nodes].T
+    cy[:, stale] = state.y[stale_nodes].T
     fx, fy = _corner_forces(
         state, cx, cy, state.rho, state.cs2, state.p, state.volume,
         state.corner_volume.T, gamma, controls, timers, w,

@@ -34,6 +34,7 @@ import numpy as np
 from ..perf.workspace import Workspace, scratch
 from ..utils.errors import TimestepCollapseError
 from . import geometry
+from .comms import SerialComms
 from .controls import HydroControls
 from .state import HydroState
 
@@ -124,11 +125,10 @@ def getdt(state: HydroState, controls: HydroControls,
     first (the one collective per step), then the deterministic caps
     (growth/max/end) are applied identically on every domain.
     """
-    mask = comms.owned_cell_mask(state) if comms is not None else None
-    candidates = local_dt_candidates(state, controls, mask, ws=ws)
-    if comms is not None:
-        candidates = [comms.reduce_dt(candidates)]
-    return pick_dt(candidates, controls, dt_prev, time)
+    comms = comms if comms is not None else SerialComms()
+    candidates = local_dt_candidates(
+        state, controls, comms.owned_cell_mask(state), ws=ws)
+    return pick_dt([comms.reduce_dt(candidates)], controls, dt_prev, time)
 
 
 def pick_dt(candidates: List[Candidate], controls: HydroControls,

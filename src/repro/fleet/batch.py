@@ -111,7 +111,7 @@ def run_ensemble_jobs(jobs: Sequence[BatchJob], *,
                 )
     n = len(jobs)
     timers = timers if timers is not None else TimerRegistry()
-    width = n if width is None else max(1, int(width))
+    width = n if width is None else width
 
     def make_lane(pos: int):
         job = jobs[pos]

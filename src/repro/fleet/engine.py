@@ -152,6 +152,12 @@ def _parse_options(options: dict) -> FleetOptions:
         raise BookLeafError("heartbeat_timeout must be > 0 seconds")
     if opts.progress_every < 1:
         raise BookLeafError("progress_every must be >= 1")
+    if opts.checkpoint_every < 1:
+        raise BookLeafError("checkpoint_every must be >= 1")
+    if opts.batch_width is not None and opts.batch_width < 1:
+        raise BookLeafError("batch_width must be >= 1")
+    if opts.max_attempts < 1:
+        raise BookLeafError("max_attempts must be >= 1")
     return opts
 
 

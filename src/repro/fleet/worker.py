@@ -182,7 +182,7 @@ class WorkerPool:
         self.store_root = store_root
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
-        self.max_attempts = max(1, int(max_attempts))
+        self.max_attempts = max_attempts
         self.schedule_log = schedule_log
         #: the fleet's live :class:`~repro.telemetry.live.EventBus`
         #: (None = no event plane)

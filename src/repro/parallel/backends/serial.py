@@ -1,10 +1,10 @@
-"""The ``serial`` backend: one rank, no decomposition, ``NullComms``.
+"""The ``serial`` backend: one rank, no decomposition, ``SerialComms``.
 
 Exists so the :mod:`repro.api` façade drives serial, thread-parallel
 and process-parallel runs through one code path: a serial run is a
 "decomposed" run with one rank that the driver builds without a
 transport (``driver.build_rank(0)`` — the global state, the do-nothing
-:class:`~repro.core.comms.NullComms`).  No partitioning, no halos, no
+:class:`~repro.core.comms.SerialComms`).  No partitioning, no halos, no
 barriers — the hydro loop is byte-for-byte the serial one, and this
 backend's whole contribution is to run it inline.
 """

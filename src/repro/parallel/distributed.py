@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.comms import NullComms
+from ..core.comms import SerialComms
 from ..core.hydro import Hydro
 from ..core.state import HydroState
 from ..problems.base import ProblemSetup
@@ -261,7 +261,7 @@ class DistributedHydro:
 
         ``transport`` is the Typhon transport its endpoint runs over
         (``None``: the one serial rank, on the global state with
-        ``NullComms``), ``epoch_ns`` the clock origin all tracers
+        ``SerialComms``), ``epoch_ns`` the clock origin all tracers
         share, ``board`` the launcher's
         :class:`~repro.metrics.watchdog.HeartbeatBoard`.  Observers are
         attached here, once, so a rank run for several legs keeps one
@@ -283,7 +283,7 @@ class DistributedHydro:
         timers.tracer = tracer
         logger = None
         if serial:
-            state, comms, cell_global = setup.state, NullComms(), None
+            state, comms, cell_global = setup.state, SerialComms(), None
             if self.log_every:
                 from ..utils.log import StepLogger
 

@@ -7,17 +7,17 @@ remap.  This module makes the seam a formal, typed API:
 
 * :class:`CommEndpoint` — a :class:`typing.Protocol` describing one
   rank's endpoint (what a kernel may call on ``comms``).  There are
-  two implementations: :class:`~repro.core.comms.SerialComms` (alias
-  ``NullComms``) for one rank, and
-  :class:`~repro.parallel.typhon.TyphonComms` for every decomposed
-  run — the same protocol class whether the ranks are threads or
-  processes; only the transport handed to it differs.
+  two implementations: :class:`~repro.core.comms.SerialComms` for one
+  rank, and :class:`~repro.parallel.typhon.TyphonComms` for every
+  decomposed run — the same protocol class whether the ranks are
+  threads or processes; only the transport handed to it differs.
 * :class:`CommBackend` — a Protocol for an execution backend: the
   object that decides where the ranks of a run execute and hands their
   reports back; the driver assembles those into a :class:`BackendRun`.
-* :data:`SEAM_METHODS` — the seam's method table, used by
-  ``tests/parallel/test_protocol.py`` to structurally verify that both
-  implementations cover the *full* seam with compatible signatures.
+* :data:`SEAM_METHODS` — the seam's method table, read off
+  :class:`CommEndpoint` and used by ``tests/parallel/test_protocol.py``
+  to structurally verify that both implementations cover the *full*
+  seam with compatible signatures.
 
 Backends register themselves in :mod:`repro.parallel.backends`; the
 supported selection surface is ``repro.api.RunConfig(backend=...)``.
@@ -33,71 +33,36 @@ from typing import (
 
 import numpy as np
 
-#: the full comms seam: method name -> positional parameter names
-#: (``*`` marks a variadic positional).  The structural-conformance
-#: test checks every implementation against this table.
-SEAM_METHODS: Dict[str, Tuple[str, ...]] = {
-    "exchange_kinematics": ("state",),
-    "assemble_node_sums": ("state", "fx", "fy"),
-    "complete_node_arrays": ("state", "*arrays"),
-    "reduce_dt": ("candidates",),
-    "allreduce_max": ("value",),
-    "allreduce_sum": ("values",),
-    "allreduce_min": ("values",),
-    "owned_cell_mask": ("state",),
-    "exchange_cell_arrays": ("*arrays",),
-    "exchange_cell_fields": ("state",),
-    "physical_boundary_sides": ("state",),
-    "physical_boundary_side_mask": ("state",),
-    "comm_plan": (),
-    # -- split-phase (overlapped) exchange API -------------------------
-    # ``post_*`` starts an exchange (packs the staging block and
-    # publishes it to the neighbours), ``complete_*`` finishes it
-    # (waits for the neighbours' posts, then scatters/folds).  The
-    # kernels compute the interior partition between the two calls
-    # when ``overlap_enabled()`` is true and call the blocking
-    # ``exchange_*``/``complete_node_arrays`` (post + complete back to
-    # back) otherwise; the serial endpoint degrades them to no-ops.
-    "overlap_enabled": (),
-    "post_kinematics": ("state",),
-    "complete_kinematics": ("state",),
-    "post_node_sums": ("state", "*partials"),
-    "complete_node_sums": ("state",),
-    "post_cell_arrays": ("*arrays",),
-    "complete_cell_arrays": ("*arrays",),
-    "post_cell_fields": ("state",),
-    "complete_cell_fields": ("state",),
-}
-
-#: attributes every endpoint must expose (per-rank identity)
-SEAM_ATTRIBUTES: Tuple[str, ...] = ("rank", "size")
-
 
 @runtime_checkable
 class CommEndpoint(Protocol):
     """One rank's communication endpoint (what kernels see as ``comms``).
 
-    The Lagrangian step calls :meth:`exchange_kinematics`,
-    :meth:`assemble_node_sums` and :meth:`reduce_dt` (one kinematic
-    halo, one nodal-sum completion, one global reduction per step —
-    paper Section IV-A); the distributed remap adds the cell-field and
-    gradient halos plus the collective skip decision.  The live-metrics
-    probe (docs/OBSERVABILITY.md) adds the two vector collectives
-    :meth:`allreduce_sum` / :meth:`allreduce_min` for its global
-    conservation sums and extrema — called only on sampled steps, and
-    symmetrically on every rank (the sampling cadence is SPMD state).
+    Every exchange is split-phase and has no other form: ``post_*``
+    starts it, ``complete_*`` finishes it, and the kernel does whatever
+    needs no halo in between.  The Lagrangian step posts and completes
+    one kinematic halo and one nodal-sum completion and calls
+    :meth:`reduce_dt` once per step (paper Section IV-A); the
+    distributed remap adds the cell-field and gradient halos, two more
+    nodal-sum completions and the collective skip decision.  The
+    live-metrics probe (docs/OBSERVABILITY.md) adds the two vector
+    collectives :meth:`allreduce_sum` / :meth:`allreduce_min` for its
+    global conservation sums and extrema — called only on sampled
+    steps, and symmetrically on every rank (the sampling cadence is
+    SPMD state).
     """
 
     rank: int
     size: int
 
-    def exchange_kinematics(self, state) -> None: ...
+    def post_kinematics(self, state) -> None: ...
 
-    def assemble_node_sums(self, state, fx: np.ndarray, fy: np.ndarray
-                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]: ...
+    def complete_kinematics(self, state) -> Tuple[np.ndarray, np.ndarray]: ...
 
-    def complete_node_arrays(self, state, *arrays: np.ndarray
-                             ) -> Tuple[np.ndarray, ...]: ...
+    def post_node_sums(self, state, *partials: np.ndarray) -> None: ...
+
+    def complete_node_sums(self, state, *partials: np.ndarray
+                           ) -> Tuple[np.ndarray, ...]: ...
 
     def reduce_dt(self, candidates): ...
 
@@ -109,26 +74,6 @@ class CommEndpoint(Protocol):
 
     def owned_cell_mask(self, state) -> Optional[np.ndarray]: ...
 
-    def exchange_cell_arrays(self, *arrays: np.ndarray) -> None: ...
-
-    def exchange_cell_fields(self, state) -> None: ...
-
-    def physical_boundary_sides(self, state) -> Optional[np.ndarray]: ...
-
-    def physical_boundary_side_mask(self, state) -> Optional[np.ndarray]: ...
-
-    def comm_plan(self): ...
-
-    def overlap_enabled(self) -> bool: ...
-
-    def post_kinematics(self, state) -> None: ...
-
-    def complete_kinematics(self, state) -> None: ...
-
-    def post_node_sums(self, state, *partials: np.ndarray) -> None: ...
-
-    def complete_node_sums(self, state) -> Tuple[np.ndarray, ...]: ...
-
     def post_cell_arrays(self, *arrays: np.ndarray) -> None: ...
 
     def complete_cell_arrays(self, *arrays: np.ndarray) -> None: ...
@@ -136,6 +81,33 @@ class CommEndpoint(Protocol):
     def post_cell_fields(self, state) -> None: ...
 
     def complete_cell_fields(self, state) -> None: ...
+
+    def physical_boundary_sides(self, state) -> Optional[np.ndarray]: ...
+
+    def physical_boundary_side_mask(self, state) -> Optional[np.ndarray]: ...
+
+
+def _positional(fn) -> Tuple[str, ...]:
+    """Positional parameter names of ``fn`` after ``self`` (``*`` marks
+    a variadic one)."""
+    return tuple(
+        ("*" if p.kind is p.VAR_POSITIONAL else "") + p.name
+        for p in inspect.signature(fn).parameters.values()
+        if p.name != "self" and p.kind in (
+            p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD, p.VAR_POSITIONAL)
+    )
+
+
+#: the full comms seam, read off the Protocol: method name ->
+#: positional parameter names.  The structural-conformance test checks
+#: every implementation against this table.
+SEAM_METHODS: Dict[str, Tuple[str, ...]] = {
+    name: _positional(member) for name, member in vars(CommEndpoint).items()
+    if not name.startswith("_") and callable(member)
+}
+
+#: attributes every endpoint must expose (per-rank identity)
+SEAM_ATTRIBUTES: Tuple[str, ...] = ("rank", "size")
 
 
 @dataclass
@@ -193,29 +165,17 @@ def seam_violations(cls) -> List[str]:
     :data:`SEAM_METHODS`.
 
     Returns a list of human-readable problems (empty = conforming):
-    missing methods, missing variadic parameters, or positional
-    parameter names that drifted from the table.
+    missing methods, or positional parameters (names, variadics) that
+    drifted from the protocol's.
     """
     problems: List[str] = []
-    for name, params in SEAM_METHODS.items():
+    for name, expected in SEAM_METHODS.items():
         fn = getattr(cls, name, None)
         if fn is None or not callable(fn):
             problems.append(f"{cls.__name__}.{name} is missing")
-            continue
-        sig = inspect.signature(fn)
-        positional = [
-            p for p in sig.parameters.values()
-            if p.name != "self" and p.kind in (
-                p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD, p.VAR_POSITIONAL,
-            )
-        ]
-        expected: List[Tuple[str, bool]] = [
-            (p.lstrip("*"), p.startswith("*")) for p in params
-        ]
-        got = [(p.name, p.kind == p.VAR_POSITIONAL) for p in positional]
-        if got != expected:
+        elif _positional(fn) != expected:
             problems.append(
                 f"{cls.__name__}.{name} signature drifted: "
-                f"expected {expected}, got {got}"
+                f"expected {expected}, got {_positional(fn)}"
             )
     return problems

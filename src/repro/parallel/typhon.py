@@ -29,15 +29,19 @@ on every rank, so shared interface nodes receive *bit-identical*
 values everywhere and a decomposed run tracks the serial one to
 floating-point round-off only.
 
-Every exchange is split-phase: ``post_*`` packs and publishes,
-``complete_*`` waits only on the *neighbouring* ranks' post counters
-(no global barrier) and scatters or folds.  With
-``comm_plan="overlap"`` the kernels compute their interior partition
-between the two halves; with ``comm_plan="packed"``
-``overlap_enabled()`` is false, so the kernels call the blocking seam
-methods — the same post and complete back to back.  One protocol, two
-schedules, bit-identical because packing is a pure reorder and the
-nodal-sum completion replays the exact ascending-rank fold.
+Every exchange is split-phase, and the kernels speak nothing else:
+``post_*`` packs and publishes, ``complete_*`` waits only on the
+*neighbouring* ranks' post counters (no global barrier) and scatters or
+folds; the kernels compute whatever needs no halo between the two
+halves.  The schedule (``comm_plan``) is a fact only the endpoint
+knows: an ``"overlap"`` endpoint lands the peers' data at *complete*,
+a ``"packed"`` one at *post* — post and complete back to back, the
+complete half then hands back what is already there.  The kernels
+cannot tell, which is what makes ``packed`` the equivalence reference:
+a kernel that read halo-dependent data between the halves would
+diverge between the two.  One protocol, two schedules, bit-identical
+because packing is a pure reorder and the nodal-sum completion replays
+the exact ascending-rank fold.
 
 The per-step dt reduction runs a **binomial-tree combining reduction**
 (min is exact, so the tree result is bitwise equal to a root gather):
@@ -302,8 +306,8 @@ class TyphonComms:
     neighbours' post counters, and a post may only reuse a parity half
     once every *reader* neighbour's complete counter shows the k−2 read
     finished.  No global barrier is involved, so ranks slide past each
-    other by up to one exchange.  The blocking seam methods are post +
-    complete back to back — the whole of ``comm_plan="packed"``.
+    other by up to one exchange.  ``comm_plan="packed"`` is post +
+    complete back to back at post time (:meth:`_post`).
 
     ``ctx`` is the :class:`Transport`; nothing here knows whether the
     peers are threads or processes.
@@ -332,14 +336,17 @@ class TyphonComms:
         #: ``wait_s``/``waited_on`` args say who was waited for)
         self.tracer = tracer
         self.plan = plan if plan is not None else ctx.plans[self.rank]
-        #: the schedule the kernels drive (``comm_plan``, validated by
-        #: DistributedHydro): only ``overlap_enabled()`` reads it
+        #: the schedule (``comm_plan``, validated by DistributedHydro):
+        #: read by ``_post`` and nowhere else
         self.mode = mode
         #: per-section op counts (the parity source) and the in-flight
         #: post bookkeeping
         self._ops: Dict[str, int] = dict.fromkeys(SECTIONS, 0)
         self._pending: Dict[str, int] = {}
-        self._pending_sums: Optional[tuple] = None
+        self._pending_totals: Optional[tuple] = None
+        #: results of the exchanges a packed endpoint finished at post
+        #: time, by exchange name, until their complete half collects
+        self._landed: Dict[str, object] = {}
         #: dt-reduction generation (guards the combining cells' reuse)
         self._dt_gen = 0
         #: ``(seconds, peer, leg)`` per wait of the open traced span;
@@ -348,14 +355,37 @@ class TyphonComms:
         #: arena for the reusable nodal-sum totals buffers
         self._ws = Workspace()
 
-    def comm_plan(self) -> Optional[CommPlan]:
-        """This endpoint's compiled plan."""
-        return self.plan
+    # ------------------------------------------------------------------
+    # the two halves of every exchange, and the schedule between them
+    # ------------------------------------------------------------------
+    def _post(self, what: str, post, complete, *args) -> None:
+        """Start exchange ``what`` — the one place the schedule is read.
 
-    def overlap_enabled(self) -> bool:
-        """True when the kernels should split post from complete and
-        compute their interior partition in between."""
-        return self.mode == "overlap"
+        An overlap endpoint packs and publishes and returns; a packed
+        one also completes on the spot (one ``typhon.complete_*`` span
+        around both, so a packed run records no ``typhon.post_*``
+        span) and parks the result for :meth:`_complete`.
+        """
+        if self.mode == "overlap":
+            with self._span("typhon.post_" + what):
+                post(*args)
+            return
+        if what in self._landed:
+            raise CommError(
+                f"rank {self.rank}: {what} exchange already posted — "
+                "a second post must wait for complete"
+            )
+        with self._span("typhon.complete_" + what):
+            post(*args)
+            self._landed[what] = complete(*args)
+
+    def _complete(self, what: str, complete, *args):
+        """Finish exchange ``what``: hand back what :meth:`_post`
+        already landed, else wait for the peers and land it now."""
+        if what in self._landed:
+            return self._landed.pop(what)
+        with self._span("typhon.complete_" + what):
+            return complete(*args)
 
     # ------------------------------------------------------------------
     # spans and wait attribution
@@ -470,32 +500,27 @@ class TyphonComms:
     # ------------------------------------------------------------------
     # kinematic halo exchange (before the viscosity kernel)
     # ------------------------------------------------------------------
-    def exchange_kinematics(self, state) -> None:
-        """Refresh ghost-only nodes' x, y, u, v from their owner ranks."""
-        with self._span("typhon.exchange_kinematics"):
-            self._post_kinematics(state)
-            self._complete_kinematics(state)
-
     def post_kinematics(self, state) -> None:
-        """Start the kinematic halo refresh: pack this rank's send
-        blocks and publish — the caller may now compute the interior
-        partition (``plan.interior_cells``)."""
-        with self._span("typhon.post_kinematics"):
-            self._post_kinematics(state)
+        """Start the refresh of ghost-only nodes' x, y, u, v from their
+        owner ranks: pack this rank's send blocks and publish — the
+        caller may now compute whatever reads no ghost node."""
+        self._post("kinematics", self._post_kinematics,
+                   self._complete_kinematics, state)
 
-    def complete_kinematics(self, state) -> None:
+    def complete_kinematics(self, state) -> Tuple[np.ndarray, np.ndarray]:
         """Finish a posted kinematic refresh: wait for the source
-        neighbours' posts, scatter the ghost rows."""
-        with self._span("typhon.complete_kinematics"):
-            self._complete_kinematics(state)
+        neighbours' posts, scatter the ghost rows.  Returns the stale
+        strip ``(plan.halo_cells, plan.halo_nodes)``."""
+        return self._complete("kinematics", self._complete_kinematics, state)
 
     def _post_kinematics(self, state) -> None:
         self._post_section("kin", (state.x, state.y, state.u, state.v))
 
-    def _complete_kinematics(self, state) -> None:
+    def _complete_kinematics(self, state) -> Tuple[np.ndarray, np.ndarray]:
         k = self._begin_complete("kin")
         self._unpack_kinematics(state, k & 1)
         self._end_complete("kin", k)
+        return self.plan.halo_cells, self.plan.halo_nodes
 
     def _unpack_kinematics(self, state, parity: int) -> None:
         """Scatter every source neighbour's staged (4, n) block."""
@@ -515,35 +540,25 @@ class TyphonComms:
     # ------------------------------------------------------------------
     # nodal sum completion (inside the acceleration kernel)
     # ------------------------------------------------------------------
-    def complete_node_arrays(self, state, *arrays: np.ndarray
-                             ) -> Tuple[np.ndarray, ...]:
-        """Complete partial nodal sums across ranks.
-
-        ``arrays`` are this rank's per-node partial sums, accumulated
-        from *owned* cells only.  Partials are combined in ascending
-        rank order so every rank computes bit-identical totals for
-        shared nodes.
-        """
-        with self._span("typhon.complete_node_arrays"):
-            self._post_node_sums(state, *arrays)
-            return self._complete_node_sums(state)
-
     def post_node_sums(self, state, *partials: np.ndarray) -> None:
-        """Start a nodal-sum completion: stage this rank's shared-node
-        blocks and pre-fill the totals with the local partials — every
-        node *not* shared with a peer is final immediately;
-        ``complete_node_sums`` re-folds only the shared union strip."""
-        with self._span("typhon.post_node_sums"):
-            self._post_node_sums(state, *partials)
+        """Start a nodal-sum completion.  ``partials`` are this rank's
+        per-node sums accumulated from *owned* cells only: stage the
+        shared-node blocks and pre-fill the totals with the local
+        partials — every node *not* shared with a peer is final
+        immediately; the complete half re-folds only the shared union
+        strip."""
+        self._post("node_sums", self._post_node_sums,
+                   self._complete_node_sums, state, *partials)
 
-    def complete_node_sums(self, state) -> Tuple[np.ndarray, ...]:
-        """Finish a posted nodal-sum completion: wait for the peers'
-        posts, then fold the shared-node union (re-zeroed first) in
-        ascending rank order with this rank's own partial in its sorted
-        position, so shared nodes accumulate in a fixed order bit for
-        bit on every rank."""
-        with self._span("typhon.complete_node_sums"):
-            return self._complete_node_sums(state)
+    def complete_node_sums(self, state, *partials: np.ndarray
+                           ) -> Tuple[np.ndarray, ...]:
+        """Finish a posted nodal-sum completion (pass the same arrays):
+        wait for the peers' posts, then fold the shared-node union
+        (re-zeroed first) in ascending rank order with this rank's own
+        partial in its sorted position, so shared nodes accumulate in a
+        fixed order bit for bit on every rank."""
+        return self._complete("node_sums", self._complete_node_sums,
+                              state, *partials)
 
     def _post_node_sums(self, state, *partials: np.ndarray) -> None:
         k = self._post_section("nodesum", partials)
@@ -557,16 +572,13 @@ class TyphonComms:
         # (unshared) nodes are already bit-final
         for total, p in zip(totals, partials):
             total += p
-        self._pending_sums = (partials, totals)
+        self._pending_totals = totals
 
-    def _complete_node_sums(self, state) -> Tuple[np.ndarray, ...]:
+    def _complete_node_sums(self, state, *partials: np.ndarray
+                            ) -> Tuple[np.ndarray, ...]:
         k = self._begin_complete("nodesum")
-        if self._pending_sums is None:
-            raise CommError(
-                f"rank {self.rank}: complete_node_sums without a post"
-            )
-        partials, totals = self._pending_sums
-        self._pending_sums = None
+        totals = self._pending_totals
+        self._pending_totals = None
         sec = self.plan.nodesum
         union = self.plan.shared_union
         widths = _widths(partials)
@@ -589,17 +601,6 @@ class TyphonComms:
         self.stats.halo_exchanges += 1
         self._end_complete("nodesum", k)
         return totals
-
-    def assemble_node_sums(self, state, fx: np.ndarray, fy: np.ndarray
-                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Owned-cell scatter + deterministic cross-rank completion."""
-        owned = self.sub.owned_cell_mask[:, None]
-        node_fx = state.scatter_to_nodes(np.where(owned, fx, 0.0))
-        node_fy = state.scatter_to_nodes(np.where(owned, fy, 0.0))
-        mass = state.scatter_to_nodes(
-            np.where(owned, state.corner_mass, 0.0)
-        )
-        return self.complete_node_arrays(state, node_fx, node_fy, mass)
 
     # ------------------------------------------------------------------
     # the single global reduction (getdt)
@@ -715,24 +716,21 @@ class TyphonComms:
     # ------------------------------------------------------------------
     # cell-field halo (the distributed ALE remap)
     # ------------------------------------------------------------------
-    def exchange_cell_arrays(self, *arrays: np.ndarray) -> None:
-        """Refresh the ghost-cell rows of per-cell arrays from their
-        owner ranks (every rank must pass the same array list)."""
-        with self._span("typhon.exchange_cell_arrays"):
-            self._post_section("cell", arrays)
-            self._complete_cell_arrays(*arrays)
-
     def post_cell_arrays(self, *arrays: np.ndarray) -> None:
-        """Start a ghost-cell refresh: pack and publish this rank's
-        owned-cell blocks (scalars and (n, 4) corner fields interleave
-        by the plan's per-array widths)."""
-        with self._span("typhon.post_cell_arrays"):
-            self._post_section("cell", arrays)
+        """Start a refresh of the ghost-cell rows of per-cell arrays
+        from their owner ranks (every rank must pass the same array
+        list): pack and publish this rank's owned-cell blocks (scalars
+        and (n, 4) corner fields interleave by the plan's per-array
+        widths)."""
+        self._post("cell_arrays", self._post_cell_arrays,
+                   self._complete_cell_arrays, *arrays)
 
     def complete_cell_arrays(self, *arrays: np.ndarray) -> None:
         """Finish a posted ghost-cell refresh (pass the same arrays)."""
-        with self._span("typhon.complete_cell_arrays"):
-            self._complete_cell_arrays(*arrays)
+        self._complete("cell_arrays", self._complete_cell_arrays, *arrays)
+
+    def _post_cell_arrays(self, *arrays: np.ndarray) -> None:
+        self._post_section("cell", arrays)
 
     def _complete_cell_arrays(self, *arrays: np.ndarray) -> None:
         k = self._begin_complete("cell")
@@ -752,12 +750,6 @@ class TyphonComms:
                 nvalues += block.size
             self.stats.account(nvalues)
         self.stats.halo_exchanges += 1
-
-    def exchange_cell_fields(self, state) -> None:
-        """Refresh ghost thermodynamics and masses before a remap."""
-        self.exchange_cell_arrays(
-            state.rho, state.e, state.cell_mass, state.corner_mass
-        )
 
     def post_cell_fields(self, state) -> None:
         """Start the ghost thermodynamic/mass refresh."""

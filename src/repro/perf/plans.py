@@ -213,3 +213,23 @@ class MeshPlans:
             return result
         np.copyto(out, result)
         return out
+
+    def owned_node_sum(self, corner_field: np.ndarray,
+                       owned: Optional[np.ndarray], w) -> np.ndarray:
+        """:meth:`scatter_to_nodes` over the ``owned`` cells only
+        (``None``: all of them) — a decomposed rank's partial sum.
+        The result and every temporary are borrowed from workspace
+        ``w``; the caller releases the result."""
+        out, pad = w.borrow(self.nnode), w.borrow(self.nnode)
+        if owned is None:
+            self.scatter_to_nodes(corner_field, out=out, pad=pad)
+        else:
+            # Copy everything, then zero the ghost strip: a masked
+            # copy costs several times the plain one.
+            masked = w.borrow((self.ncell, 4))
+            np.copyto(masked, corner_field)
+            masked[np.flatnonzero(~owned)] = 0.0
+            self.scatter_to_nodes(masked, out=out, pad=pad)
+            w.release(masked)
+        w.release(pad)
+        return out

@@ -104,11 +104,17 @@ def test_zero_mass_guard():
     import repro.core.acceleration as acc_mod
 
     class FakeComms:
-        size = 2            # decomposed: sums complete through the seam
+        """An endpoint whose peers leave node 0 without mass."""
 
-        def assemble_node_sums(self, state, fx, fy):
-            # the seam keeps speaking (ncell, 4)
-            assert fx.shape == fy.shape == (state.mesh.ncell, 4)
+        def owned_cell_mask(self, state):
+            return np.ones(state.mesh.ncell, dtype=bool)
+
+        def post_node_sums(self, state, *partials):
+            assert all(p.shape == (state.mesh.nnode,) for p in partials)
+            self.posted = partials
+
+        def complete_node_sums(self, state, *partials):
+            assert all(a is b for a, b in zip(partials, self.posted))
             n = state.mesh.nnode
             mass = np.ones(n)
             mass[0] = 0.0

@@ -59,6 +59,28 @@ def test_unknown_fleet_option_errors():
         submit([])
 
 
+@pytest.mark.parametrize("option, value", [
+    ("checkpoint_every", 0), ("batch_width", 0), ("batch_width", -3),
+    ("max_attempts", 0),
+])
+def test_non_positive_counts_are_refused_before_anything_runs(
+        tmp_path, monkeypatch, option, value):
+    """A cadence, width or attempt budget below 1 used to surface from
+    inside job 0 (after the pool had forked) or be clamped to 1 without
+    a word; it is one line from ``submit`` now, with nothing built."""
+    import repro.fleet.engine as engine
+
+    def built(*args, **kwargs):
+        raise AssertionError("the sweep was built before being refused")
+
+    monkeypatch.setattr(engine, "Fleet", built)
+    with pytest.raises(BookLeafError) as refused:
+        submit([_cfg(), _cfg(max_steps=4)], workers=1, ensemble="off",
+               checkpoint_dir=str(tmp_path), **{option: value})
+    assert str(refused.value) == f"{option} must be >= 1"
+    assert not isinstance(refused.value, FleetError)
+
+
 def test_overrides_cannot_ride_ensemble_off():
     with pytest.raises(BookLeafError, match="ensemble"):
         submit([_cfg()], control_overrides=[{"cq1": 0.5}],

@@ -3,7 +3,7 @@
 The backends decide where the ranks run and hand
 :class:`~repro.parallel.typhon.TyphonComms` a transport; they never
 reimplement a piece of the protocol.  That rots the first time someone
-gives a backend its own ``exchange_kinematics`` or packs a staging
+gives a backend its own ``post_kinematics`` or packs a staging
 block there, so this test parses ``repro/parallel/backends`` and fails
 on any class that defines a seam method, and on any call that belongs
 to the protocol: packing or reading a CommPlan block, creating or
@@ -18,6 +18,14 @@ half fails on a backend that constructs any part of a rank or a
 under ``repro/parallel``, on a second copy of the desynchronisation
 check, and on a dedicated watchdog thread coming back under
 ``repro/metrics`` (the launchers' wait loops poll the heartbeat board).
+
+And one level down for the *seam*: an exchange has one form, post then
+complete, and each kernel writes its comm point once.  The third part
+fails on any of the deleted blocking or schedule-asking names coming
+back anywhere under ``repro``, on a kernel under ``repro/core`` or
+``repro/ale`` that posts or completes inside a branch on ``comms``
+(a second body for some endpoints), and on a second function of
+``typhon.py`` reading the endpoint's schedule.
 """
 
 import ast
@@ -74,7 +82,7 @@ def test_backends_hold_no_protocol_logic():
 def test_the_checker_itself_catches_a_second_protocol():
     tree = ast.parse(
         "class ShadowComms:\n"
-        "    def exchange_kinematics(self, state):\n"
+        "    def post_kinematics(self, state):\n"
         "        sec.pack(region, arrays)\n"
         "        blocks = sec.peer_blocks(peer, region, widths)\n"
         "        self.stats.account(4)\n"
@@ -82,7 +90,7 @@ def test_the_checker_itself_catches_a_second_protocol():
         "        pass\n"
         "stats = CommStats()\n")
     assert [what for _, what in _violations(tree)] == [
-        "ShadowComms.exchange_kinematics", "pack()", "peer_blocks()",
+        "ShadowComms.post_kinematics", "pack()", "peer_blocks()",
         "account()", "CommStats()"]
 
 
@@ -158,3 +166,107 @@ def test_the_rank_guard_catches_a_pasted_rank():
     assert [name for _, name in _calls(tree, RANK_CALLS)] == [
         "local_state", "Hydro", "BackendRun"]
     assert _thread_subclasses(tree) == ["Monitor", "Watchdog", "Poller"]
+
+
+# ----------------------------------------------------------------------
+# one comm seam
+# ----------------------------------------------------------------------
+#: the blocking twins and the schedule query the kernels used to fork on
+RETIRED_SEAM_NAMES = ("overlap_enabled", "exchange_kinematics",
+                      "assemble_node_sums", "complete_node_arrays",
+                      "exchange_cell_arrays", "exchange_cell_fields")
+
+
+def _retired_names(tree: ast.AST):
+    """Uses and definitions of a retired seam name, in source order."""
+    found = []
+    for node in ast.walk(tree):
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.FunctionDef)
+                else None)
+        if name in RETIRED_SEAM_NAMES:
+            found.append((node.lineno, node.col_offset, name))
+    return [(ln, name) for ln, _, name in sorted(found)]
+
+
+def _mentions_comms(test: ast.AST) -> bool:
+    return any(isinstance(n, ast.Name) and n.id == "comms"
+               for n in ast.walk(test))
+
+
+def _forked_halves(tree: ast.AST):
+    """``post_*(``/``complete_*(`` calls inside either arm of an ``if``
+    (statement or expression) whose test mentions ``comms``."""
+    found = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, (ast.If, ast.IfExp))
+                and _mentions_comms(node.test)):
+            continue
+        arms = (node.body + node.orelse if isinstance(node, ast.If)
+                else [node.body, node.orelse])
+        for arm in arms:
+            for call in ast.walk(arm):
+                name = (_called_name(call.func)
+                        if isinstance(call, ast.Call) else None)
+                if name and name.startswith(("post_", "complete_")):
+                    found.add((call.lineno, name))
+    return sorted(found)
+
+
+def _schedule_readers(tree: ast.AST):
+    """Functions that read ``<something>.mode``."""
+    return sorted(
+        fn.name for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(n, ast.Attribute) and n.attr == "mode"
+                and isinstance(n.ctx, ast.Load) for n in ast.walk(fn)))
+
+
+def test_the_seam_has_one_form_of_each_exchange():
+    found = [f"{path.relative_to(SRC)}:{ln} ({name})"
+             for path, tree in _trees(SRC)
+             for ln, name in _retired_names(tree)]
+    assert not found, (
+        "an exchange is post_* then complete_*, on every endpoint and "
+        "under every schedule; found " + ", ".join(found))
+
+
+def test_kernels_write_each_comm_point_once():
+    found = [f"{path.relative_to(SRC)}:{ln} ({name}())"
+             for root in (SRC / "core", SRC / "ale")
+             for path, tree in _trees(root)
+             for ln, name in _forked_halves(tree)]
+    assert not found, (
+        "a kernel posts and completes unconditionally — the serial "
+        "endpoint's halves are no-ops; found " + ", ".join(found))
+
+
+def test_only_the_endpoint_knows_its_schedule():
+    tree = ast.parse((PARALLEL / "typhon.py").read_text())
+    assert _schedule_readers(tree) == ["_post"]
+
+
+def test_the_seam_guard_catches_a_pasted_fork():
+    tree = ast.parse(
+        "def lagstep(state, comms):\n"
+        "    if comms.overlap_enabled():\n"
+        "        comms.post_kinematics(state)\n"
+        "    else:\n"
+        "        comms.exchange_kinematics(state)\n"
+        "    halo = comms.complete_kinematics(state) if comms.size > 1 "
+        "else None\n"
+        "    comms.post_node_sums(state)\n"
+        "class ShadowComms:\n"
+        "    def complete_node_arrays(self, state, *arrays):\n"
+        "        return arrays\n"
+        "    def _post(self, what):\n"
+        "        return self.mode == 'overlap'\n"
+        "    def eager(self):\n"
+        "        return self.mode != 'overlap'\n"
+        "    def __init__(self, mode):\n"
+        "        self.mode = mode\n")
+    assert [name for _, name in _retired_names(tree)] == [
+        "overlap_enabled", "exchange_kinematics", "complete_node_arrays"]
+    assert [name for _, name in _forked_halves(tree)] == [
+        "post_kinematics", "complete_kinematics"]
+    assert _schedule_readers(tree) == ["_post", "eager"]

@@ -16,14 +16,20 @@ from tests.parallel.conftest import (
 )
 
 
+def _exchange_kinematics(comm, state):
+    """A whole exchange is its two halves — the seam has no other form."""
+    comm.post_kinematics(state)
+    return comm.complete_kinematics(state)
+
+
 @both_transports
 def test_exchange_kinematics_moves_ghost_data(ctx, subs, states, comms):
     # poison rank 0's ghost-only nodes, then exchange
     ghost = subs[0].recv_nodes[1]
     states[0].u[ghost] = -99.0
     run_spmd([
-        lambda: comms[0].exchange_kinematics(states[0]),
-        lambda: comms[1].exchange_kinematics(states[1]),
+        lambda: _exchange_kinematics(comms[0], states[0]),
+        lambda: _exchange_kinematics(comms[1], states[1]),
     ])
     src = subs[1].send_nodes[0]
     np.testing.assert_array_equal(states[0].u[ghost], states[1].u[src])
@@ -36,7 +42,8 @@ def test_complete_node_arrays_sums_across_ranks(ctx, subs, states, comms):
 
     def work(r):
         partial = np.ones(subs[r].mesh.nnode) * (r + 1)
-        results[r] = comms[r].complete_node_arrays(states[r], partial)[0]
+        comms[r].post_node_sums(states[r], partial)
+        results[r] = comms[r].complete_node_sums(states[r], partial)[0]
 
     run_spmd([lambda: work(0), lambda: work(1)])
     # shared nodes got 1 + 2 = 3 on both ranks; private nodes keep own
@@ -52,14 +59,42 @@ def test_complete_node_arrays_sums_across_ranks(ctx, subs, states, comms):
 def test_exchange_cell_arrays_refreshes_ghosts(ctx, subs, states, comms):
     arrays = [np.full(sub.cell_global.size, float(r * 10))
               for r, sub in enumerate(subs)]
-    run_spmd([
-        lambda: comms[0].exchange_cell_arrays(arrays[0]),
-        lambda: comms[1].exchange_cell_arrays(arrays[1]),
-    ])
+
+    def work(r):
+        comms[r].post_cell_arrays(arrays[r])
+        comms[r].complete_cell_arrays(arrays[r])
+
+    run_spmd([lambda: work(0), lambda: work(1)])
     ghosts0 = subs[0].recv_cells[1]
     np.testing.assert_array_equal(arrays[0][ghosts0], 10.0)
     owned0 = np.flatnonzero(subs[0].owned_cell_mask)
     np.testing.assert_array_equal(arrays[0][owned0], 0.0)
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_packed_endpoint_lands_at_post(transport):
+    """The reference schedule: a packed endpoint's post is the whole
+    exchange, its complete hands back what is already there — and the
+    interleaving guards hold on it exactly as on an overlap endpoint."""
+    with live_ranks(transport, mode="packed") as (ctx, subs, states, comms):
+        ghost = subs[0].recv_nodes[1]
+        states[0].u[ghost] = -99.0
+        run_spmd([lambda: comms[0].post_kinematics(states[0]),
+                  lambda: comms[1].post_kinematics(states[1])])
+        np.testing.assert_array_equal(
+            states[0].u[ghost], states[1].u[subs[1].send_nodes[0]])
+        assert sum(c.stats.halo_exchanges for c in comms) == 2
+        with pytest.raises(CommError, match="already posted"):
+            comms[0].post_kinematics(states[0])
+        cells, nodes = comms[0].complete_kinematics(states[0])
+        assert cells is comms[0].plan.halo_cells
+        assert nodes is comms[0].plan.halo_nodes
+        assert sum(c.stats.halo_exchanges for c in comms) == 2
+        with pytest.raises(CommError, match="without a post"):
+            comms[0].complete_kinematics(states[0])
+        with pytest.raises(CommError, match="without a post"):
+            comms[0].complete_node_sums(states[0])
+        comms[1].complete_kinematics(states[1])
 
 
 @both_transports
@@ -115,8 +150,8 @@ def test_traffic_matrix_symmetric_pairs():
 @both_transports
 def test_stats_accumulate(ctx, subs, states, comms):
     run_spmd([
-        lambda: comms[0].exchange_kinematics(states[0]),
-        lambda: comms[1].exchange_kinematics(states[1]),
+        lambda: _exchange_kinematics(comms[0], states[0]),
+        lambda: _exchange_kinematics(comms[1], states[1]),
     ])
     assert sum(c.stats.halo_exchanges for c in comms) == 2
     assert all(c.stats.bytes_sent > 0 for c in comms)
@@ -195,7 +230,7 @@ def test_untraced_waits_are_not_timed(monkeypatch, transport):
         monotonic=time.monotonic, perf_counter=clock))
     with live_ranks(transport) as (ctx, subs, states, comms):
         def step(r):
-            comms[r].exchange_kinematics(states[r])
+            _exchange_kinematics(comms[r], states[r])
             comms[r].reduce_dt([(0.5, "cfl", 3)])
             comms[r].allreduce_max(1.0)
 

@@ -355,6 +355,18 @@ def test_fleet_sweep_runs_and_caches(tmp_path, capsys):
     assert all(j["cache_hit"] for j in doc["jobs"])
 
 
+def test_fleet_zero_checkpoint_cadence_is_one_line(tmp_path, capsys):
+    rc = main(["fleet", "--problem", "sod", "--nx", "16", "--ny", "8",
+               "--max-steps", "4", "--sweep", "max_steps=3,4",
+               "--checkpoint-dir", str(tmp_path),
+               "--checkpoint-every", "0"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "fleet: checkpoint_every must be >= 1"]
+
+
 def test_fleet_control_sweep_batches(capsys):
     rc = main(["fleet", "--problem", "sod", "--nx", "16", "--ny", "8",
                "--max-steps", "5", "--sweep", "cq1=0.3,0.5,0.7"])

@@ -8,7 +8,9 @@ Prints one ``sha256  label`` line per row of
       x {serial, threads x2, processes x2, ensemble lane (N = 4, per-lane cq1)}
       x {Lagrangian, ale_on where the problem has the setting}
 
-plus a node-permuted and a pinwheel mesh (neither is a structured
+with the decomposed Sod and Noh rows repeated on the reference exchange
+schedule (``comm_plan="packed"``: every halo lands at its post), each
+required equal to its overlap row, plus a node-permuted and a pinwheel mesh (neither is a structured
 grid) run solo and as two lanes, and Noh 32x32 decomposed 2 and 4 ways
 by the spectral partitioner (its cell-to-rank array, and the run on
 it), plus Sod, Noh and Kidder through ``submit``: uninterrupted,
@@ -28,8 +30,8 @@ the other and diffs the two listings (each revision's script knows how
 to drive its own lanes): exit 0 when every row REV prints is identical
 here, 1 when one differs or is gone.  Rows REV does not have yet are
 listed as new — they are checked against their reference rows by the
-run itself, which exits 1 if a replayed, resumed or refilled job
-disagrees with its uninterrupted run.
+run itself, which exits 1 if a packed, replayed, resumed or refilled
+run disagrees with its reference.
 That is the acceptance check for any change that claims to move no bit
 (a kernel edit, a comm refactor, a merge of two code paths) — the
 digests depend on the numpy build, so no golden file is committed;
@@ -53,6 +55,8 @@ FIELDS = ("x", "y", "u", "v", "rho", "e", "p", "q")
 SIZE = 16
 STEPS = 30
 LANES = 4
+#: problems whose decomposed rows also run the reference schedule
+PACKED = ("sod", "noh")
 
 
 def digest(state, time, nstep, dts) -> str:
@@ -103,9 +107,11 @@ def row(label, fn, each="lane"):
     return out
 
 
-def problem_rows():
+def problem_rows() -> int:
+    """Returns how many ``packed`` rows disagree with their overlap row."""
     from repro.api import RunConfig, describe_problem, problem_names, run
 
+    wrong = 0
     for problem in problem_names():
         settings = {s["name"] for s in describe_problem(problem)["settings"]}
         for ale in (False, True) if "ale_on" in settings else (False,):
@@ -117,8 +123,16 @@ def problem_rows():
             row(f"{tag} serial", lambda: result_digest(run(base)))
             for backend in ("threads", "processes"):
                 config = base.replace(nranks=2, backend=backend)
-                row(f"{tag} {backend}x2",
-                    lambda: result_digest(run(config)))
+                overlap = row(f"{tag} {backend}x2",
+                              lambda: result_digest(run(config)))
+                if problem not in PACKED:
+                    continue
+                packed = config.replace(comm_plan="packed")
+                if row(f"{tag} {backend}x2 packed",
+                       lambda: result_digest(run(packed))) != overlap:
+                    print(f"MISMATCH  {tag} {backend}x2 packed differs from "
+                          "the overlap schedule", file=sys.stderr)
+                    wrong += 1
 
             def lanes():
                 setups = [base.build_setup() for _ in range(LANES)]
@@ -127,6 +141,7 @@ def problem_rows():
                 return lane_digests(setups)
 
             row(f"{tag} ensemble", lanes)
+    return wrong
 
 
 def spectral_rows():
@@ -296,10 +311,10 @@ def main(argv=None) -> int:
                         help="also run REV's src/ and diff the listings")
     args = parser.parse_args(argv)
     if args.against is None:
-        problem_rows()
+        wrong = problem_rows()
         offgrid_rows()
         spectral_rows()
-        return 1 if fleet_rows() + refill_rows() else 0
+        return 1 if wrong + fleet_rows() + refill_rows() else 0
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     mine = listing_of(root)
