@@ -31,6 +31,24 @@ continuation-edge indices (hoisted out of the per-step path), and a
 :class:`~repro.perf.workspace.Workspace` supplies every temporary,
 making repeat calls allocation-free.  A standalone call without a
 workspace runs the same body on fresh allocations.
+
+**Active edges.**  Only the cheap part of the kernel is dense: the
+corner gathers, the edge differences and the compression test.  Away
+from shocks few edges compress (6.7% on average over a 50-step Sod
+128², never above 10%), so the limiter, ``q``, the median arm and the
+edge forces run once, over the :class:`EdgeSet` ``E`` of active edges
+only — flat indices into the (4, ncell) edge arrays, with per-cell
+coefficients read at ``E % ncell`` — and the results are scattered into
+dense bases.  An inactive edge's dense result is exact zero: ``+0`` for
+``q``, and for the forces ``Δu · 0.0``, i.e. ``copysign(0, Δu)``, the
+signed zero the dense chain ``((0·L)·Δu)·inv`` produces (``L`` and
+``inv`` are non-negative), so ``fq`` and ``q_cell`` — from the
+unchanged dense differences and :func:`~repro.perf.plans.corner_reduce`
+— are bit-identical to evaluating every edge.  Gathering and
+scattering cost more per edge than the arithmetic they skip, so once
+more than :data:`SUBSET_MAX_FRACTION` of the edges are active (a Noh
+implosion compresses nearly all of them) ``E`` is the whole edge array
+and nothing is gathered at all; :func:`uses_subset` is the choice.
 """
 
 from __future__ import annotations
@@ -48,11 +66,183 @@ from .geometry import (centroid, corner_dot, edge_diff, edge_mid,
 #: velocity-jump magnitude below which an edge is treated as rigid
 DU_CUT = 1.0e-30
 
+#: active-edge fraction up to which ``getq`` works on the compressed
+#: subset; above it the whole edge array is cheaper.  The measured
+#: crossover (docs/PERFORMANCE.md, "Active-edge viscosity") is 1/3 at
+#: 32² and 0.4 from 128² up; a third also fits three subset values in
+#: one arena block.
+SUBSET_MAX_FRACTION = 1.0 / 3.0
+
+#: edges per ``np.compress`` call.  ``compress(..., out=)`` still
+#: allocates 16 bytes per selected edge (its ``nonzero`` indices and a
+#: raise-mode copy of the output), so the active set is compressed in
+#: chunks: at most 32 KiB per call, whatever |E| is.
+COMPRESS_CHUNK = 2048
+
+
+def uses_subset(nactive: int, nedge: int) -> bool:
+    """Whether ``getq`` works on the ``nactive`` active edges alone
+    (True) or on all ``nedge`` edges of the mesh (False)."""
+    return nactive <= SUBSET_MAX_FRACTION * nedge
+
+
+class EdgeSet:
+    """The edges ``getq`` does its per-edge work on: every edge of the
+    (4, ncell) arrays, or the flat indices ``E`` of the active ones.
+
+    The kernel body is written once against this set.  On the whole
+    array every accessor hands back the dense array itself, per-cell
+    values broadcast along the corner rows and nothing is gathered or
+    scattered.  On a subset, a value on the set is a length-``|E|``
+    view into a full-size (``4·ncell``) arena block, placed at a
+    multiple of the largest subset size, so a block holds the same
+    number of values whatever ``|E|`` a step has and the arena never
+    grows with it; values are recycled within the call and the blocks
+    go back in :meth:`close`.
+
+    ``active`` (borrowed from ``ws``; owned by the set from here on) is
+    the mask of active edges, ``None`` for every edge with nothing to
+    mask.
+    """
+
+    def __init__(self, ws, plans, active: Optional[np.ndarray] = None,
+                 shape: Optional[Tuple[int, int]] = None):
+        self.ws = ws
+        self.shape = active.shape if active is not None else shape
+        self.nedge = int(np.prod(self.shape))
+        self.active = active
+        #: |E| on a subset, None on the whole array
+        self.n = self.flat = self.cells = None
+        self._held = {}                      # id(view) -> slot | None
+        self._free, self._blocks, self._room = [], [], 0
+        if active is None:
+            return
+        n = int(np.count_nonzero(active))
+        if not uses_subset(n, self.nedge):
+            return
+        self.n = n
+        self._stride = max(1, int(SUBSET_MAX_FRACTION * self.nedge))
+        self.flat = self.borrow(np.intp)
+        mask, index, done = active.reshape(-1), plans.edge_index, 0
+        for start in range(0, self.nedge, COMPRESS_CHUNK):
+            chunk = slice(start, start + COMPRESS_CHUNK)
+            count = int(np.count_nonzero(mask[chunk]))
+            np.compress(mask[chunk], index[chunk],
+                        out=self.flat[done:done + count])
+            done += count
+        ws.release(active)
+        self.active = None
+        self.cells = self.borrow(np.intp)
+        np.remainder(self.flat, self.shape[1], out=self.cells)
+
+    # -- buffers -------------------------------------------------------
+    def borrow(self, dtype=np.float64) -> np.ndarray:
+        """Scratch for one value on the set; release with :meth:`release`."""
+        if self.n is None:
+            buf = self.ws.borrow(self.shape, dtype)
+            self._held[id(buf)] = None
+            return buf
+        n = self.n
+        if self._free:
+            slot = self._free.pop()
+        else:
+            if self._room < self._stride:
+                self._blocks.append(self.ws.borrow(self.nedge))
+                self._room = self.nedge
+            start = self.nedge - self._room
+            slot = self._blocks[-1][start:start + n]
+            self._room -= self._stride
+        view = slot if dtype is np.float64 else slot.view(dtype)[:n]
+        self._held[id(view)] = slot
+        return view
+
+    def release(self, *values: np.ndarray) -> None:
+        """Give back values from :meth:`borrow` (and the results of the
+        accessors below); any other array — the dense array an accessor
+        handed back as itself — is ignored."""
+        for value in values:
+            if id(value) not in self._held:
+                continue
+            slot = self._held.pop(id(value))
+            if slot is None:
+                self.ws.release(value)
+            else:
+                self._free.append(slot)
+
+    def close(self) -> None:
+        """Return the subset's blocks and the active mask to the arena."""
+        self.ws.release(*self._blocks)
+        if self.active is not None:
+            self.ws.release(self.active)
+
+    # -- reading values on the set -------------------------------------
+    def edges(self, a: np.ndarray) -> np.ndarray:
+        """Edge array ``a`` on the set (``a`` itself on the whole array)."""
+        if self.n is None:
+            return a
+        return a.take(self.flat, out=self.borrow(a.dtype.type), mode="clip")
+
+    def view(self, base: np.ndarray) -> np.ndarray:
+        """Scratch on the set that :meth:`spread` puts into ``base``
+        (``base`` itself on the whole array)."""
+        return base if self.n is None else self.borrow()
+
+    def cellwise(self, op, a: np.ndarray, per_cell: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+        """``op(a, c)`` with ``c`` the per-cell array ``per_cell`` read
+        at each edge's cell."""
+        if self.n is None:
+            return op(a, per_cell, out=out)
+        c = per_cell.take(self.cells, out=self.borrow(), mode="clip")
+        op(a, c, out=out)
+        self.release(c)
+        return out
+
+    def edge_mid(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Edge midpoints ``½(a[k+1] + a[k])`` of the corner-major
+        array ``a`` on the set."""
+        if self.n is None:
+            return edge_mid(a, out)
+        # corner k+1 of edge e = k·ncell + c is e + ncell, wrapped
+        nxt = self.borrow(np.intp)
+        np.add(self.flat, self.shape[1], out=nxt)
+        a.take(nxt, out=out, mode="wrap")
+        ak = a.take(self.flat, out=self.borrow(), mode="clip")
+        out += ak
+        out *= 0.5
+        self.release(nxt, ak)
+        return out
+
+    # -- back to dense -------------------------------------------------
+    def mask(self, x: np.ndarray) -> None:
+        """Zero ``x`` on the inactive edges of the set (there are none
+        in a subset).  Consumes the active mask: call once."""
+        if self.active is not None:
+            np.logical_not(self.active, out=self.active)
+            np.copyto(x, 0.0, where=self.active)
+
+    def spread(self, x: np.ndarray, base: np.ndarray,
+               signed: bool) -> np.ndarray:
+        """The dense (4, ncell) array that is ``x`` on the set and zero
+        elsewhere, made in ``base`` — ``x`` must be :meth:`view` or
+        :meth:`edges` of ``base``.  The zero is ``+0``, or with
+        ``signed`` the signed zero ``base · 0.0`` of ``base``'s own
+        values.  ``x`` is released."""
+        if self.n is not None:
+            if signed:
+                base *= 0.0
+            else:
+                base.fill(0.0)
+            np.put(base, self.flat, x, mode="clip")
+            self.release(x)
+        return base
+
 
 def christiansen_limiter(mesh: QuadMesh,
                          dux: np.ndarray, duy: np.ndarray,
                          dumag_sq: np.ndarray,
-                         ws: Optional[Workspace] = None) -> np.ndarray:
+                         ws: Optional[Workspace] = None,
+                         edges: Optional[EdgeSet] = None) -> np.ndarray:
     """Limiter ψ in [0, 1]: 1 in smooth flow (no viscosity), 0 at shocks.
 
     ψ = max(0, min(½(r_b + r_f), 2 r_b, 2 r_f, 1)) with r the ratios of
@@ -62,43 +252,50 @@ def christiansen_limiter(mesh: QuadMesh,
 
     A continuation jump is itself an edge jump of the neighbouring
     cell, so it is read out of ``dux``/``duy`` (corner-major, all cells)
-    by one precomputed edge index from ``mesh.plans``.  The returned ψ
-    is a borrowed buffer; the caller releases it.
+    by one precomputed edge index from ``mesh.plans``.  ψ is evaluated
+    on the edge set ``edges`` (default: every edge), on which
+    ``dumag_sq`` is given; the returned ψ is borrowed from the set, and
+    the caller releases it there.
     """
-    ws = scratch(ws)
+    es = edges if edges is not None else EdgeSet(
+        scratch(ws), mesh.plans, shape=dux.shape)
     back, fwd, off = mesh.plans.limiter_edges
-    shape = dux.shape
     # backward / forward continuation jumps
-    bx = np.take(dux, back, out=ws.borrow(shape), mode="clip")
-    by = np.take(duy, back, out=ws.borrow(shape), mode="clip")
-    fx = np.take(dux, fwd, out=ws.borrow(shape), mode="clip")
-    fy = np.take(duy, fwd, out=ws.borrow(shape), mode="clip")
+    at = es.edges(back)
+    bx = dux.take(at, out=es.borrow(), mode="clip")
+    by = duy.take(at, out=es.borrow(), mode="clip")
+    es.release(at)
+    at = es.edges(fwd)
+    fx = dux.take(at, out=es.borrow(), mode="clip")
+    fy = duy.take(at, out=es.borrow(), mode="clip")
+    es.release(at)
+    ex, ey = es.edges(dux), es.edges(duy)
 
-    t = ws.borrow(shape)
-    denom = ws.borrow(shape)
+    t = es.borrow()
+    denom = es.borrow()
     np.maximum(dumag_sq, DU_CUT * DU_CUT, out=denom)
     rb = bx                                  # reuse: projected ratios
-    np.multiply(bx, dux, out=rb)
-    np.multiply(by, duy, out=t)
+    np.multiply(bx, ex, out=rb)
+    np.multiply(by, ey, out=t)
     rb += t
     rb /= denom
     rf = fx
-    np.multiply(fx, dux, out=rf)
-    np.multiply(fy, duy, out=t)
+    np.multiply(fx, ex, out=rf)
+    np.multiply(fy, ey, out=t)
     rf += t
     rf /= denom
 
-    psi = ws.borrow(shape)                   # released by the caller
+    psi = es.borrow()                        # released by the caller
     np.add(rb, rf, out=psi)                  # ½(r_b + r_f)
     psi *= 0.5
     np.multiply(rb, 2.0, out=rb)
     np.multiply(rf, 2.0, out=rf)
     np.minimum(rb, rf, out=t)
     np.minimum(psi, t, out=psi)
-    np.minimum(psi, 1.0, out=psi)
     np.clip(psi, 0.0, 1.0, out=psi)
-    np.copyto(psi, 0.0, where=off)
-    ws.release(t, bx, by, fx, fy, denom)
+    edge_off = es.edges(off)
+    np.copyto(psi, 0.0, where=edge_off)
+    es.release(t, bx, by, fx, fy, denom, ex, ey, edge_off)
     return psi
 
 
@@ -211,66 +408,79 @@ def getq(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
     np.less(t, 0.0, out=active)
     np.greater(dumag, DU_CUT, out=tb)
     active &= tb
-    ws.release(dxx, dxy, t)
+    ws.release(dxx, dxy, t, tb)
 
+    # Everything below runs once per edge of E (the active edges, or
+    # every edge), reading per-edge values through the set.
+    es = EdgeSet(ws, plans, active)
+    dumag_e = es.edges(dumag)
     if use_limiter:
-        psi = christiansen_limiter(mesh, dux, duy, dumag_sq, ws=ws)
+        dumag_sq_e = es.edges(dumag_sq)
+        psi = christiansen_limiter(mesh, dux, duy, dumag_sq_e, edges=es)
+        es.release(dumag_sq_e)
     else:
-        psi = ws.borrow(shape)
+        psi = es.borrow()
         psi.fill(0.0)
     ws.release(dumag_sq)
 
     # q_edge = (1−ψ) ρ |Δu| (c₂' |Δu| + sqrt((c₂' |Δu|)² + (c₁ c_s)²)),
-    # the per-cell coefficients broadcasting along the corner rows.
+    # the per-cell coefficients read at each edge's cell.
     cquad = ws.borrow(ncell)
     np.add(gamma, 1.0, out=cquad)
     cquad *= cq2
     cquad *= 0.25
-    i1 = ws.borrow(shape)                    # c₂' |Δu|
-    np.multiply(dumag, cquad, out=i1)
-    i2 = ws.borrow(shape)
-    np.multiply(i1, i1, out=i2)
     tq = ws.borrow(ncell)                    # (c₁ c_s)²
     np.sqrt(cs2, out=tq)
     tq *= cq1
     tq *= tq
-    i2 += tq
+    i1 = es.borrow()                         # c₂' |Δu|
+    es.cellwise(np.multiply, dumag_e, cquad, out=i1)
+    i2 = es.borrow()
+    np.multiply(i1, i1, out=i2)
+    es.cellwise(np.add, i2, tq, out=i2)
     np.sqrt(i2, out=i2)
     i2 += i1
     q_edge = ws.borrow(shape)
-    np.subtract(1.0, psi, out=q_edge)
-    q_edge *= rho
-    q_edge *= dumag
-    q_edge *= i2
-    np.logical_not(active, out=tb)
-    np.copyto(q_edge, 0.0, where=tb)
-    ws.release(psi, cquad, i1, i2, tq, active, tb)
+    q = es.view(q_edge)
+    np.subtract(1.0, psi, out=q)
+    es.cellwise(np.multiply, q, rho, out=q)
+    q *= dumag_e
+    q *= i2
+    es.mask(q)
+    es.release(psi, i1, i2)
+    ws.release(cquad, tq)
 
     # Median arm: centroid to edge midpoint.
     gx = centroid(cx, ws.borrow(ncell))
     gy = centroid(cy, ws.borrow(ncell))
-    mx = edge_mid(cx, ws.borrow(shape))
-    my = edge_mid(cy, ws.borrow(shape))
-    mx -= gx
-    my -= gy
-    arm = ws.borrow(shape)
+    mx = es.edge_mid(cx, es.borrow())
+    my = es.edge_mid(cy, es.borrow())
+    es.cellwise(np.subtract, mx, gx, out=mx)
+    es.cellwise(np.subtract, my, gy, out=my)
+    arm = es.borrow()
     np.hypot(mx, my, out=arm)
-    ws.release(gx, gy, mx, my)
+    ws.release(gx, gy)
+    es.release(mx, my)
 
     # Unit jump direction (guarded); force ±q L û on the edge's nodes.
     # Associated as ((q·L)·Δu)·inv (every run digest depends on it).
-    inv = ws.borrow(shape)
-    np.maximum(dumag, DU_CUT, out=inv)
+    inv = es.borrow()
+    np.maximum(dumag_e, DU_CUT, out=inv)
     np.divide(1.0, inv, out=inv)
     qarm = arm                               # reuse: q L
-    np.multiply(q_edge, arm, out=qarm)
-    fx_edge = ws.borrow(shape)
-    np.multiply(qarm, dux, out=fx_edge)
-    fx_edge *= inv
-    fy_edge = ws.borrow(shape)
-    np.multiply(qarm, duy, out=fy_edge)
-    fy_edge *= inv
-    ws.release(qarm, inv, dux, duy, dumag)
+    np.multiply(q, arm, out=qarm)
+    q_edge = es.spread(q, q_edge, signed=False)
+    fx = es.edges(dux)                       # the forces overwrite Δu
+    np.multiply(qarm, fx, out=fx)
+    fx *= inv
+    fy = es.edges(duy)
+    np.multiply(qarm, fy, out=fy)
+    fy *= inv
+    fx_edge = es.spread(fx, dux, signed=True)
+    fy_edge = es.spread(fy, duy, signed=True)
+    es.release(qarm, inv, dumag_e)
+    es.close()
+    ws.release(dumag)
     # node k gets +f (pushed along Δu, i.e. decelerating node k relative
     # to k+1), node k+1 gets −f: corner k nets f[k] − f[k−1].
     fqx = ws.borrow(shape)

@@ -24,7 +24,8 @@ computed once per mesh and reused every step:
 * **Limiter indices** — the Christiansen limiter's continuation-edge
   lookups depend only on connectivity; the plan hoists them out of
   ``getq`` as edge indices (the node-index form is kept as their
-  test reference), each built on first use.
+  test reference), each built on first use, and ``edge_index``, the
+  arange the viscosity compresses its active-edge set out of.
 
 :class:`MeshPlans` treats the mesh duck-typed (anything exposing
 ``cell_nodes``, ``cell_neighbours``, ``neighbour_side``,
@@ -136,6 +137,12 @@ class MeshPlans:
         back = ((ls + 3) % 4) * self.ncell + lc
         fwd = ((rs + 1) % 4) * self.ncell + rc
         return _take_ready((back.T, fwd.T, off.T))
+
+    @cached_property
+    def edge_index(self) -> np.ndarray:
+        """``arange(4·ncell)``: the flat index of every corner-major edge,
+        what ``getq`` compresses its active-edge set out of."""
+        return np.arange(4 * self.ncell, dtype=np.intp)
 
     @cached_property
     def grid_shape(self):

@@ -172,6 +172,39 @@ def test_arena_stops_growing_after_first_step():
     assert ws.hits > ws.misses
 
 
+def test_arena_stops_growing_while_the_active_edge_set_varies(monkeypatch):
+    """Sedov's blast changes the viscosity's active-edge count |E| from
+    step to step, and ``getq`` works on that subset: its temporaries are
+    views into full-size blocks at fixed offsets, so the arena is flat
+    from step 2 on and no warm ``getq`` call allocates anything
+    mesh-sized."""
+    from repro.core import viscosity
+
+    counts = []
+    chooser = viscosity.uses_subset
+
+    def spy(nactive, nedge):
+        counts.append(nactive)
+        return chooser(nactive, nedge)
+
+    monkeypatch.setattr(viscosity, "uses_subset", spy)
+    timers = TimerRegistry(trace_allocations=True)
+    setup = load_problem("sedov", nx=32, ny=32)
+    hydro = Hydro(setup.state, setup.table, setup.controls, timers=timers)
+    log = _ArenaLog()
+    hydro.observers.append(log)
+    for _ in range(2):
+        hydro.step()
+    timers.reset()
+    for _ in range(38):
+        hydro.step()
+    nedge = 4 * setup.state.mesh.ncell
+    assert all(chooser(n, nedge) for n in counts), "left the subset path"
+    assert len(set(counts)) > 5, "the active set did not vary"
+    assert all(stats == log.rows[1] for stats in log.rows[1:])
+    assert timers.alloc_peak("getq") < 64 * 1024
+
+
 def test_step_arena_is_corner_major():
     """Every 2-D float block the Lagrangian step leaves in the arena is
     a C-contiguous (4, ncell) corner-major array — no (ncell, 4) body

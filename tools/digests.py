@@ -20,7 +20,10 @@ other (the script exits 1 if they do not) as well as with the other
 revision — and four Sod/Noh jobs of different lengths drained through a
 two-lane batch, Lagrangian and ``ale_on``, each job required equal to
 its solo run (lanes retire, the survivors are carried into the rebuilt
-batch).  A digest covers x y u v rho e p q,
+batch), and a Sedov 24x24 run to its end time, serial and threads x2,
+whose viscosity moves from the active-edge subset to the whole edge
+array mid-run — each required equal to the same run kept on the whole
+edge array throughout.  A digest covers x y u v rho e p q,
 the final time, the step count and the dt taken at every step; a row
 that cannot run digests its error text instead.
 
@@ -161,6 +164,39 @@ def spectral_rows():
                 partition(mesh, nranks, "spectral").tobytes()).hexdigest())
         row(f"noh 32x32 spectral x{nranks} threads",
             lambda: result_digest(run(config)))
+
+
+def cutoff_rows() -> int:
+    """Sedov 24x24 run to its end time: the blast's active-edge fraction
+    grows past ``getq``'s subset cutoff mid-run, so the viscosity moves
+    from the compressed active-edge set to the whole edge array — at
+    step 366 serially, at steps 305 and 373 on the two ranks.  Each row
+    must equal the same run with every ``getq`` call on the whole edge
+    array; returns how many do not."""
+    from repro.api import RunConfig, run
+    from repro.core import viscosity
+
+    def whole_array_only(config):
+        cutoff = viscosity.SUBSET_MAX_FRACTION
+        viscosity.SUBSET_MAX_FRACTION = -1.0
+        try:
+            return result_digest(run(config))
+        finally:
+            viscosity.SUBSET_MAX_FRACTION = cutoff
+
+    base = RunConfig(problem="sedov", nx=24, ny=24, max_steps=1000,
+                     collect_steps=True)
+    tag = "sedov 24x24 to t_end, crosses the active-edge cutoff at step"
+    wrong = 0
+    for label, config in (
+            ("366 serial", base),
+            ("305/373 threadsx2", base.replace(nranks=2, backend="threads"))):
+        if (row(f"{tag} {label}", lambda: result_digest(run(config)))
+                != whole_array_only(config)):
+            print(f"MISMATCH  sedov cutoff {label} differs from its "
+                  "whole-array run", file=sys.stderr)
+            wrong += 1
+    return wrong
 
 
 def fleet_digest(result) -> str:
@@ -311,7 +347,7 @@ def main(argv=None) -> int:
                         help="also run REV's src/ and diff the listings")
     args = parser.parse_args(argv)
     if args.against is None:
-        wrong = problem_rows()
+        wrong = problem_rows() + cutoff_rows()
         offgrid_rows()
         spectral_rows()
         return 1 if wrong + fleet_rows() + refill_rows() else 0
