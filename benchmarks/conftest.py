@@ -7,9 +7,11 @@ report and writes it under ``results/``.  Run with::
 
     pytest benchmarks/ --benchmark-only
 
-Timing (pytest-benchmark) is attached to the generation functions so
-regressions in the supporting code are caught too; the physical content
-is in the printed/written reports and the shape assertions.
+The physical content is in the printed/written reports and the shape
+assertions; ``--benchmark-disable`` runs them without the timing
+rounds (CI does, then diffs the host-independent
+``results/fig3_measured_halo_scaling.txt``).  Performance is measured
+by ``bench/``, not here.
 """
 
 from __future__ import annotations

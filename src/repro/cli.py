@@ -237,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser(
         "compare",
-        help="diff two run reports or two BENCH_*.json files "
+        help="diff two run reports or two fleet sweep summaries "
              "(exits 1 on regression beyond the threshold)",
     )
     compare.add_argument("old", help="baseline document")
@@ -251,9 +251,8 @@ def _build_parser() -> argparse.ArgumentParser:
                               "are never gated (default 1e-3)")
     compare.add_argument("--gate-comm", action="store_true",
                          dest="gate_comm",
-                         help="also gate comm volume (report: bytes "
-                              "per step; bench: bytes_per_step "
-                              "leaves) instead of reporting it "
+                         help="run reports: also gate comm bytes per "
+                              "step instead of reporting them "
                               "informationally")
     compare.add_argument("--gate-outliers", action="store_true",
                          dest="gate_outliers",

@@ -20,7 +20,7 @@ while the run executes.
   ``threads``/``processes`` launchers and the fleet pool poll from
   their wait loops (:class:`~repro.utils.errors.StalledRankWarning`).
 * :mod:`~repro.metrics.compare` — the ``repro compare`` CLI: diff two
-  run reports or two ``BENCH_*.json`` files with a regression
+  run reports or two fleet sweep summaries with a regression
   threshold, for CI gating.
 * :mod:`~repro.metrics.anomaly` — cross-job outlier detection for
   fleet sweeps (robust modified z-scores over kernel seconds, comm

@@ -1,12 +1,11 @@
-"""``repro compare`` — diff two run reports or two BENCH files.
+"""``repro compare`` — diff two run reports or two fleet sweep summaries.
 
-The bench jobs in CI have always been *advisory*: a human has to open
-two JSON artifacts and eyeball the kernel seconds.  This module is the
-machine half of that judgement — given two schema-versioned run
-reports (``--report out.json``) or two ``BENCH_*.json`` documents it
-prints a per-metric table (old, new, ratio) and exits nonzero when any
-gated metric regressed beyond the threshold, which is what lets a CI
-step fail a PR instead of merely attaching artifacts.
+Given two schema-versioned run reports (``--report out.json``) or two
+fleet sweep summaries (``fleet --summary``) it prints a per-metric
+table (old, new, ratio) and exits nonzero when any gated metric
+regressed beyond the threshold, which is what lets a CI step fail a PR
+instead of merely attaching artifacts.  Performance is not judged
+here: ``bench/`` is the benchmark, and ``bench/compare.py`` its judge.
 
 Gating rules:
 
@@ -32,10 +31,6 @@ Gating rules:
   them).  ``--gate-outliers`` additionally fails the comparison when
   the new sweep carries harmful cross-job anomaly flags
   (:mod:`repro.metrics.anomaly`).
-* **bench documents** — every shared numeric leaf is compared;
-  ``*seconds*``/``t_*`` leaves are gated lower-is-better, ``*speedup*``
-  leaves higher-is-better, anything else informational
-  (``*bytes_per_step*`` leaves join the gate under ``gate_comm``).
 """
 
 from __future__ import annotations
@@ -72,7 +67,7 @@ class Row:
 
 @dataclass
 class CompareResult:
-    kind: str                       # "report" | "bench" | "fleet"
+    kind: str                       # "report" | "fleet"
     rows: List[Row] = field(default_factory=list)
 
     @property
@@ -97,32 +92,25 @@ def classify(doc: dict) -> str:
         return "fleet"
     if "kernels" in doc and "run" in doc:
         return "report"
-    if "rungs" in doc or "cases" in doc or "bench" in doc:
-        return "bench"
     raise ValueError(
-        "not a run report (--report out.json), a BENCH_*.json document "
-        "or a fleet sweep summary"
+        "not a run report or fleet sweep summary (expected the output "
+        "of `run --report` or `fleet --summary`)"
     )
 
 
 # ----------------------------------------------------------------------
 # run-report comparison
 # ----------------------------------------------------------------------
-def _judge(old: Optional[float], new: Optional[float], threshold: float,
-           lower_is_better: bool = True) -> str:
+def _judge(old: Optional[float], new: Optional[float],
+           threshold: float) -> str:
+    """Lower is better: every gated report metric is seconds or bytes."""
     if old is None or new is None or old == 0:
         return "info"
     ratio = new / old
-    if lower_is_better:
-        if ratio > 1.0 + threshold:
-            return "regression"
-        if ratio < 1.0 - threshold:
-            return "improved"
-    else:
-        if ratio < 1.0 - threshold:
-            return "regression"
-        if ratio > 1.0 + threshold:
-            return "improved"
+    if ratio > 1.0 + threshold:
+        return "regression"
+    if ratio < 1.0 - threshold:
+        return "improved"
     return "ok"
 
 
@@ -267,73 +255,6 @@ def compare_fleets(old: dict, new: dict,
 
 
 # ----------------------------------------------------------------------
-# bench-document comparison
-# ----------------------------------------------------------------------
-def _numeric_leaves(doc, prefix: str = "") -> Dict[str, float]:
-    """Flatten a JSON document to ``dotted.path -> number`` leaves.
-
-    Lists of objects are keyed by their most identifying scalar fields
-    (nx, backend, nranks, problem, name) when present, else by index —
-    so the same case lines up across documents even if list order or
-    length changed.
-    """
-    out: Dict[str, float] = {}
-    if isinstance(doc, bool):
-        return out
-    if isinstance(doc, (int, float)):
-        out[prefix.rstrip(".")] = float(doc)
-        return out
-    if isinstance(doc, dict):
-        for key in sorted(doc):
-            out.update(_numeric_leaves(doc[key], f"{prefix}{key}."))
-        return out
-    if isinstance(doc, list):
-        for i, item in enumerate(doc):
-            label = str(i)
-            if isinstance(item, dict):
-                tags = [f"{k}={item[k]}"
-                        for k in ("problem", "name", "backend", "nx",
-                                  "nranks", "lanes")
-                        if k in item and not isinstance(item[k], (dict, list))]
-                if tags:
-                    label = ",".join(tags)
-            out.update(_numeric_leaves(item, f"{prefix}[{label}]."))
-        return out
-    return out
-
-
-def _bench_direction(path: str, gate_comm: bool = False) -> Optional[bool]:
-    """True = lower better, False = higher better, None = ungated."""
-    leaf = path.rsplit(".", 1)[-1]
-    if "speedup" in leaf:
-        return False
-    if "seconds" in leaf or leaf.startswith("t_"):
-        return True
-    if gate_comm and "bytes_per_step" in leaf:
-        return True
-    return None
-
-
-def compare_benches(old: dict, new: dict, threshold: float,
-                    gate_comm: bool = False) -> CompareResult:
-    result = CompareResult(kind="bench")
-    a_leaves = _numeric_leaves(old)
-    b_leaves = _numeric_leaves(new)
-    for path in sorted(set(a_leaves) | set(b_leaves)):
-        a, b = a_leaves.get(path), b_leaves.get(path)
-        direction = _bench_direction(path, gate_comm=gate_comm)
-        if direction is None or a is None or b is None:
-            result.rows.append(Row(path, a, b))
-        else:
-            result.rows.append(Row(
-                path, a, b, gated=True,
-                status=_judge(a, b, threshold,
-                              lower_is_better=direction),
-            ))
-    return result
-
-
-# ----------------------------------------------------------------------
 # entry point + table rendering
 # ----------------------------------------------------------------------
 def compare_files(path_old: str, path_new: str,
@@ -349,10 +270,8 @@ def compare_files(path_old: str, path_new: str,
         )
     if kind_old == "fleet":
         return compare_fleets(old, new, gate_outliers=gate_outliers)
-    if kind_old == "report":
-        return compare_reports(old, new, threshold, min_seconds,
-                               gate_comm=gate_comm)
-    return compare_benches(old, new, threshold, gate_comm=gate_comm)
+    return compare_reports(old, new, threshold, min_seconds,
+                           gate_comm=gate_comm)
 
 
 def _fmt(value: Optional[float]) -> str:

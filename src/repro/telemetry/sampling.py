@@ -12,9 +12,9 @@ Why sample a stack we also trace exactly?  Scale: a sweep of hundreds
 of jobs cannot afford to keep (or merge) every span of every job, but
 a few hundred samples per job folds into one flamegraph line set —
 ``repro.fleet`` aggregates the per-job files into one per-sweep
-profile.  Overhead is bounded by the bench ladder
-(``benchmarks/bench_observability.py``); the sampler reads the stack
-under the GIL with a plain list snapshot, never locking the hot loop.
+profile.  Overhead is bounded by the sampling rate (last measured at
+about 1% of a Noh 64² run); the sampler reads the stack under the GIL
+with a plain list snapshot, never locking the hot loop.
 
 Output is the collapsed-stack format flamegraph.pl / speedscope /
 inferno consume directly::

@@ -1,4 +1,4 @@
-"""``repro compare``: report/bench diffing, gating, exit codes, CLI."""
+"""``repro compare``: report diffing, gating, exit codes, CLI."""
 
 import json
 
@@ -28,11 +28,13 @@ def _report(seconds_scale=1.0, drift=-2e-16, wall=1.0, comm_bytes=6400):
     }
 
 
-def _bench(t=1.0, speedup=1.5):
+def _bench():
+    """A per-feature benchmark document (a ``bench`` tag and a list of
+    timed rungs): a kind ``compare`` does not read."""
     return {
         "bench": "example-ladder",
-        "rungs": [{"nx": 64, "t_plain": t * 1.4, "t_planned": t,
-                   "speedup": speedup}],
+        "rungs": [{"nx": 64, "t_plain": 1.4, "t_planned": 1.0,
+                   "speedup": 1.4}],
     }
 
 
@@ -44,9 +46,11 @@ def _write(tmp_path, name, doc):
 
 def test_classify():
     assert classify(_report()) == "report"
-    assert classify(_bench()) == "bench"
-    with pytest.raises(ValueError, match="not a run report"):
-        classify({"stuff": 1})
+    assert classify({"fleet_sweep": 1, "jobs": []}) == "fleet"
+    for doc in (_bench(), {"stuff": 1}):
+        with pytest.raises(ValueError, match="not a run report or fleet "
+                                             "sweep summary"):
+            classify(doc)
 
 
 def test_identical_reports_pass(tmp_path):
@@ -114,35 +118,9 @@ def test_gate_comm_gates_bytes_per_step(tmp_path):
     assert compare_files(b, a, gate_comm=True).exit_code == 0
 
 
-def test_gate_comm_gates_bench_bytes_per_step_leaves(tmp_path):
-    doc_a = {"bench": "scaling", "cases": [
-        {"backend": "threads", "nranks": 2, "bytes_per_step": 1000.0}]}
-    doc_b = {"bench": "scaling", "cases": [
-        {"backend": "threads", "nranks": 2, "bytes_per_step": 2000.0}]}
-    a = _write(tmp_path, "a.json", doc_a)
-    b = _write(tmp_path, "b.json", doc_b)
-    assert compare_files(a, b).exit_code == 0
-    result = compare_files(a, b, gate_comm=True)
-    assert result.exit_code == 1
-    assert "bytes_per_step" in result.regressions[0].name
-
-
-def test_bench_gating_directions(tmp_path):
-    a = _write(tmp_path, "a.json", _bench(t=1.0, speedup=1.5))
-    slower = _write(tmp_path, "b.json", _bench(t=2.0, speedup=1.5))
-    worse_speedup = _write(tmp_path, "c.json",
-                           _bench(t=1.0, speedup=1.0))
-    better = _write(tmp_path, "d.json", _bench(t=0.5, speedup=2.0))
-    assert compare_files(a, slower).exit_code == 1
-    assert compare_files(a, worse_speedup).exit_code == 1
-    result = compare_files(a, better)
-    assert result.exit_code == 0
-    assert {r.status for r in result.rows if r.gated} == {"improved"}
-
-
 def test_mixed_kinds_rejected(tmp_path):
     a = _write(tmp_path, "a.json", _report())
-    b = _write(tmp_path, "b.json", _bench())
+    b = _write(tmp_path, "b.json", {"fleet_sweep": 1, "jobs": []})
     with pytest.raises(ValueError, match="cannot compare"):
         compare_files(a, b)
 
@@ -183,6 +161,18 @@ def test_cli_compare_bad_input_exits_2(tmp_path, capsys):
     assert "compare:" in capsys.readouterr().err
     b = _write(tmp_path, "b.json", _bench())
     assert main(["compare", a, b]) == 2
+    capsys.readouterr()
+    # two per-feature benchmark documents: one-line reason, no traceback
+    c = _write(tmp_path, "c.json", {
+        "bench": "comm-overlap-scaling",
+        "cases": [{"backend": "threads", "nranks": 2,
+                   "bytes_per_step": 1000.0}]})
+    assert main(["compare", b, c]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "compare: not a run report or fleet sweep summary")
+    assert "Traceback" not in captured.err
 
 
 def test_cli_compare_real_run_reports(tmp_path, capsys):

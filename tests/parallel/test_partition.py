@@ -64,11 +64,22 @@ def test_rcb_errors():
 
 
 def test_spectral_cut_quality_near_rcb():
-    """The spectral cut on a square mesh is within 2x of the ideal."""
+    """The spectral cut on a square mesh is within 2x of the ideal; at
+    128x128, where RCB is near-optimal, RCB balances 16 parts to 5%
+    and the spectral cut of 8 parts stays within 1.6x of RCB's."""
     mesh = rect_mesh(12, 12)
     part = spectral_partition(mesh, 2)
     validate_partition(part, 2)
     assert edge_cut(mesh, part) <= 2 * 12
+
+    big = rect_mesh(128, 128)
+    rcb16 = rcb_partition(*big.cell_centroids(), 16)
+    assert imbalance(rcb16, 16) < 0.05
+    assert edge_cut(big, rcb16) < 16 * 128
+    spec = partition(big, 8, "spectral")
+    assert imbalance(spec, 8) < 0.12
+    assert edge_cut(big, spec) < 8 * 160
+    assert edge_cut(big, spec) < 1.6 * edge_cut(big, partition(big, 8, "rcb"))
 
 
 def test_spectral_beats_worst_case():
