@@ -20,7 +20,7 @@ Quickstart (the supported embedding surface — see docs/PARALLEL.md)::
                            backend="processes"))
 """
 
-from .api import RunConfig, RunResult, run, run_ensemble, submit
+from .api import RunConfig, RunResult, run, submit
 from .core import Hydro, HydroControls, HydroState
 from .eos import IdealGas, Jwl, MaterialTable, Tait, Void
 from .mesh import QuadMesh, rect_mesh, saltzmann_mesh
@@ -31,7 +31,6 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "run",
-    "run_ensemble",
     "submit",
     "Hydro",
     "HydroControls",

@@ -11,11 +11,12 @@ many-run sweep — goes through one submission surface::
     for result in handle.results():
         print(result.lane, result.cache_hit, result.nstep)
 
-:func:`run` and :func:`run_ensemble` are thin wrappers over a
-single-job fleet, so all three paths share config resolution and
-result assembly.  :class:`RunConfig` is a frozen dataclass (construct
-it from argparse, a TOML table, a test fixture — anything; derive
-variants with :meth:`RunConfig.replace`) whose
+:func:`run` is a thin wrapper over a single-job fleet, so every path
+shares config resolution and result assembly; whether jobs batch onto
+the same-mesh ensemble path is the fleet's decision.
+:class:`RunConfig` is a frozen dataclass (construct it from argparse,
+a TOML table, a test fixture — anything; derive variants with
+:meth:`RunConfig.replace`) whose
 :meth:`RunConfig.canonical_key` content-addresses the fleet's result
 cache.  :class:`RunResult` carries the gathered final state plus every
 telemetry stream the run produced (merged kernel timers, trace spans,
@@ -424,14 +425,16 @@ def submit(configs: Sequence[RunConfig], *,
     :class:`repro.fleet.FleetHandle` whose :meth:`results` yields one
     :class:`RunResult` per config, in submission order.
 
-    This is the one submission surface — :func:`run` and
-    :func:`run_ensemble` are thin wrappers over it.  ``options`` are
-    :class:`repro.fleet.FleetOptions` fields: ``workers`` (process-pool
-    size; 0 executes inline), ``cache_dir`` (content-addressed result
-    cache), ``checkpoint_dir``/``checkpoint_every`` (resumable jobs),
+    This is the one submission surface — :func:`run` is a thin wrapper
+    over it.  ``control_overrides`` gives one dict of
+    :class:`HydroControls` field overrides (or None) per config; a job
+    carrying one always runs as a lane of a batched pass.  ``options``
+    are :class:`repro.fleet.FleetOptions` fields: ``workers``
+    (process-pool size; 0 executes inline), ``cache_dir``
+    (content-addressed result cache),
+    ``checkpoint_dir``/``checkpoint_every`` (resumable jobs),
     ``ensemble`` (``"auto"`` coalesces compatible same-mesh jobs into
-    one batched pass, ``"require"`` demands it, ``"off"`` disables).
-    See docs/FLEET.md.
+    batched passes, ``"off"`` disables).  See docs/FLEET.md.
     """
     return _fleet_submit(configs, control_overrides=control_overrides,
                          observers=observers, **options)
@@ -462,20 +465,13 @@ def run(config: Optional[RunConfig] = None, *,
                   ensemble="off").results()[0]
 
 
-def run_ensemble(configs, *, control_overrides=None):
-    """Batch N serial configs into one ensemble run; one
-    :class:`RunResult` per lane, in config order.
-
-    All lanes must share mesh topology (an ensemble varies initial
-    state and controls, not meshes); each lane advances at its own CFL
-    timestep and lane ``i``'s result is bit-identical to
-    ``run(configs[i])``, with ``result.lane`` recording its batch row.
-    Equivalent to ``submit(configs, ensemble="require").results()``;
-    see :mod:`repro.ensemble`.
-    """
-    return submit(configs, control_overrides=control_overrides,
-                  ensemble="require").results()
+def run_ensemble(*args, **kwargs):
+    """Removed: batching is the fleet's decision — submit the configs
+    (with ``control_overrides`` for per-lane controls)."""
+    raise DeprecatedOptionError("run_ensemble()",
+                                "submit(configs, control_overrides=...)",
+                                context="repro.api")
 
 
-__all__ = ["RunConfig", "RunResult", "run", "run_ensemble", "submit",
+__all__ = ["RunConfig", "RunResult", "run", "submit",
            "problem_names", "describe_problem"]

@@ -110,42 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "seconds without a heartbeat (threads/"
                           "processes backends)")
 
-    ens = sub.add_parser(
-        "run-ensemble",
-        help="batch N same-mesh serial runs through one (N, ...) "
-             "kernel pass (bit-identical per lane; see "
-             "docs/PERFORMANCE.md)",
-    )
-    ens.add_argument("deck", nargs="?", help="input deck path")
-    ens.add_argument("--problem", choices=problem_names(),
-                     help="bundled problem instead of a deck")
-    ens.add_argument("--nx", type=int, help="mesh cells in x")
-    ens.add_argument("--ny", type=int, help="mesh cells in y")
-    ens.add_argument("--time-end", type=float, dest="time_end")
-    ens.add_argument("--max-steps", type=int, dest="max_steps")
-    ens.add_argument("--lanes", type=int, default=None,
-                     help="replicate the base config N times (mutually "
-                          "exclusive with --sweep, whose cartesian "
-                          "product sets the lane count)")
-    ens.add_argument("--sweep", action="append", default=[],
-                     metavar="KEY=V1,V2,...",
-                     help="sweep one parameter across lanes; repeat "
-                          "for a cartesian product.  Keys route to "
-                          "HydroControls fields (cq1=0.3,0.5), run "
-                          "limits (time_end, max_steps) or problem "
-                          "setup kwargs; nx/ny cannot be swept (lanes "
-                          "share one mesh)")
-    ens.add_argument("--report", metavar="PATH",
-                     help="write one JSON run report per lane "
-                          "(PATH gains a .laneN suffix)")
-    ens.add_argument("--metrics", metavar="PATH",
-                     help="stream live diagnostics per lane to "
-                          "PATH with a .laneN suffix")
-    ens.add_argument("--metrics-every", type=int, default=None,
-                     metavar="N",
-                     help="diagnostics sampling cadence in steps "
-                          "(default 10 when --metrics is set)")
-
     fleet = sub.add_parser(
         "fleet",
         help="run a cached, resumable sweep of many configs through "
@@ -169,10 +133,12 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--sweep", action="append", default=[],
                        metavar="KEY=V1,V2,...",
                        help="sweep one parameter across jobs; repeat "
-                            "for a cartesian product (same key routing "
-                            "as run-ensemble; nx/ny ARE sweepable here "
-                            "— mismatched meshes just skip the batched "
-                            "fast path)")
+                            "for a cartesian product.  Keys route to "
+                            "RunConfig fields (nx, ny, time_end, "
+                            "max_steps, nranks), HydroControls fields "
+                            "(cq1=0.3,0.5 — per-job overrides, applied "
+                            "on the batched fast path, one batch per "
+                            "mesh) or problem setup kwargs")
     fleet.add_argument("--workers", type=int, default=0,
                        help="process-pool width for per-job execution "
                             "(0 = inline)")
@@ -576,16 +542,7 @@ def _sweep_lanes(sweeps: List[str]):
     return [dict(combo) for combo in itertools.product(*axes)]
 
 
-def _lane_path(path: str, lane: int) -> str:
-    """``out.json`` -> ``out.lane3.json`` (suffix-preserving)."""
-    import os.path
-
-    stem, ext = os.path.splitext(path)
-    return f"{stem}.lane{lane}{ext}"
-
-
-def _outcome_line(head: str, assignment: dict, result,
-                  via: str = "") -> str:
+def _outcome_line(head: str, assignment: dict, result, via: str) -> str:
     """``job 3 (cq1=0.5) [serial]: 20 steps to t=... mass=... ...``"""
     if assignment:
         head += " (" + ", ".join(f"{k}={v}" for k, v in
@@ -596,17 +553,13 @@ def _outcome_line(head: str, assignment: dict, result,
             f"total_energy={final.total_energy():.9g}")
 
 
-def _sweep_configs(args: argparse.Namespace, command: str, unit: str,
-                   config_keys: tuple, extra_kwargs):
-    """Expand ``--sweep``/``--lanes`` into ``(assignments, configs,
-    control overrides)``, one entry per lane/job — the argument checks
-    and key routing ``run-ensemble`` and ``fleet`` share.
+def _sweep_configs(args: argparse.Namespace):
+    """Expand ``fleet``'s ``--sweep``/``--lanes`` into ``(assignments,
+    configs, control overrides)``, one entry per job.
 
-    A swept key in ``config_keys`` sets that :class:`RunConfig` field,
-    a control field becomes a per-lane override, anything else a
-    problem kwarg.  ``extra_kwargs(i)`` gives entry i's
-    command-specific ``RunConfig`` keywords.  A usage error is printed
-    and ``None`` returned.
+    A swept :class:`RunConfig` field sets that field, a control field
+    becomes a per-job override, anything else a problem kwarg.  A usage
+    error is printed and ``None`` returned.
     """
     def refuse(message: str) -> None:
         print(message, file=sys.stderr)
@@ -617,11 +570,11 @@ def _sweep_configs(args: argparse.Namespace, command: str, unit: str,
         return refuse("nothing to run: give a deck path or --problem")
     if args.sweep and args.lanes is not None:
         return refuse("give --lanes or --sweep, not both (the sweep's "
-                      f"cartesian product sets the {unit} count)")
+                      "cartesian product sets the job count)")
     try:
         assignments = _sweep_lanes(args.sweep)
     except ValueError as exc:
-        return refuse(f"{command}: {exc}")
+        return refuse(f"fleet: {exc}")
     if not args.sweep:
         assignments = [{}] * max(args.lanes or 1, 1)
 
@@ -632,26 +585,30 @@ def _sweep_configs(args: argparse.Namespace, command: str, unit: str,
 
     control_names = {f.name for f in dc_fields(HydroControls)}
     configs, overrides = [], []
-    for i, assignment in enumerate(assignments):
+    for assignment in assignments:
         kwargs = dict(
             problem=args.problem, deck=args.deck,
             nx=args.nx, ny=args.ny,
             time_end=args.time_end, max_steps=args.max_steps,
-            problem_kwargs={}, **extra_kwargs(i),
+            nranks=args.nranks, backend=args.backend,
+            # merged telemetry needs the per-job probe: default its
+            # cadence when a fleet-level sink is requested, exactly as
+            # `run --metrics` does for a single run
+            metrics_every=(RunConfig.DEFAULT_METRICS_EVERY
+                           if (args.metrics_every is None
+                               and (args.metrics or args.prom))
+                           else args.metrics_every),
+            problem_kwargs={},
         )
         override = {}
         for key, value in assignment.items():
-            if key in config_keys:
+            if key in ("nx", "ny", "time_end", "max_steps", "nranks"):
                 kwargs[key] = value
-            elif key in ("nx", "ny"):
-                return refuse(
-                    f"{command}: cannot sweep {key!r} — all lanes share "
-                    "one mesh (vary initial state and controls instead)")
             elif key in control_names:
                 override[key] = value
             elif args.deck:
                 return refuse(
-                    f"{command}: sweep key {key!r} is not a control "
+                    f"fleet: sweep key {key!r} is not a control "
                     "field; problem-kwarg sweeps need --problem (deck "
                     "runs fix the setup in the deck file)")
             else:
@@ -661,73 +618,13 @@ def _sweep_configs(args: argparse.Namespace, command: str, unit: str,
     return assignments, configs, overrides
 
 
-def _run_ensemble_cli(args: argparse.Namespace) -> int:
-    expanded = _sweep_configs(
-        args, "run-ensemble", "lane", ("time_end", "max_steps"),
-        lambda lane: dict(
-            metrics=(_lane_path(args.metrics, lane)
-                     if args.metrics else None),
-            metrics_every=args.metrics_every))
-    if expanded is None:
-        return 2
-    assignments, configs, overrides = expanded
-
-    from .api import run_ensemble
-    from .utils.errors import BookLeafError
-
-    try:
-        results = run_ensemble(configs, control_overrides=overrides)
-    except BookLeafError as exc:
-        print(f"run-ensemble: {exc}", file=sys.stderr)
-        return 2
-
-    for lane, result in enumerate(results):
-        print(_outcome_line(f"lane {lane}", assignments[lane], result))
-    print(f"\n{len(results)} lane(s) in {results[0].wall_seconds:.2f}s "
-          f"({len(results) / results[0].wall_seconds:.2f} runs/s "
-          "aggregate)")
-    print()
-    print(results[0].timers.breakdown())
-    if args.report:
-        from .telemetry import write_report
-
-        for lane, result in enumerate(results):
-            write_report(result.report(), _lane_path(args.report, lane))
-        print(f"wrote {len(results)} lane reports to "
-              f"{_lane_path(args.report, 0)} ...")
-    if args.metrics:
-        for lane, result in enumerate(results):
-            rows = result.metrics_rows or []
-            print(f"wrote {len(rows)} metrics records to "
-                  f"{_lane_path(args.metrics, lane)}")
-    return 0
-
-
 def _fleet_cli(args: argparse.Namespace) -> int:
-    from .api import RunConfig, submit
-
-    expanded = _sweep_configs(
-        args, "fleet", "job",
-        ("nx", "ny", "time_end", "max_steps", "nranks"),
-        lambda job: dict(
-            nranks=args.nranks, backend=args.backend,
-            # merged telemetry needs the per-job probe: default its
-            # cadence when a fleet-level sink is requested, exactly as
-            # `run --metrics` does for a single run
-            metrics_every=(RunConfig.DEFAULT_METRICS_EVERY
-                           if (args.metrics_every is None
-                               and (args.metrics or args.prom))
-                           else args.metrics_every)))
+    expanded = _sweep_configs(args)
     if expanded is None:
         return 2
     assignments, configs, overrides = expanded
-    any_override = any(overrides)
-    if any_override and {"nx", "ny"} & {k for a in assignments for k in a}:
-        print("fleet: cannot combine control sweeps with mesh sweeps "
-              "(control overrides ride the same-mesh batched path)",
-              file=sys.stderr)
-        return 2
 
+    from .api import submit
     from .utils.errors import BookLeafError
 
     watcher = None
@@ -754,10 +651,7 @@ def _fleet_cli(args: argparse.Namespace) -> int:
         heartbeat_timeout=args.heartbeat_timeout,
     )
     try:
-        handle = submit(
-            configs,
-            control_overrides=overrides if any_override else None,
-            **options)
+        handle = submit(configs, control_overrides=overrides, **options)
         results = handle.results()
     except BookLeafError as exc:
         print(f"fleet: {exc}", file=sys.stderr)
@@ -877,6 +771,15 @@ def _compare(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["run-ensemble"]:
+        from .utils.errors import DeprecatedOptionError
+
+        err = DeprecatedOptionError("bookleaf run-ensemble",
+                                    "bookleaf fleet --sweep/--lanes",
+                                    context="bookleaf")
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     try:
         return _dispatch(_build_parser().parse_args(argv))
     except BrokenPipeError:
@@ -894,8 +797,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "run":
         return _run(args)
-    if args.command == "run-ensemble":
-        return _run_ensemble_cli(args)
     if args.command == "fleet":
         return _fleet_cli(args)
     if args.command == "compare":

@@ -8,12 +8,13 @@ array ops — through :func:`repro.core.lagstep.lagstep` itself.  Every
 lane is bit-identical to its serial run — see docs/PERFORMANCE.md
 ("Ensemble batching") and the CI gate.
 
-Entry points: :func:`repro.api.run_ensemble` (or the ``run-ensemble``
-CLI subcommand) for the config-driven surface;
-:class:`EnsembleHydro` to embed the batched driver directly.
+Jobs get here one way: the fleet's coalescer batches same-mesh serial
+jobs submitted through :func:`repro.api.submit` (``bookleaf fleet
+--sweep/--lanes`` on the command line).  :class:`EnsembleHydro` embeds
+the batched driver directly.
 """
 
-from .driver import EnsembleHydro, run_ensemble
+from .driver import EnsembleHydro
 from .state import EnsembleState
 
-__all__ = ["EnsembleHydro", "EnsembleState", "run_ensemble"]
+__all__ = ["EnsembleHydro", "EnsembleState"]

@@ -27,22 +27,20 @@ kernels and the step halves are the serial driver's own, and every
 gather and nodal sum stays inside its lane in the serial order; CI
 gates this on Noh and Sod.
 
-:func:`run_ensemble` is the embedding surface:
-``run_ensemble([RunConfig(...), ...]) -> [RunResult, ...]``, one result
-per lane (same order as the configs), each carrying the lane's final
-state, per-lane diagnostics rows from its own probe, and the shared
-ensemble timer registry.
+Jobs reach a batch through the fleet: ``repro.api.submit`` coalesces
+same-mesh serial jobs (and every job with control overrides) onto it
+(:mod:`repro.fleet.batch`).  :class:`EnsembleHydro` is the driver to
+embed directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from itertools import repeat
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from ..api import RunConfig, RunResult
 from ..core.hydro import Hydro
 from ..core.lagstep import lagstep
 from ..core.timestep import dt_candidates, dt_fields
@@ -305,33 +303,3 @@ class EnsembleHydro:
             self.advance()
         return self
 
-
-# ----------------------------------------------------------------------
-# the embedding surface
-# ----------------------------------------------------------------------
-def run_ensemble(configs: Sequence[RunConfig], *,
-                 control_overrides: Optional[
-                     Sequence[Optional[Dict[str, Any]]]] = None
-                 ) -> List[RunResult]:
-    """Run N serial configs as one batched ensemble; one result per lane.
-
-    Every config must describe a serial run (``nranks=1``, backend
-    ``auto``/``serial``) and all lanes must share mesh topology.
-    ``control_overrides`` optionally gives one dict of
-    :class:`HydroControls` field overrides per lane (how the CLI routes
-    ``--sweep cq1=...`` values); ``None`` entries leave the lane's deck/
-    problem defaults untouched.
-
-    Per-lane ``metrics`` paths get each lane its own NDJSON stream —
-    give distinct paths (the CLI suffixes ``.laneN``) or later lanes
-    overwrite earlier ones.
-
-    Since the fleet redesign this is a compatibility shim over the
-    shared batch executor (:func:`repro.fleet.batch.run_ensemble_jobs`)
-    — the same code path ``repro.api.submit`` schedules through — so
-    results now carry ``lane`` provenance.
-    """
-    # Imported lazily: fleet sits above the ensemble layer.
-    from ..fleet.batch import make_jobs, run_ensemble_jobs
-
-    return run_ensemble_jobs(make_jobs(configs, control_overrides))

@@ -1,26 +1,25 @@
 """The fleet's same-mesh fast path: batched ensemble execution with
 lane refill.
 
-Compatible queued jobs (serial, same mesh topology) coalesce into one
-:class:`~repro.ensemble.driver.EnsembleHydro` pass instead of N
-separate processes — the PR 6 batching engine as a scheduler lane.
-The addition over plain ``run_ensemble`` is **refill**: when a lane
-finishes early (its own CFL clock hit ``time_end``) and jobs are still
-queued, the batch is rebuilt at full width — the still-active lanes
-are *carried* into the new batch as the ``Hydro`` objects they are
-(state, clocks, ALE remapper with its pristine Eulerian target, probe
-and step budget travel together) and the retired rows are refilled
-from the queue, so the kernel pass never shrinks while work remains.
+The coalescer (:meth:`repro.fleet.engine.Fleet._coalesce`) decides
+which queued jobs share a batch — it is the only way here, and it has
+already checked every job against the one eligibility table (serial,
+same mesh topology, no per-job telemetry).  A batch steps its jobs as
+lanes of one :class:`~repro.ensemble.driver.EnsembleHydro` pass
+instead of N separate step loops.  On top of that sits **refill**:
+when a lane finishes early (its own CFL clock hit ``time_end``) and
+jobs are still queued, the batch is rebuilt at full width — the
+still-active lanes are *carried* into the new batch as the ``Hydro``
+objects they are (state, clocks, ALE remapper with its pristine
+Eulerian target, probe and step budget travel together) and the
+retired rows are refilled from the queue, so the kernel pass never
+shrinks while work remains.
 
 Bit-identity is preserved through a rebuild for both populations: a
 carried lane is the same driver on a new segment of a new union (the
 compaction path already proves batch-layout changes are bit-neutral),
 and a fresh lane entering mid-flight is a ``Hydro`` at step 0, which
 takes its initial dt like any other.
-
-:func:`run_ensemble_jobs` is also the implementation behind the
-legacy ``repro.ensemble.driver.run_ensemble`` surface (all submission
-paths share it), so its validation messages are the historical ones.
 """
 
 from __future__ import annotations
@@ -49,11 +48,10 @@ class BatchJob:
 
 
 def make_jobs(configs: Sequence, control_overrides=None) -> List[BatchJob]:
-    """Pair configs with their per-lane overrides, validating the
-    historical arity contract."""
+    """Pair configs with their per-lane overrides, one entry each."""
     configs = list(configs)
     if not configs:
-        raise BookLeafError("run_ensemble needs at least one RunConfig")
+        raise BookLeafError("submit needs at least one RunConfig")
     if control_overrides is None:
         overrides: List[Optional[Dict[str, Any]]] = [None] * len(configs)
     else:
@@ -74,41 +72,16 @@ def run_ensemble_jobs(jobs: Sequence[BatchJob], *,
     """Run ``jobs`` through batched ensemble passes; one
     :class:`~repro.api.RunResult` per job, in job order.
 
-    ``width`` caps the live batch (default: all jobs in one batch — the
-    historical ``run_ensemble`` behaviour); a queue longer than the
-    width drains through lane refill.  ``schedule_log`` (a list)
-    receives one event dict per scheduling decision.
+    ``width`` caps the live batch (default: all jobs in one batch); a
+    queue longer than the width drains through lane refill.
+    ``schedule_log`` (a list) receives one event dict per scheduling
+    decision.
     """
     from ..api import RunResult
     from ..ensemble.driver import EnsembleHydro
     from ..metrics.probe import DiagnosticsProbe
 
     jobs = list(jobs)
-    if not jobs:
-        raise BookLeafError("run_ensemble needs at least one RunConfig")
-    for i, job in enumerate(jobs):
-        config = job.config
-        if config.nranks != 1:
-            raise BookLeafError(
-                f"ensemble lane {i} has nranks={config.nranks}; lanes "
-                "are serial runs batched together — decompose across "
-                "lanes, not within them"
-            )
-        if config.resolved_backend() != "serial":
-            raise BookLeafError(
-                f"ensemble lane {i} requests backend="
-                f"{config.resolved_backend()!r}; lanes run serially "
-                "inside the batch"
-            )
-        for telemetry in ("trace", "trace_allocations", "profile"):
-            if getattr(config, telemetry, None):
-                raise BookLeafError(
-                    f"ensemble lane {i} requests {telemetry!r}; "
-                    "per-job telemetry does not thread through the "
-                    "batched kernels — run it per-job "
-                    "(ensemble='off'/'auto') instead (docs/FLEET.md, "
-                    "'Fast-path eligibility')"
-                )
     n = len(jobs)
     timers = timers if timers is not None else TimerRegistry()
     width = n if width is None else width

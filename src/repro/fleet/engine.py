@@ -11,7 +11,9 @@ becomes a :class:`~repro.fleet.batch.BatchJob`; the engine then
 2. **coalesces compatible jobs onto the same-mesh fast path** — serial
    jobs sharing a mesh spec batch into one
    :func:`~repro.fleet.batch.run_ensemble_jobs` pass (vectorised
-   kernels + lane refill) instead of N separate step loops;
+   kernels + lane refill) instead of N separate step loops; the
+   coalescer is the only way onto that path, and a job carrying
+   control overrides always takes it;
 3. **runs the rest on a crash-tolerant process pool**
    (:class:`~repro.fleet.worker.WorkerPool`) or inline when
    ``workers=0`` — with periodic checkpoints so a killed job resumes
@@ -75,7 +77,6 @@ class FleetOptions:
     #: steps between checkpoints
     checkpoint_every: int = 20
     #: same-mesh fast path policy: "auto" coalesces compatible jobs,
-    #: "require" demands one batched pass (the run_ensemble contract),
     #: "off" forces per-job execution
     ensemble: str = "auto"
     #: live-lane cap for batched passes (None = all lanes in one batch;
@@ -125,10 +126,9 @@ def _parse_options(options: dict) -> FleetOptions:
             f"unknown fleet option(s): {', '.join(sorted(unknown))}"
         )
     opts = FleetOptions(**options)
-    if opts.ensemble not in ("auto", "require", "off"):
+    if opts.ensemble not in ("auto", "off"):
         raise BookLeafError(
-            f"ensemble must be 'auto', 'require' or 'off', "
-            f"not {opts.ensemble!r}"
+            f"ensemble must be 'auto' or 'off', not {opts.ensemble!r}"
         )
     if opts.workers < 0:
         raise BookLeafError("workers must be >= 0")
@@ -159,6 +159,14 @@ def _parse_options(options: dict) -> FleetOptions:
     if opts.max_attempts < 1:
         raise BookLeafError("max_attempts must be >= 1")
     return opts
+
+
+def _unbatchable(job: BatchJob, reason: str) -> BookLeafError:
+    return BookLeafError(
+        f"fleet job {job.index} carries control overrides, which only "
+        f"the batched fast path applies, but cannot batch: {reason!r} "
+        "(see docs/FLEET.md, 'Fast-path eligibility')"
+    )
 
 
 def run_job(config, key: str, index: int, *, emit: Callable,
@@ -221,14 +229,12 @@ def submit(configs: Sequence, *,
     :class:`FleetHandle`.  Execution is lazy — the sweep runs on the
     first :meth:`FleetHandle.results` call and is memoised."""
     opts = _parse_options(options)
-    if control_overrides is not None and opts.ensemble == "off":
+    jobs = make_jobs(configs, control_overrides)
+    if opts.ensemble == "off" and any(job.override for job in jobs):
         raise BookLeafError(
             "control_overrides ride the ensemble path; they cannot be "
             "applied with ensemble='off'"
         )
-    jobs = make_jobs(configs, control_overrides)
-    if control_overrides is not None:
-        opts.ensemble = "require"
     return FleetHandle(Fleet(jobs, opts, observers=observers))
 
 
@@ -364,22 +370,10 @@ class Fleet:
             remaining.append(job)
 
         # -- stage 2: route the rest ------------------------------------
-        ensemble_mode = opts.ensemble
-        if ensemble_mode != "off" and self.observers:
-            if ensemble_mode == "require":
-                raise BookLeafError(
-                    "observers are not supported on the ensemble path"
-                )
-            ensemble_mode = "off"
-
-        if remaining and ensemble_mode == "require":
-            self._run_batched(remaining, results)
-            remaining = []
-        elif remaining and ensemble_mode == "auto":
-            groups, singles = self._coalesce(remaining)
+        if remaining and opts.ensemble == "auto":
+            groups, remaining = self._coalesce(remaining)
             for group in groups:
                 self._run_batched(group, results)
-            remaining = singles
 
         if remaining:
             if opts.workers > 0:
@@ -414,37 +408,48 @@ class Fleet:
                                              f"job{job.index}.folded"))
 
     # ------------------------------------------------------------------
-    def _coalesce(self, jobs: List[BatchJob]):
-        """Partition jobs into same-mesh batchable groups (>= 2 jobs)
-        and per-job singles.
+    def _ineligible(self, job: BatchJob) -> Optional[str]:
+        """The fast path's one eligibility table: why ``job`` cannot
+        ride a batched pass, or None.  (A driven boundary is the one
+        further reason; it needs a built setup, so :meth:`_coalesce`
+        checks it per bucket.)"""
+        c = job.config
+        if self.observers:
+            return "observers"
+        if c.nranks != 1:
+            return "nranks"
+        if c.resolved_backend() != "serial":
+            return "backend"
+        for reason in ("trace", "trace_allocations", "profile",
+                       "collect_steps"):
+            if getattr(c, reason):
+                return reason
+        return None
 
-        A job carrying per-job telemetry (tracing, allocation
-        tracking, profiling) is *never* batched — the vectorised
-        kernels do not thread per-lane tracers — and the downgrade is
-        announced: a ``fast_path_downgrade`` schedule-log event plus
-        an :class:`EnsembleDowngradeWarning` naming the reason (the
-        warning is suppressed when the engine itself forced tracing
-        for a sweep-level ``trace_path``; docs/FLEET.md, 'Fast-path
-        eligibility').
+    def _coalesce(self, jobs: List[BatchJob]):
+        """Partition jobs into same-mesh batchable groups and per-job
+        singles — the only way onto the batched path.
+
+        A bucket batches when it holds two or more jobs, or any job
+        with control overrides (only the batched path applies them, so
+        such a job batches even alone, and one that fails the
+        eligibility table is a :class:`BookLeafError` naming the job
+        and the reason).  A job carrying per-job telemetry (tracing,
+        allocation tracking, profiling) is otherwise never batched —
+        the vectorised kernels do not thread per-lane tracers — and
+        the downgrade is announced: a ``fast_path_downgrade``
+        schedule-log event plus an :class:`EnsembleDowngradeWarning`
+        naming the reason (the warning is suppressed when the engine
+        itself forced tracing for a sweep-level ``trace_path``;
+        docs/FLEET.md, 'Fast-path eligibility').
         """
         buckets: Dict[tuple, List[BatchJob]] = {}
         singles: List[BatchJob] = []
         for job in jobs:
-            c = job.config
-            reason = None
-            if c.nranks != 1:
-                reason = "nranks"
-            elif c.resolved_backend() != "serial":
-                reason = "backend"
-            elif c.trace:
-                reason = "trace"
-            elif c.trace_allocations:
-                reason = "trace_allocations"
-            elif c.profile:
-                reason = "profile"
-            elif c.collect_steps:
-                reason = "collect_steps"
+            reason = self._ineligible(job)
             if reason is not None:
+                if job.override:
+                    raise _unbatchable(job, reason)
                 if reason in ("trace", "trace_allocations", "profile"):
                     self._decide("fast_path_downgrade", job=job.index,
                                  reason=reason)
@@ -459,6 +464,7 @@ class Fleet:
                         )
                 singles.append(job)
                 continue
+            c = job.config
             deck = os.path.realpath(c.deck) if c.deck else None
             kwargs_key = tuple(sorted(
                 (k, repr(v)) for k, v in c.problem_kwargs.items()))
@@ -466,7 +472,8 @@ class Fleet:
             buckets.setdefault(bucket, []).append(job)
         groups: List[List[BatchJob]] = []
         for bucket, members in buckets.items():
-            if len(members) < 2:
+            overridden = [j for j in members if j.override]
+            if len(members) < 2 and not overridden:
                 singles.extend(members)
                 continue
             # Driven boundaries (e.g. Kidder's piston) advance per-lane
@@ -476,6 +483,8 @@ class Fleet:
             # job's own, so that lane runs on it instead of rebuilding.
             probe_setup = members[0].config.build_setup()
             if getattr(probe_setup.state.bc, "driver", None) is not None:
+                if overridden:
+                    raise _unbatchable(overridden[0], "bc_driver")
                 self._log("group_rejected", reason="bc_driver",
                           jobs=[j.index for j in members])
                 singles.extend(members)
@@ -507,11 +516,6 @@ class Fleet:
     # ------------------------------------------------------------------
     def _run_inline(self, job: BatchJob):
         opts = self.options
-        if job.override:
-            raise FleetError(
-                f"job {job.index} carries control overrides but was "
-                "routed off the ensemble path"
-            )
         self._log("job_inline", job=job.index)
         t0 = self.bus.elapsed if self.bus else 0.0
         self._emit("job_started", job=job.index, attempt=1, worker=None)

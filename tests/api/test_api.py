@@ -142,6 +142,20 @@ def test_legacy_keyword_error_names_replacement():
     assert "'method='" in msg and "'partition='" in msg
 
 
+def test_run_ensemble_is_retired():
+    """Batching is the fleet's decision: the old entrance runs nothing
+    and names the one that replaced it."""
+    import repro
+    from repro.api import run_ensemble
+    from repro.utils.errors import DeprecatedOptionError
+
+    with pytest.raises(DeprecatedOptionError) as exc:
+        run_ensemble([RunConfig(problem="sod", nx=8, ny=8)])
+    assert exc.value.option == "run_ensemble()"
+    assert exc.value.replacement == "submit(configs, control_overrides=...)"
+    assert not hasattr(repro, "run_ensemble")
+
+
 def test_legacy_keyword_error_is_a_bookleaf_error():
     """DeprecatedOptionError stays catchable as the library's base
     error, so existing except-BookLeafError handlers keep working."""

@@ -57,6 +57,22 @@ def renumbered_mesh(mesh, seed):
     return QuadMesh(x, y, perm[mesh.cell_nodes])
 
 
+def ensemble_lanes(configs, control_overrides=None, **options):
+    """``submit`` the configs and return their results, asserting that
+    every one ran as an ensemble lane — so no batch test can pass on
+    the per-job path.  A lone job without an override restates its own
+    ``cq1``: an override that changes no bit, but batches its bucket."""
+    from repro.api import submit
+
+    configs = list(configs)
+    if len(configs) == 1 and not (control_overrides or [None])[0]:
+        control_overrides = [{"cq1": configs[0].build_setup().controls.cq1}]
+    results = submit(configs, control_overrides=control_overrides,
+                     **options).results()
+    assert [r.backend for r in results] == ["ensemble"] * len(configs)
+    return results
+
+
 def make_uniform_state(mesh, table, rho=1.0, p=1.0, u=0.0, v=0.0,
                        extents=(0.0, 1.0, 0.0, 1.0), walls=None):
     """A uniform-gas state with reflecting box walls."""

@@ -1,6 +1,6 @@
 """The ensemble correctness contract: every lane bit-identical to serial.
 
-``run_ensemble([c0, ..., cN])`` must produce, for each lane, byte-for-
+Every lane of a batched ``submit([c0, ..., cN])`` must produce byte-for-
 byte the state arrays, step count, final time and diagnostics scalars
 of ``run(ci)`` through the serial backend.  Not approximately equal —
 ``tobytes()`` equal: the lanes are components of one disjoint-union
@@ -26,7 +26,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.api import RunConfig, problem_names, run, run_ensemble
+from repro.api import RunConfig, problem_names, run
+from tests.conftest import ensemble_lanes
 
 FIELDS = ("x", "y", "u", "v", "rho", "e", "p", "q", "cs2",
           "volume", "corner_volume", "cell_mass")
@@ -64,7 +65,7 @@ def test_every_lane_matches_serial(problem, lanes):
     max_steps = None if FULL else CAP.get(problem, DEFAULT_CAP)
     configs = [RunConfig(problem=problem, nx=32, ny=32,
                          max_steps=max_steps) for _ in range(lanes)]
-    ensemble = run_ensemble(configs)
+    ensemble = ensemble_lanes(configs)
     serial = run(configs[0])
     assert serial.backend == "serial"
     for lane_result in ensemble:
@@ -81,7 +82,7 @@ def test_control_variants_match_serial(problem, controls):
     """The kernel branches no registered problem's defaults reach."""
     configs = [RunConfig(problem=problem, nx=24, ny=24, max_steps=40,
                          problem_kwargs=controls) for _ in range(2)]
-    ensemble = run_ensemble(configs)
+    ensemble = ensemble_lanes(configs)
     serial = run(configs[0])
     assert serial.backend == "serial"
     for lane_result in ensemble:
@@ -163,7 +164,7 @@ def test_ragged_retirement_keeps_lanes_identical():
     steps = [90, 30, 60]
     configs = [RunConfig(problem="sod", nx=24, ny=24, max_steps=s)
                for s in steps]
-    ensemble = run_ensemble(configs)
+    ensemble = ensemble_lanes(configs)
     for config, lane_result in zip(configs, ensemble):
         assert_lane_identical(run(config), lane_result)
 
@@ -192,7 +193,7 @@ def _assert_overridden_lanes_match_serial(problem, overrides):
 
     configs = [RunConfig(problem=problem, nx=20, ny=20, max_steps=40)
                for _ in overrides]
-    ensemble = run_ensemble(configs, control_overrides=overrides)
+    ensemble = ensemble_lanes(configs, overrides)
     batch = EnsembleHydro(
         [_overridden_setup(c, o) for c, o in zip(configs, overrides)],
         max_steps=[c.max_steps for c in configs])
@@ -242,7 +243,7 @@ def test_ale_lane_beside_plain_lane():
     configs = [RunConfig(problem="noh", nx=16, ny=16, max_steps=24)
                for _ in range(2)]
     overrides = [None, {"ale_on": True, "ale_every": 4}]
-    ensemble = run_ensemble(configs, control_overrides=overrides)
+    ensemble = ensemble_lanes(configs, overrides)
 
     assert_lane_identical(run(configs[0]), ensemble[0])
     setup = configs[1].build_setup()
@@ -261,7 +262,7 @@ def test_metrics_rows_match_serial_probe():
     all) — the probe samples identical state at identical steps."""
     configs = [RunConfig(problem="sod", nx=16, ny=16, max_steps=30,
                          metrics_every=10) for _ in range(2)]
-    ensemble = run_ensemble(configs)
+    ensemble = ensemble_lanes(configs)
     serial = run(configs[0])
     for lane_result in ensemble:
         assert lane_result.metrics_rows is not None

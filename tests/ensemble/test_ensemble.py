@@ -1,48 +1,77 @@
-"""Ensemble surface behaviour: API validation, per-lane dt, retirement
-bookkeeping, reports and the ``run-ensemble`` CLI sweep routing."""
-
-import json
+"""Ensemble surface behaviour: the fast path's one eligibility table,
+per-lane dt, retirement bookkeeping, reports and the ``fleet`` CLI's
+sweep routing onto lanes."""
 
 import numpy as np
 import pytest
 
-from repro.api import RunConfig, run_ensemble
+from repro.api import RunConfig, submit
 from repro.cli import main as cli_main
 from repro.ensemble.driver import EnsembleHydro
 from repro.problems import load_problem
 from repro.utils.errors import (BookLeafError, TangledMeshError,
                                 TimestepCollapseError)
+from tests.conftest import ensemble_lanes
 
 
 # ----------------------------------------------------------------------
-# API validation
+# API validation and the one eligibility table
 # ----------------------------------------------------------------------
 def test_empty_ensemble_rejected():
-    with pytest.raises(BookLeafError, match="at least one"):
-        run_ensemble([])
+    with pytest.raises(BookLeafError,
+                       match="^submit needs at least one RunConfig$"):
+        submit([])
+
+
+def _refused(configs, reason, **options):
+    """Job 1 carries an override but fails the table: one error names
+    the job and the reason."""
+    with pytest.raises(BookLeafError,
+                       match=rf"^fleet job 1 .* cannot batch: '{reason}'"):
+        submit(configs, control_overrides=[None, {"cq1": 0.3}],
+               **options).results()
 
 
 def test_distributed_lane_rejected():
-    with pytest.raises(BookLeafError, match="nranks"):
-        run_ensemble([RunConfig(problem="sod", nx=8, ny=8, nranks=2)])
+    _refused([RunConfig(problem="sod", nx=8, ny=8),
+              RunConfig(problem="sod", nx=8, ny=8, nranks=2)], "nranks")
 
 
 def test_non_serial_backend_rejected():
-    with pytest.raises(BookLeafError, match="backend"):
-        run_ensemble([RunConfig(problem="sod", nx=8, ny=8,
-                                backend="threads")])
+    _refused([RunConfig(problem="sod", nx=8, ny=8),
+              RunConfig(problem="sod", nx=8, ny=8, backend="threads")],
+             "backend")
 
 
-def test_mismatched_mesh_rejected():
-    with pytest.raises(BookLeafError):
-        run_ensemble([RunConfig(problem="sod", nx=8, ny=8),
-                      RunConfig(problem="sod", nx=16, ny=16)])
+@pytest.mark.parametrize("reason", ["trace", "trace_allocations",
+                                    "profile", "collect_steps",
+                                    "bc_driver"])
+def test_override_job_outside_the_table_is_refused(tmp_path, reason):
+    """The rest of the table (nranks and backend are the two tests
+    above).  An override job that cannot batch is never run per-job
+    with its override dropped — ``collect_steps`` used to come back
+    as a lane with ``step_rows=None``."""
+    if reason == "bc_driver":
+        configs = [RunConfig(problem="kidder", nx=8, ny=8, max_steps=3)] * 2
+    else:
+        value = str(tmp_path / "p.folded") if reason == "profile" else True
+        configs = [RunConfig(problem="sod", nx=8, ny=8, max_steps=3),
+                   RunConfig(problem="sod", nx=8, ny=8, max_steps=3,
+                             **{reason: value})]
+    _refused(configs, reason)
+
+
+def test_observers_with_overrides_are_refused():
+    """Observers keep every job off the batched path, so a job that
+    needs it is refused rather than run without its override."""
+    configs = [RunConfig(problem="sod", nx=8, ny=8, max_steps=3)] * 2
+    _refused(configs, "observers", observers=[lambda hydro: None])
 
 
 def test_override_count_must_match():
     with pytest.raises(BookLeafError, match="one entry per config"):
-        run_ensemble([RunConfig(problem="sod", nx=8, ny=8)],
-                     control_overrides=[None, None])
+        submit([RunConfig(problem="sod", nx=8, ny=8)],
+               control_overrides=[None, None])
 
 
 def test_nonuniform_batched_control_rejected():
@@ -50,8 +79,7 @@ def test_nonuniform_batched_control_rejected():
     be uniform; per-lane values only exist as the coefficient vectors."""
     configs = [RunConfig(problem="sod", nx=8, ny=8) for _ in range(2)]
     with pytest.raises(BookLeafError, match="use_limiter"):
-        run_ensemble(configs,
-                     control_overrides=[None, {"use_limiter": False}])
+        ensemble_lanes(configs, [None, {"use_limiter": False}])
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +152,7 @@ def test_arena_is_cleared_when_the_union_narrows():
 def test_results_in_config_order_with_per_lane_steps():
     configs = [RunConfig(problem="sod", nx=12, ny=12, max_steps=s)
                for s in (15, 5, 10)]
-    results = run_ensemble(configs)
+    results = ensemble_lanes(configs)
     assert [r.nstep for r in results] == [15, 5, 10]
     for config, result in zip(configs, results):
         assert result.config is config
@@ -133,8 +161,8 @@ def test_results_in_config_order_with_per_lane_steps():
 
 
 def test_lane_report_builds():
-    (result,) = run_ensemble([RunConfig(problem="sod", nx=12, ny=12,
-                                        max_steps=8)])
+    (result,) = ensemble_lanes([RunConfig(problem="sod", nx=12, ny=12,
+                                          max_steps=8)])
     report = result.report()
     assert report["run"]["steps"] == 8
     assert "getq" in report["kernels"]
@@ -162,7 +190,7 @@ def test_tangled_lane_is_named_with_its_own_cells_and_time():
                for _ in range(3)]
     wild = {"time_start": 0.05, "dt_initial": 0.9, "dt_max": 1.0}
     with pytest.raises(TangledMeshError) as batch:
-        run_ensemble(configs, control_overrides=[None, {"cq1": 0.3}, wild])
+        ensemble_lanes(configs, [None, {"cq1": 0.3}, wild])
     solo = _solo_error(configs[2], wild, TangledMeshError)
     exc = batch.value
     assert (exc.lane, exc.job) == (2, 2)
@@ -228,7 +256,7 @@ def test_collapsed_lane_is_named():
                for _ in range(2)]
     stiff = {"dt_min": 1e-3}
     with pytest.raises(TimestepCollapseError) as batch:
-        run_ensemble(configs, control_overrides=[stiff, None])
+        ensemble_lanes(configs, [stiff, None])
     solo = _solo_error(configs[0], stiff, TimestepCollapseError)
     exc = batch.value
     assert (exc.lane, exc.job) == (0, 0)
@@ -262,7 +290,6 @@ def test_sick_lane_is_named(tmp_path):
 def test_sick_lane_of_a_refilled_batch_names_its_job(tmp_path, monkeypatch):
     """Through ``submit``: the job whose lane sickens sits in row 1 of
     a rebuilt batch, and the error names both."""
-    from repro.api import submit
     from repro.utils.errors import HealthError
 
     advance = EnsembleHydro.advance
@@ -286,61 +313,38 @@ def test_sick_lane_of_a_refilled_batch_names_its_job(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# CLI
+# CLI: `fleet --sweep/--lanes` puts jobs on lanes
 # ----------------------------------------------------------------------
 def test_cli_sweep_routes_controls_and_problem_kwargs(capsys):
-    rc = cli_main(["run-ensemble", "--problem", "sod", "--nx", "12",
+    """``cq1`` becomes a per-job override, ``height`` a problem kwarg —
+    two setups, so two batches."""
+    rc = cli_main(["fleet", "--problem", "sod", "--nx", "12",
                    "--ny", "12", "--max-steps", "6",
-                   "--sweep", "cq1=0.3,0.5"])
+                   "--sweep", "cq1=0.3,0.5", "--sweep", "height=0.1,0.2"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "lane 0 (cq1=0.3)" in out
-    assert "lane 1 (cq1=0.5)" in out
-    assert "2 lane(s)" in out
+    assert "job 0 (cq1=0.3, height=0.1) [ensemble]" in out
+    assert "job 3 (cq1=0.5, height=0.2) [ensemble]" in out
+    assert "4 job(s): 0 from cache, 4 on the batched fast path" in out
 
 
 def test_cli_lanes_replicates(capsys):
-    rc = cli_main(["run-ensemble", "--problem", "sod", "--nx", "12",
+    rc = cli_main(["fleet", "--problem", "sod", "--nx", "12",
                    "--ny", "12", "--max-steps", "4", "--lanes", "3"])
     assert rc == 0
-    assert "3 lane(s)" in capsys.readouterr().out
-
-
-def test_cli_rejects_mesh_sweep(capsys):
-    rc = cli_main(["run-ensemble", "--problem", "sod",
-                   "--max-steps", "4", "--sweep", "nx=8,16"])
-    assert rc == 2
-    assert "share one mesh" in capsys.readouterr().err
+    assert "3 job(s): 0 from cache, 3 on the batched fast path" in \
+        capsys.readouterr().out
 
 
 def test_cli_rejects_lanes_with_sweep(capsys):
-    rc = cli_main(["run-ensemble", "--problem", "sod", "--lanes", "2",
+    rc = cli_main(["fleet", "--problem", "sod", "--lanes", "2",
                    "--sweep", "cq1=0.3,0.5"])
     assert rc == 2
     assert "not both" in capsys.readouterr().err
 
 
 def test_cli_rejects_malformed_sweep(capsys):
-    rc = cli_main(["run-ensemble", "--problem", "sod",
+    rc = cli_main(["fleet", "--problem", "sod",
                    "--sweep", "cq1"])
     assert rc == 2
     assert "KEY=V1,V2" in capsys.readouterr().err
-
-
-def test_cli_writes_per_lane_reports_and_metrics(tmp_path, capsys):
-    report = tmp_path / "ens.json"
-    metrics = tmp_path / "ens.ndjson"
-    rc = cli_main(["run-ensemble", "--problem", "sod", "--nx", "12",
-                   "--ny", "12", "--max-steps", "12", "--lanes", "2",
-                   "--report", str(report), "--metrics", str(metrics),
-                   "--metrics-every", "5"])
-    assert rc == 0
-    for lane in range(2):
-        lane_report = tmp_path / f"ens.lane{lane}.json"
-        assert lane_report.exists()
-        doc = json.loads(lane_report.read_text())
-        assert doc["run"]["steps"] == 12
-        lane_metrics = tmp_path / f"ens.lane{lane}.ndjson"
-        rows = [json.loads(line)
-                for line in lane_metrics.read_text().splitlines()]
-        assert rows and rows[-1]["nstep"] == 12

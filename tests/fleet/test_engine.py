@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import RunConfig, run, run_ensemble, submit
+from repro.api import RunConfig, run, submit
 from repro.fleet import FleetHandle, state_digest
 from repro.utils.errors import BookLeafError, FleetError
+from tests.conftest import ensemble_lanes
 
 
 def _cfg(**kw):
@@ -44,17 +45,13 @@ def test_run_is_a_thin_wrapper():
     assert result.backend == "serial"
 
 
-def test_run_ensemble_is_a_thin_wrapper():
-    results = run_ensemble([_cfg(max_steps=4), _cfg(max_steps=6)])
-    assert [r.lane for r in results] == [0, 1]
-    assert all(r.backend == "ensemble" for r in results)
-
-
 def test_unknown_fleet_option_errors():
     with pytest.raises(BookLeafError, match="unknown fleet option"):
         submit([_cfg()], bogus=1)
-    with pytest.raises(BookLeafError, match="ensemble must be"):
-        submit([_cfg()], ensemble="sometimes")
+    for mode in ("sometimes", "require"):
+        with pytest.raises(BookLeafError,
+                           match="ensemble must be 'auto' or 'off'"):
+            submit([_cfg()], ensemble=mode)
     with pytest.raises(BookLeafError, match="at least one"):
         submit([])
 
@@ -125,9 +122,9 @@ def test_coalesced_jobs_build_one_setup_each(monkeypatch):
     assert len(builds) == 3
     assert [r.setup.controls.cq1 for r in results] == [0.3, 0.5, 0.4]
     monkeypatch.undo()
-    solo = run_ensemble(configs, control_overrides=overrides)
-    for s, b in zip(solo, results):
-        assert _digest(b) == _digest(s)
+    for config, override, batched in zip(configs, overrides, results):
+        (alone,) = ensemble_lanes([config], [override])
+        assert _digest(batched) == _digest(alone)
 
 
 def test_auto_fast_path_is_bit_identical_to_serial():
@@ -176,13 +173,30 @@ def test_refill_drains_queue_bit_identically():
     queue; every result still bit-identical to its serial run."""
     configs = [_cfg(max_steps=3 + 2 * i) for i in range(5)]
     serial = [run(c) for c in configs]
-    handle = submit(configs, ensemble="require", batch_width=2)
+    handle = submit(configs, batch_width=2)
     results = handle.results()
     for s, b in zip(serial, results):
+        assert b.backend == "ensemble"
         assert _digest(b) == _digest(s)
     events = [e["event"] for e in handle.schedule_log]
     assert events.count("lane_refill") >= 1
     assert events.count("lane_retired") == 5
+
+
+def test_overrides_across_meshes_batch_per_mesh():
+    """Control overrides over two meshes: one batch per mesh, and each
+    job lands where it lands submitted alone with its override."""
+    configs = [_cfg(nx=n, ny=n) for n in (8, 16) for _ in range(2)]
+    overrides = [{"cq1": 0.3}, {"cq1": 0.5}] * 2
+    handle = submit(configs, control_overrides=overrides)
+    results = handle.results()
+    assert [e["jobs"] for e in handle.schedule_log
+            if e["event"] == "ensemble_batch"] == [[0, 1], [2, 3]]
+    assert all(r.backend == "ensemble" for r in results)
+    assert handle._fleet.options.ensemble == "auto"
+    for config, override, batched in zip(configs, overrides, results):
+        (alone,) = ensemble_lanes([config], [override])
+        assert _digest(batched) == _digest(alone)
 
 
 def test_failing_lane_of_a_refilled_batch_names_its_job():

@@ -181,16 +181,6 @@ def test_engine_forced_tracing_does_not_warn(tmp_path):
                for e in handle.schedule_log)
 
 
-def test_require_mode_rejects_traced_jobs():
-    """ensemble='require' cannot honestly batch a traced job, and
-    silently dropping the telemetry would be worse than refusing."""
-    from repro.utils.errors import BookLeafError
-
-    with pytest.raises(BookLeafError, match="trace"):
-        submit([_cfg(trace=True), _cfg(max_steps=7, trace=True)],
-               ensemble="require").results()
-
-
 def test_profile_jobs_downgrade_too(tmp_path):
     configs = [_cfg(max_steps=6, profile=str(tmp_path / "x.folded")),
                _cfg(max_steps=7)]

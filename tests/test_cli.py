@@ -207,6 +207,16 @@ def test_run_ranks_alias_now_errors(capsys):
     assert "ranks: 2" not in captured.out
 
 
+def test_run_ensemble_subcommand_is_retired(capsys):
+    rc = main(["run-ensemble", "--problem", "sod", "--lanes", "2"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bookleaf: option "
+                                   "'bookleaf run-ensemble' was removed; "
+                                   "use 'bookleaf fleet --sweep/--lanes'")
+
+
 def test_trace_allocs_non_serial_warns_and_ignores(capsys):
     """--trace-allocs only instruments the serial backend; asking for
     it elsewhere must say so instead of silently doing nothing."""
@@ -394,11 +404,12 @@ def test_fleet_metrics_defaults_probe_cadence(tmp_path, capsys):
     assert "bookleaf_fleet_jobs_total 2" in prom.read_text()
 
 
-def test_fleet_rejects_control_and_mesh_sweep(capsys):
+def test_fleet_control_and_mesh_sweep_batches_per_mesh(capsys):
     rc = main(["fleet", "--problem", "sod", "--max-steps", "4",
                "--sweep", "cq1=0.3,0.5", "--sweep", "nx=8,16"])
-    assert rc == 2
-    assert "mesh sweeps" in capsys.readouterr().err
+    assert rc == 0
+    assert "4 job(s): 0 from cache, 4 on the batched fast path" in \
+        capsys.readouterr().out
 
 
 def test_fleet_needs_problem_or_deck(capsys):

@@ -263,8 +263,9 @@ def refill_rows() -> int:
                 for steps in (8, 20, 12, 16)]
 
             def refilled():
-                handle = submit(configs, ensemble="require", batch_width=2)
+                handle = submit(configs, batch_width=2)
                 results = handle.results()
+                assert all(r.backend == "ensemble" for r in results)
                 assert any(e["event"] == "lane_refill"
                            for e in handle.schedule_log)
                 return [fleet_digest(r) for r in results]
