@@ -5,10 +5,11 @@ Barth-Jespersen monotonicity limiting for cell quantities and a
 median-dual momentum remap for the staggered kinematics.
 """
 
-from .advect_cell import advect_cells, cell_gradients, face_fluxes
+from .advect_cell import advect_cells, cell_gradients
 from .advect_node import advect_momentum
 from .driver import FLUX_VOLUME_LIMIT, AleStep
-from .fluxvol import dual_flux_volumes, face_flux_volumes, sweep_quads
+from .fluxvol import (dual_flux_volumes, face_flux_volumes, median_points,
+                      sweep_quads)
 from .getmesh import select_target
 from .limiters import barth_jespersen, van_leer
 from .update import aleupdate
@@ -23,7 +24,7 @@ __all__ = [
     "cell_gradients",
     "dual_flux_volumes",
     "face_flux_volumes",
-    "face_fluxes",
+    "median_points",
     "select_target",
     "sweep_quads",
     "van_leer",

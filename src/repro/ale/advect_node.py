@@ -72,7 +72,7 @@ def advect_momentum(state: HydroState, dual_fv: np.ndarray,
     # computes while the peers' sum blocks arrive.
     comms.post_node_sums(state, *local)
     n1 = mesh.cell_nodes
-    n2 = np.roll(mesh.cell_nodes, -1, axis=1)
+    n2 = plans.side_end_nodes
     donor = np.where(dual_fv > 0.0, n1, n2)
     node_vol, node_mass, mom_x, mom_y = comms.complete_node_sums(
         state, *local)

@@ -11,8 +11,9 @@ Orchestrates the remap after a Lagrangian step:
 The driver enforces the remap's validity conditions: boundary faces
 must sweep (numerically) zero volume and no face may sweep more than a
 fraction of its adjacent cells' volume — violating either means the
-mesh moved too far between remaps (increase ``ale_every``'s frequency
-or reduce ``ale_relax``).
+mesh moved too far between remaps; the error names the face's cells
+and the setting that would help (a smaller ``ale_every``, a smaller
+``ale_relax``, or the ``relax`` mesh mode).
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ from ..utils.errors import BookLeafError
 from ..utils.timers import TimerRegistry
 from .advect_cell import advect_cells
 from .advect_node import advect_momentum
-from .fluxvol import dual_flux_volumes, face_flux_volumes
+from .fluxvol import dual_flux_volumes, face_flux_volumes, median_points
 from .getmesh import select_target
+from .update import aleupdate
 
 #: max |flux volume| as a fraction of the smaller adjacent cell volume
 FLUX_VOLUME_LIMIT = 0.45
@@ -49,14 +51,18 @@ class AleStep:
     #: initial node coordinates (the Eulerian target)
     x0: np.ndarray = field(default=None)  # type: ignore[assignment]
     y0: np.ndarray = field(default=None)  # type: ignore[assignment]
+    #: the remap cadence the step loop applies (``ale_every``), quoted
+    #: only in the flux-volume error's advice
+    every: int = 1
 
     @classmethod
     def from_controls(cls, state: HydroState, controls: HydroControls,
-                      table: MaterialTable) -> "AleStep":
+                      table: MaterialTable, every: int = 1) -> "AleStep":
         return cls(
             table=table,
             mode=controls.ale_mode,
             relax=controls.ale_relax,
+            every=every,
             dencut=controls.dencut,
             x0=state.x.copy(),
             y0=state.y.copy(),
@@ -115,7 +121,8 @@ class AleStep:
                 return False
 
         with timers.region("alegetfvol"):
-            fv, fvb = face_flux_volumes(mesh, state.x, state.y, x_t, y_t)
+            fv, fvb, swept = face_flux_volumes(mesh, state.x, state.y,
+                                               x_t, y_t)
             scale = float(state.volume.min())
             side_mask = comms.physical_boundary_side_mask(state)
             fvb_check = fvb[side_mask] if side_mask is not None else fvb
@@ -124,30 +131,54 @@ class AleStep:
                     "remap target moves the domain boundary "
                     f"(max boundary sweep {np.abs(fvb_check).max():.3e})"
                 )
-            vmin = np.minimum(state.volume[mesh.face_cells[:, 0]],
-                              state.volume[mesh.face_cells[:, 1]])
-            if fv.size and np.any(np.abs(fv) > FLUX_VOLUME_LIMIT * vmin):
-                worst = int(np.argmax(np.abs(fv) / vmin))
-                raise BookLeafError(
-                    "remap flux volume exceeds "
-                    f"{FLUX_VOLUME_LIMIT:.0%} of a cell volume at face "
-                    f"{worst} — remap more often (ale_every) or relax less"
-                )
-            dual_fv = dual_flux_volumes(mesh, state.x, state.y, x_t, y_t,
-                                        ws=w)
+            self._check_flux_volumes(state, fv)
+            old = median_points(mesh, state.x, state.y, ws=w)
+            new = median_points(mesh, x_t, y_t, ws=w)
+            dual_fv = dual_flux_volumes(old, new, ws=w)
+            w.release(*new, *old[:2])
 
         with timers.region("aleadvect"):
-            mass_new, energy_new = advect_cells(
-                mesh, state.x, state.y, x_t, y_t, fv,
-                state.cell_mass, state.rho, state.e, comms=comms, ws=w,
-            )
+            # Momentum first: the dual fluxes' block is then free for
+            # the cell remap's temporaries (the two are independent).
             u_new, v_new, _ = advect_momentum(state, dual_fv, comms=comms,
                                               ws=w)
+            w.release(dual_fv)
+            mass_new, energy_new = advect_cells(
+                mesh, old[2:], swept, fv,
+                state.cell_mass, state.rho, state.e, comms=comms, ws=w,
+            )
+            w.release(*old[2:])
 
         with timers.region("aleupdate"):
-            from .update import aleupdate
-
-            w.release(dual_fv)
             aleupdate(state, self.table, x_t, y_t, mass_new, energy_new,
                       u_new, v_new, self.dencut, ws=w)
         return True
+
+    def _check_flux_volumes(self, state: HydroState,
+                            fv: np.ndarray) -> None:
+        """Refuse a remap whose faces sweep more than
+        :data:`FLUX_VOLUME_LIMIT` of an adjacent cell, naming the worst
+        face's cells and the advice that fits this remap's settings."""
+        cells = state.mesh.face_cells
+        vmin = np.minimum(state.volume[cells[:, 0]],
+                          state.volume[cells[:, 1]])
+        if not (fv.size and np.any(np.abs(fv) > FLUX_VOLUME_LIMIT * vmin)):
+            return
+        worst = int(np.argmax(np.abs(fv) / vmin))
+        a, b = (int(c) for c in cells[worst])
+        small = a if state.volume[a] <= state.volume[b] else b
+        fraction = abs(fv[worst]) / state.volume[small]
+        advice = []
+        if self.every > 1:
+            advice.append(f"remap more often (ale_every = {self.every})")
+        if self.mode == "relax":
+            advice.append(f"relax less (ale_relax = {self.relax:g})")
+        else:
+            advice.append("remap towards a relaxed mesh instead of the "
+                          "initial one (ale_mode = \"relax\")")
+        raise BookLeafError(
+            "remap flux volume exceeds "
+            f"{FLUX_VOLUME_LIMIT:.0%} of a cell volume: the face between "
+            f"cells {a} and {b} sweeps {fraction:.2f} of cell {small} — "
+            + " or ".join(advice)
+        )

@@ -51,15 +51,6 @@ def _neighbour_average(state: HydroState) -> Tuple[np.ndarray, np.ndarray]:
     return sx / cnt, sy / cnt
 
 
-def _boundary_side_nodes(mesh) -> np.ndarray:
-    """(nboundary, 2) node pairs of the mesh's boundary sides."""
-    cells = mesh.boundary_cells
-    sides = mesh.boundary_sides
-    n1 = mesh.cell_nodes[cells, sides]
-    n2 = mesh.cell_nodes[cells, (sides + 1) % 4]
-    return np.stack([n1, n2], axis=1)
-
-
 def frozen_boundary_nodes(state: HydroState,
                           side_nodes: np.ndarray,
                           tol: float = 1e-12) -> np.ndarray:
@@ -120,7 +111,7 @@ def select_target(state: HydroState, mode: str, relax: float,
     xt[fix_x] = state.x[fix_x]
     yt[fix_y] = state.y[fix_y]
     if boundary_sides is None:
-        boundary_sides = _boundary_side_nodes(mesh)
+        boundary_sides = mesh.plans.boundary_side_nodes
     frozen = frozen_boundary_nodes(state, boundary_sides)
     xt[frozen] = state.x[frozen]
     yt[frozen] = state.y[frozen]

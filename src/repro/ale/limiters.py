@@ -13,7 +13,11 @@ as the paper cites.  Two standard limiters are provided:
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
+
+from ..perf.workspace import Workspace, scratch
 
 
 def van_leer(r: np.ndarray) -> np.ndarray:
@@ -27,26 +31,34 @@ def van_leer(r: np.ndarray) -> np.ndarray:
 
 
 def barth_jespersen(phi_c: np.ndarray, phi_min: np.ndarray,
-                    phi_max: np.ndarray, d: np.ndarray) -> np.ndarray:
+                    phi_max: np.ndarray, d: np.ndarray,
+                    out: Optional[np.ndarray] = None,
+                    ws: Optional[Workspace] = None) -> np.ndarray:
     """Cell-wise limiter factors α in [0, 1].
 
     ``phi_c``: cell values (ncell,); ``phi_min/phi_max``: local bounds
-    (min/max over the cell and its face neighbours); ``d``: the
-    *unlimited* reconstruction increments ``g·(r_f − r_c)`` at each of
-    the cell's evaluation points, shape (ncell, npoints).  Returns α
-    such that ``phi_c + α d`` lies within [phi_min, phi_max] at every
-    point.
+    (min/max over the cell and its face neighbours, so they bracket
+    ``phi_c``); ``d``: the *unlimited* reconstruction increments
+    ``g·(r_f − r_c)`` at each of the cell's evaluation points,
+    point-major — shape (npoints, ncell), one contiguous row per point,
+    as the remap's corner arrays are.  Returns α such that
+    ``phi_c + α d`` lies within [phi_min, phi_max] at every point.
     """
-    phi_c = phi_c[:, None]
-    # d may be zero or subnormal: the division then yields inf/NaN,
-    # which the isfinite guard below maps to "unconstrained" (the
-    # min(·, 1) cap makes that the right answer for huge ratios too).
+    w = scratch(ws)
+    if out is None:
+        out = np.empty(phi_c.shape)
+    up = w.borrow(d.shape)
+    down = w.borrow(d.shape)
+    # The room to each bound over d.  The bound d heads towards gives
+    # the larger ratio — the other one has the opposite sign — so the
+    # maximum picks it.  A zero d divides to ±inf or NaN, and huge
+    # ratios overflow to inf: the NaN-skipping fmin(·, 1) caps all of
+    # those at "unconstrained", α = 1.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        alpha_pos = (phi_max[:, None] - phi_c) / d
-        alpha_neg = (phi_min[:, None] - phi_c) / d
-    alpha = np.where(d > 0.0, alpha_pos, np.where(d < 0.0, alpha_neg, 1.0))
-    alpha = np.minimum(alpha, 1.0)
-    # Degenerate d == 0 produced NaN via 0/0 guards above only when the
-    # bounds equal phi_c; treat as unconstrained.
-    alpha = np.where(np.isfinite(alpha), alpha, 1.0)
-    return np.clip(alpha.min(axis=1), 0.0, 1.0)
+        np.divide(np.subtract(phi_max, phi_c, out=out), d, out=up)
+        np.divide(np.subtract(phi_min, phi_c, out=out), d, out=down)
+    alpha = np.maximum(down, up, out=up)
+    np.fmin(alpha, 1.0, out=alpha)
+    np.minimum.reduce(alpha, axis=0, out=out)
+    w.release(up, down)
+    return np.clip(out, 0.0, 1.0, out=out)

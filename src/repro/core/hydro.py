@@ -89,7 +89,8 @@ class Hydro:
             # Imported here to avoid a core <-> ale import cycle.
             from ..ale.driver import AleStep
 
-            remapper = AleStep.from_controls(state, controls, table)
+            remapper = AleStep.from_controls(state, controls, table,
+                                             every=controls.ale_every)
         self.remapper = remapper
         #: the buffer arena every kernel of the step loop draws from;
         #: warm after the first step, so steady-state steps allocate

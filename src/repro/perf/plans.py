@@ -29,6 +29,12 @@ computed once per mesh and reused every step:
   test reference), each built on first use, and ``edge_index``, the
   arange the viscosity compresses its active-edge set out of.
 
+* **Remap indices** — the least-squares stencil of the cell remap
+  (``stencil_cells``), the boundary sides' node pairs the flux-volume
+  check sweeps and the relaxation freezes (``boundary_side_nodes``),
+  and the far node of every cell side the dual remap upwinds from
+  (``side_end_nodes``).
+
 :class:`MeshPlans` treats the mesh duck-typed (anything exposing
 ``cell_nodes``, ``cell_neighbours``, ``neighbour_side``,
 ``nnode``, ``ncell`` works), so this module has
@@ -92,6 +98,10 @@ class MeshPlans:
         self.cell_nodes = mesh.cell_nodes
         self._neighbours = mesh.cell_neighbours
         self._sides = mesh.neighbour_side
+        # Only a remapped mesh needs its boundary list; an ensemble's
+        # union mesh never remaps and carries none.
+        self._boundary = (getattr(mesh, "boundary_cells", None),
+                          getattr(mesh, "boundary_sides", None))
 
     @cached_property
     def corner_nodes(self) -> np.ndarray:
@@ -145,6 +155,31 @@ class MeshPlans:
         """``arange(4·ncell)``: the flat index of every corner-major edge,
         what ``getq`` compresses its active-edge set out of."""
         return np.arange(4 * self.ncell, dtype=np.intp)
+
+    @cached_property
+    def stencil_cells(self) -> np.ndarray:
+        """(4, ncell): row k is every cell's neighbour across side k,
+        the cell itself past a boundary — so a gathered difference
+        ``φ[stencil] − φ`` is exactly 0 there with no mask, and the
+        gathered values double as the limiter's neighbour bounds."""
+        nb = self._neighbours.T
+        own = np.arange(self.ncell, dtype=np.intp)
+        return _take_ready([np.where(nb >= 0, nb, own)])[0]
+
+    @cached_property
+    def boundary_side_nodes(self) -> np.ndarray:
+        """(nboundary, 2) node pairs of the mesh's boundary sides, in
+        the mesh's boundary-list order."""
+        cells, sides = self._boundary
+        cn = self.cell_nodes
+        return np.stack([cn[cells, sides], cn[cells, (sides + 1) % 4]],
+                        axis=1)
+
+    @cached_property
+    def side_end_nodes(self) -> np.ndarray:
+        """(ncell, 4): the second node of every cell side
+        (``np.roll(cell_nodes, -1, axis=1)``)."""
+        return np.ascontiguousarray(self.cell_nodes[:, _NEXT])
 
     @cached_property
     def grid_shape(self):

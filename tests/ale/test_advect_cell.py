@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.ale.advect_cell import advect_cells, cell_gradients
-from repro.ale.fluxvol import face_flux_volumes
-from repro.mesh.generator import perturbed_mesh, rect_mesh
+from repro.ale.advect_cell import (advect_cells, cell_gradients,
+                                   least_squares_stencil)
+from repro.ale.fluxvol import face_flux_volumes, median_points
+from repro.mesh.generator import perturbed_mesh, pinwheel_mesh, rect_mesh
+from repro.perf.plans import corner_reduce
+from tests.conftest import renumbered_mesh
 
 
 def _move(mesh, scale=0.02, seed=0):
@@ -22,8 +25,9 @@ def _move(mesh, scale=0.02, seed=0):
 def _advect(mesh, rho, e, x1, y1):
     v0 = mesh.cell_areas()
     mass = rho * v0
-    fv, _ = face_flux_volumes(mesh, mesh.x, mesh.y, x1, y1)
-    return advect_cells(mesh, mesh.x, mesh.y, x1, y1, fv, mass, rho, e)
+    fv, _, swept = face_flux_volumes(mesh, mesh.x, mesh.y, x1, y1)
+    centroids = median_points(mesh, mesh.x, mesh.y)[2:]
+    return advect_cells(mesh, centroids, swept, fv, mass, rho, e)
 
 
 def test_gradient_exact_for_linear_field():
@@ -131,3 +135,110 @@ def test_linear_profile_advected_second_order():
     inner = (xc_new > 0.15) & (xc_new < 0.85)
     np.testing.assert_allclose(rho_new[inner], 1.0 + xc_new[inner],
                                rtol=2e-3)
+
+
+# ----------------------------------------------------------------------
+# The shared-stencil gradients against the two-pass formula
+# ----------------------------------------------------------------------
+_TINY = 1.0e-300
+
+
+def _two_pass_barth_jespersen(phi_c, phi_min, phi_max, d):
+    """The cell-major limiter the corner-major one replaced, verbatim."""
+    phi_c = phi_c[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        alpha_pos = (phi_max[:, None] - phi_c) / d
+        alpha_neg = (phi_min[:, None] - phi_c) / d
+    alpha = np.where(d > 0.0, alpha_pos, np.where(d < 0.0, alpha_neg, 1.0))
+    alpha = np.minimum(alpha, 1.0)
+    alpha = np.where(np.isfinite(alpha), alpha, 1.0)
+    return np.clip(alpha.min(axis=1), 0.0, 1.0)
+
+
+def _two_pass_gradients(mesh, xc, yc, phi, limit=True):
+    """The per-field (ncell, 4) body the shared stencil replaced,
+    verbatim: it rebuilds the geometry for every field."""
+    nb = mesh.cell_neighbours
+    valid = nb >= 0
+    nbc = np.where(valid, nb, 0)
+    dx = np.where(valid, xc[nbc] - xc[:, None], 0.0)
+    dy = np.where(valid, yc[nbc] - yc[:, None], 0.0)
+    dphi = np.where(valid, phi[nbc] - phi[:, None], 0.0)
+
+    a11 = corner_reduce(np.add, dx * dx)
+    a12 = corner_reduce(np.add, dx * dy)
+    a22 = corner_reduce(np.add, dy * dy)
+    b1 = corner_reduce(np.add, dx * dphi)
+    b2 = corner_reduce(np.add, dy * dphi)
+    det = a11 * a22 - a12 * a12
+    scale = np.maximum(a11 * a22, a12 * a12)
+    ok = det > 1e-12 * np.maximum(scale, _TINY)
+    safe_det = np.where(ok, det, 1.0)
+    gx = np.where(ok, (a22 * b1 - a12 * b2) / safe_det,
+                  np.where(a11 > _TINY, b1 / np.maximum(a11, _TINY), 0.0))
+    gy = np.where(ok, (a11 * b2 - a12 * b1) / safe_det,
+                  np.where(a22 > _TINY, b2 / np.maximum(a22, _TINY), 0.0))
+
+    if limit:
+        nb_phi = np.where(valid, phi[nbc], phi[:, None])
+        phi_min = np.minimum(phi, corner_reduce(np.minimum, nb_phi))
+        phi_max = np.maximum(phi, corner_reduce(np.maximum, nb_phi))
+        d = gx[:, None] * dx + gy[:, None] * dy
+        alpha = _two_pass_barth_jespersen(phi, phi_min, phi_max, d)
+        gx = gx * alpha
+        gy = gy * alpha
+    return gx, gy
+
+
+def _fields(mesh, seed):
+    """ρ, e and p with a step (cells equal to their bounds, so the
+    limiter meets ±0 ratios), a flat region and noise."""
+    rng = np.random.default_rng(seed)
+    xc, yc = mesh.cell_centroids()
+    step = xc + 0.3 * yc < np.median(xc + 0.3 * yc)
+    rho = np.where(step, 1.0, 0.125) + 0.05 * rng.random(mesh.ncell) * ~step
+    e = np.where(step, 2.5, 2.0 + rng.random(mesh.ncell))
+    p = 0.4 * rho * e
+    return {"rho": rho, "e": e, "p": p}
+
+
+_BITWISE_MESHES = {
+    "rect24": lambda: rect_mesh(24, 24),
+    "wonky": lambda: perturbed_mesh(6, 5, amplitude=0.25, seed=42),
+    "pinwheel": lambda: pinwheel_mesh(nquads=5),
+    "permuted": lambda: renumbered_mesh(perturbed_mesh(9, 7, amplitude=0.2,
+                                                       seed=1), seed=3),
+    "tube8x1": lambda: rect_mesh(8, 1, (0.0, 1.0, 0.0, 0.1)),
+    "tube1x8": lambda: rect_mesh(1, 8, (0.0, 0.1, 0.0, 1.0)),
+}
+
+
+def _assert_bitwise(mesh, seed):
+    xc, yc = median_points(mesh, mesh.x, mesh.y)[2:]
+    for name, phi in _fields(mesh, seed).items():
+        for limit in (True, False):
+            got = cell_gradients(mesh, xc, yc, phi, limit=limit)
+            want = _two_pass_gradients(mesh, xc, yc, phi, limit=limit)
+            for g, w in zip(got, want):
+                assert np.array_equal(g.view(np.int64), w.view(np.int64)), (
+                    f"{name} limit={limit}: gradients differ in "
+                    f"{np.count_nonzero(g.view(np.int64) != w.view(np.int64))}"
+                    " cells")
+
+
+@pytest.mark.parametrize("kind", sorted(_BITWISE_MESHES))
+def test_gradients_bitwise_equal_the_two_pass_formula(kind):
+    mesh = _BITWISE_MESHES[kind]()
+    _assert_bitwise(mesh, seed=len(kind))
+    if kind.startswith("tube"):
+        # every cell of a tube takes the degenerate-stencil fallback
+        xc, yc = median_points(mesh, mesh.x, mesh.y)[2:]
+        assert least_squares_stencil(mesh, xc, yc).degenerate.size == (
+            mesh.ncell)
+
+
+def test_gradients_bitwise_on_two_meshes_back_to_back():
+    """Nothing per mesh is cached outside the mesh: a second mesh in
+    the same process (and the first again) gets its own stencil."""
+    for kind in ("rect24", "wonky", "rect24", "tube8x1", "wonky"):
+        _assert_bitwise(_BITWISE_MESHES[kind](), seed=7)

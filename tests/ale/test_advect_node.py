@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ale.advect_node import advect_momentum
-from repro.ale.fluxvol import dual_flux_volumes
+from repro.ale.fluxvol import dual_flux_volumes, median_points
 from repro.utils.errors import BookLeafError
 from tests.conftest import make_uniform_state
 from repro.eos import IdealGas, MaterialTable
@@ -28,7 +28,8 @@ def _state_and_fluxes(seed=0, scale=0.02, u=None, v=None):
     interior[mesh.boundary_nodes()] = False
     x1[interior] += scale * rng.standard_normal(interior.sum())
     y1[interior] += scale * rng.standard_normal(interior.sum())
-    dfv = dual_flux_volumes(mesh, state.x, state.y, x1, y1)
+    dfv = dual_flux_volumes(median_points(mesh, state.x, state.y),
+                            median_points(mesh, x1, y1))
     return state, dfv
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the ALE step driver (alestep)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,47 @@ def test_oversized_remap_rejected():
     state.refresh_geometry()
     with pytest.raises(BookLeafError, match="flux volume"):
         remap.apply(state, 1e-3)
+
+
+def _oversized(mode, every=1):
+    """A remap whose sweeps are too big for the mode's target: the
+    interior pushed most of a cell towards +x (Eulerian pulls it all
+    back), or one node pushed diagonally under a full relaxation."""
+    state, remap, _ = _setup(nx=4, ny=4, mode=mode)
+    remap.every = every
+    interior = np.ones(state.mesh.nnode, bool)
+    interior[state.mesh.boundary_nodes()] = False
+    if mode == "eulerian":
+        state.x[interior] += 0.2
+    else:
+        remap.relax = 1.0
+        node = np.flatnonzero(interior)[0]
+        state.x[node] += 0.15
+        state.y[node] += 0.15
+    state.refresh_geometry()
+    with pytest.raises(BookLeafError, match="flux volume") as info:
+        remap.apply(state, 1e-3)
+    return state, str(info.value)
+
+
+def test_oversized_remap_names_cells_and_fitting_advice():
+    state, msg = _oversized("eulerian")
+    # the worst face's two cells and what it sweeps of the smaller one
+    a, b, small = (int(c) for c in re.search(
+        r"between cells (\d+) and (\d+) sweeps [\d.]+ of cell (\d+)",
+        msg).groups())
+    faces = [sorted(f) for f in state.mesh.face_cells.tolist()]
+    assert sorted((a, b)) in faces and small in (a, b)
+    # remapping every step in Eulerian mode: neither knob can help
+    assert 'ale_mode = "relax"' in msg
+    assert "ale_every" not in msg and "ale_relax" not in msg
+
+    _, msg = _oversized("eulerian", every=3)
+    assert "ale_every = 3" in msg and 'ale_mode = "relax"' in msg
+
+    _, msg = _oversized("relax")
+    assert "ale_relax = 1" in msg
+    assert "ale_every" not in msg and "ale_mode" not in msg
 
 
 def test_timer_regions_recorded():

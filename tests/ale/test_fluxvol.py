@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.ale.fluxvol import dual_flux_volumes, face_flux_volumes, sweep_quads
+from repro.ale.fluxvol import (dual_flux_volumes, face_flux_volumes,
+                               median_points, sweep_quads)
 from repro.core import geometry
 from repro.mesh.generator import perturbed_mesh, rect_mesh
 
@@ -38,12 +39,12 @@ def test_sweep_quads_normal_motion():
 
 
 def test_no_motion_zero_fluxes(wonky_mesh):
-    fv, fvb = face_flux_volumes(wonky_mesh, wonky_mesh.x, wonky_mesh.y,
-                                wonky_mesh.x, wonky_mesh.y)
+    fv, fvb, _ = face_flux_volumes(wonky_mesh, wonky_mesh.x, wonky_mesh.y,
+                                   wonky_mesh.x, wonky_mesh.y)
     assert np.all(fv == 0.0)
     assert np.all(fvb == 0.0)
-    dfv = dual_flux_volumes(wonky_mesh, wonky_mesh.x, wonky_mesh.y,
-                            wonky_mesh.x, wonky_mesh.y)
+    points = median_points(wonky_mesh, wonky_mesh.x, wonky_mesh.y)
+    dfv = dual_flux_volumes(points, points)
     assert np.all(dfv == 0.0)
 
 
@@ -53,7 +54,7 @@ def test_primal_volume_identity(wonky_mesh):
     x1, y1 = _random_interior_move(mesh, seed=3)
     v0 = mesh.cell_areas(mesh.x, mesh.y)
     v1 = mesh.cell_areas(x1, y1)
-    fv, fvb = face_flux_volumes(mesh, mesh.x, mesh.y, x1, y1)
+    fv, fvb, _ = face_flux_volumes(mesh, mesh.x, mesh.y, x1, y1)
     dv = np.zeros(mesh.ncell)
     np.subtract.at(dv, mesh.face_cells[:, 0], fv)
     np.add.at(dv, mesh.face_cells[:, 1], fv)
@@ -72,7 +73,8 @@ def test_dual_volume_identity(wonky_mesh):
 
     w0 = nodal_volume(mesh.x, mesh.y)
     w1 = nodal_volume(x1, y1)
-    dfv = dual_flux_volumes(mesh, mesh.x, mesh.y, x1, y1)
+    dfv = dual_flux_volumes(median_points(mesh, mesh.x, mesh.y),
+                            median_points(mesh, x1, y1))
     n1 = mesh.cell_nodes.ravel()
     n2 = np.roll(mesh.cell_nodes, -1, axis=1).ravel()
     dw = np.zeros(mesh.nnode)
@@ -89,7 +91,7 @@ def test_flux_sign_convention():
     y1 = mesh.y.copy()
     shared = np.isclose(mesh.x, 0.5)
     x1[shared] -= 0.1     # face moves left, into the left cell
-    fv, _ = face_flux_volumes(mesh, mesh.x, mesh.y, x1, y1)
+    fv, _, _ = face_flux_volumes(mesh, mesh.x, mesh.y, x1, y1)
     assert fv.size == 1
     left = mesh.face_cells[0, 0]
     xc, _ = mesh.cell_centroids()
@@ -106,5 +108,5 @@ def test_boundary_sweep_detected():
     y1 = mesh.y.copy()
     corner = np.flatnonzero(np.isclose(mesh.x, 0) & np.isclose(mesh.y, 0))[0]
     x1[corner] -= 0.05
-    _, fvb = face_flux_volumes(mesh, mesh.x, mesh.y, x1, y1)
+    _, fvb, _ = face_flux_volumes(mesh, mesh.x, mesh.y, x1, y1)
     assert np.abs(fvb).max() > 0.0

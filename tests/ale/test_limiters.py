@@ -29,7 +29,7 @@ def test_van_leer_bounds(r):
 def test_bj_unconstrained_when_within_bounds():
     phi = np.array([1.0])
     alpha = barth_jespersen(phi, np.array([0.0]), np.array([2.0]),
-                            np.array([[0.5, -0.5]]))
+                            np.array([[0.5], [-0.5]]))
     assert alpha[0] == 1.0
 
 
@@ -50,7 +50,7 @@ def test_bj_limits_undershoot():
 
 def test_bj_zero_increment_no_constraint():
     alpha = barth_jespersen(np.array([1.0]), np.array([1.0]),
-                            np.array([1.0]), np.array([[0.0, 0.0]]))
+                            np.array([1.0]), np.array([[0.0], [0.0]]))
     assert alpha[0] == 1.0
 
 
@@ -62,9 +62,9 @@ def test_bj_reconstruction_stays_in_bounds(ds, spread):
     phi = np.array([1.0])
     phi_min = np.array([1.0 - spread])
     phi_max = np.array([1.0 + spread])
-    d = np.array([ds])
+    d = np.array(ds)[:, None]           # (npoints, ncell)
     alpha = barth_jespersen(phi, phi_min, phi_max, d)
-    recon = phi[0] + alpha[0] * d[0]
+    recon = phi[0] + alpha[0] * d[:, 0]
     assert np.all(recon >= phi_min[0] - 1e-12)
     assert np.all(recon <= phi_max[0] + 1e-12)
     assert 0.0 <= alpha[0] <= 1.0

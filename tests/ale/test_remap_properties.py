@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.ale.advect_cell import advect_cells
 from repro.ale.advect_node import advect_momentum
-from repro.ale.fluxvol import dual_flux_volumes, face_flux_volumes
+from repro.ale.fluxvol import (dual_flux_volumes, face_flux_volumes,
+                               median_points)
 from repro.eos import IdealGas, MaterialTable
 from repro.mesh.generator import perturbed_mesh
 from tests.conftest import make_uniform_state
@@ -39,10 +40,11 @@ def test_cell_remap_conserves_and_bounds(dims, mesh_amp, move_amp, seed):
     e = rng.uniform(0.1, 1.0, mesh.ncell)
     v0 = mesh.cell_areas()
     mass = rho * v0
-    fv, fvb = face_flux_volumes(mesh, mesh.x, mesh.y, x1, y1)
+    fv, fvb, swept = face_flux_volumes(mesh, mesh.x, mesh.y, x1, y1)
     assert np.abs(fvb).max(initial=0.0) == 0.0
+    centroids = median_points(mesh, mesh.x, mesh.y)[2:]
     mass_new, energy_new = advect_cells(
-        mesh, mesh.x, mesh.y, x1, y1, fv, mass, rho, e
+        mesh, centroids, swept, fv, mass, rho, e
     )
     # exact conservation
     assert mass_new.sum() == pytest.approx(mass.sum(), rel=1e-12)
@@ -62,9 +64,10 @@ def test_uniform_state_fixed_point(dims, mesh_amp, move_amp, seed,
     rho = np.full(mesh.ncell, rho0)
     e = np.full(mesh.ncell, e0)
     mass = rho * mesh.cell_areas()
-    fv, _ = face_flux_volumes(mesh, mesh.x, mesh.y, x1, y1)
+    fv, _, swept = face_flux_volumes(mesh, mesh.x, mesh.y, x1, y1)
+    centroids = median_points(mesh, mesh.x, mesh.y)[2:]
     mass_new, energy_new = advect_cells(
-        mesh, mesh.x, mesh.y, x1, y1, fv, mass, rho, e
+        mesh, centroids, swept, fv, mass, rho, e
     )
     v1 = mesh.cell_areas(x1, y1)
     np.testing.assert_allclose(mass_new / v1, rho0, rtol=1e-11)
@@ -84,7 +87,8 @@ def test_momentum_remap_uniform_velocity_fixed_point(dims, move_amp, seed,
     state.bc.flags[:] = 0
     state.u[:] = ux
     state.v[:] = vy
-    dfv = dual_flux_volumes(mesh, state.x, state.y, x1, y1)
+    dfv = dual_flux_volumes(median_points(mesh, state.x, state.y),
+                            median_points(mesh, x1, y1))
     u_new, v_new, _ = advect_momentum(state, dfv)
     np.testing.assert_allclose(u_new, ux, rtol=1e-11, atol=1e-13)
     np.testing.assert_allclose(v_new, vy, rtol=1e-11, atol=1e-13)
@@ -105,7 +109,7 @@ def test_momentum_remap_conserves(dims, move_amp, seed):
     m0 = state.node_mass()
     mom0 = np.array([(m0 * state.u).sum(), (m0 * state.v).sum()])
     u_new, v_new, m_star = advect_momentum(state, dual_flux_volumes(
-        mesh, state.x, state.y, x1, y1))
+        median_points(mesh, state.x, state.y), median_points(mesh, x1, y1)))
     mom1 = np.array([(m_star * u_new).sum(), (m_star * v_new).sum()])
     np.testing.assert_allclose(mom1, mom0, atol=1e-12)
     assert m_star.sum() == pytest.approx(m0.sum(), rel=1e-12)

@@ -9,8 +9,10 @@ comparison of a ``ws``/``plans``/``workspace`` name (or attribute)
 against ``None``.  It walks the AST, so docstrings and comments may say
 what they like.
 
-The same walk keeps ``repro.core`` corner-major: inside the Lagrangian
-step a corner array is (4, ncell), so the (ncell, 4) idioms — rolled
+The same walk keeps ``repro.core`` — and the remap's cell half,
+``ale/advect_cell.py``, ``fluxvol.py`` and ``limiters.py`` —
+corner-major: inside the Lagrangian step a corner array is (4, ncell),
+so the (ncell, 4) idioms — rolled
 corner columns (``roll_next``/``roll_prev``), per-cell operands spread
 over four columns (``spread_corners``), ``axis=1`` reductions over the
 length-4 corner axis and ``einsum("ck,...")`` contractions — each mean a
@@ -98,15 +100,25 @@ def _old_layout_idioms(tree: ast.AST):
     return sorted(found)
 
 
+#: the remap modules converted to the corner-major layout; the other
+#: ``repro.ale`` modules are held back on purpose until their rewrites:
+#: ``advect_node.py`` (the dual mass fluxes, ALE item (ii)),
+#: ``getmesh.py`` (the relaxation's neighbour average, ALE item (i)) and
+#: ``update.py``, the (ncell, 4) state commit both of those feed.
+CORNER_MAJOR_ALE = ("advect_cell.py", "fluxvol.py", "limiters.py")
+
+
 def test_core_kernels_stay_corner_major():
+    paths = (sorted((SRC / "core").glob("*.py"))
+             + [SRC / "ale" / name for name in CORNER_MAJOR_ALE])
     found = []
-    for path in sorted((SRC / "core").glob("*.py")):
+    for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{ln} ({what})"
+        found += [f"{path.parent.name}/{path.name}:{ln} ({what})"
                   for ln, what in _old_layout_idioms(tree)]
     assert not found, (
-        "repro.core is corner-major, (4, ncell); (ncell, 4) idioms at "
-        + ", ".join(found))
+        "repro.core and the converted remap modules are corner-major, "
+        "(4, ncell); (ncell, 4) idioms at " + ", ".join(found))
 
 
 def test_the_checker_itself_catches_old_layout_idioms():

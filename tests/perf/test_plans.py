@@ -171,3 +171,30 @@ def test_limiter_indices_are_hoisted_and_contiguous(make):
     assert np.array_equal(np.take(du, back), (u[n_b1] - u[n_b0]).T)
     assert np.array_equal(np.take(du, fwd), (u[n_f1] - u[n_f0]).T)
     assert np.array_equal(off_major, off.T)
+
+
+# ----------------------------------------------------------------------
+# remap indices
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("make", [
+    lambda: rect_mesh(6, 4),
+    lambda: renumbered_mesh(perturbed_mesh(5, 5, amplitude=0.25, seed=1), 2),
+    lambda: pinwheel_mesh(nquads=4),
+    lambda: rect_mesh(7, 1),
+])
+def test_remap_indices_match_their_definitions(make):
+    mesh = make()
+    plans = MeshPlans(mesh)
+    nb = mesh.cell_neighbours
+    own = np.arange(mesh.ncell)[:, None]
+    stencil = plans.stencil_cells
+    assert stencil.flags.c_contiguous and stencil.dtype == np.intp
+    assert np.array_equal(stencil, np.where(nb >= 0, nb, own).T)
+    # boundary sides in the mesh's own list order (the decomposed
+    # driver masks them by position)
+    cells, sides = mesh.boundary_cells, mesh.boundary_sides
+    assert np.array_equal(plans.boundary_side_nodes, np.stack(
+        [mesh.cell_nodes[cells, sides],
+         mesh.cell_nodes[cells, (sides + 1) % 4]], axis=1))
+    assert np.array_equal(plans.side_end_nodes,
+                          np.roll(mesh.cell_nodes, -1, axis=1))

@@ -11,6 +11,8 @@ changes *where* intermediates live and never the floating-point
 operations is pinned across commits by ``tools/digests.py --against``.)
 """
 
+import tracemalloc
+
 import numpy as np
 
 from repro.core.hydro import Hydro
@@ -258,6 +260,32 @@ def test_remap_recycles_the_lagrangian_arena():
         return hydro.workspace.nbytes()
 
     assert arena_bytes(ale_on=True) <= 1.05 * arena_bytes()
+
+
+#: tracemalloc peak of one warm remap of Sod 32², measured when the
+#: cell remap went corner-major (the two-pass gradients and the
+#: (ncell, 4) flux volumes it replaced peaked at 541 672 B)
+WARM_REMAP_PEAK = 284_138
+
+
+def test_warm_remap_allocation_peak():
+    """What a warm ``AleStep.apply`` allocates besides the arena: the
+    committed state arrays, the face-shaped temporaries and the nodal
+    remap — not a second copy of the gradient stencil."""
+    setup = load_problem("sod", nx=32, ny=32, ale_on=True)
+    hydro = Hydro(setup.state, setup.table, setup.controls)
+    for _ in range(2):
+        hydro.step()                  # arena, plans and stencil tables warm
+    remapper, hydro.remapper = hydro.remapper, None
+    hydro.step()                      # a Lagrangian step moves the mesh
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert remapper.apply(hydro.state, hydro.dt, ws=hydro.workspace)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.10 * WARM_REMAP_PEAK, f"warm remap peaked at {peak} B"
 
 
 def test_run_releases_the_arena():
