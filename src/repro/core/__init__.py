@@ -10,6 +10,7 @@ routine: ``getq``, ``getforce``, ``getacc``, ``getgeom``, ``getrho``,
 from .acceleration import getacc
 from .comms import SerialComms
 from .controls import HydroControls, controls_from_deck
+from .corners import StepCorners
 from .density import getrho
 from .energy import getein
 from .energy_budget import EnergyBudget
@@ -39,6 +40,7 @@ __all__ = [
     "HydroControls",
     "controls_from_deck",
     "SerialComms",
+    "StepCorners",
     "lagstep",
     "getq",
     "getforce",

@@ -25,26 +25,25 @@ from .state import HydroState
 
 
 def getein(state: HydroState, fx: np.ndarray, fy: np.ndarray,
-           u: np.ndarray, v: np.ndarray, dt: float,
+           cu: np.ndarray, cv: np.ndarray, dt: float,
            ws: Optional[Workspace] = None,
            out: Optional[np.ndarray] = None) -> np.ndarray:
     """Return the updated specific internal energy after time ``dt``.
 
     ``fx, fy`` are the corner-major (4, ncell) corner forces and
-    ``u, v`` the velocities consistent with the force
-    evaluation: u^n for the predictor half-step, ū for the corrector.
+    ``cu, cv`` the corner velocities consistent with the force
+    evaluation: the step's gathered u^n for the predictor half-step
+    (``StepCorners.velocities``), ū gathered for the corrector.
     ``out`` may alias ``state.e`` (the work term is fully accumulated
     before the subtraction).
     """
     mesh = state.mesh
     w = scratch(ws)
-    cu = mesh.plans.gather(u, out=w.borrow(fx.shape))
-    cv = mesh.plans.gather(v, out=w.borrow(fx.shape))
     work = corner_dot(fx, cu, w.borrow(mesh.ncell), w)
     t = corner_dot(fy, cv, w.borrow(mesh.ncell), w)
     work += t
     work *= dt
     work /= state.cell_mass
     out = np.subtract(state.e, work, out=out)
-    w.release(cu, cv, work, t)
+    w.release(work, t)
     return out

@@ -19,9 +19,13 @@ Contributions:
 * hourglass control: :mod:`repro.core.hourglass` (both remedies
   optional via the controls).
 
-With a :class:`~repro.perf.workspace.Workspace` the assembled forces
-and every hourglass temporary are borrowed from the arena, so repeat
-calls allocate nothing.
+The geometry and velocities come from the step's
+:class:`~repro.core.corners.StepCorners`: the pressure forces are made
+in the blocks of its volume gradients, and the hourglass filter reads
+its corner velocities instead of gathering its own.  With a
+:class:`~repro.perf.workspace.Workspace` the assembled forces and every
+hourglass temporary are borrowed from the arena, so repeat calls
+allocate nothing.
 """
 
 from __future__ import annotations
@@ -32,22 +36,21 @@ import numpy as np
 
 from ..mesh.topology import QuadMesh
 from ..perf.workspace import Workspace, scratch
-from . import geometry, hourglass
+from . import hourglass
 from .controls import HydroControls
+from .corners import StepCorners
 
 
-def pressure_forces(cx: np.ndarray, cy: np.ndarray, p: np.ndarray,
-                    out: Optional[Tuple[np.ndarray, np.ndarray]] = None
+def pressure_forces(dvdx: np.ndarray, dvdy: np.ndarray, p: np.ndarray
                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """Corner forces from a piecewise-constant cell pressure."""
-    fx, fy = geometry.volume_gradients(cx, cy, out=out)
-    fx *= p
-    fy *= p
-    return fx, fy
+    """Corner forces ``p ∇V`` from a piecewise-constant cell pressure,
+    made in place of the volume gradients ``dvdx, dvdy``."""
+    dvdx *= p
+    dvdy *= p
+    return dvdx, dvdy
 
 
-def getforce(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
-             u: np.ndarray, v: np.ndarray,
+def getforce(mesh: QuadMesh, corners: StepCorners,
              p: np.ndarray, rho: np.ndarray, cs2: np.ndarray,
              fqx: Optional[np.ndarray], fqy: Optional[np.ndarray],
              corner_mass: np.ndarray, corner_volume: np.ndarray,
@@ -55,36 +58,38 @@ def getforce(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
              controls: HydroControls,
              ws: Optional[Workspace] = None
              ) -> Tuple[np.ndarray, np.ndarray]:
-    """Assemble all corner forces at the given geometry and velocities.
+    """Assemble all corner forces at the geometry and velocities of
+    ``corners`` (a :class:`~repro.core.corners.StepCorners`, or its
+    half-step view).
 
     ``fqx, fqy`` are the viscous corner forces from a preceding ``getq``
     call, or ``None`` when the viscosity contributes no corner forces
-    (the bulk form).  Returns ``(fx, fy)``, each (4, ncell) — borrowed
-    buffers the caller releases when the step is done with them.
+    (the bulk form).  The volume gradients are taken from ``corners``
+    and become the pressure forces; the hourglass remedies read its
+    positions and corner velocities.  Returns ``(fx, fy)``, each
+    (4, ncell) — borrowed buffers the caller releases when the step is
+    done with them.
     """
     ws = scratch(ws)
-    shape = (4, mesh.ncell)
-    fx, fy = pressure_forces(
-        cx, cy, p, out=(ws.borrow(shape), ws.borrow(shape)))
+    fx, fy = pressure_forces(*corners.take("grad_v"), p)
     if fqx is not None:
         fx += fqx
         fy += fqy
 
     if controls.subzonal_kappa > 0.0:
         sx, sy = hourglass.subzonal_pressure_forces(
-            cx, cy, corner_mass, corner_volume, rho, cs2,
+            *corners.positions, corner_mass, corner_volume, rho, cs2,
             controls.subzonal_kappa, ws=ws,
         )
         fx += sx
         fy += sy
         ws.release(sx, sy)
     if controls.filter_kappa > 0.0:
-        cu = mesh.plans.gather(u, out=ws.borrow(shape))
-        cv = mesh.plans.gather(v, out=ws.borrow(shape))
         hx, hy = hourglass.hourglass_filter_forces(
-            cu, cv, rho, cs2, volume, controls.filter_kappa, ws=ws
+            *corners.velocities, rho, cs2, volume, controls.filter_kappa,
+            ws=ws,
         )
         fx += hx
         fy += hy
-        ws.release(cu, cv, hx, hy)
+        ws.release(hx, hy)
     return fx, fy

@@ -21,7 +21,8 @@ Definitions (corner index arithmetic is mod 4):
 * subzone volume gradients ``∂V_i/∂x_j`` for the sub-zonal-pressure
   hourglass forces (each subzone's gradients sum to zero over the four
   nodes, so those forces conserve momentum exactly),
-* the CFL length scale (shortest cell dimension).
+* the CFL length scale (shortest cell dimension), from the edge
+  vectors.
 
 Every kernel is written once against the
 :class:`~repro.perf.workspace.Workspace` API: temporaries are borrowed
@@ -141,12 +142,15 @@ def _mul_prev(a: np.ndarray, m: np.ndarray, out: np.ndarray) -> None:
 
 def corner_volumes(cx: np.ndarray, cy: np.ndarray,
                    out: Optional[np.ndarray] = None,
-                   ws: Optional[Workspace] = None) -> np.ndarray:
+                   ws: Optional[Workspace] = None,
+                   centroids: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                   ) -> np.ndarray:
     """(4, ncell) median-decomposition subzone volumes.
 
     Subzone ``i`` is the quad (P_i, M_i, C, M_{i−1}); the four subzones
     tile the cell, so they sum to the shoelace cell volume exactly
-    (an identity the tests check to round-off).
+    (an identity the tests check to round-off).  The vertex centroids
+    C it builds on the way land in ``centroids`` when given.
     """
     ws = scratch(ws)
     n = cx.shape[1]
@@ -154,8 +158,9 @@ def corner_volumes(cx: np.ndarray, cy: np.ndarray,
         out = np.empty_like(cx)
     mx = edge_mid(cx, ws.borrow(cx.shape))   # M_i midpoints
     my = edge_mid(cy, ws.borrow(cx.shape))
-    gx = centroid(cx, ws.borrow(n))
-    gy = centroid(cy, ws.borrow(n))
+    g = centroids if centroids is not None else (ws.borrow(n), ws.borrow(n))
+    gx = centroid(cx, g[0])
+    gy = centroid(cy, g[1])
     # A = P_i = (cx, cy), B = M_i = (mx, my), C = (gx, gy) and
     # D = M_{i-1}, read as the previous row of B; shoelace of (A, B, C, D).
     t1 = ws.borrow(cx.shape)
@@ -176,8 +181,63 @@ def corner_volumes(cx: np.ndarray, cy: np.ndarray,
     t1 -= t2
     out += t1
     out *= 0.5
-    ws.release(mx, my, gx, gy, t1, t2)
+    ws.release(mx, my, t1, t2)
+    if g is not centroids:
+        ws.release(*g)
     return out
+
+
+def subzone_gradient_rows(cx: np.ndarray, cy: np.ndarray,
+                          ws: Optional[Workspace] = None):
+    """Yield ``(component, i, row)`` for component 0 (∂/∂x) then 1
+    (∂/∂y) and subzone ``i`` ascending: ``row[j]`` is ``∂V_subzone_i``
+    with respect to node ``j``'s coordinate, (4, ncell).  ``row`` is one
+    scratch block, valid until the next item — a subzone's gradients
+    are contracted as they come instead of held as (4, 4, ncell).
+
+    Chain rule through the subzone's vertices: node j enters subzone i
+    via P_i (weight 1 when j == i), the midpoints M_i, M_{i−1} (weight
+    ½) and the centroid (weight ¼).
+    """
+    ws = scratch(ws)
+    n = cx.shape[1]
+    shape = cx.shape
+    mx = edge_mid(cx, ws.borrow(shape))
+    my = edge_mid(cy, ws.borrow(shape))
+    gx = centroid(cx, ws.borrow(n))
+    gy = centroid(cy, ws.borrow(n))
+    gA = ws.borrow(shape)
+    hB = ws.borrow(shape)
+    q = ws.borrow(shape)
+    row = ws.borrow(shape)
+
+    # Shoelace partials of quad (A=P_i, B=M_i, C=centroid, D=M_{i-1})
+    # w.r.t. its vertices, per component with (x, y)⊥ = (y, −x):
+    # gA = ½(B − D)⊥, gB = ½(C − A)⊥ and, exactly, gC = −gA, gD = −gB —
+    # so ½(gB + gD) vanishes and only gA, ½gB and ¼gC = −¼gA are needed.
+    # M_i and M_{i-1} are read as (rows 1..3, row 0) of M and of M
+    # shifted one row back.
+    for component, b, d, c, a in (
+            (0, (my[1:], my[0]), (my[:-1], my[3]), gy, cy),
+            (1, (mx[:-1], mx[3]), (mx[1:], mx[0]), cx, gx)):
+        np.subtract(b[0], d[0], out=gA[1:])
+        np.subtract(b[1], d[1], out=gA[0])
+        gA *= 0.5
+        np.multiply(gA, -0.25, out=q)
+        np.subtract(c, a, out=hB)
+        hB *= 0.5
+        hB *= 0.5
+        for i in range(4):
+            # j == i: A fully + quarter of centroid.
+            np.add(gA[i], q[i], out=row[i])
+            # j == i+1: half of M_i + quarter of centroid.
+            np.add(hB[i], q[i], out=row[(i + 1) % 4])
+            # j == i-1: half of M_{i-1} + quarter of centroid.
+            np.subtract(q[i], hB[i], out=row[(i - 1) % 4])
+            # j == i+2: quarter of centroid only.
+            row[(i + 2) % 4] = q[i]
+            yield component, i, row
+    ws.release(mx, my, gx, gy, gA, hB, q, row)
 
 
 def subzone_volume_gradients(cx: np.ndarray, cy: np.ndarray,
@@ -188,88 +248,52 @@ def subzone_volume_gradients(cx: np.ndarray, cy: np.ndarray,
     """``∂V_subzone_i/∂x_j`` for all corner pairs (i, j).
 
     Returns ``(gradx, grady)``, each of shape (4, 4, ncell) indexed
-    ``[subzone i, node j, cell]``.  Chain rule through the subzone's
-    vertices: node j enters subzone i via P_i (weight 1 when j == i),
-    the midpoints M_i, M_{i−1} (weight ½) and the centroid (weight ¼).
-    Each subzone's gradients sum to zero over j, and summing subzones
-    recovers the cell volume gradient — both identities are tested.
+    ``[subzone i, node j, cell]`` — the rows of
+    :func:`subzone_gradient_rows`, stacked.  Each subzone's gradients
+    sum to zero over j, and summing subzones recovers the cell volume
+    gradient — both identities are tested.
     """
-    ws = scratch(ws)
     n = cx.shape[1]
-    shape = cx.shape
-    mx = edge_mid(cx, ws.borrow(shape))
-    my = edge_mid(cy, ws.borrow(shape))
-    gx = centroid(cx, ws.borrow(n))
-    gy = centroid(cy, ws.borrow(n))
-
     if out is None:
         out = (np.empty((4, 4, n)), np.empty((4, 4, n)))
-    gradx, grady = out
-    gA = ws.borrow(shape)
-    hB = ws.borrow(shape)
-    q = ws.borrow(shape)
-    t = ws.borrow(shape)
-    idx = np.arange(4)
-    nxt = (idx + 1) % 4
-    prv = (idx - 1) % 4
-    opp = (idx + 2) % 4
-
-    # Shoelace partials of quad (A=P_i, B=M_i, C=centroid, D=M_{i-1})
-    # w.r.t. its vertices, per component with (x, y)⊥ = (y, −x):
-    # gA = ½(B − D)⊥, gB = ½(C − A)⊥ and, exactly, gC = −gA, gD = −gB —
-    # so ½(gB + gD) vanishes and only gA, ½gB and ¼gC = −¼gA are needed.
-    # M_i and M_{i-1} are read as (rows 1..3, row 0) of M and of M
-    # shifted one row back.
-    for grad, b, d, c, a in (
-            (gradx, (my[1:], my[0]), (my[:-1], my[3]), gy, cy),
-            (grady, (mx[:-1], mx[3]), (mx[1:], mx[0]), cx, gx)):
-        np.subtract(b[0], d[0], out=gA[1:])
-        np.subtract(b[1], d[1], out=gA[0])
-        gA *= 0.5
-        np.multiply(gA, -0.25, out=q)
-        np.subtract(c, a, out=hB)
-        hB *= 0.5
-        hB *= 0.5
-        # j == i: A fully + quarter of centroid.
-        np.add(gA, q, out=t)
-        grad[idx, idx] = t
-        # j == i+1: half of M_i + quarter of centroid.
-        np.add(hB, q, out=t)
-        grad[idx, nxt] = t
-        # j == i-1: half of M_{i-1} + quarter of centroid.
-        np.subtract(q, hB, out=t)
-        grad[idx, prv] = t
-        # j == i+2: quarter of centroid only.
-        grad[idx, opp] = q
-    ws.release(mx, my, gx, gy, gA, hB, q, t)
-    return gradx, grady
+    for component, i, row in subzone_gradient_rows(cx, cy, ws):
+        out[component][i] = row
+    return out
 
 
-def cfl_length_sq(cx: np.ndarray, cy: np.ndarray,
-                  volume: Optional[np.ndarray] = None,
+def longest_edge_sq(ex: np.ndarray, ey: np.ndarray, out: np.ndarray,
+                    ws: Optional[Workspace] = None) -> np.ndarray:
+    """Per-cell maximum of ``ex² + ey²`` over the four edge vectors
+    (the edges are read, not written)."""
+    ws = scratch(ws)
+    s = ws.borrow(ex.shape)
+    t = ws.borrow(ex.shape)
+    np.multiply(ex, ex, out=s)
+    np.multiply(ey, ey, out=t)
+    s += t
+    corner_reduce(np.maximum, s.T, out=out)
+    ws.release(s, t)
+    return out
+
+
+def cfl_length_sq(ex: np.ndarray, ey: np.ndarray, volume: np.ndarray,
                   out: Optional[np.ndarray] = None,
                   ws: Optional[Workspace] = None) -> np.ndarray:
-    """Squared CFL length scale per cell: (V / longest side)².
+    """Squared CFL length scale per cell: (V / longest side)², from the
+    edge vectors ``ex, ey`` and the cell volumes.
 
     For a rectangle this is the shorter side — the distance a sound
     wave must cross — and it degrades correctly for skewed cells.
     """
     ws = scratch(ws)
-    if volume is None:
-        volume = cell_volumes(cx, cy, ws=ws)
-    ex = edge_diff(cx, ws.borrow(cx.shape))
-    ey = edge_diff(cy, ws.borrow(cx.shape))
-    ex *= ex
-    ey *= ey
-    ex += ey
     if out is None:
-        out = np.empty(cx.shape[1])
-    corner_reduce(np.maximum, ex.T, out=out)     # longest side²
+        out = np.empty(ex.shape[1])
+    longest_edge_sq(ex, ey, out, ws)
     np.maximum(out, 1e-300, out=out)
-    t = ws.borrow(cx.shape[1])
+    t = ws.borrow(ex.shape[1])
     np.multiply(volume, volume, out=t)
     np.divide(t, out, out=out)
-    ws.release(ex, ey, t)
+    ws.release(t)
     return out
 
 
@@ -300,14 +324,17 @@ def volumes(cx: np.ndarray, cy: np.ndarray,
             check_mask: Optional[np.ndarray] = None,
             ws: Optional[Workspace] = None,
             out: Tuple[Optional[np.ndarray], Optional[np.ndarray]]
-            = (None, None)) -> Tuple[np.ndarray, np.ndarray]:
+            = (None, None),
+            centroids: Optional[Tuple[np.ndarray, np.ndarray]] = None
+            ) -> Tuple[np.ndarray, np.ndarray]:
     """Checked ``(volume, corner_volume)`` of gathered corner-major
     coordinates; raises :class:`TangledMeshError` on a non-positive cell
     or corner volume — the failure detection the Fortran code performs.
-    In a decomposed run ``check_mask`` restricts it to owned cells."""
+    In a decomposed run ``check_mask`` restricts it to owned cells.
+    ``centroids`` receives the vertex centroids (:func:`corner_volumes`)."""
     volume = cell_volumes(cx, cy, out=out[0], ws=ws)
     check_volumes(volume, time=time, mask=check_mask, ws=ws)
-    cvol = corner_volumes(cx, cy, out=out[1], ws=ws)
+    cvol = corner_volumes(cx, cy, out=out[1], ws=ws, centroids=centroids)
     check_volumes(cvol, time=time, mask=check_mask, ws=ws)
     return volume, cvol
 
@@ -316,13 +343,16 @@ def getgeom(mesh: QuadMesh, x: np.ndarray, y: np.ndarray,
             time: Optional[float] = None,
             check_mask: Optional[np.ndarray] = None,
             ws: Optional[Workspace] = None,
-            out: Tuple[Optional[np.ndarray], ...] = (None,) * 4
+            out: Tuple[Optional[np.ndarray], ...] = (None,) * 4,
+            centroids: Optional[Tuple[np.ndarray, np.ndarray]] = None
             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The ``getgeom`` kernel: gather coordinates, compute :func:`volumes`.
 
     Returns ``(cx, cy, volume, corner_volume)`` — corner-major, written
-    into ``out`` when given, freshly allocated otherwise.
+    into ``out`` when given, freshly allocated otherwise; ``centroids``
+    receives the cell centroids.
     """
     cx, cy = gather(mesh, x, y, out=out[:2])
-    volume, cvol = volumes(cx, cy, time, check_mask, ws, out=out[2:])
+    volume, cvol = volumes(cx, cy, time, check_mask, ws, out=out[2:],
+                           centroids=centroids)
     return cx, cy, volume, cvol

@@ -56,22 +56,20 @@ def subzonal_pressure_forces(cx: np.ndarray, cy: np.ndarray,
     tk = w.borrow(ncell)
     np.multiply(cs2, kappa, out=tk)
     dp *= tk
-    gradx, grady = geometry.subzone_volume_gradients(
-        cx, cy,
-        out=(w.borrow((4, 4, ncell)), w.borrow((4, 4, ncell))),
-        ws=w,
-    )
     # F_j = Σ_i δp_i ∂V_i/∂x_j — contracted over the subzone axis in
-    # ascending i, the order ``einsum("ci,cij->cj")`` accumulates in.
-    # The returned forces are borrowed buffers; the caller releases them.
+    # ascending i, the order ``einsum("ci,cij->cj")`` accumulates in,
+    # one subzone's gradient row at a time.  The returned forces are
+    # borrowed buffers; the caller releases them.
     fx = w.borrow(cx.shape)
     fy = w.borrow(cx.shape)
-    for f, grad in ((fx, gradx), (fy, grady)):
-        np.multiply(dp[0], grad[0], out=f)
-        for i in (1, 2, 3):
-            np.multiply(dp[i], grad[i], out=t)
+    for component, i, row in geometry.subzone_gradient_rows(cx, cy, ws=w):
+        f = (fx, fy)[component]
+        if i == 0:
+            np.multiply(dp[0], row, out=f)
+        else:
+            np.multiply(dp[i], row, out=t)
             f += t
-    w.release(dp, tk, gradx, grady, t)
+    w.release(dp, tk, t)
     return fx, fy
 
 

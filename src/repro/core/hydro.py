@@ -5,9 +5,15 @@ advances time with the predictor–corrector Lagrangian step plus the
 optional ALE remap:
 
     loop:
-        dt <- getdt()            (initial dt on the first step)
-        lagstep(dt)
+        corners <- StepCorners(x^n, u^n)
+        dt <- getdt(corners)     (initial dt on the first step)
+        lagstep(dt, corners)
         if remap due: alestep()
+
+The step's corner bundle (:mod:`repro.core.corners`) is made at the
+top of each step and closed by ``lagstep``: ``getdt`` fills the corner
+quantities it reads, and the step's kernels read them from there
+instead of gathering and differencing xⁿ and uⁿ again.
 
 Per-kernel timers accumulate across the run so ``timers.breakdown()``
 prints the Table II-style summary at the end.
@@ -25,6 +31,7 @@ from ..utils.log import StepLogger
 from ..utils.timers import TimerRegistry
 from .comms import SerialComms
 from .controls import HydroControls
+from .corners import StepCorners
 from .lagstep import lagstep
 from .state import HydroState
 from .timestep import getdt, pick_dt
@@ -111,12 +118,13 @@ class Hydro:
         """Advance one timestep; returns the dt taken."""
         with self.timers.trace_span(f"step {self.nstep}",
                                     cat="step") as span:
-            self.choose_dt()
+            corners = StepCorners.of(self.state, self.workspace)
+            self.choose_dt(corners=corners)
             with self.timers.trace_span("lagstep", cat="phase"):
                 lagstep(
                     self.state, self.table, self.controls, self.dt,
                     self.timers, self.gamma, comms=self.comms,
-                    time=self.time, ws=self.workspace,
+                    time=self.time, ws=self.workspace, corners=corners,
                 )
             self.finish_step()
             if span is not None:
@@ -124,7 +132,7 @@ class Hydro:
                                  dt_reason=self.dt_reason)
         return self.dt
 
-    def choose_dt(self, candidates=None) -> None:
+    def choose_dt(self, candidates=None, corners=None) -> None:
         """The half of a step before ``lagstep``: pick this step's dt
         (``dt_initial`` on the first step) and move a time-driven
         boundary to the end of it.
@@ -132,7 +140,7 @@ class Hydro:
         ``candidates`` are the state's physics candidates when the
         caller has them already (an ensemble reduces them from one
         field pass over all its lanes); by default ``getdt`` computes
-        them here.
+        them here, from the step's ``corners`` bundle.
         """
         controls = self.controls
         if self.nstep == 0:
@@ -146,7 +154,7 @@ class Hydro:
             with self.timers.region("getdt"):
                 self.dt, self.dt_reason, self.dt_cell = getdt(
                     self.state, controls, self.dt, self.time,
-                    comms=self.comms, ws=self.workspace,
+                    comms=self.comms, ws=self.workspace, corners=corners,
                 )
 
         if self.state.bc.driver is not None:

@@ -18,6 +18,15 @@ written once as *post → the work that needs no halo → complete*, so
 this very function body runs unchanged in serial and distributed mode
 and under either exchange schedule (:mod:`repro.core.comms`).
 
+Both halves evaluate their forces at the start-of-step velocities uⁿ,
+and ``getdt`` reads xⁿ and uⁿ just before the step: the corner
+quantities at (xⁿ, uⁿ) — gathered positions and velocities, edge
+vectors, ∇V, velocity jumps, |Δu| — live in one per-step
+:class:`~repro.core.corners.StepCorners` the caller creates with
+``getdt`` and passes in, and every kernel of the step reads them from
+there (the corrector through a view at the half-step geometry); the
+step closes it.
+
 Every kernel temporary, half-step field and returned array comes from
 the :class:`~repro.perf.workspace.Workspace` the caller threads through
 (``Hydro`` owns one per run), so after the first step the loop
@@ -51,40 +60,44 @@ from . import geometry, viscosity
 from .acceleration import getacc
 from .comms import SerialComms
 from .controls import HydroControls
+from .corners import StepCorners
 from .density import getrho
 from .force import getforce
 from .state import HydroState
+from .timestep import DT_QUANTITIES
 
 
-def _corner_forces(state, cx, cy, rho, cs2, p, volume, corner_volume,
-                   gamma, controls, timers, w):
-    """``getq`` then ``getforce`` at the given geometry and thermodynamics.
+def _corner_forces(state, corners, rho, cs2, p, volume, corner_volume,
+                   gamma, controls, timers, w, spent=()):
+    """``getq`` then ``getforce`` at the geometry and velocities of
+    ``corners`` and the given thermodynamics.
 
     The edge viscosity contributes corner forces; the bulk form augments
     the cell pressure instead and contributes none, so ``getforce`` skips
-    the add.  Commits the cell viscous pressure to ``state.q`` and
-    returns the assembled ``(fx, fy)`` — borrowed, released by the
-    caller.
+    the add.  The ``spent`` quantities of ``corners`` — read by nothing
+    after this ``getq`` — go back to the arena before ``getforce``.
+    Commits the cell viscous pressure to ``state.q`` and returns the
+    assembled ``(fx, fy)`` — borrowed, released by the caller.
     """
     mesh = state.mesh
     fqx = fqy = None
     with timers.region("getq"):
         if controls.viscosity_form == "bulk":
             q_cell = viscosity.bulk_q(
-                mesh, cx, cy, state.u, state.v, rho, cs2, volume,
-                controls.cq1, controls.cq2, ws=w,
-                out=w.array("lag.bulkq", mesh.ncell),
+                mesh, corners, rho, cs2, volume, controls.cq1, controls.cq2,
+                ws=w, out=w.array("lag.bulkq", mesh.ncell),
             )
             p = np.add(p, q_cell, out=w.array("lag.peff", mesh.ncell))
         else:
             fqx, fqy, q_cell = viscosity.getq(
-                mesh, cx, cy, state.u, state.v, rho, cs2, gamma,
+                mesh, corners, rho, cs2, gamma,
                 controls.cq1, controls.cq2, controls.use_limiter, ws=w,
             )
         np.copyto(state.q, q_cell)
+    corners.release(*spent)
     with timers.region("getforce"):
         fx, fy = getforce(
-            mesh, cx, cy, state.u, state.v, p, rho, cs2, fqx, fqy,
+            mesh, corners, p, rho, cs2, fqx, fqy,
             state.corner_mass.T, corner_volume, volume, controls, ws=w,
         )
     if fqx is not None:
@@ -97,47 +110,56 @@ def lagstep(state: HydroState, table: MaterialTable,
             dt: Union[float, Tuple[np.ndarray, np.ndarray]],
             timers: TimerRegistry, gamma: np.ndarray,
             comms=None, time: Optional[float] = None,
-            ws: Optional[Workspace] = None) -> None:
+            ws: Optional[Workspace] = None,
+            corners: Optional[StepCorners] = None) -> None:
     """Advance ``state`` in place by one Lagrangian step of size ``dt``.
 
     ``dt`` is one step size, or a ``(per-node, per-cell)`` pair of
     vectors when the components of a disjoint-union mesh each take
     their own; ``controls.cq1``/``cq2`` may likewise be per-cell.
+    ``corners`` is the step's :class:`~repro.core.corners.StepCorners`
+    at the state's current positions and velocities (``getdt`` may
+    have filled part of it); one is made when it is not given.  It is
+    closed before the return.
     """
     comms = comms if comms is not None else SerialComms()
     mesh = state.mesh
     ncell, nnode = mesh.ncell, mesh.nnode
+    shape = (4, ncell)
     dt_node, dt_cell = dt if isinstance(dt, tuple) else (dt, dt)
     half_node, half_cell = 0.5 * dt_node, 0.5 * dt_cell
     mask = comms.owned_cell_mask(state)
     w = scratch(ws)
+    corners = corners if corners is not None else StepCorners.of(state, w)
 
     # ------------------------------------------------------------------
     # predictor: evolve thermodynamics to the half step with u^n
     # ------------------------------------------------------------------
     with timers.region("exchange"):
         comms.post_kinematics(state)
-    # The corner gather runs whole and contiguous while the kinematic
+    # The corner quantities getdt reads (already there on every step
+    # that ran it, so each step holds the same set through the
+    # predictor) are filled whole and contiguous while the kinematic
     # halo is in flight: every cell without a ghost node comes out
     # final, and once the ghost values have landed only the stale strip
-    # (O(√ncell) cells; none serially) gathers again.  Pure copies, last
-    # write wins per cell — bit-identical to gathering after the halo.
-    cx = w.array("lag.cx", (4, ncell))
-    cy = w.array("lag.cy", (4, ncell))
-    geometry.gather(mesh, state.x, state.y, out=(cx, cy))
+    # (O(√ncell) cells; none serially) is recomputed.  Per-cell columns,
+    # last write wins — bit-identical to filling after the halo.
+    corners.fill(*DT_QUANTITIES)
     with timers.region("exchange"):
-        stale, stale_nodes = comms.complete_kinematics(state)
-    cx[:, stale] = state.x[stale_nodes].T
-    cy[:, stale] = state.y[stale_nodes].T
+        stale = comms.complete_kinematics(state)
+    corners.refresh(*stale)
     fx, fy = _corner_forces(
-        state, cx, cy, state.rho, state.cs2, state.p, state.volume,
+        state, corners, state.rho, state.cs2, state.p, state.volume,
         state.corner_volume.T, gamma, controls, timers, w,
     )
+    corners.release("centroids")
 
     # One set of geometry buffers serves all three geometries of the
     # step: the start-of-step corners die with the predictor forces and
     # the half-step geometry with the corrector forces.
-    geom = (cx, cy, w.array("lag.vol", ncell), w.array("lag.cvol", (4, ncell)))
+    cx, cy = corners.take("positions")
+    geom = (cx, cy, w.borrow(ncell), w.borrow(shape))
+    centroids = (w.borrow(ncell), w.borrow(ncell))
     with timers.region("getgeom"):
         x_h = w.array("lag.xh", nnode)
         y_h = w.array("lag.yh", nnode)
@@ -146,15 +168,17 @@ def lagstep(state: HydroState, table: MaterialTable,
         np.multiply(state.v, half_node, out=y_h)
         y_h += state.y
         cx_h, cy_h, vol_h, cvol_h = geometry.getgeom(
-            mesh, x_h, y_h, time=time, check_mask=mask, ws=w, out=geom
+            mesh, x_h, y_h, time=time, check_mask=mask, ws=w, out=geom,
+            centroids=centroids,
         )
 
     with timers.region("getrho"):
         rho_h = getrho(state.cell_mass, vol_h, controls.dencut,
                        out=w.array("lag.rhoh", ncell))
     with timers.region("getein"):
-        e_h = energy_mod.getein(state, fx, fy, state.u, state.v, half_cell,
-                                ws=w, out=w.array("lag.eh", ncell))
+        e_h = energy_mod.getein(state, fx, fy, *corners.velocities,
+                                half_cell, ws=w,
+                                out=w.array("lag.eh", ncell))
     with timers.region("getpc"):
         p_h, cs2_h = table.getpc(
             state.mat, rho_h, e_h, ws=w,
@@ -162,13 +186,20 @@ def lagstep(state: HydroState, table: MaterialTable,
         )
 
     # ------------------------------------------------------------------
-    # corrector: forces at the half step, full-step update
+    # corrector: forces at the half step (and still u^n), full-step
+    # update
     # ------------------------------------------------------------------
     w.release(fx, fy)
+    # Only the hourglass filter reads u^n after the corrector's getq.
+    spent = ("jump", "rigid")
+    if controls.filter_kappa == 0.0:
+        spent += ("velocities",)
     fx, fy = _corner_forces(
-        state, cx_h, cy_h, rho_h, cs2_h, p_h, vol_h, cvol_h,
-        gamma, controls, timers, w,
+        state, corners.moved(cx_h, cy_h, centroids), rho_h, cs2_h, p_h,
+        vol_h, cvol_h, gamma, controls, timers, w, spent=spent,
     )
+    corners.close()
+    w.release(*centroids)
 
     with timers.region("getacc"):
         u_new, v_new, u_bar, v_bar = getacc(state, fx, fy, dt_node,
@@ -192,12 +223,15 @@ def lagstep(state: HydroState, table: MaterialTable,
     with timers.region("getein"):
         # out may alias state.e: the work term is fully accumulated
         # before the final elementwise subtraction.
-        energy_mod.getein(state, fx, fy, u_bar, v_bar, dt_cell, ws=w,
+        cu, cv = geometry.gather(mesh, u_bar, v_bar,
+                                 out=(w.borrow(shape), w.borrow(shape)))
+        energy_mod.getein(state, fx, fy, cu, cv, dt_cell, ws=w,
                           out=state.e)
+        w.release(cu, cv)
     with timers.region("getpc"):
         table.getpc(state.mat, state.rho, state.e, ws=w,
                     out=(state.p, state.cs2))
 
-    w.release(fx, fy)
+    w.release(fx, fy, *geom)
     np.copyto(state.u, u_new)
     np.copyto(state.v, v_new)

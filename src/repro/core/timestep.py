@@ -18,7 +18,9 @@ reduction takes the global one.  :func:`local_dt_candidates` exposes
 the per-rank part so the parallel driver can do exactly that.
 
 The work is two stages.  :func:`dt_fields` is the array part — the CFL
-ratio and volume-change-rate fields, one value per cell.
+ratio and volume-change-rate fields, one value per cell, from the
+step's corner quantities (:mod:`repro.core.corners`), which it is
+usually the first to read.
 :func:`dt_candidates` and :func:`pick_dt` are the scalar part: reduce
 the fields to the two physics candidates, then apply the deterministic
 caps.  An ensemble computes the fields once on its union mesh and runs
@@ -36,33 +38,40 @@ from ..utils.errors import TimestepCollapseError
 from . import geometry
 from .comms import SerialComms
 from .controls import HydroControls
+from .corners import StepCorners
 from .state import HydroState
 
 Candidate = Tuple[float, str, int]
 
+#: the corner quantities :func:`dt_fields` reads from the step's bundle
+DT_QUANTITIES = ("positions", "edges", "grad_v", "velocities")
+
 
 def dt_fields(state: HydroState, controls: HydroControls,
               mask: Optional[np.ndarray] = None,
-              ws: Optional[Workspace] = None
+              ws: Optional[Workspace] = None,
+              corners: Optional[StepCorners] = None
               ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-cell ``(ratio, rate)``: the squared CFL crossing time
     ``l² / c_eff²`` and the volume-change rate ``|V̇/V|``.
 
     ``mask`` restricts the reductions to owned cells in a decomposed
     run (ghost cells carry locally-meaningless thermodynamics: they get
-    ``inf`` and ``0``).  Every temporary, corner-major like the step's,
-    is borrowed from ``ws`` — and so are the two results, which the
-    caller releases.
+    ``inf`` and ``0``).  The corner quantities — positions, edge
+    vectors, ∇V and velocities — are read from the step's ``corners``
+    (usually their first reader, so they are computed here and left
+    there for ``lagstep``); without one a bundle is made and closed
+    here.  Every temporary is borrowed from ``ws`` — and so are the
+    two results, which the caller releases.
     """
     w = scratch(ws)
-    plans, volume = state.mesh.plans, state.volume
+    c = corners if corners is not None else StepCorners.of(state, w)
+    volume = state.volume
     ncell = state.mesh.ncell
-    shape = (4, ncell)
-    cx, cy = geometry.gather(state.mesh, state.x, state.y,
-                             out=(w.borrow(shape), w.borrow(shape)))
 
     # CFL: l² / c_eff², with the viscous augmentation of the wave speed.
-    ratio = geometry.cfl_length_sq(cx, cy, volume, out=w.borrow(ncell), ws=w)
+    ratio = geometry.cfl_length_sq(*c.edges, volume, out=w.borrow(ncell),
+                                   ws=w)
     c_eff_sq = w.borrow(ncell)
     t = w.borrow(ncell)
     np.multiply(state.q, 2.0, out=c_eff_sq)
@@ -76,20 +85,19 @@ def dt_fields(state: HydroState, controls: HydroControls,
         np.copyto(ratio, np.inf, where=ghost)
 
     # Volume-change rate: V̇ = Σ_i ∇_i V · u_i on current velocities.
-    dvdx, dvdy = geometry.volume_gradients(
-        cx, cy, out=(w.borrow(shape), w.borrow(shape)))
-    w.release(cx, cy)
-    cu = plans.gather(state.u, out=w.borrow(shape))
+    dvdx, dvdy = c.grad_v
+    cu, cv = c.velocities
     rate = geometry.corner_dot(dvdx, cu, c_eff_sq, w)    # c_eff² is consumed
-    plans.gather(state.v, out=cu)
-    geometry.corner_dot(dvdy, cu, t, w)
+    geometry.corner_dot(dvdy, cv, t, w)
     rate += t
     np.abs(rate, out=rate)
     rate /= volume
     if mask is not None:
         np.copyto(rate, 0.0, where=ghost)
         w.release(ghost)
-    w.release(dvdx, dvdy, cu, t)
+    w.release(t)
+    if c is not corners:
+        c.close()
     return ratio, rate
 
 
@@ -107,10 +115,11 @@ def dt_candidates(ratio: np.ndarray, rate: np.ndarray,
 
 def local_dt_candidates(state: HydroState, controls: HydroControls,
                         mask: Optional[np.ndarray] = None,
-                        ws: Optional[Workspace] = None
+                        ws: Optional[Workspace] = None,
+                        corners: Optional[StepCorners] = None
                         ) -> List[Candidate]:
     """This domain's :func:`dt_candidates`."""
-    ratio, rate = dt_fields(state, controls, mask, ws)
+    ratio, rate = dt_fields(state, controls, mask, ws, corners)
     candidates = dt_candidates(ratio, rate, controls)
     scratch(ws).release(ratio, rate)
     return candidates
@@ -118,16 +127,19 @@ def local_dt_candidates(state: HydroState, controls: HydroControls,
 
 def getdt(state: HydroState, controls: HydroControls,
           dt_prev: float, time: float, comms=None,
-          ws: Optional[Workspace] = None) -> Candidate:
+          ws: Optional[Workspace] = None,
+          corners: Optional[StepCorners] = None) -> Candidate:
     """Choose the next timestep; raises on collapse below ``dt_min``.
 
     With a ``comms`` object the physics candidates are reduced globally
     first (the one collective per step), then the deterministic caps
     (growth/max/end) are applied identically on every domain.
+    ``corners`` is the step's :class:`~repro.core.corners.StepCorners`.
     """
     comms = comms if comms is not None else SerialComms()
     candidates = local_dt_candidates(
-        state, controls, comms.owned_cell_mask(state), ws=ws)
+        state, controls, comms.owned_cell_mask(state), ws=ws,
+        corners=corners)
     return pick_dt([comms.reduce_dt(candidates)], controls, dt_prev, time)
 
 

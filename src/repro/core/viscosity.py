@@ -32,8 +32,16 @@ continuation-edge indices (hoisted out of the per-step path), and a
 making repeat calls allocation-free.  A standalone call without a
 workspace runs the same body on fresh allocations.
 
+**Corner quantities.**  The kernel gathers nothing: the positions,
+the velocity jumps Δu, |Δu|, |Δu|², the rigid-edge mask, the edge
+vectors and the centroids come from the step's
+:class:`~repro.core.corners.StepCorners`.  Both halves of the step
+evaluate ``getq`` at uⁿ, so the corrector's call reuses |Δu| and the
+rigid-edge mask of the predictor's; it rebuilds only Δu and |Δu|²,
+which the predictor's call consumes.
+
 **Active edges.**  Only the cheap part of the kernel is dense: the
-corner gathers, the edge differences and the compression test.  Away
+velocity jumps, |Δu| and the compression test.  Away
 from shocks few edges compress (6.7% on average over a 50-step Sod
 128², never above 10%), so the limiter, ``q``, the median arm and the
 edge forces run once, over the :class:`EdgeSet` ``E`` of active edges
@@ -60,11 +68,8 @@ import numpy as np
 from ..mesh.topology import QuadMesh
 from ..perf.plans import corner_reduce
 from ..perf.workspace import Workspace, scratch
-from .geometry import (centroid, corner_dot, edge_diff, edge_mid,
-                       volume_gradients)
-
-#: velocity-jump magnitude below which an edge is treated as rigid
-DU_CUT = 1.0e-30
+from .corners import DU_CUT, StepCorners
+from .geometry import corner_dot, edge_mid, longest_edge_sq
 
 #: active-edge fraction up to which ``getq`` works on the compressed
 #: subset; above it the whole edge array is cheaper.  The measured
@@ -76,8 +81,12 @@ SUBSET_MAX_FRACTION = 1.0 / 3.0
 #: edges per ``np.compress`` call.  ``compress(..., out=)`` still
 #: allocates 16 bytes per selected edge (its ``nonzero`` indices and a
 #: raise-mode copy of the output), so the active set is compressed in
-#: chunks: at most 32 KiB per call, whatever |E| is.
-COMPRESS_CHUNK = 2048
+#: chunks: at most 256 KiB per call, whatever |E| is (32 KiB on a warm
+#: Sod 128² step, 10% active).  The size is measured
+#: (docs/PERFORMANCE.md, "Active-edge viscosity"): each chunk costs a
+#: ``count_nonzero`` and a ``compress`` call, and 2048-edge chunks made
+#: building the set twice as slow at 128² and 256².
+COMPRESS_CHUNK = 16384
 
 
 def uses_subset(nactive: int, nedge: int) -> bool:
@@ -253,54 +262,50 @@ def christiansen_limiter(mesh: QuadMesh,
     A continuation jump is itself an edge jump of the neighbouring
     cell, so it is read out of ``dux``/``duy`` (corner-major, all cells)
     by one precomputed edge index from ``mesh.plans``.  ψ is evaluated
-    on the edge set ``edges`` (default: every edge), on which
-    ``dumag_sq`` is given; the returned ψ is borrowed from the set, and
-    the caller releases it there.
+    on the edge set ``edges`` (default: every edge); the returned ψ is
+    borrowed from the set, and the caller releases it there.  No input
+    is written, and the ratios are formed one after the other, so at
+    most nine values on the set are live at once.
     """
     es = edges if edges is not None else EdgeSet(
         scratch(ws), mesh.plans, shape=dux.shape)
     back, fwd, off = mesh.plans.limiter_edges
-    # backward / forward continuation jumps
-    at = es.edges(back)
-    bx = dux.take(at, out=es.borrow(), mode="clip")
-    by = duy.take(at, out=es.borrow(), mode="clip")
-    es.release(at)
-    at = es.edges(fwd)
-    fx = dux.take(at, out=es.borrow(), mode="clip")
-    fy = duy.take(at, out=es.borrow(), mode="clip")
-    es.release(at)
-    ex, ey = es.edges(dux), es.edges(duy)
-
-    t = es.borrow()
+    sq = es.edges(dumag_sq)
     denom = es.borrow()
-    np.maximum(dumag_sq, DU_CUT * DU_CUT, out=denom)
-    rb = bx                                  # reuse: projected ratios
-    np.multiply(bx, ex, out=rb)
-    np.multiply(by, ey, out=t)
-    rb += t
-    rb /= denom
-    rf = fx
-    np.multiply(fx, ex, out=rf)
-    np.multiply(fy, ey, out=t)
-    rf += t
-    rf /= denom
+    np.maximum(sq, DU_CUT * DU_CUT, out=denom)
+    es.release(sq)
+    ex, ey = es.edges(dux), es.edges(duy)
+    ratios = []
+    for continuation in (back, fwd):
+        # (c · Δu) / |Δu|² with c the backward, then forward, jump
+        at = es.edges(continuation)
+        r = dux.take(at, out=es.borrow(), mode="clip")
+        t = duy.take(at, out=es.borrow(), mode="clip")
+        es.release(at)
+        r *= ex
+        t *= ey
+        r += t
+        r /= denom
+        es.release(t)
+        ratios.append(r)
+    es.release(denom, ex, ey)
+    rb, rf = ratios
 
     psi = es.borrow()                        # released by the caller
     np.add(rb, rf, out=psi)                  # ½(r_b + r_f)
     psi *= 0.5
-    np.multiply(rb, 2.0, out=rb)
-    np.multiply(rf, 2.0, out=rf)
-    np.minimum(rb, rf, out=t)
-    np.minimum(psi, t, out=psi)
+    rb *= 2.0
+    rf *= 2.0
+    np.minimum(rb, rf, out=rb)
+    np.minimum(psi, rb, out=psi)
     np.clip(psi, 0.0, 1.0, out=psi)
     edge_off = es.edges(off)
     np.copyto(psi, 0.0, where=edge_off)
-    es.release(t, bx, by, fx, fy, denom, ex, ey, edge_off)
+    es.release(rb, rf, edge_off)
     return psi
 
 
-def bulk_q(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
-           u: np.ndarray, v: np.ndarray,
+def bulk_q(mesh: QuadMesh, corners: StepCorners,
            rho: np.ndarray, cs2: np.ndarray, volume: np.ndarray,
            cq1: float, cq2: float,
            ws: Optional[Workspace] = None,
@@ -318,26 +323,24 @@ def bulk_q(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
     forces, so it cannot damp hourglass or shear modes (why BookLeaf's
     reference uses the edge form); provided as a design-choice option
     and used by the viscosity-form ablation tests.
+
+    Reads ∇V and the corner velocities of ``corners`` (a
+    :class:`~repro.core.corners.StepCorners`) and takes its edge
+    vectors.
     """
     ws = scratch(ws)
-    ncell = cx.shape[1]
-    dvdx, dvdy = volume_gradients(
-        cx, cy, out=(ws.borrow(cx.shape), ws.borrow(cx.shape)))
-    cu = mesh.plans.gather(u, out=ws.borrow(cx.shape))
-    cv = mesh.plans.gather(v, out=ws.borrow(cx.shape))
+    ncell = mesh.ncell
+    dvdx, dvdy = corners.grad_v
+    cu, cv = corners.velocities
     div_u = corner_dot(dvdx, cu, ws.borrow(ncell), ws)
     t = corner_dot(dvdy, cv, ws.borrow(ncell), ws)
     div_u += t
     div_u /= volume
-    ws.release(cu, cv)
     compressing = ws.borrow(ncell, dtype=bool)
     np.less(div_u, 0.0, out=compressing)
-    ex = edge_diff(cx, dvdx)                 # reuse for edge vectors
-    ey = edge_diff(cy, dvdy)
-    ex *= ex
-    ey *= ey
-    ex += ey
-    longest = corner_reduce(np.maximum, ex.T, out=t)
+    ex, ey = corners.take("edges")
+    longest = longest_edge_sq(ex, ey, out=t, ws=ws)
+    ws.release(ex, ey)
     np.sqrt(longest, out=longest)
     du = ws.borrow(ncell)
     np.divide(volume, longest, out=du)
@@ -359,21 +362,24 @@ def bulk_q(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
     out += lin
     np.logical_not(compressing, out=compressing)
     np.copyto(out, 0.0, where=compressing)
-    ws.release(dvdx, dvdy, div_u, t, du, compressing)
+    ws.release(div_u, t, du, compressing)
     return out
 
 
-def getq(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
-         u: np.ndarray, v: np.ndarray,
+def getq(mesh: QuadMesh, corners: StepCorners,
          rho: np.ndarray, cs2: np.ndarray, gamma: np.ndarray,
          cq1: float, cq2: float, use_limiter: bool = True,
          ws: Optional[Workspace] = None
          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The viscosity kernel.
 
-    Parameters are the gathered corner coordinates ``cx, cy`` (4, ncell),
-    nodal velocities, cell density/sound-speed² and the per-cell
-    effective γ for the quadratic coefficient.
+    Parameters are the step's corner quantities ``corners`` (a
+    :class:`~repro.core.corners.StepCorners`, or its half-step view),
+    cell density/sound-speed² and the per-cell effective γ for the
+    quadratic coefficient.  It reads the positions, centroids, |Δu| and
+    the rigid-edge mask, and takes the edge vectors (for the compression
+    test), |Δu|² (dead after the limiter) and the velocity jumps (they
+    become the edge forces).
 
     Returns ``(fqx, fqy, q_cell)``: viscous corner forces (4, ncell) and
     the cell-averaged viscous pressure used by the timestep control and
@@ -384,44 +390,29 @@ def getq(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
     ws = scratch(ws)
     ncell = mesh.ncell
     shape = (4, ncell)
-    plans = mesh.plans
-    cu = plans.gather(u, out=ws.borrow(shape))
-    cv = plans.gather(v, out=ws.borrow(shape))
-    dux = edge_diff(cu, ws.borrow(shape))    # edge velocity jumps
-    duy = edge_diff(cv, ws.borrow(shape))
-    ws.release(cu, cv)
-    dxx = edge_diff(cx, ws.borrow(shape))    # edge vectors
-    dxy = edge_diff(cy, ws.borrow(shape))
-    t = ws.borrow(shape)
-    dumag_sq = ws.borrow(shape)
-    np.multiply(dux, dux, out=dumag_sq)
-    np.multiply(duy, duy, out=t)
-    dumag_sq += t
-    dumag = ws.borrow(shape)
-    np.sqrt(dumag_sq, out=dumag)
+    dumag = corners.jump
+    dumag_sq = corners.take("jump_sq")
+    dux, duy = corners.take("jumps")         # the forces overwrite Δu
     # Compression test Δu·Δx < 0, and the rigid-edge cut.
-    np.multiply(dux, dxx, out=t)
-    np.multiply(duy, dxy, out=dxx)           # dxx consumed; reuse
-    t += dxx
+    dxx, dxy = corners.take("edges")
+    np.multiply(dux, dxx, out=dxx)
+    np.multiply(duy, dxy, out=dxy)
+    dxx += dxy
     active = ws.borrow(shape, dtype=bool)
-    tb = ws.borrow(shape, dtype=bool)
-    np.less(t, 0.0, out=active)
-    np.greater(dumag, DU_CUT, out=tb)
-    active &= tb
-    ws.release(dxx, dxy, t, tb)
+    np.less(dxx, 0.0, out=active)
+    active &= corners.rigid
+    ws.release(dxx, dxy)
 
     # Everything below runs once per edge of E (the active edges, or
     # every edge), reading per-edge values through the set.
-    es = EdgeSet(ws, plans, active)
-    dumag_e = es.edges(dumag)
+    es = EdgeSet(ws, mesh.plans, active)
     if use_limiter:
-        dumag_sq_e = es.edges(dumag_sq)
-        psi = christiansen_limiter(mesh, dux, duy, dumag_sq_e, edges=es)
-        es.release(dumag_sq_e)
+        psi = christiansen_limiter(mesh, dux, duy, dumag_sq, edges=es)
     else:
         psi = es.borrow()
         psi.fill(0.0)
     ws.release(dumag_sq)
+    dumag_e = es.edges(dumag)
 
     # q_edge = (1−ψ) ρ |Δu| (c₂' |Δu| + sqrt((c₂' |Δu|)² + (c₁ c_s)²)),
     # the per-cell coefficients read at each edge's cell.
@@ -451,15 +442,14 @@ def getq(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
     ws.release(cquad, tq)
 
     # Median arm: centroid to edge midpoint.
-    gx = centroid(cx, ws.borrow(ncell))
-    gy = centroid(cy, ws.borrow(ncell))
+    cx, cy = corners.positions
+    gx, gy = corners.centroids
     mx = es.edge_mid(cx, es.borrow())
     my = es.edge_mid(cy, es.borrow())
     es.cellwise(np.subtract, mx, gx, out=mx)
     es.cellwise(np.subtract, my, gy, out=my)
     arm = es.borrow()
     np.hypot(mx, my, out=arm)
-    ws.release(gx, gy)
     es.release(mx, my)
 
     # Unit jump direction (guarded); force ±q L û on the edge's nodes.
@@ -470,6 +460,10 @@ def getq(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
     qarm = arm                               # reuse: q L
     np.multiply(q, arm, out=qarm)
     q_edge = es.spread(q, q_edge, signed=False)
+    q_cell = ws.array("getq.qcell", ncell)
+    corner_reduce(np.add, q_edge.T, out=q_cell)
+    q_cell *= 0.25
+    ws.release(q_edge)
     fx = es.edges(dux)                       # the forces overwrite Δu
     np.multiply(qarm, fx, out=fx)
     fx *= inv
@@ -480,7 +474,6 @@ def getq(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
     fy_edge = es.spread(fy, duy, signed=True)
     es.release(qarm, inv, dumag_e)
     es.close()
-    ws.release(dumag)
     # node k gets +f (pushed along Δu, i.e. decelerating node k relative
     # to k+1), node k+1 gets −f: corner k nets f[k] − f[k−1].
     fqx = ws.borrow(shape)
@@ -489,9 +482,4 @@ def getq(mesh: QuadMesh, cx: np.ndarray, cy: np.ndarray,
         np.subtract(f_edge[1:], f_edge[:-1], out=fq[1:])
         np.subtract(f_edge[0], f_edge[3], out=fq[0])
     ws.release(fx_edge, fy_edge)
-
-    q_cell = ws.array("getq.qcell", ncell)
-    corner_reduce(np.add, q_edge.T, out=q_cell)
-    q_cell *= 0.25
-    ws.release(q_edge)
     return fqx, fqy, q_cell

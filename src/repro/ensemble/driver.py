@@ -41,6 +41,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from ..core.corners import StepCorners
 from ..core.hydro import Hydro
 from ..core.lagstep import lagstep
 from ..core.timestep import dt_candidates, dt_fields
@@ -241,9 +242,11 @@ class EnsembleHydro:
         # fields, so an all-fresh batch skips getdt as a serial driver
         # does; a refilled batch mixes fresh and mid-flight lanes and
         # computes the fields once for everyone.
+        corners = StepCorners.of(union, self.ws)
         if any(lane.nstep for lane in lanes):
             with self.timers.region("getdt"):
-                ratio, rate = dt_fields(union, self.controls, ws=self.ws)
+                ratio, rate = dt_fields(union, self.controls, ws=self.ws,
+                                        corners=corners)
                 for row, lane in enumerate(lanes):
                     seg = slice(row * ncell, (row + 1) * ncell)
                     self._for_lane(row, lane.choose_dt, dt_candidates(
@@ -257,7 +260,7 @@ class EnsembleHydro:
         try:
             lagstep(union, self.table, self.controls,
                     (np.repeat(dts, nnode), np.repeat(dts, ncell)),
-                    self.timers, self.gamma, ws=self.ws)
+                    self.timers, self.gamma, ws=self.ws, corners=corners)
         except TangledMeshError as exc:
             # Union cell ids name the lane: report the first failing
             # lane's own cells and time, as its solo run would.

@@ -5,16 +5,17 @@ import pytest
 
 from repro.core import geometry, viscosity
 from repro.core.controls import HydroControls
+from repro.core.corners import StepCorners
 from repro.mesh.generator import rect_mesh, single_cell_mesh
 from repro.problems import load_problem
 from repro.utils.errors import DeckError
 
 
 def _bulk(mesh, u, v, cq1=0.5, cq2=0.75):
-    cx, cy = geometry.gather(mesh, mesh.x, mesh.y)
-    volume = geometry.cell_volumes(cx, cy)
+    corners = StepCorners(mesh, mesh.x, mesh.y, u, v)
+    volume = geometry.cell_volumes(*corners.positions)
     return viscosity.bulk_q(
-        mesh, cx, cy, u, v,
+        mesh, corners,
         np.ones(mesh.ncell), np.ones(mesh.ncell), volume, cq1, cq2,
     )
 

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.energy import getein
+from repro.core import geometry
+from repro.core.energy import getein as _getein
+
+
+def getein(state, fx, fy, u, v, dt):
+    """``getein`` on the corner velocities of nodal ``u, v``."""
+    return _getein(state, fx, fy, *geometry.gather(state.mesh, u, v), dt)
 
 
 def test_no_force_no_change(uniform_state):

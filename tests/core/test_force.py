@@ -8,15 +8,21 @@ import pytest
 
 from repro.core import geometry
 from repro.core.controls import HydroControls
+from repro.core.corners import StepCorners
 from repro.core.force import getforce, pressure_forces
 from repro.mesh.generator import rect_mesh, single_cell_mesh
+
+
+def _pressure(cx, cy, p):
+    """Pressure corner forces of gathered corner coordinates."""
+    return pressure_forces(*geometry.volume_gradients(cx, cy), p)
 
 
 def test_pressure_force_direction_square():
     """Positive pressure pushes every corner outward."""
     mesh = single_cell_mesh()
     cx, cy = geometry.gather(mesh, mesh.x, mesh.y)
-    fx, fy = pressure_forces(cx, cy, np.array([2.0]))
+    fx, fy = _pressure(cx, cy, np.array([2.0]))
     centre = np.array([0.5, 0.5])
     for k in range(4):
         corner = np.array([cx[k, 0], cy[k, 0]])
@@ -28,7 +34,7 @@ def test_pressure_force_magnitude_square():
     """Unit square, p=1: each corner gets (±1/2, ±1/2)."""
     mesh = single_cell_mesh()
     cx, cy = geometry.gather(mesh, mesh.x, mesh.y)
-    fx, fy = pressure_forces(cx, cy, np.array([1.0]))
+    fx, fy = _pressure(cx, cy, np.array([1.0]))
     np.testing.assert_allclose(np.abs(fx), 0.5)
     np.testing.assert_allclose(np.abs(fy), 0.5)
 
@@ -36,7 +42,7 @@ def test_pressure_force_magnitude_square():
 def test_pressure_force_momentum_free(wonky_mesh):
     cx, cy = geometry.gather(wonky_mesh, wonky_mesh.x, wonky_mesh.y)
     p = np.linspace(1.0, 2.0, wonky_mesh.ncell)
-    fx, fy = pressure_forces(cx, cy, p)
+    fx, fy = _pressure(cx, cy, p)
     np.testing.assert_allclose(fx.sum(axis=0), 0.0, atol=1e-13)
     np.testing.assert_allclose(fy.sum(axis=0), 0.0, atol=1e-13)
 
@@ -45,7 +51,7 @@ def test_uniform_pressure_assembles_to_zero_on_interior_nodes():
     """Constant pressure exerts no net force on interior nodes."""
     mesh = rect_mesh(4, 4)
     cx, cy = geometry.gather(mesh, mesh.x, mesh.y)
-    fx, fy = pressure_forces(cx, cy, np.ones(mesh.ncell))
+    fx, fy = _pressure(cx, cy, np.ones(mesh.ncell))
     node_fx = np.bincount(mesh.cell_nodes.ravel(), weights=fx.T.ravel(),
                           minlength=mesh.nnode)
     node_fy = np.bincount(mesh.cell_nodes.ravel(), weights=fy.T.ravel(),
@@ -60,7 +66,7 @@ def test_pressure_gradient_accelerates_towards_low_pressure():
     cx, cy = geometry.gather(mesh, mesh.x, mesh.y)
     xc, _ = mesh.cell_centroids()
     p = 4.0 - xc            # decreasing to the right
-    fx, fy = pressure_forces(cx, cy, p)
+    fx, fy = _pressure(cx, cy, p)
     node_fx = np.bincount(mesh.cell_nodes.ravel(), weights=fx.T.ravel(),
                           minlength=mesh.nnode)
     interior = np.setdiff1d(np.arange(mesh.nnode), mesh.boundary_nodes())
@@ -70,10 +76,13 @@ def test_pressure_gradient_accelerates_towards_low_pressure():
     assert np.all(node_fx[inner_x] > 0.0)
 
 
+def _corners(mesh, s):
+    return StepCorners(mesh, s["x"], s["y"], s["u"], s["v"])
+
+
 def _full_force(mesh, state_like, controls):
-    cx, cy = geometry.gather(mesh, state_like["x"], state_like["y"])
     return getforce(
-        mesh, cx, cy, state_like["u"], state_like["v"], state_like["p"],
+        mesh, _corners(mesh, state_like), state_like["p"],
         state_like["rho"], state_like["cs2"],
         np.zeros((4, mesh.ncell)), np.zeros((4, mesh.ncell)),
         state_like["corner_mass"], state_like["corner_volume"],
@@ -103,13 +112,12 @@ def test_getforce_sums_viscous_input(wonky_mesh):
     mesh = wonky_mesh
     s = _state_dict(mesh)
     controls = HydroControls()
-    cx, cy = geometry.gather(mesh, s["x"], s["y"])
     fq = np.ones((4, mesh.ncell))
-    fx0, fy0 = getforce(mesh, cx, cy, s["u"], s["v"], s["p"], s["rho"],
+    fx0, fy0 = getforce(mesh, _corners(mesh, s), s["p"], s["rho"],
                         s["cs2"], np.zeros_like(fq), np.zeros_like(fq),
                         s["corner_mass"], s["corner_volume"], s["volume"],
                         controls)
-    fx1, fy1 = getforce(mesh, cx, cy, s["u"], s["v"], s["p"], s["rho"],
+    fx1, fy1 = getforce(mesh, _corners(mesh, s), s["p"], s["rho"],
                         s["cs2"], fq, 2 * fq,
                         s["corner_mass"], s["corner_volume"], s["volume"],
                         controls)
@@ -126,7 +134,7 @@ def test_getforce_hourglass_terms_off_by_default(wonky_mesh):
     controls = HydroControls()   # kappas default to 0
     fx, fy = _full_force(mesh, s, controls)
     cx, cy = geometry.gather(mesh, s["x"], s["y"])
-    px, py = pressure_forces(cx, cy, s["p"])
+    px, py = _pressure(cx, cy, s["p"])
     np.testing.assert_array_equal(fx, px)
     np.testing.assert_array_equal(fy, py)
 
@@ -139,7 +147,7 @@ def test_getforce_subzonal_resists_corner_compression(wonky_mesh):
     controls = HydroControls(subzonal_kappa=1.0)
     fx, fy = _full_force(mesh, s, controls)
     cx, cy = geometry.gather(mesh, s["x"], s["y"])
-    px, py = pressure_forces(cx, cy, s["p"])
+    px, py = _pressure(cx, cy, s["p"])
     assert np.abs(fx - px).max() > 0.0
     # and momentum is still conserved per cell
     np.testing.assert_allclose((fx - px).sum(axis=0), 0.0, atol=1e-13)
@@ -155,7 +163,7 @@ def test_getforce_filter_damps_hourglass_velocity(unit_square_mesh):
     s["u"] = u
     fx, fy = _full_force(mesh, s, controls)
     cx, cy = geometry.gather(mesh, s["x"], s["y"])
-    px, py = pressure_forces(cx, cy, s["p"])
+    px, py = _pressure(cx, cy, s["p"])
     extra = fx[:, 0] - px[:, 0]
     # damping force opposes the pattern
     assert np.all(extra * np.array([1.0, -1.0, 1.0, -1.0]) < 0.0)

@@ -60,7 +60,7 @@ def test_uniform_pressure_zero_force_on_irregular_vertex(nquads):
 
     state, table = _state(nquads)
     cx, cy = geometry.gather(state.mesh, state.x, state.y)
-    fx, fy = pressure_forces(cx, cy, state.p)
+    fx, fy = pressure_forces(*geometry.volume_gradients(cx, cy), state.p)
     node_fx = state.scatter_to_nodes(fx.T)
     node_fy = state.scatter_to_nodes(fy.T)
     assert abs(node_fx[0]) < 1e-14

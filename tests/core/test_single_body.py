@@ -24,6 +24,15 @@ disjoint-union mesh stepped by ``repro.core`` — computes nothing
 itself: no arithmetic numpy call a kernel would need, no array-module
 parameter, no function named like a step kernel.
 
+And it keeps each corner quantity of a step single: under ``core/`` the
+only corner gathers are the step bundle's (``core/corners.py``, the
+one gather of xⁿ/yⁿ and of uⁿ/vⁿ every kernel of the step reads),
+``geometry.gather`` itself, ``getgeom``'s (the half-step and end-of-step
+positions) and the corrector's gather of ū for ``getein`` — no kernel
+gathers the step's positions or velocities again — and no kernel forks
+on a missing bundle (``corners=None`` builds one, the way ``comms=None``
+builds ``SerialComms()``).
+
 And it keeps the step loop single: ``core/hydro.py`` is the one place
 that applies the first-step rule (``dt_initial``), the remap cadence
 (``ale_every``), picks a dt (``getdt``/``pick_dt``) and samples the
@@ -273,3 +282,80 @@ def test_the_checker_itself_catches_a_second_step_loop():
     assert [what for _, what in _step_loop_code(tree)] == [
         "class _LaneView", "resume parameter", ".dt_initial", "pick_dt()",
         ".ale_every", "on_step()"]
+
+
+#: every corner gather under ``core/``: (file, enclosing function, the
+#: gathered arguments) — the step bundle's one gather (xⁿ/yⁿ and uⁿ/vⁿ
+#: alike), ``geometry.gather``'s definition, ``getgeom``'s gather of
+#: x_h and xⁿ⁺¹, and the corrector's gather of ū for ``getein``
+GATHER_SITES = sorted([
+    ("corners.py", "_get", "self.mesh, *self._nodal[source]"),
+    ("geometry.py", "gather", "x"),
+    ("geometry.py", "gather", "y"),
+    ("geometry.py", "getgeom", "mesh, x, y"),
+    ("lagstep.py", "lagstep", "mesh, u_bar, v_bar"),
+])
+
+
+def _gathers(tree: ast.AST, filename: str):
+    """``(file, function, arguments)`` of every ``gather`` call, plus
+    every use of ``corner_nodes`` (a gather written by hand)."""
+    found = []
+    for func in _function_defs(tree):
+        todo = list(ast.iter_child_nodes(func))
+        while todo:                      # this def's body, not nested defs'
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            todo.extend(ast.iter_child_nodes(node))
+            if (isinstance(node, ast.Call)
+                    and _called_name(node.func) == "gather"):
+                args = ", ".join(ast.unparse(a) for a in node.args)
+                found.append((filename, func.name, args))
+            elif (isinstance(node, ast.Attribute)
+                    and node.attr == "corner_nodes"):
+                found.append((filename, func.name, "corner_nodes"))
+    return sorted(found)
+
+
+def _bundle_forks(tree: ast.AST):
+    """``if`` statements testing a ``corners`` bundle against None."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.If):
+            continue
+        for test in ast.walk(node.test):
+            if isinstance(test, ast.Compare):
+                operands = [test.left] + list(test.comparators)
+                if (any(_is_none(o) for o in operands)
+                        and any(isinstance(o, ast.Name)
+                                and o.id == "corners" for o in operands)):
+                    found.append(node.lineno)
+    return found
+
+
+def test_the_step_gathers_its_corners_once():
+    found, forks = [], []
+    for path in sorted((SRC / "core").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += _gathers(tree, path.name)
+        forks += [f"{path.name}:{ln}" for ln in _bundle_forks(tree)]
+    assert found == GATHER_SITES, (
+        "repro.core gathers xⁿ/uⁿ once per step, in core/corners.py; "
+        f"corner gathers found: {found}")
+    assert not forks, ("a missing bundle is built, not branched on: "
+                       + ", ".join(forks))
+
+
+def test_the_checker_itself_catches_a_second_gather():
+    tree = ast.parse(
+        "def getq(mesh, cx, cy, u, v, corners=None):\n"
+        "    cu = plans.gather(u, out=a)\n"
+        "    cv = v.take(mesh.plans.corner_nodes)\n"
+        "    if corners is None:\n"
+        "        pass\n"
+        "    c = corners if corners is not None else make()\n")
+    assert _gathers(tree, "viscosity.py") == [
+        ("viscosity.py", "getq", "corner_nodes"),
+        ("viscosity.py", "getq", "u")]
+    assert _bundle_forks(tree) == [4]

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import geometry, viscosity
+from repro.core.corners import StepCorners
 from repro.ensemble.state import UnionMesh
 from repro.mesh.generator import perturbed_mesh, pinwheel_mesh, rect_mesh
 from repro.perf.workspace import Workspace
@@ -21,13 +22,12 @@ from tests.conftest import renumbered_mesh
 
 
 def _getq(mesh, u, v, rho=None, cs2=None, cq1=0.5, cq2=0.75, limiter=True):
-    cx, cy = geometry.gather(mesh, mesh.x, mesh.y)
     ncell = mesh.ncell
     rho = np.ones(ncell) if rho is None else rho
     cs2 = np.ones(ncell) if cs2 is None else cs2
     gamma = np.full(ncell, 5.0 / 3.0)
-    return viscosity.getq(mesh, cx, cy, u, v, rho, cs2, gamma,
-                          cq1, cq2, limiter)
+    return viscosity.getq(mesh, StepCorners(mesh, mesh.x, mesh.y, u, v),
+                          rho, cs2, gamma, cq1, cq2, limiter)
 
 
 def _jumps(mesh, u, v):
@@ -216,24 +216,26 @@ def _whole_and_subset(mesh, u, v, rho=None, cs2=None, gamma=None,
     """``(fqx, fqy, q_cell)`` bytes on the whole edge array and on the
     active subset — the latter twice through one arena, so the second
     call runs on recycled blocks holding the first call's values."""
-    cx, cy = geometry.gather(mesh, mesh.x, mesh.y)
     ncell = mesh.ncell
     rho = np.ones(ncell) if rho is None else rho
     cs2 = np.ones(ncell) if cs2 is None else cs2
     gamma = np.full(ncell, 5.0 / 3.0) if gamma is None else gamma
-    args = (mesh, cx, cy, u, v, rho, cs2, gamma, cq1, cq2, limiter)
+    args = (rho, cs2, gamma, cq1, cq2, limiter)
 
     def as_bytes(result):
         return [a.tobytes() for a in result]
 
     with _cutoff(-1.0):
-        whole = as_bytes(viscosity.getq(*args))
+        corners = StepCorners(mesh, mesh.x, mesh.y, u, v)
+        whole = as_bytes(viscosity.getq(mesh, corners, *args))
     ws = Workspace()
     with _cutoff(1.0):
         for _ in range(2):
-            fqx, fqy, q = viscosity.getq(*args, ws=ws)
+            corners = StepCorners(mesh, mesh.x, mesh.y, u, v, ws)
+            fqx, fqy, q = viscosity.getq(mesh, corners, *args, ws=ws)
             subset = as_bytes((fqx, fqy, q))
             ws.release(fqx, fqy)
+            corners.close()
     return whole, subset
 
 

@@ -22,6 +22,7 @@ import pytest
 from repro.core import geometry, viscosity
 from repro.core.acceleration import getacc
 from repro.core.controls import HydroControls
+from repro.core.corners import StepCorners
 from repro.core.energy import getein
 from repro.core.force import getforce
 from repro.core.state import HydroState
@@ -81,10 +82,10 @@ def _forces(state, gamma, cq1, cq2):
     """getgeom + getq + getforce (both hourglass remedies on)."""
     mesh = state.mesh
     cx, cy, volume, cvol = geometry.getgeom(mesh, state.x, state.y)
+    corners = StepCorners.of(state)
     fqx, fqy, q_cell = viscosity.getq(
-        mesh, cx, cy, state.u, state.v, state.rho, state.cs2, gamma,
-        cq1, cq2, True)
-    fx, fy = getforce(mesh, cx, cy, state.u, state.v, state.p, state.rho,
+        mesh, corners, state.rho, state.cs2, gamma, cq1, cq2, True)
+    fx, fy = getforce(mesh, corners, state.p, state.rho,
                       state.cs2, fqx, fqy, state.corner_mass.T, cvol,
                       volume, CONTROLS)
     return SimpleNamespace(cx=cx, cy=cy, volume=volume, cvol=cvol,
@@ -131,10 +132,12 @@ def test_getein(case):
     on_union, alone = _both(case)
     u = case.union
     # work comparable to e: its last bits reach the result
-    on_union.e = getein(u, on_union.fx, on_union.fy, u.u, u.v,
+    on_union.e = getein(u, on_union.fx, on_union.fy,
+                        *StepCorners.of(u).velocities,
                         np.repeat(DT, case.ncell))
     for i, (lane, solo) in enumerate(zip(case.lanes, alone)):
-        solo.e = getein(lane, solo.fx, solo.fy, lane.u, lane.v, DT[i])
+        solo.e = getein(lane, solo.fx, solo.fy,
+                        *StepCorners.of(lane).velocities, DT[i])
         assert not np.array_equal(solo.e, lane.e)
     _assert_segments_equal(case, on_union, alone, ("e",))
 

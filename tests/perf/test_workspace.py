@@ -262,6 +262,26 @@ def test_remap_recycles_the_lagrangian_arena():
     assert arena_bytes(ale_on=True) <= 1.05 * arena_bytes()
 
 
+#: arena bytes of a Sod 32² Lagrangian ``Hydro`` after 3 steps before
+#: the step's corner quantities were bundled (17.4 corner planes; the
+#: bundle holds a few of them through the predictor)
+UNBUNDLED_LAG_ARENA = 573_081
+
+
+def test_the_corner_bundle_keeps_the_step_arena():
+    """The guard for the benchmark's ``peak_rss_mb`` (5% bound): what
+    the corner bundle holds from ``getdt`` through the predictor, the
+    borrowed step geometry and the leaner limiter and sub-zonal
+    contraction give back — the arena stays within 10% of the
+    unbundled step's."""
+    setup = load_problem("sod", nx=32, ny=32)
+    hydro = Hydro(setup.state, setup.table, setup.controls)
+    for _ in range(3):
+        hydro.step()
+    arena = hydro.workspace.nbytes()
+    assert arena <= 1.10 * UNBUNDLED_LAG_ARENA, f"arena {arena} B"
+
+
 #: tracemalloc peak of one warm remap of Sod 32², measured when the
 #: cell remap went corner-major (the two-pass gradients and the
 #: (ncell, 4) flux volumes it replaced peaked at 541 672 B)
