@@ -28,7 +28,7 @@ import os
 import time as _time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..utils.errors import BookLeafError
 from ..utils.timers import TimerRegistry
@@ -65,17 +65,17 @@ def make_jobs(configs: Sequence, control_overrides=None) -> List[BatchJob]:
             for i, (config, override) in enumerate(zip(configs, overrides))]
 
 
-def run_ensemble_jobs(jobs: Sequence[BatchJob], *,
+def run_ensemble_jobs(jobs: Sequence[BatchJob], *, emit: Callable,
                       width: Optional[int] = None,
-                      timers: Optional[TimerRegistry] = None,
-                      schedule_log: Optional[List[dict]] = None):
+                      timers: Optional[TimerRegistry] = None):
     """Run ``jobs`` through batched ensemble passes; one
     :class:`~repro.api.RunResult` per job, in job order.
 
     ``width`` caps the live batch (default: all jobs in one batch); a
-    queue longer than the width drains through lane refill.
-    ``schedule_log`` (a list) receives one event dict per scheduling
-    decision.
+    queue longer than the width drains through lane refill.  ``emit``
+    (an :meth:`~repro.telemetry.bus.EventBus.emit`) takes one
+    ``ensemble_batch`` record per pass and a ``lane_retired`` /
+    ``lane_refill`` record as lanes finish and the batch refills.
     """
     from ..api import RunResult
     from ..ensemble.driver import EnsembleHydro
@@ -123,15 +123,11 @@ def run_ensemble_jobs(jobs: Sequence[BatchJob], *,
         for pos in fresh:
             setups[pos], probe = make_lane(pos)
             probes.append(probe)
-        if schedule_log is not None:
-            schedule_log.append({
-                "event": "ensemble_batch",
-                "jobs": [jobs[pos].index for pos in batch_pos + fresh],
-                "carried": [jobs[pos].index for pos in batch_pos],
-                "fresh": [jobs[pos].index for pos in fresh],
-                "width": len(batch_pos) + len(fresh),
-                "queued": len(pending),
-            })
+        emit("ensemble_batch",
+             jobs=[jobs[pos].index for pos in batch_pos + fresh],
+             carried=[jobs[pos].index for pos in batch_pos],
+             fresh=[jobs[pos].index for pos in fresh],
+             width=len(batch_pos) + len(fresh), queued=len(pending))
         eh = EnsembleHydro(
             [setups[pos] for pos in fresh], probes=probes, timers=timers,
             max_steps=[jobs[pos].config.max_steps for pos in fresh],
@@ -152,22 +148,15 @@ def run_ensemble_jobs(jobs: Sequence[BatchJob], *,
                 raise
             for lane in retired:
                 done[batch_pos[lane]] = eh.lanes[lane]
-                if schedule_log is not None:
-                    schedule_log.append({
-                        "event": "lane_retired",
-                        "job": jobs[batch_pos[lane]].index,
-                        "nstep": eh.lanes[lane].nstep,
-                    })
+                emit("lane_retired", job=jobs[batch_pos[lane]].index,
+                     nstep=int(eh.lanes[lane].nstep))
             if retired and eh.order and pending:
                 # Refill: rebuild at full width around the lanes still
                 # in flight.
-                if schedule_log is not None:
-                    schedule_log.append({
-                        "event": "lane_refill",
-                        "carried": [jobs[batch_pos[lane]].index
-                                    for lane in eh.order],
-                        "queued": len(pending),
-                    })
+                emit("lane_refill",
+                     carried=[jobs[batch_pos[lane]].index
+                              for lane in eh.order],
+                     queued=len(pending))
                 break
         batch_pos = [batch_pos[lane] for lane in eh.order]
         carried = eh.active

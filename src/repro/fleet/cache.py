@@ -135,19 +135,22 @@ class ResultCache:
         self.stores += 1
 
     # ------------------------------------------------------------------
-    def _read(self, key: str):
-        """``(meta document, state arrays)`` of a stored entry."""
-        from ..output.restart import read_npz
-
-        npz_path, meta_path = self._paths(key)
+    def meta(self, key: str) -> dict:
+        """The meta document of a stored entry."""
+        meta_path = self._paths(key)[1]
         try:
             with open(meta_path, "r", encoding="utf-8") as fh:
-                meta = json.load(fh)
+                return json.load(fh)
         except (OSError, ValueError) as exc:
             raise SnapshotError(
                 f"cannot read {meta_path}: "
                 f"{type(exc).__name__}: {exc}") from exc
-        return meta, read_npz(npz_path)
+
+    def _read(self, key: str):
+        """``(meta document, state arrays)`` of a stored entry."""
+        from ..output.restart import read_npz
+
+        return self.meta(key), read_npz(self._paths(key)[0])
 
     def load(self, key: str, config, *,
              override: Optional[Dict[str, Any]] = None,

@@ -22,20 +22,24 @@ becomes a :class:`~repro.fleet.batch.BatchJob`; the engine then
    across all jobs, plus a sweep summary document the ``bookleaf
    compare`` "fleet" kind diffs by per-job outcome digest.
 
-Every scheduling decision is appended to ``handle.schedule_log`` so
-tests (and curious users) can assert how work was routed.
+Every scheduling fact is emitted once, on the sweep's
+:class:`~repro.telemetry.bus.EventBus`, whose stream is the sweep's
+only record.  ``handle.schedule_log`` is a view of it (the stream
+without its lifecycle-only records), so tests (and curious users) can
+assert how work was routed.
 
-The sweep-scope observability plane threads through all of it
+The sweep-scope observability plane reads the same stream
 (docs/OBSERVABILITY.md, "Sweep-scope observability"):
 
-* a :class:`~repro.telemetry.bus.EventBus` streams lifecycle events
-  (``events_path`` NDJSON + in-process ``event_listeners`` — the
-  ``fleet --watch`` renderer is one);
+* the bus streams it live (``events_path`` NDJSON + in-process
+  ``event_listeners`` — the ``fleet --watch`` renderer is one);
 * ``trace_path`` forces per-job tracing and merges every job's span
   shard into ONE Perfetto-loadable sweep trace
   (:class:`~repro.telemetry.sweep_trace.SweepTraceBuilder`) — worker
   process rows, per-job thread rows, cache-hit/checkpoint instants and
-  kill → resume flow events;
+  kill → resume flow events, placed by the folded stream
+  (:func:`~repro.telemetry.live.fold_jobs`, which the
+  ``dashboard_path`` timeline reads too);
 * ``profile_dir`` attaches the sampling profiler to every job and
   aggregates the per-job collapsed stacks into one sweep flamegraph;
 * :func:`summary` flags cross-job outliers
@@ -170,7 +174,7 @@ def _unbatchable(job: BatchJob, reason: str) -> BookLeafError:
 
 
 def run_job(config, key: str, index: int, *, emit: Callable,
-            decide: Callable, checkpoint_dir: Optional[str] = None,
+            checkpoint_dir: Optional[str] = None,
             checkpoint_every: int = 20,
             progress_every: Optional[int] = None,
             observers: Sequence = (), injectors: Sequence = (),
@@ -179,8 +183,8 @@ def run_job(config, key: str, index: int, *, emit: Callable,
     call it: ``config`` through :func:`repro.api._execute_run` with the
     fleet's observers around it.
 
-    ``emit`` takes live events; ``decide`` takes scheduling decisions,
-    which also enter the schedule log.  ``observers`` attach first,
+    ``emit`` takes the job's records (progress, checkpoint writes and
+    resumes) for the sweep's event stream.  ``observers`` attach first,
     ``injectors`` last — after the checkpoint writer, so the write for
     step N precedes anything that kills the process at step N.  A
     serial job with a ``checkpoint_dir`` resumes from
@@ -211,10 +215,10 @@ def run_job(config, key: str, index: int, *, emit: Callable,
                     budget = restore_into(driver, path, key=key,
                                           max_steps=max_steps)
                 except SnapshotError as exc:
-                    decide("checkpoint_unreadable", job=index, path=path,
-                           reason=str(exc))
+                    emit("checkpoint_unreadable", job=index, path=path,
+                         reason=str(exc))
                     return None
-                decide("checkpoint_resume", job=index, path=path)
+                emit("checkpoint_resume", job=index, path=path)
                 return budget
     observers.extend(injectors)
     return _execute_run(config, observers=observers or None,
@@ -257,8 +261,11 @@ class FleetHandle:
 
     @property
     def schedule_log(self) -> List[dict]:
-        """Every scheduling decision the engine made, in order."""
-        return self._fleet.schedule_log
+        """Every scheduling record of the event stream, in order (the
+        stream without its lifecycle-only records)."""
+        from ..telemetry.live import schedule_log
+
+        return schedule_log(self.events)
 
     @property
     def events(self) -> List[dict]:
@@ -277,17 +284,12 @@ class Fleet:
         self.jobs = jobs
         self.options = options
         self.observers = list(observers) if observers else None
-        self.schedule_log: List[dict] = []
         self.artifacts = ArtifactCache()
         self.cache: Optional[ResultCache] = None
         self.bus: Any = None
         self._results: Optional[List[Any]] = None
         self._wall: Optional[float] = None
         self._trace_forced = False
-        #: per-job execution provenance for the sweep trace:
-        #: ``{index: {"pid": worker pid row, "start": seconds}}``
-        self._track: Dict[int, dict] = {}
-        self._pool: Any = None
         self._profile_doc: Optional[dict] = None
 
     # ------------------------------------------------------------------
@@ -309,18 +311,6 @@ class Fleet:
             job.metadata["key"] = job_key(job.config, job.override)
         return job.metadata["key"]
 
-    def _log(self, event: str, **kw) -> None:
-        self.schedule_log.append({"event": event, **kw})
-
-    def _emit(self, event: str, **payload) -> None:
-        if self.bus is not None:
-            self.bus.emit(event, **payload)
-
-    def _decide(self, event: str, **payload) -> None:
-        """A scheduling decision: schedule log and live event both."""
-        self._log(event, **payload)
-        self._emit(event, **payload)
-
     @property
     def _live(self) -> bool:
         """True when someone is watching: progress observers attach."""
@@ -334,7 +324,7 @@ class Fleet:
         results: List[Any] = [None] * n
         self.bus = EventBus(path=opts.events_path,
                             listeners=opts.event_listeners)
-        self._emit("sweep_started", jobs=n, workers=opts.workers)
+        self.bus.emit("sweep_started", jobs=n, workers=opts.workers)
         self._prepare_observability()
         need_keys = bool(opts.cache_dir) or opts.workers > 0
         if opts.cache_dir:
@@ -343,7 +333,7 @@ class Fleet:
             for job in self.jobs:
                 self._key(job)
         for job in self.jobs:
-            self._emit("job_queued", job=job.index)
+            self.bus.emit("job_queued", job=job.index)
 
         # -- stage 1: serve repeats from the result cache ---------------
         remaining: List[BatchJob] = []
@@ -356,14 +346,11 @@ class Fleet:
                         override=job.override, hit=True)
                 except SnapshotError as exc:
                     # evicted by the cache; a miss from here on
-                    self._decide("cache_corrupt", job=job.index,
-                                 key=self._key(job), reason=str(exc))
+                    self.bus.emit("cache_corrupt", job=job.index,
+                                  key=self._key(job), reason=str(exc))
                 else:
-                    self._decide("cache_hit", job=job.index,
-                                 key=self._key(job))
-                    self._track[job.index] = {"pid": 0,
-                                              "start": self.bus.elapsed,
-                                              "cache_hit": True}
+                    self.bus.emit("cache_hit", job=job.index,
+                                  key=self._key(job))
                     continue
             if self.cache is not None:
                 self.cache.misses += 1
@@ -384,8 +371,8 @@ class Fleet:
 
         # -- stage 3: merged telemetry ----------------------------------
         self._merge_outputs(results)
-        self._emit("sweep_done", jobs=n,
-                   wall_seconds=round(self.bus.elapsed, 6))
+        self.bus.emit("sweep_done", jobs=n,
+                      wall_seconds=round(self.bus.elapsed, 6))
         return results
 
     # ------------------------------------------------------------------
@@ -398,7 +385,7 @@ class Fleet:
                 if not job.config.trace:
                     job.config = job.config.replace(trace=True)
             self._trace_forced = True
-            self._decide("trace_forced", jobs=forced)
+            self.bus.emit("trace_forced", jobs=forced)
         if opts.profile_dir:
             os.makedirs(opts.profile_dir, exist_ok=True)
             for job in self.jobs:
@@ -437,11 +424,12 @@ class Fleet:
         and the reason).  A job carrying per-job telemetry (tracing,
         allocation tracking, profiling) is otherwise never batched —
         the vectorised kernels do not thread per-lane tracers — and
-        the downgrade is announced: a ``fast_path_downgrade``
-        schedule-log event plus an :class:`EnsembleDowngradeWarning`
-        naming the reason (the warning is suppressed when the engine
-        itself forced tracing for a sweep-level ``trace_path``;
-        docs/FLEET.md, 'Fast-path eligibility').
+        the downgrade is announced: a ``fast_path_downgrade`` record
+        plus an :class:`EnsembleDowngradeWarning` naming the reason (the
+        warning is suppressed when the engine itself forced tracing for
+        a sweep-level ``trace_path``; docs/FLEET.md, 'Fast-path
+        eligibility').  A bucket with a driven boundary records one
+        ``fast_path_downgrade`` per job, reason ``bc_driver``.
         """
         buckets: Dict[tuple, List[BatchJob]] = {}
         singles: List[BatchJob] = []
@@ -451,8 +439,8 @@ class Fleet:
                 if job.override:
                     raise _unbatchable(job, reason)
                 if reason in ("trace", "trace_allocations", "profile"):
-                    self._decide("fast_path_downgrade", job=job.index,
-                                 reason=reason)
+                    self.bus.emit("fast_path_downgrade", job=job.index,
+                                  reason=reason)
                     if not self._trace_forced:
                         warnings.warn(
                             f"fleet job {job.index} requests "
@@ -485,8 +473,9 @@ class Fleet:
             if getattr(probe_setup.state.bc, "driver", None) is not None:
                 if overridden:
                     raise _unbatchable(overridden[0], "bc_driver")
-                self._log("group_rejected", reason="bc_driver",
-                          jobs=[j.index for j in members])
+                for job in members:
+                    self.bus.emit("fast_path_downgrade", job=job.index,
+                                  reason="bc_driver")
                 singles.extend(members)
                 continue
             members[0].metadata["setup"] = probe_setup
@@ -497,41 +486,32 @@ class Fleet:
     # ------------------------------------------------------------------
     def _run_batched(self, group: List[BatchJob],
                      results: List[Any]) -> None:
-        t0 = self.bus.elapsed if self.bus else 0.0
-        self._emit("ensemble_batch", jobs=[j.index for j in group])
         group_results = run_ensemble_jobs(
-            group, width=self.options.batch_width,
-            schedule_log=self.schedule_log)
-        t1 = self.bus.elapsed if self.bus else 0.0
+            group, width=self.options.batch_width, emit=self.bus.emit)
         for job, result in zip(group, group_results):
             results[job.index] = result
-            self._track[job.index] = {"pid": 0, "start": t0,
-                                      "batch": (t0, t1)}
-            self._emit("job_done", job=job.index,
-                       nstep=int(result.nstep),
-                       wall_seconds=round(t1 - t0, 6))
-            if self.cache is not None:
-                self.cache.store(self._key(job), result)
+            self._finish(job, result)
 
     # ------------------------------------------------------------------
     def _run_inline(self, job: BatchJob):
         opts = self.options
-        self._log("job_inline", job=job.index)
-        t0 = self.bus.elapsed if self.bus else 0.0
-        self._emit("job_started", job=job.index, attempt=1, worker=None)
-        self._track[job.index] = {"pid": 0, "start": t0}
+        self.bus.emit("job_started", job=job.index, attempt=1, worker=None)
         result = run_job(
             job.config, self._key(job) if opts.checkpoint_dir else "",
-            job.index, emit=self._emit, decide=self._decide,
+            job.index, emit=self.bus.emit,
             checkpoint_dir=opts.checkpoint_dir,
             checkpoint_every=opts.checkpoint_every,
             progress_every=opts.progress_every if self._live else None,
             observers=self.observers or (), artifacts=self.artifacts)
-        self._emit("job_done", job=job.index, nstep=int(result.nstep),
-                   wall_seconds=round(result.wall_seconds, 6))
+        self._finish(job, result)
+        return result
+
+    def _finish(self, job: BatchJob, result) -> None:
+        """A job that ran in this process is done: record and cache."""
+        self.bus.emit("job_done", job=job.index, nstep=int(result.nstep),
+                      wall_seconds=round(result.wall_seconds, 6))
         if self.cache is not None:
             self.cache.store(self._key(job), result)
-        return result
 
     # ------------------------------------------------------------------
     def _run_pool(self, jobs: List[BatchJob],
@@ -552,26 +532,18 @@ class Fleet:
         if opts.checkpoint_dir:
             os.makedirs(opts.checkpoint_dir, exist_ok=True)
         pool = WorkerPool(
-            min(opts.workers, len(jobs)), spool.root,
+            min(opts.workers, len(jobs)), spool.root, emit=self.bus.emit,
             checkpoint_dir=opts.checkpoint_dir,
             checkpoint_every=opts.checkpoint_every,
             max_attempts=opts.max_attempts,
-            schedule_log=self.schedule_log,
-            events=self.bus,
             heartbeat_timeout=opts.heartbeat_timeout,
             progress_every=(opts.progress_every if self._live
                             else None))
-        self._pool = pool
         try:
             done = pool.run(jobs, fault_steps=opts.fault_steps,
                             stall_steps=opts.stall_steps)
         finally:
             pool.shutdown()
-        self._log("pool_done", jobs=len(jobs),
-                  respawns=pool.respawns)
-        job_worker = pool.job_worker()
-        starts = {a["job"]: a["t_start"] for a in pool.attempt_log
-                  if a["outcome"] == "done"}
         for job in jobs:
             if job.index not in done:
                 raise FleetError(
@@ -580,10 +552,6 @@ class Fleet:
             results[job.index] = spool.load(
                 done[job.index], job.config,
                 override=job.override, hit=False)
-            self._track[job.index] = {
-                "pid": job_worker.get(job.index, -1) + 1,
-                "start": starts.get(job.index, 0.0),
-            }
 
     # ------------------------------------------------------------------
     def _merge_outputs(self, results: List[Any]) -> None:
@@ -665,62 +633,52 @@ class Fleet:
     # ------------------------------------------------------------------
     def build_sweep_trace(self):
         """Assemble the merged sweep trace from the recorded span
-        shards, scheduling track and live events."""
+        shards and the folded event stream: a job's row is the worker
+        of its completing attempt (the scheduler's when it ran inline
+        or was served from the cache), and each ``worker_died`` draws
+        a flow to the job's next ``job_started``."""
+        from ..telemetry.live import fold_jobs
         from ..telemetry.sweep_trace import SweepTraceBuilder
 
         results = self.results()
-        builder = SweepTraceBuilder(epoch_ns=self.bus.epoch_ns
-                                    if self.bus else 0)
+        builder = SweepTraceBuilder(epoch_ns=self.bus.epoch_ns)
+        folded = fold_jobs(self.bus.events)
 
         def ns(seconds: float) -> int:
             return max(0, int(seconds * 1e9))
 
+        def pid(attempt: dict) -> int:
+            return 0 if attempt["worker"] is None else attempt["worker"] + 1
+
         for job, result in zip(self.jobs, results):
-            track = self._track.get(job.index, {"pid": 0, "start": 0.0})
+            fold = folded[job.index]
+            attempts = fold["attempts"]
+            ran = next((a for a in reversed(attempts)
+                        if a["outcome"] == "done"),
+                       {"worker": None, "start": 0.0})
             label = (job.config.problem
                      or os.path.basename(job.config.deck or "")
                      or "")
             if job.config.nx:
                 label += f" {job.config.nx}x{job.config.ny or job.config.nx}"
-            builder.add_job(job.index, pid=track["pid"],
-                            start_ns=ns(track["start"]),
+            start = (ran["start"] if fold["cache_hit"] is None
+                     else fold["cache_hit"])
+            builder.add_job(job.index, pid=pid(ran), start_ns=ns(start),
                             spans=(result.spans
                                    if not result.cache_hit else []),
                             label=label.strip())
-            if track.get("cache_hit"):
-                builder.add_instant(job.index, "cache_hit",
-                                    ns(track["start"]),
+            if fold["cache_hit"] is not None:
+                builder.add_instant(job.index, "cache_hit", ns(start),
                                     args={"key": self._key(job)[:12]})
-            batch = track.get("batch")
-            if batch is not None and job.index == min(
-                    j.index for j in self.jobs
-                    if self._track.get(j.index, {}).get("batch") == batch):
-                batched = [j.index for j in self.jobs
-                           if self._track.get(j.index, {})
-                           .get("batch") == batch]
-                builder.add_batch(batched, ns(batch[0]),
-                                  ns(batch[1] - batch[0]))
-        for rec in (self.bus.events if self.bus else []):
-            if rec["event"] == "job_checkpointed":
-                builder.add_instant(rec["job"], "checkpoint",
-                                    ns(rec["t"]),
-                                    args={"step": rec["step"]})
-        if self._pool is not None:
-            by_job: Dict[int, List[dict]] = {}
-            for attempt in self._pool.attempt_log:
-                by_job.setdefault(attempt["job"], []).append(attempt)
-            for job_index, attempts in by_job.items():
-                attempts.sort(key=lambda a: a["t_start"])
-                for prev, nxt in zip(attempts, attempts[1:]):
-                    if prev["outcome"] != "died":
-                        continue
-                    builder.add_flow(
-                        job_index,
-                        from_pid=prev["worker"] + 1,
-                        from_ns=ns(prev["t_end"] or prev["t_start"]),
-                        to_pid=nxt["worker"] + 1,
-                        to_ns=ns(nxt["t_start"]),
-                    )
+            for t, step in fold["checkpoints"]:
+                builder.add_instant(job.index, "checkpoint", ns(t),
+                                    args={"step": step})
+            for died, retry in zip(attempts, attempts[1:]):
+                if died["outcome"] == "died":
+                    builder.add_flow(job.index, from_pid=pid(died),
+                                     from_ns=ns(died["end"]),
+                                     to_pid=pid(retry),
+                                     to_ns=ns(retry["start"]))
         return builder.build()
 
     # ------------------------------------------------------------------
@@ -730,6 +688,7 @@ class Fleet:
         flags and scheduling/cache counters.  The "fleet" document
         kind of ``bookleaf compare``."""
         from ..metrics.anomaly import detect_anomalies
+        from ..telemetry.live import schedule_log
 
         results = self.results()
         job_docs = []
@@ -771,7 +730,7 @@ class Fleet:
             "cache_hits": sum(1 for r in results if r.cache_hit),
             "ensemble_jobs": sum(1 for r in results
                                  if r.backend == "ensemble"),
-            "events": len(self.schedule_log),
+            "events": len(schedule_log(self.bus.events)),
             "anomalies": len(anomalies),
         }
         doc = {

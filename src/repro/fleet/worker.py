@@ -29,11 +29,10 @@ Design constraints, in order:
   death/requeue path takes over.
 
 Workers also stream **live events** back over their pipes
-(``("event", pos, payload)`` messages interleaved with results): step
-progress with rate/ETA and checkpoint writes, forwarded to the fleet's
-:class:`~repro.telemetry.live.EventBus`.  A ``"decision"`` message
-(checkpoint resumed, checkpoint unreadable) is an event that also
-enters the schedule log.
+(``("event", pos, record)`` messages interleaved with results): step
+progress with rate/ETA, checkpoint writes and resumes, forwarded to
+the fleet's :class:`~repro.telemetry.bus.EventBus` — the sweep's one
+record.  A finished job reports ``("done", pos, nstep)``.
 
 Fault injection (``FleetOptions.fault_steps``) is the chaos hook the
 resume test proves itself with: the job's observer SIGKILLs its own
@@ -52,7 +51,7 @@ import warnings
 import zipfile  # noqa: F401  (see below)
 from collections import deque
 from multiprocessing.connection import wait as _mp_wait
-from typing import Any, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 # The engine imports this module only for ``workers > 0``, in the
 # process every worker is then forked from.  So the job body is
@@ -102,14 +101,14 @@ def _observable(config) -> bool:
 
 
 def _run_job(doc: dict, store, checkpoint_dir: Optional[str],
-             checkpoint_every: int, *, emit, decide,
-             heartbeat=None) -> None:
-    """Execute one job document inside a worker and persist the
-    outcome under its key."""
+             checkpoint_every: int, *, emit, heartbeat=None) -> int:
+    """Execute one job document inside a worker, persist the outcome
+    under its key and return the job's step count."""
     config = doc["config"]
     key = doc["key"]
     if store.has(key):
-        return  # a previous attempt finished the work before dying
+        # a previous attempt (or a twin job) finished the work
+        return store.meta(key)["nstep"]
     observers = []
     if heartbeat is not None and _observable(config):
         observers.append(heartbeat)
@@ -118,12 +117,13 @@ def _run_job(doc: dict, store, checkpoint_dir: Optional[str],
         injectors.append(_FaultInjector(doc["fault_step"]))
     if doc.get("stall_step") is not None:
         injectors.append(_StallInjector(doc["stall_step"]))
-    result = run_job(config, key, doc["pos"], emit=emit, decide=decide,
+    result = run_job(config, key, doc["pos"], emit=emit,
                      checkpoint_dir=checkpoint_dir,
                      checkpoint_every=checkpoint_every,
                      progress_every=doc.get("progress_every"),
                      observers=observers, injectors=injectors)
     store.store(key, result)
+    return int(result.nstep)
 
 
 def _worker_main(conn, store_root: str, checkpoint_dir: Optional[str],
@@ -145,20 +145,17 @@ def _worker_main(conn, store_root: str, checkpoint_dir: Optional[str],
         if doc is None:
             return
 
-        def sender(kind: str):
-            def send(event: str, **payload) -> None:
-                try:
-                    conn.send((kind, doc["pos"],
-                               {"event": event, **payload}))
-                except (BrokenPipeError, OSError):
-                    pass
-            return send
+        def emit(event: str, **payload) -> None:
+            try:
+                conn.send(("event", doc["pos"],
+                           {"event": event, **payload}))
+            except (BrokenPipeError, OSError):
+                pass
 
         try:
-            _run_job(doc, store, checkpoint_dir, checkpoint_every,
-                     emit=sender("event"), decide=sender("decision"),
-                     heartbeat=heartbeat)
-            conn.send(("done", doc["pos"], doc["key"]))
+            nstep = _run_job(doc, store, checkpoint_dir, checkpoint_every,
+                             emit=emit, heartbeat=heartbeat)
+            conn.send(("done", doc["pos"], nstep))
         except BaseException as exc:  # report, keep serving
             try:
                 conn.send(("failed", doc["pos"],
@@ -171,28 +168,22 @@ class WorkerPool:
     """Parent-side scheduler over N forked workers."""
 
     def __init__(self, nworkers: int, store_root: str, *,
+                 emit: Callable,
                  checkpoint_dir: Optional[str] = None,
                  checkpoint_every: int = 20,
                  max_attempts: int = 3,
-                 schedule_log: Optional[List[dict]] = None,
-                 events: Any = None,
                  heartbeat_timeout: Optional[float] = None,
                  progress_every: Optional[int] = None):
         self.ctx = mp.get_context("fork")
         self.store_root = store_root
+        #: the sweep's :meth:`~repro.telemetry.bus.EventBus.emit`: every
+        #: dispatch, death, stall and outcome is a record there
+        self.emit = emit
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
         self.max_attempts = max_attempts
-        self.schedule_log = schedule_log
-        #: the fleet's live :class:`~repro.telemetry.live.EventBus`
-        #: (None = no event plane)
-        self.events = events
         self.heartbeat_timeout = heartbeat_timeout
         self.progress_every = progress_every
-        #: every dispatch, for the sweep trace's flow events:
-        #: ``{"job", "worker", "t_start", "t_end", "outcome"}``
-        self.attempt_log: List[dict] = []
-        self._epoch = time.perf_counter()
         self._next_id = 0
         self._hb_seg = None
         self.board = None
@@ -200,7 +191,6 @@ class WorkerPool:
         if heartbeat_timeout is not None:
             self._make_board(nslots)
         self.workers = [self._spawn(slot) for slot in range(nslots)]
-        self.respawns = 0
 
     # ------------------------------------------------------------------
     def _make_board(self, nslots: int) -> None:
@@ -218,13 +208,6 @@ class WorkerPool:
         self.board = HeartbeatBoard(array)
         self.board.launch()
 
-    def _now(self) -> float:
-        """Seconds on the sweep's event clock (the bus epoch when a
-        bus is attached, so attempt times line up with live events)."""
-        if self.events is not None:
-            return self.events.elapsed
-        return time.perf_counter() - self._epoch
-
     def _spawn(self, slot: int) -> dict:
         parent, child = self.ctx.Pipe(duplex=True)
         proc = self.ctx.Process(
@@ -239,15 +222,7 @@ class WorkerPool:
         self._next_id += 1
         return {"id": wid, "slot": slot, "conn": parent, "proc": proc,
                 "job": None, "monitor": False, "killed": False,
-                "attempt": None}
-
-    def _log(self, event: str, **kw) -> None:
-        if self.schedule_log is not None:
-            self.schedule_log.append({"event": event, **kw})
-
-    def _emit(self, event: str, **payload) -> None:
-        if self.events is not None:
-            self.events.emit(event, **payload)
+                "t_start": None}
 
     # ------------------------------------------------------------------
     def run(self, jobs: List[BatchJob],
@@ -288,7 +263,6 @@ class WorkerPool:
                         pending.appendleft(job)
                         w["proc"].join()
                         self.workers[i] = self._spawn(w["slot"])
-                        self.respawns += 1
                         continue
                     w["job"] = job
                     w["killed"] = False
@@ -296,17 +270,9 @@ class WorkerPool:
                     job.attempts += 1
                     if self.board is not None:
                         self.board.beat(w["slot"], -1)
-                    w["attempt"] = {
-                        "job": job.index, "worker": w["id"],
-                        "t_start": self._now(), "t_end": None,
-                        "outcome": None,
-                    }
-                    self.attempt_log.append(w["attempt"])
-                    self._log("job_start", job=job.index,
-                              worker=w["id"], attempt=job.attempts,
-                              fault_step=fault)
-                    self._emit("job_started", job=job.index,
-                               worker=w["id"], attempt=job.attempts)
+                    w["t_start"] = time.perf_counter()
+                    self.emit("job_started", job=job.index,
+                              worker=w["id"], attempt=job.attempts)
             busy = [w for w in self.workers if w["job"] is not None]
             if not busy:
                 break
@@ -325,28 +291,20 @@ class WorkerPool:
                         got_msg = False
                 if got_msg:
                     kind, pos, info = msg
-                    if kind in ("event", "decision"):
-                        payload = dict(info)
-                        event = payload.pop("event")
-                        if kind == "decision":
-                            self._log(event, **payload)
-                        self._emit(event, **payload)
+                    if kind == "event":
+                        self.emit(**info)
                         continue
                     job = w["job"]
                     w["job"] = None
-                    w["attempt"]["t_end"] = self._now()
                     if kind == "done":
-                        w["attempt"]["outcome"] = "done"
-                        done[pos] = info
-                        self._log("job_done", job=pos, worker=w["id"])
-                        self._emit("job_done", job=pos,
-                                   worker=w["id"], key=info,
-                                   nstep=None, wall_seconds=round(
-                                       w["attempt"]["t_end"]
-                                       - w["attempt"]["t_start"], 6))
+                        done[pos] = job.metadata["key"]
+                        self.emit("job_done", job=pos, worker=w["id"],
+                                  key=done[pos], nstep=info,
+                                  wall_seconds=round(
+                                      time.perf_counter() - w["t_start"],
+                                      6))
                     else:
-                        w["attempt"]["outcome"] = "failed"
-                        self._emit("job_failed", job=pos, error=info)
+                        self.emit("job_failed", job=pos, error=info)
                         self.shutdown()
                         raise FleetError(
                             f"fleet job {pos} failed in worker "
@@ -358,12 +316,8 @@ class WorkerPool:
                     # requeue the job for the front of the line and
                     # replace the worker.
                     job = w["job"]
-                    w["attempt"]["t_end"] = self._now()
-                    w["attempt"]["outcome"] = "died"
-                    self._log("worker_died", job=job.index,
+                    self.emit("worker_died", job=job.index,
                               worker=w["id"], attempt=job.attempts)
-                    self._emit("worker_died", job=job.index,
-                               worker=w["id"], attempt=job.attempts)
                     if job.attempts >= self.max_attempts:
                         self.shutdown()
                         raise FleetError(
@@ -372,11 +326,10 @@ class WorkerPool:
                             f"(max_attempts={self.max_attempts})"
                         )
                     pending.appendleft(job)
-                    self._emit("job_retried", job=job.index,
-                               attempt=job.attempts + 1)
+                    self.emit("job_retried", job=job.index,
+                              attempt=job.attempts + 1)
                     w["proc"].join()
                     self.workers[i] = self._spawn(w["slot"])
-                    self.respawns += 1
             self._check_stalls()
         self.shutdown()
         return done
@@ -400,11 +353,9 @@ class WorkerPool:
                 f"{info['step']}, {info['age_seconds']:.1f}s ago); "
                 f"killing it so the job can retry"
             )
-            self._log("worker_stalled", job=w["job"].index,
-                      worker=w["id"], age_seconds=info["age_seconds"])
-            self._emit("worker_stalled", worker=w["id"],
-                       job=w["job"].index,
-                       age_seconds=round(info["age_seconds"], 3))
+            self.emit("worker_stalled", worker=w["id"],
+                      job=w["job"].index,
+                      age_seconds=round(info["age_seconds"], 3))
             warnings.warn(message, StalledRankWarning)
             try:
                 os.kill(w["proc"].pid, signal.SIGKILL)
@@ -413,12 +364,6 @@ class WorkerPool:
             w["killed"] = True
 
     # ------------------------------------------------------------------
-    def job_worker(self) -> Dict[int, int]:
-        """``{job index: worker id}`` of each job's *completing*
-        attempt (the sweep trace's process-row assignment)."""
-        return {a["job"]: a["worker"] for a in self.attempt_log
-                if a["outcome"] == "done"}
-
     def shutdown(self) -> None:
         for w in self.workers:
             try:

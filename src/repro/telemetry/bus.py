@@ -17,7 +17,7 @@ import time
 from typing import Callable, List, Optional, Sequence, TextIO
 
 #: live-event record layout version (bumped on any field change)
-LIVE_SCHEMA_VERSION = 1
+LIVE_SCHEMA_VERSION = 2
 
 
 class EventBus:

@@ -3,7 +3,8 @@
 One static file, no external assets, written at end of sweep from the
 summary document plus the live-event stream: stat tiles (jobs, cache
 hits, batched jobs, wall time, anomaly count), a per-job wall-clock
-timeline (one bar per job, start → finish offsets from the event bus),
+timeline (one bar per job, start → finish offsets folded from the
+event stream by :func:`~repro.telemetry.live.fold_jobs`),
 the full job table (the accessible twin of the timeline) and the
 anomaly flags.  Design rules: a single neutral hue carries the
 timeline bars; job *status* is a labelled badge (text + color, never
@@ -15,7 +16,9 @@ from __future__ import annotations
 
 import html
 import os
-from typing import Dict, List, Optional
+from typing import List, Optional
+
+from .live import fold_jobs
 
 #: status -> (badge background, badge ink); every badge also carries
 #: its status word, so color is reinforcement, never the only channel
@@ -73,38 +76,19 @@ def _fmt(value, digits: int = 2) -> str:
     return str(value)
 
 
-def _job_windows(events: List[dict]) -> Dict[int, dict]:
-    """Per-job (start, end, status) offsets from the event stream."""
-    windows: Dict[int, dict] = {}
-    for rec in events:
-        job = rec.get("job")
-        if job is None:
-            if rec.get("event") == "ensemble_batch":
-                for j in rec.get("jobs", []):
-                    w = windows.setdefault(int(j), {})
-                    w.setdefault("start", rec["t"])
-                    w["status"] = "batched"
-            continue
-        w = windows.setdefault(int(job), {})
-        event = rec["event"]
-        if event == "job_started":
-            w.setdefault("start", rec["t"])
-            if rec.get("attempt", 1) > 1:
-                w["status"] = "retried"
-        elif event == "cache_hit":
-            w["start"] = w["end"] = rec["t"]
-            w["status"] = "cached"
-        elif event == "job_done":
-            w["end"] = rec["t"]
-            w.setdefault("status", "done")
-            if w.get("status") == "retried":
-                pass  # keep the retry marker visible in the table
-        elif event == "job_failed":
-            w["end"] = rec["t"]
-            w["status"] = "failed"
-        elif event == "job_retried":
-            w["status"] = "retried"
-    return windows
+def _window(doc: dict, fold: dict):
+    """A job's (status, start, end) from its folded stream state."""
+    if fold["cache_hit"] is not None:
+        return "cached", fold["cache_hit"], fold["cache_hit"]
+    attempts = fold["attempts"]
+    start = attempts[0]["start"] if attempts else 0.0
+    end = (attempts[-1]["end"] if attempts else None) or start
+    if attempts and attempts[-1]["outcome"] == "failed":
+        return "failed", start, end
+    if len(attempts) > 1:
+        return "retried", start, end
+    return ("batched" if doc.get("backend") == "ensemble" else "done",
+            start, end)
 
 
 def render_dashboard(summary: dict, events: Optional[List[dict]] = None,
@@ -115,8 +99,9 @@ def render_dashboard(summary: dict, events: Optional[List[dict]] = None,
     counts = summary.get("counts", {})
     anomalies = summary.get("anomalies", [])
     flagged = {a["job"] for a in anomalies}
-    windows = _job_windows(events)
-    horizon = max([w.get("end", 0) or 0 for w in windows.values()]
+    folded = fold_jobs(events)
+    horizon = max([a["end"] or 0 for fold in folded.values()
+                   for a in fold["attempts"]]
                   + [summary.get("wall_seconds") or 0, 1e-9])
 
     tiles = [
@@ -134,13 +119,8 @@ def render_dashboard(summary: dict, events: Optional[List[dict]] = None,
     rows = []
     for doc in jobs:
         idx = doc["index"]
-        w = windows.get(idx, {})
-        status = ("cached" if doc.get("cache_hit")
-                  else w.get("status",
-                             "batched" if doc.get("backend") == "ensemble"
-                             else "done"))
-        start = w.get("start", 0) or 0
-        end = w.get("end", start) or start
+        status, start, end = _window(doc, folded.get(idx, {
+            "attempts": [], "cache_hit": None}))
         left = 100.0 * start / horizon
         width = max(100.0 * (end - start) / horizon, 0.0)
         if status == "cached" or width < 0.5:

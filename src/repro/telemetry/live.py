@@ -4,16 +4,20 @@ A sweep between ``submit()`` and ``summary()`` used to be a black box;
 this module is the window into it.  The fleet engine owns one
 :class:`~repro.telemetry.bus.EventBus` per sweep and emits a lifecycle
 record for every scheduling fact as it happens — job queued /
-started / progress / checkpointed / retried / cache hit / done — each
-stamped with a monotonically increasing sequence number and the offset
-in seconds since the sweep epoch.  Three consumers share the stream:
+started / progress / checkpointed / retried / cache hit / batched /
+done — each stamped with a monotonically increasing sequence number
+and the offset in seconds since the sweep epoch.  The stream is the
+sweep's only record; every other view is read off it:
 
 * an **NDJSON sink** (``fleet --events out.ndjson``), flushed per
   record so a crashed sweep still leaves a readable prefix;
 * in-process **listeners** (``bookleaf fleet --watch`` attaches a
   :class:`WatchRenderer`; tests attach plain lists);
+* ``FleetHandle.schedule_log`` — the stream without its
+  :data:`LIFECYCLE_ONLY` records (:func:`schedule_log`);
 * the post-run artefacts — the merged sweep trace and the HTML
-  dashboard are both built from the recorded events.
+  dashboard both read the per-job state :func:`fold_jobs` folds out
+  of the recorded events.
 
 The record layout is pinned by :data:`LIVE_SCHEMA_VERSION` and
 :func:`validate_live_event`; CI validates the stream the fleet smoke
@@ -27,7 +31,7 @@ from __future__ import annotations
 import json
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, TextIO
 
 from .bus import LIVE_SCHEMA_VERSION, EventBus  # noqa: F401  (re-export)
 
@@ -49,11 +53,22 @@ EVENT_FIELDS: Dict[str, tuple] = {
     "worker_stalled": ("worker", "age_seconds"),
     "job_done": ("job", "nstep", "wall_seconds"),
     "job_failed": ("job", "error"),
-    "ensemble_batch": ("jobs",),
+    "ensemble_batch": ("jobs", "carried", "fresh", "width", "queued"),
+    "lane_retired": ("job", "nstep"),
+    "lane_refill": ("carried", "queued"),
     "fast_path_downgrade": ("job", "reason"),
     "trace_forced": ("jobs",),
     "sweep_done": ("jobs", "wall_seconds"),
 }
+
+#: the records that only narrate a sweep's lifecycle; the schedule log
+#: is the stream without them
+LIFECYCLE_ONLY = frozenset({"sweep_started", "job_queued", "job_progress",
+                            "sweep_done"})
+
+#: the records that end a job's current attempt, and how
+_ATTEMPT_OUTCOMES = {"job_done": "done", "worker_died": "died",
+                     "job_failed": "failed"}
 
 
 def validate_live_event(rec: dict) -> None:
@@ -86,6 +101,52 @@ def validate_live_stream(records: Sequence[dict]) -> None:
                 f"invalid live stream: record {i} carries seq "
                 f"{rec['seq']} (streams are gapless from 0)"
             )
+
+
+def schedule_log(records: Sequence[dict]) -> List[dict]:
+    """The scheduling records of a stream, in order: every record but
+    the :data:`LIFECYCLE_ONLY` ones."""
+    return [rec for rec in records if rec["event"] not in LIFECYCLE_ONLY]
+
+
+def fold_jobs(records: Sequence[dict]) -> Dict[int, dict]:
+    """Fold a stream into per-job state, ``{job: {"attempts": [...],
+    "cache_hit": t or None, "checkpoints": [(t, step), ...]}}``.
+
+    An attempt is ``{"worker", "start", "end", "outcome"}``.  It opens
+    at a ``job_started`` (``worker`` None: the job ran inline) or, for a
+    batched lane, at the ``ensemble_batch`` pass that takes the job in
+    fresh (``worker`` None); it ends at ``job_done`` (``"done"``),
+    ``worker_died`` (``"died"``) or ``job_failed`` (``"failed"``).
+    Times are the records' ``t``.
+    """
+    jobs: Dict[int, dict] = {}
+
+    def job(index) -> dict:
+        return jobs.setdefault(int(index), {
+            "attempts": [], "cache_hit": None, "checkpoints": []})
+
+    def start(index, t: float, worker=None) -> None:
+        job(index)["attempts"].append({"worker": worker, "start": t,
+                                       "end": None, "outcome": None})
+
+    for rec in records:
+        event = rec["event"]
+        if event == "job_started":
+            start(rec["job"], rec["t"], rec.get("worker"))
+        elif event == "ensemble_batch":
+            for index in rec["fresh"]:
+                start(index, rec["t"])
+        elif event in _ATTEMPT_OUTCOMES:
+            attempts = job(rec["job"])["attempts"]
+            if attempts and attempts[-1]["outcome"] is None:
+                attempts[-1].update(end=rec["t"],
+                                    outcome=_ATTEMPT_OUTCOMES[event])
+        elif event == "cache_hit":
+            job(rec["job"])["cache_hit"] = rec["t"]
+        elif event == "job_checkpointed":
+            job(rec["job"])["checkpoints"].append((rec["t"], rec["step"]))
+    return jobs
 
 
 def read_events(path: str) -> List[dict]:

@@ -7,8 +7,10 @@ checkpoints, retries) that belong to the *fleet*, not to any rank.
 The :class:`SweepTraceBuilder` lays that out as
 
 * one **process row per worker** (``pid = worker id + 1``) plus the
-  scheduler itself (``pid = 0``) — inline and batched jobs render
-  under the scheduler, pool jobs under the worker that finished them;
+  scheduler itself (``pid = 0``) — inline jobs and cache hits render
+  under the scheduler, pool jobs under the worker that finished them
+  (a traced job never batches, so there are no batched passes to
+  draw);
 * one **thread row per job/rank** (``tid = 1 + job*RANK_STRIDE +
   rank``), carrying the job's run → step → phase → kernel spans
   shipped back from the worker;
@@ -41,15 +43,15 @@ SCHEDULER_PID = 0
 
 
 class SweepTraceBuilder:
-    """Accumulates per-job records during a sweep; :meth:`build` emits
-    the merged trace-event object."""
+    """Collects per-job records — the fleet feeds it from the folded
+    event stream (:func:`~repro.telemetry.live.fold_jobs`); :meth:`build`
+    emits the merged trace-event object."""
 
     def __init__(self, epoch_ns: int = 0):
         self.epoch_ns = int(epoch_ns)
         self.jobs: Dict[int, dict] = {}
         self.instants: List[dict] = []
         self.flows: List[dict] = []
-        self.batches: List[dict] = []
 
     # ------------------------------------------------------------------
     def add_job(self, job: int, *, pid: int = SCHEDULER_PID,
@@ -87,14 +89,6 @@ class SweepTraceBuilder:
             "to_pid": int(to_pid), "to_ns": int(to_ns),
         })
 
-    def add_batch(self, jobs: List[int], t0_ns: int, dur_ns: int) -> None:
-        """One batched ensemble pass, rendered as a span on the
-        scheduler's own row."""
-        self.batches.append({
-            "jobs": [int(j) for j in jobs],
-            "t0_ns": int(t0_ns), "dur_ns": int(dur_ns),
-        })
-
     # ------------------------------------------------------------------
     def _tid(self, job: int, rank: int = 0) -> int:
         return 1 + job * RANK_STRIDE + min(rank, RANK_STRIDE - 1)
@@ -125,15 +119,6 @@ class SweepTraceBuilder:
                                "pid": rec["pid"],
                                "tid": self._tid(job, rank),
                                "args": {"name": name}})
-        for batch in self.batches:
-            events.append({
-                "name": f"ensemble batch ({len(batch['jobs'])} jobs)",
-                "cat": "fleet", "ph": "X",
-                "pid": SCHEDULER_PID, "tid": 0,
-                "ts": batch["t0_ns"] / 1e3,
-                "dur": max(batch["dur_ns"], 0) / 1e3,
-                "args": {"jobs": batch["jobs"]},
-            })
         for job in sorted(self.jobs):
             rec = self.jobs[job]
             for span in rec["spans"]:

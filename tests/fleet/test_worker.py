@@ -44,7 +44,7 @@ def test_sigkill_resumes_bit_identical(tmp_path):
     assert result.metrics_rows == uninterrupted.metrics_rows
     events = [e["event"] for e in handle.schedule_log]
     assert "worker_died" in events
-    assert events.count("job_start") == 2  # original + retry
+    assert events.count("job_started") == 2  # original + retry
     # the retry resumed: it started from the step-15 checkpoint, so the
     # resumed run must reach the end, not die again (fault is
     # first-attempt only)
