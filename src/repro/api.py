@@ -20,9 +20,11 @@ a TOML table, a test fixture — anything; derive variants with
 :meth:`RunConfig.canonical_key` content-addresses the fleet's result
 cache.  :class:`RunResult` carries the gathered final state plus every
 telemetry stream the run produced (merged kernel timers, trace spans,
-per-rank communication counters, the per-step series) with
-deterministic rank-order merge rules, and :meth:`RunResult.report`
-rebuilds the schema-versioned JSON run report from them.  The CLI
+per-rank communication counters, the step rows, the diagnostics rows)
+with deterministic rank-order merge rules — the one record of the run
+— and :meth:`RunResult.report` (the JSON run report) and
+:func:`repro.metrics.prometheus.run_samples` (the Prometheus
+exposition) are views of it.  The CLI
 (:mod:`repro.cli`) is a thin adapter onto this module; see
 docs/PARALLEL.md for the backend matrix and docs/FLEET.md for the
 fleet scheduler.
@@ -59,7 +61,7 @@ _LEGACY_ALIASES = {"ranks": "nranks", "method": "partition"}
 
 #: bump when the canonical-key layout changes — cache entries written
 #: under an older layout must miss, never alias
-CANONICAL_KEY_VERSION = 2
+CANONICAL_KEY_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,6 @@ class RunConfig:
     #: the sampler reads the in-process span stacks).  Pure
     #: observability: excluded from the canonical key.
     profile: Optional[str] = None
-    collect_steps: bool = False
     log_every: int = 0
     #: NDJSON live-metrics stream path (``--metrics out.ndjson``);
     #: setting it turns the diagnostics probe on at the default cadence
@@ -177,7 +178,6 @@ class RunConfig:
             "partition": self.partition,
             "comm_plan": self.comm_plan,
             "metrics_every": self.resolved_metrics_every(),
-            "collect_steps": bool(self.collect_steps),
             "problem_kwargs": {
                 str(k): self.problem_kwargs[k]
                 for k in sorted(self.problem_kwargs)
@@ -250,13 +250,11 @@ class RunResult:
     spans: List[Any]
     comm_total: Optional[dict]
     comm_per_rank: List[dict]
-    step_rows: Optional[List[dict]]
+    #: one row per step (``Hydro.step_rows``)
+    step_rows: List[dict]
     comm_summary: Optional[dict]
     #: the live-metrics sample records (None when metrics were off)
     metrics_rows: Optional[List[dict]] = None
-    #: the run's :class:`~repro.metrics.registry.MetricsRegistry`
-    #: (physics gauges + ingested timer/comm counters; None when off)
-    metrics: Any = None
     driver: Any = None
     #: scheduling provenance — which queue position (ensemble lane /
     #: sweep slot) produced this result; None for a direct single run
@@ -272,15 +270,11 @@ class RunResult:
     def report(self) -> dict:
         """The schema-versioned JSON run report for this run
         (identical shape to ``bookleaf run --report``)."""
-        from .telemetry.report import StepSeries, build_report
+        from .telemetry.report import build_report
 
         if self.report_override is not None:
             return self.report_override
 
-        series = None
-        if self.step_rows is not None:
-            series = StepSeries()
-            series.rows = list(self.step_rows)
         return build_report(
             self.setup.describe(), self.timers,
             steps=self.nstep, time_reached=self.time,
@@ -288,7 +282,7 @@ class RunResult:
             partition=self.config.partition,
             comm_total=self.comm_total,
             comm_per_rank=self.comm_per_rank,
-            step_series=series,
+            step_rows=self.step_rows,
             diagnostics=(self.metrics_rows[-1]
                          if self.metrics_rows else None),
         )
@@ -345,14 +339,13 @@ def _execute_run(config: RunConfig, *,
         snapshot_dir=config.snapshot_dir,
         comm_plan=config.comm_plan,
         artifacts=artifacts,
-        collect_step_series=config.collect_steps,
     )
     if observers:
         if not driver.hydros:
             raise BookLeafError(
                 f"the {backend!r} backend runs ranks out-of-process; "
-                "in-process observers are not supported — use "
-                "RunConfig(collect_steps=True) for the step series"
+                "in-process observers are not supported — every "
+                "result carries its step rows (RunResult.step_rows)"
             )
         driver.hydros[0].observers.extend(observers)
     max_steps = config.max_steps
@@ -388,14 +381,6 @@ def _execute_run(config: RunConfig, *,
 
         write_collapsed(profiler.folded(), config.profile)
     distributed = config.nranks > 1
-    merged_timers = driver.merged_timers()
-    metrics = driver.result.metrics
-    if metrics is not None:
-        # One registry holds everything: the probe's physics gauges
-        # plus the merged kernel timers and per-rank comm counters.
-        metrics.ingest_timers(merged_timers)
-        for rank, entry in enumerate(driver.per_rank_comm()):
-            metrics.ingest_comm(entry, rank=rank)
     return RunResult(
         config=config,
         setup=setup,
@@ -405,14 +390,13 @@ def _execute_run(config: RunConfig, *,
         time=driver.time,
         wall_seconds=wall,
         state=driver.gather(),
-        timers=merged_timers,
+        timers=driver.merged_timers(),
         spans=driver.merged_spans(),
         comm_total=driver.comm_totals() if distributed else None,
         comm_per_rank=driver.per_rank_comm(),
         step_rows=driver.result.step_rows,
         comm_summary=driver.comm_summary() if distributed else None,
         metrics_rows=driver.result.metrics_rows,
-        metrics=metrics,
         driver=driver,
     )
 
@@ -452,8 +436,8 @@ def run(config: Optional[RunConfig] = None, *,
 
     ``observers`` are attached to rank 0's step loop (serial and
     threads backends only — the processes backend runs its ranks in
-    child processes, so in-process observers cannot see them; use
-    ``collect_steps`` for the marshalled per-step series instead).
+    child processes, so in-process observers cannot see them; every
+    result carries its step rows, ``RunResult.step_rows``, instead).
     """
     if config is None:
         config = _config_from_kwargs(kwargs)

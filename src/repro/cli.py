@@ -103,7 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "disables the probe entirely)")
     run.add_argument("--metrics-prom", metavar="PATH",
                      help="write an end-of-run Prometheus text-"
-                          "exposition snapshot of the metrics registry")
+                          "exposition snapshot (kernel timers, comm "
+                          "counters, diagnostics gauges)")
     run.add_argument("--watchdog-timeout", type=float, default=None,
                      metavar="SECONDS",
                      help="flag a rank as stalled after this many "
@@ -394,11 +395,10 @@ def _run_config(args: argparse.Namespace):
         trace=bool(args.report or args.trace),
         trace_allocations=args.trace_allocs,
         profile=args.profile,
-        collect_steps=bool(args.report),
         log_every=args.log_every,
         metrics=args.metrics,
-        # --metrics-prom alone still needs the probe (the registry is
-        # the probe's output): enable the default cadence for it.
+        # --metrics-prom alone turns the probe on at the default
+        # cadence, so the snapshot carries the diagnostics gauges.
         metrics_every=(RunConfig.DEFAULT_METRICS_EVERY
                        if (args.metrics_prom and args.metrics_every is None
                            and args.metrics is None)
@@ -503,12 +503,12 @@ def _run(args: argparse.Namespace) -> int:
         print(f"wrote {len(rows)} metrics records to "
               f"{args.metrics}{tail}")
     if args.metrics_prom:
-        if result.metrics is None:
-            print("--metrics-prom needs the probe enabled "
-                  "(--metrics-every > 0)", file=sys.stderr)
-        else:
-            result.metrics.write_prometheus(args.metrics_prom)
-            print(f"wrote Prometheus snapshot to {args.metrics_prom}")
+        from .metrics.prometheus import exposition, run_samples
+
+        with open(args.metrics_prom, "w", encoding="utf-8") as fh:
+            fh.write(exposition(run_samples(
+                result.timers, result.comm_per_rank, result.metrics_rows)))
+        print(f"wrote Prometheus snapshot to {args.metrics_prom}")
     return 0
 
 

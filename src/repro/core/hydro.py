@@ -16,11 +16,13 @@ quantities it reads, and the step's kernels read them from there
 instead of gathering and differencing xⁿ and uⁿ again.
 
 Per-kernel timers accumulate across the run so ``timers.breakdown()``
-prints the Table II-style summary at the end.
+prints the Table II-style summary at the end, and every step appends
+one row to ``step_rows`` — the run report's per-step series.
 """
 
 from __future__ import annotations
 
+import time as _time
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -42,9 +44,10 @@ class Hydro:
 
     A step is two halves around ``lagstep``: :meth:`choose_dt` (the
     first-step rule or ``getdt``, then the time-driven boundary) and
-    :meth:`finish_step` (remap if due, advance the clocks, logger,
-    observers, probe).  :meth:`step` is the two around this state's own
-    ``lagstep`` and is what every caller but one uses;
+    :meth:`finish_step` (remap if due, advance the clocks, record the
+    step row, logger, observers, probe).  :meth:`step` is the two
+    around this state's own ``lagstep`` and is what every caller but
+    one uses;
     :class:`~repro.ensemble.driver.EnsembleHydro` calls the halves
     directly, because its lanes' states are segments of one union mesh
     that a single ``lagstep`` advances for all of them.
@@ -107,6 +110,12 @@ class Hydro:
         #: callbacks invoked after every step with (hydro,) — used by
         #: time-history output and tests
         self.observers: List[Callable[["Hydro"], None]] = []
+        #: one row per completed step (``STEP_FIELDS`` of
+        #: :mod:`repro.telemetry.report`); ``wall_seconds`` is the wall
+        #: clock between this step's end and the previous one's (or
+        #: the start of ``run``)
+        self.step_rows: List[dict] = []
+        self._step_end_ns = _time.perf_counter_ns()
 
     # ------------------------------------------------------------------
     def done(self) -> bool:
@@ -167,9 +176,10 @@ class Hydro:
 
     def finish_step(self) -> bool:
         """The half of a step after ``lagstep``: remap if due, advance
-        the clocks, then logger, observers and probe.  Returns whether
-        it remapped — the remap rebinds the state's arrays, so a caller
-        that stepped them through views must copy them back."""
+        the clocks and record the step row, then logger, observers and
+        probe.  Returns whether it remapped — the remap rebinds the
+        state's arrays, so a caller that stepped them through views
+        must copy them back."""
         remap = (self.remapper is not None
                  and (self.nstep + 1) % self.controls.ale_every == 0)
         if remap:
@@ -179,6 +189,13 @@ class Hydro:
 
         self.time += self.dt
         self.nstep += 1
+        now = _time.perf_counter_ns()
+        self.step_rows.append({
+            "nstep": self.nstep, "time": self.time, "dt": self.dt,
+            "dt_reason": self.dt_reason,
+            "wall_seconds": (now - self._step_end_ns) * 1e-9,
+        })
+        self._step_end_ns = now
         self.logger.step(self.nstep, self.time, self.dt,
                          self.dt_reason, self.dt_cell)
         for observer in self.observers:
@@ -196,6 +213,7 @@ class Hydro:
         start = self.nstep
         if self.probe is not None:
             self.probe.begin(self)
+        self._step_end_ns = _time.perf_counter_ns()
         try:
             with self.timers.trace_span("run", cat="run") as span:
                 while not self.done():

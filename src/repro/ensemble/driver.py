@@ -2,7 +2,8 @@
 
 Every lane of an :class:`EnsembleHydro` is a real
 :class:`repro.core.hydro.Hydro` — its own controls, clocks, remapper,
-probe, observers and step budget, built the way a solo serial job's is
+probe, observers, step rows and step budget, built the way a solo
+serial job's is
 — whose ``state`` is the lane's segment view of one disjoint-union
 mesh (:mod:`repro.ensemble.state`).  The batch runs no step loop of
 its own: per step it asks each lane for its dt (``Hydro.choose_dt``),

@@ -11,9 +11,9 @@ when a lane finishes early (its own CFL clock hit ``time_end``) and
 jobs are still queued, the batch is rebuilt at full width — the
 still-active lanes are *carried* into the new batch as the ``Hydro``
 objects they are (state, clocks, ALE remapper with its pristine
-Eulerian target, probe and step budget travel together) and the
-retired rows are refilled from the queue, so the kernel pass never
-shrinks while work remains.
+Eulerian target, probe, step rows and step budget travel together)
+and the retired rows are refilled from the queue, so the kernel pass
+never shrinks while work remains.
 
 Bit-identity is preserved through a rebuild for both populations: a
 carried lane is the same driver on a new segment of a new union (the
@@ -178,11 +178,10 @@ def run_ensemble_jobs(jobs: Sequence[BatchJob], *, emit: Callable,
             spans=[],
             comm_total=None,
             comm_per_rank=[],
-            step_rows=None,
+            step_rows=hydro.step_rows,
             comm_summary=None,
             metrics_rows=(hydro.probe.rows if hydro.probe is not None
                           else None),
-            metrics=None,
             driver=hydro,
             lane=job.index,
             cache_hit=False,

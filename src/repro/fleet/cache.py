@@ -4,7 +4,8 @@ The fleet's cache keys every job by
 :meth:`repro.api.RunConfig.canonical_key` (extended with the job's
 per-lane control overrides, when any — :func:`job_key`), and stores the
 run's *outcome*: the final state arrays, the step/time clocks, the
-schema-versioned run report and the live-metrics rows.  A resubmitted
+schema-versioned run report — which holds the step rows and the comm
+counters, stored once there — and the live-metrics rows.  A resubmitted
 config whose key matches is served from disk with ``cache_hit=True``
 instead of re-executing — the deck, every resolved control, the rank
 count, the backend and the code version all enter the key, so a hit is
@@ -38,7 +39,8 @@ from ..utils.errors import FleetError, SnapshotError
 from ..utils.timers import TimerRegistry
 
 #: on-disk entry layout version (bumped on any stored-shape change)
-CACHE_SCHEMA_VERSION = 1
+#: v2: step rows and comm counters live only in the stored report
+CACHE_SCHEMA_VERSION = 2
 
 
 def job_key(config, override: Optional[Dict[str, Any]] = None) -> str:
@@ -117,14 +119,11 @@ class ResultCache:
             "lane": result.lane,
             "report": result.report(),
             "metrics_rows": result.metrics_rows,
-            "step_rows": result.step_rows,
             # span shards ride the spool so the fleet parent can merge
             # worker-side traces into the sweep trace (empty when the
             # job ran untraced — the common case costs nothing)
             "spans": ([s.as_dict() for s in result.spans]
                       if result.spans else None),
-            "comm_total": result.comm_total,
-            "comm_per_rank": result.comm_per_rank,
             "comm_summary": result.comm_summary,
             "digest": state_digest(result.state, result.nstep,
                                    result.time, result.metrics_rows),
@@ -161,7 +160,8 @@ class ResultCache:
         from the config (it is not stored); the stored arrays are then
         overlaid.  The result carries the stored report verbatim
         (``report_override``) — kernel-timer *objects* are not
-        reconstructable across processes — and ``cache_hit=hit``.  An
+        reconstructable across processes — its step rows and comm
+        counters are that report's own lists, and ``cache_hit=hit``.  An
         unreadable entry is evicted and raises
         :class:`~repro.utils.errors.SnapshotError`.
         """
@@ -184,6 +184,7 @@ class ResultCache:
             raise
         if hit:
             self.hits += 1
+        report = meta["report"]
         return RunResult(
             config=config,
             setup=setup,
@@ -195,16 +196,16 @@ class ResultCache:
             state=setup.state,
             timers=TimerRegistry(),
             spans=[Span(**doc) for doc in (meta.get("spans") or [])],
-            comm_total=meta.get("comm_total"),
-            comm_per_rank=meta.get("comm_per_rank") or [],
-            step_rows=meta.get("step_rows"),
+            comm_total=(report["comm"]["total"] if meta["nranks"] > 1
+                        else None),
+            comm_per_rank=report["comm"]["per_rank"],
+            step_rows=report["steps"],
             comm_summary=meta.get("comm_summary"),
             metrics_rows=meta.get("metrics_rows"),
-            metrics=None,
             driver=None,
             lane=meta.get("lane"),
             cache_hit=hit,
-            report_override=meta.get("report"),
+            report_override=report,
         )
 
     def stats(self) -> dict:

@@ -8,6 +8,7 @@ block — the job key names the config that rebuilds the mesh) whose
 
 * the job's cache key, so a stale checkpoint from a different config
   can never be overlaid,
+* the driver's step rows, so a resumed job returns every step's row,
 * the diagnostics probe's internals (rows, drift baseline, last sampled
   step) so the resumed NDJSON stream is byte-identical to an
   uninterrupted run's.
@@ -35,6 +36,7 @@ def save_checkpoint(path: str, hydro, key: str = "") -> None:
     probe = hydro.probe
     freeze(path, hydro, mesh=False, extra={
         "key": key,
+        "steps": hydro.step_rows,
         "probe": None if probe is None else {
             "rows": probe.rows,
             "baseline": probe._baseline,
@@ -75,12 +77,12 @@ def restore_into(driver, path: str, key: str = "",
     """Overlay a checkpoint into a freshly-built serial driver.
 
     This is the :func:`repro.api._execute_run` ``on_prepared`` hook's
-    body: the driver's rank-0 hydro gets the stored state, clocks and
-    probe internals; the NDJSON sink (if any) is rewritten with the
-    restored rows so subsequent samples continue the stream; and a
-    cadence-due sample the crash cut off between checkpoint and probe
-    is regenerated from the restored state (bitwise identical — the
-    sample is a pure function of state + baseline).  Returns the
+    body: the driver's rank-0 hydro gets the stored state, clocks, step
+    rows and probe internals; the NDJSON sink (if any) is rewritten
+    with the restored rows so subsequent samples continue the stream;
+    and a cadence-due sample the crash cut off between checkpoint and
+    probe is regenerated from the restored state (bitwise identical —
+    the sample is a pure function of state + baseline).  Returns the
     *remaining* step budget (``Hydro.run`` counts steps from its call),
     or None to leave ``max_steps`` untouched.  An unreadable file
     raises :class:`~repro.utils.errors.SnapshotError` before anything
@@ -102,6 +104,7 @@ def restore_into(driver, path: str, key: str = "",
         )
     hydro = driver.hydros[0]
     thaw(hydro, snapshot)
+    hydro.step_rows = list(snapshot.extra["steps"])
     probe_doc = snapshot.extra.get("probe")
     if hydro.probe is not None and probe_doc is not None:
         probe = hydro.probe

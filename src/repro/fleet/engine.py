@@ -407,8 +407,7 @@ class Fleet:
             return "nranks"
         if c.resolved_backend() != "serial":
             return "backend"
-        for reason in ("trace", "trace_allocations", "profile",
-                       "collect_steps"):
+        for reason in ("trace", "trace_allocations", "profile"):
             if getattr(c, reason):
                 return reason
         return None
@@ -565,29 +564,29 @@ class Fleet:
                         fh.write(json.dumps(
                             {"job": job.index, **rec}) + "\n")
         if opts.prom_path:
-            from ..metrics.registry import MetricsRegistry
+            from ..metrics.prometheus import exposition
 
-            registry = MetricsRegistry()
-            registry.counter("fleet_jobs_total").inc(len(results))
-            hits = sum(1 for r in results if r.cache_hit)
-            registry.counter("fleet_cache_hits_total").inc(hits)
+            samples = [
+                ("fleet_jobs_total", "counter", {}, len(results)),
+                ("fleet_cache_hits_total", "counter", {},
+                 sum(1 for r in results if r.cache_hit)),
+            ]
             for job, result in zip(self.jobs, results):
-                labels = {"job": str(job.index),
-                          "backend": result.backend}
-                registry.gauge("fleet_job_steps", **labels).set(
-                    result.nstep)
-                registry.gauge("fleet_job_time", **labels).set(
-                    result.time)
-                registry.gauge("fleet_job_wall_seconds",
-                               **labels).set(result.wall_seconds)
+                labels = {"job": job.index, "backend": result.backend}
+                samples += [
+                    ("fleet_job_steps", "gauge", labels, result.nstep),
+                    ("fleet_job_time", "gauge", labels, result.time),
+                    ("fleet_job_wall_seconds", "gauge", labels,
+                     result.wall_seconds),
+                ]
                 if result.metrics_rows:
                     final = result.metrics_rows[-1]
-                    for name in ("mass", "total_energy", "mass_drift",
-                                 "energy_drift"):
-                        if name in final:
-                            registry.gauge(f"fleet_job_{name}",
-                                           **labels).set(final[name])
-            registry.write_prometheus(opts.prom_path)
+                    samples += [(f"fleet_job_{name}", "gauge", labels,
+                                 final[name])
+                                for name in ("mass", "total_energy",
+                                             "mass_drift", "energy_drift")]
+            with open(opts.prom_path, "w", encoding="utf-8") as fh:
+                fh.write(exposition(samples))
 
     # ------------------------------------------------------------------
     def _finalize_outputs(self) -> None:

@@ -13,9 +13,9 @@ while the run executes.
   negative energy) that raise a structured
   :class:`~repro.utils.errors.HealthError` with a forensic state
   snapshot on disk.
-* :class:`~repro.metrics.registry.MetricsRegistry` — labelled
-  counter/gauge/histogram primitives with an NDJSON append stream and
-  a Prometheus text-exposition snapshot writer.
+* :mod:`~repro.metrics.prometheus` — the Prometheus text exposition,
+  a pure rendering of a finished run's timers, comm counters and
+  diagnostics rows (and of a fleet's per-job samples).
 * :mod:`~repro.metrics.watchdog` — the rank heartbeat board the
   ``threads``/``processes`` launchers and the fleet pool poll from
   their wait loops (:class:`~repro.utils.errors.StalledRankWarning`).
@@ -29,7 +29,7 @@ while the run executes.
 Everything here is opt-in: with no probe attached the step loop pays
 one ``is None`` check per step and stays bit-identical.  The names
 below resolve on first use (:mod:`repro.utils.lazy`): a probed serial
-run loads the probe and the registry, not the heartbeat board.
+run loads the probe, not the renderer or the heartbeat board.
 """
 
 from ..utils.lazy import lazy_exports
@@ -37,7 +37,8 @@ from ..utils.lazy import lazy_exports
 _EXPORTS = {
     "METRICS_SCHEMA_VERSION": ".probe",
     "DiagnosticsProbe": ".probe",
-    "MetricsRegistry": ".registry",
+    "exposition": ".prometheus",
+    "run_samples": ".prometheus",
     "HeartbeatBoard": ".watchdog",
     "Heartbeat": ".watchdog",
     "dump_snapshot": ".health",

@@ -146,10 +146,12 @@ def compare_reports(old: dict, new: dict, threshold: float,
                                status=_judge(a, b, threshold)))
     else:
         result.rows.append(Row("comm.bytes_per_step", a, b))
-    for counter in ("messages", "bytes", "halo_exchanges", "reductions"):
-        a = old.get("comm", {}).get("total", {}).get(counter)
-        b = new.get("comm", {}).get("total", {}).get(counter)
-        result.rows.append(Row(f"comm.total.{counter}", a, b))
+    old_total = old.get("comm", {}).get("total", {})
+    new_total = new.get("comm", {}).get("total", {})
+    for counter in sorted(set(old_total) | set(new_total)):
+        result.rows.append(Row(f"comm.total.{counter}",
+                               old_total.get(counter),
+                               new_total.get(counter)))
     for metric in ("energy_drift", "mass_drift", "total_energy",
                    "hourglass_energy"):
         a = (old.get("diagnostics") or {}).get(metric)

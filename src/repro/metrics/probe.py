@@ -18,9 +18,10 @@ into a live monitor:
   energy.  A trip dumps a forensic snapshot
   (:mod:`repro.metrics.health`) and raises
   :class:`~repro.utils.errors.HealthError` naming the offending cells;
-* each sample appends one schema-versioned JSON record to the NDJSON
-  sink (``--metrics out.ndjson``) and updates the
-  :class:`~repro.metrics.registry.MetricsRegistry` gauges.
+* each sample appends one schema-versioned JSON record to ``rows``
+  and to the NDJSON sink (``--metrics out.ndjson``); the run's
+  Prometheus gauges are rendered from the rows after the run
+  (:mod:`repro.metrics.prometheus`).
 
 Decomposed runs: every rank probes on the same cadence (the step count
 is SPMD state), sums/minima go through the two vector collectives on
@@ -69,9 +70,6 @@ class DiagnosticsProbe:
         flushed per line so a crash keeps everything sampled so far).
         Usually only rank 0 of a decomposed run carries a sink — the
         record holds global totals, identical on every rank.
-    registry:
-        Optional :class:`~repro.metrics.registry.MetricsRegistry` whose
-        gauges/counters are updated per sample.
     record:
         Keep the records in memory (``self.rows``) for the run report.
     snapshot_path:
@@ -84,7 +82,6 @@ class DiagnosticsProbe:
 
     def __init__(self, every: int = 10,
                  sink_path: Optional[str] = None,
-                 registry=None,
                  record: bool = True,
                  snapshot_path: Optional[str] = None,
                  cell_global: Optional[np.ndarray] = None):
@@ -93,7 +90,6 @@ class DiagnosticsProbe:
                              "(disable by not attaching a probe)")
         self.every = int(every)
         self.sink_path = sink_path
-        self.registry = registry
         self.record = record
         self.snapshot_path = snapshot_path
         self.cell_global = cell_global
@@ -221,11 +217,11 @@ class DiagnosticsProbe:
         if self._baseline is None:
             self._baseline = rec
         self._last_sampled = rec["nstep"]
-        self._emit(rec, rank=comms.rank)
+        self._emit(rec)
         return rec
 
     # ------------------------------------------------------------------
-    def _emit(self, rec: dict, rank: int) -> None:
+    def _emit(self, rec: dict) -> None:
         if self.record:
             self.rows.append(rec)
         if self.sink_path is not None:
@@ -233,14 +229,6 @@ class DiagnosticsProbe:
                 self._sink = open(self.sink_path, "w")
             self._sink.write(json.dumps(rec) + "\n")
             self._sink.flush()
-        reg = self.registry
-        if reg is not None:
-            reg.counter("diagnostics_samples_total", rank=rank).inc()
-            for name in ("mass", "total_energy", "mass_drift",
-                         "energy_drift", "hourglass_energy",
-                         "vol_min", "rho_min", "p_min", "dt"):
-                reg.gauge(name, rank=rank).set(rec[name])
-            reg.histogram("dt_seconds", rank=rank).observe(rec["dt"])
 
     def _trip(self, hydro, violations: dict) -> None:
         """A sentinel fired: snapshot the state, raise HealthError."""
@@ -261,8 +249,6 @@ class DiagnosticsProbe:
                 reported[name] = [int(i) for i in ids]
         snapshot = dump_snapshot(hydro, path, rank=rank,
                                  violations=reported)
-        if self.registry is not None:
-            self.registry.counter("sentinel_trips_total", rank=rank).inc()
         raise HealthError(reported, nstep=hydro.nstep, time=hydro.time,
                           snapshot=snapshot,
                           rank=rank if comms.size > 1 else None)

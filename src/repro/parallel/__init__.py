@@ -17,7 +17,7 @@ from ..utils.lazy import lazy_exports
 from .backends import available_backends, get_backend
 from .distributed import DistributedHydro
 from .halo import Subdomain, build_subdomains, local_state
-from .interface import BackendRun, CommBackend, CommEndpoint
+from .interface import BackendRun, CommBackend, CommEndpoint, CommStats
 from .partition import edge_cut, imbalance, partition, rcb_partition, spectral_partition
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(globals(), {
-    "CommStats": ".typhon",
     "TyphonComms": ".typhon",
     "TyphonContext": ".typhon",
 })

@@ -47,12 +47,8 @@ from ..utils.errors import (
 from ..utils.timers import TimerRegistry
 from .backends import get_backend
 from .halo import Subdomain, build_subdomains, local_state
-from .interface import BackendRun
+from .interface import COMM_FIELDS, BackendRun
 from .partition.interface import partition
-
-#: counters every per-rank comm entry carries
-_COMM_FIELDS = ("messages", "bytes", "halo_exchanges", "reductions",
-                "dt_reductions", "dt_hops")
 
 
 @dataclass
@@ -70,10 +66,10 @@ class RankReport:
     spans: list
     #: the rank's CommStats counters (``None`` on the one serial rank)
     comm: Optional[dict]
-    #: rank 0's step series / diagnostics samples / metrics registry
-    step_rows: Optional[List[dict]] = None
+    #: the rank's step rows (``Hydro.step_rows``)
+    step_rows: List[dict]
+    #: the diagnostics samples rank 0 records (``None`` unprobed)
     metrics_rows: Optional[List[dict]] = None
-    metrics: Optional[Any] = None
 
     def marshalled(self) -> "RankReport":
         """The form that crosses a process boundary: the halo-sized
@@ -153,9 +149,6 @@ class DistributedHydro:
         pre-plan ``"legacy"`` protocol was removed; requesting it (or
         passing ``None``) raises
         :class:`~repro.utils.errors.DeprecatedOptionError`.
-    collect_step_series:
-        Have rank 0 record a per-step series (returned as
-        ``self.result.step_rows``).
 
     For the in-process backends the ranks are built here, once — the
     per-rank ``hydros`` and ``tracers`` (and, for ``threads``, the
@@ -175,8 +168,7 @@ class DistributedHydro:
                  watchdog_timeout: Optional[float] = None,
                  snapshot_dir: Optional[str] = None,
                  comm_plan: str = "overlap",
-                 artifacts=None,
-                 collect_step_series: bool = False):
+                 artifacts=None):
         if nranks > 1 and setup.controls.ale_on \
                 and setup.controls.ale_mode != "eulerian":
             raise BookLeafError(
@@ -212,7 +204,6 @@ class DistributedHydro:
         self.global_mesh = setup.state.mesh
         self._backend = get_backend(backend)
         self.backend_name = self._backend.name
-        self.collect_step_series = collect_step_series
         self.result: Optional[BackendRun] = None
         #: optional :class:`repro.fleet.artifacts.ArtifactCache` — the
         #: fleet attaches one so repeated same-mesh jobs reuse the
@@ -222,7 +213,6 @@ class DistributedHydro:
         # build_rank() (the processes backend builds in its children):
         self.hydros: List[Hydro] = []
         self.context = None
-        self._step_series = None
         if self.backend_name == "serial":
             self.part = None
             self.subdomains: List[Subdomain] = []
@@ -265,9 +255,10 @@ class DistributedHydro:
         share, ``board`` the launcher's
         :class:`~repro.metrics.watchdog.HeartbeatBoard`.  Observers are
         attached here, once, so a rank run for several legs keeps one
-        heartbeat and one step series.  In-process backends keep the
-        rank in ``self.hydros``; a forked child lets go of it after its
-        run (its memory is what the result pickle reuses).
+        heartbeat (and the rank one list of step rows).  In-process
+        backends keep the rank in ``self.hydros``; a forked child lets
+        go of it after its run (its memory is what the result pickle
+        reuses).
         """
         setup = self.setup
         tracer = None
@@ -305,11 +296,6 @@ class DistributedHydro:
             # one board write per completed step — always on for
             # decomposed runs; only the monitoring is opt-in
             hydro.observers.append(Heartbeat(board, rank))
-        if rank == 0 and self.collect_step_series:
-            from ..telemetry.report import StepSeries
-
-            self._step_series = StepSeries()
-            hydro.observers.append(self._step_series)
         return hydro
 
     @property
@@ -321,16 +307,14 @@ class DistributedHydro:
     def report(self, hydro: Hydro) -> RankReport:
         """What the rank built here around ``hydro`` hands back."""
         rank, probe, tracer = hydro.comms.rank, hydro.probe, hydro.timers.tracer
-        series = self._step_series if rank == 0 else None
         stats = getattr(hydro.comms, "stats", None)
         return RankReport(
             rank=rank, nstep=hydro.nstep, time=hydro.time,
             state=hydro.state, timers=hydro.timers,
             spans=tracer.spans if tracer is not None else [],
             comm=stats.as_dict() if stats is not None else None,
-            step_rows=series.rows if series is not None else None,
+            step_rows=hydro.step_rows,
             metrics_rows=probe.rows if probe is not None else None,
-            metrics=probe.registry if probe is not None else None,
         )
 
     def assemble(self, reports: List[RankReport]) -> BackendRun:
@@ -357,7 +341,6 @@ class DistributedHydro:
             comm_per_rank=[r.comm for r in reports if r.comm is not None],
             step_rows=first.step_rows,
             metrics_rows=first.metrics_rows,
-            metrics=first.metrics,
         )
 
     def run(self, max_steps: Optional[int] = None) -> int:
@@ -377,17 +360,16 @@ class DistributedHydro:
         """Rank ``rank``'s :class:`~repro.metrics.probe.DiagnosticsProbe`
         per the metrics config, or ``None`` when metrics are off.
 
-        Rank 0 carries the NDJSON sink, the in-memory record and the
-        :class:`~repro.metrics.registry.MetricsRegistry` (the sampled
-        totals are global, identical on every rank — one writer is
-        enough); the other ranks probe purely for their own sentinel
+        Rank 0 carries the NDJSON sink and the in-memory record (the
+        sampled totals are global, identical on every rank — one writer
+        is enough); the other ranks probe purely for their own sentinel
         scans and the collective participation those require.
         """
         if self.metrics_every < 1:
             return None
         import os
 
-        from ..metrics import DiagnosticsProbe, MetricsRegistry
+        from ..metrics import DiagnosticsProbe
 
         snapshot_path = None
         if self.snapshot_dir:
@@ -396,7 +378,7 @@ class DistributedHydro:
         if rank == 0:
             return DiagnosticsProbe(
                 every=self.metrics_every, sink_path=self.metrics_path,
-                registry=MetricsRegistry(), record=True,
+                record=True,
                 snapshot_path=snapshot_path, cell_global=cell_global,
             )
         return DiagnosticsProbe(
@@ -468,11 +450,8 @@ class DistributedHydro:
 
     def comm_totals(self) -> Dict[str, int]:
         """Whole-run traffic totals as a JSON-ready dict."""
-        total = {key: 0 for key in _COMM_FIELDS}
-        for entry in self.per_rank_comm():
-            for key in _COMM_FIELDS:
-                total[key] += int(entry.get(key, 0))
-        return total
+        return {key: sum(int(entry[key]) for entry in self.per_rank_comm())
+                for key in COMM_FIELDS}
 
     def comm_summary(self) -> dict:
         """Traffic totals for the whole run (perf-model inputs)."""

@@ -14,6 +14,9 @@ remap.  This module makes the seam a formal, typed API:
 * :class:`CommBackend` — a Protocol for an execution backend: the
   object that decides where the ranks of a run execute and hands their
   reports back; the driver assembles those into a :class:`BackendRun`.
+* :class:`CommStats` — the traffic counters a decomposed endpoint
+  keeps; its fields are :data:`COMM_FIELDS`, the counters of every
+  comm entry in the run report;
 * :data:`SEAM_METHODS` — the seam's method table, read off
   :class:`CommEndpoint` and used by ``tests/parallel/test_protocol.py``
   to structurally verify that both implementations cover the *full*
@@ -26,7 +29,7 @@ supported selection surface is ``repro.api.RunConfig(backend=...)``.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import (
     Any, Dict, List, Optional, Protocol, Tuple, runtime_checkable,
 )
@@ -111,6 +114,41 @@ SEAM_ATTRIBUTES: Tuple[str, ...] = ("rank", "size")
 
 
 @dataclass
+class CommStats:
+    """Per-rank traffic counters (the perf model's inputs), kept by a
+    decomposed endpoint as ``stats``.  Its fields are the counters every
+    comm entry of the run report carries (:data:`COMM_FIELDS`)."""
+
+    messages: int = 0
+    #: float64 payload bytes sent
+    bytes: int = 0
+    halo_exchanges: int = 0
+    reductions: int = 0
+    #: dt reductions performed (each charges DT_REDUCE_VALUES once,
+    #: whatever the tree shape — topology honesty lives in dt_hops)
+    dt_reductions: int = 0
+    #: combining messages *received* during dt up-sweeps: this rank's
+    #: child count summed over reductions.  The per-reduction maximum
+    #: over ranks is the tree's critical-path fan-in — ⌈log2 P⌉ for
+    #: the binomial tree vs. P−1 for the old rank-0 root gather.
+    dt_hops: int = 0
+
+    def account(self, nvalues: int, messages: int = 1) -> None:
+        """Charge ``nvalues`` float64 payload carried by ``messages``
+        logical messages (1 per packed block per neighbour)."""
+        self.messages += messages
+        self.bytes += nvalues * 8
+
+    def as_dict(self) -> dict:
+        """JSON-ready counters (one ``comm`` entry of the run report)."""
+        return asdict(self)
+
+
+#: the comm counter names, in report order — the one list of them
+COMM_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(CommStats))
+
+
+@dataclass
 class BackendRun:
     """One finished execution, assembled by the driver from the
     per-rank reports every backend hands back alike
@@ -130,12 +168,10 @@ class BackendRun:
     spans: List[list]
     #: each rank's CommStats counters as dicts
     comm_per_rank: List[dict]
-    #: rank 0's per-step time series (when step collection was on)
-    step_rows: Optional[List[dict]] = None
+    #: rank 0's step rows (``Hydro.step_rows``)
+    step_rows: List[dict]
     #: rank 0's recorded diagnostics samples (when live metrics were on)
     metrics_rows: Optional[List[dict]] = None
-    #: rank 0's live :class:`~repro.metrics.registry.MetricsRegistry`
-    metrics: Optional[Any] = None
 
 
 @runtime_checkable

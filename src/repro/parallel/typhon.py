@@ -55,7 +55,6 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -65,6 +64,7 @@ from ..perf.workspace import Workspace
 from ..utils.errors import CommError
 from .commplan import CommPlan, SECTIONS, _widths, compile_plans
 from .halo import Subdomain
+from .interface import COMM_FIELDS, CommStats
 
 _FLOAT_BYTES = 8
 
@@ -116,46 +116,6 @@ def tree_children(rank: int, size: int) -> List[int]:
         children.append(child)
         k += 1
     return children
-
-
-@dataclass
-class CommStats:
-    """Per-rank traffic counters (the perf model's inputs)."""
-
-    messages: int = 0
-    bytes_sent: int = 0
-    halo_exchanges: int = 0
-    reductions: int = 0
-    #: dt reductions performed (each charges DT_REDUCE_VALUES once,
-    #: whatever the tree shape — topology honesty lives in dt_hops)
-    dt_reductions: int = 0
-    #: combining messages *received* during dt up-sweeps: this rank's
-    #: child count summed over reductions.  The per-reduction maximum
-    #: over ranks is the tree's critical-path fan-in — ⌈log2 P⌉ for
-    #: the binomial tree vs. P−1 for the old rank-0 root gather.
-    dt_hops: int = 0
-
-    def account(self, nvalues: int, messages: int = 1) -> None:
-        """Charge ``nvalues`` float64 payload carried by ``messages``
-        logical messages (1 per packed block per neighbour)."""
-        self.messages += messages
-        self.bytes_sent += nvalues * _FLOAT_BYTES
-
-    def bytes_per_step(self, steps: int) -> float:
-        """Traffic volume normalised per step (the scaling curves'
-        x-axis companion; 0.0 for an unstepped run)."""
-        return self.bytes_sent / steps if steps else 0.0
-
-    def as_dict(self) -> dict:
-        """JSON-ready counters (the run report's ``comm`` entries)."""
-        return {
-            "messages": self.messages,
-            "bytes": self.bytes_sent,
-            "halo_exchanges": self.halo_exchanges,
-            "reductions": self.reductions,
-            "dt_reductions": self.dt_reductions,
-            "dt_hops": self.dt_hops,
-        }
 
 
 class Transport:
@@ -272,15 +232,8 @@ class TyphonContext(Transport):
     # whole-run views (every rank's counters live in this process)
     # ------------------------------------------------------------------
     def total_stats(self) -> CommStats:
-        total = CommStats()
-        for s in self.stats:
-            total.messages += s.messages
-            total.bytes_sent += s.bytes_sent
-            total.halo_exchanges += s.halo_exchanges
-            total.reductions += s.reductions
-            total.dt_reductions += s.dt_reductions
-            total.dt_hops += s.dt_hops
-        return total
+        return CommStats(**{name: sum(getattr(s, name) for s in self.stats)
+                            for name in COMM_FIELDS})
 
     def traffic_matrix(self) -> np.ndarray:
         """(size, size) static bytes-per-step estimate between rank

@@ -10,7 +10,10 @@ observability artefacts:
   — hierarchical trace spans (run → step → phase → kernel) recorded
   with monotonic clocks, one tracer per rank, merged deterministically,
 * :mod:`repro.telemetry.report` — the schema-versioned JSON run report
-  (``bookleaf run --report out.json``),
+  (``bookleaf run --report out.json``), one view of the finished run
+  (merged timers, per-rank comm counters, the driver's step rows
+  ``Hydro.step_rows``, the last diagnostics sample); the Prometheus
+  snapshot (:mod:`repro.metrics.prometheus`) is another,
 * :mod:`repro.telemetry.trace` — the Chrome trace-event file loadable
   in Perfetto (``bookleaf run --trace out.trace.json``),
 * :mod:`repro.telemetry.table2` — the measured-vs-modeled Table II
@@ -25,7 +28,8 @@ observability artefacts:
   dashboard.
 
 Telemetry is off by default and adds nothing to the hot loop beyond a
-``tracer is None`` check per timer region; see docs/OBSERVABILITY.md.
+``tracer is None`` check per timer region and the one step row
+``Hydro`` keeps per step; see docs/OBSERVABILITY.md.
 It adds nothing to start-up either: the names below resolve on first
 use (:mod:`repro.utils.lazy`), so ``--report`` loads the report and
 span modules and not the sampler, the sweep trace or — through
@@ -36,7 +40,6 @@ from ..utils.lazy import lazy_exports
 
 _EXPORTS = {
     "SCHEMA_VERSION": ".report",
-    "StepSeries": ".report",
     "build_report": ".report",
     "schema_shape": ".report",
     "validate_report": ".report",

@@ -3,9 +3,9 @@
 One run produces one report: the problem configuration, per-kernel
 seconds/calls/allocation counters (the measured Table II column), the
 Typhon communication counters (total and per rank, in rank order) and
-a per-step time series.  The report is the machine-readable companion
-to the human breakdown the CLI prints — the artefact every perf PR
-regresses against.
+the per-step rows the driver recorded (``Hydro.step_rows``).  The
+report is the machine-readable companion to the human breakdown the
+CLI prints — the artefact every perf PR regresses against.
 
 The schema is versioned and *pinned by a golden test*
 (``tests/telemetry/test_report.py``): changing the shape of the report
@@ -18,49 +18,26 @@ accident.  docs/OBSERVABILITY.md carries the annotated example.
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Sequence, Union
 
+from ..parallel.interface import COMM_FIELDS
 from ..utils.timers import TimerRegistry
 
 #: bump when (and only when) the report shape changes; the golden test
 #: pins shape + version together
 #: v2: added the ``diagnostics`` key (the final live-metrics sample —
 #: conservation drifts, extrema; null when the run carried no probe)
-SCHEMA_VERSION = 2
+#: v3: every comm entry carries all six ``CommStats`` counters
+#: (``dt_reductions`` and ``dt_hops`` added)
+SCHEMA_VERSION = 3
 
 GENERATOR = "repro.telemetry"
 
-#: counters every comm entry carries (total and per-rank alike)
-COMM_FIELDS = ("messages", "bytes", "halo_exchanges", "reductions")
-
-#: fields of one step record in the time series
+#: fields of one step row (``Hydro.step_rows``): step number,
+#: simulated time, the dt taken and why, and the wall-clock seconds
+#: the step cost
 STEP_FIELDS = ("nstep", "time", "dt", "dt_reason", "wall_seconds")
-
-
-class StepSeries:
-    """Hydro observer recording the step-loop time series.
-
-    Appends one record per step: step number, simulated time, the dt
-    taken (and why), and the wall-clock seconds the step cost
-    (measured between observer invocations with a monotonic clock).
-    """
-
-    def __init__(self) -> None:
-        self.rows: List[dict] = []
-        self._last_ns = time.perf_counter_ns()
-
-    def __call__(self, hydro) -> None:
-        now = time.perf_counter_ns()
-        self.rows.append({
-            "nstep": hydro.nstep,
-            "time": hydro.time,
-            "dt": hydro.dt,
-            "dt_reason": hydro.dt_reason,
-            "wall_seconds": (now - self._last_ns) * 1e-9,
-        })
-        self._last_ns = now
 
 
 def _kernel_entry(timer) -> dict:
@@ -77,7 +54,7 @@ def build_report(problem: dict, timers: TimerRegistry, *,
                  ranks: int = 1, partition: Optional[str] = None,
                  comm_total: Optional[dict] = None,
                  comm_per_rank: Optional[List[dict]] = None,
-                 step_series: Optional[StepSeries] = None,
+                 step_rows: Sequence[dict] = (),
                  diagnostics: Optional[dict] = None) -> dict:
     """Assemble the run report dict (see module docstring for shape).
 
@@ -101,7 +78,6 @@ def build_report(problem: dict, timers: TimerRegistry, *,
         name: _kernel_entry(timer)
         for name, timer in sorted(timers.timers.items())
     }
-    series = [dict(row) for row in step_series.rows] if step_series else []
     return {
         "schema_version": SCHEMA_VERSION,
         "generator": GENERATOR,
@@ -115,7 +91,7 @@ def build_report(problem: dict, timers: TimerRegistry, *,
         },
         "kernels": kernels,
         "comm": {"total": comm_total, "per_rank": per_rank},
-        "steps": series,
+        "steps": [dict(row) for row in step_rows],
         "diagnostics": dict(diagnostics) if diagnostics else None,
     }
 

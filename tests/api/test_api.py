@@ -65,18 +65,16 @@ def test_threads_and_processes_bit_identical_through_api():
 def test_report_shape_and_step_series():
     from repro.telemetry.report import SCHEMA_VERSION
 
-    result = run(_config(nranks=2, backend="processes",
-                         trace=True, collect_steps=True))
+    result = run(_config(nranks=2, backend="processes", trace=True))
     assert result.step_rows and len(result.step_rows) == result.nstep
     assert result.spans
     report = result.report()
     assert report["schema_version"] == SCHEMA_VERSION
     assert report["run"]["ranks"] == 2
     assert len(report["steps"]) == result.nstep
-    # The report pins its comm schema to the four classic counters;
-    # comm_total additionally carries the dt-topology fields.
-    total = report["comm"]["total"]
-    assert total == {k: result.comm_total[k] for k in total}
+    # The report's comm entries are the CommStats counters, all six.
+    assert report["comm"]["total"] == result.comm_total
+    assert report["comm"]["per_rank"] == result.comm_per_rank
     assert result.comm_total["dt_reductions"] > 0
 
 

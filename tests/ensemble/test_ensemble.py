@@ -5,7 +5,7 @@ sweep routing onto lanes."""
 import numpy as np
 import pytest
 
-from repro.api import RunConfig, submit
+from repro.api import RunConfig, run, submit
 from repro.cli import main as cli_main
 from repro.ensemble.driver import EnsembleHydro
 from repro.problems import load_problem
@@ -44,13 +44,11 @@ def test_non_serial_backend_rejected():
 
 
 @pytest.mark.parametrize("reason", ["trace", "trace_allocations",
-                                    "profile", "collect_steps",
-                                    "bc_driver"])
+                                    "profile", "bc_driver"])
 def test_override_job_outside_the_table_is_refused(tmp_path, reason):
     """The rest of the table (nranks and backend are the two tests
     above).  An override job that cannot batch is never run per-job
-    with its override dropped — ``collect_steps`` used to come back
-    as a lane with ``step_rows=None``."""
+    with its override dropped."""
     if reason == "bc_driver":
         configs = [RunConfig(problem="kidder", nx=8, ny=8, max_steps=3)] * 2
     else:
@@ -166,6 +164,29 @@ def test_lane_report_builds():
     report = result.report()
     assert report["run"]["steps"] == 8
     assert "getq" in report["kernels"]
+
+
+def _step_keys(rows):
+    return [(r["nstep"], r["time"], r["dt"], r["dt_reason"]) for r in rows]
+
+
+def test_lane_step_rows_equal_the_solo_runs():
+    """Every lane is a ``Hydro`` and records its own step rows — a lane
+    carried across a refill included (job 1 here rides two batches)."""
+    configs = [RunConfig(problem="sod", nx=12, ny=12, max_steps=s)
+               for s in (6, 14, 10)]
+    handle = submit(configs, batch_width=2)
+    results = handle.results()
+    assert [r.backend for r in results] == ["ensemble"] * 3
+    (refill,) = [e for e in handle.schedule_log
+                 if e["event"] == "lane_refill"]
+    assert refill["carried"] == [1]
+    for config, result in zip(configs, results):
+        solo = run(config)
+        assert len(result.step_rows) == config.max_steps
+        assert _step_keys(result.step_rows) == _step_keys(solo.step_rows)
+        assert _step_keys(result.report()["steps"]) == \
+            _step_keys(solo.step_rows)
 
 
 # ----------------------------------------------------------------------

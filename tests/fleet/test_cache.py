@@ -39,17 +39,41 @@ def test_store_load_round_trip(tmp_path):
     assert cache.stats()["hits"] == 1
 
 
-def test_loaded_result_carries_stored_report(tmp_path):
-    config = _cfg(collect_steps=True)
+def _stored_then_loaded(tmp_path, config):
     result = run(config)
     cache = ResultCache(str(tmp_path))
     key = job_key(config)
     cache.store(key, result)
-    loaded = cache.load(key, config)
+    # The report is the entry's one copy of the step rows and the comm
+    # counters.
+    assert not {"step_rows", "comm_total", "comm_per_rank"} \
+        & set(cache.meta(key))
+    return result, cache.load(key, config)
+
+
+def test_loaded_result_carries_stored_report(tmp_path):
+    result, loaded = _stored_then_loaded(tmp_path, _cfg())
     # The stored report is served verbatim (timers are not
-    # reconstructable across processes).
-    assert loaded.report_override is not None
-    assert loaded.report()["run"]["steps"] == result.report()["run"]["steps"]
+    # reconstructable across processes), and the result's step rows
+    # and comm counters are the report's own lists.
+    report = loaded.report()
+    assert report is loaded.report_override
+    assert report["run"]["steps"] == result.report()["run"]["steps"]
+    assert loaded.step_rows is report["steps"]
+    assert loaded.step_rows == result.step_rows
+    assert len(loaded.step_rows) == result.nstep
+    assert loaded.comm_per_rank is report["comm"]["per_rank"] == []
+    assert loaded.comm_total is None
+
+
+def test_loaded_decomposed_result_reads_comm_from_report(tmp_path):
+    result, loaded = _stored_then_loaded(tmp_path, _cfg(nranks=2))
+    report = loaded.report()
+    assert loaded.comm_total is report["comm"]["total"]
+    assert loaded.comm_per_rank is report["comm"]["per_rank"]
+    assert loaded.comm_total == result.comm_total
+    assert loaded.comm_per_rank == result.comm_per_rank
+    assert loaded.step_rows == result.step_rows
 
 
 def test_digest_excludes_wall_time(tmp_path):

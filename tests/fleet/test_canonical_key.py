@@ -17,11 +17,11 @@ from repro.api import CANONICAL_KEY_VERSION, RunConfig
 from repro.fleet import job_key
 
 GOLDEN_KEY = \
-    "483a0e7f3f70f4c5b7891fff764be9aa83fb88bd03497f4e99fba6358eadd91a"
+    "4ff44db5715fda9c00158ea2c28da86c60124aeb637c8b74fbc29f4d9ec00c26"
 
 
 def test_golden_key_is_pinned():
-    assert CANONICAL_KEY_VERSION == 2
+    assert CANONICAL_KEY_VERSION == 3
     assert __version__ == "1.1.0", (
         "version bump: recompute GOLDEN_KEY (the code version enters "
         "the cache key so stale caches self-invalidate)")
@@ -41,7 +41,7 @@ def test_key_identical_for_default_vs_explicit():
     implicit = RunConfig(problem="noh", nx=16, ny=16, max_steps=10)
     explicit = RunConfig(problem="noh", nx=16, ny=16, max_steps=10,
                          nranks=1, backend="auto", partition="rcb",
-                         collect_steps=False, problem_kwargs={})
+                         problem_kwargs={})
     assert implicit.canonical_key() == explicit.canonical_key()
 
 
@@ -87,7 +87,7 @@ def test_key_ignores_telemetry_only_fields():
     ("backend", "threads"),
     ("partition", "spectral"),
     ("metrics_every", 5),
-    ("collect_steps", True),
+    ("comm_plan", "packed"),
     ("problem_kwargs", {"pressure_left": 2.0}),
 ])
 def test_key_changes_with_physics_fields(field, value):

@@ -124,3 +124,24 @@ def test_killed_job_resumes_bit_identical(tmp_path, case):
     steps = [e["step"] for e in handle.events
              if e["event"] == "job_checkpointed"]
     assert steps == [5, 10, 15, 20]
+
+
+def _step_keys(rows):
+    return [(r["nstep"], r["time"], r["dt"], r["dt_reason"]) for r in rows]
+
+
+def test_killed_job_returns_every_step_row(tmp_path):
+    """The step rows ride the checkpoint: a job SIGKILLed at step 10
+    and resumed from its step-10 checkpoint returns all 20 rows, as
+    does its report — not only the 10 the retry stepped."""
+    config = RunConfig(problem="noh", nx=12, ny=12, max_steps=20)
+    uninterrupted = run(config)
+    handle = submit([config], workers=1, ensemble="off",
+                    checkpoint_dir=str(tmp_path), checkpoint_every=5,
+                    fault_steps={0: 10})
+    result = handle.results()[0]
+    assert "checkpoint_resume" in _events(handle)
+    expected = _step_keys(uninterrupted.step_rows)
+    assert [row[0] for row in expected] == list(range(1, 21))
+    assert _step_keys(result.step_rows) == expected
+    assert _step_keys(result.report()["steps"]) == expected

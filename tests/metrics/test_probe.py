@@ -15,6 +15,7 @@ import pytest
 
 from repro.api import RunConfig, run
 from repro.metrics import METRICS_SCHEMA_VERSION, DiagnosticsProbe
+from repro.metrics.prometheus import exposition, run_samples
 from repro.problems import load_problem
 
 REQUIRED_KEYS = {
@@ -75,7 +76,7 @@ def test_metrics_off_is_bit_identical():
     either."""
     off = run(_config(metrics_every=0))
     on = run(_config(metrics_every=1))
-    assert off.metrics_rows is None and off.metrics is None
+    assert off.metrics_rows is None
     assert off.nstep == on.nstep and off.time == on.time
     for name in ("x", "y", "u", "v", "rho", "e", "p"):
         assert np.array_equal(getattr(off.state, name),
@@ -121,15 +122,23 @@ def test_threads_processes_metrics_bit_identical(tmp_path):
 
 
 def test_registry_carries_physics_timers_and_comm():
+    """The exposition is a view of the finished run: the last
+    diagnostics row, the merged timers and every rank's counters."""
     result = run(_config(metrics_every=5, nranks=2, backend="threads"))
-    dump = result.metrics.as_dict()
-    assert "energy_drift" in dump
-    assert "kernel_seconds_total" in dump
-    comm = dump["comm_messages_total"]
-    assert sorted(e["labels"]["rank"] for e in comm) == ["0", "1"]
-    prom = result.metrics.prometheus()
+    prom = exposition(run_samples(result.timers, result.comm_per_rank,
+                                  result.metrics_rows))
+    final = result.metrics_rows[-1]
     assert "# TYPE bookleaf_energy_drift gauge" in prom
-    assert 'bookleaf_comm_messages_total{rank="0"}' in prom
+    assert f'bookleaf_total_energy{{rank="0"}} {final["total_energy"]!r}' \
+        in prom
+    assert (f'bookleaf_diagnostics_samples_total{{rank="0"}} '
+            f'{len(result.metrics_rows)}') in prom
+    calls = result.timers.timers["getq"].calls
+    assert f'bookleaf_kernel_calls_total{{kernel="getq"}} {calls}' in prom
+    for rank, entry in enumerate(result.comm_per_rank):
+        for name, value in entry.items():
+            assert f'bookleaf_comm_{name}_total{{rank="{rank}"}} {value}' \
+                in prom
 
 
 def test_step_driven_probe_baselines_on_first_observation():

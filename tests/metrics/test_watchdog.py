@@ -15,6 +15,7 @@ raised error — never a silent hang at the next collective.
 
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -97,13 +98,26 @@ def _misbehave_on_rank(monkeypatch, rank, action, at_step=3):
 def test_threads_wedged_rank_trips_watchdog(monkeypatch):
     """A rank that stops stepping (wedged, not crashed): the watchdog
     must abort the peers and the run must end with the stall named."""
-    _misbehave_on_rank(monkeypatch, 1, lambda hydro: time.sleep(60.0))
+    unwedge = threading.Event()
+    _misbehave_on_rank(monkeypatch, 1, lambda hydro: unwedge.wait(60.0))
     setup = load_problem("noh", nx=16, ny=16)
     driver = DistributedHydro(setup, 2, backend="threads",
                               watchdog_timeout=0.5)
-    with pytest.warns(StalledRankWarning, match="rank 1") as warned:
-        with pytest.raises(BookLeafError, match="run aborted"):
-            driver.run(max_steps=20)
+    try:
+        with pytest.warns(StalledRankWarning, match="rank 1") as warned:
+            with pytest.raises(BookLeafError, match="run aborted"):
+                driver.run(max_steps=20)
+    finally:
+        # The wedged rank thread outlives the run; let it fail on its
+        # aborted comms now, or it wakes a minute later inside some
+        # other test (and its step's allocations inside that test's
+        # tracemalloc window).
+        unwedge.set()
+        ranks = [t for t in threading.enumerate()
+                 if t.name.startswith("rank")]
+        for thread in ranks:
+            thread.join(timeout=10.0)
+        assert not any(thread.is_alive() for thread in ranks)
     message = str(next(w.message for w in warned
                        if isinstance(w.message, StalledRankWarning)))
     assert "no heartbeat within 0.5s" in message

@@ -38,8 +38,8 @@ PARALLEL = SRC / "parallel"
 BACKENDS = PARALLEL / "backends"
 
 #: what only the rank builder/assembler may construct
-RANK_CALLS = ("Hydro", "Tracer", "TimerRegistry", "StepSeries",
-              "Heartbeat", "StepLogger", "local_state", "BackendRun")
+RANK_CALLS = ("Hydro", "Tracer", "TimerRegistry", "Heartbeat",
+              "StepLogger", "local_state", "BackendRun")
 
 #: calls only the protocol makes: ``x.pack(``, ``x.peer_blocks(``,
 #: ``CommStats(`` and ``stats.account(``

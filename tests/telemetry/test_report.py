@@ -1,4 +1,4 @@
-"""Run-report schema: golden-file pin, validation, step series.
+"""Run-report schema: golden-file pin, validation, step rows.
 
 The golden file pins the report's *shape* (every key path and value
 type, with data-like maps collapsed).  If it fails after an intended
@@ -15,11 +15,10 @@ from pathlib import Path
 import pytest
 
 from repro.core.hydro import Hydro
-from repro.parallel import DistributedHydro
+from repro.parallel import CommStats, DistributedHydro
 from repro.problems import load_problem
 from repro.telemetry import (
     SCHEMA_VERSION,
-    StepSeries,
     Tracer,
     build_report,
     schema_shape,
@@ -35,15 +34,13 @@ def serial_report() -> dict:
     setup = load_problem("noh", nx=12, ny=12)
     timers = TimerRegistry()
     timers.tracer = Tracer()
-    series = StepSeries()
     hydro = Hydro(setup.state, setup.table, setup.controls, timers=timers)
-    hydro.observers.append(series)
     t0 = time.perf_counter()
     hydro.run(max_steps=5)
     return build_report(
         setup.describe(), timers, steps=hydro.nstep,
         time_reached=hydro.time, wall_seconds=time.perf_counter() - t0,
-        step_series=series,
+        step_rows=hydro.step_rows,
     )
 
 
@@ -52,8 +49,6 @@ def distributed_report() -> dict:
     # shape (a live-metrics sample), not just the serial ``null``.
     setup = load_problem("noh", nx=16, ny=16)
     driver = DistributedHydro(setup, 2, trace=True, metrics_every=5)
-    series = StepSeries()
-    driver.hydros[0].observers.append(series)
     t0 = time.perf_counter()
     driver.run(max_steps=5)
     return build_report(
@@ -62,7 +57,7 @@ def distributed_report() -> dict:
         ranks=2, partition="rcb",
         comm_total=driver.context.total_stats().as_dict(),
         comm_per_rank=driver.per_rank_comm(),
-        step_series=series,
+        step_rows=driver.result.step_rows,
         diagnostics=driver.result.metrics_rows[-1],
     )
 
@@ -98,7 +93,9 @@ def test_distributed_report_has_nonzero_per_rank_comm():
         assert entry["halo_exchanges"] > 0
         assert entry["reductions"] > 0
     total = report["comm"]["total"]
-    for key in ("messages", "bytes", "halo_exchanges", "reductions"):
+    # every CommStats counter, summed over the ranks
+    assert list(total) == list(CommStats().as_dict())
+    for key in total:
         assert total[key] == sum(e[key] for e in per_rank)
 
 

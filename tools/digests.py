@@ -75,12 +75,11 @@ def result_digest(result) -> str:
                   [row["dt"] for row in result.step_rows])
 
 
-def record_dts(hydro) -> list:
-    """The dt series of ``hydro`` — a solo driver or an ensemble lane,
-    the same observer on either; fills as it steps."""
-    dts = []
-    hydro.observers.append(lambda h: dts.append(h.dt))
-    return dts
+def hydro_digest(hydro) -> str:
+    """Digest of a solo driver or an ensemble lane, its dt series read
+    off its step rows."""
+    return digest(hydro.state, hydro.time, hydro.nstep,
+                  [row["dt"] for row in hydro.step_rows])
 
 
 def lane_digests(setups) -> list:
@@ -88,10 +87,8 @@ def lane_digests(setups) -> list:
     from repro.ensemble.driver import EnsembleHydro
 
     batch = EnsembleHydro(setups, max_steps=[STEPS] * len(setups))
-    dts = [record_dts(lane) for lane in batch.lanes]
     batch.run()
-    return [digest(lane.state, lane.time, lane.nstep, lane_dts)
-            for lane, lane_dts in zip(batch.lanes, dts)]
+    return [hydro_digest(lane) for lane in batch.lanes]
 
 
 def row(label, fn, each="lane"):
@@ -120,7 +117,6 @@ def problem_rows() -> int:
         for ale in (False, True) if "ale_on" in settings else (False,):
             base = RunConfig(
                 problem=problem, nx=SIZE, ny=SIZE, max_steps=STEPS,
-                collect_steps=True,
                 problem_kwargs={"ale_on": True} if ale else {})
             tag = f"{problem}{' ale' if ale else ''}"
             row(f"{tag} serial", lambda: result_digest(run(base)))
@@ -156,8 +152,8 @@ def spectral_rows():
 
     for nranks in (2, 4):
         config = RunConfig(problem="noh", nx=32, ny=32, max_steps=STEPS,
-                           collect_steps=True, nranks=nranks,
-                           backend="threads", partition="spectral")
+                           nranks=nranks, backend="threads",
+                           partition="spectral")
         mesh = config.build_setup().state.mesh
         row(f"noh 32x32 spectral x{nranks} partition",
             lambda: hashlib.sha256(
@@ -184,8 +180,7 @@ def cutoff_rows() -> int:
         finally:
             viscosity.SUBSET_MAX_FRACTION = cutoff
 
-    base = RunConfig(problem="sedov", nx=24, ny=24, max_steps=1000,
-                     collect_steps=True)
+    base = RunConfig(problem="sedov", nx=24, ny=24, max_steps=1000)
     tag = "sedov 24x24 to t_end, crosses the active-edge cutoff at step"
     wrong = 0
     for label, config in (
@@ -200,9 +195,11 @@ def cutoff_rows() -> int:
 
 
 def fleet_digest(result) -> str:
-    """The dt series comes from the diagnostics rows (cadence 1): they
-    ride the cache entry, the checkpoint and a carried lane's probe, so
-    a resumed or refilled job carries the steps it ran elsewhere."""
+    """The dt series comes from the diagnostics rows (cadence 1, the
+    step-0 baseline included).  They ride the cache entry, the
+    checkpoint and a carried lane's probe exactly as the step rows do,
+    and keep these digests comparable with revisions whose step rows
+    did not."""
     return digest(result.state, result.time, result.nstep,
                   [rec["dt"] for rec in result.metrics_rows])
 
@@ -321,10 +318,9 @@ def offgrid_rows():
     def solo(kind):
         setup = offgrid_setup(kind)
         hydro = Hydro(setup.state, setup.table, setup.controls)
-        dts = record_dts(hydro)
         for _ in range(STEPS):
             hydro.step()
-        return digest(hydro.state, hydro.time, hydro.nstep, dts)
+        return hydro_digest(hydro)
 
     for kind in ("permuted", "pinwheel"):
         row(f"offgrid {kind} serial", lambda: solo(kind))
