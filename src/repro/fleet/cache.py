@@ -11,17 +11,30 @@ instead of re-executing — the deck, every resolved control, the rank
 count, the backend and the code version all enter the key, so a hit is
 exactly "this run already happened".
 
-Storage layout under the cache root, two files per entry, both written
-atomically (:func:`repro.output.restart.atomic_write`) so a killed
-worker never leaves a half-entry::
+Storage layout under the cache root: one file per entry, written in
+one :func:`repro.output.restart.atomic_write` so a killed worker never
+leaves a half-entry::
 
-    <key>.npz    final-state arrays (``HydroState.arrays()``)
-    <key>.json   scalars + report + metrics rows (the meta document)
+    <key>.entry   8-byte little-endian header length
+                  header: the meta document (scalars, report, metrics
+                          rows, the outcome ``digest``) plus an
+                          ``arrays`` table of name, dtype, shape, offset
+                  the raw bytes of ``HydroState.arrays()``, sorted by name
 
-An entry that cannot be read back (truncated npz, corrupt json) is a
-*miss*, not a traceback: :meth:`ResultCache.load` evicts it, counts it
-and raises :class:`~repro.utils.errors.SnapshotError` for the engine to
-log as ``cache_corrupt`` and re-run the job.
+A load is one ``read()``: the arrays are ``np.frombuffer`` views of it,
+the outcome digest (:func:`state_digest`) is recomputed from those bytes
+and compared, and :meth:`HydroState.overlay` copies them into the live
+planes of a setup built from the config.  Every hit gets its own state
+arrays; the immutable :class:`~repro.mesh.topology.QuadMesh` under them
+is built once per distinct mesh per :class:`ResultCache`
+(:func:`repro.mesh.generator.shared_meshes`) and shared.
+
+An entry that cannot be read back (truncated, a bad header, another
+schema version, a digest mismatch) is a *miss*, not a traceback:
+:meth:`ResultCache.load` evicts it, counts it and raises
+:class:`~repro.utils.errors.SnapshotError` for the engine to log as
+``cache_corrupt`` and re-run the job.  Entries of an older layout (the
+v2 ``<key>.npz`` + ``<key>.json`` pair) are never read: a miss.
 
 The same store doubles as the worker pool's result spool: workers
 persist outcomes here and the parent re-materialises them by key, so a
@@ -32,15 +45,22 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
+
+import numpy as np
 
 from ..utils.errors import FleetError, SnapshotError
 from ..utils.timers import TimerRegistry
 
 #: on-disk entry layout version (bumped on any stored-shape change)
 #: v2: step rows and comm counters live only in the stored report
-CACHE_SCHEMA_VERSION = 2
+#: v3: one ``<key>.entry`` file — header, then the raw state arrays
+CACHE_SCHEMA_VERSION = 3
+
+#: bytes of the header-length prefix of an entry
+_PREFIX = 8
 
 
 def job_key(config, override: Optional[Dict[str, Any]] = None) -> str:
@@ -65,22 +85,114 @@ def state_digest(state, nstep: int, time: float,
     kernel timers are deliberately excluded — they are never
     reproducible — so this is the value the kill-and-resume CI gate
     compares bit-for-bit."""
-    h = hashlib.sha256()
     arrays = state.arrays()
-    for name in sorted(arrays):
+    return _digest(((name, arrays[name].tobytes()) for name in sorted(arrays)),
+                   nstep, time, metrics_rows)
+
+
+def _digest(planes, nstep: int, time: float, metrics_rows) -> str:
+    """:func:`state_digest` over ``(name, raw bytes)`` pairs in sorted
+    name order — a live state's or a stored entry's."""
+    h = hashlib.sha256()
+    for name, data in planes:
         h.update(name.encode())
-        h.update(arrays[name].tobytes())
+        h.update(data)
     h.update(f"nstep={int(nstep)};time={float(time)!r}".encode())
     if metrics_rows:
         h.update(json.dumps(metrics_rows, sort_keys=True).encode())
     return h.hexdigest()
 
 
+def _decode_header(path: str, raw: bytes, size: int) -> Tuple[dict, int]:
+    """``(meta document, offset of the array region)`` of an entry of
+    ``size`` bytes whose first bytes are ``raw`` (at least the prefix
+    and the header)."""
+    if size < _PREFIX:
+        raise SnapshotError(f"cannot read {path}: {size} bytes, "
+                            f"shorter than the {_PREFIX}-byte prefix")
+    end = _PREFIX + int.from_bytes(raw[:_PREFIX], "little")
+    if end > size:
+        raise SnapshotError(f"cannot read {path}: header runs to byte "
+                            f"{end} of {size}")
+    try:
+        meta = json.loads(raw[_PREFIX:end])
+    except ValueError as exc:     # UnicodeDecodeError is one
+        raise SnapshotError(f"cannot read {path}: undecodable header "
+                            f"({type(exc).__name__}: {exc})") from exc
+    version = meta.get("schema_version") if isinstance(meta, dict) else None
+    if version != CACHE_SCHEMA_VERSION:
+        raise SnapshotError(f"cannot read {path}: cache schema version "
+                            f"{version!r}, expected {CACHE_SCHEMA_VERSION}")
+    return meta, end
+
+
+def _decode_arrays(path: str, raw: bytes, meta: dict,
+                   start: int) -> Dict[str, np.ndarray]:
+    """The stored state arrays, as views of ``raw``, after checking the
+    outcome digest against the bytes they view."""
+    arrays, planes = {}, []
+    view = memoryview(raw)
+    end = start
+    try:
+        for doc in meta["arrays"]:
+            dtype, shape = np.dtype(doc["dtype"]), tuple(doc["shape"])
+            count = math.prod(shape)
+            lo = start + int(doc["offset"])
+            end = lo + dtype.itemsize * count
+            if end > len(raw):
+                raise SnapshotError(f"cannot read {path}: truncated, "
+                                    f"{doc['name']!r} ends past byte "
+                                    f"{len(raw)}")
+            arrays[doc["name"]] = np.frombuffer(
+                raw, dtype, count, lo).reshape(shape)
+            planes.append((doc["name"], view[lo:end]))
+        digest = _digest(planes, meta["nstep"], meta["time"],
+                         meta.get("metrics_rows"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SnapshotError(f"cannot read {path}: bad array table "
+                            f"({type(exc).__name__}: {exc})") from exc
+    if end != len(raw):
+        raise SnapshotError(f"cannot read {path}: the array table ends at "
+                            f"byte {end}, the file at byte {len(raw)}")
+    if digest != meta.get("digest"):
+        raise SnapshotError(f"cannot read {path}: the stored outcome "
+                            "fails its digest check")
+    return arrays
+
+
+def _result_fields(path: str, meta: dict) -> Dict[str, Any]:
+    """The :class:`RunResult` fields a meta document stores."""
+    from ..telemetry.spans import Span
+
+    try:
+        report = meta["report"]
+        return dict(
+            backend=meta["backend"],
+            nranks=meta["nranks"],
+            nstep=meta["nstep"],
+            time=meta["time"],
+            wall_seconds=meta["wall_seconds"],
+            spans=[Span(**doc) for doc in (meta.get("spans") or [])],
+            comm_total=(report["comm"]["total"] if meta["nranks"] > 1
+                        else None),
+            comm_per_rank=report["comm"]["per_rank"],
+            step_rows=report["steps"],
+            comm_summary=meta.get("comm_summary"),
+            metrics_rows=meta.get("metrics_rows"),
+            lane=meta.get("lane"),
+            report_override=report,
+        )
+    except (KeyError, TypeError) as exc:
+        raise SnapshotError(f"cannot read {path}: incomplete meta document "
+                            f"({type(exc).__name__}: {exc})") from exc
+
+
 class ResultCache:
     """On-disk content-addressed store of run outcomes.
 
     ``hits``/``misses``/``stores``/``corrupt`` counters feed the fleet
-    summary.
+    summary.  ``meshes`` (content hash → mesh) holds the one mesh every
+    hit on a given mesh shares.
     """
 
     def __init__(self, root: str):
@@ -90,24 +202,30 @@ class ResultCache:
         self.misses = 0
         self.stores = 0
         self.corrupt = 0
+        self.meshes: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
-    def _paths(self, key: str):
-        return (os.path.join(self.root, f"{key}.npz"),
-                os.path.join(self.root, f"{key}.json"))
+    def _path(self, key: str) -> str:
+        return os.path.join(self.root, f"{key}.entry")
 
     def has(self, key: str) -> bool:
-        npz, meta = self._paths(key)
-        return os.path.exists(npz) and os.path.exists(meta)
+        return os.path.exists(self._path(key))
 
     # ------------------------------------------------------------------
     def store(self, key: str, result) -> None:
         """Persist one finished :class:`RunResult` under ``key``
         (atomic: a concurrent reader sees the old entry or the new one,
         never a torn one)."""
-        from ..output.restart import atomic_write, write_npz
+        from ..output.restart import atomic_write
 
-        npz_path, meta_path = self._paths(key)
+        arrays = result.state.arrays()
+        planes = [(name, arrays[name].tobytes()) for name in sorted(arrays)]
+        table, offset = [], 0
+        for name, data in planes:
+            table.append({"name": name, "dtype": arrays[name].dtype.str,
+                          "shape": list(arrays[name].shape),
+                          "offset": offset})
+            offset += len(data)
         meta = {
             "schema_version": CACHE_SCHEMA_VERSION,
             "key": key,
@@ -125,31 +243,50 @@ class ResultCache:
             "spans": ([s.as_dict() for s in result.spans]
                       if result.spans else None),
             "comm_summary": result.comm_summary,
-            "digest": state_digest(result.state, result.nstep,
-                                   result.time, result.metrics_rows),
+            "digest": _digest(planes, result.nstep, result.time,
+                              result.metrics_rows),
+            "arrays": table,
         }
-        write_npz(npz_path, result.state.arrays())
-        atomic_write(meta_path, lambda fh: fh.write(
-            json.dumps(meta, default=repr).encode("utf-8")))
+        header = json.dumps(meta, default=repr).encode("utf-8")
+        # pad so the array region starts 8-byte aligned
+        header += b" " * (-(_PREFIX + len(header)) % 8)
+
+        def write(fh):
+            fh.write(len(header).to_bytes(_PREFIX, "little"))
+            fh.write(header)
+            for _, data in planes:
+                fh.write(data)
+
+        atomic_write(self._path(key), write)
         self.stores += 1
 
     # ------------------------------------------------------------------
     def meta(self, key: str) -> dict:
-        """The meta document of a stored entry."""
-        meta_path = self._paths(key)[1]
+        """The meta document of a stored entry (its header only)."""
+        path = self._path(key)
         try:
-            with open(meta_path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        except (OSError, ValueError) as exc:
+            with open(path, "rb") as fh:
+                size = os.fstat(fh.fileno()).st_size
+                raw = fh.read(_PREFIX)
+                if len(raw) == _PREFIX:
+                    raw += fh.read(min(int.from_bytes(raw, "little"), size))
+        except OSError as exc:
             raise SnapshotError(
-                f"cannot read {meta_path}: "
-                f"{type(exc).__name__}: {exc}") from exc
+                f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
+        return _decode_header(path, raw, size)[0]
 
     def _read(self, key: str):
-        """``(meta document, state arrays)`` of a stored entry."""
-        from ..output.restart import read_npz
-
-        return self.meta(key), read_npz(self._paths(key)[0])
+        """``(meta document, state arrays)`` of a stored entry, read in
+        one call and checked against its digest."""
+        path = self._path(key)
+        try:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        except OSError as exc:
+            raise SnapshotError(
+                f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
+        meta, start = _decode_header(path, raw, len(raw))
+        return meta, _decode_arrays(path, raw, meta, start)
 
     def load(self, key: str, config, *,
              override: Optional[Dict[str, Any]] = None,
@@ -157,56 +294,39 @@ class ResultCache:
         """Re-materialise the stored outcome as a :class:`RunResult`.
 
         The mesh/topology side of the state is rebuilt deterministically
-        from the config (it is not stored); the stored arrays are then
-        overlaid.  The result carries the stored report verbatim
-        (``report_override``) — kernel-timer *objects* are not
-        reconstructable across processes — its step rows and comm
-        counters are that report's own lists, and ``cache_hit=hit``.  An
-        unreadable entry is evicted and raises
+        from the config (it is not stored) — each distinct mesh once per
+        cache, shared by every hit on it — and the stored arrays are
+        overlaid into the result's own state.  The result carries the
+        stored report verbatim (``report_override``) — kernel-timer
+        *objects* are not reconstructable across processes — its step
+        rows and comm counters are that report's own lists, and
+        ``cache_hit=hit``.  An unreadable entry is evicted and raises
         :class:`~repro.utils.errors.SnapshotError`.
         """
         from ..api import RunResult
-        from ..telemetry.spans import Span
+        from ..mesh.generator import shared_meshes
 
         if not self.has(key):
             raise FleetError(f"cache entry {key} missing from {self.root}")
+        path = self._path(key)
         try:
             meta, arrays = self._read(key)
-            setup = config.build_setup()
+            stored = _result_fields(path, meta)
+            with shared_meshes(self.meshes):
+                setup = config.build_setup()
             if override:
                 setup.controls = setup.controls.with_(**override).validated()
             setup.state.overlay(arrays)
         except SnapshotError:
             self.corrupt += 1
-            for path in self._paths(key):
-                if os.path.exists(path):
-                    os.unlink(path)
+            if os.path.exists(path):
+                os.unlink(path)
             raise
         if hit:
             self.hits += 1
-        report = meta["report"]
-        return RunResult(
-            config=config,
-            setup=setup,
-            backend=meta["backend"],
-            nranks=meta["nranks"],
-            nstep=meta["nstep"],
-            time=meta["time"],
-            wall_seconds=meta["wall_seconds"],
-            state=setup.state,
-            timers=TimerRegistry(),
-            spans=[Span(**doc) for doc in (meta.get("spans") or [])],
-            comm_total=(report["comm"]["total"] if meta["nranks"] > 1
-                        else None),
-            comm_per_rank=report["comm"]["per_rank"],
-            step_rows=report["steps"],
-            comm_summary=meta.get("comm_summary"),
-            metrics_rows=meta.get("metrics_rows"),
-            driver=None,
-            lane=meta.get("lane"),
-            cache_hit=hit,
-            report_override=report,
-        )
+        return RunResult(config=config, setup=setup, state=setup.state,
+                         timers=TimerRegistry(), driver=None,
+                         cache_hit=hit, **stored)
 
     def stats(self) -> dict:
         return {"hits": self.hits, "misses": self.misses,

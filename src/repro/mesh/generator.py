@@ -6,17 +6,60 @@ quadrilaterals (stored and solved as fully unstructured meshes — the
 kernels never exploit the structure), with the Saltzmann problem using
 the classic skewed mesh of Dukowicz & Meltz.
 
-Generators return :class:`~repro.mesh.topology.QuadMesh` objects.
+Generators return :class:`~repro.mesh.topology.QuadMesh` objects, all
+through :func:`_mesh`.  Inside a :func:`shared_meshes` scope a generator
+hands back the mesh it already built from identical ``(x, y,
+cell_nodes)`` bytes instead of building (and validating) it again; a
+mesh is immutable, so every state built on it may share it.  Outside a
+scope every call builds a fresh mesh.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+import hashlib
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from ..utils.errors import MeshError
 from .topology import QuadMesh
+
+#: the open :func:`shared_meshes` memo of this thread/context, if any
+_SHARED: ContextVar[Optional[Dict[str, QuadMesh]]] = ContextVar(
+    "shared_meshes", default=None)
+
+
+@contextmanager
+def shared_meshes(memo: Dict[str, QuadMesh]) -> Iterator[None]:
+    """Serve every mesh a generator builds in this scope from ``memo``
+    (content hash → mesh), adding the ones it lacks.  The scope is a
+    :class:`~contextvars.ContextVar`: other threads, and builds outside
+    the ``with`` block, never see it."""
+    token = _SHARED.set(memo)
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _mesh(x: np.ndarray, y: np.ndarray, cell_nodes: np.ndarray) -> QuadMesh:
+    """The one way a generator makes its mesh (see :func:`shared_meshes`)."""
+    memo = _SHARED.get()
+    if memo is None:
+        return QuadMesh(x, y, cell_nodes)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    cell_nodes = np.ascontiguousarray(cell_nodes, dtype=np.int64)
+    h = hashlib.sha256(f"{x.shape}{y.shape}{cell_nodes.shape}".encode())
+    for arr in (x, y, cell_nodes):
+        h.update(arr)
+    key = h.hexdigest()
+    mesh = memo.get(key)
+    if mesh is None:
+        mesh = memo[key] = QuadMesh(x, y, cell_nodes)
+    return mesh
 
 
 def _grid_nodes(nx: int, ny: int, extents: Tuple[float, float, float, float]
@@ -57,7 +100,7 @@ def rect_mesh(nx: int, ny: int,
         x, y = warp(x, y)
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-    return QuadMesh(x, y, _grid_cells(nx, ny))
+    return _mesh(x, y, _grid_cells(nx, ny))
 
 
 def saltzmann_mesh(nx: int = 100, ny: int = 10,
@@ -104,8 +147,8 @@ def shell_mesh(nr: int, ntheta: int,
     r, th = np.meshgrid(radii, angles, indexing="xy")
     # same row-major node layout as rect_mesh, with r playing x and
     # theta playing y; the polar map preserves orientation (Jacobian r)
-    return QuadMesh((r * np.cos(th)).ravel(), (r * np.sin(th)).ravel(),
-                    _grid_cells(nr, ntheta))
+    return _mesh((r * np.cos(th)).ravel(), (r * np.sin(th)).ravel(),
+                 _grid_cells(nr, ntheta))
 
 
 def perturbed_mesh(nx: int, ny: int,
@@ -134,7 +177,7 @@ def perturbed_mesh(nx: int, ny: int,
     y = y.copy()
     x[interior] += amplitude * dx * rng.uniform(-1.0, 1.0, size=n)
     y[interior] += amplitude * dy * rng.uniform(-1.0, 1.0, size=n)
-    return QuadMesh(x, y, _grid_cells(nx, ny))
+    return _mesh(x, y, _grid_cells(nx, ny))
 
 
 def pinwheel_mesh(nquads: int = 3, radius: float = 1.0) -> QuadMesh:
@@ -157,7 +200,7 @@ def pinwheel_mesh(nquads: int = 3, radius: float = 1.0) -> QuadMesh:
     for k in range(nquads):
         ring = [2 * k, 2 * k + 1, (2 * k + 2) % nring]
         cells[k] = [0, 1 + ring[0], 1 + ring[1], 1 + ring[2]]
-    return QuadMesh(x, y, cells)
+    return _mesh(x, y, cells)
 
 
 def single_cell_mesh(coords: Optional[np.ndarray] = None) -> QuadMesh:
@@ -171,5 +214,5 @@ def single_cell_mesh(coords: Optional[np.ndarray] = None) -> QuadMesh:
     coords = np.asarray(coords, dtype=np.float64)
     if coords.shape != (4, 2):
         raise MeshError("single_cell_mesh expects (4, 2) coordinates")
-    return QuadMesh(coords[:, 0], coords[:, 1],
-                    np.array([[0, 1, 2, 3]], dtype=np.int64))
+    return _mesh(coords[:, 0], coords[:, 1],
+                 np.array([[0, 1, 2, 3]], dtype=np.int64))

@@ -15,9 +15,9 @@ There is one restore path, :func:`thaw`: overlay into a driver the
 caller built fresh from its config.  A state is never rebuilt from the
 file — the boundary driver, the material table and the ALE remapper's
 reference mesh are not in it.  Every way a file can be unusable is one
-:class:`~repro.utils.errors.SnapshotError`.  The file layer
-(:func:`atomic_write`, :func:`write_npz`, :func:`read_npz`) also serves
-the fleet's result cache.
+:class:`~repro.utils.errors.SnapshotError`.  The fleet's result cache
+is not a snapshot: it keeps its own one-file entry layout
+(:mod:`repro.fleet.cache`) and shares only :func:`atomic_write`.
 """
 
 from __future__ import annotations

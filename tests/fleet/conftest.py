@@ -1,0 +1,51 @@
+"""Helpers for damaging and rewriting result-cache entries."""
+
+import json
+
+#: ways a ``<key>.entry`` file is damaged by the fault rows
+DAMAGES = ("truncated", "header", "flipped")
+
+_PREFIX = 8
+
+
+def _split(data: bytes):
+    end = _PREFIX + int.from_bytes(data[:_PREFIX], "little")
+    return data[_PREFIX:end], data[end:]
+
+
+def damage_entry(path, how: str) -> None:
+    """Truncate the entry to half its size, overwrite the start of its
+    header with garbage, or flip one byte in the middle of its array
+    region."""
+    data = bytearray(path.read_bytes())
+    if how == "truncated":
+        del data[len(data) // 2:]
+    elif how == "header":
+        data[_PREFIX:_PREFIX + 32] = b"#" * 32
+    elif how == "flipped":
+        header, region = _split(bytes(data))
+        data[_PREFIX + len(header) + len(region) // 2] ^= 0xFF
+    else:
+        raise ValueError(how)
+    path.write_bytes(bytes(data))
+
+
+def rewrite_header(path, edit) -> None:
+    """Re-encode the entry's meta document through ``edit(meta)``,
+    keeping its array bytes."""
+    header, region = _split(path.read_bytes())
+    meta = json.loads(header)
+    edit(meta)
+    header = json.dumps(meta).encode("utf-8")
+    path.write_bytes(len(header).to_bytes(_PREFIX, "little") + header
+                     + region)
+
+
+def as_v1(meta: dict) -> None:
+    """The meta document the way the v1 layout stored it: the step rows
+    and comm counters beside the report, not inside it."""
+    report = meta["report"]
+    meta["schema_version"] = 1
+    meta["step_rows"] = report.pop("steps")
+    meta["comm_total"] = report["comm"]["total"]
+    meta["comm_per_rank"] = report["comm"]["per_rank"]

@@ -1,12 +1,16 @@
 """Result-cache round trips: a cached result is the run, bit for bit."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.api import RunConfig, run
 from repro.core.state import HydroState
-from repro.fleet import ResultCache, job_key, state_digest
+from repro.fleet import CACHE_SCHEMA_VERSION, ResultCache, job_key, state_digest
 from repro.utils.errors import FleetError, SnapshotError
+from tests.fleet.conftest import (DAMAGES, as_v1, damage_entry,
+                                  rewrite_header)
 
 
 def _cfg(**kw):
@@ -105,30 +109,75 @@ def test_overlay_state_round_trip():
     assert setup_a.state.total_mass() == result.state.total_mass()
 
 
-def test_entry_layout_is_two_atomic_files(tmp_path):
-    """``<key>.npz`` holds exactly the state arrays, ``<key>.json`` the
-    meta document; nothing else is left behind."""
+def test_entry_layout_is_one_atomic_file(tmp_path):
+    """``<key>.entry`` is the only file an entry leaves behind: a
+    length prefix, the meta document, then exactly the bytes of
+    ``HydroState.arrays()`` in sorted-name order."""
     config = _cfg()
     result = run(config)
     cache = ResultCache(str(tmp_path))
     key = job_key(config)
     cache.store(key, result)
-    assert sorted(f.name for f in tmp_path.iterdir()) == \
-        [f"{key}.json", f"{key}.npz"]
-    with np.load(tmp_path / f"{key}.npz") as data:
-        assert sorted(data.files) == sorted(result.state.arrays())
+    path = tmp_path / f"{key}.entry"
+    assert sorted(f.name for f in tmp_path.iterdir()) == [path.name]
+    data = path.read_bytes()
+    end = 8 + int.from_bytes(data[:8], "little")
+    meta = json.loads(data[8:end])
+    assert meta == cache.meta(key)
+    assert meta["schema_version"] == CACHE_SCHEMA_VERSION == 3
+    arrays = result.state.arrays()
+    names = sorted(arrays)
+    assert [doc["name"] for doc in meta["arrays"]] == names
+    for doc in meta["arrays"]:
+        assert doc["dtype"] == arrays[doc["name"]].dtype.str
+        assert doc["shape"] == list(arrays[doc["name"]].shape)
+    assert data[end:] == b"".join(arrays[n].tobytes() for n in names)
 
 
-@pytest.mark.parametrize("victim", ["npz", "json"])
-def test_unreadable_entry_is_evicted_and_counted(tmp_path, victim):
+REASONS = {"truncated": "truncated", "header": "undecodable header",
+           "flipped": "digest check"}
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
+def test_unreadable_entry_is_evicted_and_counted(tmp_path, damage):
     config = _cfg()
     cache = ResultCache(str(tmp_path))
     key = job_key(config)
     cache.store(key, run(config))
-    path = tmp_path / f"{key}.{victim}"
-    path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
-    with pytest.raises(SnapshotError, match="cannot read"):
+    damage_entry(tmp_path / f"{key}.entry", damage)
+    with pytest.raises(SnapshotError, match=f"cannot read .*{REASONS[damage]}"):
         cache.load(key, config)
     assert not cache.has(key)
     assert cache.stats()["corrupt"] == 1
     assert cache.stats()["hits"] == 0
+
+
+def test_stale_schema_version_is_evicted_and_named(tmp_path):
+    config = _cfg()
+    cache = ResultCache(str(tmp_path))
+    key = job_key(config)
+    cache.store(key, run(config))
+    rewrite_header(tmp_path / f"{key}.entry", as_v1)
+    with pytest.raises(SnapshotError,
+                       match="cache schema version 1, expected 3"):
+        cache.meta(key)
+    with pytest.raises(SnapshotError,
+                       match="cache schema version 1, expected 3"):
+        cache.load(key, config)
+    assert not cache.has(key)
+    assert cache.stats()["corrupt"] == 1
+
+
+def test_incomplete_meta_document_is_evicted(tmp_path):
+    """A current-version header that lacks a field ``load`` reads is a
+    ``SnapshotError``, not a ``KeyError``."""
+    config = _cfg()
+    cache = ResultCache(str(tmp_path))
+    key = job_key(config)
+    cache.store(key, run(config))
+    rewrite_header(tmp_path / f"{key}.entry",
+                   lambda meta: meta["report"].pop("steps"))
+    with pytest.raises(SnapshotError, match="incomplete meta document"):
+        cache.load(key, config)
+    assert not cache.has(key)
+    assert cache.stats()["corrupt"] == 1

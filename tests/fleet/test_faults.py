@@ -3,9 +3,10 @@ to a sweep — an event and the right answer, never a traceback.
 
 Rows (ROADMAP "single differential-correctness harness", (e)):
 
-* a truncated ``<key>.npz`` or a corrupt ``<key>.json`` in the result
-  cache is a *miss* — ``cache_corrupt``, the job re-runs, its store
-  overwrites the entry;
+* a truncated ``<key>.entry`` in the result cache, one with a garbage
+  header, one with a flipped byte in its array region (the digest
+  catches it) or one stored under another schema version is a *miss* —
+  ``cache_corrupt``, the job re-runs, its store overwrites the entry;
 * a garbage ``<key>.ckpt.npz`` is an *absent* checkpoint —
   ``checkpoint_unreadable``, the job runs from step 0;
 * a worker SIGKILLed mid-job resumes from its last checkpoint and lands
@@ -23,6 +24,7 @@ import pytest
 from repro.api import RunConfig, run, submit
 from repro.fleet import job_key, state_digest
 from repro.telemetry.live import validate_live_stream
+from tests.fleet.conftest import DAMAGES, as_v1, damage_entry, rewrite_header
 
 
 def _digest(r):
@@ -37,17 +39,10 @@ def _events(handle):
     return [e["event"] for e in handle.schedule_log]
 
 
-@pytest.mark.parametrize("workers", [0, 1])
-@pytest.mark.parametrize("victim", ["npz", "json"])
-def test_damaged_cache_entry_is_a_miss(tmp_path, workers, victim):
-    cold = submit([CONFIG], ensemble="off",
-                  cache_dir=str(tmp_path)).results()[0]
-    path = tmp_path / f"{job_key(CONFIG)}.{victim}"
-    if victim == "npz":
-        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
-    else:
-        path.write_text('{"backend": "serial", "nst')
-
+def _assert_a_miss_then_warm(tmp_path, cold, workers, reason):
+    """The damaged entry is ``cache_corrupt`` with ``reason`` in its
+    message, the job re-runs bitwise equal to the cold run, and the
+    re-run's store makes the next submit a warm hit."""
     handle = submit([CONFIG], ensemble="off", workers=workers,
                     cache_dir=str(tmp_path))
     result = handle.results()[0]
@@ -55,7 +50,9 @@ def test_damaged_cache_entry_is_a_miss(tmp_path, workers, victim):
     assert _digest(result) == _digest(cold)
     (entry,) = [e for e in handle.schedule_log
                 if e["event"] == "cache_corrupt"]
-    assert entry["key"] == job_key(CONFIG) and path.name in entry["reason"]
+    assert entry["key"] == job_key(CONFIG)
+    assert f"{job_key(CONFIG)}.entry" in entry["reason"]
+    assert reason in entry["reason"]
     assert "cache_corrupt" in [e["event"] for e in handle.events]
     validate_live_stream(handle.events)
     assert handle.summary()["cache"]["corrupt"] == 1
@@ -65,6 +62,43 @@ def test_damaged_cache_entry_is_a_miss(tmp_path, workers, victim):
     warm = submit([CONFIG], ensemble="off",
                   cache_dir=str(tmp_path)).results()[0]
     assert warm.cache_hit and _digest(warm) == _digest(cold)
+
+
+def _cold(tmp_path):
+    return submit([CONFIG], ensemble="off",
+                  cache_dir=str(tmp_path)).results()[0]
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+@pytest.mark.parametrize("damage", DAMAGES)
+def test_damaged_cache_entry_is_a_miss(tmp_path, workers, damage):
+    cold = _cold(tmp_path)
+    damage_entry(tmp_path / f"{job_key(CONFIG)}.entry", damage)
+    _assert_a_miss_then_warm(tmp_path, cold, workers, "cannot read")
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_stale_layout_entry_is_a_miss(tmp_path, workers):
+    """An entry whose header is the v1 layout's (rows beside the
+    report, no ``report["steps"]``) is ``cache_corrupt`` naming both
+    versions — not a ``KeyError`` out of ``results()``."""
+    cold = _cold(tmp_path)
+    rewrite_header(tmp_path / f"{job_key(CONFIG)}.entry", as_v1)
+    _assert_a_miss_then_warm(tmp_path, cold, workers,
+                             "cache schema version 1, expected 3")
+
+
+def test_two_file_entry_is_never_read(tmp_path):
+    """A pre-v3 ``<key>.npz`` + ``<key>.json`` pair is a plain miss:
+    nothing reads it, nothing reports it corrupt."""
+    key = job_key(CONFIG)
+    for suffix in ("npz", "json"):
+        (tmp_path / f"{key}.{suffix}").write_bytes(b"an older layout")
+    handle = submit([CONFIG], ensemble="off", cache_dir=str(tmp_path))
+    assert not handle.results()[0].cache_hit
+    assert handle.summary()["cache"]["misses"] == 1
+    assert handle.summary()["cache"]["corrupt"] == 0
+    assert (tmp_path / f"{key}.entry").exists()
 
 
 @pytest.mark.parametrize("workers", [0, 1])

@@ -205,9 +205,10 @@ def fleet_digest(result) -> str:
 
 
 def fleet_rows() -> int:
-    """Cache replay and kill -> resume, the two execution paths that
-    only exist behind ``submit``.  Returns how many rows disagree with
-    their uninterrupted run."""
+    """Cache replay (alone, and beside a second hit on the same mesh)
+    and kill -> resume, the execution paths that only exist behind
+    ``submit``.  Returns how many rows disagree with their
+    uninterrupted run."""
     from repro.api import RunConfig, run, submit
 
     def one(config, **options):
@@ -232,10 +233,25 @@ def fleet_rows() -> int:
                     config, workers=1, checkpoint_dir=tmp,
                     checkpoint_every=5, fault_steps={0: 10}))
 
+        def shared():
+            # two hits on one mesh in one submit: the second job's hit
+            # must equal its own uninterrupted run too
+            twin = config.replace(max_steps=12)
+            with tempfile.TemporaryDirectory(prefix="digests-") as tmp:
+                submit([config, twin], ensemble="off",
+                       cache_dir=tmp).results()
+                first, second = submit([config, twin], ensemble="off",
+                                       cache_dir=tmp).results()
+                assert first.cache_hit and second.cache_hit
+                assert first.state.mesh is second.state.mesh
+                assert fleet_digest(second) == fleet_digest(run(twin))
+                return fleet_digest(first)
+
         straight = row(f"{problem} fleet uninterrupted",
                        lambda: fleet_digest(run(config)))
         for label, fn in (("cache replay", replayed),
-                          ("kill -> resume", resumed)):
+                          ("kill -> resume", resumed),
+                          ("cache replay (shared mesh)", shared)):
             if row(f"{problem} fleet {label}", fn) != straight:
                 print(f"MISMATCH  {problem} fleet {label} differs from "
                       "the uninterrupted run", file=sys.stderr)
