@@ -117,7 +117,7 @@ class AleStep:
             if moved < 1e-15:
                 # Marker (not a span): the remap was due but the mesh
                 # had not moved — visible in traces as an instant event.
-                timers.trace_instant("ale.skip", args={"moved": moved})
+                timers.instant("ale.skip", args={"moved": moved})
                 return False
 
         with timers.region("alegetfvol"):

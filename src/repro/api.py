@@ -355,10 +355,10 @@ def _execute_run(config: RunConfig, *,
             max_steps = adjusted
     profiler = None
     if config.profile:
-        if driver.tracers:
+        if driver.hydros:
             from .telemetry.sampling import SamplingProfiler
 
-            profiler = SamplingProfiler(driver.tracers)
+            profiler = SamplingProfiler([h.timers for h in driver.hydros])
         else:
             import warnings
 

@@ -17,7 +17,10 @@ instead of gathering and differencing xⁿ and uⁿ again.
 
 Per-kernel timers accumulate across the run so ``timers.breakdown()``
 prints the Table II-style summary at the end, and every step appends
-one row to ``step_rows`` — the run report's per-step series.
+one row to ``step_rows`` — the run report's per-step series.  The
+registry is also the run's one recorder: traced, it records the
+``run`` → ``step N`` → ``lagstep`` spans around the kernel regions,
+each ``step N`` span carrying that step's row as its args.
 """
 
 from __future__ import annotations
@@ -62,9 +65,10 @@ class Hydro:
         Numerical controls, including the ALE options.
     timers, logger, comms:
         Optional instrumentation and the communication seam; defaults
-        are serial and quiet.  Attaching a telemetry tracer to
-        ``timers`` (``timers.tracer = Tracer()``) additionally records
-        the run → step → phase → kernel span hierarchy.
+        are serial and quiet.  A traced registry
+        (``TimerRegistry.traced()``) additionally records the run →
+        step → phase → kernel span hierarchy; a ``step N`` span's args
+        are that step's row.
     remapper:
         Optional ALE remap object with an ``apply(state, dt, timers,
         comms=..., ws=...)`` method; constructed automatically from the
@@ -125,11 +129,10 @@ class Hydro:
 
     def step(self) -> float:
         """Advance one timestep; returns the dt taken."""
-        with self.timers.trace_span(f"step {self.nstep}",
-                                    cat="step") as span:
+        with self.timers.span(f"step {self.nstep}", cat="step") as span:
             corners = StepCorners.of(self.state, self.workspace)
             self.choose_dt(corners=corners)
-            with self.timers.trace_span("lagstep", cat="phase"):
+            with self.timers.span("lagstep", cat="phase"):
                 lagstep(
                     self.state, self.table, self.controls, self.dt,
                     self.timers, self.gamma, comms=self.comms,
@@ -137,8 +140,7 @@ class Hydro:
                 )
             self.finish_step()
             if span is not None:
-                span.args.update(n=self.nstep, t=self.time, dt=self.dt,
-                                 dt_reason=self.dt_reason)
+                span.args.update(self.step_rows[-1])
         return self.dt
 
     def choose_dt(self, candidates=None, corners=None) -> None:
@@ -215,7 +217,8 @@ class Hydro:
             self.probe.begin(self)
         self._step_end_ns = _time.perf_counter_ns()
         try:
-            with self.timers.trace_span("run", cat="run") as span:
+            with self.timers.allocation_scope(), \
+                    self.timers.span("run", cat="run") as span:
                 while not self.done():
                     if self.nstep - start >= limit:
                         break

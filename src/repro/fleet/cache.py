@@ -52,7 +52,7 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from ..utils.errors import FleetError, SnapshotError
-from ..utils.timers import TimerRegistry
+from ..utils.timers import Span, TimerRegistry
 
 #: on-disk entry layout version (bumped on any stored-shape change)
 #: v2: step rows and comm counters live only in the stored report
@@ -162,8 +162,6 @@ def _decode_arrays(path: str, raw: bytes, meta: dict,
 
 def _result_fields(path: str, meta: dict) -> Dict[str, Any]:
     """The :class:`RunResult` fields a meta document stores."""
-    from ..telemetry.spans import Span
-
     try:
         report = meta["report"]
         return dict(

@@ -422,7 +422,7 @@ class Fleet:
         eligibility table is a :class:`BookLeafError` naming the job
         and the reason).  A job carrying per-job telemetry (tracing,
         allocation tracking, profiling) is otherwise never batched —
-        the vectorised kernels do not thread per-lane tracers — and
+        the vectorised kernels do not record per-lane spans — and
         the downgrade is announced: a ``fast_path_downgrade`` record
         plus an :class:`EnsembleDowngradeWarning` naming the reason (the
         warning is suppressed when the engine itself forced tracing for

@@ -20,11 +20,11 @@ only the transport underneath (:class:`SharedMemoryTransport`):
 
 Each child has the driver it inherited build its rank
 (``driver.build_rank``) and ships that rank's ``driver.report(...)`` —
-counters, kernel timers, trace spans, the final state as arrays — back
-over a result queue; the parent's wait loop watches exit codes and the
-heartbeat board, hands what it saw to the driver's one verdict
-(:func:`~repro.parallel.distributed.judge_ranks`) and returns the
-reports, so everything downstream is backend-agnostic.
+counters, kernel timers and their trace spans, the final state as
+arrays — back over a result queue; the parent's wait loop watches exit
+codes and the heartbeat board, hands what it saw to the driver's one
+verdict (:func:`~repro.parallel.distributed.judge_ranks`) and returns
+the reports, so everything downstream is backend-agnostic.
 
 Requires the ``fork`` start method (the driver — problem setup,
 subdomains, schedules — is inherited, never pickled), i.e. Linux or

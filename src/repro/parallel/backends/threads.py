@@ -4,7 +4,9 @@ The driver builds every rank (``driver.build_rank``) over the
 in-process transport this backend supplies
 (:class:`~repro.parallel.typhon.TyphonContext`): the boards are plain
 arrays every thread can see and a waiting rank sleeps on its own
-condition variable.  Rank threads run the unchanged SPMD hydro loop.
+condition variable.  Rank threads run the unchanged SPMD hydro loop,
+each recording into its own timer registry (traced, all on one clock
+epoch taken here, so the rank streams share a time axis).
 Numpy releases the GIL inside its kernels so the ranks overlap there,
 but the Python-level glue between kernels serialises on the GIL —
 which is exactly what the ``processes`` backend exists to remove.
@@ -39,9 +41,10 @@ class ThreadsBackend:
     # ------------------------------------------------------------------
     def prepare(self, driver) -> None:
         """Build the shared Typhon context and have the driver build
-        the ranks on it — ``driver.context``, ``driver.hydros`` and
-        ``driver.tracers`` are this backend's public surface: tests and
-        embedding code attach observers to ``driver.hydros[0]``."""
+        the ranks on it — ``driver.context`` and ``driver.hydros`` are
+        this backend's public surface: tests and embedding code attach
+        observers to ``driver.hydros[0]``, and the sampling profiler
+        reads each rank's ``hydro.timers``."""
         driver.context = TyphonContext(driver.subdomains,
                                        plans=driver.compiled_plans())
         self.board = HeartbeatBoard.allocate(driver.nranks)

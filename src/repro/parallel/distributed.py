@@ -61,9 +61,8 @@ class RankReport:
     #: the rank's final local state — live in-process; its
     #: ``arrays()`` dict while crossing a process boundary
     state: Any
+    #: the rank's kernel timers and, traced, its span stream
     timers: TimerRegistry
-    #: the rank's trace spans (empty when tracing was off)
-    spans: list
     #: the rank's CommStats counters (``None`` on the one serial rank)
     comm: Optional[dict]
     #: the rank's step rows (``Hydro.step_rows``)
@@ -75,9 +74,7 @@ class RankReport:
         """The form that crosses a process boundary: the halo-sized
         mailboxes cannot carry the final state, so it travels as its
         arrays (one pickle at end of run; a round-trip of float64
-        arrays is exact), and the timers drop their tracer — the spans
-        travel in ``spans``."""
-        self.timers.tracer = None
+        arrays is exact)."""
         return replace(self, state=self.state.arrays())
 
 
@@ -129,10 +126,10 @@ class DistributedHydro:
     method:
         Cell partitioner, ``"rcb"`` or ``"spectral"``.
     trace:
-        Give every rank its own
-        :class:`~repro.telemetry.spans.Tracer` (sharing one clock epoch
-        so the per-rank streams line up); :meth:`merged_spans` then
-        returns the deterministically merged stream.
+        Give every rank a traced
+        :class:`~repro.utils.timers.TimerRegistry` (sharing one clock
+        epoch so the per-rank streams line up); :meth:`merged_spans`
+        then returns the deterministically merged stream.
     backend:
         Execution backend name (``serial``, ``threads`` or
         ``processes`` — see :mod:`repro.parallel.backends`).
@@ -151,7 +148,7 @@ class DistributedHydro:
         :class:`~repro.utils.errors.DeprecatedOptionError`.
 
     For the in-process backends the ranks are built here, once — the
-    per-rank ``hydros`` and ``tracers`` (and, for ``threads``, the
+    per-rank ``hydros`` (and, for ``threads``, the
     shared ``context``) are live attributes that embedding code may
     inspect or attach observers to, and successive :meth:`run` legs
     continue the same ranks; the ``processes`` backend builds its ranks
@@ -251,8 +248,8 @@ class DistributedHydro:
 
         ``transport`` is the Typhon transport its endpoint runs over
         (``None``: the one serial rank, on the global state with
-        ``SerialComms``), ``epoch_ns`` the clock origin all tracers
-        share, ``board`` the launcher's
+        ``SerialComms``), ``epoch_ns`` the clock origin all ranks'
+        span streams share, ``board`` the launcher's
         :class:`~repro.metrics.watchdog.HeartbeatBoard`.  Observers are
         attached here, once, so a rank run for several legs keeps one
         heartbeat (and the rank one list of step rows).  In-process
@@ -261,17 +258,15 @@ class DistributedHydro:
         reuses).
         """
         setup = self.setup
-        tracer = None
-        if self.trace:
-            from ..telemetry.spans import Tracer
-
-            tracer = Tracer(rank=rank, epoch_ns=epoch_ns)
         # step banners and tracemalloc are serial niceties: per-rank
         # printing would interleave and tracemalloc is process-global
         serial = transport is None
-        timers = TimerRegistry(
-            trace_allocations=serial and self.trace_allocations)
-        timers.tracer = tracer
+        trace_allocations = serial and self.trace_allocations
+        if self.trace:
+            timers = TimerRegistry.traced(
+                rank, epoch_ns, trace_allocations=trace_allocations)
+        else:
+            timers = TimerRegistry(trace_allocations=trace_allocations)
         logger = None
         if serial:
             state, comms, cell_global = setup.state, SerialComms(), None
@@ -284,7 +279,7 @@ class DistributedHydro:
 
             sub = self.subdomains[rank]
             state = local_state(sub, setup.state)
-            comms = TyphonComms(transport, sub, tracer=tracer,
+            comms = TyphonComms(transport, sub, timers=timers,
                                 mode=self.comm_plan)
             cell_global = sub.cell_global
         hydro = Hydro(state, setup.table, setup.controls,
@@ -298,20 +293,13 @@ class DistributedHydro:
             hydro.observers.append(Heartbeat(board, rank))
         return hydro
 
-    @property
-    def tracers(self) -> list:
-        """The in-process ranks' tracers, rank order (empty untraced)."""
-        return [h.timers.tracer for h in self.hydros
-                if h.timers.tracer is not None]
-
     def report(self, hydro: Hydro) -> RankReport:
         """What the rank built here around ``hydro`` hands back."""
-        rank, probe, tracer = hydro.comms.rank, hydro.probe, hydro.timers.tracer
+        rank, probe = hydro.comms.rank, hydro.probe
         stats = getattr(hydro.comms, "stats", None)
         return RankReport(
             rank=rank, nstep=hydro.nstep, time=hydro.time,
             state=hydro.state, timers=hydro.timers,
-            spans=tracer.spans if tracer is not None else [],
             comm=stats.as_dict() if stats is not None else None,
             step_rows=hydro.step_rows,
             metrics_rows=probe.rows if probe is not None else None,
@@ -337,7 +325,6 @@ class DistributedHydro:
                                      self.setup.state).overlay(r.state)
                     for r in reports],
             timers=[r.timers for r in reports],
-            spans=[r.spans for r in reports],
             comm_per_rank=[r.comm for r in reports if r.comm is not None],
             step_rows=first.step_rows,
             metrics_rows=first.metrics_rows,
@@ -439,10 +426,13 @@ class DistributedHydro:
         return merged
 
     def merged_spans(self) -> list:
-        """All ranks' trace spans, merged deterministically (ascending
-        rank order, per-rank recording order preserved — the rule of
-        :func:`repro.telemetry.spans.merge_spans`)."""
-        return [span for stream in self._view().spans for span in stream]
+        """All ranks' trace spans, merged deterministically: ranks in
+        ascending order, each rank's stream in recording order — *not*
+        by timestamp, which would make the order vary run-to-run with
+        scheduling noise.  Two runs of one problem give identical
+        (name, cat, rank, depth) sequences; only the clocks differ."""
+        return [span for timers in self._view().timers
+                for span in timers.spans or ()]
 
     def per_rank_comm(self) -> List[dict]:
         """Every rank's comm counters in rank order (report input)."""

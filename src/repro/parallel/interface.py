@@ -162,10 +162,8 @@ class BackendRun:
     #: each rank's final local state (the live one in-process, the
     #: marshalled arrays overlaid on a fresh restriction for processes)
     states: List[Any]
-    #: each rank's kernel timer registry
+    #: each rank's kernel timer registry (and, traced, span stream)
     timers: List[Any]
-    #: each rank's trace spans (empty lists when tracing was off)
-    spans: List[list]
     #: each rank's CommStats counters as dicts
     comm_per_rank: List[dict]
     #: rank 0's step rows (``Hydro.step_rows``)

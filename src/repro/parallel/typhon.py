@@ -62,6 +62,7 @@ import numpy as np
 from ..core.timestep import Candidate
 from ..perf.workspace import Workspace
 from ..utils.errors import CommError
+from ..utils.timers import TimerRegistry
 from .commplan import CommPlan, SECTIONS, _widths, compile_plans
 from .halo import Subdomain
 from .interface import COMM_FIELDS, CommStats
@@ -275,19 +276,20 @@ class TyphonComms:
     #: declares conformance to repro.parallel.interface.CommEndpoint
     __comm_endpoint__ = True
 
-    def __init__(self, ctx: Transport, sub: Subdomain, tracer=None,
+    def __init__(self, ctx: Transport, sub: Subdomain,
+                 timers: Optional[TimerRegistry] = None,
                  plan: Optional[CommPlan] = None, mode: str = "overlap"):
         self.ctx = ctx
         self.sub = sub
         self.rank = sub.rank
         self.size = ctx.size
         self.stats = ctx.stats[self.rank]
-        #: optional :class:`~repro.telemetry.spans.Tracer`; when set,
-        #: every exchange/reduction records a ``comm`` span on this
-        #: rank's stream (the span covers the waits too — in a trace,
-        #: load imbalance shows up as long comm spans, and the span's
-        #: ``wait_s``/``waited_on`` args say who was waited for)
-        self.tracer = tracer
+        #: the rank's :class:`~repro.utils.timers.TimerRegistry`; when
+        #: it traces, every exchange/reduction records a ``comm`` span
+        #: on this rank's stream (the span covers the waits too — in a
+        #: trace, load imbalance shows up as long comm spans, and the
+        #: span's ``wait_s``/``waited_on`` args say who was waited for)
+        self.timers = timers if timers is not None else TimerRegistry()
         self.plan = plan if plan is not None else ctx.plans[self.rank]
         #: the schedule (``comm_plan``, validated by DistributedHydro):
         #: read by ``_post`` and nowhere else
@@ -344,19 +346,18 @@ class TyphonComms:
     # spans and wait attribution
     # ------------------------------------------------------------------
     def _span(self, name: str):
-        tracer = self.tracer
-        if tracer is None or not tracer.enabled:
+        if self.timers.spans is None:
             return _NULL_SPAN
-        return self._traced(tracer, name)
+        return self._traced(name)
 
     @contextmanager
-    def _traced(self, tracer, name: str):
+    def _traced(self, name: str):
         """A ``comm`` span whose args say how long this call slept and
         on whom: ``wait_s`` sums its waits, ``waited_on`` names the
         peer rank (``None`` for an allgather) and the section / ``dt``
         leg of the longest one."""
         self._waits = waits = []
-        with tracer.span(name, cat="comm") as span:
+        with self.timers.span(name, cat="comm") as span:
             try:
                 yield
             finally:

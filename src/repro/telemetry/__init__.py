@@ -6,9 +6,11 @@ turns the repository's ad-hoc instrumentation — :class:`TimerRegistry`
 accumulators and Typhon's :class:`CommStats` counters — into first-class
 observability artefacts:
 
-* :class:`~repro.telemetry.spans.Tracer` / :class:`~repro.telemetry.spans.Span`
-  — hierarchical trace spans (run → step → phase → kernel) recorded
-  with monotonic clocks, one tracer per rank, merged deterministically,
+* :class:`~repro.utils.timers.Span` — hierarchical trace spans (run →
+  step → phase → kernel) recorded with monotonic clocks by each rank's
+  :class:`~repro.utils.timers.TimerRegistry` (its one recorder),
+  merged deterministically by
+  :meth:`~repro.parallel.distributed.DistributedHydro.merged_spans`,
 * :mod:`repro.telemetry.report` — the schema-versioned JSON run report
   (``bookleaf run --report out.json``), one view of the finished run
   (merged timers, per-rank comm counters, the driver's step rows
@@ -28,11 +30,11 @@ observability artefacts:
   dashboard.
 
 Telemetry is off by default and adds nothing to the hot loop beyond a
-``tracer is None`` check per timer region and the one step row
+``spans is None`` check per timer region and the one step row
 ``Hydro`` keeps per step; see docs/OBSERVABILITY.md.
 It adds nothing to start-up either: the names below resolve on first
-use (:mod:`repro.utils.lazy`), so ``--report`` loads the report and
-span modules and not the sampler, the sweep trace or — through
+use (:mod:`repro.utils.lazy`), so ``--report`` loads the report
+module and not the sampler, the sweep trace or — through
 ``table2`` — the whole performance model.
 """
 
@@ -55,9 +57,7 @@ _EXPORTS = {
     "merge_folded": ".sampling",
     "read_collapsed": ".sampling",
     "write_collapsed": ".sampling",
-    "Span": ".spans",
-    "Tracer": ".spans",
-    "merge_spans": ".spans",
+    "Span": "..utils.timers",
     "SweepTraceBuilder": ".sweep_trace",
     "strip_nondeterminism": ".sweep_trace",
     "write_sweep_trace": ".sweep_trace",

@@ -1,8 +1,9 @@
 """Low-overhead sampling profiler over the live span stack.
 
-The tracer already maintains, per rank, the stack of currently-open
-spans (:attr:`repro.telemetry.spans.Tracer._open`) — the run → step →
-phase → kernel hierarchy the instrumented code is inside *right now*.
+A traced timer registry already maintains, per rank, the stack of
+currently-open spans (:attr:`repro.utils.timers.TimerRegistry.stack`)
+— the run → step → phase → kernel hierarchy the instrumented code is
+inside *right now*, kernel regions included.
 This module samples that stack from a background thread at a fixed
 interval and accumulates collapsed call stacks, so a run's wall time
 is attributed to kernels/phases at a cost bounded by the sampling
@@ -19,7 +20,7 @@ with a plain list snapshot, never locking the hot loop.
 Output is the collapsed-stack format flamegraph.pl / speedscope /
 inferno consume directly::
 
-    run;step;lagstep;viscosity 42
+    run;step;lagstep;getq 42
 
 Step spans are normalised (``step 17`` → ``step``) so stacks fold by
 phase identity instead of exploding one line per timestep.
@@ -37,7 +38,7 @@ from typing import Dict, Iterable, List, Optional
 #: attribution over a few seconds of run)
 DEFAULT_INTERVAL = 0.005
 
-#: the stack frame recorded when a tracer has no open span
+#: the stack frame recorded when a registry has no open span
 IDLE_FRAME = "<idle>"
 
 
@@ -50,20 +51,22 @@ def _normalise(name: str) -> str:
 
 
 class SamplingProfiler:
-    """Background thread sampling the open-span stacks of tracers.
+    """Background thread sampling the open-span stacks of registries.
 
     Parameters
     ----------
-    tracers:
-        The live :class:`~repro.telemetry.spans.Tracer` objects to
-        sample (one per in-process rank).  Multi-rank stacks are
-        prefixed ``rank N`` so the per-rank profiles stay separable.
+    registries:
+        The live traced :class:`~repro.utils.timers.TimerRegistry`
+        objects to sample (one per in-process rank).  Multi-rank stacks
+        are prefixed ``rank N`` so the per-rank profiles stay
+        separable.
     interval:
         Seconds between samples.
     """
 
-    def __init__(self, tracers: Iterable, interval: float = DEFAULT_INTERVAL):
-        self.tracers = list(tracers)
+    def __init__(self, registries: Iterable,
+                 interval: float = DEFAULT_INTERVAL):
+        self.registries = list(registries)
         self.interval = float(interval)
         self.counts: Counter = Counter()
         self.samples = 0
@@ -99,25 +102,25 @@ class SamplingProfiler:
 
     # ------------------------------------------------------------------
     def _run(self) -> None:
-        multi = len(self.tracers) > 1
+        multi = len(self.registries) > 1
         while not self._halt.wait(self.interval):
             self.sample_once(multi=multi)
 
     def sample_once(self, multi: Optional[bool] = None) -> None:
-        """Take one sample of every tracer's open-span stack (public
+        """Take one sample of every registry's open-span stack (public
         for deterministic tests; the thread calls it on a timer)."""
         if multi is None:
-            multi = len(self.tracers) > 1
+            multi = len(self.registries) > 1
         self.samples += 1
-        for tracer in self.tracers:
-            # list() snapshots under the GIL; the tracer only ever
+        for timers in self.registries:
+            # list() snapshots under the GIL; the registry only ever
             # appends/pops, so the worst case is one off-by-one frame.
             stack = [_normalise(span.name)
-                     for span in list(tracer._open)]
+                     for span in list(timers.stack)]
             if not stack:
                 stack = [IDLE_FRAME]
             if multi:
-                stack = [f"rank {tracer.rank}"] + stack
+                stack = [f"rank {timers.rank}"] + stack
             self.counts[tuple(stack)] += 1
 
     # ------------------------------------------------------------------

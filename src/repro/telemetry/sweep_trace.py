@@ -33,7 +33,11 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from .spans import Span
+from ..utils.timers import Span
+
+#: span args that are clock readings: a ``step N`` span's step-row
+#: ``wall_seconds`` and a comm span's ``wait_s``
+CLOCK_ARGS = ("wall_seconds", "wait_s")
 
 #: tid stride between job rows — rank r of job j renders at
 #: ``1 + j*RANK_STRIDE + r`` (tid 0 is the scheduler's own row)
@@ -60,7 +64,7 @@ class SweepTraceBuilder:
                 label: str = "") -> None:
         """Attach a job's span shard: ``pid`` is the worker process
         that completed it (0 = scheduler/inline), ``start_ns`` the
-        sweep-epoch offset its tracer epoch corresponds to."""
+        sweep-epoch offset its span epoch corresponds to."""
         spans = [s if isinstance(s, Span) else Span(**s)
                  for s in (spans or [])]
         self.jobs[int(job)] = {
@@ -190,12 +194,17 @@ def write_sweep_trace(builder: Union[SweepTraceBuilder, dict],
 def strip_nondeterminism(trace: dict) -> List[dict]:
     """The determinism view of a sweep trace: metadata rows dropped
     (worker naming follows pool width), clocks and worker assignment
-    (``ts``/``dur``/``pid``) stripped — what remains must be identical
-    for ``workers=1`` and ``workers=4`` sweeps of the same configs."""
+    (``ts``/``dur``/``pid`` and the :data:`CLOCK_ARGS`) stripped — what
+    remains must be identical for ``workers=1`` and ``workers=4``
+    sweeps of the same configs."""
     out = []
     for event in trace["traceEvents"]:
         if event.get("ph") == "M":
             continue
-        out.append({k: v for k, v in event.items()
-                    if k not in ("ts", "dur", "pid")})
+        kept = {k: v for k, v in event.items()
+                if k not in ("ts", "dur", "pid")}
+        if "args" in kept:
+            kept["args"] = {k: v for k, v in kept["args"].items()
+                            if k not in CLOCK_ARGS}
+        out.append(kept)
     return out

@@ -20,7 +20,7 @@ import json
 from pathlib import Path
 from typing import Iterable, List, Union
 
-from .spans import CATEGORIES, Span
+from ..utils.timers import CATEGORIES, Span
 
 PROCESS_NAME = "bookleaf"
 

@@ -1,4 +1,5 @@
-"""Hierarchical kernel timers mirroring BookLeaf's timer regions.
+"""Hierarchical kernel timers mirroring BookLeaf's timer regions, and
+the trace spans they record.
 
 The Fortran mini-app wraps every hydro kernel in a named timer region
 (``getq``, ``getacc``, ...) and prints a per-kernel breakdown at the end
@@ -6,21 +7,26 @@ of the run — that breakdown is exactly what the paper's Table II
 reports.  This module provides the same facility:
 
 * :class:`TimerRegistry` — a registry of named accumulating timers,
+  one per rank and that rank's only recorder,
 * :func:`TimerRegistry.region` — a context manager charging wall time to
   a region,
 * call counting, so the performance model can be driven by *measured*
   kernel-invocation counts rather than assumptions,
-* an optional :class:`~repro.telemetry.spans.Tracer` hook
-  (``registry.tracer = Tracer(...)``): every region entry is then also
-  recorded as an individual trace span, which is how the telemetry
-  layer (docs/OBSERVABILITY.md) sees the kernels without any change to
-  the kernel call sites — the cost when no tracer is attached is one
+* optional span tracing (:meth:`TimerRegistry.traced`): every region is
+  then also one :class:`Span` of the rank's stream, pushed on the
+  open-span stack at entry and closed from the same clock pair the
+  accumulator charges — which is how the telemetry layer
+  (docs/OBSERVABILITY.md) sees the kernels without any change to the
+  kernel call sites.  The structural levels (run, step, phase) and the
+  Typhon comm spans are timer-free :meth:`TimerRegistry.span` blocks on
+  the same stream and stack; the cost when not tracing is one
   ``is None`` check per region,
 * an optional ``tracemalloc``-backed allocation counter
   (``trace_allocations=True``), which charges the *net* allocated bytes
-  and the peak allocation observed inside each region — the
-  observability half of the allocation-free-hot-loop work: the
-  workspace tests assert that a warm ``lagstep`` stops allocating.
+  and the peak allocation observed inside each region (and, traced,
+  stamps every span with its net bytes) — the observability half of
+  the allocation-free-hot-loop work: the workspace tests assert that a
+  warm ``lagstep`` stops allocating.
 
 Timers are cheap (one ``perf_counter`` pair per region entry) and can be
 disabled wholesale for benchmarking the raw kernels.  Allocation tracing
@@ -35,6 +41,49 @@ import tracemalloc
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
+
+#: the span categories, outermost first — the hierarchy levels of the
+#: run → step → phase → kernel span model (plus ``comm`` for the
+#: Typhon exchange/reduction spans nested inside kernels)
+CATEGORIES = ("run", "step", "phase", "kernel", "comm")
+
+
+@dataclass
+class Span:
+    """One timed interval of a rank's stream — the whole run, one
+    timestep, one phase or one kernel region.
+
+    ``t0_ns`` counts from the registry's ``epoch_ns``, a
+    ``perf_counter_ns`` origin every rank of a run shares, so the
+    per-rank streams line up on one time axis.  ``depth`` is the number
+    of spans open on the rank when this one began; a rank's stream is
+    in opening order and properly bracketed, so ``depth`` rebuilds the
+    tree.
+    """
+
+    name: str
+    cat: str
+    rank: int
+    t0_ns: int              #: start, ns since the registry's epoch
+    dur_ns: int = -1        #: -1 while the span is still open
+    depth: int = 0          #: spans open on this rank when this began
+    args: Dict[str, object] = field(default_factory=dict)
+    alloc_bytes: Optional[int] = None
+
+    def as_dict(self) -> dict:
+        out = {
+            "name": self.name,
+            "cat": self.cat,
+            "rank": self.rank,
+            "t0_ns": self.t0_ns,
+            "dur_ns": self.dur_ns,
+            "depth": self.depth,
+        }
+        if self.args:
+            out["args"] = dict(self.args)
+        if self.alloc_bytes is not None:
+            out["alloc_bytes"] = self.alloc_bytes
+        return out
 
 
 @dataclass
@@ -65,21 +114,42 @@ class Timer:
 
 @dataclass
 class TimerRegistry:
-    """A named collection of :class:`Timer` objects.
+    """A named collection of :class:`Timer` objects, and one rank's
+    span stream when tracing.
 
     The registry is hierarchical only by naming convention (BookLeaf uses
     flat names, so do we).  ``enabled=False`` turns every region into a
     no-op with near-zero overhead.  ``trace_allocations=True`` starts
     ``tracemalloc`` on first use and charges per-region allocation
     deltas; nested regions attribute peaks to the innermost region.
+    A registry built by :meth:`traced` also records every region and
+    :meth:`span` as a :class:`Span` in ``spans``.
     """
 
     enabled: bool = True
     trace_allocations: bool = False
     timers: Dict[str, Timer] = field(default_factory=dict)
-    #: optional :class:`~repro.telemetry.spans.Tracer`; when attached,
-    #: every region entry is also recorded as one trace span
-    tracer: Optional[object] = None
+    #: the rank's span stream in opening order; ``None`` when not
+    #: tracing (the one check an untraced region pays)
+    spans: Optional[List[Span]] = field(default=None, repr=False)
+    #: rank id stamped on every span (the Chrome-trace ``tid``)
+    rank: int = 0
+    #: the ``perf_counter_ns`` origin of every span's ``t0_ns``
+    epoch_ns: int = 0
+    #: the spans open right now, outermost first — what the sampling
+    #: profiler snapshots
+    stack: List[Span] = field(default_factory=list, repr=False)
+
+    @classmethod
+    def traced(cls, rank: int = 0, epoch_ns: Optional[int] = None,
+               trace_allocations: bool = False) -> "TimerRegistry":
+        """A registry that records rank ``rank``'s span stream.  Every
+        rank of a run must get the *same* ``epoch_ns`` so the streams
+        align; the default takes this instant."""
+        if epoch_ns is None:
+            epoch_ns = time.perf_counter_ns()
+        return cls(trace_allocations=trace_allocations, spans=[],
+                   rank=rank, epoch_ns=epoch_ns)
 
     def get(self, name: str) -> Timer:
         timer = self.timers.get(name)
@@ -92,18 +162,22 @@ class TimerRegistry:
     def region(self, name: str, cat: str = "kernel") -> Iterator[None]:
         """Charge the wall time spent inside the ``with`` block to ``name``.
 
-        ``cat`` is only meaningful when a tracer is attached: it sets
-        the recorded span's category (the ``alestep`` region is a
-        *phase* in the span hierarchy, the rest are kernels).
+        ``cat`` is only meaningful when tracing: it sets the recorded
+        span's category (the ``alestep`` region is a *phase* in the
+        span hierarchy, the rest are kernels).
         """
         if not self.enabled:
             yield
             return
         timer = self.get(name)
+        spans = self.spans
+        if spans is not None:
+            # Opened before the clocks start, so the span's own
+            # bookkeeping is charged to the enclosing region, not here.
+            span = Span(name, cat, self.rank, 0, depth=len(self.stack))
+            spans.append(span)
+            self.stack.append(span)
         tracing = self.trace_allocations
-        tracer = self.tracer
-        if tracer is not None and not tracer.enabled:
-            tracer = None
         if tracing:
             if not tracemalloc.is_tracing():
                 tracemalloc.start()
@@ -123,27 +197,72 @@ class TimerRegistry:
                 # Re-arm the peak so an enclosing region's remainder is
                 # measured on its own, not against this region's peak.
                 tracemalloc.reset_peak()
-            if tracer is not None:
-                tracer.record(name, cat, start_ns, dur_ns,
-                              alloc_bytes=net)
+            if spans is not None:
+                self.stack.pop()
+                span.t0_ns = start_ns - self.epoch_ns
+                span.dur_ns = dur_ns
+                span.alloc_bytes = net
 
-    def trace_span(self, name: str, cat: str = "phase",
-                   args: Optional[dict] = None):
-        """A tracer span *without* a timer — the structural levels of
-        the span hierarchy (run, step, lagstep) that must not double-
-        charge the kernel accumulators.  A shared no-op context when no
-        tracer is attached, so untraced runs pay nothing."""
-        tracer = self.tracer
-        if tracer is None or not tracer.enabled:
+    def span(self, name: str, cat: str = "phase",
+             args: Optional[dict] = None):
+        """A span *without* a timer — the structural levels of the span
+        hierarchy (run, step, lagstep), which must not double-charge
+        the kernel accumulators, and the Typhon comm spans.  Yields the
+        live :class:`Span` (callers may fill ``args`` before the block
+        closes); a shared no-op context yielding ``None`` when not
+        tracing."""
+        if self.spans is None:
             return nullcontext()
-        return tracer.span(name, cat, args)
+        return self._span(name, cat, args)
 
-    def trace_instant(self, name: str, cat: str = "phase",
-                      args: Optional[dict] = None) -> None:
-        """Record a zero-duration marker event on the attached tracer."""
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.instant(name, cat, args)
+    @contextmanager
+    def _span(self, name: str, cat: str,
+              args: Optional[dict]) -> Iterator[Span]:
+        alloc0 = None
+        if self.trace_allocations and tracemalloc.is_tracing():
+            alloc0, _ = tracemalloc.get_traced_memory()
+        span = Span(name, cat, self.rank,
+                    time.perf_counter_ns() - self.epoch_ns,
+                    depth=len(self.stack),
+                    args=dict(args) if args else {})
+        self.spans.append(span)
+        self.stack.append(span)
+        try:
+            yield span
+        finally:
+            span.dur_ns = (time.perf_counter_ns() - self.epoch_ns
+                           - span.t0_ns)
+            if alloc0 is not None and tracemalloc.is_tracing():
+                alloc1, _ = tracemalloc.get_traced_memory()
+                span.alloc_bytes = alloc1 - alloc0
+            self.stack.pop()
+
+    def instant(self, name: str, cat: str = "phase",
+                args: Optional[dict] = None) -> None:
+        """Record a zero-duration marker event (e.g. a skipped remap)
+        when tracing."""
+        if self.spans is None:
+            return
+        self.spans.append(Span(
+            name, cat, self.rank,
+            time.perf_counter_ns() - self.epoch_ns, 0,
+            depth=len(self.stack), args=dict(args) if args else {},
+        ))
+
+    @contextmanager
+    def allocation_scope(self) -> Iterator[None]:
+        """The extent of one run under ``trace_allocations``: starts
+        ``tracemalloc`` unless it is already running and stops what it
+        started on the way out, so a traced run does not leave every
+        later allocation of the process intercepted."""
+        if not self.trace_allocations or tracemalloc.is_tracing():
+            yield
+            return
+        tracemalloc.start()
+        try:
+            yield
+        finally:
+            tracemalloc.stop()
 
     def seconds(self, name: str) -> float:
         timer = self.timers.get(name)

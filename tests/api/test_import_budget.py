@@ -43,7 +43,7 @@ DENY = (
 #: ``repro`` modules loaded by ``import repro.api`` — exact
 REPRO_AFTER_IMPORT = 74
 #: ... and after the serial CLI run with ``--report`` — exact
-REPRO_AFTER_CLI_RUN = 83
+REPRO_AFTER_CLI_RUN = 82
 #: ceilings on everything loaded beyond a bare ``import numpy`` (the
 #: absolute totals, 280 and 307 on the builder's numpy 2.4 / CPython
 #: 3.11 against 906 and 971 before, move with numpy's own module count,

@@ -38,7 +38,7 @@ PARALLEL = SRC / "parallel"
 BACKENDS = PARALLEL / "backends"
 
 #: what only the rank builder/assembler may construct
-RANK_CALLS = ("Hydro", "Tracer", "TimerRegistry", "Heartbeat",
+RANK_CALLS = ("Hydro", "TimerRegistry", "Heartbeat",
               "StepLogger", "local_state", "BackendRun")
 
 #: calls only the protocol makes: ``x.pack(``, ``x.peer_blocks(``,

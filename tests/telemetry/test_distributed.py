@@ -68,7 +68,6 @@ def test_merged_timers_fold_alloc_counters():
 def test_untraced_driver_has_no_tracers():
     setup = load_problem("noh", nx=12, ny=12)
     driver = DistributedHydro(setup, 2)
-    assert driver.tracers == []
     assert driver.merged_spans() == []
     for hydro in driver.hydros:
-        assert hydro.timers.tracer is None
+        assert hydro.timers.spans is None

@@ -19,7 +19,6 @@ from repro.parallel import CommStats, DistributedHydro
 from repro.problems import load_problem
 from repro.telemetry import (
     SCHEMA_VERSION,
-    Tracer,
     build_report,
     schema_shape,
     validate_report,
@@ -32,8 +31,7 @@ GOLDEN = Path(__file__).parent / "golden_report_schema.json"
 
 def serial_report() -> dict:
     setup = load_problem("noh", nx=12, ny=12)
-    timers = TimerRegistry()
-    timers.tracer = Tracer()
+    timers = TimerRegistry.traced()
     hydro = Hydro(setup.state, setup.table, setup.controls, timers=timers)
     t0 = time.perf_counter()
     hydro.run(max_steps=5)

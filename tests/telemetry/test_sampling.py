@@ -3,43 +3,56 @@
 from repro.telemetry.sampling import (IDLE_FRAME, SamplingProfiler,
                                       merge_folded, read_collapsed,
                                       top_stacks, write_collapsed)
-from repro.telemetry.spans import Tracer
+from repro.utils.timers import TimerRegistry
 
 
 def test_samples_open_span_stack():
-    tracer = Tracer(rank=0)
-    profiler = SamplingProfiler([tracer])
-    with tracer.span("run", cat="run"):
-        with tracer.span("step 17", cat="step"):
-            with tracer.span("lagstep", cat="phase"):
+    timers = TimerRegistry.traced(rank=0)
+    profiler = SamplingProfiler([timers])
+    with timers.span("run", cat="run"):
+        with timers.span("step 17", cat="step"):
+            with timers.span("lagstep", cat="phase"):
                 profiler.sample_once()
     assert profiler.folded() == {"run;step;lagstep": 1}
     assert profiler.samples == 1
 
 
+def test_samples_kernel_region_frames():
+    """A kernel region is on the sampled stack: the profile's leaves
+    are kernels, not the phase around them."""
+    timers = TimerRegistry.traced(rank=0)
+    profiler = SamplingProfiler([timers])
+    with timers.span("run", cat="run"):
+        with timers.span("step 3", cat="step"):
+            with timers.span("lagstep", cat="phase"):
+                with timers.region("getq"):
+                    profiler.sample_once()
+    assert profiler.folded() == {"run;step;lagstep;getq": 1}
+
+
 def test_idle_tracer_samples_idle_frame():
-    profiler = SamplingProfiler([Tracer(rank=0)])
+    profiler = SamplingProfiler([TimerRegistry.traced(rank=0)])
     profiler.sample_once()
     assert profiler.folded() == {IDLE_FRAME: 1}
 
 
 def test_multi_rank_stacks_get_rank_prefix():
-    tracers = [Tracer(rank=0), Tracer(rank=1)]
-    profiler = SamplingProfiler(tracers)
-    with tracers[0].span("run", cat="run"):
+    ranks = [TimerRegistry.traced(rank=0), TimerRegistry.traced(rank=1)]
+    profiler = SamplingProfiler(ranks)
+    with ranks[0].span("run", cat="run"):
         profiler.sample_once()
     folded = profiler.folded()
     assert folded == {"rank 0;run": 1, f"rank 1;{IDLE_FRAME}": 1}
 
 
 def test_thread_sampler_accumulates(tmp_path):
-    tracer = Tracer(rank=0)
-    profiler = SamplingProfiler([tracer], interval=0.001)
+    timers = TimerRegistry.traced(rank=0)
+    profiler = SamplingProfiler([timers], interval=0.001)
     import time
 
     with profiler:
-        with tracer.span("run", cat="run"):
-            with tracer.span("getacc", cat="kernel"):
+        with timers.span("run", cat="run"):
+            with timers.region("getacc"):
                 time.sleep(0.05)
     assert profiler.samples > 0
     assert profiler.wall_seconds > 0

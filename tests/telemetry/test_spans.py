@@ -1,65 +1,67 @@
-"""Tracer/span mechanics: nesting, clocks, the timer-region hook."""
+"""Span mechanics on the timer registry: nesting, clocks, regions."""
 
 import tracemalloc
 
-from repro.telemetry import Span, Tracer, merge_spans
+from repro.telemetry import Span
 from repro.utils.timers import TimerRegistry
 
 
 def test_span_nesting_depth_and_clocks():
-    tracer = Tracer()
-    with tracer.span("run", cat="run"):
-        with tracer.span("step 0", cat="step"):
-            with tracer.span("getq"):
+    timers = TimerRegistry.traced()
+    with timers.span("run", cat="run"):
+        with timers.span("step 0", cat="step"):
+            with timers.region("getq"):
                 pass
-    names = [(s.name, s.cat, s.depth) for s in tracer.spans]
+    names = [(s.name, s.cat, s.depth) for s in timers.spans]
     assert names == [("run", "run", 0), ("step 0", "step", 1),
                      ("getq", "kernel", 2)]
-    run, step, getq = tracer.spans
-    for span in tracer.spans:
+    run, step, getq = timers.spans
+    for span in timers.spans:
         assert span.t0_ns >= 0 and span.dur_ns >= 0
     # children lie within their parents' intervals
-    assert run.t0_ns <= step.t0_ns
+    assert run.t0_ns <= step.t0_ns <= getq.t0_ns
     assert step.t0_ns + step.dur_ns <= run.t0_ns + run.dur_ns
     assert getq.t0_ns + getq.dur_ns <= step.t0_ns + step.dur_ns
+    assert timers.stack == []
+
+
+def test_region_is_on_the_stack_while_open():
+    timers = TimerRegistry.traced()
+    with timers.region("getacc"):
+        with timers.span("typhon.post_node_sums", cat="comm"):
+            assert [s.name for s in timers.stack] == [
+                "getacc", "typhon.post_node_sums"]
+    # the region is recorded before the comm span nested inside it
+    assert [(s.name, s.depth) for s in timers.spans] == [
+        ("getacc", 0), ("typhon.post_node_sums", 1)]
 
 
 def test_span_args_filled_inside_block():
-    tracer = Tracer()
-    with tracer.span("step 3", cat="step") as span:
+    timers = TimerRegistry.traced()
+    with timers.span("step 3", cat="step") as span:
         span.args["dt"] = 0.5
-    assert tracer.spans[0].args == {"dt": 0.5}
-    assert "args" in tracer.spans[0].as_dict()
+    assert timers.spans[0].args == {"dt": 0.5}
+    assert "args" in timers.spans[0].as_dict()
 
 
 def test_instant_marker_has_zero_duration():
-    tracer = Tracer()
-    tracer.instant("ale.skip", args={"moved": 0.0})
-    (span,) = tracer.spans
+    timers = TimerRegistry.traced()
+    timers.instant("ale.skip", args={"moved": 0.0})
+    (span,) = timers.spans
     assert span.dur_ns == 0 and span.args == {"moved": 0.0}
 
 
-def test_disabled_tracer_records_nothing():
-    tracer = Tracer()
-    tracer.enabled = False
-    with tracer.span("x"):
-        pass
-    tracer.instant("y")
-    assert tracer.spans == []
-
-
-def test_timer_region_records_spans_when_tracer_attached():
-    timers = TimerRegistry()
-    timers.tracer = Tracer()
+def test_timer_region_records_spans_when_traced():
+    timers = TimerRegistry.traced()
     with timers.region("getq"):
         pass
     with timers.region("alestep", cat="phase"):
         pass
-    spans = timers.tracer.spans
+    spans = timers.spans
     assert [(s.name, s.cat) for s in spans] == [
         ("getq", "kernel"), ("alestep", "phase")]
-    # timer accumulators agree with the span durations
-    assert abs(timers.seconds("getq") - spans[0].dur_ns * 1e-9) < 1e-9
+    # the span and the accumulator read the same clock pair
+    assert abs(timers.seconds("getq") - spans[0].dur_ns * 1e-9) < 1e-12
 
 
 def test_timer_region_without_tracer_unchanged():
@@ -67,34 +69,25 @@ def test_timer_region_without_tracer_unchanged():
     with timers.region("getq"):
         pass
     assert timers.calls("getq") == 1
+    assert timers.spans is None and timers.stack == []
 
 
-def test_trace_span_helper_noop_without_tracer():
+def test_span_and_instant_noop_when_untraced():
     timers = TimerRegistry()
-    with timers.trace_span("lagstep") as span:
+    with timers.span("lagstep") as span:
         assert span is None
-    timers.trace_instant("marker")   # must not raise
+    timers.instant("marker")   # must not raise
+    assert timers.spans is None
 
 
 def test_region_span_carries_alloc_bytes():
-    timers = TimerRegistry(trace_allocations=True)
-    timers.tracer = Tracer()
+    timers = TimerRegistry.traced(trace_allocations=True)
     with timers.region("alloc"):
         blob = bytearray(256 * 1024)  # noqa: F841
         del blob
-    (span,) = timers.tracer.spans
+    (span,) = timers.spans
     assert span.alloc_bytes is not None
     tracemalloc.stop()
-
-
-def test_merge_spans_ascending_rank_order():
-    a, b = Tracer(rank=1, epoch_ns=0), Tracer(rank=0, epoch_ns=0)
-    with a.span("x"):
-        pass
-    with b.span("y"):
-        pass
-    merged = merge_spans([a, b])
-    assert [(s.rank, s.name) for s in merged] == [(0, "y"), (1, "x")]
 
 
 def test_span_as_dict_roundtrips_fields():

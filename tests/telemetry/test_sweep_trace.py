@@ -2,7 +2,7 @@
 
 import json
 
-from repro.telemetry.spans import Span
+from repro.telemetry import Span
 from repro.telemetry.sweep_trace import (RANK_STRIDE, SweepTraceBuilder,
                                          strip_nondeterminism,
                                          write_sweep_trace)

@@ -5,7 +5,6 @@ import json
 from repro.core.hydro import Hydro
 from repro.problems import load_problem
 from repro.telemetry import (
-    Tracer,
     trace_events,
     validate_trace,
     write_trace,
@@ -15,11 +14,10 @@ from repro.utils.timers import TimerRegistry
 
 def traced_run(nx=12, steps=4):
     setup = load_problem("noh", nx=nx, ny=nx)
-    timers = TimerRegistry()
-    timers.tracer = Tracer()
+    timers = TimerRegistry.traced()
     hydro = Hydro(setup.state, setup.table, setup.controls, timers=timers)
     hydro.run(max_steps=steps)
-    return timers.tracer.spans
+    return timers.spans
 
 
 def test_trace_from_real_run_is_valid(tmp_path):
@@ -54,10 +52,10 @@ def test_steps_nest_inside_run():
 
 
 def test_instant_events_render_as_markers():
-    tracer = Tracer()
-    with tracer.span("step 0", cat="step"):
-        tracer.instant("ale.skip")
-    trace = trace_events(tracer.spans)
+    timers = TimerRegistry.traced()
+    with timers.span("step 0", cat="step"):
+        timers.instant("ale.skip")
+    trace = trace_events(timers.spans)
     validate_trace(trace)
     marker = next(e for e in trace["traceEvents"] if e["name"] == "ale.skip")
     assert marker["ph"] == "i" and marker["s"] == "t"
