@@ -20,8 +20,9 @@ Design constraints, in order:
   continues bit-identically.
 * **A wedged worker is detected, not waited on.**  With
   ``heartbeat_timeout`` set, every worker slot owns one row of a
-  ``shared_memory``-backed :class:`~repro.metrics.watchdog.HeartbeatBoard`
-  (created before the fork, inherited by the children); in-process
+  :class:`~repro.metrics.watchdog.HeartbeatBoard` in an anonymous
+  shared mapping (created before the fork, inherited by the children,
+  nothing to unlink); in-process
   ranks beat it per step, and the parent's wait loop SIGKILLs any
   busy slot whose beat goes stale — surfacing a
   :class:`~repro.utils.errors.StalledRankWarning` and a
@@ -59,7 +60,7 @@ from typing import Callable, Dict, List, Optional
 # event, checkpoint or ``ResultCache.store`` would otherwise load in
 # every child after the fork: the progress reporter, the snapshot
 # writer, the run report, and ``zipfile`` under ``np.savez``.
-from ..metrics.watchdog import Heartbeat
+from ..metrics.watchdog import Heartbeat, HeartbeatBoard
 from ..output import restart as _restart  # noqa: F401
 from ..telemetry import live as _live  # noqa: F401
 from ..telemetry import report as _report  # noqa: F401
@@ -185,29 +186,13 @@ class WorkerPool:
         self.heartbeat_timeout = heartbeat_timeout
         self.progress_every = progress_every
         self._next_id = 0
-        self._hb_seg = None
-        self.board = None
         nslots = max(1, nworkers)
-        if heartbeat_timeout is not None:
-            self._make_board(nslots)
+        #: one row per worker slot, shared with the workers it forks
+        self.board = (HeartbeatBoard.allocate(nslots, shared=True)
+                      if heartbeat_timeout is not None else None)
         self.workers = [self._spawn(slot) for slot in range(nslots)]
 
     # ------------------------------------------------------------------
-    def _make_board(self, nslots: int) -> None:
-        from multiprocessing import shared_memory
-
-        import numpy as np
-
-        from ..metrics.watchdog import BOARD_COLS, HeartbeatBoard
-
-        nbytes = nslots * BOARD_COLS * np.dtype(np.float64).itemsize
-        self._hb_seg = shared_memory.SharedMemory(create=True,
-                                                  size=nbytes)
-        array = np.ndarray((nslots, BOARD_COLS), dtype=np.float64,
-                           buffer=self._hb_seg.buf)
-        self.board = HeartbeatBoard(array)
-        self.board.launch()
-
     def _spawn(self, slot: int) -> dict:
         parent, child = self.ctx.Pipe(duplex=True)
         proc = self.ctx.Process(
@@ -376,11 +361,3 @@ class WorkerPool:
                 w["proc"].terminate()
                 w["proc"].join(timeout=5)
             w["conn"].close()
-        if self._hb_seg is not None:
-            self.board = None
-            try:
-                self._hb_seg.close()
-                self._hb_seg.unlink()
-            except (FileNotFoundError, BufferError):
-                pass
-            self._hb_seg = None

@@ -8,8 +8,9 @@ that silence into a diagnosis:
 
 * every rank publishes ``(step, wallclock)`` heartbeats into a shared
   :class:`HeartbeatBoard` — a plain (nranks, 2) float64 array for the
-  ``threads`` backend, a ``shared_memory``-backed view of the same
-  layout for ``processes`` and for the fleet's pool workers;
+  ``threads`` backend, the same layout in an anonymous shared mapping
+  (:func:`shared_zeros`, made before the fork) for ``processes`` and
+  for the fleet's pool workers;
 * nothing here watches it: whoever launched the ranks already sits in
   a wait loop (the threads backend's join loop, the processes
   backend's parent, the fleet pool's dispatcher) and asks
@@ -26,6 +27,8 @@ runs; only the monitoring (and hence the timeout policy) is opt-in via
 
 from __future__ import annotations
 
+import math
+import mmap
 import time
 from typing import Dict
 
@@ -38,14 +41,27 @@ BOARD_COLS = 2
 LAUNCHED = -1.0
 
 
+def shared_zeros(shape) -> np.ndarray:
+    """A zero-filled float64 array in an anonymous shared mapping.
+
+    Made before a fork, it is the same memory in the parent and every
+    child: nothing is named, so nothing is left to unlink, and the
+    mapping goes with the last process holding a view of it.
+    """
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, max(count, 1) * 8)  # MAP_SHARED | MAP_ANONYMOUS
+    return np.frombuffer(buf, dtype=np.float64, count=count).reshape(shape)
+
+
 class HeartbeatBoard:
     """Shared (nranks, 2) array of per-rank (step, wallclock) beats.
 
-    The storage is caller-provided so one class serves both backends:
-    threads hand in a process-local array, processes hand in a view of
-    a ``shared_memory`` segment.  Writers only ever touch their own
-    row, so no locking is needed (float64 stores are atomic enough for
-    a monitor that tolerates a torn read as one stale poll).
+    The storage is caller-provided so one class serves every launcher:
+    the threads backend allocates a process-local array, the processes
+    backend and the fleet pool a :func:`shared_zeros` one.  Writers
+    only ever touch their own row, so no locking is needed (float64
+    stores are atomic enough for a monitor that tolerates a torn read
+    as one stale poll).
     """
 
     def __init__(self, array: np.ndarray):
@@ -55,8 +71,11 @@ class HeartbeatBoard:
         self.array = array
 
     @classmethod
-    def allocate(cls, nranks: int) -> "HeartbeatBoard":
-        board = cls(np.zeros((nranks, BOARD_COLS)))
+    def allocate(cls, nranks: int, shared: bool = False) -> "HeartbeatBoard":
+        """A launched board; ``shared`` puts it in an anonymous shared
+        mapping, for launchers that fork after allocating it."""
+        zeros = shared_zeros if shared else np.zeros
+        board = cls(zeros((nranks, BOARD_COLS)))
         board.launch()
         return board
 

@@ -17,9 +17,9 @@ backend       rank execution                 true parallelism
 
 Only ``serial`` is imported with the package — every run path goes
 through it or past it.  The concurrent backends bring the Typhon
-protocol, the comm-plan compiler, the heartbeat board and (for
-``processes``) ``multiprocessing`` with them, so the registry imports a
-backend's module when its name is first looked up.
+protocol, the comm-plan compiler and the heartbeat board with them, so
+the registry imports a backend's module when its name is first looked
+up.
 """
 
 from __future__ import annotations

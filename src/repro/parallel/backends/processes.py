@@ -1,73 +1,63 @@
-"""The ``processes`` backend: one OS process per rank over shared memory.
+"""The ``processes`` backend: one forked OS process per rank.
 
-The threads backend overlaps rank work only inside GIL-releasing numpy
-kernels; everything else serialises.  This backend runs each rank's
-*unchanged* SPMD hydro loop — and the *unchanged* Typhon protocol,
-:class:`~repro.parallel.typhon.TyphonComms` — in its own forked
-process, so the ranks genuinely execute in parallel.  What changes is
-only the transport underneath (:class:`SharedMemoryTransport`):
+Each rank's *unchanged* SPMD hydro loop and Typhon protocol
+(:class:`~repro.parallel.typhon.TyphonComms`) runs in its own forked
+process, so the ranks genuinely execute in parallel, not only inside
+GIL-releasing kernels as with threads.  Only the transport underneath
+differs (:class:`SharedMemoryTransport`), made of plain POSIX
+primitives before the fork:
 
-* **boards** — the protocol's staging, post/complete counters and dt
-  combining cells live in ``multiprocessing.shared_memory`` segments
-  (each rank's staging segment is its halo-sized *mailbox*, the
-  compiled CommPlan's layout);
-* **waiting** — a rank that needs a peer's counter polls it with
-  sleep backoff; there is nobody to notify;
-* **pipes** — the scalar collectives (the remap's collective skip
-  decision, the metrics probe's sums/minima, the end-of-run
-  rendezvous) gather over per-rank ``Pipe`` pairs rooted at rank 0, in
-  ascending rank order.
+* **boards** — the protocol's staging (each rank's halo-sized
+  *mailbox*, the compiled CommPlan's layout), post/complete counters
+  and dt combining cells, plus a one-cell failure flag, live in
+  anonymous shared ``mmap`` regions: nothing named, nothing to unlink;
+* **waiting** — each rank owns a non-blocking *wake pipe*: ``notify``
+  writes one byte to it, ``wait`` re-checks its predicate and blocks
+  in ``select`` on it;
+* **collectives** — the scalar collectives (the remap's collective
+  skip decision, the metrics probe's sums/minima) gather over
+  ``os.pipe`` pairs rooted at rank 0, in ascending rank order, as
+  length-prefixed pickles.
 
 Each child has the driver it inherited build its rank
-(``driver.build_rank``) and ships that rank's ``driver.report(...)`` —
-counters, kernel timers and their trace spans, the final state as
-arrays — back over a result queue; the parent's wait loop watches exit
-codes and the heartbeat board, hands what it saw to the driver's one
-verdict (:func:`~repro.parallel.distributed.judge_ranks`) and returns
-the reports, so everything downstream is backend-agnostic.
+(``driver.build_rank``), writes one framed pickle — its
+``driver.report(...)``, the final state as arrays, or its error —
+down a private result pipe and leaves through ``os._exit``.  That
+pipe's EOF is also its death notice: the parent blocks in one
+``select`` over the result pipes (until the heartbeat board's next
+deadline when a watchdog is set), reaps a child on EOF — a partial
+frame is never unpickled — and hands deaths and stalls to the driver's
+one verdict (:func:`~repro.parallel.distributed.judge_ranks`).
 
-Requires the ``fork`` start method (the driver — problem setup,
-subdomains, schedules — is inherited, never pickled), i.e. Linux or
-macOS-with-fork.  See docs/PARALLEL.md for the transport table.
+Requires ``os.fork`` (the driver — problem setup, subdomains,
+schedules — is inherited, never pickled), i.e. Linux or macOS.  See
+docs/PARALLEL.md for the transport table.
 """
 
 from __future__ import annotations
 
-import math
-import multiprocessing as mp
 import os
+import pickle
+import select
+import signal
+import sys
 import time
 import traceback
-from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Tuple
+from contextlib import suppress
+from typing import Dict, List, Optional
 
-import numpy as np
-
-from ...metrics.watchdog import BOARD_COLS, HeartbeatBoard
+from ...metrics.watchdog import HeartbeatBoard, shared_zeros
 from ...utils.errors import BookLeafError, CommError
 from ..commplan import CommPlan
 from ..distributed import judge_ranks
 from ..typhon import PEER_FAILED, SPIN_TIMEOUT, Transport
 
-_FLOAT_BYTES = 8
+#: every frame on a pipe: the pickle's byte length in this many
+#: little-endian bytes, then the pickle
+_HEADER = 8
 
-#: what a waiter raises when a peer's pipe end is gone — a *secondary*
-#: symptom, so failure attribution points at the rank that died
-PIPE_CLOSED = "a peer rank closed its pipe; aborting collective"
-
-#: polling backoff ceiling.  Virtual ranks oversubscribe the host, so a
-#: waiter must *sleep*, not yield: every quantum it burns polling is a
-#: quantum stolen from the very peer it is waiting on.  A handful of
-#: free polls catch the already-arrived case; after that the sleep
-#: doubles from 2 µs up to this ceiling.
-SPIN_MAX_SLEEP = 500e-6
-
-
-def spin_backoff(spins: int) -> float:
-    """Sleep duration for the ``spins``-th unsuccessful poll."""
-    if spins < 4:
-        return 0.0
-    return min(SPIN_MAX_SLEEP, 2e-6 * (1 << min(spins - 4, 10)))
+#: largest read from a pipe in one call
+_CHUNK = 1 << 20
 
 
 class RemoteRankError(BookLeafError):
@@ -86,268 +76,267 @@ class RemoteRankError(BookLeafError):
         super().__init__(message)
 
 
+def _send_frame(fd: int, obj) -> None:
+    """Write ``obj`` as one length-prefixed pickle (blocking)."""
+    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    for part in (len(data).to_bytes(_HEADER, "little"), data):
+        view = memoryview(part)
+        while view:
+            view = view[os.write(fd, view):]
+
+
+def _take_frames(buf: bytearray) -> list:
+    """Unpickle and remove every complete frame at the front of
+    ``buf``; an incomplete tail stays where it is."""
+    done = []
+    while len(buf) >= _HEADER:
+        end = _HEADER + int.from_bytes(buf[:_HEADER], "little")
+        if len(buf) < end:
+            break
+        with memoryview(buf) as view:
+            done.append(pickle.loads(view[_HEADER:end]))
+        del buf[:end]
+    return done
+
+
+def _drain(fd: int) -> None:
+    """Empty a non-blocking wake pipe."""
+    with suppress(BlockingIOError):
+        while os.read(fd, 4096):
+            pass
+
+
+def _flush_stdio() -> None:
+    """Flush Python's stdio buffers: before a fork, so no child prints
+    the parent's pending text again, and before ``os._exit``."""
+    for stream in (sys.stdout, sys.stderr):
+        with suppress(AttributeError, OSError, ValueError):
+            stream.flush()
+
+
 class SharedMemoryTransport(Transport):
-    """The shared-memory transport: boards in ``shared_memory``
-    segments, waits that poll with sleep backoff, pipes for allgather.
+    """Boards in anonymous shared mappings, waits on wake pipes,
+    allgather over pipe pairs rooted at rank 0.
 
     Built before the ranks fork, so every rank inherits the same
-    segments, failure event and pipe ends (rank 0 holds the root end of
-    one duplex pipe per peer).  Whoever builds it calls
-    :meth:`cleanup`; every process drops its board views first
-    (:meth:`drop_segment_views`) — an mmap cannot close while a numpy
-    export is alive.
+    mappings and pipes; the parent aborts a run through the same
+    failure flag and wake pipes.  Whoever builds it calls
+    :meth:`cleanup`, which closes this process's pipe ends (the
+    mappings go with their last view).
     """
 
     def __init__(self, plans: List[CommPlan]):
-        ctx = mp.get_context("fork")
-        self.failure = ctx.Event()
-        self.root_conns: Dict[int, object] = {}
-        self.leaf_conns: Dict[int, object] = {}
-        for r in range(1, len(plans)):
-            self.root_conns[r], self.leaf_conns[r] = ctx.Pipe(duplex=True)
-        self.segments: List[shared_memory.SharedMemory] = []
+        self.fds: List[int] = []
+        #: one cell every waiter reads, set by :meth:`abort`
+        self.failure = shared_zeros((1,))
+        #: per rank: the (read, write) ends of its wake pipe
+        self.wake = [self._pipe(blocking=False) for _ in plans]
+        #: per leaf rank r: its value travels up, the entries come down
+        self.up = {r: self._pipe() for r in range(1, len(plans))}
+        self.down = {r: self._pipe() for r in range(1, len(plans))}
+        self._pending: Dict[int, bytearray] = {}
         super().__init__(plans)
 
-    def board(self, name: str, shape) -> np.ndarray:
-        """A fresh segment (zero-filled by the OS) viewed as float64."""
-        seg = shared_memory.SharedMemory(
-            create=True, size=math.prod(shape) * _FLOAT_BYTES)
-        self.segments.append(seg)
-        return np.ndarray(shape, dtype=np.float64, buffer=seg.buf)
+    def _pipe(self, blocking: bool = True) -> tuple:
+        ends = os.pipe()
+        self.fds += ends
+        if not blocking:
+            for fd in ends:
+                os.set_blocking(fd, False)
+        return ends
 
-    # ------------------------------------------------------------------
+    def board(self, name: str, shape):
+        return shared_zeros(shape)
+
     def wait(self, rank: int, ready, what: str) -> None:
         if ready():
             return
         deadline = time.monotonic() + SPIN_TIMEOUT
-        spins = 0
+        wake = self.wake[rank][0]
         while True:
-            if self.failure.is_set():
-                raise CommError(PEER_FAILED)
-            spins += 1
-            time.sleep(spin_backoff(spins))
+            _drain(wake)
             if ready():
                 return
-            if spins % 64 == 0 and time.monotonic() > deadline:
+            if self.failure[0]:
+                raise CommError(PEER_FAILED)
+            left = deadline - time.monotonic()
+            if left <= 0:
                 raise CommError(
                     f"rank {rank} timed out waiting for {what}")
+            select.select([wake], [], [], left)
 
     def notify(self, ranks) -> None:
-        """Nothing to do: waiters poll the boards."""
+        for r in ranks:
+            try:
+                os.write(self.wake[r][1], b"\0")
+            except BlockingIOError:
+                pass  # a full pipe: that rank has wake-ups pending
 
     def allgather(self, rank: int, value) -> list:
         """Gather at rank 0 in ascending rank order, broadcast back."""
         if rank == 0:
             entries = [value]
             for r in range(1, self.size):
-                entries.append(self._recv(self.root_conns[r]))
+                entries.append(self._recv(0, self.up[r][0]))
             for r in range(1, self.size):
-                self._send(self.root_conns[r], entries)
+                _send_frame(self.down[r][1], entries)
             return entries
-        conn = self.leaf_conns[rank]
-        self._send(conn, value)
-        return self._recv(conn)
+        _send_frame(self.up[rank][1], value)
+        return self._recv(rank, self.down[rank][0])
 
     def abort(self) -> None:
-        self.failure.set()
+        self.failure[0] = 1.0
+        self.notify(range(self.size))
 
-    # ------------------------------------------------------------------
-    def _recv(self, conn) -> object:
-        """Blocking pipe receive that fails fast when a peer died."""
-        try:
-            while not conn.poll(0.2):
-                if self.failure.is_set():
+    def cleanup(self) -> None:
+        for fd in self.fds:
+            os.close(fd)
+        self.fds = []
+
+    def _recv(self, rank: int, fd: int) -> object:
+        """Receive one frame, failing fast once a peer has failed."""
+        buf = self._pending.setdefault(fd, bytearray())
+        wake = self.wake[rank][0]
+        while True:
+            if fd not in select.select([fd, wake], [], [])[0]:
+                if self.failure[0]:
                     raise CommError(PEER_FAILED)
-            return conn.recv()
-        except (EOFError, BrokenPipeError, OSError):
-            raise CommError(PIPE_CLOSED) from None
-
-    def _send(self, conn, payload) -> None:
-        try:
-            conn.send(payload)
-        except (BrokenPipeError, OSError):
-            raise CommError(PIPE_CLOSED) from None
-
-    def close_pipes(self, keep_rank: Optional[int] = None) -> None:
-        """Close every pipe end ``keep_rank`` does not own (all of them
-        for the parent).  Fork duplicated every fd into every child;
-        unowned copies would defeat EOF detection and leak
-        descriptors."""
-        if keep_rank != 0:
-            for conn in self.root_conns.values():
-                conn.close()
-        for r, conn in self.leaf_conns.items():
-            if r != keep_rank:
-                conn.close()
-
-    def drop_segment_views(self) -> None:
-        """Release this process's board views (before interpreter
-        teardown in a rank, before ``cleanup`` in the parent)."""
-        self.staging = self.counters = self.dt_cells = None
-
-    def cleanup(self) -> None:
-        self.drop_segment_views()
-        self.close_pipes()
-        for seg in self.segments:
-            try:
-                seg.close()
-            except BufferError:
-                pass  # a view outlived its owner; still unlink the name
-            seg.unlink()
+                _drain(wake)
+                continue
+            chunk = os.read(fd, _CHUNK)
+            if not chunk:  # EOF: every writer's end is closed
+                raise CommError(PEER_FAILED)
+            buf += chunk
+            done = _take_frames(buf)
+            if done:
+                return done[0]
 
 
-class _ProcessRunContext:
-    """What the parent and the rank processes share beyond the driver
-    itself, created pre-fork: the transport, the two queues and the
-    heartbeat board.  Everything else a rank needs it reads off the
-    driver it inherited."""
-
-    def __init__(self, driver, max_steps: Optional[int]):
-        ctx = mp.get_context("fork")
-        self.max_steps = max_steps
-        self.epoch_ns = time.perf_counter_ns()
-        self.transport = SharedMemoryTransport(driver.compiled_plans())
-        #: SimpleQueue: the put is synchronous, so a failing child can
-        #: os._exit right after reporting without losing the record
-        self.errors = ctx.SimpleQueue()
-        self.results: mp.Queue = ctx.Queue()
-        # Heartbeat board: one more shared board the ranks beat into and
-        # the parent's wait loop polls (CLOCK_MONOTONIC is system-wide,
-        # so the stamps compare across processes).  Launch-stamped
-        # pre-fork.
-        self.heartbeat = HeartbeatBoard(
-            self.transport.board("heartbeat", (driver.nranks, BOARD_COLS)))
-        self.heartbeat.launch()
-
-    def cleanup(self) -> None:
-        self.heartbeat.array = None
-        self.transport.cleanup()
-
-
-def _rank_main(driver, rc: _ProcessRunContext, rank: int) -> None:
-    """Entry point of one rank process (runs in the forked child)."""
+def _rank_main(driver, transport, board, rank: int,
+               max_steps: Optional[int], epoch_ns: int, fd: int) -> None:
+    """Body of one forked rank: run, write one frame — the report or
+    an error record — down ``fd``, leave through ``os._exit``."""
+    status = 1
     try:
-        transport = rc.transport
-        transport.close_pipes(keep_rank=rank)
-        hydro = driver.build_rank(rank, transport, epoch_ns=rc.epoch_ns,
-                                  board=rc.heartbeat)
-        hydro.run(max_steps=rc.max_steps)
-        # Collective end-of-run point: every rank is past its last
-        # staging read before anyone tears its mailbox views down.
-        transport.allgather(rank, None)
-        rc.results.put(driver.report(hydro).marshalled())
-        # Release the shared-segment views before interpreter teardown:
-        # an mmap cannot close while a numpy export is alive.
-        transport.drop_segment_views()
-        rc.heartbeat.array = None
+        hydro = driver.build_rank(rank, transport, epoch_ns=epoch_ns,
+                                  board=board)
+        hydro.run(max_steps=max_steps)
+        _send_frame(fd, ("report", driver.report(hydro).marshalled()))
+        status = 0
     except BaseException as exc:
-        rc.errors.put((
-            rank, type(exc).__name__, str(exc), traceback.format_exc(),
-        ))
-        rc.transport.abort()
-        os._exit(1)
+        if not isinstance(exc, CommError):
+            exc = RemoteRankError(f"[{type(exc).__name__}] {exc}",
+                                  traceback.format_exc())
+        with suppress(OSError):  # else the parent is gone: nobody to tell
+            _send_frame(fd, ("error", exc))
+        transport.abort()
+    finally:
+        _flush_stdio()
+        os._exit(status)
 
 
 class ProcessesBackend:
-    """Launch one forked process per rank; marshal the reports back."""
+    """Fork one process per rank; read the reports back."""
 
     name = "processes"
 
-    # ------------------------------------------------------------------
     def prepare(self, driver) -> None:
-        if "fork" not in mp.get_all_start_methods():
-            raise BookLeafError(
-                "the processes backend needs the 'fork' start method "
-                "(Linux/macOS); use backend='threads' here"
-            )
+        if not hasattr(os, "fork"):
+            raise BookLeafError("the processes backend needs os.fork "
+                                "(Linux/macOS); use backend='threads' here")
 
-    # ------------------------------------------------------------------
     def execute(self, driver, max_steps: Optional[int] = None) -> list:
-        rc = _ProcessRunContext(driver, max_steps)
+        transport = SharedMemoryTransport(driver.compiled_plans())
+        # launch-stamped pre-fork; CLOCK_MONOTONIC is system-wide, so
+        # the ranks' stamps compare in the parent
+        board = HeartbeatBoard.allocate(driver.nranks, shared=True)
+        epoch_ns = time.perf_counter_ns()
+        #: rank → (pid, read end of its result pipe), until reaped
+        self.children: Dict[int, tuple] = {}
         try:
-            return self._execute(driver, rc)
+            _flush_stdio()
+            for rank in range(driver.nranks):
+                read_fd, write_fd = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    _rank_main(driver, transport, board, rank, max_steps,
+                               epoch_ns, write_fd)
+                os.close(write_fd)
+                self.children[rank] = (pid, read_fd)
+            return self._supervise(driver, transport, board)
         finally:
-            rc.cleanup()
+            for rank in list(self.children):
+                self._kill(rank)
+                self._reap(rank)
+            transport.cleanup()
 
-    def _execute(self, driver, rc: _ProcessRunContext) -> list:
-        ctx = mp.get_context("fork")
-        size = driver.nranks
-        procs = [
-            ctx.Process(target=_rank_main, args=(driver, rc, r),
-                        name=f"rank{r}")
-            for r in range(size)
-        ]
-        for p in procs:
-            p.start()
-        # Parent's copies of the pipe ends are not used; close them so
-        # fd accounting stays tight (children hold their own copies).
-        rc.transport.close_pipes()
+    def _kill(self, rank: int) -> None:
+        with suppress(ProcessLookupError):
+            os.kill(self.children[rank][0], signal.SIGKILL)
 
-        results: Dict[int, object] = {}
-        failures: List[Tuple[int, BaseException]] = []
-        dead: Dict[int, int] = {}
-        board = rc.heartbeat
+    def _reap(self, rank: int) -> int:
+        """Close ``rank``'s result pipe and return its exit code
+        (``-signal`` for a signalled death)."""
+        pid, fd = self.children.pop(rank)
+        os.close(fd)
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+    def _supervise(self, driver, transport, board) -> list:
+        """Read every rank's frames until its pipe closes, then judge."""
         timeout = driver.watchdog_timeout
+        pending = {rank: bytearray() for rank in self.children}
+        results: Dict[int, object] = {}
+        failures: List[tuple] = []
         stalled: Dict[int, dict] = {}
-
-        def drain() -> None:
-            while True:
-                try:
-                    report = rc.results.get_nowait()
-                except Exception:
-                    break
-                results[report.rank] = report
-            while not rc.errors.empty():
-                rank, etype, emsg, tb = rc.errors.get()
-                failures.append((rank, CommError(emsg) if etype == "CommError"
-                                 else RemoteRankError(f"[{etype}] {emsg}", tb)))
-
-        while True:
-            drain()
-            for r, p in enumerate(procs):
-                if (not p.is_alive() and p.exitcode not in (0, None)
-                        and r not in dead):
-                    dead[r] = p.exitcode
-                    rc.transport.abort()  # free peers stuck in waits/pipes
-                    if timeout is not None and r not in stalled:
-                        # A dead rank has definitively stopped beating;
-                        # the watchdog reports it immediately rather
-                        # than waiting out the timeout.
-                        stalled[r] = board.last_seen()[r]
-            if timeout is not None and not stalled:
-                for r, seen in board.stalled(timeout).items():
-                    if r not in results:
-                        stalled[r] = seen
-                if stalled:
-                    rc.transport.abort()  # diagnose the hang, don't share it
-            if len(results) == size:
-                break
-            if all(not p.is_alive() for p in procs):
-                break
-            if stalled and all(
-                not procs[r].is_alive()
-                for r in range(size) if r not in stalled
-            ):
-                break  # only wedged ranks left; terminate them below
-            time.sleep(0.01)
-        for p in procs:
-            p.join(timeout=10.0)
-            if p.is_alive():
-                p.terminate()
-                p.join(timeout=5.0)
-        drain()
-
-        reported = {rank for rank, _ in failures}
-        for rank, exitcode in sorted(dead.items()):
-            if rank not in reported and rank not in results:
-                failures.append((rank, RemoteRankError(
-                    f"rank process terminated abnormally "
-                    f"(exitcode {exitcode})"
-                )))
+        killed: set = set()
+        while self.children:
+            watched = [r for r in self.children
+                       if r not in results and r not in stalled]
+            wake_in = None
+            if timeout is not None and watched:
+                # until the stalest watched beat would go stale
+                wake_in = max(0.0, board.array[watched, 1].min()
+                              + timeout - time.monotonic())
+            by_fd = {fd: rank for rank, (_, fd) in self.children.items()}
+            for fd in select.select(list(by_fd), [], [], wake_in)[0]:
+                rank = by_fd[fd]
+                chunk = os.read(fd, _CHUNK)
+                pending[rank] += chunk
+                for kind, payload in _take_frames(pending[rank]):
+                    if kind == "report":
+                        results[rank] = payload
+                    else:
+                        failures.append((rank, payload))
+                if chunk:
+                    continue
+                exitcode = self._reap(rank)  # EOF: the rank has exited
+                if exitcode == 0 or rank in killed:
+                    continue
+                transport.abort()  # free peers stuck in waits and pipes
+                if rank not in results and rank not in dict(failures):
+                    failures.append((rank, RemoteRankError(
+                        f"rank process terminated abnormally "
+                        f"(exitcode {exitcode})")))
+                if timeout is not None:
+                    # a dead rank has definitively stopped beating;
+                    # reported now rather than after the timeout
+                    stalled.setdefault(rank, board.last_seen()[rank])
+            if timeout is not None:
+                stale = {r: seen
+                         for r, seen in board.stalled(timeout).items()
+                         if r in self.children and r not in results
+                         and r not in stalled}
+                if stale:
+                    stalled.update(stale)
+                    transport.abort()  # diagnose the hang, don't share it
+            if stalled and all(r in stalled for r in self.children):
+                # only wedged ranks are left; SIGKILL closes their pipes
+                for rank in set(self.children) - killed:
+                    self._kill(rank)
+                    killed.add(rank)
         judge_ranks(failures, stalled, board, timeout)
-        if len(results) != size:
-            missing = sorted(set(range(size)) - set(results))
+        if len(results) != driver.nranks:
+            missing = sorted(set(range(driver.nranks)) - set(results))
             raise BookLeafError(
-                f"ranks {missing} exited without reporting results"
-            )
+                f"ranks {missing} exited without reporting results")
         return list(results.values())

@@ -21,7 +21,7 @@ region capacities.  Offsets are stored in *values per field* and scaled
 by the live field count at pack time, so one compiled section serves
 the 3-field and the 4-field nodal sums alike.  The transports supply
 the storage — a :class:`~repro.perf.workspace.Workspace`-held array
-in-process, a ``multiprocessing.shared_memory`` mailbox between
+in-process, an anonymous shared mapping made before the fork between
 processes — each **double-buffered** (two parity halves) so no
 exchange needs a barrier: rank A may start packing op *k+1* of a
 section while a slow rank B still reads A's op-*k* block, because
@@ -51,7 +51,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .halo import Subdomain
+from .halo import Subdomain, unique_ints
 
 _FLOAT_BYTES = 8
 
@@ -224,7 +224,7 @@ def shared_union(sub: Subdomain) -> np.ndarray:
     """Sorted union of all peers' shared (force-sum) node ids."""
     if not sub.shared_nodes:
         return np.zeros(0, dtype=np.int64)
-    return np.unique(np.concatenate(
+    return unique_ints(np.concatenate(
         [np.asarray(v, dtype=np.int64) for v in sub.shared_nodes.values()]
     ))
 

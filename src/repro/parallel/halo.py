@@ -67,7 +67,7 @@ class Subdomain:
 
     def physical_boundary_nodes(self) -> np.ndarray:
         """Local node ids on the *global* domain boundary."""
-        return np.unique(self.physical_boundary_sides().ravel())
+        return unique_ints(self.physical_boundary_sides().ravel())
 
     def halo_node_count(self) -> int:
         """Total kinematic halo size (received nodes per step)."""
@@ -76,6 +76,16 @@ class Subdomain:
     def shared_node_count(self) -> int:
         """Total force-sum exchange size per step."""
         return sum(v.size for v in self.shared_nodes.values())
+
+
+def unique_ints(values) -> np.ndarray:
+    """The sorted distinct entries of an integer array — what
+    ``np.unique`` returns, without the ``numpy.ma`` import its first
+    call costs on numpy 2.x."""
+    flat = np.sort(np.ravel(values))
+    keep = np.ones(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=keep[1:])
+    return flat[keep]
 
 
 def _node_part_incidence(mesh: QuadMesh, part: np.ndarray, nparts: int
@@ -109,11 +119,11 @@ def build_subdomains(mesh: QuadMesh, part: np.ndarray,
         # Ghost cells: the far side of every cut face touching rank r.
         mine0 = part[cut_pairs[:, 0]] == r
         mine1 = part[cut_pairs[:, 1]] == r
-        ghosts = np.unique(np.concatenate([
+        ghosts = unique_ints(np.concatenate([
             cut_pairs[mine0, 1], cut_pairs[mine1, 0]
         ]))
         local_cells = np.concatenate([owned, ghosts])
-        local_nodes = np.unique(mesh.cell_nodes[local_cells].ravel())
+        local_nodes = unique_ints(mesh.cell_nodes[local_cells].ravel())
         remap = np.full(mesh.nnode, -1, dtype=np.int64)
         remap[local_nodes] = np.arange(local_nodes.size)
         local_cn = remap[mesh.cell_nodes[local_cells]]
@@ -123,7 +133,7 @@ def build_subdomains(mesh: QuadMesh, part: np.ndarray,
         owned_mask = np.zeros(local_cells.size, dtype=bool)
         owned_mask[: owned.size] = True
         active = np.zeros(local_nodes.size, dtype=bool)
-        active[np.unique(local_cn[: owned.size].ravel())] = True
+        active[unique_ints(local_cn[: owned.size].ravel())] = True
         # A local boundary side is physical iff the same side has no
         # neighbour in the *global* mesh either.
         bc_cells = local_mesh.boundary_cells
@@ -145,7 +155,7 @@ def build_subdomains(mesh: QuadMesh, part: np.ndarray,
     for r, sub in enumerate(subs):
         ghost_only = sub.node_global[~sub.active_node_mask]
         owners = node_owner[ghost_only]
-        for s in np.unique(owners):
+        for s in unique_ints(owners):
             globals_rs = np.sort(ghost_only[owners == s])
             sub.recv_nodes[int(s)] = global_to_local_nodes[r][globals_rs]
             subs[int(s)].send_nodes[r] = global_to_local_nodes[int(s)][globals_rs]
@@ -169,7 +179,7 @@ def build_subdomains(mesh: QuadMesh, part: np.ndarray,
     for r, sub in enumerate(subs):
         ghosts = sub.cell_global[sub.n_owned_cells:]
         owners = part[ghosts]
-        for s in np.unique(owners):
+        for s in unique_ints(owners):
             globals_rs = np.sort(ghosts[owners == s])
             sub.recv_cells[int(s)] = global_to_local_cells[r][globals_rs]
             subs[int(s)].send_cells[r] = (

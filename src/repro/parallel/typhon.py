@@ -17,7 +17,7 @@ describes it — *one* library with the transport underneath:
   ``abort``.  :class:`TyphonContext` (below) keeps the boards in
   process memory for rank *threads*;
   :class:`~repro.parallel.backends.processes.SharedMemoryTransport`
-  keeps them in shared segments for rank *processes*.
+  keeps them in anonymous shared mappings for rank *processes*.
 
 Every exchange and reduction is counted (messages and bytes), giving
 the performance model measured communication volumes exactly where the
@@ -140,6 +140,9 @@ class Transport:
     predicates watch a cell this rank just wrote;
     ``allgather(rank, value)`` returns every rank's value in ascending
     rank order (fully synchronising); ``abort()`` fails every waiter.
+    A waiter sleeps until notified — on a condition variable between
+    threads, in ``select`` on its wake pipe between processes — and
+    never polls.
     """
 
     def __init__(self, plans: List[CommPlan]):

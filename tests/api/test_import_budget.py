@@ -159,6 +159,23 @@ def test_the_checker_catches_an_eager_import():
     assert len(ours(doc["api"])) > REPRO_AFTER_IMPORT
 
 
+def test_a_decomposed_run_loads_neither_multiprocessing_nor_numpy_ma():
+    """Rank processes fork, wake and report over plain file descriptors
+    and the halo build takes its distinct ids without ``np.unique``
+    (whose first call imports ``numpy.ma`` on numpy 2.x)."""
+    doc = fresh(PRELUDE + """
+from repro.api import RunConfig, run
+result = run(RunConfig(problem="sod", nx=16, ny=4, max_steps=2, nranks=2,
+                       backend="processes"))
+assert result.nstep == 2
+snap("run")
+done()
+""")
+    unwanted = ("multiprocessing", "_multiprocessing", "numpy.ma")
+    assert [m for m in doc["run"]
+            if any(m == u or m.startswith(u + ".") for u in unwanted)] == []
+
+
 @pytest.mark.parametrize("method", ["rcb", "spectral"])
 def test_only_the_spectral_partitioner_loads_scipy(method):
     pytest.importorskip("scipy")

@@ -147,6 +147,22 @@ def test_processes_sigkilled_rank_reported_stalled(monkeypatch):
     assert "per-rank last-seen steps" in message
 
 
+def test_processes_wedged_rank_trips_watchdog(monkeypatch):
+    """A rank process that stops stepping without dying: the parent's
+    wait wakes at the heartbeat deadline, aborts the peer, SIGKILLs the
+    wedged rank and fails the run with the stall named — whichever of
+    the two ranks' last beats goes stale first."""
+    _misbehave_on_rank(monkeypatch, 1, lambda hydro: time.sleep(3600))
+    setup = load_problem("noh", nx=16, ny=16)
+    driver = DistributedHydro(setup, 2, backend="processes",
+                              watchdog_timeout=0.5)
+    start = time.monotonic()
+    with pytest.warns(StalledRankWarning, match="no heartbeat within 0.5s"):
+        with pytest.raises(BookLeafError, match="run aborted"):
+            driver.run(max_steps=20)
+    assert time.monotonic() - start < 30.0
+
+
 def test_no_watchdog_no_warning(recwarn):
     """Without --watchdog-timeout a healthy run warns nothing."""
     setup = load_problem("noh", nx=16, ny=16)

@@ -3,8 +3,9 @@
 The protocol (:class:`~repro.parallel.typhon.TyphonComms`) is written
 once against a transport, so its unit tests run once too — over the
 in-process transport and the shared-memory one.  A shared-memory
-transport driven from rank *threads* needs no fork: the segments, the
-pipes and the failure event work the same inside one process.
+transport driven from rank *threads* needs no fork: the mappings, the
+wake pipes, the allgather pipes and the failure cell work the same
+inside one process.
 """
 
 from __future__ import annotations

@@ -7,12 +7,16 @@ the serial run to round-off, and a failing or killed rank aborts the
 whole run cleanly with the right rank named.
 """
 
+import json
 import os
 import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.hydro import Hydro
 from repro.parallel import DistributedHydro
 from repro.problems import load_problem
@@ -177,6 +181,90 @@ def test_killed_rank_process_aborts_cleanly(monkeypatch):
     with pytest.raises(BookLeafError, match="rank 1 failed") as exc:
         driver.run(max_steps=20)
     assert "terminated abnormally" in str(exc.value)
+
+
+#: a fresh interpreter whose rank 1 is SIGKILLed while it is blocked
+#: writing a 32 MiB report: a watcher thread in the rank reads the
+#: kernel's view of its own threads (``/proc/<pid>/task/*/syscall``)
+#: and kills the process once one sits in ``write`` with over 1 MiB to
+#: go, so the parent is left holding part of a frame.  Prints the
+#: error and the exception types of its cause chain as JSON.
+KILLED_MID_REPORT = """
+import json, os, signal, sys, threading, time
+from dataclasses import replace
+import numpy as np
+from repro.parallel import DistributedHydro
+from repro.problems import load_problem
+from repro.utils.errors import BookLeafError
+
+WRITE = sys.argv[1]
+
+def kill_once_writing():
+    tasks = f"/proc/{os.getpid()}/task"
+    while True:
+        for tid in os.listdir(tasks):
+            try:
+                with open(f"{tasks}/{tid}/syscall") as fh:
+                    call = fh.read().split()
+            except OSError:
+                continue
+            if call[0] == WRITE and int(call[3], 16) > 1 << 20:
+                os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(1e-4)
+
+real_report = DistributedHydro.report
+
+def report(self, hydro):
+    rep = real_report(self, hydro)
+    if rep.rank != 1:
+        return rep
+    threading.Thread(target=kill_once_writing, daemon=True).start()
+    return replace(rep, metrics_rows=[np.zeros(4 << 20)])
+
+DistributedHydro.report = report
+driver = DistributedHydro(load_problem("sod", nx=16, ny=4), 2,
+                          backend="processes")
+try:
+    driver.run(max_steps=3)
+    out = {"error": None}
+except BookLeafError as exc:
+    chain, cause = [], exc
+    while cause is not None:
+        chain.append(type(cause).__name__)
+        cause = cause.__cause__ or cause.__context__
+    out = {"error": str(exc), "chain": chain}
+print(json.dumps(out))
+"""
+
+#: ``write``'s syscall number, as ``/proc/<pid>/task/*/syscall`` shows it
+WRITE_SYSCALL = {"x86_64": "1", "aarch64": "64"}
+
+
+def test_rank_killed_mid_report_is_named_and_its_frame_dropped():
+    """SIGKILL a rank part-way through writing a multi-MB report: the
+    run must end — within the timeout below, no hang on the partial
+    message — with the structured error naming that rank, and the
+    partial frame must never reach the unpickler."""
+    write = WRITE_SYSCALL.get(os.uname().machine)
+    if write is None or not os.path.exists(f"/proc/{os.getpid()}/syscall"):
+        pytest.skip("needs Linux /proc/<pid>/task/*/syscall")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", KILLED_MID_REPORT, write],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the ranks too
+        proc.communicate()
+        pytest.fail("the run hung on a rank killed mid-report")
+    assert proc.returncode == 0, err[-2000:]
+    doc = json.loads(out.splitlines()[-1])
+    assert doc["error"] is not None, "the run passed with a rank killed"
+    assert doc["error"].startswith("rank 1 failed: ")
+    assert "terminated abnormally (exitcode -9)" in doc["error"]
+    assert doc["chain"] == ["BookLeafError", "RemoteRankError"]
 
 
 def test_the_one_verdict_both_launchers_call():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mesh.generator import perturbed_mesh, rect_mesh
-from repro.parallel.halo import build_subdomains, local_state
+from repro.parallel.halo import build_subdomains, local_state, unique_ints
 from repro.parallel.partition import partition
 from repro.problems import load_problem
 from repro.utils.errors import PartitionError
@@ -154,3 +154,16 @@ def test_halo_counts_positive(decomposition):
     _, _, subs = decomposition
     assert all(sub.halo_node_count() >= 0 for sub in subs)
     assert sum(sub.shared_node_count() for sub in subs) > 0
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.intp])
+@pytest.mark.parametrize("shape", [(0,), (1,), (7,), (500,), (40, 4), (0, 4)])
+def test_unique_ints_is_np_unique(dtype, shape):
+    """The halo build's ``unique_ints`` returns what ``np.unique``
+    would — same values, same order, same dtype — for ids with and
+    without repeats, flat or not."""
+    rng = np.random.default_rng(sum(shape))
+    values = rng.integers(0, max(2, shape[0] // 3), size=shape).astype(dtype)
+    got, want = unique_ints(values), np.unique(values)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
