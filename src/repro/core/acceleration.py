@@ -77,12 +77,12 @@ def getacc(state: HydroState, fx: np.ndarray, fy: np.ndarray, dt: float,
     # (their sums live on other ranks); guard the divide — their values
     # are overwritten by the next kinematic exchange.
     np.less_equal(mass, 0.0, out=massless)
-    np.copyto(safe_mass, mass)
-    np.copyto(safe_mass, 1.0, where=massless)
+    safe_mass[...] = mass
+    safe_mass[massless] = 1.0
     np.divide(node_fx, safe_mass, out=ax)
-    np.copyto(ax, 0.0, where=massless)
+    ax[massless] = 0.0
     np.divide(node_fy, safe_mass, out=ay)
-    np.copyto(ay, 0.0, where=massless)
+    ay[massless] = 0.0
     w.release(*local)
     state.bc.apply_acceleration(ax, ay)
     u_new = w.array("acc.unew", nnode)

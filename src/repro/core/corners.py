@@ -57,7 +57,7 @@ every remap, lane refill, restart and observer that touches the state.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -69,40 +69,41 @@ from .geometry import centroid, edge_diff, gather, volume_gradients
 DU_CUT = 1.0e-30
 
 
-def _edges(inputs, out, ws):
-    edge_diff(inputs[0], out[0])
-    edge_diff(inputs[1], out[1])
+def _edges(positions, out, ws):
+    edge_diff(positions[0], out[0])
+    edge_diff(positions[1], out[1])
 
 
-def _grad_v(inputs, out, ws):
-    volume_gradients(inputs[0], inputs[1], out=out)
+def _grad_v(positions, out, ws):
+    volume_gradients(positions[0], positions[1], out=out)
 
 
-def _centroids(inputs, out, ws):
-    centroid(inputs[0], out[0])
-    centroid(inputs[1], out[1])
+def _centroids(positions, out, ws):
+    centroid(positions[0], out[0])
+    centroid(positions[1], out[1])
 
 
-def _jump_sq(inputs, out, ws):
-    dux, duy = inputs
-    sq = np.multiply(dux, dux, out=out[0])
+def _jump_sq(jumps, out, ws):
+    dux, duy = jumps
+    np.multiply(dux, dux, out=out)
     t = ws.borrow(duy.shape)
     np.multiply(duy, duy, out=t)
-    sq += t
+    out += t
     ws.release(t)
 
 
-def _jump(inputs, out, ws):
-    np.sqrt(inputs[0], out=out[0])
+def _jump(jump_sq, out, ws):
+    np.sqrt(jump_sq, out=out)
 
 
-def _rigid(inputs, out, ws):
-    np.greater(inputs[0], DU_CUT, out=out[0])
+def _rigid(jump, out, ws):
+    np.greater(jump, DU_CUT, out=out)
 
 
 #: name -> (source quantity, or the nodal pair gathered; number of
-#: arrays; per cell rather than per corner; dtype; fill), in dependency
-#: order
+#: arrays — a pair is held as a tuple, one as the array itself; per
+#: cell rather than per corner; dtype; fill(source, out, ws)), in
+#: dependency order
 SPECS = {
     "positions": ("xy", 2, False, np.float64, None),
     "velocities": ("uv", 2, False, np.float64, None),
@@ -117,10 +118,24 @@ SPECS = {
 
 #: the quantities a :meth:`StepCorners.moved` view shares with its bundle
 VELOCITY = ("velocities", "jumps", "jump_sq", "jump", "rigid")
+#: the quantities a view holds itself
+GEOMETRY = tuple(name for name in SPECS if name not in VELOCITY)
+
+
+def _planes(value) -> Tuple[np.ndarray, ...]:
+    """A held quantity as its tuple of arrays."""
+    return value if type(value) is tuple else (value,)
 
 
 class _Quantity:
-    """Attribute access to one quantity: computed on first read."""
+    """Attribute access to one quantity, computed on first read.
+
+    The read stores the value in the bundle's ``__dict__``; the
+    descriptor has no ``__set__``, so from then on that instance
+    attribute answers every read without calling anything (the
+    ``functools.cached_property`` idiom), until :meth:`~StepCorners.take`
+    or :meth:`~StepCorners.release` deletes it.
+    """
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -128,8 +143,7 @@ class _Quantity:
     def __get__(self, bundle, owner=None):
         if bundle is None:
             return self
-        value = bundle._get(self.name)
-        return value[0] if len(value) == 1 else value
+        return bundle._get(self.name)
 
 
 class StepCorners:
@@ -153,8 +167,9 @@ class StepCorners:
         self.mesh = mesh
         self.ws = scratch(ws)
         self._nodal = {"xy": (x, y), "uv": (u, v)}
-        self._geometry: Dict[str, Tuple[np.ndarray, ...]] = {}
-        self._velocity: Dict[str, Tuple[np.ndarray, ...]] = {}
+        #: on a :meth:`moved` view, the bundle holding its velocity
+        #: quantities
+        self._shared = None
         #: quantities handed in by the caller, never released here
         self._given = ()
         self._views = []
@@ -171,50 +186,56 @@ class StepCorners:
         bundle's velocity quantities; :meth:`close` closes it too."""
         view = StepCorners(self.mesh, None, None, *self._nodal["uv"],
                            self.ws)
-        view._velocity = self._velocity
-        view._geometry.update(positions=(cx, cy), centroids=centroids)
+        view._shared = self
+        view.positions = (cx, cy)
+        view.centroids = centroids
         view._given = ("positions", "centroids")
         self._views.append(view)
         return view
 
     # ------------------------------------------------------------------
-    def _store(self, name: str) -> Dict[str, Tuple[np.ndarray, ...]]:
-        return self._velocity if name in VELOCITY else self._geometry
-
-    def _get(self, name: str) -> Tuple[np.ndarray, ...]:
-        store = self._store(name)
-        value = store.get(name)
-        if value is None:
-            source, count, per_cell, dtype, fill = SPECS[name]
-            inputs = None if fill is None else self._get(source)
-            ncell = self.mesh.ncell
-            shape = ncell if per_cell else (4, ncell)
-            value = tuple(self.ws.borrow(shape, dtype) for _ in range(count))
-            if fill is None:
-                gather(self.mesh, *self._nodal[source], out=value)
-            else:
-                fill(inputs, value, self.ws)
-            store[name] = value
+    def _get(self, name: str):
+        """The first read of quantity ``name``: compute and hold it (a
+        view's velocity quantities are read from its bundle)."""
+        if self._shared is not None and name in VELOCITY:
+            return getattr(self._shared, name)
+        source, count, per_cell, dtype, fill = SPECS[name]
+        inputs = None if fill is None else getattr(self, source)
+        ncell = self.mesh.ncell
+        shape = ncell if per_cell else (4, ncell)
+        value = self.ws.borrow(shape, dtype)
+        if count == 2:
+            value = (value, self.ws.borrow(shape, dtype))
+        if fill is None:
+            gather(self.mesh, *self._nodal[source], out=value)
+        else:
+            fill(inputs, value, self.ws)
+        self.__dict__[name] = value
         return value
 
     def fill(self, *names: str) -> None:
         """Compute the named quantities now, if no reader has yet."""
         for name in names:
-            self._get(name)
+            getattr(self, name)
 
     def take(self, name: str):
         """Hand quantity ``name`` over to the caller, who may overwrite
         it and releases it to the arena; the bundle forgets it."""
-        value = self._get(name)
-        del self._store(name)[name]
-        return value[0] if len(value) == 1 else value
+        if self._shared is not None and name in VELOCITY:
+            return self._shared.take(name)
+        value = getattr(self, name)
+        del self.__dict__[name]
+        return value
 
     def release(self, *names: str) -> None:
         """Return the named quantities to the arena if they are held."""
         for name in names:
-            value = self._store(name).pop(name, None)
+            if self._shared is not None and name in VELOCITY:
+                self._shared.release(name)
+                continue
+            value = self.__dict__.pop(name, None)
             if value is not None and name not in self._given:
-                self.ws.release(*value)
+                self.ws.release(*_planes(value))
 
     def close(self) -> None:
         """Return every quantity still held — this bundle's and its
@@ -222,7 +243,7 @@ class StepCorners:
         for view in self._views:
             view.close()
         self._views = []
-        self.release(*SPECS)
+        self.release(*(GEOMETRY if self._shared is not None else SPECS))
 
     # ------------------------------------------------------------------
     def refresh(self, cells: np.ndarray, cell_nodes: np.ndarray) -> None:
@@ -242,14 +263,15 @@ class StepCorners:
                                           for a in self._nodal[source])
                 else:
                     shape = len(cells) if per_cell else (4, len(cells))
-                    out = tuple(np.empty(shape, dtype)
-                                for _ in range(count))
+                    out = np.empty(shape, dtype)
+                    if count == 2:
+                        out = (out, np.empty(shape, dtype))
                     fill(at(source), out, scratch(None))
                     columns[name] = out
             return columns[name]
 
         for name in SPECS:
-            value = self._store(name).get(name)
+            value = self.__dict__.get(name)
             if value is not None:
-                for a, fresh in zip(value, at(name)):
+                for a, fresh in zip(_planes(value), _planes(at(name))):
                     a[..., cells] = fresh

@@ -312,7 +312,7 @@ def check_volumes(volume: np.ndarray, time: Optional[float] = None,
         np.less_equal(volume, 0.0, out=bad)
         if mask is not None:
             np.logical_and(bad, mask, out=bad)
-        if bad.any():
+        if np.logical_or.reduce(bad, axis=None):     # bad.any(), unwrapped
             cells = np.unique(np.nonzero(bad)[-1])[:10]
             raise TangledMeshError(cells.tolist(), time=time)
     finally:

@@ -48,9 +48,9 @@ def subzonal_pressure_forces(cx: np.ndarray, cy: np.ndarray,
     # (a strided 2-D ufunc runs through 64 KB iterator buffers).
     dp = w.borrow(cx.shape)
     t = w.borrow(cx.shape)
-    np.copyto(dp, corner_volume)
+    dp[...] = corner_volume
     np.maximum(dp, 1e-300, out=dp)
-    np.copyto(t, corner_mass)
+    t[...] = corner_mass
     np.divide(t, dp, out=dp)
     dp -= rho
     tk = w.borrow(ncell)

@@ -93,7 +93,7 @@ def _corner_forces(state, corners, rho, cs2, p, volume, corner_volume,
                 mesh, corners, rho, cs2, gamma,
                 controls.cq1, controls.cq2, controls.use_limiter, ws=w,
             )
-        np.copyto(state.q, q_cell)
+        state.q[...] = q_cell
     corners.release(*spent)
     with timers.region("getforce"):
         fx, fy = getforce(
@@ -215,8 +215,8 @@ def lagstep(state: HydroState, table: MaterialTable,
             mesh, state.x, state.y, time=time, check_mask=mask,
             ws=w, out=geom,
         )
-        np.copyto(state.volume, vol)
-        np.copyto(state.corner_volume, cvol.T)
+        state.volume[...] = vol
+        state.corner_volume[...] = cvol.T
 
     with timers.region("getrho"):
         getrho(state.cell_mass, state.volume, controls.dencut, out=state.rho)
@@ -233,5 +233,5 @@ def lagstep(state: HydroState, table: MaterialTable,
                     out=(state.p, state.cs2))
 
     w.release(fx, fy, *geom)
-    np.copyto(state.u, u_new)
-    np.copyto(state.v, v_new)
+    state.u[...] = u_new
+    state.v[...] = v_new

@@ -82,7 +82,7 @@ def dt_fields(state: HydroState, controls: HydroControls,
     ratio /= c_eff_sq
     if mask is not None:             # ghosts drop out of both reductions
         ghost = np.logical_not(mask, out=w.borrow(ncell, dtype=bool))
-        np.copyto(ratio, np.inf, where=ghost)
+        ratio[ghost] = np.inf
 
     # Volume-change rate: V̇ = Σ_i ∇_i V · u_i on current velocities.
     dvdx, dvdy = c.grad_v
@@ -93,7 +93,7 @@ def dt_fields(state: HydroState, controls: HydroControls,
     np.abs(rate, out=rate)
     rate /= volume
     if mask is not None:
-        np.copyto(rate, 0.0, where=ghost)
+        rate[ghost] = 0.0
         w.release(ghost)
     w.release(t)
     if c is not corners:
@@ -105,9 +105,9 @@ def dt_candidates(ratio: np.ndarray, rate: np.ndarray,
                   controls: HydroControls) -> List[Candidate]:
     """CFL and divergence candidates ``(dt, reason, cell)`` of the
     :func:`dt_fields` (or one lane's segment of them)."""
-    icfl = int(np.argmin(ratio))
+    icfl = int(ratio.argmin())
     dt_cfl = controls.cfl_safety * float(np.sqrt(ratio[icfl]))
-    idiv = int(np.argmax(rate))
+    idiv = int(rate.argmax())
     max_rate = float(rate[idiv])
     dt_div = controls.div_safety / max_rate if max_rate > controls.zcut else np.inf
     return [(dt_cfl, "cfl", icfl), (dt_div, "div", idiv)]

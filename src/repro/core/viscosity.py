@@ -61,6 +61,7 @@ and nothing is gathered at all; :func:`uses_subset` is the choice.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -118,11 +119,11 @@ class EdgeSet:
                  shape: Optional[Tuple[int, int]] = None):
         self.ws = ws
         self.shape = active.shape if active is not None else shape
-        self.nedge = int(np.prod(self.shape))
+        self.nedge = math.prod(self.shape)
         self.active = active
         #: |E| on a subset, None on the whole array
         self.n = self.flat = self.cells = None
-        self._held = {}                      # id(view) -> slot | None
+        self._held = {}                      # id(view) -> slot
         self._free, self._blocks, self._room = [], [], 0
         if active is None:
             return
@@ -136,8 +137,8 @@ class EdgeSet:
         for start in range(0, self.nedge, COMPRESS_CHUNK):
             chunk = slice(start, start + COMPRESS_CHUNK)
             count = int(np.count_nonzero(mask[chunk]))
-            np.compress(mask[chunk], index[chunk],
-                        out=self.flat[done:done + count])
+            index[chunk].compress(mask[chunk],
+                                  out=self.flat[done:done + count])
             done += count
         ws.release(active)
         self.active = None
@@ -148,9 +149,7 @@ class EdgeSet:
     def borrow(self, dtype=np.float64) -> np.ndarray:
         """Scratch for one value on the set; release with :meth:`release`."""
         if self.n is None:
-            buf = self.ws.borrow(self.shape, dtype)
-            self._held[id(buf)] = None
-            return buf
+            return self.ws.borrow(self.shape, dtype)
         n = self.n
         if self._free:
             slot = self._free.pop()
@@ -166,17 +165,19 @@ class EdgeSet:
         return view
 
     def release(self, *values: np.ndarray) -> None:
-        """Give back values from :meth:`borrow` (and the results of the
-        accessors below); any other array — the dense array an accessor
-        handed back as itself — is ignored."""
+        """Give back values from :meth:`borrow` and :meth:`view`."""
+        if self.n is None:
+            self.ws.release(*values)
+            return
         for value in values:
-            if id(value) not in self._held:
-                continue
-            slot = self._held.pop(id(value))
-            if slot is None:
-                self.ws.release(value)
-            else:
-                self._free.append(slot)
+            self._free.append(self._held.pop(id(value)))
+
+    def release_edges(self, *values: np.ndarray) -> None:
+        """Give back values from :meth:`edges`: views into the set's
+        blocks on a subset, the caller's own arrays (kept) on the whole
+        array."""
+        if self.n is not None:
+            self.release(*values)
 
     def close(self) -> None:
         """Return the subset's blocks and the active mask to the arena."""
@@ -193,7 +194,7 @@ class EdgeSet:
 
     def view(self, base: np.ndarray) -> np.ndarray:
         """Scratch on the set that :meth:`spread` puts into ``base``
-        (``base`` itself on the whole array)."""
+        (``base`` itself on the whole array, which :meth:`spread` keeps)."""
         return base if self.n is None else self.borrow()
 
     def cellwise(self, op, a: np.ndarray, per_cell: np.ndarray,
@@ -228,7 +229,7 @@ class EdgeSet:
         in a subset).  Consumes the active mask: call once."""
         if self.active is not None:
             np.logical_not(self.active, out=self.active)
-            np.copyto(x, 0.0, where=self.active)
+            x[self.active] = 0.0
 
     def spread(self, x: np.ndarray, base: np.ndarray,
                signed: bool) -> np.ndarray:
@@ -242,7 +243,7 @@ class EdgeSet:
                 base *= 0.0
             else:
                 base.fill(0.0)
-            np.put(base, self.flat, x, mode="clip")
+            base.put(self.flat, x, mode="clip")
             self.release(x)
         return base
 
@@ -273,7 +274,7 @@ def christiansen_limiter(mesh: QuadMesh,
     sq = es.edges(dumag_sq)
     denom = es.borrow()
     np.maximum(sq, DU_CUT * DU_CUT, out=denom)
-    es.release(sq)
+    es.release_edges(sq)
     ex, ey = es.edges(dux), es.edges(duy)
     ratios = []
     for continuation in (back, fwd):
@@ -281,14 +282,15 @@ def christiansen_limiter(mesh: QuadMesh,
         at = es.edges(continuation)
         r = dux.take(at, out=es.borrow(), mode="clip")
         t = duy.take(at, out=es.borrow(), mode="clip")
-        es.release(at)
+        es.release_edges(at)
         r *= ex
         t *= ey
         r += t
         r /= denom
         es.release(t)
         ratios.append(r)
-    es.release(denom, ex, ey)
+    es.release(denom)
+    es.release_edges(ex, ey)
     rb, rf = ratios
 
     psi = es.borrow()                        # released by the caller
@@ -298,10 +300,11 @@ def christiansen_limiter(mesh: QuadMesh,
     rf *= 2.0
     np.minimum(rb, rf, out=rb)
     np.minimum(psi, rb, out=psi)
-    np.clip(psi, 0.0, 1.0, out=psi)
+    psi.clip(0.0, 1.0, out=psi)
     edge_off = es.edges(off)
-    np.copyto(psi, 0.0, where=edge_off)
-    es.release(rb, rf, edge_off)
+    psi[edge_off] = 0.0
+    es.release(rb, rf)
+    es.release_edges(edge_off)
     return psi
 
 
@@ -361,7 +364,7 @@ def bulk_q(mesh: QuadMesh, corners: StepCorners,
     lin *= du
     out += lin
     np.logical_not(compressing, out=compressing)
-    np.copyto(out, 0.0, where=compressing)
+    out[compressing] = 0.0
     ws.release(div_u, t, du, compressing)
     return out
 
@@ -472,7 +475,8 @@ def getq(mesh: QuadMesh, corners: StepCorners,
     fy *= inv
     fx_edge = es.spread(fx, dux, signed=True)
     fy_edge = es.spread(fy, duy, signed=True)
-    es.release(qarm, inv, dumag_e)
+    es.release(qarm, inv)
+    es.release_edges(dumag_e)
     es.close()
     # node k gets +f (pushed along Δu, i.e. decelerating node k relative
     # to k+1), node k+1 gets −f: corner k nets f[k] − f[k−1].

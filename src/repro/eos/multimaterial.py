@@ -48,9 +48,12 @@ class MaterialTable:
         return len(self.eos)
 
     def _check(self, mat: np.ndarray) -> None:
-        if self.nmat == 0:
+        nmat = len(self.eos)
+        if nmat == 0:
             raise EosError("MaterialTable has no materials")
-        if mat.size and (mat.min() < 0 or mat.max() >= self.nmat):
+        # mat.min()/max() without their Python-level wrappers
+        if mat.size and (np.minimum.reduce(mat, axis=None) < 0
+                         or np.maximum.reduce(mat, axis=None) >= nmat):
             raise EosError(
                 f"material indices out of range [0, {self.nmat}): "
                 f"min={mat.min()} max={mat.max()}"
@@ -75,7 +78,7 @@ class MaterialTable:
             cs2 = np.empty_like(rho)
         else:
             p, cs2 = out
-        if self.nmat == 1:
+        if len(self.eos) == 1:
             # Fast path: single material, no mask gathers.
             self.eos[0].pressure_into(rho, e, p)
             self.eos[0].sound_speed_sq_into(rho, e, cs2)
@@ -91,7 +94,7 @@ class MaterialTable:
         small = ws.borrow(p.shape, dtype=bool)
         np.abs(p, out=t)
         np.less(t, self.pcut, out=small)
-        np.copyto(p, 0.0, where=small)
+        p[small] = 0.0
         ws.release(t, small)
         np.maximum(cs2, self.ccut, out=cs2)
         return p, cs2

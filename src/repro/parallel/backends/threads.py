@@ -78,12 +78,16 @@ class ThreadsBackend:
         stalled: Dict[int, dict] = {}
         while True:
             alive = [r for r, t in enumerate(threads) if t.is_alive()]
-            if timeout is not None and not stalled:
-                # a returned rank has stopped beating for the best of reasons
-                stalled = {r: seen
-                           for r, seen in board.stalled(timeout).items()
-                           if r in alive}
-                if stalled:
+            if timeout is not None:
+                # every pass: the first rank flagged may be a waiting
+                # peer, and the wedged one goes stale after it; a
+                # returned rank has stopped beating for the best of
+                # reasons
+                stale = {r: seen
+                         for r, seen in board.stalled(timeout).items()
+                         if r in alive and r not in stalled}
+                if stale:
+                    stalled.update(stale)
                     driver.context.abort()  # diagnose the hang, don't share it
             if all(r in stalled for r in alive):
                 break  # everyone returned, or only wedged ranks are left

@@ -209,7 +209,7 @@ class MeshPlans:
     def gather(self, nodal: np.ndarray,
                out: Optional[np.ndarray] = None) -> np.ndarray:
         """Corner-major (4, ncell) per-corner values of a nodal array."""
-        return np.take(nodal, self.corner_nodes, out=out, mode="clip")
+        return nodal.take(self.corner_nodes, out=out, mode="clip")
 
     def scatter_to_nodes(self, corner_field: np.ndarray,
                          out: Optional[np.ndarray] = None,
@@ -255,7 +255,7 @@ class MeshPlans:
                              minlength=self.nnode)
         if out is None:
             return result
-        np.copyto(out, result)
+        out[...] = result
         return out
 
     def owned_node_sum(self, corner_field: np.ndarray,
@@ -271,7 +271,7 @@ class MeshPlans:
             # Copy everything, then zero the ghost strip: a masked
             # copy costs several times the plain one.
             masked = w.borrow((self.ncell, 4))
-            np.copyto(masked, corner_field)
+            masked[...] = corner_field
             masked[np.flatnonzero(~owned)] = 0.0
             self.scatter_to_nodes(masked, out=out, pad=pad)
             w.release(masked)

@@ -30,6 +30,12 @@ Two kinds of buffer:
   with no single owner to release it (the step's gathered geometry,
   the half-step thermodynamics, the acceleration's new velocities).
 
+A warm step makes about a hundred borrows, so a request is a few dict
+hits: each distinct ``(shape, dtype)`` is normalised once and
+remembered.  A pair still costs more than an ``np.empty`` of a small
+block — the arena saves memory traffic, not call overhead
+(docs/PERFORMANCE.md, "A step's fixed cost").
+
 :func:`scratch` resolves the optional ``ws`` argument the kernels take:
 it returns the given workspace, or a stand-in whose ``array``/``zeros``/
 ``borrow`` allocate fresh arrays and whose ``release`` does nothing, so
@@ -61,8 +67,12 @@ class Workspace:
     """
 
     def __init__(self) -> None:
-        self._buffers: Dict[Tuple[str, Tuple[int, ...], str], np.ndarray] = {}
-        self._free: Dict[Tuple[int, str], list] = {}
+        self._buffers: Dict[tuple, np.ndarray] = {}
+        #: free blocks per ``(element count, np.dtype)``, last released last
+        self._free: Dict[Tuple[int, np.dtype], list] = {}
+        #: ``(shape, dtype)`` as requested -> ``(shape tuple, (element
+        #: count, np.dtype))``
+        self._keys: Dict[tuple, tuple] = {}
         #: arrays ever allocated by :meth:`borrow` (free + outstanding)
         self._borrowed_count = 0
         self._borrowed_nbytes = 0
@@ -71,11 +81,19 @@ class Workspace:
         #: requests that had to allocate
         self.misses = 0
 
+    def _key(self, shape: Shape, dtype) -> tuple:
+        """Normalise a request's ``(shape, dtype)`` and remember it."""
+        full = _as_shape(shape)
+        key = self._keys[shape, dtype] = (full,
+                                          (math.prod(full), np.dtype(dtype)))
+        return key
+
     def array(self, name: str, shape: Shape,
               dtype: np.dtype = np.float64) -> np.ndarray:
         """Uninitialised buffer for ``name``; contents are scratch."""
-        shape = _as_shape(shape)
-        key = (name, shape, np.dtype(dtype).str)
+        shape, (_, dtype) = (self._keys.get((shape, dtype))
+                             or self._key(shape, dtype))
+        key = (name, shape, dtype)
         buf = self._buffers.get(key)
         if buf is None:
             buf = np.empty(shape, dtype=dtype)
@@ -99,14 +117,15 @@ class Workspace:
         dtype) is empty.  Pair every ``borrow`` with a :meth:`release`
         when the temporary dies — a missing release shows up as arena
         growth, which the no-growth tests catch."""
-        shape = _as_shape(shape)
-        pool = self._free.get((math.prod(shape), np.dtype(dtype).str))
+        shape, key = (self._keys.get((shape, dtype))
+                      or self._key(shape, dtype))
+        pool = self._free.get(key)
         if pool:
             self.hits += 1
             buf = pool.pop()
             return buf if buf.shape == shape else buf.reshape(shape)
         self.misses += 1
-        buf = np.empty(shape, dtype=dtype)
+        buf = np.empty(shape, dtype=key[1])
         self._borrowed_count += 1
         self._borrowed_nbytes += buf.nbytes
         return buf
@@ -117,9 +136,14 @@ class Workspace:
         The caller must not touch a buffer after releasing it; the next
         ``borrow`` of the same size/dtype will hand it out again.
         """
+        free = self._free
         for buf in arrays:
-            key = (buf.size, buf.dtype.str)
-            self._free.setdefault(key, []).append(buf)
+            key = (buf.size, buf.dtype)
+            pool = free.get(key)
+            if pool is None:
+                free[key] = [buf]
+            else:
+                pool.append(buf)
 
     def __len__(self) -> int:
         return len(self._buffers) + self._borrowed_count
@@ -132,6 +156,7 @@ class Workspace:
     def clear(self) -> None:
         self._buffers.clear()
         self._free.clear()
+        self._keys.clear()
         self._borrowed_count = 0
         self._borrowed_nbytes = 0
         self.hits = 0

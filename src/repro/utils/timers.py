@@ -28,10 +28,15 @@ reports.  This module provides the same facility:
   the allocation-free-hot-loop work: the workspace tests assert that a
   warm ``lagstep`` stops allocating.
 
-Timers are cheap (one ``perf_counter`` pair per region entry) and can be
-disabled wholesale for benchmarking the raw kernels.  Allocation tracing
-is *not* cheap (tracemalloc intercepts every allocation) — enable it for
-diagnosis and tests, never for benchmark timing runs.
+A region is one small object (:class:`_Region`, ``__enter__`` and
+``__exit__`` around one ``perf_counter_ns`` pair): four Python-level
+calls per ``with`` block untraced, where the ``@contextmanager``
+generator it replaced made eight, at about half its cost
+(docs/PERFORMANCE.md, "A step's fixed cost").  A warm step has sixteen
+regions.  Timers can be disabled wholesale for benchmarking the raw
+kernels.  Allocation tracing is *not* cheap (tracemalloc intercepts
+every allocation) — enable it for diagnosis and tests, never for
+benchmark timing runs.
 """
 
 from __future__ import annotations
@@ -158,50 +163,14 @@ class TimerRegistry:
             self.timers[name] = timer
         return timer
 
-    @contextmanager
-    def region(self, name: str, cat: str = "kernel") -> Iterator[None]:
+    def region(self, name: str, cat: str = "kernel") -> "_Region":
         """Charge the wall time spent inside the ``with`` block to ``name``.
 
         ``cat`` is only meaningful when tracing: it sets the recorded
         span's category (the ``alestep`` region is a *phase* in the
         span hierarchy, the rest are kernels).
         """
-        if not self.enabled:
-            yield
-            return
-        timer = self.get(name)
-        spans = self.spans
-        if spans is not None:
-            # Opened before the clocks start, so the span's own
-            # bookkeeping is charged to the enclosing region, not here.
-            span = Span(name, cat, self.rank, 0, depth=len(self.stack))
-            spans.append(span)
-            self.stack.append(span)
-        tracing = self.trace_allocations
-        if tracing:
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-            tracemalloc.reset_peak()
-            size0, _ = tracemalloc.get_traced_memory()
-        start_ns = time.perf_counter_ns()
-        try:
-            yield
-        finally:
-            dur_ns = time.perf_counter_ns() - start_ns
-            timer.add(dur_ns * 1e-9)
-            net = None
-            if tracing and tracemalloc.is_tracing():
-                size1, peak = tracemalloc.get_traced_memory()
-                net = size1 - size0
-                timer.add_alloc(net, peak - size0)
-                # Re-arm the peak so an enclosing region's remainder is
-                # measured on its own, not against this region's peak.
-                tracemalloc.reset_peak()
-            if spans is not None:
-                self.stack.pop()
-                span.t0_ns = start_ns - self.epoch_ns
-                span.dur_ns = dur_ns
-                span.alloc_bytes = net
+        return _Region(self, name, cat)
 
     def span(self, name: str, cat: str = "phase",
              args: Optional[dict] = None):
@@ -212,7 +181,7 @@ class TimerRegistry:
         closes); a shared no-op context yielding ``None`` when not
         tracing."""
         if self.spans is None:
-            return nullcontext()
+            return _NO_SPAN
         return self._span(name, cat, args)
 
     @contextmanager
@@ -327,3 +296,68 @@ class TimerRegistry:
             lines.append(row)
         lines.append(f"{'total':<16}{total:>12.4f}")
         return "\n".join(lines)
+
+
+class _Region:
+    """One ``with registry.region(name):`` block: a timer charge, and
+    when the registry traces, a span on its stream and stack."""
+
+    __slots__ = ("registry", "name", "cat", "timer", "span", "start_ns",
+                 "size0")
+
+    def __init__(self, registry: TimerRegistry, name: str, cat: str):
+        self.registry = registry
+        self.name = name
+        self.cat = cat
+
+    def __enter__(self) -> None:
+        registry = self.registry
+        if not registry.enabled:
+            self.timer = None
+            return
+        timer = registry.timers.get(self.name)
+        if timer is None:
+            timer = registry.timers[self.name] = Timer(self.name)
+        self.timer = timer
+        self.span = None
+        if registry.spans is not None:
+            # Opened before the clocks start, so the span's own
+            # bookkeeping is charged to the enclosing region, not here.
+            self.span = Span(self.name, self.cat, registry.rank, 0,
+                             depth=len(registry.stack))
+            registry.spans.append(self.span)
+            registry.stack.append(self.span)
+        self.size0 = None
+        if registry.trace_allocations:
+            if not tracemalloc.is_tracing():
+                tracemalloc.start()
+            tracemalloc.reset_peak()
+            self.size0 = tracemalloc.get_traced_memory()[0]
+        self.start_ns = time.perf_counter_ns()
+
+    def __exit__(self, *exc_info) -> None:
+        timer = self.timer
+        if timer is None:
+            return
+        dur_ns = time.perf_counter_ns() - self.start_ns
+        timer.seconds += dur_ns * 1e-9
+        timer.calls += 1
+        net = None
+        if self.size0 is not None and tracemalloc.is_tracing():
+            size1, peak = tracemalloc.get_traced_memory()
+            net = size1 - self.size0
+            timer.add_alloc(net, peak - self.size0)
+            # Re-arm the peak so an enclosing region's remainder is
+            # measured on its own, not against this region's peak.
+            tracemalloc.reset_peak()
+        span = self.span
+        if span is not None:
+            self.registry.stack.pop()
+            span.t0_ns = self.start_ns - self.registry.epoch_ns
+            span.dur_ns = dur_ns
+            span.alloc_bytes = net
+
+
+#: the shared no-op context :meth:`TimerRegistry.span` returns when the
+#: registry does not trace
+_NO_SPAN = nullcontext()

@@ -37,10 +37,10 @@ def test_refresh_equals_a_fresh_fill_on_every_column(monkeypatch):
         u, v = self._nodal["uv"]
         fresh = StepCorners(self.mesh, x, y, u, v)
         for name in SPECS:
-            held = self._store(name).get(name)
+            held = vars(self).get(name)
             if held is None:
                 continue
-            for mine, ref in zip(held, fresh._get(name)):
+            for mine, ref in zip(held, getattr(fresh, name)):
                 assert np.array_equal(_bits(mine), _bits(ref)), name
             checked.append((len(cells), name))
 

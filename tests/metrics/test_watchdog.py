@@ -124,6 +124,46 @@ def test_threads_wedged_rank_trips_watchdog(monkeypatch):
     assert "per-rank last-seen steps" in message
 
 
+def test_threads_peer_stale_first_still_names_the_wedged_rank(monkeypatch):
+    """The waiting peer's beat can go stale before the wedged rank's:
+    the join loop must keep asking the board after its first flag and
+    end the run once the wedge is flagged too, not wait the wedge out.
+    Rank 0's beats are written half a timeout in the past, so it is
+    always flagged first, about a second before wedged rank 1."""
+    timeout = 2.0
+    beat = HeartbeatBoard.beat
+
+    def held_back(self, rank, step):
+        beat(self, rank, step)
+        if rank == 0:
+            self.array[0, 1] -= timeout / 2
+
+    monkeypatch.setattr(HeartbeatBoard, "beat", held_back)
+    unwedge = threading.Event()
+    _misbehave_on_rank(monkeypatch, 1, lambda hydro: unwedge.wait(12.0))
+    setup = load_problem("noh", nx=16, ny=16)
+    driver = DistributedHydro(setup, 2, backend="threads",
+                              watchdog_timeout=timeout)
+    start = time.monotonic()
+    try:
+        with pytest.warns(StalledRankWarning) as warned:
+            with pytest.raises(BookLeafError, match="run aborted"):
+                driver.run(max_steps=20)
+        elapsed = time.monotonic() - start
+    finally:
+        unwedge.set()
+        ranks = [t for t in threading.enumerate()
+                 if t.name.startswith("rank")]
+        for thread in ranks:
+            thread.join(timeout=10.0)
+        assert not any(thread.is_alive() for thread in ranks)
+    message = str(next(w.message for w in warned
+                       if isinstance(w.message, StalledRankWarning)))
+    assert "rank 0 (last step" in message
+    assert "rank 1 (last step 3," in message
+    assert elapsed < 10.0
+
+
 def test_processes_sigkilled_rank_reported_stalled(monkeypatch):
     """SIGKILL under the processes backend: the parent's watchdog must
     report the dead rank stalled (well within the timeout — death is
