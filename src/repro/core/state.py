@@ -25,6 +25,28 @@ from ..utils.errors import MeshError, SnapshotError
 from . import geometry
 
 
+#: the boundary-condition planes a stored state carries, as ``bc_<name>``
+_BC_PLANES = ("flags", "ux", "uy")
+
+#: the stored planes that are not float64
+_DTYPES = {"mat": np.dtype(np.int64), "bc_flags": np.dtype(np.int8)}
+
+#: a stored plane's ``(shape, dtype)``
+Layout = Dict[str, Tuple[Tuple[int, ...], np.dtype]]
+
+
+def _check_stored(arrays: Dict[str, np.ndarray], layout: Layout) -> None:
+    """Raise :class:`SnapshotError` unless ``arrays`` has every member
+    of ``layout`` with that shape and dtype."""
+    for name, (shape, dtype) in layout.items():
+        stored = arrays.get(name)
+        if stored is None or stored.shape != shape or stored.dtype != dtype:
+            found = (None if stored is None
+                     else f"{stored.shape} {stored.dtype}")
+            raise SnapshotError(f"stored state has no {shape} {dtype} "
+                                f"member {name!r} (found {found})")
+
+
 @dataclass
 class HydroState:
     """All evolving fields of one (serial or per-rank) hydro domain."""
@@ -70,6 +92,18 @@ class HydroState:
         """Field names of the given kinds (all kinds when none given)."""
         return tuple(name for kind in kinds or cls.FIELDS
                      for name in cls.FIELDS[kind])
+
+    @classmethod
+    def layout(cls, mesh: QuadMesh) -> Layout:
+        """``(shape, dtype)`` of every stored plane on ``mesh`` — each
+        field, then the ``bc_*`` planes — by name."""
+        by_kind = {"node": (mesh.nnode,), "cell": (mesh.ncell,),
+                   "corner": (mesh.ncell, 4)}
+        shapes = {name: by_kind[kind]
+                  for kind, names in cls.FIELDS.items() for name in names}
+        shapes.update((f"bc_{name}", (mesh.nnode,)) for name in _BC_PLANES)
+        return {name: (shape, _DTYPES.get(name, np.dtype(float)))
+                for name, shape in shapes.items()}
 
     def __post_init__(self):
         if self.bc is None:
@@ -125,6 +159,21 @@ class HydroState:
         state.p, state.cs2 = table.getpc(state.mat, state.rho, state.e)
         state.bc.apply_velocity(state.u, state.v)
         return state
+
+    @classmethod
+    def from_arrays(cls, mesh: QuadMesh, arrays: Dict[str, np.ndarray],
+                    driver: Optional[object] = None) -> "HydroState":
+        """A state on private copies of stored :meth:`arrays` (a cache
+        entry's), with ``driver`` as its boundary driver: nothing is
+        computed, and nothing is built unless every member is there
+        with the shape and dtype of :meth:`layout`."""
+        _check_stored(arrays, cls.layout(mesh))
+        bc = BoundaryConditions(*(arrays[f"bc_{name}"].copy()
+                                  for name in _BC_PLANES))
+        # the stored planes already hold the driver's latest velocities
+        bc.driver = driver
+        return cls(mesh=mesh, bc=bc, **{name: arrays[name].copy()
+                                        for name in cls.field_names()})
 
     # ------------------------------------------------------------------
     # scatter / assembly primitives
@@ -219,8 +268,9 @@ class HydroState:
     def _volumes(mesh: QuadMesh, x: np.ndarray, y: np.ndarray,
                  time: Optional[float] = None):
         """``(volume, corner_volume)`` in the state's (ncell, 4) layout,
-        gathered without ``mesh.plans``: a state that never steps (a
-        cache replay) should not pin the step's index plans."""
+        gathered without ``mesh.plans``: building a state (for a run
+        that may never step, such as a zero-step run) should not pin
+        the step's index plans."""
         corners = np.ascontiguousarray(mesh.cell_nodes.T)
         volume, cvol = geometry.volumes(x[corners], y[corners], time=time)
         return volume, np.ascontiguousarray(cvol.T)
@@ -248,7 +298,7 @@ class HydroState:
         """``(stored name, live array)`` of every field and bc plane."""
         for name in self.field_names():
             yield name, getattr(self, name)
-        for name in ("flags", "ux", "uy"):
+        for name in _BC_PLANES:
             yield f"bc_{name}", getattr(self.bc, name)
 
     def arrays(self) -> Dict[str, np.ndarray]:
@@ -260,14 +310,11 @@ class HydroState:
         """Write stored :meth:`arrays` back in place and drop the
         node-mass cache.  The mesh, the boundary driver and whatever
         captured this state stay the freshly built ones.  Nothing is
-        written unless every member is there with the right shape."""
+        written unless every member is there with its plane's shape
+        and dtype."""
         planes = list(self._planes())
-        for name, live in planes:
-            stored = arrays.get(name)
-            if stored is None or stored.shape != live.shape:
-                raise SnapshotError(
-                    f"stored state has no {live.shape} member {name!r} "
-                    f"(found {None if stored is None else stored.shape})")
+        _check_stored(arrays, {name: (live.shape, live.dtype)
+                               for name, live in planes})
         for name, live in planes:
             live[...] = arrays[name]
         self.invalidate_node_mass()

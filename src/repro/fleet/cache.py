@@ -23,10 +23,13 @@ leaves a half-entry::
 
 A load is one ``read()``: the arrays are ``np.frombuffer`` views of it,
 the outcome digest (:func:`state_digest`) is recomputed from those bytes
-and compared, and :meth:`HydroState.overlay` copies them into the live
-planes of a setup built from the config.  Every hit gets its own state
-arrays; the immutable :class:`~repro.mesh.topology.QuadMesh` under them
-is built once per distinct mesh per :class:`ResultCache`
+and compared, and :meth:`HydroState.from_arrays` makes the hit's state
+of private copies of them.  The config's problem factory still runs,
+for the mesh, the boundary driver, the material table and the controls,
+but the state it would start from is never built: no volume pass, no
+EoS call.  Every hit gets its own state arrays; the immutable
+:class:`~repro.mesh.topology.QuadMesh` under them is built once per
+distinct mesh per :class:`ResultCache`
 (:func:`repro.mesh.generator.shared_meshes`) and shared.
 
 An entry that cannot be read back (truncated, a bad header, another
@@ -293,8 +296,8 @@ class ResultCache:
 
         The mesh/topology side of the state is rebuilt deterministically
         from the config (it is not stored) — each distinct mesh once per
-        cache, shared by every hit on it — and the stored arrays are
-        overlaid into the result's own state.  The result carries the
+        cache, shared by every hit on it — and the result's own state is
+        made of copies of the stored arrays.  The result carries the
         stored report verbatim (``report_override``) — kernel-timer
         *objects* are not reconstructable across processes — its step
         rows and comm counters are that report's own lists, and
@@ -302,6 +305,7 @@ class ResultCache:
         :class:`~repro.utils.errors.SnapshotError`.
         """
         from ..api import RunResult
+        from ..core.state import HydroState
         from ..mesh.generator import shared_meshes
 
         if not self.has(key):
@@ -314,7 +318,8 @@ class ResultCache:
                 setup = config.build_setup()
             if override:
                 setup.controls = setup.controls.with_(**override).validated()
-            setup.state.overlay(arrays)
+            driver = getattr(setup.initial.bc, "driver", None)
+            setup.state = HydroState.from_arrays(setup.mesh, arrays, driver)
         except SnapshotError:
             self.corrupt += 1
             if os.path.exists(path):

@@ -469,7 +469,7 @@ class Fleet:
             # path.  An accepted bucket's probed setup is its first
             # job's own, so that lane runs on it instead of rebuilding.
             probe_setup = members[0].config.build_setup()
-            if getattr(probe_setup.state.bc, "driver", None) is not None:
+            if getattr(probe_setup.initial.bc, "driver", None) is not None:
                 if overridden:
                     raise _unbatchable(overridden[0], "bc_driver")
                 for job in members:

@@ -53,10 +53,10 @@ class BoundaryConditions:
     def __post_init__(self):
         self.flags = np.asarray(self.flags, dtype=np.int8)
         n = self.flags.size
-        if self.ux is None:
-            self.ux = np.zeros(n)
-        if self.uy is None:
-            self.uy = np.zeros(n)
+        self.ux = (np.zeros(n) if self.ux is None
+                   else np.asarray(self.ux, dtype=np.float64))
+        self.uy = (np.zeros(n) if self.uy is None
+                   else np.asarray(self.uy, dtype=np.float64))
         if self.driver is not None:
             self.advance(0.0)
 

@@ -53,13 +53,11 @@ class QuadMesh:
         (ncell, 4) integer array of node indices in counter-clockwise
         order.  Orientation is validated (every cell must have positive
         signed area on the initial coordinates).
-    validate:
-        Run the full consistency checks (recommended; skip only inside
-        tight construction loops that already guarantee validity).
+
+    Construction always ends in :meth:`validate`.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, cell_nodes: np.ndarray,
-                 validate: bool = True):
+    def __init__(self, x: np.ndarray, y: np.ndarray, cell_nodes: np.ndarray):
         self.x = np.ascontiguousarray(x, dtype=np.float64)
         self.y = np.ascontiguousarray(y, dtype=np.float64)
         self.cell_nodes = np.ascontiguousarray(cell_nodes, dtype=np.int64)
@@ -76,8 +74,7 @@ class QuadMesh:
         self._build_neighbours()
         self._build_node_cells()
         self._build_faces()
-        if validate:
-            self.validate()
+        self.validate()
 
     # ------------------------------------------------------------------
     # construction
@@ -209,15 +206,26 @@ class QuadMesh:
     # validation
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Full consistency checks; raises :class:`MeshError` on failure."""
+        """Full consistency checks; raises :class:`MeshError` on failure.
+
+        Whole-array comparisons only, no row sorts: a cell's nodes are
+        distinct when its six node pairs differ, and two paired sides
+        join the same nodes when their (min, max) node pairs agree.
+        Sides are addressed by their flat ``cell * 4 + side`` index.
+        """
         cn = self.cell_nodes
         # Distinct nodes per cell.
-        sorted_nodes = np.sort(cn, axis=1)
-        if np.any(sorted_nodes[:, :-1] == sorted_nodes[:, 1:]):
-            bad = np.flatnonzero(
-                (sorted_nodes[:, :-1] == sorted_nodes[:, 1:]).any(axis=1)
-            )[:5]
+        a, b, c, d = cn.T
+        repeated = ((a == b) | (a == c) | (a == d)
+                    | (b == c) | (b == d) | (c == d))
+        if repeated.any():
+            bad = np.flatnonzero(repeated)[:5]
             raise MeshError(f"cells with repeated nodes: {bad.tolist()}")
+        # Finite coordinates (a NaN area is not <= 0).
+        finite = np.isfinite(self.x) & np.isfinite(self.y)
+        if not finite.all():
+            bad = np.flatnonzero(~finite)[:5]
+            raise MeshError(f"non-finite node coordinates: {bad.tolist()}")
         # Positive orientation on initial coordinates.
         areas = self.cell_areas()
         if np.any(areas <= 0.0):
@@ -225,26 +233,25 @@ class QuadMesh:
             raise MeshError(
                 f"cells with non-positive initial area: {bad.tolist()}"
             )
-        # Mutual neighbour consistency.
-        nb = self.cell_neighbours
-        ns = self.neighbour_side
-        interior = nb >= 0
-        ci, si = np.nonzero(interior)
-        back = nb[nb[ci, si], ns[ci, si]]
-        if not np.array_equal(back, ci):
+        # Mutual neighbour consistency: the cell across every interior
+        # side looks back across its paired side.
+        nb = self.cell_neighbours.ravel()
+        side = np.flatnonzero(nb >= 0)
+        other = nb[side] * 4 + self.neighbour_side.ravel()[side]
+        if not np.array_equal(nb[other], side // 4):
             raise MeshError("neighbour tables are not mutual")
-        # Shared side must consist of the same two nodes.
-        mine = np.sort(np.stack([cn[ci, si], cn[ci, (si + 1) % 4]], axis=1), axis=1)
-        oc, os_ = nb[ci, si], ns[ci, si]
-        theirs = np.sort(
-            np.stack([cn[oc, os_], cn[oc, (os_ + 1) % 4]], axis=1), axis=1
-        )
-        if not np.array_equal(mine, theirs):
+        # Shared side must consist of the same two nodes: equal
+        # (min, max) node pairs, keyed ``min * nnode + max``.
+        first, second = cn.ravel(), np.roll(cn, -1, axis=1).ravel()
+        key = (np.minimum(first, second) * np.int64(self.nnode)
+               + np.maximum(first, second))
+        if not np.array_equal(key[side], key[other]):
             raise MeshError("paired sides reference different nodes")
         # Every node must belong to at least one cell.
-        if np.any(self.node_degree() == 0):
-            orphan = np.flatnonzero(self.node_degree() == 0)[:5]
-            raise MeshError(f"orphan nodes: {orphan.tolist()}")
+        orphan = self.node_degree() == 0
+        if orphan.any():
+            raise MeshError(
+                f"orphan nodes: {np.flatnonzero(orphan)[:5].tolist()}")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -10,7 +10,7 @@ deck validation, ``repro problems list/describe`` and
 ``docs/PROBLEMS.md`` all derive from that one source of truth.
 """
 
-from .base import ProblemSetup
+from .base import Initial, ProblemSetup
 from .registry import (
     ProblemInfo,
     RegistryError,
@@ -27,6 +27,7 @@ from .registry import (
 )
 
 __all__ = [
+    "Initial",
     "ProblemSetup",
     "ProblemInfo",
     "RegistryError",

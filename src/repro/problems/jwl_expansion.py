@@ -20,12 +20,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.controls import HydroControls
-from ..core.state import HydroState
 from ..eos.jwl import Jwl
 from ..eos.multimaterial import MaterialTable
 from ..mesh.boundary import classify_box_boundary
 from ..mesh.generator import rect_mesh
-from .base import ProblemSetup
+from .base import Initial, ProblemSetup
 from .registry import Setting, mesh_setting, problem
 
 #: standard TNT JWL parameters (SI)
@@ -80,10 +79,9 @@ def setup(nx: int = 200, ny: int = 2, height: float = 0.05,
         dencut=1.0e-3,
     ).with_(**control_overrides)
 
-    state = HydroState.from_initial(mesh, table, rho, e, bc=bc)
     return ProblemSetup(
         name="jwl_expansion",
-        state=state,
+        initial=Initial(mesh, rho, e, bc=bc),
         table=table,
         controls=controls,
         extents=extents,

@@ -30,12 +30,11 @@ import numpy as np
 
 from ..analytic import kidder_exact
 from ..core.controls import HydroControls
-from ..core.state import HydroState
 from ..eos.ideal import IdealGas
 from ..eos.multimaterial import MaterialTable
 from ..mesh.boundary import FIX_X, FIX_Y, BoundaryConditions
 from ..mesh.generator import shell_mesh
-from .base import ProblemSetup
+from .base import Initial, ProblemSetup
 from .registry import Setting, mesh_setting, problem
 
 GAMMA = kidder_exact.GAMMA          #: γ = 2, required by self-similarity
@@ -119,10 +118,9 @@ def setup(nx: int = 10, ny: int = 12, time_end: float = TIME_END,
         dt_max=1.0e-4,
     ).with_(**control_overrides)
 
-    state = HydroState.from_initial(mesh, table, rho, e, bc=bc)
     return ProblemSetup(
         name="kidder",
-        state=state,
+        initial=Initial(mesh, rho, e, bc=bc),
         table=table,
         controls=controls,
         extents=extents,

@@ -19,12 +19,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.controls import HydroControls
-from ..core.state import HydroState
 from ..eos.ideal import IdealGas
 from ..eos.multimaterial import MaterialTable
 from ..mesh.boundary import classify_box_boundary
 from ..mesh.generator import rect_mesh
-from .base import ProblemSetup
+from .base import Initial, ProblemSetup
 from .registry import Setting, mesh_setting, problem
 
 GAMMA = 5.0 / 3.0
@@ -74,10 +73,9 @@ def setup(nx: int = 360, ny: int = 2, height: float = 0.25,
         dencut=1.0e-9,
     ).with_(**control_overrides)
 
-    state = HydroState.from_initial(mesh, table, rho, e, bc=bc)
     return ProblemSetup(
         name="leblanc",
-        state=state,
+        initial=Initial(mesh, rho, e, bc=bc),
         table=table,
         controls=controls,
         extents=extents,

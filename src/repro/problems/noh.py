@@ -20,12 +20,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.controls import HydroControls
-from ..core.state import HydroState
 from ..eos.ideal import IdealGas
 from ..eos.multimaterial import MaterialTable
 from ..mesh.boundary import classify_box_boundary
 from ..mesh.generator import rect_mesh
-from .base import ProblemSetup
+from .base import Initial, ProblemSetup
 from .registry import Setting, mesh_setting, problem
 
 GAMMA = 5.0 / 3.0
@@ -87,10 +86,9 @@ def setup(nx: int = 50, ny: int = 50, size: float = 1.0,
         subzonal_kappa=subzonal_kappa,
     ).with_(**control_overrides)
 
-    state = HydroState.from_initial(mesh, table, rho, e, u=u, v=v, bc=bc)
     return ProblemSetup(
         name="noh",
-        state=state,
+        initial=Initial(mesh, rho, e, u=u, v=v, bc=bc),
         table=table,
         controls=controls,
         extents=extents,

@@ -14,12 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.controls import HydroControls
-from ..core.state import HydroState
 from ..eos.ideal import IdealGas
 from ..eos.multimaterial import MaterialTable
 from ..mesh.boundary import FIX_X, FIX_Y, BoundaryConditions
 from ..mesh.generator import saltzmann_mesh
-from .base import ProblemSetup
+from .base import Initial, ProblemSetup
 from .registry import Setting, mesh_setting, problem
 
 GAMMA = 5.0 / 3.0
@@ -88,12 +87,11 @@ def setup(nx: int = 100, ny: int = 10,
         filter_kappa=filter_kappa,
     ).with_(**control_overrides)
 
-    state = HydroState.from_initial(mesh, table, rho, e, bc=bc)
-    # Piston nodes start moving at t=0 (apply_velocity in from_initial
-    # already set them from the BC table).
+    # Piston nodes start moving at t=0 (from_initial's apply_velocity
+    # sets them from the BC table).
     return ProblemSetup(
         name="saltzmann",
-        state=state,
+        initial=Initial(mesh, rho, e, bc=bc),
         table=table,
         controls=controls,
         extents=extents,

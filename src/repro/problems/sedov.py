@@ -20,12 +20,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.controls import HydroControls
-from ..core.state import HydroState
 from ..eos.ideal import IdealGas
 from ..eos.multimaterial import MaterialTable
 from ..mesh.boundary import classify_box_boundary
 from ..mesh.generator import rect_mesh
-from .base import ProblemSetup
+from .base import Initial, ProblemSetup
 from .registry import Setting, mesh_setting, problem
 
 GAMMA = 1.4
@@ -96,10 +95,9 @@ def setup(nx: int = 60, ny: int = 60, size: float = 1.2,
         subzonal_kappa=subzonal_kappa,
     ).with_(**control_overrides)
 
-    state = HydroState.from_initial(mesh, table, rho, e, bc=bc)
     return ProblemSetup(
         name="sedov",
-        state=state,
+        initial=Initial(mesh, rho, e, bc=bc),
         table=table,
         controls=controls,
         extents=extents,

@@ -23,13 +23,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.controls import HydroControls
-from ..core.state import HydroState
 from ..eos.ideal import IdealGas
 from ..eos.multimaterial import MaterialTable
 from ..mesh.boundary import classify_box_boundary
 from ..mesh.generator import rect_mesh
 from ..mesh.regions import Region, assign_regions, box
-from .base import ProblemSetup
+from .base import Initial, ProblemSetup
 from .registry import Setting, mesh_setting, problem
 
 #: material indices in the table
@@ -94,11 +93,9 @@ def setup(nx: int = 70, ny: int = 30, time_end: float = 3.5,
         subzonal_kappa=subzonal_kappa,
     ).with_(**control_overrides)
 
-    state = HydroState.from_initial(mesh, table, rho, e, mat=mat,
-                                    u=u, v=v, bc=bc)
     return ProblemSetup(
         name="triple_point",
-        state=state,
+        initial=Initial(mesh, rho, e, mat=mat, u=u, v=v, bc=bc),
         table=table,
         controls=controls,
         extents=extents,

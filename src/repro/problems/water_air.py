@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.controls import HydroControls
-from ..core.state import HydroState
 from ..eos.ideal import IdealGas
 from ..eos.multimaterial import MaterialTable
 from ..eos.tait import Tait
@@ -28,7 +27,7 @@ from ..mesh.boundary import classify_box_boundary
 from ..mesh.generator import rect_mesh
 from ..mesh.regions import Region, box
 from ..mesh.regions import assign_regions
-from .base import ProblemSetup
+from .base import Initial, ProblemSetup
 from .registry import Setting, mesh_setting, problem
 
 GAMMA_AIR = 1.4
@@ -90,11 +89,9 @@ def setup(nx: int = 200, ny: int = 2, height: float = 0.05,
         dencut=1.0e-6,
     ).with_(**control_overrides)
 
-    state = HydroState.from_initial(mesh, table, rho, e, mat=mat,
-                                    u=u, v=v, bc=bc)
     return ProblemSetup(
         name="water_air",
-        state=state,
+        initial=Initial(mesh, rho, e, mat=mat, u=u, v=v, bc=bc),
         table=table,
         controls=controls,
         extents=extents,

@@ -3,7 +3,9 @@
 ``ResultCache.load`` builds each hit's setup inside
 ``repro.mesh.generator.shared_meshes``: a mesh is built (and validated)
 once per distinct mesh per cache, every hit on it gets its own state
-arrays, and no build outside ``load`` sees the shared meshes.
+arrays, and no build outside ``load`` sees the shared meshes.  A hit
+builds its state from the entry alone: it never calls the EoS or the
+volume pass that a cold state starts with.
 """
 
 import threading
@@ -12,9 +14,12 @@ import numpy as np
 import pytest
 
 from repro.api import RunConfig, run, submit
-from repro.fleet import state_digest
+from repro.core import geometry
+from repro.eos.multimaterial import MaterialTable
+from repro.fleet import ResultCache, job_key, state_digest
 from repro.mesh import generator
 from repro.mesh.topology import QuadMesh
+from repro.utils.errors import SnapshotError
 
 CONFIGS = [RunConfig(problem="sod", nx=16, ny=4, max_steps=steps)
            for steps in (6, 9)] + \
@@ -38,6 +43,21 @@ def mesh_builds(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(QuadMesh, "__init__", counted)
+    return calls
+
+
+@pytest.fixture
+def cold_calls(monkeypatch):
+    """The names of the ``MaterialTable.getpc`` and
+    ``geometry.volumes`` calls made since the fixture was set up."""
+    calls = []
+    for owner, name in ((MaterialTable, "getpc"), (geometry, "volumes")):
+        def counted(*args, _real=getattr(owner, name), _name=name,
+                    **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -70,6 +90,48 @@ def test_hits_never_share_a_state_array(warm):
         for b in planes[i + 1:]:
             for name in a:
                 assert not np.shares_memory(a[name], b[name]), name
+
+
+def test_a_hit_calls_neither_the_eos_nor_the_volume_pass(warm, cold_calls):
+    cold, root = warm
+    hits = submit(CONFIGS, ensemble="off", cache_dir=str(root)).results()
+    assert all(r.cache_hit for r in hits)
+    assert cold_calls == []
+    assert [_digest(r) for r in hits] == [_digest(r) for r in cold]
+    for r in hits:
+        assert r.setup.state is r.state
+        for name, array in r.state.arrays().items():
+            assert array.flags.writeable, name
+            assert array.flags.aligned, name
+
+
+@pytest.mark.parametrize("member, stored, found", [
+    ("cs2", lambda a: None, "None"),
+    ("corner_mass", lambda a: a.T.copy(), r"\(4, 64\)"),
+    ("bc_ux", lambda a: a[1:].copy(), r"\(84,\)"),
+    # the same bytes under another dtype pass the digest
+    ("e", lambda a: a.view(np.int64), r"\(64,\) int64"),
+], ids=["missing", "transposed", "short", "retyped"])
+def test_an_entry_short_of_a_member_is_evicted(tmp_path, monkeypatch,
+                                               member, stored, found):
+    """A stored state lacking a member, or holding one of the wrong
+    shape or dtype, is a ``SnapshotError`` (the entry's own digest
+    still holds)."""
+    config = CONFIGS[0]
+    result = run(config)
+    arrays = result.state.arrays()
+    arrays[member] = stored(arrays[member])
+    if arrays[member] is None:
+        del arrays[member]
+    monkeypatch.setattr(result.state, "arrays", lambda: arrays)
+    cache = ResultCache(str(tmp_path))
+    key = job_key(config)
+    cache.store(key, result)
+    with pytest.raises(SnapshotError,
+                       match=f"no .* member {member!r} .found {found}"):
+        cache.load(key, config)
+    assert not cache.has(key)
+    assert cache.stats()["corrupt"] == 1 and cache.stats()["hits"] == 0
 
 
 def test_stepping_one_hit_leaves_its_twin_alone(warm):

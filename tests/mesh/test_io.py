@@ -55,6 +55,20 @@ def test_read_validates_topology(tmp_path):
         read_mesh(path)
 
 
+def test_read_rejects_a_nan_coordinate(tmp_path):
+    """``float("nan")`` parses, so the file's NaN reaches the mesh
+    checks, which name the node."""
+    path = tmp_path / "nan.txt"
+    path.write_text(
+        "# bookleaf-mesh v1\n"
+        "nodes 4\n0 0\n1 0\nnan 1\n0 1\n"
+        "cells 1\n0 1 2 3\n"
+    )
+    with pytest.raises(MeshError,
+                       match=r"^non-finite node coordinates: \[2\]$"):
+        read_mesh(path)
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(MeshError, match="does not exist"):
         read_mesh(tmp_path / "nope.txt")

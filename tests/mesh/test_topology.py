@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.mesh.generator import rect_mesh, single_cell_mesh
+from repro.mesh.generator import perturbed_mesh, rect_mesh, single_cell_mesh
 from repro.mesh.topology import QuadMesh
 from repro.utils.errors import MeshError
 
@@ -181,3 +183,149 @@ def test_mixed_structured_unstructured_node_degree():
     mesh = perturbed_mesh(5, 5, amplitude=0.3, seed=3)
     interior = np.setdiff1d(np.arange(mesh.nnode), mesh.boundary_nodes())
     assert np.all(mesh.node_degree()[interior] == 4)
+
+
+# ----------------------------------------------------------------------
+# every validate() branch, reached through the constructor or by editing
+# a built mesh's tables and validating again
+# ----------------------------------------------------------------------
+def test_orphan_node_rejected():
+    x = np.array([0.0, 1.0, 1.0, 0.0, 5.0])
+    y = np.array([0.0, 0.0, 1.0, 1.0, 5.0])
+    with pytest.raises(MeshError, match=r"^orphan nodes: \[4\]$"):
+        QuadMesh(x, y, np.array([[0, 1, 2, 3]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinate_rejected(bad):
+    mesh = rect_mesh(3, 3)
+    x = mesh.x.copy()
+    x[5] = bad
+    with pytest.raises(MeshError,
+                       match=r"^non-finite node coordinates: \[5\]$"):
+        QuadMesh(x, mesh.y, mesh.cell_nodes)
+    y = mesh.y.copy()
+    y[[9, 2]] = bad
+    with pytest.raises(MeshError,
+                       match=r"^non-finite node coordinates: \[2, 9\]$"):
+        QuadMesh(mesh.x, y, mesh.cell_nodes)
+
+
+def _edited(mesh):
+    """``mesh`` with private copies of its neighbour tables."""
+    mesh.cell_neighbours = mesh.cell_neighbours.copy()
+    mesh.neighbour_side = mesh.neighbour_side.copy()
+    return mesh
+
+
+def test_one_sided_neighbour_rejected():
+    mesh = _edited(rect_mesh(3, 3))
+    mesh.validate()
+    # cell 4 (the centre) now claims cell 0 across a side cell 0 never
+    # points back across
+    side = int(np.flatnonzero(mesh.cell_neighbours[4] >= 0)[0])
+    mesh.cell_neighbours[4, side] = 0
+    with pytest.raises(MeshError, match="^neighbour tables are not mutual$"):
+        mesh.validate()
+
+
+def test_mutual_neighbours_across_the_wrong_sides_rejected():
+    """Cell 1 of a 3-cell row swaps its left and right neighbours, and
+    both neighbours point back at the swapped sides: the tables stay
+    mutual, but each paired side joins two different node pairs."""
+    mesh = _edited(rect_mesh(3, 1))
+    nb, ns = mesh.cell_neighbours, mesh.neighbour_side
+    s0, s1 = np.flatnonzero(nb[1] >= 0)
+    d0, d1, t0, t1 = nb[1, s0], nb[1, s1], ns[1, s0], ns[1, s1]
+    nb[1, s0], ns[1, s0], nb[1, s1], ns[1, s1] = d1, t1, d0, t0
+    ns[d0, t0], ns[d1, t1] = s1, s0
+    with pytest.raises(MeshError,
+                       match="^paired sides reference different nodes$"):
+        mesh.validate()
+
+
+# ----------------------------------------------------------------------
+# validate() against the sort-based formulation it replaced
+# ----------------------------------------------------------------------
+def _sorted_rows_validate(mesh):
+    """The row-sorting ``QuadMesh.validate``, kept as the oracle: the
+    same checks, in the same order, with the same messages."""
+    cn = mesh.cell_nodes
+    sorted_nodes = np.sort(cn, axis=1)
+    if np.any(sorted_nodes[:, :-1] == sorted_nodes[:, 1:]):
+        bad = np.flatnonzero(
+            (sorted_nodes[:, :-1] == sorted_nodes[:, 1:]).any(axis=1)
+        )[:5]
+        raise MeshError(f"cells with repeated nodes: {bad.tolist()}")
+    areas = mesh.cell_areas()
+    if np.any(areas <= 0.0):
+        bad = np.flatnonzero(areas <= 0.0)[:5]
+        raise MeshError(
+            f"cells with non-positive initial area: {bad.tolist()}"
+        )
+    nb = mesh.cell_neighbours
+    ns = mesh.neighbour_side
+    ci, si = np.nonzero(nb >= 0)
+    back = nb[nb[ci, si], ns[ci, si]]
+    if not np.array_equal(back, ci):
+        raise MeshError("neighbour tables are not mutual")
+    mine = np.sort(np.stack([cn[ci, si], cn[ci, (si + 1) % 4]], axis=1),
+                   axis=1)
+    oc, os_ = nb[ci, si], ns[ci, si]
+    theirs = np.sort(
+        np.stack([cn[oc, os_], cn[oc, (os_ + 1) % 4]], axis=1), axis=1
+    )
+    if not np.array_equal(mine, theirs):
+        raise MeshError("paired sides reference different nodes")
+    if np.any(mesh.node_degree() == 0):
+        orphan = np.flatnonzero(mesh.node_degree() == 0)[:5]
+        raise MeshError(f"orphan nodes: {orphan.tolist()}")
+
+
+def _verdict(check):
+    try:
+        check()
+    except MeshError as exc:
+        return str(exc)
+    return None
+
+
+#: one edit of a built mesh: (table, fraction picking the entry,
+#: fraction picking the new value)
+_edits = st.tuples(
+    st.sampled_from(["node", "neighbour", "side", "boundary", "coord",
+                     "csr"]),
+    st.floats(0.0, 0.999), st.floats(0.0, 0.999))
+
+
+@given(dims=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+       seed=st.integers(0, 50), edits=st.lists(_edits, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_validate_agrees_with_the_sorted_rows_oracle(dims, seed, edits):
+    """On a perturbed mesh with up to three edited entries, validate()
+    raises exactly when the oracle does, with the same message."""
+    mesh = _edited(perturbed_mesh(*dims, amplitude=0.2, seed=seed))
+    mesh.cell_nodes = mesh.cell_nodes.copy()
+    mesh.x, mesh.y = mesh.x.copy(), mesh.y.copy()
+    mesh.node_cell_offsets = mesh.node_cell_offsets.copy()
+    nb, ns = mesh.cell_neighbours, mesh.neighbour_side
+    for table, where, value in edits:
+        cell, side = divmod(int(where * 4 * mesh.ncell), 4)
+        if table == "node":
+            mesh.cell_nodes[cell, side] = int(value * mesh.nnode)
+        elif table == "neighbour":
+            nb[cell, side] = int(value * mesh.ncell)
+            if ns[cell, side] < 0:
+                ns[cell, side] = int(value * 4)
+        elif table == "side" and nb[cell, side] >= 0:
+            ns[cell, side] = int(value * 4)
+        elif table == "boundary":
+            nb[cell, side] = ns[cell, side] = -1
+        elif table == "coord":
+            node = mesh.cell_nodes[cell, side]
+            mesh.x[node] += 2.0 * value - 1.0
+        elif table == "csr":    # the node's corners go to the next node
+            node = int(value * mesh.nnode)
+            mesh.node_cell_offsets[node + 1] = mesh.node_cell_offsets[node]
+    assert _verdict(mesh.validate) == _verdict(
+        lambda: _sorted_rows_validate(mesh))

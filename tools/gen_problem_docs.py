@@ -89,7 +89,8 @@ from .registry import Setting, mesh_setting, problem
 )
 def setup(nx=50, ny=50, time_end=0.5, **control_overrides):
     ...
-    return ProblemSetup(name="my_problem", ...)
+    return ProblemSetup(name="my_problem",
+                        initial=Initial(mesh, rho, e, bc=bc), ...)
 ```
 
 The checklist:
@@ -105,10 +106,15 @@ The checklist:
 3. **Import the module in `registry.py`.** Registration happens on
    import; the bottom of `src/repro/problems/registry.py` imports
    every problem module once.
-4. **Ship a deck.** Add `decks/<name>.in` (the decorator associates it
+4. **Hand over the initial fields, not a state.** `Initial(mesh, rho,
+   e, mat=, u=, v=, bc=)` holds `HydroState.from_initial`'s arguments;
+   `setup.state` builds the state (volume pass, EoS call) on first
+   read, and a result-cache hit never reads it before supplying the
+   stored state.
+5. **Ship a deck.** Add `decks/<name>.in` (the decorator associates it
    automatically); the round-trip test in
    `tests/problems/test_decks.py` then covers it.
-5. **Regenerate this catalogue.** `python tools/gen_problem_docs.py`
+6. **Regenerate this catalogue.** `python tools/gen_problem_docs.py`
    — CI fails on a stale render.
 
 Unknown or mistyped deck keys fail with a structured `DeckError`
