@@ -37,12 +37,12 @@ completed their deprecation cycle and now raise
 from __future__ import annotations
 
 import hashlib
-import json
 import time as _time
 from dataclasses import dataclass, field, fields, replace as _dc_replace
 from typing import Any, Dict, List, Optional, Sequence
 
 from .core.state import HydroState
+from .fleet.cache import canonical_hash
 from .fleet.engine import submit as _fleet_submit
 from .parallel.distributed import DistributedHydro
 from .problems import (
@@ -188,11 +188,7 @@ class RunConfig:
         """Content address of this config: the sha256 of the
         sorted-key JSON of :meth:`canonical_dict`.  Keys the fleet's
         on-disk result cache."""
-        payload = json.dumps(
-            self.canonical_dict(), sort_keys=True, separators=(",", ":"),
-            default=repr,
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return canonical_hash(self.canonical_dict())
 
     def resolved_metrics_every(self) -> int:
         """The effective probe cadence (0 = no probe, hot loop

@@ -29,8 +29,12 @@ for the mesh, the boundary driver, the material table and the controls,
 but the state it would start from is never built: no volume pass, no
 EoS call.  Every hit gets its own state arrays; the immutable
 :class:`~repro.mesh.topology.QuadMesh` under them is built once per
-distinct mesh per :class:`ResultCache`
-(:func:`repro.mesh.generator.shared_meshes`) and shared.
+distinct generator call per process, while held, and shared: every
+:class:`ResultCache` loads inside
+:func:`repro.mesh.generator.shared_meshes` over one module-level
+:class:`weakref.WeakValueDictionary`, so a mesh stays shared for as
+long as something (a hit's state, say) holds it, and nothing is kept
+alive that the caller dropped.
 
 An entry that cannot be read back (truncated, a bad header, another
 schema version, a digest mismatch) is a *miss*, not a traceback:
@@ -50,6 +54,7 @@ import hashlib
 import json
 import math
 import os
+import weakref
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -65,6 +70,28 @@ CACHE_SCHEMA_VERSION = 3
 #: bytes of the header-length prefix of an entry
 _PREFIX = 8
 
+#: the process's shared meshes: generator call → the mesh every hit on
+#: it shares, for as long as anything holds that mesh
+_MESHES: "weakref.WeakValueDictionary[tuple, Any]" = \
+    weakref.WeakValueDictionary()
+
+
+def canonical_hash(doc: Dict[str, Any]) -> str:
+    """The sha256 of ``doc`` as sorted-key compact JSON — the one
+    hash under :meth:`repro.api.RunConfig.canonical_key` and
+    :func:`job_key`.  A numpy scalar counts as its Python value
+    (``np.int64(8)`` keys as ``8``); any other non-JSON value as its
+    ``repr``."""
+    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                         default=_plain)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _plain(value: Any) -> Any:
+    if isinstance(value, np.generic):
+        return value.item()
+    return repr(value)
+
 
 def job_key(config, override: Optional[Dict[str, Any]] = None) -> str:
     """The cache key for one fleet job: the config's canonical dict,
@@ -76,9 +103,7 @@ def job_key(config, override: Optional[Dict[str, Any]] = None) -> str:
         doc["control_overrides"] = {
             str(k): override[k] for k in sorted(override)
         }
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                         default=repr)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return canonical_hash(doc)
 
 
 def state_digest(state, nstep: int, time: float,
@@ -192,8 +217,8 @@ class ResultCache:
     """On-disk content-addressed store of run outcomes.
 
     ``hits``/``misses``/``stores``/``corrupt`` counters feed the fleet
-    summary.  ``meshes`` (content hash → mesh) holds the one mesh every
-    hit on a given mesh shares.
+    summary.  Hits share their meshes through the process-wide
+    ``_MESHES`` memo, not through the cache.
     """
 
     def __init__(self, root: str):
@@ -203,7 +228,6 @@ class ResultCache:
         self.misses = 0
         self.stores = 0
         self.corrupt = 0
-        self.meshes: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     def _path(self, key: str) -> str:
@@ -296,12 +320,12 @@ class ResultCache:
 
         The mesh/topology side of the state is rebuilt deterministically
         from the config (it is not stored) — each distinct mesh once per
-        cache, shared by every hit on it — and the result's own state is
-        made of copies of the stored arrays.  The result carries the
-        stored report verbatim (``report_override``) — kernel-timer
-        *objects* are not reconstructable across processes — its step
-        rows and comm counters are that report's own lists, and
-        ``cache_hit=hit``.  An unreadable entry is evicted and raises
+        process while held, shared by every hit on it — and the result's
+        own state is made of copies of the stored arrays.  The result
+        carries the stored report verbatim (``report_override``) —
+        kernel-timer *objects* are not reconstructable across processes
+        — its step rows and comm counters are that report's own lists,
+        and ``cache_hit=hit``.  An unreadable entry is evicted and raises
         :class:`~repro.utils.errors.SnapshotError`.
         """
         from ..api import RunResult
@@ -314,7 +338,7 @@ class ResultCache:
         try:
             meta, arrays = self._read(key)
             stored = _result_fields(path, meta)
-            with shared_meshes(self.meshes):
+            with shared_meshes(_MESHES):
                 setup = config.build_setup()
             if override:
                 setup.controls = setup.controls.with_(**override).validated()

@@ -40,6 +40,7 @@ import numpy as np
 from ..core.comms import SerialComms
 from ..core.hydro import Hydro
 from ..core.state import HydroState
+from ..mesh.boundary import BoundaryConditions
 from ..problems.base import ProblemSetup
 from ..utils.errors import (
     BookLeafError, CommError, DeprecatedOptionError, StalledRankWarning,
@@ -319,16 +320,25 @@ class DistributedHydro:
         return BackendRun(
             nstep=first.nstep,
             time=first.time,
-            # a marshalled state is overlaid on a fresh restriction
             states=[r.state if isinstance(r.state, HydroState)
-                    else local_state(self.subdomains[r.rank],
-                                     self.setup.state).overlay(r.state)
+                    else self._unmarshal(r.rank, r.state)
                     for r in reports],
             timers=[r.timers for r in reports],
             comm_per_rank=[r.comm for r in reports if r.comm is not None],
             step_rows=first.step_rows,
             metrics_rows=first.metrics_rows,
         )
+
+    def _unmarshal(self, rank: int, arrays: Dict[str, np.ndarray]
+                   ) -> HydroState:
+        """Rank ``rank``'s state from its marshalled ``arrays()``, on
+        its subdomain mesh, with its restriction of the boundary
+        driver."""
+        sub = self.subdomains[rank]
+        driver = self.setup.state.bc.driver
+        return HydroState.from_arrays(
+            sub.mesh, arrays,
+            driver.subset(sub.node_global) if driver is not None else None)
 
     def run(self, max_steps: Optional[int] = None) -> int:
         """Run all ranks to completion; returns the step count."""
@@ -394,26 +404,34 @@ class DistributedHydro:
         states = self._view().states
         if self.backend_name == "serial":
             return states[0]
-        template = self.setup.state
-        out = template.copy()
-        node_filled = np.zeros(self.global_mesh.nnode, dtype=bool)
+        mesh = self.global_mesh
+        layout = HydroState.layout(mesh)
+        out = {name: np.empty(*layout[name])
+               for name in HydroState.field_names()}
+        ncell_filled = 0
+        node_filled = np.zeros(mesh.nnode, dtype=bool)
         for sub, state in zip(self.subdomains, states):
             owned_local = np.flatnonzero(sub.owned_cell_mask)
             gcells = sub.cell_global[owned_local]
             for name in HydroState.field_names("cell", "corner"):
-                getattr(out, name)[gcells] = getattr(state, name)[owned_local]
+                out[name][gcells] = getattr(state, name)[owned_local]
+            ncell_filled += gcells.size
             active = sub.active_node_mask
             gnodes = sub.node_global[active]
             fresh = ~node_filled[gnodes]
             take = gnodes[fresh]
             local = np.flatnonzero(active)[fresh]
             for name in HydroState.FIELDS["node"]:
-                getattr(out, name)[take] = getattr(state, name)[local]
+                out[name][take] = getattr(state, name)[local]
             node_filled[take] = True
-        if not node_filled.all():
-            raise BookLeafError("gather left nodes unfilled")
-        out.invalidate_node_mass()
-        return out
+        if ncell_filled != mesh.ncell or not node_filled.all():
+            raise BookLeafError("gather left cells or nodes unfilled")
+        # only the boundary planes come from the global initial state
+        bc = self.setup.state.bc
+        return HydroState(
+            mesh=mesh, **out,
+            bc=BoundaryConditions(bc.flags.copy(), bc.ux.copy(),
+                                  bc.uy.copy(), driver=bc.driver))
 
     # ------------------------------------------------------------------
     # telemetry merge paths (deterministic rank-order rules)

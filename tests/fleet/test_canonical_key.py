@@ -10,6 +10,7 @@ which enters it on purpose), updating GOLDEN_KEY here is the conscious
 act this test exists to force.
 """
 
+import numpy as np
 import pytest
 
 from repro import __version__
@@ -120,6 +121,24 @@ def test_job_key_extends_with_sorted_overrides():
     assert a == b
     assert a != job_key(config)
     assert job_key(config, None) == job_key(config, {})
+
+
+def test_numpy_scalars_key_as_their_python_values():
+    """A sweep built from ``np.arange`` hits a cache filled from
+    Python values: a numpy scalar anywhere in the config or in an
+    override keys exactly as its ``.item()``."""
+    plain = RunConfig(problem="noh", nx=8, ny=8, max_steps=5,
+                      problem_kwargs={"size": 1.0})
+    for numpy in (plain.replace(nx=np.int64(8)),
+                  plain.replace(max_steps=np.int64(5)),
+                  plain.replace(problem_kwargs={"size": np.float32(1.0)})):
+        assert numpy.canonical_key() == plain.canonical_key()
+        assert job_key(numpy) == job_key(plain)
+    assert (job_key(plain, {"cq1": np.float32(0.5), "cq2": np.int64(1)})
+            == job_key(plain, {"cq1": 0.5, "cq2": 1}))
+    # a different value is still a different key
+    assert (job_key(plain, {"cq1": np.float32(0.1)})
+            != job_key(plain, {"cq1": 0.1}))
 
 
 def test_frozen_config_replace():

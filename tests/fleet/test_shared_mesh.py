@@ -1,14 +1,17 @@
 """Warm cache hits share the immutable mesh, never the state.
 
 ``ResultCache.load`` builds each hit's setup inside
-``repro.mesh.generator.shared_meshes``: a mesh is built (and validated)
-once per distinct mesh per cache, every hit on it gets its own state
-arrays, and no build outside ``load`` sees the shared meshes.  A hit
-builds its state from the entry alone: it never calls the EoS or the
-volume pass that a cold state starts with.
+``repro.mesh.generator.shared_meshes`` over one weak memo per process:
+a mesh is built (and validated) once per distinct generator call per
+process, while held, every hit on it gets its own state arrays, and no
+build outside ``load`` sees the shared meshes.  A hit builds its state
+from the entry alone: it never calls the EoS or the volume pass that a
+cold state starts with.
 """
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ import pytest
 from repro.api import RunConfig, run, submit
 from repro.core import geometry
 from repro.eos.multimaterial import MaterialTable
-from repro.fleet import ResultCache, job_key, state_digest
+from repro.fleet import ResultCache, cache, job_key, state_digest
 from repro.mesh import generator
 from repro.mesh.topology import QuadMesh
 from repro.utils.errors import SnapshotError
@@ -80,6 +83,34 @@ def test_hits_on_one_mesh_share_it(warm, mesh_builds):
     assert sod_a.state.mesh is not noh_a.state.mesh
     # one build, validated as ever, per distinct mesh
     assert len(mesh_builds) == 2
+
+
+def test_a_replayed_sweep_builds_each_mesh_once_per_process(warm,
+                                                           mesh_builds):
+    """Each ``submit`` opens its own ``ResultCache``; the shared meshes
+    are the process's.  Replayed three times (as the ``sweep_warm``
+    benchmark replays its sweeps), the sweep builds each of its two
+    distinct meshes once, not once per submit."""
+    cold, root = warm
+    held = []
+    for _ in range(3):
+        hits = submit(CONFIGS, ensemble="off", cache_dir=str(root)).results()
+        assert all(r.cache_hit for r in hits)
+        assert [_digest(r) for r in hits] == [_digest(r) for r in cold]
+        held += hits
+    assert len(mesh_builds) == 2
+    assert len({id(r.state.mesh) for r in held}) == 2
+
+
+def test_the_memo_keeps_no_mesh_the_caller_dropped(warm):
+    _, root = warm
+    hits = submit(CONFIGS, ensemble="off", cache_dir=str(root)).results()
+    meshes = [weakref.ref(r.state.mesh) for r in hits]
+    assert len(cache._MESHES) == 2
+    del hits
+    gc.collect()
+    assert all(ref() is None for ref in meshes)
+    assert len(cache._MESHES) == 0
 
 
 def test_hits_never_share_a_state_array(warm):
@@ -168,9 +199,13 @@ def test_scope_is_private_to_its_block_and_thread():
         thread.start()
         thread.join(timeout=10.0)
     assert not thread.is_alive()
-    assert a is b and other is not a and len(memo) == 2
+    assert a is b and other is not a
+    assert set(memo) == {("rect_mesh", 4, 3, (0.0, 1.0, 0.0, 1.0)),
+                         ("rect_mesh", 3, 4, (0.0, 1.0, 0.0, 1.0))}
     assert seen[0] is not a
     assert generator.rect_mesh(4, 3) is not a
-    # identical bytes, whatever generator made them
+    # keyed by the call: identical bytes from another generator are
+    # another mesh
     with generator.shared_meshes(memo):
-        assert generator.perturbed_mesh(4, 3, amplitude=0.0) is a
+        assert generator.perturbed_mesh(4, 3, amplitude=0.0) is not a
+        assert generator.rect_mesh(4, 3) is a
