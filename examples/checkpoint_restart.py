@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Checkpoint/restart: stop a calculation and resume it bit-exactly.
 
-Runs the Sedov blast halfway, freezes it to a snapshot ``.npz``, thaws
+Runs the Sedov blast halfway, freezes it to a snapshot file, thaws
 that into a driver built fresh from the same setup and carries on —
 then proves the resumed trajectory is bit-for-bit identical to an
 uninterrupted run.  (Restore is always an overlay into a freshly built
@@ -31,7 +31,7 @@ def main() -> None:
     first = load_problem("sedov", **kwargs).make_hydro()
     first.run(max_steps=100)
     with tempfile.TemporaryDirectory() as tmp:
-        path = freeze(Path(tmp) / "sedov.npz", first)
+        path = freeze(Path(tmp) / "sedov.state", first)
         size_kb = path.stat().st_size / 1024
         print(f"  checkpoint written at t = {first.time:.4f} "
               f"({size_kb:.0f} KiB)")

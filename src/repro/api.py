@@ -140,14 +140,11 @@ class RunConfig:
         return _dc_replace(self, **changes)
 
     def __hash__(self):
-        kwargs = tuple(sorted(
-            (k, repr(v)) for k, v in self.problem_kwargs.items()
-        ))
         rest = tuple(
             getattr(self, f.name) for f in fields(self)
             if f.name != "problem_kwargs"
         )
-        return hash((rest, kwargs))
+        return hash((rest, _hashable(self.problem_kwargs)))
 
     def canonical_dict(self) -> Dict[str, Any]:
         """The resolved, semantically-relevant view of this config.
@@ -228,6 +225,23 @@ class RunConfig:
         raise BookLeafError(
             "nothing to run: set RunConfig.problem or RunConfig.deck"
         )
+
+
+def _hashable(value: Any) -> Any:
+    """A stand-in for a ``problem_kwargs`` value that hashes as ``==``
+    compares: a dict by its items, a list or tuple by its entries,
+    anything else unhashable by its ``repr``.  Numbers keep their own
+    hashes, which agree across ``int``, ``float`` and numpy scalars of
+    one value (``np.float32(1.0)``, ``1.0`` and ``1`` hash alike)."""
+    if isinstance(value, dict):
+        return frozenset((k, _hashable(v)) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return tuple(_hashable(v) for v in value)
+    try:
+        hash(value)
+    except TypeError:
+        return repr(value)
+    return value
 
 
 @dataclass

@@ -15,8 +15,7 @@ The engine and its caches are imported with the package — every
 from ..utils.lazy import lazy_exports
 from .artifacts import ArtifactCache, mesh_fingerprint
 from .batch import BatchJob, make_jobs, run_ensemble_jobs
-from .cache import (CACHE_SCHEMA_VERSION, ResultCache, job_key,
-                    state_digest)
+from .cache import ResultCache, job_key, state_digest
 from .checkpoint import CheckpointWriter, restore_into, save_checkpoint
 from .engine import (FLEET_SCHEMA_VERSION, Fleet, FleetHandle,
                      FleetOptions, submit)
@@ -24,7 +23,6 @@ from .engine import (FLEET_SCHEMA_VERSION, Fleet, FleetHandle,
 __all__ = [
     "ArtifactCache",
     "BatchJob",
-    "CACHE_SCHEMA_VERSION",
     "CheckpointWriter",
     "FLEET_SCHEMA_VERSION",
     "Fleet",

@@ -24,7 +24,6 @@ takes its initial dt like any other.
 
 from __future__ import annotations
 
-import os
 import time as _time
 from collections import deque
 from dataclasses import dataclass, field
@@ -79,6 +78,7 @@ def run_ensemble_jobs(jobs: Sequence[BatchJob], *, emit: Callable,
     """
     from ..api import RunResult
     from ..ensemble.driver import EnsembleHydro
+    from ..metrics.health import dump_path
     from ..metrics.probe import DiagnosticsProbe
 
     jobs = list(jobs)
@@ -99,9 +99,8 @@ def run_ensemble_jobs(jobs: Sequence[BatchJob], *, emit: Callable,
         if every > 0:
             snapshot_path = None
             if job.config.snapshot_dir:
-                snapshot_path = os.path.join(
-                    job.config.snapshot_dir,
-                    f"HEALTH_snapshot_lane{job.index}.npz")
+                snapshot_path = dump_path(f"lane{job.index}",
+                                          job.config.snapshot_dir)
             probe = DiagnosticsProbe(
                 every=every, sink_path=job.config.metrics, record=True,
                 snapshot_path=snapshot_path)

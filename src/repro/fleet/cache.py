@@ -11,19 +11,16 @@ instead of re-executing — the deck, every resolved control, the rank
 count, the backend and the code version all enter the key, so a hit is
 exactly "this run already happened".
 
-Storage layout under the cache root: one file per entry, written in
-one :func:`repro.output.restart.atomic_write` so a killed worker never
-leaves a half-entry::
+Storage layout under the cache root: one ``<key>.entry`` per entry, a
+state file (:mod:`repro.output.restart`, the layout snapshots and
+checkpoints use too) written in one atomic write, so a killed worker
+never leaves a half-entry.  Its meta document is the cache's own: the
+key, the result scalars, the report, the metrics rows and the spans;
+its arrays are ``HydroState.arrays()``.
 
-    <key>.entry   8-byte little-endian header length
-                  header: the meta document (scalars, report, metrics
-                          rows, the outcome ``digest``) plus an
-                          ``arrays`` table of name, dtype, shape, offset
-                  the raw bytes of ``HydroState.arrays()``, sorted by name
-
-A load is one ``read()``: the arrays are ``np.frombuffer`` views of it,
-the outcome digest (:func:`state_digest`) is recomputed from those bytes
-and compared, and :meth:`HydroState.from_arrays` makes the hit's state
+A load is one :func:`~repro.output.restart.read_state`: the file's
+digest is recomputed and compared, the arrays come back as views of
+the bytes read, and :meth:`HydroState.from_arrays` makes the hit's state
 of private copies of them.  The config's problem factory still runs,
 for the mesh, the boundary driver, the material table and the controls,
 but the state it would start from is never built: no volume pass, no
@@ -37,11 +34,11 @@ long as something (a hit's state, say) holds it, and nothing is kept
 alive that the caller dropped.
 
 An entry that cannot be read back (truncated, a bad header, another
-schema version, a digest mismatch) is a *miss*, not a traceback:
+format version, a digest mismatch) is a *miss*, not a traceback:
 :meth:`ResultCache.load` evicts it, counts it and raises
 :class:`~repro.utils.errors.SnapshotError` for the engine to log as
-``cache_corrupt`` and re-run the job.  Entries of an older layout (the
-v2 ``<key>.npz`` + ``<key>.json`` pair) are never read: a miss.
+``cache_corrupt`` and re-run the job.  Entries of the two-file layout
+(``<key>.npz`` + ``<key>.json``) are never read: a plain miss.
 
 The same store doubles as the worker pool's result spool: workers
 persist outcomes here and the parent re-materialises them by key, so a
@@ -52,23 +49,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import weakref
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from ..utils.errors import FleetError, SnapshotError
 from ..utils.timers import Span, TimerRegistry
-
-#: on-disk entry layout version (bumped on any stored-shape change)
-#: v2: step rows and comm counters live only in the stored report
-#: v3: one ``<key>.entry`` file — header, then the raw state arrays
-CACHE_SCHEMA_VERSION = 3
-
-#: bytes of the header-length prefix of an entry
-_PREFIX = 8
 
 #: the process's shared meshes: generator call → the mesh every hit on
 #: it shares, for as long as anything holds that mesh
@@ -114,78 +102,14 @@ def state_digest(state, nstep: int, time: float,
     reproducible — so this is the value the kill-and-resume CI gate
     compares bit-for-bit."""
     arrays = state.arrays()
-    return _digest(((name, arrays[name].tobytes()) for name in sorted(arrays)),
-                   nstep, time, metrics_rows)
-
-
-def _digest(planes, nstep: int, time: float, metrics_rows) -> str:
-    """:func:`state_digest` over ``(name, raw bytes)`` pairs in sorted
-    name order — a live state's or a stored entry's."""
     h = hashlib.sha256()
-    for name, data in planes:
+    for name in sorted(arrays):
         h.update(name.encode())
-        h.update(data)
+        h.update(arrays[name].tobytes())
     h.update(f"nstep={int(nstep)};time={float(time)!r}".encode())
     if metrics_rows:
         h.update(json.dumps(metrics_rows, sort_keys=True).encode())
     return h.hexdigest()
-
-
-def _decode_header(path: str, raw: bytes, size: int) -> Tuple[dict, int]:
-    """``(meta document, offset of the array region)`` of an entry of
-    ``size`` bytes whose first bytes are ``raw`` (at least the prefix
-    and the header)."""
-    if size < _PREFIX:
-        raise SnapshotError(f"cannot read {path}: {size} bytes, "
-                            f"shorter than the {_PREFIX}-byte prefix")
-    end = _PREFIX + int.from_bytes(raw[:_PREFIX], "little")
-    if end > size:
-        raise SnapshotError(f"cannot read {path}: header runs to byte "
-                            f"{end} of {size}")
-    try:
-        meta = json.loads(raw[_PREFIX:end])
-    except ValueError as exc:     # UnicodeDecodeError is one
-        raise SnapshotError(f"cannot read {path}: undecodable header "
-                            f"({type(exc).__name__}: {exc})") from exc
-    version = meta.get("schema_version") if isinstance(meta, dict) else None
-    if version != CACHE_SCHEMA_VERSION:
-        raise SnapshotError(f"cannot read {path}: cache schema version "
-                            f"{version!r}, expected {CACHE_SCHEMA_VERSION}")
-    return meta, end
-
-
-def _decode_arrays(path: str, raw: bytes, meta: dict,
-                   start: int) -> Dict[str, np.ndarray]:
-    """The stored state arrays, as views of ``raw``, after checking the
-    outcome digest against the bytes they view."""
-    arrays, planes = {}, []
-    view = memoryview(raw)
-    end = start
-    try:
-        for doc in meta["arrays"]:
-            dtype, shape = np.dtype(doc["dtype"]), tuple(doc["shape"])
-            count = math.prod(shape)
-            lo = start + int(doc["offset"])
-            end = lo + dtype.itemsize * count
-            if end > len(raw):
-                raise SnapshotError(f"cannot read {path}: truncated, "
-                                    f"{doc['name']!r} ends past byte "
-                                    f"{len(raw)}")
-            arrays[doc["name"]] = np.frombuffer(
-                raw, dtype, count, lo).reshape(shape)
-            planes.append((doc["name"], view[lo:end]))
-        digest = _digest(planes, meta["nstep"], meta["time"],
-                         meta.get("metrics_rows"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SnapshotError(f"cannot read {path}: bad array table "
-                            f"({type(exc).__name__}: {exc})") from exc
-    if end != len(raw):
-        raise SnapshotError(f"cannot read {path}: the array table ends at "
-                            f"byte {end}, the file at byte {len(raw)}")
-    if digest != meta.get("digest"):
-        raise SnapshotError(f"cannot read {path}: the stored outcome "
-                            "fails its digest check")
-    return arrays
 
 
 def _result_fields(path: str, meta: dict) -> Dict[str, Any]:
@@ -241,18 +165,9 @@ class ResultCache:
         """Persist one finished :class:`RunResult` under ``key``
         (atomic: a concurrent reader sees the old entry or the new one,
         never a torn one)."""
-        from ..output.restart import atomic_write
+        from ..output.restart import write_state
 
-        arrays = result.state.arrays()
-        planes = [(name, arrays[name].tobytes()) for name in sorted(arrays)]
-        table, offset = [], 0
-        for name, data in planes:
-            table.append({"name": name, "dtype": arrays[name].dtype.str,
-                          "shape": list(arrays[name].shape),
-                          "offset": offset})
-            offset += len(data)
-        meta = {
-            "schema_version": CACHE_SCHEMA_VERSION,
+        write_state(self._path(key), {
             "key": key,
             "backend": result.backend,
             "nranks": int(result.nranks),
@@ -268,50 +183,15 @@ class ResultCache:
             "spans": ([s.as_dict() for s in result.spans]
                       if result.spans else None),
             "comm_summary": result.comm_summary,
-            "digest": _digest(planes, result.nstep, result.time,
-                              result.metrics_rows),
-            "arrays": table,
-        }
-        header = json.dumps(meta, default=repr).encode("utf-8")
-        # pad so the array region starts 8-byte aligned
-        header += b" " * (-(_PREFIX + len(header)) % 8)
-
-        def write(fh):
-            fh.write(len(header).to_bytes(_PREFIX, "little"))
-            fh.write(header)
-            for _, data in planes:
-                fh.write(data)
-
-        atomic_write(self._path(key), write)
+        }, result.state.arrays())
         self.stores += 1
 
     # ------------------------------------------------------------------
     def meta(self, key: str) -> dict:
         """The meta document of a stored entry (its header only)."""
-        path = self._path(key)
-        try:
-            with open(path, "rb") as fh:
-                size = os.fstat(fh.fileno()).st_size
-                raw = fh.read(_PREFIX)
-                if len(raw) == _PREFIX:
-                    raw += fh.read(min(int.from_bytes(raw, "little"), size))
-        except OSError as exc:
-            raise SnapshotError(
-                f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
-        return _decode_header(path, raw, size)[0]
+        from ..output.restart import read_meta
 
-    def _read(self, key: str):
-        """``(meta document, state arrays)`` of a stored entry, read in
-        one call and checked against its digest."""
-        path = self._path(key)
-        try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise SnapshotError(
-                f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
-        meta, start = _decode_header(path, raw, len(raw))
-        return meta, _decode_arrays(path, raw, meta, start)
+        return read_meta(self._path(key))
 
     def load(self, key: str, config, *,
              override: Optional[Dict[str, Any]] = None,
@@ -331,12 +211,13 @@ class ResultCache:
         from ..api import RunResult
         from ..core.state import HydroState
         from ..mesh.generator import shared_meshes
+        from ..output.restart import read_state
 
         if not self.has(key):
             raise FleetError(f"cache entry {key} missing from {self.root}")
         path = self._path(key)
         try:
-            meta, arrays = self._read(key)
+            meta, arrays = read_state(path)
             stored = _result_fields(path, meta)
             with shared_meshes(_MESHES):
                 setup = config.build_setup()

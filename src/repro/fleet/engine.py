@@ -188,7 +188,7 @@ def run_job(config, key: str, index: int, *, emit: Callable,
     ``injectors`` last — after the checkpoint writer, so the write for
     step N precedes anything that kills the process at step N.  A
     serial job with a ``checkpoint_dir`` resumes from
-    ``<key>.ckpt.npz`` when there is one; an unreadable one counts as
+    ``<key>.ckpt`` when there is one; an unreadable one counts as
     absent (``checkpoint_unreadable``, the job runs from step 0), one
     under another job key raises :class:`FleetError`.
     """
@@ -204,7 +204,7 @@ def run_job(config, key: str, index: int, *, emit: Callable,
             max_steps=config.max_steps))
     on_prepared = None
     if checkpoint_dir and config.nranks == 1 and backend == "serial":
-        path = os.path.join(checkpoint_dir, f"{key}.ckpt.npz")
+        path = os.path.join(checkpoint_dir, f"{key}.ckpt")
         observers.append(CheckpointWriter(
             path, checkpoint_every, key=key,
             on_write=lambda step: emit("job_checkpointed", job=index,

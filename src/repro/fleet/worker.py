@@ -49,7 +49,6 @@ import os
 import signal
 import time
 import warnings
-import zipfile  # noqa: F401  (see below)
 from collections import deque
 from multiprocessing.connection import wait as _mp_wait
 from typing import Callable, Dict, List, Optional
@@ -59,7 +58,7 @@ from typing import Callable, Dict, List, Optional
 # imported here, once, and with it what a worker's first progress
 # event, checkpoint or ``ResultCache.store`` would otherwise load in
 # every child after the fork: the progress reporter, the snapshot
-# writer, the run report, and ``zipfile`` under ``np.savez``.
+# writer and the run report.
 from ..metrics.watchdog import Heartbeat, HeartbeatBoard
 from ..output import restart as _restart  # noqa: F401
 from ..telemetry import live as _live  # noqa: F401

@@ -16,13 +16,21 @@ Its ``extra`` carries the rank and the sentinel names and ids.
 
 from __future__ import annotations
 
+import os
 from typing import Optional
+
+
+def dump_path(tag: str, directory: Optional[str] = None) -> str:
+    """The one name of a ``HealthError`` dump, ``tag`` being
+    ``rank<r>`` or ``lane<i>``: ``HEALTH_snapshot_<tag>.state`` in
+    ``directory``, or in the current directory when it is unset."""
+    return os.path.join(directory or "", f"HEALTH_snapshot_{tag}.state")
 
 
 def dump_snapshot(hydro, path, *, rank: Optional[int] = None,
                   violations: Optional[dict] = None) -> str:
-    """Write a forensic snapshot of ``hydro`` to ``path`` (.npz);
-    returns the path written.  ``violations`` is the sentinel dict from
+    """Write a forensic snapshot of ``hydro`` to ``path``; returns the
+    path written.  ``violations`` is the sentinel dict from
     :meth:`~repro.core.state.HydroState.sentinel_scan`."""
     from ..output.restart import freeze
 

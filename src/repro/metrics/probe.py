@@ -45,7 +45,7 @@ import numpy as np
 
 from ..core.hourglass import hourglass_amplitude
 from ..utils.errors import HealthError
-from .health import dump_snapshot
+from .health import dump_path, dump_snapshot
 
 #: bumped on any record-shape change (mirrors the run-report discipline)
 METRICS_SCHEMA_VERSION = 1
@@ -74,7 +74,8 @@ class DiagnosticsProbe:
         Keep the records in memory (``self.rows``) for the run report.
     snapshot_path:
         Where a sentinel trip dumps the forensic state snapshot;
-        defaults to ``HEALTH_snapshot_rank{rank}.npz`` in the CWD.
+        defaults to :func:`~repro.metrics.health.dump_path` of the
+        rank, in the CWD.
     cell_global:
         Optional local→global cell-id map (decomposed runs) so
         :class:`~repro.utils.errors.HealthError` names global cells.
@@ -236,7 +237,7 @@ class DiagnosticsProbe:
         rank = comms.rank
         path = self.snapshot_path
         if path is None:
-            path = f"HEALTH_snapshot_rank{rank}.npz"
+            path = dump_path(f"rank{rank}")
         # Globalise the *cell* ids for decomposed runs; node-field ids
         # (nonfinite:x/y/u/v) stay local — the rank disambiguates.
         reported = {}

@@ -364,14 +364,10 @@ class DistributedHydro:
         """
         if self.metrics_every < 1:
             return None
-        import os
-
         from ..metrics import DiagnosticsProbe
+        from ..metrics.health import dump_path
 
-        snapshot_path = None
-        if self.snapshot_dir:
-            snapshot_path = os.path.join(
-                self.snapshot_dir, f"HEALTH_snapshot_rank{rank}.npz")
+        snapshot_path = dump_path(f"rank{rank}", self.snapshot_dir)
         if rank == 0:
             return DiagnosticsProbe(
                 every=self.metrics_every, sink_path=self.metrics_path,

@@ -136,11 +136,12 @@ class FleetError(BookLeafError):
 
 
 class SnapshotError(BookLeafError):
-    """A stored state (snapshot, checkpoint, cache entry) cannot be
-    used: the file is missing, not an ``.npz``, truncated, lacks a
-    member, carries an undecodable or wrong-version ``__meta__``, or
-    fails its mesh fingerprint.  The fleet turns it into an event (a
-    cache miss, an absent checkpoint) instead of a traceback."""
+    """A stored state (snapshot, checkpoint, HEALTH dump, cache entry)
+    cannot be used: the file is missing, truncated, of another format
+    version (an older ``.npz`` snapshot included), has an undecodable
+    header or meta document, fails its digest, or lacks a member.  The
+    fleet turns it into an event (a cache miss, an absent checkpoint)
+    instead of a traceback."""
 
 
 class StalledRankWarning(UserWarning):

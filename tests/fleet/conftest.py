@@ -1,22 +1,28 @@
-"""Helpers for damaging and rewriting result-cache entries."""
+"""Helpers for damaging and rewriting state files (cache entries, fleet
+checkpoints, HEALTH dumps — one layout, :mod:`repro.output.restart`)."""
 
+import hashlib
 import json
 
-#: ways a ``<key>.entry`` file is damaged by the fault rows
+#: ways a state file is damaged by the fault rows
 DAMAGES = ("truncated", "header", "flipped")
 
 _PREFIX = 8
+_DIGEST = 32
 
 
 def _split(data: bytes):
+    """``(header, planes)`` of a state file: the bytes between the
+    length prefix and the planes, and those between it and the digest
+    trailer."""
     end = _PREFIX + int.from_bytes(data[:_PREFIX], "little")
-    return data[_PREFIX:end], data[end:]
+    return data[_PREFIX:end], data[end:-_DIGEST]
 
 
 def damage_entry(path, how: str) -> None:
-    """Truncate the entry to half its size, overwrite the start of its
-    header with garbage, or flip one byte in the middle of its array
-    region."""
+    """Truncate the state file to half its size, overwrite the start of
+    its header with garbage, or flip one byte in the middle of its
+    array region."""
     data = bytearray(path.read_bytes())
     if how == "truncated":
         del data[len(data) // 2:]
@@ -31,21 +37,23 @@ def damage_entry(path, how: str) -> None:
 
 
 def rewrite_header(path, edit) -> None:
-    """Re-encode the entry's meta document through ``edit(meta)``,
-    keeping its array bytes."""
+    """Re-encode the state file's meta document through ``edit(meta)``,
+    keeping its array bytes and sealing it with a fresh digest — so
+    the reader sees a well-formed file with the edited header."""
     header, region = _split(path.read_bytes())
     meta = json.loads(header)
     edit(meta)
     header = json.dumps(meta).encode("utf-8")
-    path.write_bytes(len(header).to_bytes(_PREFIX, "little") + header
-                     + region)
+    header += b" " * (-(_PREFIX + len(header)) % 8)
+    data = len(header).to_bytes(_PREFIX, "little") + header + region
+    path.write_bytes(data + hashlib.sha256(data).digest())
 
 
 def as_v1(meta: dict) -> None:
-    """The meta document the way the v1 layout stored it: the step rows
-    and comm counters beside the report, not inside it."""
+    """The meta document the way the v1 cache layout stored it: the
+    step rows and comm counters beside the report, not inside it."""
     report = meta["report"]
-    meta["schema_version"] = 1
+    meta["format_version"] = 1
     meta["step_rows"] = report.pop("steps")
     meta["comm_total"] = report["comm"]["total"]
     meta["comm_per_rank"] = report["comm"]["per_rank"]

@@ -1,5 +1,6 @@
 """Result-cache round trips: a cached result is the run, bit for bit."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from repro.api import RunConfig, run
 from repro.core.state import HydroState
-from repro.fleet import CACHE_SCHEMA_VERSION, ResultCache, job_key, state_digest
+from repro.fleet import ResultCache, job_key, state_digest
+from repro.output.restart import FORMAT_VERSION
 from repro.utils.errors import FleetError, SnapshotError
 from tests.fleet.conftest import (DAMAGES, as_v1, damage_entry,
                                   rewrite_header)
@@ -110,9 +112,10 @@ def test_overlay_state_round_trip():
 
 
 def test_entry_layout_is_one_atomic_file(tmp_path):
-    """``<key>.entry`` is the only file an entry leaves behind: a
-    length prefix, the meta document, then exactly the bytes of
-    ``HydroState.arrays()`` in sorted-name order."""
+    """``<key>.entry`` is the only file an entry leaves behind, in the
+    state file layout: a length prefix, the meta document, exactly the
+    bytes of ``HydroState.arrays()`` in sorted-name order, each 8-byte
+    aligned, and the sha256 of everything before it."""
     config = _cfg()
     result = run(config)
     cache = ResultCache(str(tmp_path))
@@ -122,16 +125,22 @@ def test_entry_layout_is_one_atomic_file(tmp_path):
     assert sorted(f.name for f in tmp_path.iterdir()) == [path.name]
     data = path.read_bytes()
     end = 8 + int.from_bytes(data[:8], "little")
+    assert end % 8 == 0
     meta = json.loads(data[8:end])
     assert meta == cache.meta(key)
-    assert meta["schema_version"] == CACHE_SCHEMA_VERSION == 3
+    assert meta["format_version"] == FORMAT_VERSION == 3
+    assert meta["key"] == key
     arrays = result.state.arrays()
     names = sorted(arrays)
     assert [doc["name"] for doc in meta["arrays"]] == names
     for doc in meta["arrays"]:
+        assert doc["offset"] % 8 == 0
         assert doc["dtype"] == arrays[doc["name"]].dtype.str
         assert doc["shape"] == list(arrays[doc["name"]].shape)
-    assert data[end:] == b"".join(arrays[n].tobytes() for n in names)
+        lo = end + doc["offset"]
+        assert data[lo:lo + arrays[doc["name"]].nbytes] == \
+            arrays[doc["name"]].tobytes()
+    assert data[-32:] == hashlib.sha256(data[:-32]).digest()
 
 
 REASONS = {"truncated": "truncated", "header": "undecodable header",
@@ -159,10 +168,10 @@ def test_stale_schema_version_is_evicted_and_named(tmp_path):
     cache.store(key, run(config))
     rewrite_header(tmp_path / f"{key}.entry", as_v1)
     with pytest.raises(SnapshotError,
-                       match="cache schema version 1, expected 3"):
+                       match="format version 1, expected 3"):
         cache.meta(key)
     with pytest.raises(SnapshotError,
-                       match="cache schema version 1, expected 3"):
+                       match="format version 1, expected 3"):
         cache.load(key, config)
     assert not cache.has(key)
     assert cache.stats()["corrupt"] == 1

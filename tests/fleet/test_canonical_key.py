@@ -160,3 +160,21 @@ def test_config_is_hashable():
                   problem_kwargs={"k": 1})
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("left, right", [
+    ({"size": np.float32(1.0)}, {"size": 1.0}),
+    ({"size": np.int64(8)}, {"size": 8}),
+    ({"size": 1}, {"size": 1.0}),
+    ({"flag": np.bool_(True)}, {"flag": True}),
+    ({"arcs": [np.float64(0.5), 2]}, {"arcs": [0.5, np.int32(2)]}),
+    ({"opts": {"gamma": np.float32(1.5)}}, {"opts": {"gamma": 1.5}}),
+])
+def test_equal_configs_hash_equal(left, right):
+    """``a == b`` implies ``hash(a) == hash(b)``: a numpy-scalar kwarg
+    compares equal to its Python value, so it must hash like it."""
+    a = RunConfig(problem="noh", problem_kwargs=left)
+    b = RunConfig(problem="noh", problem_kwargs=right)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1

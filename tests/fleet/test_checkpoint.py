@@ -21,7 +21,7 @@ def _cfg(**kw):
 
 
 def test_writer_cadence(tmp_path):
-    path = str(tmp_path / "job.ckpt.npz")
+    path = str(tmp_path / "job.ckpt")
     writer = CheckpointWriter(path, every=5)
     run(_cfg(max_steps=12), observers=[writer])
     # steps 5 and 10 checkpointed (observers see nstep post-increment)
@@ -31,7 +31,7 @@ def test_writer_cadence(tmp_path):
 
 def test_writer_rejects_bad_cadence(tmp_path):
     with pytest.raises(FleetError, match="cadence"):
-        CheckpointWriter(str(tmp_path / "x.npz"), every=0)
+        CheckpointWriter(str(tmp_path / "x.ckpt"), every=0)
 
 
 def test_resume_is_bit_identical(tmp_path):
@@ -40,7 +40,7 @@ def test_resume_is_bit_identical(tmp_path):
     config = _cfg(metrics_every=4)
     full = run(config)
 
-    path = str(tmp_path / "job.ckpt.npz")
+    path = str(tmp_path / "job.ckpt")
     half = run(config.replace(max_steps=12))
     # checkpoint the half-way driver state directly
     save_checkpoint(path, half.driver.hydros[0], key="k1")
@@ -73,7 +73,7 @@ def test_resume_rewrites_ndjson_stream(tmp_path):
     run(config)
 
     config_res = config.replace(metrics=m_res)
-    path = str(tmp_path / "job.ckpt.npz")
+    path = str(tmp_path / "job.ckpt")
     half = run(config_res.replace(max_steps=12))
     save_checkpoint(path, half.driver.hydros[0])
 
@@ -88,7 +88,7 @@ def test_resume_rewrites_ndjson_stream(tmp_path):
 def test_key_mismatch_refuses(tmp_path):
     config = _cfg(max_steps=6)
     result = run(config)
-    path = str(tmp_path / "job.ckpt.npz")
+    path = str(tmp_path / "job.ckpt")
     save_checkpoint(path, result.driver.hydros[0], key="job-A")
     fresh = run(config.replace(max_steps=1))
     with pytest.raises(FleetError, match="refusing to overlay"):
@@ -98,7 +98,7 @@ def test_key_mismatch_refuses(tmp_path):
 def test_checkpoint_meta_is_embedded_json(tmp_path):
     config = _cfg(max_steps=6)
     result = run(config)
-    path = str(tmp_path / "job.ckpt.npz")
+    path = str(tmp_path / "job.ckpt")
     save_checkpoint(path, result.driver.hydros[0], key="k")
     snap = read_restart(path)
     assert snap.extra["key"] == "k"

@@ -7,8 +7,11 @@ Rows (ROADMAP "single differential-correctness harness", (e)):
   header, one with a flipped byte in its array region (the digest
   catches it) or one stored under another schema version is a *miss* —
   ``cache_corrupt``, the job re-runs, its store overwrites the entry;
-* a garbage ``<key>.ckpt.npz`` is an *absent* checkpoint —
+* a garbage ``<key>.ckpt``, or a checkpoint truncated, with a garbage
+  header or with a flipped byte, is an *absent* checkpoint —
   ``checkpoint_unreadable``, the job runs from step 0;
+* every kind of state file — cache entry, checkpoint, HEALTH dump —
+  damaged any of those ways is one ``SnapshotError`` from its reader;
 * a worker SIGKILLed mid-job resumes from its last checkpoint and lands
   bit-identical to an uninterrupted run — on the time-driven-boundary
   case (Kidder) and the ALE case (a remapper with a reference mesh)
@@ -18,12 +21,19 @@ Each damaged-file row runs inline and through a one-worker pool.
 """
 
 import os
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.api import RunConfig, run, submit
-from repro.fleet import job_key, state_digest
+from repro.fleet import ResultCache, job_key, state_digest
+from repro.metrics import DiagnosticsProbe
+from repro.metrics.health import dump_path
+from repro.output.restart import read_restart
+from repro.problems import load_problem
 from repro.telemetry.live import validate_live_stream
+from repro.utils.errors import HealthError, SnapshotError
 from tests.fleet.conftest import DAMAGES, as_v1, damage_entry, rewrite_header
 
 
@@ -85,7 +95,7 @@ def test_stale_layout_entry_is_a_miss(tmp_path, workers):
     cold = _cold(tmp_path)
     rewrite_header(tmp_path / f"{job_key(CONFIG)}.entry", as_v1)
     _assert_a_miss_then_warm(tmp_path, cold, workers,
-                             "cache schema version 1, expected 3")
+                             "format version 1, expected 3")
 
 
 def test_two_file_entry_is_never_read(tmp_path):
@@ -104,8 +114,8 @@ def test_two_file_entry_is_never_read(tmp_path):
 @pytest.mark.parametrize("workers", [0, 1])
 def test_garbage_checkpoint_is_an_absent_checkpoint(tmp_path, workers):
     cold = run(CONFIG)
-    ckpt = tmp_path / f"{job_key(CONFIG)}.ckpt.npz"
-    ckpt.write_bytes(b"\x00garbage, not a zip\x00" * 50)
+    ckpt = tmp_path / f"{job_key(CONFIG)}.ckpt"
+    ckpt.write_bytes(b"\x00garbage, not a state file\x00" * 50)
 
     handle = submit([CONFIG], ensemble="off", workers=workers,
                     checkpoint_dir=str(tmp_path), checkpoint_every=5)
@@ -120,6 +130,70 @@ def test_garbage_checkpoint_is_an_absent_checkpoint(tmp_path, workers):
     validate_live_stream(handle.events)
     # the run's own checkpoints replaced the garbage
     assert ckpt.stat().st_size > 2000
+
+
+def _health_dump(tmp_path):
+    """A ``HealthError`` dump of a poisoned Noh state."""
+    hydro = load_problem("noh", nx=8, ny=8).make_hydro()
+    hydro.run(max_steps=3)
+    hydro.state.rho[7] = np.nan
+    probe = DiagnosticsProbe(
+        every=1, snapshot_path=dump_path("rank0", str(tmp_path)))
+    with pytest.raises(HealthError) as exc:
+        probe.sample(hydro)
+    return Path(exc.value.snapshot)
+
+
+def _state_file(tmp_path, kind):
+    """``(path, reader)`` of one state file of ``kind``, written by the
+    code that writes it in a real run."""
+    if kind == "entry":
+        _cold(tmp_path)
+        return (tmp_path / f"{job_key(CONFIG)}.entry",
+                lambda: ResultCache(str(tmp_path)).load(job_key(CONFIG),
+                                                        CONFIG))
+    if kind == "checkpoint":
+        submit([CONFIG], ensemble="off", checkpoint_dir=str(tmp_path),
+               checkpoint_every=5).results()
+        path = tmp_path / f"{job_key(CONFIG)}.ckpt"
+    else:
+        path = _health_dump(tmp_path)
+    return path, lambda: read_restart(path)
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
+@pytest.mark.parametrize("kind", ["entry", "checkpoint", "health"])
+def test_every_damaged_state_file_is_one_error(tmp_path, kind, damage):
+    path, read = _state_file(tmp_path, kind)
+    read()                              # undamaged, it reads
+    damage_entry(path, damage)
+    with pytest.raises(SnapshotError, match=f"cannot read {path}"):
+        read()
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+@pytest.mark.parametrize("damage", DAMAGES)
+def test_damaged_checkpoint_is_an_absent_checkpoint(tmp_path, workers,
+                                                    damage):
+    """The step-10 checkpoint a finished job left, damaged: the rerun
+    logs ``checkpoint_unreadable``, runs from step 0 (it writes steps 5
+    and 10 again) and lands on the undamaged run's digest."""
+    cold = run(CONFIG)
+    ckpt, _ = _state_file(tmp_path, "checkpoint")
+    damage_entry(ckpt, damage)
+
+    handle = submit([CONFIG], ensemble="off", workers=workers,
+                    checkpoint_dir=str(tmp_path), checkpoint_every=5)
+    result = handle.results()[0]
+    assert result.nstep == cold.nstep
+    assert _digest(result) == _digest(cold)
+    (entry,) = [e for e in handle.schedule_log
+                if e["event"] == "checkpoint_unreadable"]
+    assert entry["path"] == str(ckpt)
+    assert "checkpoint_resume" not in _events(handle)
+    assert [e["step"] for e in handle.events
+            if e["event"] == "job_checkpointed"] == [5, 10]
+    assert read_restart(ckpt).nstep == 10
 
 
 KILLED = {
@@ -153,7 +227,7 @@ def test_killed_job_resumes_bit_identical(tmp_path, case):
     (resume,) = [e for e in handle.schedule_log
                  if e["event"] == "checkpoint_resume"]
     assert os.path.basename(resume["path"]) == \
-        f"{job_key(config)}.ckpt.npz"
+        f"{job_key(config)}.ckpt"
     # resumed, not restarted: the retry wrote steps 15 and 20 only
     steps = [e["step"] for e in handle.events
              if e["event"] == "job_checkpointed"]

@@ -29,7 +29,7 @@ def _hydro(steps=3, probe=None):
 
 
 def test_nan_injection_names_cell_and_dumps_snapshot(tmp_path):
-    snap = tmp_path / "snap.npz"
+    snap = tmp_path / "snap.state"
     hydro = _hydro(steps=3)
     hydro.state.rho[7] = np.nan
     probe = DiagnosticsProbe(every=1, snapshot_path=str(snap))
@@ -62,7 +62,7 @@ def test_snapshot_overlays_into_a_fresh_hydro(tmp_path):
                              snapshot_path=str(tmp_path / "snap"))
     with pytest.raises(HealthError) as exc:
         probe.sample(hydro)
-    assert exc.value.snapshot == str(tmp_path / "snap.npz")
+    assert exc.value.snapshot == str(tmp_path / "snap")
 
     fresh = load_problem("noh", nx=8, ny=8).make_hydro()
     thaw(fresh, read_restart(exc.value.snapshot))
@@ -84,7 +84,7 @@ def test_each_sentinel_class_trips(tmp_path, poison, expect):
     hydro = _hydro(steps=3)
     poison(hydro.state)
     probe = DiagnosticsProbe(every=1,
-                             snapshot_path=str(tmp_path / "s.npz"))
+                             snapshot_path=str(tmp_path / "s.state"))
     with pytest.raises(HealthError) as exc:
         probe.sample(hydro)
     assert expect in exc.value.violations
@@ -100,7 +100,7 @@ def test_cell_ids_globalised_but_node_ids_stay_local(tmp_path):
     hydro.state.rho[7] = np.nan
     hydro.state.u[5] = np.inf
     probe = DiagnosticsProbe(every=1, cell_global=cell_global,
-                             snapshot_path=str(tmp_path / "s.npz"))
+                             snapshot_path=str(tmp_path / "s.state"))
     with pytest.raises(HealthError) as exc:
         probe.sample(hydro)
     assert exc.value.violations["nonfinite:rho"] == [1007]
@@ -117,7 +117,7 @@ def test_probe_closes_sink_on_trip_and_keeps_stream(tmp_path):
     hydro = setup.make_hydro()
     path = tmp_path / "m.ndjson"
     probe = DiagnosticsProbe(every=1, sink_path=str(path),
-                             snapshot_path=str(tmp_path / "s.npz"))
+                             snapshot_path=str(tmp_path / "s.state"))
     hydro.probe = probe
     # step observers run before the probe's sample, so the poison is
     # seen by the very step that plants it
@@ -156,7 +156,7 @@ def test_decomposed_trip_aborts_run_and_names_rank(
     assert "nonfinite:rho" in message
     assert "rank 1" in message
 
-    snap = tmp_path / "HEALTH_snapshot_rank1.npz"
+    snap = tmp_path / "HEALTH_snapshot_rank1.state"
     assert snap.exists()
     loaded = read_restart(snap)
     assert loaded.extra["rank"] == 1 and loaded.nstep == 3

@@ -10,13 +10,16 @@ from repro.core.state import HydroState
 from repro.output.restart import (
     FORMAT_VERSION,
     freeze,
+    read_meta,
     read_restart,
+    read_state,
     thaw,
-    write_npz,
     write_restart,
+    write_state,
 )
 from repro.problems import load_problem
 from repro.utils.errors import BookLeafError, SnapshotError
+from tests.fleet.conftest import damage_entry, rewrite_header
 
 
 @pytest.fixture
@@ -27,24 +30,9 @@ def mid_run():
     return setup, hydro
 
 
-def _rewrite(path, **members):
-    """Rewrite a snapshot with some members replaced."""
-    data = dict(np.load(path))
-    data.update(members)
-    write_npz(path, data)
-
-
-def _meta(path) -> dict:
-    return json.loads(bytes(np.load(path)["__meta__"]).decode())
-
-
-def _as_member(meta: dict) -> np.ndarray:
-    return np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-
-
 def test_roundtrip_bit_exact(tmp_path, mid_run):
     _, hydro = mid_run
-    path = freeze(tmp_path / "chk.npz", hydro)
+    path = freeze(tmp_path / "chk.state", hydro)
     snap = read_restart(path)
     assert snap.time == hydro.time
     assert snap.nstep == hydro.nstep
@@ -62,29 +50,32 @@ def test_roundtrip_bit_exact(tmp_path, mid_run):
     np.testing.assert_array_equal(snap.arrays["mesh_x0"],
                                   hydro.state.mesh.x)
     # atomic write: no temp files left behind
-    assert [f.name for f in tmp_path.iterdir()] == ["chk.npz"]
+    assert [f.name for f in tmp_path.iterdir()] == ["chk.state"]
 
 
 @pytest.mark.parametrize("name", ["dump", "dump.npz", Path("dump")])
 def test_writer_returns_the_file_it_wrote(tmp_path, mid_run, name):
+    """The writer writes exactly the path it is given: no suffix is
+    appended, and a ``.npz`` name holds the one state layout too."""
     _, hydro = mid_run
     path = write_restart(tmp_path / name, hydro.state, hydro.time,
                          hydro.nstep, hydro.dt)
-    assert path == tmp_path / "dump.npz"
-    assert path.exists()
+    assert path == tmp_path / name
+    assert [f.name for f in tmp_path.iterdir()] == [str(name)]
     assert read_restart(path).nstep == hydro.nstep
 
 
 def test_extra_rides_the_embedded_meta(tmp_path, mid_run):
     _, hydro = mid_run
-    path = freeze(tmp_path / "chk.npz", hydro, mesh=False,
+    path = freeze(tmp_path / "chk.state", hydro, mesh=False,
                   extra={"key": "k", "rows": [1, 2]})
     snap = read_restart(path)
     assert snap.extra == {"key": "k", "rows": [1, 2]}
     assert "cell_nodes" not in snap.arrays
-    meta = _meta(path)
-    assert meta["format_version"] == FORMAT_VERSION
-    assert meta["fingerprint"] is None
+    meta = read_meta(path)
+    assert meta["format_version"] == FORMAT_VERSION == 3
+    assert meta["extra"] == snap.extra
+    assert (meta["time"], meta["nstep"]) == (hydro.time, hydro.nstep)
 
 
 def test_resumed_run_matches_uninterrupted(tmp_path):
@@ -95,7 +86,7 @@ def test_resumed_run_matches_uninterrupted(tmp_path):
 
     first = load_problem("sod", nx=30, ny=2, time_end=0.05).make_hydro()
     first.run(max_steps=10)
-    path = freeze(tmp_path / "chk.npz", first)
+    path = freeze(tmp_path / "chk.state", first)
 
     resumed = load_problem("sod", nx=30, ny=2, time_end=0.05).make_hydro()
     thaw(resumed, read_restart(path))
@@ -110,7 +101,7 @@ def test_resumed_run_matches_uninterrupted(tmp_path):
 
 def test_restart_preserves_bcs_functionally(tmp_path, mid_run):
     setup, hydro = mid_run
-    path = freeze(tmp_path / "chk.npz", hydro)
+    path = freeze(tmp_path / "chk.state", hydro)
     resumed = load_problem("sod", nx=30, ny=2, time_end=0.05).make_hydro()
     resumed.state.bc.flags[:] = 0       # thaw must bring the planes back
     thaw(resumed, read_restart(path))
@@ -124,14 +115,14 @@ def test_restart_preserves_bcs_functionally(tmp_path, mid_run):
 
 def test_missing_file_raises(tmp_path):
     with pytest.raises(BookLeafError, match="cannot read"):
-        read_restart(tmp_path / "nope.npz")
+        read_restart(tmp_path / "nope.state")
 
 
 @pytest.mark.parametrize("content", [b"", b"not a zip " * 20, None])
 def test_unreadable_file_is_one_structured_error(tmp_path, mid_run,
                                                  content):
     _, hydro = mid_run
-    path = freeze(tmp_path / "chk.npz", hydro)
+    path = freeze(tmp_path / "chk.state", hydro)
     if content is None:                 # truncated mid-member
         content = path.read_bytes()[:path.stat().st_size // 2]
     path.write_bytes(content)
@@ -141,48 +132,70 @@ def test_unreadable_file_is_one_structured_error(tmp_path, mid_run,
 
 def test_wrong_version_rejected(tmp_path, mid_run):
     _, hydro = mid_run
-    path = write_restart(tmp_path / "chk.npz", hydro.state)
-    _rewrite(path, __meta__=_as_member(dict(_meta(path),
-                                            format_version=99)))
+    path = write_restart(tmp_path / "chk.state", hydro.state)
+    rewrite_header(path, lambda meta: meta.update(format_version=99))
     with pytest.raises(BookLeafError, match="format version 99"):
         read_restart(path)
-    # the v1 layout (bare members, no __meta__) is refused the same way
-    data = dict(np.load(path))
-    del data["__meta__"]
-    write_npz(path, dict(data, version=np.int64(1)))
-    with pytest.raises(SnapshotError, match="format version"):
+    # the v1 layout (a zip of bare members, no __meta__) is refused too
+    state = hydro.state.arrays()
+    with open(path, "wb") as fh:
+        np.savez(fh, version=np.int64(1), **state)
+    with pytest.raises(SnapshotError, match="format version 1"):
+        read_restart(path)
+
+
+def test_format_2_npz_is_refused_by_name(tmp_path, mid_run):
+    """A snapshot of the ``.npz`` layout is named as format version 2,
+    not misread as a header length."""
+    _, hydro = mid_run
+    meta = {"format_version": 2, "time": hydro.time, "nstep": hydro.nstep,
+            "dt": hydro.dt, "dt_reason": hydro.dt_reason,
+            "dt_cell": hydro.dt_cell, "fingerprint": None, "extra": {}}
+    path = tmp_path / "old.npz"
+    with open(path, "wb") as fh:
+        np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(),
+                                            dtype=np.uint8),
+                 **hydro.state.arrays())
+    with pytest.raises(SnapshotError,
+                       match="format version 2, expected format version 3"):
         read_restart(path)
 
 
 def test_undecodable_meta_rejected(tmp_path, mid_run):
     _, hydro = mid_run
-    path = write_restart(tmp_path / "chk.npz", hydro.state)
-    _rewrite(path, __meta__=np.frombuffer(b"{not json", dtype=np.uint8))
+    path = write_restart(tmp_path / "chk.state", hydro.state)
+    damage_entry(path, "header")
     with pytest.raises(SnapshotError, match="undecodable"):
         read_restart(path)
     # right version, clocks missing
-    _rewrite(path, __meta__=_as_member({"format_version": FORMAT_VERSION}))
+    path = write_restart(tmp_path / "chk.state", hydro.state)
+    rewrite_header(path, lambda meta: meta.pop("time"))
     with pytest.raises(SnapshotError, match="undecodable"):
         read_restart(path)
 
 
 def test_tampered_dump_rejected(tmp_path, mid_run):
+    """One flipped material index fails the whole-file digest, which
+    covers the mesh block too."""
     _, hydro = mid_run
-    path = write_restart(tmp_path / "chk.npz", hydro.state)
-    mat = np.load(path)["mat"].copy()
-    mat[0] = 1 - mat[0]                 # flip a material index
-    _rewrite(path, mat=mat)
-    with pytest.raises(BookLeafError, match="fingerprint"):
+    path = write_restart(tmp_path / "chk.state", hydro.state)
+    meta = read_meta(path)
+    start = 8 + int.from_bytes(path.read_bytes()[:8], "little")
+    (mat,) = [doc for doc in meta["arrays"] if doc["name"] == "mat"]
+    data = bytearray(path.read_bytes())
+    data[start + mat["offset"]] ^= 1    # flip a material index
+    path.write_bytes(bytes(data))
+    with pytest.raises(BookLeafError, match="digest check"):
         read_restart(path)
 
 
 def test_missing_member_refused_before_anything_is_overlaid(tmp_path,
                                                             mid_run):
     _, hydro = mid_run
-    path = freeze(tmp_path / "chk.npz", hydro, mesh=False)
-    data = dict(np.load(path))
+    path = freeze(tmp_path / "chk.state", hydro, mesh=False)
+    meta, data = read_state(path)
     del data["corner_mass"]
-    write_npz(path, data)
+    write_state(path, meta, data)
     fresh = load_problem("sod", nx=30, ny=2, time_end=0.05).make_hydro()
     before = fresh.state.rho.copy()
     with pytest.raises(SnapshotError, match="corner_mass"):
@@ -193,7 +206,7 @@ def test_missing_member_refused_before_anything_is_overlaid(tmp_path,
 
 def test_fresh_state_checkpoint(tmp_path):
     setup = load_problem("noh", nx=8, ny=8)
-    path = write_restart(tmp_path / "t0.npz", setup.state)
+    path = write_restart(tmp_path / "t0.state", setup.state)
     snap = read_restart(path)
     assert snap.time == 0.0 and snap.nstep == 0
     np.testing.assert_array_equal(snap.arrays["rho"], setup.state.rho)

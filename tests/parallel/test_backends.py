@@ -306,7 +306,7 @@ def test_wait_attribution_names_the_slow_neighbour(monkeypatch, backend):
 
     import repro.core.hydro as hydro_module
 
-    nap = 0.02
+    nap = 0.1
     real_lagstep = hydro_module.lagstep
 
     def slow_lagstep(state, *args, comms=None, **kwargs):
