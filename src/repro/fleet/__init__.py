@@ -7,9 +7,10 @@ a SIGKILL-safe process pool and a same-mesh batched fast path with
 lane refill.  See docs/FLEET.md for the architecture tour.
 
 The engine and its caches are imported with the package — every
-``run()`` is a one-job fleet.  The process pool (and the
-``multiprocessing`` machinery under it) serves only ``workers > 0``, so
-:class:`WorkerPool` resolves on first use (:mod:`repro.utils.lazy`).
+``run()`` is a one-job fleet.  The process pool (workers forked and
+watched by :class:`~repro.metrics.watchdog.Supervisor`, as ranks are)
+serves only ``workers > 0``, so :class:`WorkerPool` resolves on first
+use (:mod:`repro.utils.lazy`).
 """
 
 from ..utils.lazy import lazy_exports

@@ -530,19 +530,15 @@ class Fleet:
             spool = ResultCache(tmp_root)
         if opts.checkpoint_dir:
             os.makedirs(opts.checkpoint_dir, exist_ok=True)
-        pool = WorkerPool(
+        done = WorkerPool(
             min(opts.workers, len(jobs)), spool.root, emit=self.bus.emit,
             checkpoint_dir=opts.checkpoint_dir,
             checkpoint_every=opts.checkpoint_every,
             max_attempts=opts.max_attempts,
             heartbeat_timeout=opts.heartbeat_timeout,
-            progress_every=(opts.progress_every if self._live
-                            else None))
-        try:
-            done = pool.run(jobs, fault_steps=opts.fault_steps,
-                            stall_steps=opts.stall_steps)
-        finally:
-            pool.shutdown()
+            progress_every=(opts.progress_every if self._live else None),
+        ).run(jobs, fault_steps=opts.fault_steps,
+              stall_steps=opts.stall_steps)
         for job in jobs:
             if job.index not in done:
                 raise FleetError(

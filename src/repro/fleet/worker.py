@@ -1,39 +1,38 @@
-"""The fleet's process pool: fork-per-worker with SIGKILL-safe pipes.
+"""The fleet's process pool: one forked worker per slot, SIGKILL-safe.
 
 Design constraints, in order:
 
-* **A dead worker must never wedge the fleet.**  Each worker owns a
-  private duplex :func:`multiprocessing.Pipe` — there is no shared
-  queue whose internal lock a SIGKILLed holder could leave locked.
-  The parent multiplexes worker pipes *and* process sentinels through
-  one :func:`multiprocessing.connection.wait`, so a death wakes it
-  exactly like a result would.
+* **A dead worker must never wedge the fleet.**  Workers are forked
+  and watched by the ranks' own
+  :class:`~repro.metrics.watchdog.Supervisor`: a private job pipe in,
+  a private result pipe out, no shared lock a SIGKILLed holder could
+  leave locked, and a death (its pipe's EOF) wakes the parent's one
+  ``select`` exactly like a result would.
 * **A job outlives its worker.**  Workers persist every outcome into
   the on-disk result store (the fleet's cache doubling as a spool,
   written atomically) *before* reporting done; the parent
   re-materialises results by key.  A worker killed between store and
   report costs one cheap retry — the replacement worker finds the
-  stored entry and short-circuits.
+  stored entry and short-circuits.  A worker that dies while idle is
+  replaced without spending an attempt.
 * **A crashed job resumes, not restarts.**  With checkpointing on,
   serial jobs write periodic snapshots keyed by the job's cache key;
   the retry overlays the last one (:mod:`repro.fleet.checkpoint`) and
   continues bit-identically.
 * **A wedged worker is detected, not waited on.**  With
-  ``heartbeat_timeout`` set, every worker slot owns one row of a
-  :class:`~repro.metrics.watchdog.HeartbeatBoard` in an anonymous
-  shared mapping (created before the fork, inherited by the children,
-  nothing to unlink); in-process
-  ranks beat it per step, and the parent's wait loop SIGKILLs any
-  busy slot whose beat goes stale — surfacing a
+  ``heartbeat_timeout`` set, the ``select`` also wakes by the board's
+  next deadline, and the pool SIGKILLs any busy slot whose in-process
+  ranks stopped beating its row — surfacing a
   :class:`~repro.utils.errors.StalledRankWarning` and a
   ``worker_stalled`` live event — after which the ordinary
   death/requeue path takes over.
 
-Workers also stream **live events** back over their pipes
-(``("event", pos, record)`` messages interleaved with results): step
-progress with rate/ETA, checkpoint writes and resumes, forwarded to
-the fleet's :class:`~repro.telemetry.bus.EventBus` — the sweep's one
-record.  A finished job reports ``("done", pos, nstep)``.
+Workers also stream **live events** back (``("event", pos, record)``
+frames interleaved with results): step progress with rate/ETA,
+checkpoint writes and resumes, forwarded to the fleet's
+:class:`~repro.telemetry.bus.EventBus` — the sweep's one record.  A
+finished job reports ``("done", pos, nstep)``.  The pool SIGKILLs its
+workers on return; one whose parent dies leaves at its job pipe's EOF.
 
 Fault injection (``FleetOptions.fault_steps``) is the chaos hook the
 resume test proves itself with: the job's observer SIGKILLs its own
@@ -44,22 +43,22 @@ only.  ``stall_steps`` is the watchdog's twin: the observer wedges
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import signal
 import time
 import warnings
 from collections import deque
-from multiprocessing.connection import wait as _mp_wait
+from contextlib import suppress
 from typing import Callable, Dict, List, Optional
 
+from ..metrics.watchdog import (Heartbeat, Supervisor, read_frames,
+                                send_frame)
 # The engine imports this module only for ``workers > 0``, in the
 # process every worker is then forked from.  So the job body is
 # imported here, once, and with it what a worker's first progress
 # event, checkpoint or ``ResultCache.store`` would otherwise load in
 # every child after the fork: the progress reporter, the snapshot
 # writer and the run report.
-from ..metrics.watchdog import Heartbeat, HeartbeatBoard
 from ..output import restart as _restart  # noqa: F401
 from ..telemetry import live as _live  # noqa: F401
 from ..telemetry import report as _report  # noqa: F401
@@ -69,30 +68,21 @@ from .cache import ResultCache
 from .engine import run_job
 
 
-class _FaultInjector:
-    """Observer that SIGKILLs its own process at a given step (after
-    the checkpoint writer for that step has run — attach order in
-    :func:`_run_job` guarantees it)."""
+class _Injector:
+    """Observer that, from a given step on, SIGKILLs its own process —
+    or, with ``wedge``, wedges it: alive but silent, the failure mode
+    only the heartbeat watchdog can see.  Attached after the checkpoint
+    writer (:func:`_run_job`), so the write for that step comes first."""
 
-    def __init__(self, at_step: int):
-        self.at_step = int(at_step)
-
-    def __call__(self, hydro) -> None:
-        if hydro.nstep >= self.at_step:
-            os.kill(os.getpid(), signal.SIGKILL)
-
-
-class _StallInjector:
-    """Observer that wedges its process at a given step — alive but
-    silent, the failure mode only the heartbeat watchdog can see."""
-
-    def __init__(self, at_step: int):
-        self.at_step = int(at_step)
+    def __init__(self, at_step: int, wedge: bool = False):
+        self.at_step, self.wedge = int(at_step), wedge
 
     def __call__(self, hydro) -> None:
-        if hydro.nstep >= self.at_step:
-            while True:  # pragma: no cover - killed by the watchdog
-                time.sleep(3600)
+        if hydro.nstep < self.at_step:
+            return
+        while self.wedge:  # pragma: no cover - killed by the watchdog
+            time.sleep(3600)
+        os.kill(os.getpid(), signal.SIGKILL)
 
 
 def _observable(config) -> bool:
@@ -114,9 +104,9 @@ def _run_job(doc: dict, store, checkpoint_dir: Optional[str],
         observers.append(heartbeat)
     injectors = []
     if doc.get("fault_step") is not None:
-        injectors.append(_FaultInjector(doc["fault_step"]))
+        injectors.append(_Injector(doc["fault_step"]))
     if doc.get("stall_step") is not None:
-        injectors.append(_StallInjector(doc["stall_step"]))
+        injectors.append(_Injector(doc["stall_step"], wedge=True))
     result = run_job(config, key, doc["pos"], emit=emit,
                      checkpoint_dir=checkpoint_dir,
                      checkpoint_every=checkpoint_every,
@@ -126,46 +116,32 @@ def _run_job(doc: dict, store, checkpoint_dir: Optional[str],
     return int(result.nstep)
 
 
-def _worker_main(conn, store_root: str, checkpoint_dir: Optional[str],
-                 checkpoint_every: int, board=None,
-                 slot: int = 0) -> None:
-    """Worker loop: receive job documents, execute, report.
-
-    ``board`` is the heartbeat board inherited through the fork (one
-    row per worker slot); in-process ranks beat ``slot``'s row every
-    step so the parent can tell wedged from busy.
-    """
+def _worker_main(reply: int, jobs: int, heartbeat: Heartbeat,
+                 store_root: str, checkpoint_dir: Optional[str],
+                 checkpoint_every: int) -> None:
+    """Worker loop: execute each job document read off ``jobs`` and
+    report down ``reply``, until ``jobs`` reaches EOF.  In-process
+    ranks call ``heartbeat`` (the slot's row of the board inherited
+    through the fork) every step, so the parent can tell wedged from
+    busy."""
     store = ResultCache(store_root)
-    heartbeat = Heartbeat(board, slot) if board is not None else None
-    while True:
-        try:
-            doc = conn.recv()
-        except (EOFError, KeyboardInterrupt):
-            return
-        if doc is None:
-            return
-
+    for doc in read_frames(jobs):
         def emit(event: str, **payload) -> None:
-            try:
-                conn.send(("event", doc["pos"],
-                           {"event": event, **payload}))
-            except (BrokenPipeError, OSError):
-                pass
+            with suppress(OSError):
+                send_frame(reply, ("event", doc["pos"],
+                                   {"event": event, **payload}))
 
         try:
             nstep = _run_job(doc, store, checkpoint_dir, checkpoint_every,
                              emit=emit, heartbeat=heartbeat)
-            conn.send(("done", doc["pos"], nstep))
+            outcome = ("done", doc["pos"], nstep)
         except BaseException as exc:  # report, keep serving
-            try:
-                conn.send(("failed", doc["pos"],
-                           f"{type(exc).__name__}: {exc}"))
-            except BrokenPipeError:
-                return
+            outcome = ("failed", doc["pos"], f"{type(exc).__name__}: {exc}")
+        send_frame(reply, outcome)
 
 
 class WorkerPool:
-    """Parent-side scheduler over N forked workers."""
+    """Parent-side scheduler over N forked workers, one per slot."""
 
     def __init__(self, nworkers: int, store_root: str, *,
                  emit: Callable,
@@ -174,39 +150,53 @@ class WorkerPool:
                  max_attempts: int = 3,
                  heartbeat_timeout: Optional[float] = None,
                  progress_every: Optional[int] = None):
-        self.ctx = mp.get_context("fork")
-        self.store_root = store_root
         #: the sweep's :meth:`~repro.telemetry.bus.EventBus.emit`: every
         #: dispatch, death, stall and outcome is a record there
         self.emit = emit
-        self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_every = checkpoint_every
         self.max_attempts = max_attempts
-        self.heartbeat_timeout = heartbeat_timeout
         self.progress_every = progress_every
+        #: what every worker is forked with, after its pipes
+        self._worker_args = (store_root, checkpoint_dir, checkpoint_every)
         self._next_id = 0
         nslots = max(1, nworkers)
-        #: one row per worker slot, shared with the workers it forks
-        self.board = (HeartbeatBoard.allocate(nslots, shared=True)
-                      if heartbeat_timeout is not None else None)
-        self.workers = [self._spawn(slot) for slot in range(nslots)]
+        #: one board row per worker slot, beaten by in-process ranks
+        self.supervisor = Supervisor(nslots, heartbeat_timeout)
+        #: per slot: the worker's id, its job and when the job started
+        self.workers: List[dict] = [{}] * nslots
+        for slot in range(nslots):
+            self._spawn(slot)
 
     # ------------------------------------------------------------------
-    def _spawn(self, slot: int) -> dict:
-        parent, child = self.ctx.Pipe(duplex=True)
-        proc = self.ctx.Process(
-            target=_worker_main,
-            args=(child, self.store_root, self.checkpoint_dir,
-                  self.checkpoint_every, self.board, slot),
-            daemon=True,
-        )
-        proc.start()
-        child.close()
-        wid = self._next_id
+    def _spawn(self, slot: int) -> None:
+        self.supervisor.fork(slot, _worker_main,
+                             Heartbeat(self.supervisor.board, slot),
+                             *self._worker_args, inbox=True)
+        self.workers[slot] = {"id": self._next_id, "job": None,
+                              "t_start": None}
         self._next_id += 1
-        return {"id": wid, "slot": slot, "conn": parent, "proc": proc,
-                "job": None, "monitor": False, "killed": False,
-                "t_start": None}
+
+    def _dispatch(self, slot: int, job: BatchJob, fault_steps,
+                  stall_steps, pending: deque) -> None:
+        """Send ``job`` to the idle worker in ``slot``, or back to the
+        front of ``pending`` if that worker has died (its EOF is due)."""
+        fault = stall = None
+        if job.attempts == 0:
+            fault = (fault_steps or {}).get(job.index)
+            stall = (stall_steps or {}).get(job.index)
+        doc = dict(pos=job.index, key=job.metadata["key"],
+                   config=job.config, fault_step=fault, stall_step=stall,
+                   progress_every=self.progress_every)
+        try:
+            self.supervisor.send(slot, doc)
+        except BrokenPipeError:
+            pending.appendleft(job)
+            return
+        w = self.workers[slot]
+        w["job"] = job
+        job.attempts += 1
+        w["t_start"] = time.perf_counter()
+        self.emit("job_started", job=job.index, worker=w["id"],
+                  attempt=job.attempts)
 
     # ------------------------------------------------------------------
     def run(self, jobs: List[BatchJob],
@@ -216,147 +206,72 @@ class WorkerPool:
         """Drive every job to a stored outcome; returns
         ``{job.index: key}``.  Dead workers are respawned and their
         in-flight job requeued (front of the queue) up to
-        ``max_attempts`` total tries."""
+        ``max_attempts`` total tries.  Every worker is gone on
+        return."""
         pending = deque(jobs)
         done: Dict[int, str] = {}
-        timeout = None
-        if self.board is not None and self.heartbeat_timeout:
-            timeout = min(max(self.heartbeat_timeout / 4, 0.02), 1.0)
-        while pending or any(w["job"] is not None for w in self.workers):
-            for i, w in enumerate(self.workers):
-                if w["job"] is None and pending:
-                    job = pending.popleft()
-                    fault = stall = None
-                    if job.attempts == 0:
-                        if fault_steps:
-                            fault = fault_steps.get(job.index)
-                        if stall_steps:
-                            stall = stall_steps.get(job.index)
-                    doc = {
-                        "pos": job.index,
-                        "key": job.metadata["key"],
-                        "config": job.config,
-                        "fault_step": fault,
-                        "stall_step": stall,
-                        "progress_every": self.progress_every,
-                    }
-                    try:
-                        w["conn"].send(doc)
-                    except (BrokenPipeError, OSError):
-                        # the worker died while idle; replace and retry
-                        pending.appendleft(job)
-                        w["proc"].join()
-                        self.workers[i] = self._spawn(w["slot"])
-                        continue
-                    w["job"] = job
-                    w["killed"] = False
-                    w["monitor"] = _observable(job.config)
-                    job.attempts += 1
-                    if self.board is not None:
-                        self.board.beat(w["slot"], -1)
-                    w["t_start"] = time.perf_counter()
-                    self.emit("job_started", job=job.index,
-                              worker=w["id"], attempt=job.attempts)
-            busy = [w for w in self.workers if w["job"] is not None]
-            if not busy:
-                break
-            ready = _mp_wait([w["conn"] for w in busy]
-                             + [w["proc"].sentinel for w in busy],
-                             timeout=timeout)
-            for i, w in enumerate(self.workers):
-                if w["job"] is None:
-                    continue
-                got_msg = False
-                if w["conn"] in ready:
-                    try:
-                        msg = w["conn"].recv()
-                        got_msg = True
-                    except EOFError:
-                        got_msg = False
-                if got_msg:
-                    kind, pos, info = msg
-                    if kind == "event":
-                        self.emit(**info)
-                        continue
-                    job = w["job"]
-                    w["job"] = None
-                    if kind == "done":
-                        done[pos] = job.metadata["key"]
-                        self.emit("job_done", job=pos, worker=w["id"],
-                                  key=done[pos], nstep=info,
-                                  wall_seconds=round(
-                                      time.perf_counter() - w["t_start"],
-                                      6))
-                    else:
-                        self.emit("job_failed", job=pos, error=info)
-                        self.shutdown()
-                        raise FleetError(
-                            f"fleet job {pos} failed in worker "
-                            f"{w['id']}: {info}"
-                        )
-                elif (w["proc"].sentinel in ready
-                      and not w["proc"].is_alive()):
-                    # Worker died mid-job (SIGKILL, OOM, segfault):
-                    # requeue the job for the front of the line and
-                    # replace the worker.
-                    job = w["job"]
-                    self.emit("worker_died", job=job.index,
-                              worker=w["id"], attempt=job.attempts)
-                    if job.attempts >= self.max_attempts:
-                        self.shutdown()
-                        raise FleetError(
-                            f"fleet job {job.index} crashed "
-                            f"{job.attempts} time(s); giving up "
-                            f"(max_attempts={self.max_attempts})"
-                        )
-                    pending.appendleft(job)
-                    self.emit("job_retried", job=job.index,
-                              attempt=job.attempts + 1)
-                    w["proc"].join()
-                    self.workers[i] = self._spawn(w["slot"])
-            self._check_stalls()
-        self.shutdown()
+
+        def on_frame(slot: int, msg) -> None:
+            kind, pos, info = msg
+            if kind == "event":
+                self.emit(**info)
+                return
+            w = self.workers[slot]
+            job, w["job"] = w["job"], None
+            if kind == "failed":
+                self.emit("job_failed", job=pos, error=info)
+                raise FleetError(f"fleet job {pos} failed in worker "
+                                 f"{w['id']}: {info}")
+            done[pos] = job.metadata["key"]
+            self.emit("job_done", job=pos, worker=w["id"], key=done[pos],
+                      nstep=info, wall_seconds=round(
+                          time.perf_counter() - w["t_start"], 6))
+
+        def on_exit(slot: int, exitcode: int, killed: bool) -> None:
+            # A worker died (SIGKILL, OOM, segfault): requeue its job
+            # for the front of the line and replace the worker.
+            w = self.workers[slot]
+            job = w["job"]
+            if job is not None:
+                self.emit("worker_died", job=job.index, worker=w["id"],
+                          attempt=job.attempts)
+                if job.attempts >= self.max_attempts:
+                    raise FleetError(
+                        f"fleet job {job.index} crashed {job.attempts} "
+                        f"time(s); giving up "
+                        f"(max_attempts={self.max_attempts})")
+                pending.appendleft(job)
+                self.emit("job_retried", job=job.index,
+                          attempt=job.attempts + 1)
+            self._spawn(slot)
+
+        try:
+            while pending or any(w["job"] is not None
+                                  for w in self.workers):
+                for slot, w in enumerate(self.workers):
+                    if w["job"] is None and pending:
+                        self._dispatch(slot, pending.popleft(),
+                                       fault_steps, stall_steps, pending)
+                watched = [slot for slot, w in enumerate(self.workers)
+                           if w["job"] and _observable(w["job"].config)]
+                stale = self.supervisor.wait(watched, on_frame, on_exit)
+                for slot, seen in stale.items():
+                    self._stalled(slot, seen)
+        finally:
+            self.supervisor.close()
         return done
 
-    # ------------------------------------------------------------------
-    def _check_stalls(self) -> None:
-        """SIGKILL any busy, monitorable worker whose heartbeat went
-        stale; the death then takes the ordinary requeue path."""
-        if self.board is None or not self.heartbeat_timeout:
-            return
-        stale = self.board.stalled(self.heartbeat_timeout)
-        for w in self.workers:
-            if (w["slot"] not in stale or w["job"] is None
-                    or w["killed"] or not w["monitor"]):
-                continue
-            info = stale[w["slot"]]
-            message = (
-                f"fleet watchdog: worker {w['id']} (job "
-                f"{w['job'].index}) sent no heartbeat within "
-                f"{self.heartbeat_timeout:.1f}s (last step "
-                f"{info['step']}, {info['age_seconds']:.1f}s ago); "
-                f"killing it so the job can retry"
-            )
-            self.emit("worker_stalled", worker=w["id"],
-                      job=w["job"].index,
-                      age_seconds=round(info["age_seconds"], 3))
-            warnings.warn(message, StalledRankWarning)
-            try:
-                os.kill(w["proc"].pid, signal.SIGKILL)
-            except (ProcessLookupError, OSError):
-                pass
-            w["killed"] = True
-
-    # ------------------------------------------------------------------
-    def shutdown(self) -> None:
-        for w in self.workers:
-            try:
-                w["conn"].send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        for w in self.workers:
-            w["proc"].join(timeout=5)
-            if w["proc"].is_alive():
-                w["proc"].terminate()
-                w["proc"].join(timeout=5)
-            w["conn"].close()
+    def _stalled(self, slot: int, seen: dict) -> None:
+        """SIGKILL a busy worker whose heartbeat went stale; the death
+        then takes the ordinary requeue path."""
+        w = self.workers[slot]
+        if w["job"] is None:
+            return  # it reported in the same round: not wedged
+        self.emit("worker_stalled", worker=w["id"], job=w["job"].index,
+                  age_seconds=round(seen["age_seconds"], 3))
+        warnings.warn(
+            f"fleet watchdog: worker {w['id']} (job {w['job'].index}) "
+            f"sent no heartbeat within {self.supervisor.timeout:.1f}s "
+            f"(last step {seen['step']}, {seen['age_seconds']:.1f}s "
+            f"ago); killing it so the job can retry", StalledRankWarning)
+        self.supervisor.kill(slot)

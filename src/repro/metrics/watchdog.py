@@ -1,4 +1,4 @@
-"""Rank heartbeats: the board every stall watchdog asks.
+"""Rank heartbeats, and the one fork supervisor that watches them.
 
 A decomposed run is lockstep: every rank must reach every barrier and
 collective.  When one rank stops making progress — wedged in a kernel,
@@ -11,14 +11,15 @@ that silence into a diagnosis:
   ``threads`` backend, the same layout in an anonymous shared mapping
   (:func:`shared_zeros`, made before the fork) for ``processes`` and
   for the fleet's pool workers;
-* nothing here watches it: whoever launched the ranks already sits in
-  a wait loop (the threads backend's join loop, the processes
-  backend's parent, the fleet pool's dispatcher) and asks
-  :meth:`HeartbeatBoard.stalled` from there.  A rank silent for longer
-  than the configured timeout gets the run aborted (releasing the
-  peers stuck in barriers) and a
+* nothing watches it from a thread of its own: each launcher's wait
+  loop asks :meth:`HeartbeatBoard.stalled` — the ``threads`` backend's
+  join loop, or the one ``select`` of the :class:`Supervisor` both
+  process launchers (``processes`` ranks, fleet pool workers) fork and
+  watch their children with.  The launcher decides what a stale row
+  means: for ranks an aborted run and a
   :class:`~repro.utils.errors.StalledRankWarning` worded by
-  :func:`stall_message`, carrying every rank's last-seen step.
+  :func:`stall_message`, carrying every rank's last-seen step; for the
+  pool a SIGKILL and a requeued job.
 
 Heartbeats are two float stores per step — always on for decomposed
 runs; only the monitoring (and hence the timeout policy) is opt-in via
@@ -29,10 +30,19 @@ from __future__ import annotations
 
 import math
 import mmap
+import os
+import pickle
+import select
+import signal
+import sys
 import time
-from typing import Dict
+from contextlib import suppress
+from types import SimpleNamespace
+from typing import Callable, Dict, Iterable, Optional
 
 import numpy as np
+
+from ..utils.errors import BookLeafError
 
 #: board layout: one row per rank, columns = (last step, monotonic stamp)
 BOARD_COLS = 2
@@ -131,3 +141,170 @@ def stall_message(stalled: Dict[int, dict],
     steps = [int(s) for s in board.array[:, 0]]
     return (f"watchdog: no heartbeat within {timeout:.1f}s from {who}; "
             f"per-rank last-seen steps: {steps}")
+
+
+#: every frame on a pipe: the pickle's byte length in this many
+#: little-endian bytes, then the pickle
+_HEADER = 8
+
+#: largest read from a pipe in one call
+CHUNK = 1 << 20
+
+#: the pipe ends this process was handed by the supervisor that forked
+#: it; its own children close them, so each EOF waits on one process
+_INHERITED: tuple = ()
+
+
+def require_fork() -> None:
+    """The one check both launchers make: no ``os.fork``, no children."""
+    if not hasattr(os, "fork"):
+        raise BookLeafError(
+            "rank and worker processes need os.fork (Linux/macOS); run "
+            "fleet jobs with workers=0 and ranks with backend='threads' "
+            "here")
+
+
+def send_frame(fd: int, obj) -> None:
+    """Write ``obj`` as one length-prefixed pickle (blocking)."""
+    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    for part in (len(data).to_bytes(_HEADER, "little"), data):
+        view = memoryview(part)
+        while view:
+            view = view[os.write(fd, view):]
+
+
+def take_frames(buf: bytearray) -> list:
+    """Unpickle and remove every complete frame at the front of
+    ``buf``; an incomplete tail stays where it is."""
+    done = []
+    while len(buf) >= _HEADER:
+        end = _HEADER + int.from_bytes(buf[:_HEADER], "little")
+        if len(buf) < end:
+            break
+        with memoryview(buf) as view:
+            done.append(pickle.loads(view[_HEADER:end]))
+        del buf[:end]
+    return done
+
+
+def read_frames(fd: int):
+    """Yield every frame arriving on ``fd`` until its EOF (blocking)."""
+    buf = bytearray()
+    while chunk := os.read(fd, CHUNK):
+        buf += chunk
+        yield from take_frames(buf)
+
+
+def _flush_stdio() -> None:
+    """Flush Python's stdio buffers: before a fork, so no child prints
+    the parent's pending text again, and before ``os._exit``."""
+    for stream in (sys.stdout, sys.stderr):
+        with suppress(AttributeError, OSError, ValueError):
+            stream.flush()
+
+
+class Supervisor:
+    """Forked children, keyed by board row (a rank, a pool worker's
+    slot): each leaves through ``os._exit`` (0 if its body returned, 1
+    if it raised) and talks back in frames over a private result pipe,
+    whose EOF is its death notice.  Requires ``os.fork``: what a child
+    runs is inherited, never pickled."""
+
+    def __init__(self, rows: int, timeout: Optional[float] = None):
+        require_fork()
+        #: launched before the fork; CLOCK_MONOTONIC is system-wide,
+        #: so the children's stamps compare in the parent
+        self.board = HeartbeatBoard.allocate(rows, shared=True)
+        self.timeout = timeout  # None: no row is ever stale
+        #: live children: pid, result pipe read end and its unframed
+        #: bytes, job pipe write end (or None), killed
+        self.children: Dict[int, SimpleNamespace] = {}
+
+    def fork(self, key: int, body: Callable, *args,
+             inbox: bool = False) -> None:
+        """Fork child ``key`` running ``body(reply, *args)``, or
+        ``body(reply, jobs, *args)`` with an ``inbox``: the write end
+        of its result pipe, the read end of its job pipe."""
+        global _INHERITED
+        read_fd, reply = os.pipe()
+        jobs, job_fd = os.pipe() if inbox else (None, None)
+        _flush_stdio()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                theirs = [fd for c in self.children.values()
+                          for fd in (c.fd, c.inbox)]
+                for fd in (*theirs, *_INHERITED, read_fd, job_fd):
+                    if fd is not None:
+                        os.close(fd)
+                _INHERITED = (reply,) if jobs is None else (reply, jobs)
+                body(*_INHERITED, *args)
+                status = 0
+            finally:
+                _flush_stdio()
+                os._exit(status)
+        for fd in (reply, jobs):
+            if fd is not None:
+                os.close(fd)
+        self.children[key] = SimpleNamespace(
+            pid=pid, fd=read_fd, buf=bytearray(), inbox=job_fd,
+            killed=False)
+
+    def send(self, key: int, job) -> None:
+        """One frame down ``key``'s job pipe (``BrokenPipeError`` once
+        that child has exited); its row reads launched now."""
+        send_frame(self.children[key].inbox, job)
+        self.board.beat(key, LAUNCHED)
+
+    def kill(self, key: int) -> None:
+        """SIGKILL child ``key``; its pipe's EOF follows."""
+        child = self.children[key]
+        child.killed = True
+        with suppress(ProcessLookupError):
+            os.kill(child.pid, signal.SIGKILL)
+
+    def _reap(self, key: int) -> int:
+        """Close ``key``'s pipes; its exit code (``-signal`` if
+        signalled)."""
+        child = self.children.pop(key)
+        for fd in (child.fd, child.inbox):
+            if fd is not None:
+                os.close(fd)
+        return os.waitstatus_to_exitcode(os.waitpid(child.pid, 0)[1])
+
+    def wait(self, watched: Iterable[int], on_frame: Callable,
+             on_exit: Callable) -> dict:
+        """One round: block in one ``select`` over every result pipe
+        until one is readable or the stalest ``watched`` row would go
+        stale.  Frames go to ``on_frame(key, frame)``; at EOF the child
+        is reaped and ``on_exit(key, exitcode, killed)`` called.
+        Returns the watched rows now stale, ``{key: last seen}``; a
+        killed child is not watched, and a caller that keeps a stale
+        row alive leaves it out of ``watched``."""
+        watched = [k for k in watched if not self.children[k].killed]
+        wake_in = None
+        if self.timeout is not None and watched:
+            wake_in = max(0.0, self.board.array[watched, 1].min()
+                          + self.timeout - time.monotonic())
+        by_fd = {child.fd: key for key, child in self.children.items()}
+        for fd in select.select(list(by_fd), [], [], wake_in)[0]:
+            key = by_fd[fd]
+            child = self.children[key]
+            chunk = os.read(fd, CHUNK)
+            child.buf += chunk
+            for frame in take_frames(child.buf):
+                on_frame(key, frame)
+            if not chunk:  # EOF: the child has exited
+                on_exit(key, self._reap(key), child.killed)
+        if self.timeout is None or not watched:
+            return {}
+        return {k: seen for k, seen in self.board.stalled(
+                    self.timeout).items()
+                if k in watched and k in self.children}
+
+    def close(self) -> None:
+        """SIGKILL and reap every child still here."""
+        for key in list(self.children):
+            self.kill(key)
+            self._reap(key)

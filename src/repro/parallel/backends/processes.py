@@ -20,14 +20,13 @@ primitives before the fork:
   length-prefixed pickles.
 
 Each child has the driver it inherited build its rank
-(``driver.build_rank``), writes one framed pickle — its
-``driver.report(...)``, the final state as arrays, or its error —
-down a private result pipe and leaves through ``os._exit``.  That
-pipe's EOF is also its death notice: the parent blocks in one
-``select`` over the result pipes (until the heartbeat board's next
-deadline when a watchdog is set), reaps a child on EOF — a partial
-frame is never unpickled — and hands deaths and stalls to the driver's
-one verdict (:func:`~repro.parallel.distributed.judge_ranks`).
+(``driver.build_rank``) and writes one frame — its
+``driver.report(...)`` or its error — down its result pipe.  The fleet
+pool forks and waits the same way
+(:class:`~repro.metrics.watchdog.Supervisor`); the ranks' own rule on
+top: a death or a stale row aborts the transport, wedged ranks are
+SIGKILLed once only they are left, and deaths and stalls go to
+:func:`~repro.parallel.distributed.judge_ranks`.
 
 Requires ``os.fork`` (the driver — problem setup, subdomains,
 schedules — is inherited, never pickled), i.e. Linux or macOS.  See
@@ -37,27 +36,18 @@ docs/PARALLEL.md for the transport table.
 from __future__ import annotations
 
 import os
-import pickle
 import select
-import signal
-import sys
 import time
 import traceback
 from contextlib import suppress
 from typing import Dict, List, Optional
 
-from ...metrics.watchdog import HeartbeatBoard, shared_zeros
+from ...metrics.watchdog import (CHUNK, Supervisor, require_fork,
+                                 send_frame, shared_zeros, take_frames)
 from ...utils.errors import BookLeafError, CommError
 from ..commplan import CommPlan
 from ..distributed import judge_ranks
 from ..typhon import PEER_FAILED, SPIN_TIMEOUT, Transport
-
-#: every frame on a pipe: the pickle's byte length in this many
-#: little-endian bytes, then the pickle
-_HEADER = 8
-
-#: largest read from a pipe in one call
-_CHUNK = 1 << 20
 
 
 class RemoteRankError(BookLeafError):
@@ -76,42 +66,11 @@ class RemoteRankError(BookLeafError):
         super().__init__(message)
 
 
-def _send_frame(fd: int, obj) -> None:
-    """Write ``obj`` as one length-prefixed pickle (blocking)."""
-    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    for part in (len(data).to_bytes(_HEADER, "little"), data):
-        view = memoryview(part)
-        while view:
-            view = view[os.write(fd, view):]
-
-
-def _take_frames(buf: bytearray) -> list:
-    """Unpickle and remove every complete frame at the front of
-    ``buf``; an incomplete tail stays where it is."""
-    done = []
-    while len(buf) >= _HEADER:
-        end = _HEADER + int.from_bytes(buf[:_HEADER], "little")
-        if len(buf) < end:
-            break
-        with memoryview(buf) as view:
-            done.append(pickle.loads(view[_HEADER:end]))
-        del buf[:end]
-    return done
-
-
 def _drain(fd: int) -> None:
     """Empty a non-blocking wake pipe."""
     with suppress(BlockingIOError):
         while os.read(fd, 4096):
             pass
-
-
-def _flush_stdio() -> None:
-    """Flush Python's stdio buffers: before a fork, so no child prints
-    the parent's pending text again, and before ``os._exit``."""
-    for stream in (sys.stdout, sys.stderr):
-        with suppress(AttributeError, OSError, ValueError):
-            stream.flush()
 
 
 class SharedMemoryTransport(Transport):
@@ -179,9 +138,9 @@ class SharedMemoryTransport(Transport):
             for r in range(1, self.size):
                 entries.append(self._recv(0, self.up[r][0]))
             for r in range(1, self.size):
-                _send_frame(self.down[r][1], entries)
+                send_frame(self.down[r][1], entries)
             return entries
-        _send_frame(self.up[rank][1], value)
+        send_frame(self.up[rank][1], value)
         return self._recv(rank, self.down[rank][0])
 
     def abort(self) -> None:
@@ -203,36 +162,32 @@ class SharedMemoryTransport(Transport):
                     raise CommError(PEER_FAILED)
                 _drain(wake)
                 continue
-            chunk = os.read(fd, _CHUNK)
+            chunk = os.read(fd, CHUNK)
             if not chunk:  # EOF: every writer's end is closed
                 raise CommError(PEER_FAILED)
             buf += chunk
-            done = _take_frames(buf)
+            done = take_frames(buf)
             if done:
                 return done[0]
 
 
-def _rank_main(driver, transport, board, rank: int,
-               max_steps: Optional[int], epoch_ns: int, fd: int) -> None:
-    """Body of one forked rank: run, write one frame — the report or
-    an error record — down ``fd``, leave through ``os._exit``."""
-    status = 1
+def _rank_main(reply: int, driver, transport, board, rank: int,
+               max_steps: Optional[int], epoch_ns: int) -> None:
+    """Body of one forked rank: run and write one frame down
+    ``reply`` — the report, or an error record before it re-raises."""
     try:
         hydro = driver.build_rank(rank, transport, epoch_ns=epoch_ns,
                                   board=board)
         hydro.run(max_steps=max_steps)
-        _send_frame(fd, ("report", driver.report(hydro).marshalled()))
-        status = 0
+        send_frame(reply, ("report", driver.report(hydro).marshalled()))
     except BaseException as exc:
         if not isinstance(exc, CommError):
             exc = RemoteRankError(f"[{type(exc).__name__}] {exc}",
                                   traceback.format_exc())
         with suppress(OSError):  # else the parent is gone: nobody to tell
-            _send_frame(fd, ("error", exc))
+            send_frame(reply, ("error", exc))
         transport.abort()
-    finally:
-        _flush_stdio()
-        os._exit(status)
+        raise
 
 
 class ProcessesBackend:
@@ -241,102 +196,57 @@ class ProcessesBackend:
     name = "processes"
 
     def prepare(self, driver) -> None:
-        if not hasattr(os, "fork"):
-            raise BookLeafError("the processes backend needs os.fork "
-                                "(Linux/macOS); use backend='threads' here")
+        require_fork()
 
     def execute(self, driver, max_steps: Optional[int] = None) -> list:
         transport = SharedMemoryTransport(driver.compiled_plans())
-        # launch-stamped pre-fork; CLOCK_MONOTONIC is system-wide, so
-        # the ranks' stamps compare in the parent
-        board = HeartbeatBoard.allocate(driver.nranks, shared=True)
+        ranks = Supervisor(driver.nranks, driver.watchdog_timeout)
         epoch_ns = time.perf_counter_ns()
-        #: rank → (pid, read end of its result pipe), until reaped
-        self.children: Dict[int, tuple] = {}
         try:
-            _flush_stdio()
             for rank in range(driver.nranks):
-                read_fd, write_fd = os.pipe()
-                pid = os.fork()
-                if pid == 0:
-                    _rank_main(driver, transport, board, rank, max_steps,
-                               epoch_ns, write_fd)
-                os.close(write_fd)
-                self.children[rank] = (pid, read_fd)
-            return self._supervise(driver, transport, board)
+                ranks.fork(rank, _rank_main, driver, transport,
+                           ranks.board, rank, max_steps, epoch_ns)
+            return self._supervise(driver, transport, ranks)
         finally:
-            for rank in list(self.children):
-                self._kill(rank)
-                self._reap(rank)
+            ranks.close()
             transport.cleanup()
 
-    def _kill(self, rank: int) -> None:
-        with suppress(ProcessLookupError):
-            os.kill(self.children[rank][0], signal.SIGKILL)
-
-    def _reap(self, rank: int) -> int:
-        """Close ``rank``'s result pipe and return its exit code
-        (``-signal`` for a signalled death)."""
-        pid, fd = self.children.pop(rank)
-        os.close(fd)
-        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-
-    def _supervise(self, driver, transport, board) -> list:
-        """Read every rank's frames until its pipe closes, then judge."""
-        timeout = driver.watchdog_timeout
-        pending = {rank: bytearray() for rank in self.children}
-        results: Dict[int, object] = {}
-        failures: List[tuple] = []
+    def _supervise(self, driver, transport, ranks: Supervisor) -> list:
+        """Read every rank's one frame until its pipe closes, then judge."""
+        timeout = ranks.timeout
+        #: rank → ("report", marshalled report) or ("error", exception)
+        frames: Dict[int, tuple] = {}
         stalled: Dict[int, dict] = {}
-        killed: set = set()
-        while self.children:
-            watched = [r for r in self.children
-                       if r not in results and r not in stalled]
-            wake_in = None
-            if timeout is not None and watched:
-                # until the stalest watched beat would go stale
-                wake_in = max(0.0, board.array[watched, 1].min()
-                              + timeout - time.monotonic())
-            by_fd = {fd: rank for rank, (_, fd) in self.children.items()}
-            for fd in select.select(list(by_fd), [], [], wake_in)[0]:
-                rank = by_fd[fd]
-                chunk = os.read(fd, _CHUNK)
-                pending[rank] += chunk
-                for kind, payload in _take_frames(pending[rank]):
-                    if kind == "report":
-                        results[rank] = payload
-                    else:
-                        failures.append((rank, payload))
-                if chunk:
-                    continue
-                exitcode = self._reap(rank)  # EOF: the rank has exited
-                if exitcode == 0 or rank in killed:
-                    continue
-                transport.abort()  # free peers stuck in waits and pipes
-                if rank not in results and rank not in dict(failures):
-                    failures.append((rank, RemoteRankError(
-                        f"rank process terminated abnormally "
-                        f"(exitcode {exitcode})")))
-                if timeout is not None:
-                    # a dead rank has definitively stopped beating;
-                    # reported now rather than after the timeout
-                    stalled.setdefault(rank, board.last_seen()[rank])
+
+        def on_exit(rank: int, exitcode: int, killed: bool) -> None:
+            if exitcode == 0 or killed:
+                return
+            transport.abort()  # free peers stuck in waits and pipes
+            frames.setdefault(rank, ("error", RemoteRankError(
+                f"rank process terminated abnormally "
+                f"(exitcode {exitcode})")))
             if timeout is not None:
-                stale = {r: seen
-                         for r, seen in board.stalled(timeout).items()
-                         if r in self.children and r not in results
-                         and r not in stalled}
-                if stale:
-                    stalled.update(stale)
-                    transport.abort()  # diagnose the hang, don't share it
-            if stalled and all(r in stalled for r in self.children):
+                # a dead rank has definitively stopped beating;
+                # reported now rather than after the timeout
+                stalled.setdefault(rank, ranks.board.last_seen()[rank])
+
+        while ranks.children:
+            stale = ranks.wait([r for r in ranks.children
+                                if r not in frames and r not in stalled],
+                               frames.__setitem__, on_exit)
+            if stale:
+                stalled.update(stale)
+                transport.abort()  # diagnose the hang, don't share it
+            if stalled and all(r in stalled for r in ranks.children):
                 # only wedged ranks are left; SIGKILL closes their pipes
-                for rank in set(self.children) - killed:
-                    self._kill(rank)
-                    killed.add(rank)
-        judge_ranks(failures, stalled, board, timeout)
-        if len(results) != driver.nranks:
-            missing = sorted(set(range(driver.nranks)) - set(results))
+                for rank in list(ranks.children):
+                    ranks.kill(rank)
+        judge_ranks([(r, exc) for r, (kind, exc) in frames.items()
+                     if kind == "error"], stalled, ranks.board, timeout)
+        reports = {r: rep for r, (kind, rep) in frames.items()
+                   if kind == "report"}
+        missing = sorted(set(range(driver.nranks)) - set(reports))
+        if missing:
             raise BookLeafError(
                 f"ranks {missing} exited without reporting results")
-        return list(results.values())
+        return list(reports.values())
