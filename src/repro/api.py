@@ -60,8 +60,11 @@ from .version import __version__ as _CODE_VERSION
 _LEGACY_ALIASES = {"ranks": "nranks", "method": "partition"}
 
 #: bump when the canonical-key layout changes — cache entries written
-#: under an older layout must miss, never alias
-CANONICAL_KEY_VERSION = 3
+#: under an older layout must miss, never alias.  Also bumped when the
+#: payload an entry carries changes shape (4: the diagnostics rows went
+#: to ``METRICS_SCHEMA_VERSION`` 2), so an old entry never serves rows
+#: of the old schema
+CANONICAL_KEY_VERSION = 4
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .output.timehist import TimeHistory
 from .output.vtk import write_vtk
 from .problems import deck_path, problem_names
 
@@ -73,7 +72,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--log-every", type=int, default=0,
                      help="print a step banner every N steps")
     run.add_argument("--vtk", help="write a final-state VTK dump here")
-    run.add_argument("--history", help="write a time-history CSV here")
+    run.add_argument("--history",
+                     help="write the diagnostics rows as a time-history "
+                          "CSV here (steps 0, every max(--log-every, 1) "
+                          "unless --metrics-every is set, and the "
+                          "last; any backend)")
     run.add_argument("--report",
                      help="write the schema-versioned JSON run report "
                           "here (per-kernel timings, comm counters, "
@@ -365,6 +368,23 @@ def _model_report(args: argparse.Namespace) -> str:
     })
 
 
+def _probe_cadence(every: Optional[int], history_every: Optional[int],
+                   *sinks: Optional[str]) -> Optional[int]:
+    """The one probe-cadence rule of the CLI: an explicit
+    ``--metrics-every`` wins; otherwise ``--history`` samples at its
+    own cadence; otherwise any metrics sink turns the probe on at the
+    default cadence (``None``: no probe)."""
+    from .api import RunConfig
+
+    if every is not None:
+        return every
+    if history_every:
+        return history_every
+    if any(sinks):
+        return RunConfig.DEFAULT_METRICS_EVERY
+    return None
+
+
 def _run_config(args: argparse.Namespace):
     """Map the parsed ``run`` arguments onto a :class:`RunConfig`."""
     from .api import RunConfig
@@ -397,12 +417,10 @@ def _run_config(args: argparse.Namespace):
         profile=args.profile,
         log_every=args.log_every,
         metrics=args.metrics,
-        # --metrics-prom alone turns the probe on at the default
-        # cadence, so the snapshot carries the diagnostics gauges.
-        metrics_every=(RunConfig.DEFAULT_METRICS_EVERY
-                       if (args.metrics_prom and args.metrics_every is None
-                           and args.metrics is None)
-                       else args.metrics_every),
+        metrics_every=_probe_cadence(
+            args.metrics_every,
+            args.history and max(args.log_every, 1),
+            args.metrics, args.metrics_prom),
         watchdog_timeout=args.watchdog_timeout,
     )
 
@@ -422,6 +440,10 @@ def _run(args: argparse.Namespace) -> int:
     if args.watchdog_timeout is not None and args.watchdog_timeout <= 0:
         print("watchdog_timeout must be > 0 seconds", file=sys.stderr)
         return 2
+    if args.history and args.metrics_every == 0:
+        print("--history writes the diagnostics rows; it needs the "
+              "probe, which --metrics-every 0 turns off", file=sys.stderr)
+        return 2
     config = _run_config(args)
     if config is None:
         return 2
@@ -439,18 +461,8 @@ def _run(args: argparse.Namespace) -> int:
         print(f"--trace-allocs is serial-only; ignoring for the "
               f"{config.resolved_backend()!r} backend", file=sys.stderr)
         config = config.replace(trace_allocations=False)
-    history = None
-    observers = []
-    if args.history:
-        if distributed:
-            print("--history is serial-only; ignoring for a "
-                  "decomposed run", file=sys.stderr)
-        else:
-            history = TimeHistory(every=max(args.log_every, 1))
-            observers.append(history)
-
     try:
-        result = api_run(config, observers=observers or None)
+        result = api_run(config)
     except PartitionError as exc:
         # e.g. --partition spectral where scipy is not installed
         print(f"error: {exc}", file=sys.stderr)
@@ -463,8 +475,8 @@ def _run(args: argparse.Namespace) -> int:
               f"{result.backend}); "
               f"halo nodes: {summary['halo_nodes']}, "
               f"shared nodes: {summary['shared_nodes']}")
-    if history is not None:
-        history.write_csv(args.history)
+    if args.history:
+        _write_history(result.metrics_rows, args.history)
         print(f"wrote time history to {args.history}")
 
     print(f"problem {result.setup.name}: {result.nstep} steps to "
@@ -510,6 +522,17 @@ def _run(args: argparse.Namespace) -> int:
                 result.timers, result.comm_per_rank, result.metrics_rows)))
         print(f"wrote Prometheus snapshot to {args.metrics_prom}")
     return 0
+
+
+def _write_history(rows: List[dict], path: str) -> None:
+    """The time-history CSV: the diagnostics rows, one line each, in
+    the probe record's column order."""
+    import csv
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _parse_sweep_value(token: str):
@@ -591,13 +614,9 @@ def _sweep_configs(args: argparse.Namespace):
             nx=args.nx, ny=args.ny,
             time_end=args.time_end, max_steps=args.max_steps,
             nranks=args.nranks, backend=args.backend,
-            # merged telemetry needs the per-job probe: default its
-            # cadence when a fleet-level sink is requested, exactly as
-            # `run --metrics` does for a single run
-            metrics_every=(RunConfig.DEFAULT_METRICS_EVERY
-                           if (args.metrics_every is None
-                               and (args.metrics or args.prom))
-                           else args.metrics_every),
+            # merged telemetry needs the per-job probe
+            metrics_every=_probe_cadence(args.metrics_every, None,
+                                         args.metrics, args.prom),
             problem_kwargs={},
         )
         override = {}

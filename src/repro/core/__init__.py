@@ -13,7 +13,6 @@ from .controls import HydroControls, controls_from_deck
 from .corners import StepCorners
 from .density import getrho
 from .energy import getein
-from .energy_budget import EnergyBudget
 from .force import getforce, pressure_forces
 from .geometry import (
     cell_volumes,
@@ -48,7 +47,6 @@ __all__ = [
     "getgeom",
     "getrho",
     "getein",
-    "EnergyBudget",
     "getdt",
     "local_dt_candidates",
     "pressure_forces",

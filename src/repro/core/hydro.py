@@ -233,23 +233,3 @@ class Hydro:
         if self.probe is not None:
             self.probe.finish(self)
         return self.nstep - start
-
-    # ------------------------------------------------------------------
-    def diagnostics(self) -> dict:
-        """Conservation and extrema summary for logging and tests."""
-        state = self.state
-        momentum = state.momentum()
-        return {
-            "time": self.time,
-            "nstep": self.nstep,
-            "dt": self.dt,
-            "mass": state.total_mass(),
-            "internal_energy": state.internal_energy(),
-            "kinetic_energy": state.kinetic_energy(),
-            "total_energy": state.total_energy(),
-            "momentum_x": float(momentum[0]),
-            "momentum_y": float(momentum[1]),
-            "rho_max": float(state.rho.max()),
-            "rho_min": float(state.rho.min()),
-            "p_max": float(state.p.max()),
-        }

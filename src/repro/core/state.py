@@ -207,7 +207,8 @@ class HydroState:
     # health sentinels (the live-metrics layer's hard invariants)
     # ------------------------------------------------------------------
     def sentinel_scan(self, cell_mask: Optional[np.ndarray] = None,
-                      max_ids: int = 32) -> dict:
+                      max_ids: int = 32,
+                      e_mask: Optional[np.ndarray] = None) -> dict:
         """Scan for states no healthy step may produce.
 
         Checks every kinematic and thermodynamic field for NaN/Inf and
@@ -218,7 +219,10 @@ class HydroState:
         ids are truncated to ``max_ids`` per sentinel.
         ``cell_mask`` restricts the *cell* checks to owned cells in a
         decomposed run (ghost thermodynamics are refreshed lazily and
-        may be stale, never authoritative).
+        may be stale, never authoritative).  ``e_mask`` restricts the
+        ``negative:e`` check to the cells whose material admits only
+        ``e >= 0`` (:meth:`~repro.eos.MaterialTable.nonnegative_e_cells`;
+        ``None`` = every cell).
         """
         violations = {}
 
@@ -238,6 +242,8 @@ class HydroState:
         trip("nonpositive:volume", owned & (self.volume <= 0.0))
         trip("nonpositive:rho", owned & (self.rho <= 0.0))
         trip("nonpositive:cell_mass", owned & (self.cell_mass <= 0.0))
+        if e_mask is not None:
+            owned = owned & e_mask
         trip("negative:e", owned & (self.e < 0.0))
         return violations
 

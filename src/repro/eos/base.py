@@ -23,6 +23,11 @@ class Eos(abc.ABC):
 
     #: short name used in input decks (``eos = ideal``)
     name: str = "abstract"
+    #: whether ``e >= 0`` belongs to this material's admissible set
+    #: (the probe's ``negative:e`` sentinel checks only such cells):
+    #: true for a gas; a stiffened or reactive closure (Tait, JWL) and
+    #: void reach negative ``e`` on healthy states
+    nonnegative_e: bool = False
 
     @abc.abstractmethod
     def pressure(self, rho: np.ndarray, e: np.ndarray) -> np.ndarray:

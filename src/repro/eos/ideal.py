@@ -16,6 +16,7 @@ class IdealGas(Eos):
     """
 
     name = "ideal"
+    nonnegative_e = True
 
     def __init__(self, gamma: float):
         if gamma <= 1.0:

@@ -99,6 +99,13 @@ class MaterialTable:
         np.maximum(cs2, self.ccut, out=cs2)
         return p, cs2
 
+    def nonnegative_e_cells(self, mat: np.ndarray) -> Optional[np.ndarray]:
+        """Mask of the cells whose material admits only ``e >= 0``
+        (:attr:`Eos.nonnegative_e`); ``None`` when every material
+        does."""
+        needs = np.array([eos.nonnegative_e for eos in self.eos])
+        return None if needs.all() else needs[mat]
+
     def gamma_like(self, mat: np.ndarray) -> np.ndarray:
         """Per-cell effective γ for the viscosity coefficient.
 

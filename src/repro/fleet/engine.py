@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import tempfile
 import time as _time
 import warnings
@@ -530,23 +531,30 @@ class Fleet:
             spool = ResultCache(tmp_root)
         if opts.checkpoint_dir:
             os.makedirs(opts.checkpoint_dir, exist_ok=True)
-        done = WorkerPool(
-            min(opts.workers, len(jobs)), spool.root, emit=self.bus.emit,
-            checkpoint_dir=opts.checkpoint_dir,
-            checkpoint_every=opts.checkpoint_every,
-            max_attempts=opts.max_attempts,
-            heartbeat_timeout=opts.heartbeat_timeout,
-            progress_every=(opts.progress_every if self._live else None),
-        ).run(jobs, fault_steps=opts.fault_steps,
-              stall_steps=opts.stall_steps)
-        for job in jobs:
-            if job.index not in done:
-                raise FleetError(
-                    f"fleet job {job.index} has no stored outcome"
-                )
-            results[job.index] = spool.load(
-                done[job.index], job.config,
-                override=job.override, hit=False)
+        try:
+            done = WorkerPool(
+                min(opts.workers, len(jobs)), spool.root,
+                emit=self.bus.emit,
+                checkpoint_dir=opts.checkpoint_dir,
+                checkpoint_every=opts.checkpoint_every,
+                max_attempts=opts.max_attempts,
+                heartbeat_timeout=opts.heartbeat_timeout,
+                progress_every=(opts.progress_every if self._live
+                                else None),
+            ).run(jobs, fault_steps=opts.fault_steps,
+                  stall_steps=opts.stall_steps)
+            for job in jobs:
+                if job.index not in done:
+                    raise FleetError(
+                        f"fleet job {job.index} has no stored outcome"
+                    )
+                results[job.index] = spool.load(
+                    done[job.index], job.config,
+                    override=job.override, hit=False)
+        finally:
+            # a loaded result holds copies, never the spool's files
+            if tmp_root is not None:
+                shutil.rmtree(tmp_root, ignore_errors=True)
 
     # ------------------------------------------------------------------
     def _merge_outputs(self, results: List[Any]) -> None:

@@ -10,13 +10,17 @@ into a live monitor:
 
 * every ``every``-th step (and at step 0, the baseline) it computes
   total mass, internal/kinetic energy and their relative drift against
-  step 0, an hourglass-energy proxy, the minimum cell volume/density/
-  pressure and the current dt with its controlling reason;
+  step 0, the momentum vector, an hourglass-energy proxy, the minimum
+  cell volume/density/pressure, the maximum density/pressure and the
+  current dt with its controlling reason — the run's one per-step
+  diagnostics record (``bookleaf run --history`` writes these rows as
+  CSV);
 * before any of that it runs the **hard sentinels**
   (:meth:`~repro.core.state.HydroState.sentinel_scan`): NaN/Inf
-  anywhere, non-positive volume/density/mass, negative internal
-  energy.  A trip dumps a forensic snapshot
-  (:mod:`repro.metrics.health`) and raises
+  anywhere, non-positive volume/density/mass, and negative internal
+  energy in the cells whose EoS admits only ``e >= 0``
+  (:attr:`~repro.eos.base.Eos.nonnegative_e`).  A trip dumps a
+  forensic snapshot (:mod:`repro.metrics.health`) and raises
   :class:`~repro.utils.errors.HealthError` naming the offending cells;
 * each sample appends one schema-versioned JSON record to ``rows``
   and to the NDJSON sink (``--metrics out.ndjson``); the run's
@@ -28,9 +32,11 @@ is SPMD state), sums/minima go through the two vector collectives on
 the comms seam, and per-cell sums are restricted to **owned** cells —
 kinetic energy is partitioned by attributing each node's energy
 through the corner masses, which sum over owned cells to exactly the
-serial total.  The sentinel scan runs *before* the collectives so a
-sick rank aborts its peers through the normal failure machinery
-instead of deadlocking in a reduction.
+serial total, and momentum likewise.  Maxima travel as negated entries
+of the minimum vector, so a sample costs the same two collectives.
+The sentinel scan runs *before* the collectives so a sick rank aborts
+its peers through the normal failure machinery instead of deadlocking
+in a reduction.
 
 With no probe attached the step loop pays one ``is None`` check — the
 bit-identity and bench guarantees of the hot loop are untouched.
@@ -48,7 +54,7 @@ from ..utils.errors import HealthError
 from .health import dump_path, dump_snapshot
 
 #: bumped on any record-shape change (mirrors the run-report discipline)
-METRICS_SCHEMA_VERSION = 1
+METRICS_SCHEMA_VERSION = 2
 
 #: denominator floor for the relative drifts (a zero-energy baseline —
 #: e.g. cold static gas — reports absolute drift instead of dividing
@@ -144,45 +150,41 @@ class DiagnosticsProbe:
         # Sentinels first: a rank with poisoned state must raise before
         # entering the collectives below, so its peers abort through
         # the backend's failure machinery rather than deadlocking.
-        violations = state.sentinel_scan(cell_mask=mask)
+        violations = state.sentinel_scan(
+            cell_mask=mask,
+            e_mask=hydro.table.nonnegative_e_cells(state.mat))
         if violations:
             self._trip(hydro, violations)
 
         cn = state.mesh.cell_nodes
         cu = state.u[cn]
         cv = state.v[cn]
-        # Corner-mass partition of the kinetic energy: summed over
-        # owned cells this reproduces the nodal-mass total exactly
-        # (node mass *is* the scatter-sum of corner masses), and it
-        # partitions cleanly across ranks.
-        ke_cells = 0.5 * np.sum(state.corner_mass * (cu ** 2 + cv ** 2),
-                                axis=1)
-        hg_cells = state.cell_mass * hourglass_amplitude(cu, cv) ** 2
-        if mask is None:
-            local_sums = np.array([
-                state.cell_mass.sum(),
-                (state.cell_mass * state.e).sum(),
-                ke_cells.sum(),
-                hg_cells.sum(),
-            ])
-            local_mins = np.array([
-                state.volume.min(), state.rho.min(), state.p.min(),
-            ])
-        else:
-            local_sums = np.array([
-                state.cell_mass[mask].sum(),
-                (state.cell_mass[mask] * state.e[mask]).sum(),
-                ke_cells[mask].sum(),
-                hg_cells[mask].sum(),
-            ])
-            local_mins = np.array([
-                state.volume[mask].min(),
-                state.rho[mask].min(),
-                state.p[mask].min(),
-            ])
+        # Corner-mass partition of the kinetic energy and momentum:
+        # summed over owned cells this reproduces the nodal-mass totals
+        # exactly (node mass *is* the scatter-sum of corner masses),
+        # and it partitions cleanly across ranks.
+        cm = state.corner_mass
+        cell_sums = (
+            state.cell_mass,
+            state.cell_mass * state.e,
+            0.5 * np.sum(cm * (cu ** 2 + cv ** 2), axis=1),
+            state.cell_mass * hourglass_amplitude(cu, cv) ** 2,
+            np.sum(cm * cu, axis=1),
+            np.sum(cm * cv, axis=1),
+        )
+        extrema = (state.volume, state.rho, state.p)
+        if mask is not None:
+            cell_sums = [a[mask] for a in cell_sums]
+            extrema = [a[mask] for a in extrema]
+        vol, rho, p = extrema
+        # the maxima ride the minimum vector negated
+        local_mins = np.array([vol.min(), rho.min(), p.min(),
+                               -rho.max(), -p.max()])
 
-        mass, ie, ke, hg = comms.allreduce_sum(local_sums)
-        vol_min, rho_min, p_min = comms.allreduce_min(local_mins)
+        mass, ie, ke, hg, mom_x, mom_y = comms.allreduce_sum(
+            np.array([a.sum() for a in cell_sums]))
+        vol_min, rho_min, p_min, neg_rho_max, neg_p_max = \
+            comms.allreduce_min(local_mins)
         total = ie + ke
 
         if self._baseline is None:
@@ -209,10 +211,14 @@ class DiagnosticsProbe:
             "total_energy": float(total),
             "mass_drift": float(mass_drift),
             "energy_drift": float(energy_drift),
+            "momentum_x": float(mom_x),
+            "momentum_y": float(mom_y),
             "hourglass_energy": float(hg),
             "vol_min": float(vol_min),
             "rho_min": float(rho_min),
+            "rho_max": float(-neg_rho_max),
             "p_min": float(p_min),
+            "p_max": float(-neg_p_max),
             "sentinel_trips": 0,
         }
         if self._baseline is None:

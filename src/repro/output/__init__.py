@@ -1,5 +1,4 @@
-"""Output facilities: legacy VTK dumps, time-history CSV, ASCII plots,
-snapshots."""
+"""Output facilities: legacy VTK dumps, ASCII plots, snapshots."""
 
 from .ascii_plot import ascii_plot
 from .profiles import (
@@ -9,12 +8,10 @@ from .profiles import (
     radial_profile,
 )
 from .restart import freeze, read_restart, thaw, write_restart
-from .timehist import TimeHistory
 from .vtk import write_vtk
 
 __all__ = [
     "write_vtk",
-    "TimeHistory",
     "ascii_plot",
     "freeze",
     "thaw",

@@ -30,7 +30,9 @@ from ..utils.timers import TimerRegistry
 #: conservation drifts, extrema; null when the run carried no probe)
 #: v3: every comm entry carries all six ``CommStats`` counters
 #: (``dt_reductions`` and ``dt_hops`` added)
-SCHEMA_VERSION = 3
+#: v4: the ``diagnostics`` record is the probe's schema 2
+#: (``momentum_x``, ``momentum_y``, ``rho_max`` and ``p_max`` added)
+SCHEMA_VERSION = 4
 
 GENERATOR = "repro.telemetry"
 

@@ -37,13 +37,13 @@ DENY = (
     "repro.fleet.worker", "repro.parallel.backends.processes",
     "repro.parallel.backends.threads", "repro.parallel.typhon",
     "repro.parallel.commplan", "repro.telemetry.live",
-    "repro.telemetry.table2", "repro.metrics.watchdog",
+    "repro.telemetry.table2", "repro.metrics.watchdog", "csv",
 )
 
 #: ``repro`` modules loaded by ``import repro.api`` — exact
-REPRO_AFTER_IMPORT = 74
+REPRO_AFTER_IMPORT = 73
 #: ... and after the serial CLI run with ``--report`` — exact
-REPRO_AFTER_CLI_RUN = 82
+REPRO_AFTER_CLI_RUN = 80
 #: ceilings on everything loaded beyond a bare ``import numpy`` (the
 #: absolute totals, 280 and 307 on the builder's numpy 2.4 / CPython
 #: 3.11 against 906 and 971 before, move with numpy's own module count,

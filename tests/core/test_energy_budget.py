@@ -1,79 +1,87 @@
-"""Tests for the energy-budget observer."""
+"""The energy budget, read off the diagnostics probe's rows.
+
+The compatible discretisation makes the energy flow auditable: the
+corner forces do work -ΣF·ū on the cells and +ΣF·ū on the nodes, so
+kinetic and internal changes cancel exactly, and any change of the
+total is boundary work (the Saltzmann piston) or remap dissipation.
+Every assertion runs on the rows of a serial run and of a
+``processes`` x 2 run (``metrics_every=1``: one row per step, step 0
+included).
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.energy_budget import EnergyBudget
-from repro.problems import load_problem
+from repro.api import run
+
+#: (backend, nranks) every budget is checked on
+BACKENDS = (("serial", 1), ("processes", 2))
+
+
+def _budgets(problem, **settings):
+    """``(backend, rows)`` of one run per backend."""
+    kwargs = {k: settings.pop(k) for k in ("nx", "ny", "time_end",
+                                           "max_steps") if k in settings}
+    for backend, nranks in BACKENDS:
+        result = run(problem=problem, metrics_every=1, backend=backend,
+                     nranks=nranks, problem_kwargs=settings, **kwargs)
+        yield backend, result.metrics_rows
+
+
+def _delta(rows, name):
+    return rows[-1][name] - rows[0][name]
 
 
 def test_budget_records_every_step():
-    hydro = load_problem("sod", nx=20, ny=2, time_end=1.0).make_hydro()
-    budget = EnergyBudget.attach(hydro)
-    hydro.run(max_steps=5)
-    assert len(budget.rows) == 6       # initial + 5 steps
-    assert budget.rows[0].nstep == 0
-    assert budget.rows[-1].nstep == 5
+    for backend, rows in _budgets("sod", nx=20, ny=2, time_end=1.0,
+                                  max_steps=5):
+        assert [r["nstep"] for r in rows] == [0, 1, 2, 3, 4, 5], backend
 
 
 def test_closed_lagrangian_run_conserves_total():
-    hydro = load_problem("sod", nx=50, ny=2, time_end=0.05).make_hydro()
-    budget = EnergyBudget.attach(hydro)
-    hydro.run()
-    scale = abs(budget.rows[0].total)
-    assert abs(budget.d_total) < 1e-12 * scale
-    assert budget.max_step_drift() < 1e-13 * scale
+    for backend, rows in _budgets("sod", nx=50, ny=2, time_end=0.05):
+        total = [r["total_energy"] for r in rows]
+        scale = abs(total[0])
+        assert abs(total[-1] - total[0]) < 1e-12 * scale, backend
+        assert np.abs(np.diff(total)).max() < 1e-13 * scale, backend
 
 
 def test_sod_converts_internal_to_kinetic():
-    hydro = load_problem("sod", nx=50, ny=2, time_end=0.1).make_hydro()
-    budget = EnergyBudget.attach(hydro)
-    hydro.run()
-    assert budget.d_kinetic > 0.0
-    assert budget.d_internal == pytest.approx(-budget.d_kinetic, rel=1e-10)
-    assert budget.exchanged() >= abs(budget.d_internal)
+    for backend, rows in _budgets("sod", nx=50, ny=2, time_end=0.1):
+        d_ke = _delta(rows, "kinetic_energy")
+        d_ie = _delta(rows, "internal_energy")
+        assert d_ke > 0.0, backend
+        assert d_ie == pytest.approx(-d_ke, rel=1e-10), backend
+        exchanged = np.abs(np.diff(
+            [r["internal_energy"] for r in rows])).sum()
+        assert exchanged >= abs(d_ie), backend
 
 
 def test_noh_converts_kinetic_to_internal():
-    hydro = load_problem("noh", nx=16, ny=16, time_end=0.1).make_hydro()
-    budget = EnergyBudget.attach(hydro)
-    hydro.run()
-    assert budget.d_kinetic < 0.0      # the implosion shocks KE to heat
-    assert budget.d_internal > 0.0
+    for backend, rows in _budgets("noh", nx=16, ny=16, time_end=0.1):
+        # the implosion shocks KE to heat
+        assert _delta(rows, "kinetic_energy") < 0.0, backend
+        assert _delta(rows, "internal_energy") > 0.0, backend
 
 
 def test_piston_adds_energy():
-    hydro = load_problem("saltzmann", nx=40, ny=4,
-                         time_end=0.2).make_hydro()
-    budget = EnergyBudget.attach(hydro)
-    hydro.run()
-    assert budget.d_total > 0.0        # boundary work flows in
+    for backend, rows in _budgets("saltzmann", nx=40, ny=4,
+                                  time_end=0.2):
+        # boundary work flows in
+        assert _delta(rows, "total_energy") > 0.0, backend
 
 
 def test_ale_run_dissipates_only():
     """The Eulerian remap may only *lose* total energy (upwind KE
     dissipation), never create it."""
-    hydro = load_problem("sod", nx=50, ny=2, time_end=0.05,
-                         ale_on=True).make_hydro()
-    budget = EnergyBudget.attach(hydro)
-    hydro.run()
-    scale = abs(budget.rows[0].total)
-    assert budget.d_total <= 1e-12 * scale
-
-
-def test_report_text():
-    hydro = load_problem("sod", nx=10, ny=2, time_end=1.0).make_hydro()
-    budget = EnergyBudget.attach(hydro)
-    hydro.run(max_steps=2)
-    text = budget.report()
-    assert "kinetic" in text and "internal" in text
-    assert "worst single-step drift" in text
+    for backend, rows in _budgets("sod", nx=50, ny=2, time_end=0.05,
+                                  ale_on=True):
+        scale = abs(rows[0]["total_energy"])
+        assert _delta(rows, "total_energy") <= 1e-12 * scale, backend
 
 
 def test_series_lengths():
-    hydro = load_problem("sod", nx=10, ny=2, time_end=1.0).make_hydro()
-    budget = EnergyBudget.attach(hydro)
-    hydro.run(max_steps=3)
-    series = budget.series()
-    assert len(series["time"]) == 4
-    assert np.all(np.diff(series["time"]) > 0)
+    for backend, rows in _budgets("sod", nx=10, ny=2, time_end=1.0,
+                                  max_steps=3):
+        assert len(rows) == 4, backend
+        assert np.all(np.diff([r["time"] for r in rows]) > 0), backend

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.controls import HydroControls
 from repro.core.hydro import Hydro
+from repro.metrics import DiagnosticsProbe
 from repro.problems import load_problem
 from repro.utils.timers import TimerRegistry
 
@@ -62,9 +63,12 @@ def test_observers_called_each_step():
 
 
 def test_diagnostics_keys():
+    """A Hydro's diagnostics are its probe's record."""
     hydro = _sod(time_end=1.0).make_hydro()
+    hydro.probe = DiagnosticsProbe(every=1)
     hydro.step()
-    diag = hydro.diagnostics()
+    diag = hydro.probe.last_sample
+    assert diag["nstep"] == 1
     for key in ("time", "nstep", "dt", "mass", "total_energy",
                 "momentum_x", "rho_max"):
         assert key in diag

@@ -18,11 +18,11 @@ from repro.api import CANONICAL_KEY_VERSION, RunConfig
 from repro.fleet import job_key
 
 GOLDEN_KEY = \
-    "4ff44db5715fda9c00158ea2c28da86c60124aeb637c8b74fbc29f4d9ec00c26"
+    "5df5255b198e1ebfdaa80289cff4fb08be9dc52eaef6437602460b17724290d4"
 
 
 def test_golden_key_is_pinned():
-    assert CANONICAL_KEY_VERSION == 3
+    assert CANONICAL_KEY_VERSION == 4
     assert __version__ == "1.1.0", (
         "version bump: recompute GOLDEN_KEY (the code version enters "
         "the cache key so stale caches self-invalidate)")

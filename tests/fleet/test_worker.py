@@ -1,5 +1,7 @@
 """The crash-tolerant worker pool: SIGKILLed jobs resume, not restart."""
 
+import tempfile
+
 import pytest
 
 from repro.api import RunConfig, run, submit
@@ -96,3 +98,20 @@ def test_pool_parallel_fan_out(tmp_path):
     warm = submit(configs, workers=2, ensemble="off",
                   cache_dir=str(tmp_path)).results()
     assert all(r.cache_hit for r in warm)
+
+
+@pytest.mark.parametrize("failing", [False, True])
+def test_pooled_sweep_leaves_no_spool(tmp_path, monkeypatch, failing):
+    """Without a cache_dir the pool stores outcomes in a temporary
+    spool; it is removed once every result is loaded, and also when the
+    pool gives up on a job."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    configs = [_cfg(max_steps=4), _cfg(max_steps=5)]
+    if failing:
+        with pytest.raises(FleetError, match="giving up"):
+            submit(configs, workers=1, ensemble="off", max_attempts=1,
+                   fault_steps={0: 1}).results()
+    else:
+        results = submit(configs, workers=1, ensemble="off").results()
+        assert [r.nstep for r in results] == [4, 5]
+    assert list(tmp_path.glob("bookleaf-fleet-spool-*")) == []

@@ -12,7 +12,9 @@ import json
 import numpy as np
 import pytest
 
+from repro.api import run
 from repro.core.state import HydroState
+from repro.eos import IdealGas
 from repro.metrics import DiagnosticsProbe
 from repro.output.restart import read_restart, thaw
 from repro.parallel import DistributedHydro
@@ -165,3 +167,47 @@ def test_decomposed_trip_aborts_run_and_names_rank(
     # yet the reported cell indexes the full 16x16 mesh
     assert 0 <= cell_id < 256
     assert np.isnan(loaded.arrays["rho"]).any()
+
+
+def test_negative_e_rule_follows_the_eos():
+    """e >= 0 is admissible-set membership only for an ideal gas: the
+    Tait water of water_air reaches e < 0 on healthy states and is not
+    scanned, the air is."""
+    setup = load_problem("water_air")
+    cells = setup.table.nonnegative_e_cells(setup.state.mat)
+    air = [i for i, eos in enumerate(setup.table.eos)
+           if isinstance(eos, IdealGas)]
+    assert np.array_equal(cells, np.isin(setup.state.mat, air))
+    single = load_problem("noh", nx=4, ny=4)
+    assert single.table.nonnegative_e_cells(single.state.mat) is None
+
+
+@pytest.mark.parametrize("backend", ["serial", "processes"])
+def test_water_air_completes_with_the_probe_every_step(backend):
+    nranks = 2 if backend == "processes" else 1
+    result = run(problem="water_air", metrics_every=1, nranks=nranks,
+                 backend=backend)
+    assert result.nstep == 331
+    assert [r["nstep"] for r in result.metrics_rows] == list(range(332))
+
+
+def test_negative_ideal_gas_e_still_trips_at_step_1(tmp_path):
+    """The rule narrows by material, not away: a negative e in an air
+    cell of the same run trips at the step that planted it, and names
+    only that cell."""
+    setup = load_problem("water_air")
+    hydro = setup.make_hydro()
+    air = int(np.flatnonzero(setup.table.nonnegative_e_cells(
+        hydro.state.mat))[0])
+
+    def poisoner(h):
+        if h.nstep == 1:
+            h.state.e[air] = -1.0
+
+    hydro.observers.append(poisoner)
+    hydro.probe = DiagnosticsProbe(
+        every=1, snapshot_path=str(tmp_path / "s.state"))
+    with pytest.raises(HealthError) as exc:
+        hydro.run(max_steps=5)
+    assert exc.value.nstep == 1
+    assert exc.value.violations == {"negative:e": [air]}

@@ -21,8 +21,9 @@ from repro.problems import load_problem
 REQUIRED_KEYS = {
     "schema_version", "nstep", "time", "dt", "dt_reason", "dt_cell",
     "nranks", "mass", "internal_energy", "kinetic_energy",
-    "total_energy", "mass_drift", "energy_drift", "hourglass_energy",
-    "vol_min", "rho_min", "p_min", "sentinel_trips",
+    "total_energy", "mass_drift", "energy_drift", "momentum_x",
+    "momentum_y", "hourglass_energy", "vol_min", "rho_min", "rho_max",
+    "p_min", "p_max", "sentinel_trips",
 }
 
 
@@ -108,6 +109,10 @@ def test_distributed_stream_matches_serial(tmp_path, backend):
         assert d["total_energy"] == pytest.approx(s["total_energy"],
                                                   rel=1e-12)
         assert d["vol_min"] == pytest.approx(s["vol_min"], rel=1e-12)
+        # the maxima ride the min collective negated: exact
+        assert (d["rho_max"], d["p_max"]) == (s["rho_max"], s["p_max"])
+        for name in ("momentum_x", "momentum_y"):
+            assert d[name] == pytest.approx(s[name], rel=1e-12, abs=1e-14)
 
 
 def test_threads_processes_metrics_bit_identical(tmp_path):
@@ -153,3 +158,24 @@ def test_step_driven_probe_baselines_on_first_observation():
     assert probe.rows[0]["nstep"] == 1
     assert probe.rows[0]["energy_drift"] == 0.0
     assert probe.last_sample["nstep"] == 4
+
+
+def test_record_carries_the_nodal_mass_totals():
+    """The corner-mass partition reproduces the nodal-mass kinetic
+    energy and momentum to round-off, and the extrema are the state's."""
+    setup = load_problem("sod", nx=20, ny=2, time_end=1.0)
+    probe = DiagnosticsProbe(every=1)
+    hydro = setup.make_hydro()
+    hydro.probe = probe
+    hydro.run(max_steps=6)
+    state, row = hydro.state, probe.last_sample
+    mass = state.node_mass()
+    assert row["nstep"] == 6
+    assert row["kinetic_energy"] == pytest.approx(
+        state.kinetic_energy(), rel=1e-14)
+    assert row["momentum_x"] == pytest.approx(
+        float(np.sum(mass * state.u)), rel=1e-14)
+    assert row["momentum_y"] == pytest.approx(
+        float(np.sum(mass * state.v)), abs=1e-18)
+    assert (row["rho_max"], row["p_max"]) == \
+        (float(state.rho.max()), float(state.p.max()))
