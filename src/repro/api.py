@@ -24,7 +24,8 @@ per-rank communication counters, the step rows, the diagnostics rows)
 with deterministic rank-order merge rules — the one record of the run
 — and :meth:`RunResult.report` (the JSON run report) and
 :func:`repro.metrics.prometheus.run_samples` (the Prometheus
-exposition) are views of it.  The CLI
+exposition) are views of it — a pooled job's or a cache hit's as much
+as a live run's, since the result cache stores these fields.  The CLI
 (:mod:`repro.cli`) is a thin adapter onto this module; see
 docs/PARALLEL.md for the backend matrix and docs/FLEET.md for the
 fleet scheduler.
@@ -45,6 +46,7 @@ from .core.state import HydroState
 from .fleet.cache import canonical_hash
 from .fleet.engine import submit as _fleet_submit
 from .parallel.distributed import DistributedHydro
+from .parallel.interface import comm_sum
 from .problems import (
     describe_problem,
     load_problem,
@@ -60,10 +62,9 @@ from .version import __version__ as _CODE_VERSION
 _LEGACY_ALIASES = {"ranks": "nranks", "method": "partition"}
 
 #: bump when the canonical-key layout changes — cache entries written
-#: under an older layout must miss, never alias.  Also bumped when the
-#: payload an entry carries changes shape (4: the diagnostics rows went
-#: to ``METRICS_SCHEMA_VERSION`` 2), so an old entry never serves rows
-#: of the old schema
+#: under an older layout must miss, never alias.  The key layout only:
+#: an entry whose diagnostics rows carry another schema version is
+#: refused by ``ResultCache.load`` itself and re-run
 CANONICAL_KEY_VERSION = 4
 
 
@@ -261,7 +262,6 @@ class RunResult:
     state: HydroState
     timers: TimerRegistry
     spans: List[Any]
-    comm_total: Optional[dict]
     comm_per_rank: List[dict]
     #: one row per step (``Hydro.step_rows``)
     step_rows: List[dict]
@@ -275,18 +275,18 @@ class RunResult:
     #: True when the fleet served this result from its content-addressed
     #: cache instead of executing the job
     cache_hit: bool = False
-    #: cache-restored results carry the stored report verbatim (the
-    #: original run's timers are not reconstructable); live results
-    #: leave this None and rebuild from telemetry
-    report_override: Optional[dict] = None
+
+    @property
+    def comm_total(self) -> Optional[dict]:
+        """Whole-run traffic totals (the sum of ``comm_per_rank``);
+        None for a one-rank run."""
+        return comm_sum(self.comm_per_rank) if self.nranks > 1 else None
 
     def report(self) -> dict:
         """The schema-versioned JSON run report for this run
-        (identical shape to ``bookleaf run --report``)."""
+        (identical shape to ``bookleaf run --report``), rendered from
+        the result's own fields — live, pooled, lane or cache hit."""
         from .telemetry.report import build_report
-
-        if self.report_override is not None:
-            return self.report_override
 
         return build_report(
             self.setup.describe(), self.timers,
@@ -393,7 +393,6 @@ def _execute_run(config: RunConfig, *,
         from .telemetry.sampling import write_collapsed
 
         write_collapsed(profiler.folded(), config.profile)
-    distributed = config.nranks > 1
     return RunResult(
         config=config,
         setup=setup,
@@ -405,10 +404,9 @@ def _execute_run(config: RunConfig, *,
         state=driver.gather(),
         timers=driver.merged_timers(),
         spans=driver.merged_spans(),
-        comm_total=driver.comm_totals() if distributed else None,
         comm_per_rank=driver.per_rank_comm(),
         step_rows=driver.result.step_rows,
-        comm_summary=driver.comm_summary() if distributed else None,
+        comm_summary=driver.comm_summary() if config.nranks > 1 else None,
         metrics_rows=driver.result.metrics_rows,
         driver=driver,
     )

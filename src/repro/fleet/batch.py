@@ -175,7 +175,6 @@ def run_ensemble_jobs(jobs: Sequence[BatchJob], *, emit: Callable,
             state=hydro.state,
             timers=timers,
             spans=[],
-            comm_total=None,
             comm_per_rank=[],
             step_rows=hydro.step_rows,
             comm_summary=None,

@@ -3,19 +3,19 @@
 The fleet's cache keys every job by
 :meth:`repro.api.RunConfig.canonical_key` (extended with the job's
 per-lane control overrides, when any — :func:`job_key`), and stores the
-run's *outcome*: the final state arrays, the step/time clocks, the
-schema-versioned run report — which holds the step rows and the comm
-counters, stored once there — and the live-metrics rows.  A resubmitted
-config whose key matches is served from disk with ``cache_hit=True``
-instead of re-executing — the deck, every resolved control, the rank
-count, the backend and the code version all enter the key, so a hit is
-exactly "this run already happened".
+run's *outcome*: the final state arrays and the
+:class:`~repro.api.RunResult` fields its report is rendered from.  A
+resubmitted config whose key matches is served from disk with
+``cache_hit=True`` instead of re-executing — the deck, every resolved
+control, the rank count, the backend and the code version all enter
+the key, so a hit is exactly "this run already happened".
 
 Storage layout under the cache root: one ``<key>.entry`` per entry, a
 state file (:mod:`repro.output.restart`, the layout snapshots and
 checkpoints use too) written in one atomic write, so a killed worker
 never leaves a half-entry.  Its meta document is the cache's own: the
-key, the result scalars, the report, the metrics rows and the spans;
+key, the result scalars, the timers' ``kernels`` entries, the comm
+counters, the step, metrics and span rows — never a rendered report;
 its arrays are ``HydroState.arrays()``.
 
 A load is one :func:`~repro.output.restart.read_state`: the file's
@@ -34,7 +34,8 @@ long as something (a hit's state, say) holds it, and nothing is kept
 alive that the caller dropped.
 
 An entry that cannot be read back (truncated, a bad header, another
-format version, a digest mismatch) is a *miss*, not a traceback:
+format version, a digest mismatch, rows of another probe schema) is a
+*miss*, not a traceback:
 :meth:`ResultCache.load` evicts it, counts it and raises
 :class:`~repro.utils.errors.SnapshotError` for the engine to log as
 ``cache_corrupt`` and re-run the job.  Entries of the two-file layout
@@ -112,26 +113,26 @@ def state_digest(state, nstep: int, time: float,
     return h.hexdigest()
 
 
+#: the :class:`RunResult` fields a meta document stores as they are
+_STORED = ("backend", "nranks", "nstep", "time", "wall_seconds", "lane",
+           "comm_per_rank", "step_rows", "metrics_rows", "comm_summary")
+
+
 def _result_fields(path: str, meta: dict) -> Dict[str, Any]:
     """The :class:`RunResult` fields a meta document stores."""
+    from ..metrics.probe import METRICS_SCHEMA_VERSION
+
     try:
-        report = meta["report"]
-        return dict(
-            backend=meta["backend"],
-            nranks=meta["nranks"],
-            nstep=meta["nstep"],
-            time=meta["time"],
-            wall_seconds=meta["wall_seconds"],
-            spans=[Span(**doc) for doc in (meta.get("spans") or [])],
-            comm_total=(report["comm"]["total"] if meta["nranks"] > 1
-                        else None),
-            comm_per_rank=report["comm"]["per_rank"],
-            step_rows=report["steps"],
-            comm_summary=meta.get("comm_summary"),
-            metrics_rows=meta.get("metrics_rows"),
-            lane=meta.get("lane"),
-            report_override=report,
-        )
+        stored = {name: meta[name] for name in _STORED}
+        for version in {row["schema_version"]
+                        for row in stored["metrics_rows"] or ()}:
+            if version != METRICS_SCHEMA_VERSION:
+                raise SnapshotError(f"cannot read {path}: rows of schema "
+                                    f"{version}, expected "
+                                    f"{METRICS_SCHEMA_VERSION}")
+        return dict(stored,
+                    timers=TimerRegistry.from_entries(meta["kernels"]),
+                    spans=[Span(**doc) for doc in meta["spans"] or ()])
     except (KeyError, TypeError) as exc:
         raise SnapshotError(f"cannot read {path}: incomplete meta document "
                             f"({type(exc).__name__}: {exc})") from exc
@@ -175,7 +176,9 @@ class ResultCache:
             "time": float(result.time),
             "wall_seconds": float(result.wall_seconds),
             "lane": result.lane,
-            "report": result.report(),
+            "kernels": result.timers.entries(),
+            "comm_per_rank": result.comm_per_rank,
+            "step_rows": result.step_rows,
             "metrics_rows": result.metrics_rows,
             # span shards ride the spool so the fleet parent can merge
             # worker-side traces into the sweep trace (empty when the
@@ -201,10 +204,8 @@ class ResultCache:
         The mesh/topology side of the state is rebuilt deterministically
         from the config (it is not stored) — each distinct mesh once per
         process while held, shared by every hit on it — and the result's
-        own state is made of copies of the stored arrays.  The result
-        carries the stored report verbatim (``report_override``) —
-        kernel-timer *objects* are not reconstructable across processes
-        — its step rows and comm counters are that report's own lists,
+        own state is made of copies of the stored arrays.  Every other
+        field is the stored one (the timers rebuilt from their entries),
         and ``cache_hit=hit``.  An unreadable entry is evicted and raises
         :class:`~repro.utils.errors.SnapshotError`.
         """
@@ -233,8 +234,7 @@ class ResultCache:
         if hit:
             self.hits += 1
         return RunResult(config=config, setup=setup, state=setup.state,
-                         timers=TimerRegistry(), driver=None,
-                         cache_hit=hit, **stored)
+                         driver=None, cache_hit=hit, **stored)
 
     def stats(self) -> dict:
         return {"hits": self.hits, "misses": self.misses,

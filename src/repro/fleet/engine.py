@@ -698,12 +698,6 @@ class Fleet:
         for job, result in zip(self.jobs, results):
             config = job.config
             wall = float(result.wall_seconds)
-            kernel_seconds = (result.timers.total()
-                              if result.report_override is None
-                              else sum(
-                                  k.get("seconds", 0.0) for k in
-                                  (result.report_override.get("kernels")
-                                   or {}).values()))
             job_docs.append({
                 "index": job.index,
                 "key": self._key(job),
@@ -721,7 +715,7 @@ class Fleet:
                 "wall_seconds": wall,
                 "steps_per_sec": (round(result.nstep / wall, 3)
                                   if wall > 0 else None),
-                "kernel_seconds": round(float(kernel_seconds), 6),
+                "kernel_seconds": round(float(result.timers.total()), 6),
                 "comm_bytes": (result.comm_total or {}).get("bytes"),
                 "digest": state_digest(result.state, result.nstep,
                                        result.time,

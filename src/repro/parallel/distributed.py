@@ -48,7 +48,7 @@ from ..utils.errors import (
 from ..utils.timers import TimerRegistry
 from .backends import get_backend
 from .halo import Subdomain, build_subdomains, local_state
-from .interface import COMM_FIELDS, BackendRun
+from .interface import BackendRun, comm_sum
 from .partition.interface import partition
 
 
@@ -454,8 +454,7 @@ class DistributedHydro:
 
     def comm_totals(self) -> Dict[str, int]:
         """Whole-run traffic totals as a JSON-ready dict."""
-        return {key: sum(int(entry[key]) for entry in self.per_rank_comm())
-                for key in COMM_FIELDS}
+        return comm_sum(self.per_rank_comm())
 
     def comm_summary(self) -> dict:
         """Traffic totals for the whole run (perf-model inputs)."""

@@ -148,6 +148,11 @@ class CommStats:
 COMM_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(CommStats))
 
 
+def comm_sum(per_rank: List[dict]) -> Dict[str, int]:
+    """A run's traffic totals: the sum of its ranks' comm entries."""
+    return {k: sum(int(e[k]) for e in per_rank) for k in COMM_FIELDS}
+
+
 @dataclass
 class BackendRun:
     """One finished execution, assembled by the driver from the

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
 from ..parallel.interface import COMM_FIELDS
-from ..utils.timers import TimerRegistry
+from ..utils.timers import KERNEL_FIELDS, TimerRegistry
 
 #: bump when (and only when) the report shape changes; the golden test
 #: pins shape + version together
@@ -40,15 +40,6 @@ GENERATOR = "repro.telemetry"
 #: simulated time, the dt taken and why, and the wall-clock seconds
 #: the step cost
 STEP_FIELDS = ("nstep", "time", "dt", "dt_reason", "wall_seconds")
-
-
-def _kernel_entry(timer) -> dict:
-    return {
-        "seconds": timer.seconds,
-        "calls": timer.calls,
-        "alloc_bytes": timer.alloc_bytes,
-        "alloc_peak": timer.alloc_peak,
-    }
 
 
 def build_report(problem: dict, timers: TimerRegistry, *,
@@ -76,10 +67,6 @@ def build_report(problem: dict, timers: TimerRegistry, *,
         {k: int(entry.get(k, 0)) for k in COMM_FIELDS}
         for entry in (comm_per_rank or [])
     ]
-    kernels = {
-        name: _kernel_entry(timer)
-        for name, timer in sorted(timers.timers.items())
-    }
     return {
         "schema_version": SCHEMA_VERSION,
         "generator": GENERATOR,
@@ -91,7 +78,7 @@ def build_report(problem: dict, timers: TimerRegistry, *,
             "time": float(time_reached),
             "wall_seconds": float(wall_seconds),
         },
-        "kernels": kernels,
+        "kernels": timers.entries(),
         "comm": {"total": comm_total, "per_rank": per_rank},
         "steps": [dict(row) for row in step_rows],
         "diagnostics": dict(diagnostics) if diagnostics else None,
@@ -126,7 +113,7 @@ def validate_report(report: dict) -> None:
         need(isinstance(run.get(key), (int, float)),
              f"run.{key} not a number")
     for name, entry in report["kernels"].items():
-        for key in ("seconds", "calls", "alloc_bytes", "alloc_peak"):
+        for key in KERNEL_FIELDS:
             need(isinstance(entry.get(key), (int, float)),
                  f"kernels[{name!r}].{key} not a number")
     comm = report["comm"]

@@ -52,6 +52,9 @@ from typing import Dict, Iterator, List, Optional
 #: Typhon exchange/reduction spans nested inside kernels)
 CATEGORIES = ("run", "step", "phase", "kernel", "comm")
 
+#: a :class:`Timer`'s counters: the fields of one kernel entry
+KERNEL_FIELDS = ("seconds", "calls", "alloc_bytes", "alloc_peak")
+
 
 @dataclass
 class Span:
@@ -251,6 +254,18 @@ class TimerRegistry:
 
     def total(self) -> float:
         return sum(t.seconds for t in self.timers.values())
+
+    def entries(self) -> Dict[str, dict]:
+        """Every timer as a JSON-ready :data:`KERNEL_FIELDS` entry, in
+        name order: the report's ``kernels`` map, a cache entry's."""
+        return {name: {key: getattr(timer, key) for key in KERNEL_FIELDS}
+                for name, timer in sorted(self.timers.items())}
+
+    @classmethod
+    def from_entries(cls, entries: Dict[str, dict]) -> "TimerRegistry":
+        """The registry whose :meth:`entries` these are."""
+        return cls(timers={name: Timer(name, **entry)
+                           for name, entry in entries.items()})
 
     def reset(self) -> None:
         self.timers.clear()

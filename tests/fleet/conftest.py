@@ -51,9 +51,17 @@ def rewrite_header(path, edit) -> None:
 
 def as_v1(meta: dict) -> None:
     """The meta document the way the v1 cache layout stored it: the
-    step rows and comm counters beside the report, not inside it."""
-    report = meta["report"]
+    step rows and comm counters beside a report, the kernel table
+    inside it."""
     meta["format_version"] = 1
-    meta["step_rows"] = report.pop("steps")
-    meta["comm_total"] = report["comm"]["total"]
-    meta["comm_per_rank"] = report["comm"]["per_rank"]
+    meta["report"] = {"kernels": meta.pop("kernels")}
+    meta["comm_total"] = None
+
+
+def as_report_layout(meta: dict) -> None:
+    """The meta document the way a format-3 entry stored a rendered
+    report: the kernel table, the comm counters and the step rows
+    inside ``report``, none of them beside it."""
+    meta["report"] = {"kernels": meta.pop("kernels"),
+                      "comm": {"per_rank": meta.pop("comm_per_rank")},
+                      "steps": meta.pop("step_rows")}

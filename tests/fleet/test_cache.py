@@ -6,13 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import RunConfig, run
+from repro.api import RunConfig, run, submit
 from repro.core.state import HydroState
 from repro.fleet import ResultCache, job_key, state_digest
 from repro.output.restart import FORMAT_VERSION
 from repro.utils.errors import FleetError, SnapshotError
-from tests.fleet.conftest import (DAMAGES, as_v1, damage_entry,
-                                  rewrite_header)
+from tests.fleet.conftest import (DAMAGES, as_report_layout, as_v1,
+                                  damage_entry, rewrite_header)
 
 
 def _cfg(**kw):
@@ -45,41 +45,71 @@ def test_store_load_round_trip(tmp_path):
     assert cache.stats()["hits"] == 1
 
 
-def _stored_then_loaded(tmp_path, config):
+def test_entry_stores_the_result_fields_not_a_report(tmp_path):
+    """The meta document holds the fields every report is rendered
+    from — the timers as kernel entries, the per-rank comm counters,
+    the step rows — and no rendered report or derived comm total."""
+    config = _cfg(nranks=2)
     result = run(config)
     cache = ResultCache(str(tmp_path))
     key = job_key(config)
     cache.store(key, result)
-    # The report is the entry's one copy of the step rows and the comm
-    # counters.
-    assert not {"step_rows", "comm_total", "comm_per_rank"} \
-        & set(cache.meta(key))
-    return result, cache.load(key, config)
+    meta = cache.meta(key)
+    assert meta["kernels"] == result.timers.entries()
+    assert meta["comm_per_rank"] == result.comm_per_rank
+    assert meta["step_rows"] == result.step_rows
+    assert not {"report", "comm_total"} & set(meta)
 
 
-def test_loaded_result_carries_stored_report(tmp_path):
-    result, loaded = _stored_then_loaded(tmp_path, _cfg())
-    # The stored report is served verbatim (timers are not
-    # reconstructable across processes), and the result's step rows
-    # and comm counters are the report's own lists.
-    report = loaded.report()
-    assert report is loaded.report_override
-    assert report["run"]["steps"] == result.report()["run"]["steps"]
-    assert loaded.step_rows is report["steps"]
-    assert loaded.step_rows == result.step_rows
-    assert len(loaded.step_rows) == result.nstep
-    assert loaded.comm_per_rank is report["comm"]["per_rank"] == []
-    assert loaded.comm_total is None
+#: one config per way a result reaches the caller: the submit options
+#: that take it there
+PATHS = {
+    "serial": (_cfg(metrics_every=4), dict(ensemble="off")),
+    "processes2": (_cfg(nranks=2, backend="processes", metrics_every=4),
+                   dict(ensemble="off")),
+    "lane": (_cfg(metrics_every=4),
+             dict(control_overrides=[{"cq1": 0.75}])),
+    "pooled": (RunConfig(problem="sedov", nx=12, ny=12, max_steps=10,
+                         metrics_every=5),
+               dict(ensemble="off", workers=1)),
+}
 
 
-def test_loaded_decomposed_result_reads_comm_from_report(tmp_path):
-    result, loaded = _stored_then_loaded(tmp_path, _cfg(nranks=2))
-    report = loaded.report()
-    assert loaded.comm_total is report["comm"]["total"]
-    assert loaded.comm_per_rank is report["comm"]["per_rank"]
-    assert loaded.comm_total == result.comm_total
-    assert loaded.comm_per_rank == result.comm_per_rank
-    assert loaded.step_rows == result.step_rows
+def _record(result) -> str:
+    """What a caller reads off a result, as JSON."""
+    return json.dumps({
+        "report": result.report(),
+        "step_rows": result.step_rows,
+        "comm_total": result.comm_total,
+        "comm_per_rank": result.comm_per_rank,
+        "metrics_rows": result.metrics_rows,
+    }, sort_keys=True)
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_hit_renders_the_live_run_record(tmp_path, monkeypatch, path):
+    """The result a store is handed is the live run's — in this
+    process for an inline job or a lane, in the worker for a pooled
+    one.  The pooled job's result and a later hit render the same
+    record from the entry, and their timers are the report's kernel
+    table."""
+    config, options = PATHS[path]
+    store = ResultCache.store
+
+    def recording_store(self, key, result):
+        # the pool forks after this patch, so a worker records too
+        store(self, key, result)
+        (tmp_path / f"{key}.live").write_text(_record(result))
+
+    monkeypatch.setattr(ResultCache, "store", recording_store)
+    cache_dir = str(tmp_path / "cache")
+    first = submit([config], cache_dir=cache_dir, **options).results()[0]
+    hit = submit([config], cache_dir=cache_dir, **options).results()[0]
+    assert hit.cache_hit and not first.cache_hit
+    (live,) = [p.read_text() for p in tmp_path.glob("*.live")]
+    for result in (first, hit):
+        assert _record(result) == live
+        assert result.timers.entries() == result.report()["kernels"]
 
 
 def test_digest_excludes_wall_time(tmp_path):
@@ -185,7 +215,22 @@ def test_incomplete_meta_document_is_evicted(tmp_path):
     key = job_key(config)
     cache.store(key, run(config))
     rewrite_header(tmp_path / f"{key}.entry",
-                   lambda meta: meta["report"].pop("steps"))
+                   lambda meta: meta.pop("step_rows"))
+    with pytest.raises(SnapshotError, match="incomplete meta document"):
+        cache.load(key, config)
+    assert not cache.has(key)
+    assert cache.stats()["corrupt"] == 1
+
+
+def test_report_layout_entry_is_evicted(tmp_path):
+    """An entry that stored a rendered report in place of the result's
+    fields (no ``kernels``) is an incomplete meta document: evicted,
+    counted, re-run."""
+    config = _cfg()
+    cache = ResultCache(str(tmp_path))
+    key = job_key(config)
+    cache.store(key, run(config))
+    rewrite_header(tmp_path / f"{key}.entry", as_report_layout)
     with pytest.raises(SnapshotError, match="incomplete meta document"):
         cache.load(key, config)
     assert not cache.has(key)

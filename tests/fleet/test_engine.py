@@ -242,6 +242,31 @@ def test_cache_hit_recorded_in_summary(tmp_path):
     assert all(len(j["digest"]) == 64 for j in summary["jobs"])
 
 
+def test_fleet_results_keep_their_kernel_timers(tmp_path):
+    """A pooled job and a cache hit carry the run's kernel timers: the
+    registry is the report's kernel table, with the live run's calls,
+    and the summary's kernel seconds are its total."""
+    config = RunConfig(problem="noh", nx=16, ny=16, max_steps=10,
+                       metrics_every=5)
+    live = run(config)
+    calls = {name: t.calls for name, t in live.timers.timers.items()}
+    pooled = submit([config], cache_dir=str(tmp_path), ensemble="off",
+                    workers=1)
+    warm = submit([config], cache_dir=str(tmp_path), ensemble="off")
+    for handle in (pooled, warm):
+        result = handle.results()[0]
+        timers = {name: (t.seconds, t.calls, t.alloc_bytes, t.alloc_peak)
+                  for name, t in result.timers.timers.items()}
+        kernels = {name: (e["seconds"], e["calls"], e["alloc_bytes"],
+                          e["alloc_peak"])
+                   for name, e in result.report()["kernels"].items()}
+        assert timers == kernels
+        assert {name: t[1] for name, t in timers.items()} == calls
+        assert handle.summary()["jobs"][0]["kernel_seconds"] == \
+            round(result.timers.total(), 6) > 0
+    assert warm.results()[0].cache_hit
+
+
 def test_observers_bypass_cache(tmp_path):
     """A submission carrying observers must execute (the observer is a
     side effect the cache cannot replay)."""

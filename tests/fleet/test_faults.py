@@ -5,7 +5,8 @@ Rows (ROADMAP "single differential-correctness harness", (e)):
 
 * a truncated ``<key>.entry`` in the result cache, one with a garbage
   header, one with a flipped byte in its array region (the digest
-  catches it) or one stored under another schema version is a *miss* —
+  catches it), one stored under another format version or one whose
+  diagnostics rows are of another probe schema is a *miss* —
   ``cache_corrupt``, the job re-runs, its store overwrites the entry;
 * a garbage ``<key>.ckpt``, or a checkpoint truncated, with a garbage
   header or with a flipped byte, is an *absent* checkpoint —
@@ -89,13 +90,29 @@ def test_damaged_cache_entry_is_a_miss(tmp_path, workers, damage):
 
 @pytest.mark.parametrize("workers", [0, 1])
 def test_stale_layout_entry_is_a_miss(tmp_path, workers):
-    """An entry whose header is the v1 layout's (rows beside the
-    report, no ``report["steps"]``) is ``cache_corrupt`` naming both
-    versions — not a ``KeyError`` out of ``results()``."""
+    """An entry whose header is the v1 layout's (rows beside a report,
+    no top-level ``kernels``) is ``cache_corrupt`` naming both versions
+    — not a ``KeyError`` out of ``results()``."""
     cold = _cold(tmp_path)
     rewrite_header(tmp_path / f"{job_key(CONFIG)}.entry", as_v1)
     _assert_a_miss_then_warm(tmp_path, cold, workers,
                              "format version 1, expected 3")
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_rows_of_another_schema_are_a_miss(tmp_path, workers):
+    """An entry whose diagnostics rows carry another probe schema is
+    ``cache_corrupt`` naming both versions: it re-runs under the
+    current schema instead of serving the old rows."""
+    cold = _cold(tmp_path)
+
+    def as_schema_1(meta):
+        for row in meta["metrics_rows"]:
+            row["schema_version"] = 1
+
+    rewrite_header(tmp_path / f"{job_key(CONFIG)}.entry", as_schema_1)
+    _assert_a_miss_then_warm(tmp_path, cold, workers,
+                             "rows of schema 1, expected 2")
 
 
 def test_two_file_entry_is_never_read(tmp_path):
