@@ -279,8 +279,8 @@ class RunResult:
     @property
     def comm_total(self) -> Optional[dict]:
         """Whole-run traffic totals (the sum of ``comm_per_rank``);
-        None for a one-rank run."""
-        return comm_sum(self.comm_per_rank) if self.nranks > 1 else None
+        None for a run that recorded no comm entries (``serial``)."""
+        return comm_sum(self.comm_per_rank) if self.comm_per_rank else None
 
     def report(self) -> dict:
         """The schema-versioned JSON run report for this run

@@ -15,27 +15,41 @@ state file (:mod:`repro.output.restart`, the layout snapshots and
 checkpoints use too) written in one atomic write, so a killed worker
 never leaves a half-entry.  Its meta document is the cache's own: the
 key, the result scalars, the timers' ``kernels`` entries, the comm
-counters, the step, metrics and span rows — never a rendered report;
-its arrays are ``HydroState.arrays()``.
+counters, the metrics and span rows and ``step_reasons``, the
+vocabulary of the step rows' ``dt_reason`` — never a rendered report;
+its arrays are ``HydroState.arrays()`` plus the step rows as columns
+(:func:`repro.telemetry.report.encode_steps`: ``step_nstep`` int64,
+``step_time``, ``step_dt`` and ``step_wall_seconds`` float64,
+``step_dt_reason`` a code plane), under the same digest.
 
 A load is one :func:`~repro.output.restart.read_state`: the file's
 digest is recomputed and compared, the arrays come back as views of
-the bytes read, and :meth:`HydroState.from_arrays` makes the hit's state
-of private copies of them.  The config's problem factory still runs,
-for the mesh, the boundary driver, the material table and the controls,
-but the state it would start from is never built: no volume pass, no
-EoS call.  Every hit gets its own state arrays; the immutable
-:class:`~repro.mesh.topology.QuadMesh` under them is built once per
-distinct generator call per process, while held, and shared: every
-:class:`ResultCache` loads inside
+the bytes read, the step columns are decoded into the rows a live run
+records, and :meth:`HydroState.from_arrays` makes the hit's state of
+private copies of the state arrays.  The config's problem factory runs
+once per distinct problem per process, while its mesh lives: a load
+takes its setup from ``_PROBLEMS``, a memo keyed by
+:func:`problem_key` (the config's ``problem``, ``deck_sha256``,
+``nx``, ``ny``, ``time_end`` and ``problem_kwargs``; control overrides
+are not in it).  Its template is the factory's
+:class:`~repro.problems.base.ProblemSetup` without the fields the
+state starts from: the mesh, the material table, the boundary driver
+and the metadata.  Every load gets a shallow copy with its own
+controls (override applied), its own ``params`` and its own state —
+no volume pass, no EoS call — and each template leaves the memo when
+its mesh dies.  The immutable :class:`~repro.mesh.topology.QuadMesh`
+is built once per distinct generator call per process, while held,
+and shared: a factory runs inside
 :func:`repro.mesh.generator.shared_meshes` over one module-level
 :class:`weakref.WeakValueDictionary`, so a mesh stays shared for as
 long as something (a hit's state, say) holds it, and nothing is kept
-alive that the caller dropped.
+alive that the caller dropped.  Live runs (inline, pooled, batched)
+never read the memo: their boundary driver writes into their own bc
+planes, so they call the factory.
 
 An entry that cannot be read back (truncated, a bad header, another
-format version, a digest mismatch, rows of another probe schema) is a
-*miss*, not a traceback:
+format version, a digest mismatch, rows of another probe schema, no
+step columns) is a *miss*, not a traceback:
 :meth:`ResultCache.load` evicts it, counts it and raises
 :class:`~repro.utils.errors.SnapshotError` for the engine to log as
 ``cache_corrupt`` and re-run the job.  Entries of the two-file layout
@@ -48,11 +62,13 @@ result survives its worker's death.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import os
 import weakref
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -115,12 +131,14 @@ def state_digest(state, nstep: int, time: float,
 
 #: the :class:`RunResult` fields a meta document stores as they are
 _STORED = ("backend", "nranks", "nstep", "time", "wall_seconds", "lane",
-           "comm_per_rank", "step_rows", "metrics_rows", "comm_summary")
+           "comm_per_rank", "metrics_rows", "comm_summary")
 
 
-def _result_fields(path: str, meta: dict) -> Dict[str, Any]:
-    """The :class:`RunResult` fields a meta document stores."""
+def _result_fields(path: str, meta: dict,
+                   arrays: Dict[str, np.ndarray]) -> Dict[str, Any]:
+    """The :class:`RunResult` fields an entry stores."""
     from ..metrics.probe import METRICS_SCHEMA_VERSION
+    from ..telemetry.report import decode_steps
 
     try:
         stored = {name: meta[name] for name in _STORED}
@@ -131,19 +149,72 @@ def _result_fields(path: str, meta: dict) -> Dict[str, Any]:
                                     f"{version}, expected "
                                     f"{METRICS_SCHEMA_VERSION}")
         return dict(stored,
+                    step_rows=decode_steps(arrays, meta["step_reasons"]),
                     timers=TimerRegistry.from_entries(meta["kernels"]),
                     spans=[Span(**doc) for doc in meta["spans"] or ()])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise SnapshotError(f"cannot read {path}: incomplete meta document "
                             f"({type(exc).__name__}: {exc})") from exc
+
+
+#: the :meth:`RunConfig.canonical_dict` fields a problem factory reads
+_PROBLEM_FIELDS = ("problem", "deck_sha256", "nx", "ny", "time_end",
+                   "problem_kwargs")
+
+#: the process's problem templates: :func:`problem_key` →
+#: ``(weak reference to the mesh, template, boundary driver)``, each
+#: entry dropped when its mesh dies
+_PROBLEMS: Dict[str, Tuple[Any, Any, Any]] = {}
+
+
+def problem_key(config) -> str:
+    """The key of the problem factory call ``config`` makes: the
+    canonical hash of the fields :meth:`RunConfig.build_setup` reads
+    (control overrides and the execution plan are not among them)."""
+    doc = config.canonical_dict()
+    return canonical_hash({name: doc[name] for name in _PROBLEM_FIELDS})
+
+
+def _forget(key: str, ref) -> None:
+    """Drop ``key``'s template once the mesh ``ref`` pointed to dies."""
+    if _PROBLEMS.get(key, (None,))[0] is ref:
+        del _PROBLEMS[key]
+
+
+def _hit_setup(config, arrays: Dict[str, np.ndarray],
+               override: Optional[Dict[str, Any]]):
+    """The :class:`ProblemSetup` of one loaded entry: a shallow copy of
+    the config's problem template (the factory runs when no live mesh
+    has one) with its own controls, ``params`` and state."""
+    from ..core.state import HydroState
+    from ..mesh.generator import shared_meshes
+
+    key = problem_key(config)
+    ref, template, driver = _PROBLEMS.get(key, (None, None, None))
+    mesh = ref() if ref is not None else None
+    if mesh is None:
+        with shared_meshes(_MESHES):
+            built = config.build_setup()
+        mesh = built.mesh
+        driver = getattr(built.initial.bc, "driver", None)
+        # no field arrays: the mesh (weakly), the table, the driver and
+        # the metadata
+        template = dataclasses.replace(built, initial=None)
+        ref = weakref.ref(mesh, functools.partial(_forget, key))
+        _PROBLEMS[key] = (ref, template, driver)
+    return dataclasses.replace(
+        template, initial=HydroState.from_arrays(mesh, arrays, driver),
+        controls=template.controls.with_(**(override or {})),
+        params=dict(template.params))
 
 
 class ResultCache:
     """On-disk content-addressed store of run outcomes.
 
     ``hits``/``misses``/``stores``/``corrupt`` counters feed the fleet
-    summary.  Hits share their meshes through the process-wide
-    ``_MESHES`` memo, not through the cache.
+    summary.  Hits share their meshes and problem templates through
+    the process-wide ``_MESHES`` and ``_PROBLEMS`` memos, not through
+    the cache.
     """
 
     def __init__(self, root: str):
@@ -167,7 +238,9 @@ class ResultCache:
         (atomic: a concurrent reader sees the old entry or the new one,
         never a torn one)."""
         from ..output.restart import write_state
+        from ..telemetry.report import encode_steps
 
+        steps, reasons = encode_steps(result.step_rows)
         write_state(self._path(key), {
             "key": key,
             "backend": result.backend,
@@ -178,7 +251,7 @@ class ResultCache:
             "lane": result.lane,
             "kernels": result.timers.entries(),
             "comm_per_rank": result.comm_per_rank,
-            "step_rows": result.step_rows,
+            "step_reasons": reasons,
             "metrics_rows": result.metrics_rows,
             # span shards ride the spool so the fleet parent can merge
             # worker-side traces into the sweep trace (empty when the
@@ -186,7 +259,7 @@ class ResultCache:
             "spans": ([s.as_dict() for s in result.spans]
                       if result.spans else None),
             "comm_summary": result.comm_summary,
-        }, result.state.arrays())
+        }, dict(result.state.arrays(), **steps))
         self.stores += 1
 
     # ------------------------------------------------------------------
@@ -201,17 +274,16 @@ class ResultCache:
              hit: bool = True):
         """Re-materialise the stored outcome as a :class:`RunResult`.
 
-        The mesh/topology side of the state is rebuilt deterministically
-        from the config (it is not stored) — each distinct mesh once per
-        process while held, shared by every hit on it — and the result's
-        own state is made of copies of the stored arrays.  Every other
-        field is the stored one (the timers rebuilt from their entries),
-        and ``cache_hit=hit``.  An unreadable entry is evicted and raises
-        :class:`~repro.utils.errors.SnapshotError`.
+        The setup is a copy of the config's problem template (the
+        factory runs once per distinct problem per process, while its
+        mesh lives; the mesh is not stored) with its own controls —
+        ``override`` applied — and its own state, made of copies of the
+        stored arrays.  Every other field is the stored one (the timers
+        rebuilt from their entries, the step rows decoded from their
+        columns), and ``cache_hit=hit``.  An unreadable entry is evicted
+        and raises :class:`~repro.utils.errors.SnapshotError`.
         """
         from ..api import RunResult
-        from ..core.state import HydroState
-        from ..mesh.generator import shared_meshes
         from ..output.restart import read_state
 
         if not self.has(key):
@@ -219,13 +291,8 @@ class ResultCache:
         path = self._path(key)
         try:
             meta, arrays = read_state(path)
-            stored = _result_fields(path, meta)
-            with shared_meshes(_MESHES):
-                setup = config.build_setup()
-            if override:
-                setup.controls = setup.controls.with_(**override).validated()
-            driver = getattr(setup.initial.bc, "driver", None)
-            setup.state = HydroState.from_arrays(setup.mesh, arrays, driver)
+            stored = _result_fields(path, meta, arrays)
+            setup = _hit_setup(config, arrays, override)
         except SnapshotError:
             self.corrupt += 1
             if os.path.exists(path):

@@ -7,8 +7,9 @@ description) and a convenience constructor for the
 :class:`~repro.core.hydro.Hydro` driver.  The state itself is built
 (:meth:`HydroState.from_initial <repro.core.state.HydroState.from_initial>`:
 the volume pass and the EoS call) on the first read of
-:attr:`ProblemSetup.state`; a result-cache hit never reads it before
-supplying the stored state.
+:attr:`ProblemSetup.state`; a result-cache hit never reads it: it
+copies the setup without its :class:`Initial` fields and supplies the
+stored state.
 """
 
 from __future__ import annotations

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..parallel.interface import COMM_FIELDS
 from ..utils.timers import KERNEL_FIELDS, TimerRegistry
@@ -40,6 +42,45 @@ GENERATOR = "repro.telemetry"
 #: simulated time, the dt taken and why, and the wall-clock seconds
 #: the step cost
 STEP_FIELDS = ("nstep", "time", "dt", "dt_reason", "wall_seconds")
+
+#: the column dtype of every step field but ``dt_reason``, which is a
+#: code plane into a vocabulary of the reasons
+_STEP_DTYPES = {"nstep": np.int64, "time": np.float64, "dt": np.float64,
+                "wall_seconds": np.float64}
+
+
+def encode_steps(rows: Sequence[dict]) -> Tuple[Dict[str, np.ndarray],
+                                                List[Optional[str]]]:
+    """Step rows as columns: ``({"step_<field>": column}, reasons)``,
+    one column per :data:`STEP_FIELDS` entry, ``step_dt_reason``
+    holding each row's index into ``reasons`` (the distinct reasons in
+    first-seen order).  :func:`decode_steps` inverts it exactly."""
+    reasons = list(dict.fromkeys(row["dt_reason"] for row in rows))
+    code = {reason: i for i, reason in enumerate(reasons)}
+    columns = {f"step_{name}": np.array([row[name] for row in rows], dtype)
+               for name, dtype in _STEP_DTYPES.items()}
+    columns["step_dt_reason"] = np.array(
+        [code[row["dt_reason"]] for row in rows],
+        np.min_scalar_type(max(len(reasons) - 1, 0)))
+    return columns, reasons
+
+
+def decode_steps(columns: Dict[str, np.ndarray],
+                 reasons: Sequence[Optional[str]]) -> List[dict]:
+    """The step rows :func:`encode_steps` stored as ``columns`` and
+    ``reasons``, each a dict in :data:`STEP_FIELDS` order, with Python
+    ints and floats equal to the originals bit for bit.  Raises
+    ``KeyError`` for a missing column, ``IndexError`` for a code
+    outside ``reasons`` and ``ValueError`` for columns of unequal
+    length."""
+    nstep, time, dt, code, wall = (
+        columns[f"step_{name}"].tolist() for name in STEP_FIELDS)
+    if len({len(nstep), len(time), len(dt), len(code), len(wall)}) != 1:
+        raise ValueError("step columns of unequal length")
+    # a dict display per row: twice as fast as dict(zip(STEP_FIELDS, row))
+    return [{"nstep": n, "time": t, "dt": d, "dt_reason": reasons[c],
+             "wall_seconds": w}
+            for n, t, d, c, w in zip(nstep, time, dt, code, wall)]
 
 
 def build_report(problem: dict, timers: TimerRegistry, *,

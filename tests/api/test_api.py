@@ -54,6 +54,23 @@ def test_distributed_backends_through_api(backend):
                                rtol=1e-10)
 
 
+@pytest.mark.parametrize("nranks, backend", [(1, "threads"), (2, "threads"),
+                                             (2, "processes")])
+def test_report_comm_total_is_the_sum_of_its_ranks(nranks, backend):
+    """Whatever the rank count, a run that recorded comm entries reports
+    their sum as its total — a one-rank ``threads`` run as well."""
+    from repro.parallel.interface import COMM_FIELDS
+
+    result = run(RunConfig(problem="sod", nx=16, ny=8, max_steps=4,
+                           nranks=nranks, backend=backend))
+    comm = result.report()["comm"]
+    assert len(comm["per_rank"]) == nranks
+    assert comm["per_rank"][0]["messages"] > 0
+    assert comm["total"] == {k: sum(e[k] for e in comm["per_rank"])
+                             for k in COMM_FIELDS}
+    assert result.comm_total == comm["total"]
+
+
 def test_threads_and_processes_bit_identical_through_api():
     threads = run(_config(nranks=2, backend="threads"))
     procs = run(_config(nranks=2, backend="processes"))

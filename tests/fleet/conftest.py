@@ -4,6 +4,9 @@ checkpoints, HEALTH dumps — one layout, :mod:`repro.output.restart`)."""
 import hashlib
 import json
 
+from repro.output.restart import read_state, write_state
+from repro.telemetry.report import decode_steps
+
 #: ways a state file is damaged by the fault rows
 DAMAGES = ("truncated", "header", "flipped")
 
@@ -61,7 +64,19 @@ def as_v1(meta: dict) -> None:
 def as_report_layout(meta: dict) -> None:
     """The meta document the way a format-3 entry stored a rendered
     report: the kernel table, the comm counters and the step rows
-    inside ``report``, none of them beside it."""
+    (here none) inside ``report``, none of them beside it."""
+    del meta["step_reasons"]
     meta["report"] = {"kernels": meta.pop("kernels"),
                       "comm": {"per_rank": meta.pop("comm_per_rank")},
-                      "steps": meta.pop("step_rows")}
+                      "steps": []}
+
+
+def as_step_rows_in_meta(path) -> None:
+    """Rewrite an entry the way the layout before step columns stored
+    it: the step rows in the meta document, no ``step_*`` planes and no
+    ``step_reasons`` vocabulary, sealed with a fresh digest."""
+    meta, arrays = read_state(path)
+    meta["step_rows"] = decode_steps(arrays, meta.pop("step_reasons"))
+    del meta["format_version"], meta["arrays"]
+    write_state(path, meta, {name: array for name, array in arrays.items()
+                             if not name.startswith("step_")})

@@ -9,7 +9,8 @@ import pytest
 from repro.api import RunConfig, run, submit
 from repro.core.state import HydroState
 from repro.fleet import ResultCache, job_key, state_digest
-from repro.output.restart import FORMAT_VERSION
+from repro.output.restart import FORMAT_VERSION, read_state
+from repro.telemetry.report import decode_steps, encode_steps
 from repro.utils.errors import FleetError, SnapshotError
 from tests.fleet.conftest import (DAMAGES, as_report_layout, as_v1,
                                   damage_entry, rewrite_header)
@@ -46,9 +47,10 @@ def test_store_load_round_trip(tmp_path):
 
 
 def test_entry_stores_the_result_fields_not_a_report(tmp_path):
-    """The meta document holds the fields every report is rendered
-    from — the timers as kernel entries, the per-rank comm counters,
-    the step rows — and no rendered report or derived comm total."""
+    """The entry holds the fields every report is rendered from — the
+    timers as kernel entries, the per-rank comm counters in the meta
+    document, the step rows as columns beside the state — and no
+    rendered report, derived comm total or step rows in JSON."""
     config = _cfg(nranks=2)
     result = run(config)
     cache = ResultCache(str(tmp_path))
@@ -57,8 +59,14 @@ def test_entry_stores_the_result_fields_not_a_report(tmp_path):
     meta = cache.meta(key)
     assert meta["kernels"] == result.timers.entries()
     assert meta["comm_per_rank"] == result.comm_per_rank
-    assert meta["step_rows"] == result.step_rows
-    assert not {"report", "comm_total"} & set(meta)
+    assert not {"report", "comm_total", "step_rows"} & set(meta)
+    stored, arrays = read_state(tmp_path / f"{key}.entry")
+    assert decode_steps(arrays, stored["step_reasons"]) == result.step_rows
+    assert arrays["step_nstep"].dtype == np.int64
+    for name in ("time", "dt", "wall_seconds"):
+        assert arrays[f"step_{name}"].dtype == np.float64
+    assert stored["step_reasons"] == list(dict.fromkeys(
+        row["dt_reason"] for row in result.step_rows))
 
 
 #: one config per way a result reaches the caller: the submit options
@@ -112,6 +120,26 @@ def test_hit_renders_the_live_run_record(tmp_path, monkeypatch, path):
         assert result.timers.entries() == result.report()["kernels"]
 
 
+def test_a_zero_step_entry_round_trips(tmp_path):
+    """A ``max_steps=0`` result stores empty step columns and an empty
+    vocabulary (the bench's zero-step twins store exactly these), and
+    its hit renders the live record."""
+    config = _cfg(max_steps=0)
+    result = run(config)
+    cache = ResultCache(str(tmp_path))
+    key = job_key(config)
+    cache.store(key, result)
+    meta, arrays = read_state(tmp_path / f"{key}.entry")
+    assert meta["step_reasons"] == []
+    steps = {name: a for name, a in arrays.items()
+             if name.startswith("step_")}
+    assert sorted(steps) == sorted(encode_steps([])[0])
+    assert all(a.shape == (0,) for a in steps.values())
+    loaded = cache.load(key, config)
+    assert loaded.step_rows == [] and loaded.nstep == 0
+    assert _record(loaded) == _record(result)
+
+
 def test_digest_excludes_wall_time(tmp_path):
     """Two executions of the same config digest identically even
     though their wall seconds differ."""
@@ -144,8 +172,9 @@ def test_overlay_state_round_trip():
 def test_entry_layout_is_one_atomic_file(tmp_path):
     """``<key>.entry`` is the only file an entry leaves behind, in the
     state file layout: a length prefix, the meta document, exactly the
-    bytes of ``HydroState.arrays()`` in sorted-name order, each 8-byte
-    aligned, and the sha256 of everything before it."""
+    bytes of ``HydroState.arrays()`` and of the step columns in
+    sorted-name order, each 8-byte aligned, and the sha256 of
+    everything before it."""
     config = _cfg()
     result = run(config)
     cache = ResultCache(str(tmp_path))
@@ -160,7 +189,8 @@ def test_entry_layout_is_one_atomic_file(tmp_path):
     assert meta == cache.meta(key)
     assert meta["format_version"] == FORMAT_VERSION == 3
     assert meta["key"] == key
-    arrays = result.state.arrays()
+    arrays = dict(result.state.arrays(),
+                  **encode_steps(result.step_rows)[0])
     names = sorted(arrays)
     assert [doc["name"] for doc in meta["arrays"]] == names
     for doc in meta["arrays"]:
@@ -215,7 +245,7 @@ def test_incomplete_meta_document_is_evicted(tmp_path):
     key = job_key(config)
     cache.store(key, run(config))
     rewrite_header(tmp_path / f"{key}.entry",
-                   lambda meta: meta.pop("step_rows"))
+                   lambda meta: meta.pop("step_reasons"))
     with pytest.raises(SnapshotError, match="incomplete meta document"):
         cache.load(key, config)
     assert not cache.has(key)

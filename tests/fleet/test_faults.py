@@ -6,7 +6,8 @@ Rows (ROADMAP "single differential-correctness harness", (e)):
 * a truncated ``<key>.entry`` in the result cache, one with a garbage
   header, one with a flipped byte in its array region (the digest
   catches it), one stored under another format version or one whose
-  diagnostics rows are of another probe schema is a *miss* —
+  diagnostics rows are of another probe schema, or one that keeps its
+  step rows in the meta document instead of step columns, is a *miss* —
   ``cache_corrupt``, the job re-runs, its store overwrites the entry;
 * a garbage ``<key>.ckpt``, or a checkpoint truncated, with a garbage
   header or with a flipped byte, is an *absent* checkpoint —
@@ -31,11 +32,12 @@ from repro.api import RunConfig, run, submit
 from repro.fleet import ResultCache, job_key, state_digest
 from repro.metrics import DiagnosticsProbe
 from repro.metrics.health import dump_path
-from repro.output.restart import read_restart
+from repro.output.restart import read_meta, read_restart
 from repro.problems import load_problem
 from repro.telemetry.live import validate_live_stream
 from repro.utils.errors import HealthError, SnapshotError
-from tests.fleet.conftest import DAMAGES, as_v1, damage_entry, rewrite_header
+from tests.fleet.conftest import (DAMAGES, as_step_rows_in_meta, as_v1,
+                                  damage_entry, rewrite_header)
 
 
 def _digest(r):
@@ -113,6 +115,21 @@ def test_rows_of_another_schema_are_a_miss(tmp_path, workers):
     rewrite_header(tmp_path / f"{job_key(CONFIG)}.entry", as_schema_1)
     _assert_a_miss_then_warm(tmp_path, cold, workers,
                              "rows of schema 1, expected 2")
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_step_rows_in_json_entry_is_a_miss(tmp_path, workers):
+    """An entry of the layout that kept its step rows in the meta
+    document (no step columns) is incomplete: one ``cache_corrupt``,
+    a re-run under the same key and a re-store in the column layout."""
+    cold = _cold(tmp_path)
+    path = tmp_path / f"{job_key(CONFIG)}.entry"
+    as_step_rows_in_meta(path)
+    assert "step_rows" in read_meta(path)
+    _assert_a_miss_then_warm(tmp_path, cold, workers,
+                             "incomplete meta document")
+    meta = read_meta(path)
+    assert "step_rows" not in meta and "step_reasons" in meta
 
 
 def test_two_file_entry_is_never_read(tmp_path):
